@@ -57,7 +57,7 @@ from .jets import (
     jet_quotient_dim,
     projected_jet_kernel,
 )
-from .linalg import Matrix, Subspace, rank_kernel, staged_elimination
+from .linalg import Matrix, Subspace, staged_elimination
 from .poly import (
     Poly,
     TruncatedSeries,
@@ -112,7 +112,7 @@ __all__ = [
     "indices_up_to", "mono_cmp", "mono_key",
     "FibredTuple", "JetMatrix", "JetSystem", "PolyMap", "jet_blocks",
     "jet_kernel", "jet_matrix", "jet_quotient_dim", "projected_jet_kernel",
-    "Matrix", "Subspace", "rank_kernel", "staged_elimination",
+    "Matrix", "Subspace", "staged_elimination",
     "Poly", "TruncatedSeries", "format_poly", "parse_poly",
     "parse_rational",
     "Scenario", "load_scenario", "parse_scenario", "point_key",

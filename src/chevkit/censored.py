@@ -19,12 +19,5 @@ def is_censored(value):
     return isinstance(value, AtLeast)
 
 
-def value_to_json(value):
-    """JSON form: plain int for exact values, {"at_least": n} for censored."""
-    if isinstance(value, AtLeast):
-        return {"at_least": value.bound}
-    return value
-
-
 def format_value(value):
     return str(value)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError
 from .indices import degree, index_count, indices_up_to
@@ -238,9 +239,7 @@ class _JetAnalysis:
             snapshot_after=range(l),
         )
         self.rank = elim.rank
-        self.kernel = Subspace.from_vectors(
-            elim.kernel_vectors(), self.jet.matrix.ncols
-        )
+        self._elim = elim
         self.residuals = {}
         self.high_ranks = {}
         for k in range(l):
@@ -250,6 +249,13 @@ class _JetAnalysis:
         self.residuals[l] = self.jet.matrix
         self.high_ranks[l] = 0
         self._blocks = {}
+
+    @cached_property
+    def kernel(self):
+        """Full kernel of the jet matrix, canonicalised on first use."""
+        return Subspace.from_vectors(
+            self._elim.kernel_vectors(), self.jet.matrix.ncols
+        )
 
     def block(self, k):
         """(residual, projected kernel, quotient dim) at degree k."""

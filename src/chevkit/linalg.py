@@ -5,7 +5,11 @@ in caller-chosen groups, and the reduced state can be photographed at group
 boundaries.  One pass over a matrix therefore yields the ranks of a whole
 chain of nested column blocks, the residual row systems that test membership
 in their column spans, and finally the full kernel.  Callers that only want
-a plain rank/kernel use the single-stage wrapper.
+a plain rank/kernel use a single stage, and Subspace canonicalises through
+one ascending stage as well: it is the only elimination in this module.
+
+Elimination runs on integer rows; Fractions appear only at the API edge, in
+Matrix entries, kernel vectors and canonical Subspace bases.
 """
 
 from __future__ import annotations
@@ -18,22 +22,17 @@ from .errors import InputError
 
 
 def _integerize(row):
-    """Scale a row of Fractions to coprime integers (kernel-preserving)."""
+    """Scale a row of ints/Fractions to coprime integers (kernel-preserving)."""
     denom = 1
     for x in row:
         denom = lcm(denom, x.denominator)
-    ints = [int(x * denom) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-        if g == 1:
-            return ints
-    if g > 1:
-        ints = [v // g for v in ints]
+    ints = [x.numerator * (denom // x.denominator) for x in row]
+    _normalize(ints)
     return ints
 
 
 def _normalize(row):
+    """Divide an integer row in place by the gcd of its entries."""
     g = 0
     for v in row:
         g = gcd(g, v)
@@ -201,13 +200,14 @@ class Elimination:
 def staged_elimination(rows, ncols, col_stages, snapshot_after=()):
     """Fraction-free Gauss-Jordan over caller-ordered column stages.
 
-    col_stages must partition range(ncols); stages are processed in order.
+    rows hold ints or Fractions.  col_stages must partition range(ncols);
+    stages are processed in order.
     snapshot_after is a set of stage indices; after each listed stage the
     pivot-free rows restricted to the remaining columns are recorded.
     Row operations preserve kernel and row space, so every snapshot's
     residual answers span-membership for the block eliminated so far.
     """
-    work = [_integerize([Fraction(x) for x in r]) for r in rows]
+    work = [_integerize(r) for r in rows]
     for r in work:
         if len(r) != ncols:
             raise InputError("row length does not match column count")
@@ -254,7 +254,7 @@ def staged_elimination(rows, ncols, col_stages, snapshot_after=()):
             kept = sorted(
                 c for later in col_stages[si + 1:] for c in later
             )
-            resid = [[Fraction(work[i][c]) for c in kept]
+            resid = [[work[i][c] for c in kept]
                      for i in range(nrows) if i not in pivot_rows]
             snapshots[si] = StageSnapshot(
                 rank=len(pivots),
@@ -262,11 +262,6 @@ def staged_elimination(rows, ncols, col_stages, snapshot_after=()):
                 residual=Matrix(resid, ncols=len(kept)),
             )
     return Elimination(work, ncols, pivots, snapshots)
-
-
-def rank_kernel(m):
-    """Exact (rank, kernel Subspace) of a Matrix."""
-    return m.rank_kernel()
 
 
 class Subspace:
@@ -288,38 +283,32 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim):
+        """Canonical span of the vectors; entries are anything Fraction()
+        accepts (int, Fraction, "1/2")."""
         if ambient_dim < 0:
             raise InputError("negative ambient dimension")
-        basis = []
-        pivots = []
+        rows = []
         for vec in vectors:
-            row = [Fraction(x) for x in vec]
+            row = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+                   for x in vec]
             if len(row) != ambient_dim:
                 raise InputError(
                     f"vector of length {len(row)} in ambient dim {ambient_dim}"
                 )
-            for b, p in zip(basis, pivots):
-                f = row[p]
-                if f:
-                    row = [x - f * y for x, y in zip(row, b)]
-            lead = next((i for i, x in enumerate(row) if x), None)
-            if lead is None:
-                continue
-            lv = row[lead]
-            row = [x / lv for x in row]
-            for i, b in enumerate(basis):
-                f = b[lead]
-                if f:
-                    basis[i] = [x - f * y for x, y in zip(b, row)]
-            basis.append(row)
-            pivots.append(lead)
-        order = sorted(range(len(basis)), key=lambda i: pivots[i])
-        return cls(
-            ambient_dim,
-            [basis[i] for i in order],
-            [pivots[i] for i in order],
-            _trusted=True,
-        )
+            rows.append(row)
+        # one ascending stage finds pivots in column order, clears every
+        # pivot column outside its pivot row and leaves each pivot row led by
+        # its pivot; scaling the pivots to 1 gives the reduced row-echelon
+        # form, which is unique
+        elim = staged_elimination(rows, ambient_dim, [list(range(ambient_dim))])
+        basis = []
+        pivots = []
+        for r, c in elim.pivots:
+            row = elim.rows[r]
+            pv = row[c]
+            basis.append([Fraction(v, pv) for v in row])
+            pivots.append(c)
+        return cls(ambient_dim, basis, pivots, _trusted=True)
 
     @classmethod
     def zero_space(cls, ambient_dim):

@@ -58,6 +58,11 @@ def _reject_float(text):
     )
 
 
+def _is_int(value):
+    # JSON true/false arrive as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _coordinate(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise InputError(
@@ -108,7 +113,7 @@ def parse_scenario(data):
         if key not in raw_map:
             raise InputError(f"map: missing required key {key!r}")
     m, n = raw_map["m"], raw_map["n"]
-    if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
+    if not _is_int(m) or not _is_int(n) or m < 1 or n < 1:
         raise InputError("map: m and n must be positive integers")
     comps_raw = raw_map["components"]
     if not isinstance(comps_raw, list) or len(comps_raw) != n:
@@ -176,10 +181,10 @@ def parse_scenario(data):
             )
 
     k_range = data.get("k_range", [1, 3])
-    if isinstance(k_range, int):
+    if _is_int(k_range):
         k_range = [1, k_range]
     if (not isinstance(k_range, list) or len(k_range) != 2
-            or not all(isinstance(v, int) for v in k_range)):
+            or not all(_is_int(v) for v in k_range)):
         raise InputError("scenario: k_range must be [k_min, k_max]")
     k_min, k_max = k_range
     l_max = data.get("l_max", 12)
@@ -187,7 +192,7 @@ def parse_scenario(data):
     seed = data.get("seed", 0)
     for label, value in (("l_max", l_max), ("window", window),
                          ("seed", seed)):
-        if not isinstance(value, int):
+        if not _is_int(value):
             raise InputError(f"scenario: {label} must be an integer")
     if not (0 <= k_min <= k_max):
         raise InputError("scenario: need 0 <= k_min <= k_max")

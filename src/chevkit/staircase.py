@@ -118,6 +118,23 @@ def _check_staircase_closure(pivot_set, arity, d):
                 )
 
 
+def _multiples_span(gens, arity, d):
+    """(degree-<= d monomials, canonical span of the degree-<= d truncations
+    of the monomial multiples of the generators) over those monomials."""
+    monomials = indices_up_to(arity, d)
+    position = {b: i for i, b in enumerate(monomials)}
+    vectors = []
+    for g in gens:
+        for gamma in indices_up_to(arity, d - g.order()):
+            prod = Poly.monomial(gamma) * g
+            vec = [0] * len(monomials)
+            for b, c in prod.terms.items():
+                if degree(b) <= d:
+                    vec[position[b]] = c
+            vectors.append(vec)
+    return monomials, Subspace.from_vectors(vectors, len(monomials))
+
+
 def diagram_from_generators(presentation, d):
     """Staircase of the ideal the generators span, exact through degree d.
 
@@ -136,21 +153,7 @@ def diagram_from_generators(presentation, d):
             raise InputError(
                 f"truncation degree {d} is below a generator degree {max_deg}"
             )
-    monomials = indices_up_to(arity, d)
-    position = {b: i for i, b in enumerate(monomials)}
-
-    vectors = []
-    for g in gens:
-        room = d - g.order()
-        for gamma in indices_up_to(arity, room):
-            prod = Poly.monomial(gamma) * g
-            vec = [0] * len(monomials)
-            for b, c in prod.terms.items():
-                if degree(b) <= d:
-                    vec[position[b]] = c
-            vectors.append(vec)
-
-    echelon = Subspace.from_vectors(vectors, len(monomials))
+    monomials, echelon = _multiples_span(gens, arity, d)
     pivot_exponents = [monomials[p] for p in echelon.pivots]
     pivot_set = set(pivot_exponents)
     _check_staircase_closure(pivot_set, arity, d)
@@ -278,19 +281,7 @@ def ideal_jet_space(presentation, k):
     Spanned by monomial multiples of the recentered generators, truncated at
     degree k; ambient coordinates follow the shared index enumeration.
     """
-    arity = presentation.arity
-    monomials = indices_up_to(arity, k)
-    position = {b: i for i, b in enumerate(monomials)}
-    vectors = []
-    for g in presentation.recentered_generators():
-        room = k - g.order()
-        if room < 0:
-            continue
-        for gamma in indices_up_to(arity, room):
-            prod = Poly.monomial(gamma) * g
-            vec = [0] * len(monomials)
-            for b, c in prod.terms.items():
-                if degree(b) <= k:
-                    vec[position[b]] = c
-            vectors.append(vec)
-    return Subspace.from_vectors(vectors, len(monomials))
+    _, span = _multiples_span(
+        presentation.recentered_generators(), presentation.arity, k
+    )
+    return span

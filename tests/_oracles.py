@@ -149,3 +149,15 @@ def sympy_det(rows):
     return _from_sympy(sympy.Rational(sympy.Matrix(
         [[_to_sympy(Fraction(v)) for v in r] for r in rows]
     ).det()))
+
+
+def sympy_rref(vectors, ncols):
+    """(nonzero rows, pivot columns) of sympy's reduced row-echelon form of
+    the vectors stacked as rows; entries are anything Fraction() accepts."""
+    if not vectors or ncols == 0:
+        return [], []
+    m = sympy.Matrix([[_to_sympy(Fraction(x)) for x in v] for v in vectors])
+    reduced, pivots = m.rref()
+    basis = [[_from_sympy(reduced[i, j]) for j in range(ncols)]
+             for i in range(len(pivots))]
+    return basis, list(pivots)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -156,6 +157,39 @@ class TestDiagramVerb:
     def test_requires_relations(self, tmp_path):
         path = heuristic_squaring(tmp_path, [1, 2], 6)
         assert main(["diagram", "--scenario", path]) == 2
+
+    # sha256 of (stdout, --out) bytes.  diagram is the only verb that
+    # serialises canonical Subspace bases (the reduced division basis), so
+    # these pins hold the exact output of the subspace canonicalisation.
+    PINS = {
+        "cusp": (
+            "b73d591fd327ea09eed457796341c58d1c4eb1f201b6702f98e5530af5404ddb",
+            "11f4e32467c124f31b7b8d37ff75ce9e7f10f09802599bfb7dcb4c27811d3027",
+        ),
+        "cone": (
+            "a124395cb4105ccbd25ff4ffe74af86f86d4b06d9cff806fdedb34d026b9a374",
+            "a4497eb22d9a158964b545424e54ad6fbf73edd9cb06d21a128b7372b264a241",
+        ),
+        "squaring": (
+            "8cb727ff22f7dcbf9535e358e897d0d8d90433cdc3f7a8f3d7a4b68ce69313fa",
+            "7a45f8c5dd6f19c7cf10d00e23050f8a1a0a2c52b0f6887837dfe2b874bf4fd8",
+        ),
+        "identity": (
+            "ea4241055527552f65da66b075c978b7731b9e22467a2b6d053590ae1f4e5aa5",
+            "5fd39a54a633196d12f40314e7ebba108464a7a8a6bffaace43a2cb64f2559c5",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_shipped_scenarios_byte_pinned(self, name, tmp_path, capsys):
+        out = tmp_path / "diag.json"
+        scenario = str(ROOT / "scenarios" / f"{name}.json")
+        assert main(["diagram", "--scenario", scenario,
+                     "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert (hashlib.sha256(stdout).hexdigest(),
+                hashlib.sha256(out.read_bytes()).hexdigest()) == \
+            self.PINS[name]
 
 
 class TestNuVerb:

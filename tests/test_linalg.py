@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as O
 from chevkit.errors import InputError
-from chevkit.linalg import Matrix, Subspace, rank_kernel, staged_elimination
+from chevkit.linalg import Matrix, Subspace, staged_elimination
 
 entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -19,6 +19,25 @@ def matrix_strategy(max_rows=5, max_cols=5):
             ).map(lambda rows: Matrix(rows, ncols=c))
         )
     )
+
+
+def _entry_forms(q):
+    # one rational as a Fraction, a "p/q" string and, when integral, an int
+    forms = [q, str(q)] + ([int(q)] if q.denominator == 1 else [])
+    return st.sampled_from(forms)
+
+
+@st.composite
+def vector_families(draw):
+    """(ambient dim, vectors) with mixed entry types, zero vectors and
+    duplicates, shuffled."""
+    n = draw(st.integers(0, 4))
+    vec = st.lists(entries.flatmap(_entry_forms), min_size=n, max_size=n)
+    vecs = draw(st.lists(vec, max_size=5))
+    family = vecs + [[0] * n] * draw(st.integers(0, 2))
+    if vecs:
+        family += draw(st.lists(st.sampled_from(vecs), max_size=2))
+    return n, draw(st.permutations(family))
 
 
 class TestMatrix:
@@ -93,6 +112,32 @@ class TestSubspace:
         assert z.is_zero() and z.dim == 0
         assert f.dim == 4 and f.contains(z)
 
+    @given(vector_families())
+    @settings(max_examples=150, deadline=None)
+    def test_from_vectors_matches_sympy_rref(self, family):
+        n, vecs = family
+        s = Subspace.from_vectors(vecs, n)
+        basis, pivots = O.sympy_rref(vecs, n)
+        assert s.basis == basis
+        assert s.pivots == pivots
+        assert all(type(x) is Fraction for row in s.basis for x in row)
+
+    def test_from_vectors_edge_inputs(self):
+        assert Subspace.from_vectors([], 3).basis == []
+        empty = Subspace.from_vectors([[], []], 0)
+        assert empty.basis == [] and empty.ambient_dim == 0
+        s = Subspace.from_vectors([["1/2", 1], [Fraction(1, 4), "1/2"]], 2)
+        assert s.basis == [[Fraction(1), Fraction(2)]] and s.pivots == [0]
+
+    @pytest.mark.parametrize("vecs, n", [
+        ([[1, 2], [1]], 2),
+        ([[1, 2, 3]], 2),
+        ([[1]], 0),
+    ])
+    def test_from_vectors_wrong_length(self, vecs, n):
+        with pytest.raises(InputError, match="vector of length"):
+            Subspace.from_vectors(vecs, n)
+
 
 class TestStagedElimination:
     def test_stages_must_partition_columns(self):
@@ -160,8 +205,8 @@ def _schur_rows(first, second):
     return [r for r in out if r]
 
 
-def test_rank_kernel_function_wrapper():
+def test_rank_kernel_method():
     m = Matrix([[1, 1], [1, 1]], ncols=2)
-    rank, kern = rank_kernel(m)
+    rank, kern = m.rank_kernel()
     assert rank == 1
     assert kern == Subspace.from_vectors([[1, -1]], 2)

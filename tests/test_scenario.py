@@ -113,9 +113,28 @@ class TestRejection:
         with pytest.raises(InputError, match="integers or rational"):
             parse_scenario(data)
 
-    def test_bool_coordinate(self):
-        data = cusp_data()
-        data["points"][0] = [True]
+    # each bool stands where the same value as an int would parse
+    @pytest.mark.parametrize("path, value", [
+        (("points",), [[True]]),
+        (("map", "m"), True),
+        (("map", "n"), True),
+        (("k_range",), [False, True]),
+        (("k_range",), True),
+        (("l_max",), True),
+        (("window",), True),
+        (("seed",), False),
+    ], ids=["points", "m", "n", "k_range", "k_range_shorthand", "l_max",
+            "window", "seed"])
+    def test_bool_rejected(self, path, value):
+        data = {"map": {"m": 1, "n": 1, "components": ["x"]},
+                "points": [[0]], "k_range": [0, 1], "l_max": 1,
+                "window": 1, "seed": 0}
+        parse_scenario(data)
+        *outer, key = path
+        target = data
+        for part in outer:
+            target = target[part]
+        target[key] = value
         with pytest.raises(InputError):
             parse_scenario(data)
 
