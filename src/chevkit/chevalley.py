@@ -21,6 +21,7 @@ parameters to estimate the generic threshold along the family (HEURISTIC).
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,26 +68,68 @@ def validate_relations(phi, tup, generators):
     return tuple(gens)
 
 
+class KernelChain(Sequence):
+    """The (order, projected kernel) pairs computed for one degree k.
+
+    Only the orders are fixed when the chain is made: the threshold engine
+    reads codimensions alone.  Each projected kernel is canonicalised by the
+    JetSystem the first time it is read, and cached there.
+    """
+
+    __slots__ = ("jets", "k", "orders")
+
+    def __init__(self, jets, k, orders):
+        self.jets = jets
+        self.k = k
+        self.orders = tuple(orders)
+
+    def __len__(self):
+        return len(self.orders)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        l = self.orders[i]
+        return (l, self.jets.projected_kernel(l, self.k))
+
+    # compares and hashes as the tuple of pairs, so RelationJets keeps its
+    # value semantics
+    def __eq__(self, other):
+        if not isinstance(other, (KernelChain, tuple)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class RelationJets:
     """Best knowledge of the degree-<= k relation jets at one tuple.
 
-    subspace: the relation jets (exact in VERIFIED mode, the stabilized or
-    last-computed projected kernel otherwise).
     l_value: least jet order whose projected kernel equals the subspace;
     censored (AtLeast) when the search range did not settle it.
     l_stab: first order of the certifying run, or None when censored.
-    chain: the computed (order, projected kernel) pairs.
+    chain: the computed (order, projected kernel) pairs, a KernelChain.
     target: the exact relation jets when generators were supplied.
+    codim: codimension of the subspace in the degree-<= k jet space.
     """
 
     k: int
-    subspace: object
     status: str
     l_value: object
     l_stab: object
-    chain: tuple
+    chain: KernelChain
     target: object
+    codim: int
+
+    @property
+    def subspace(self):
+        """The relation jets: exact in VERIFIED mode, the stabilized or
+        last-computed projected kernel otherwise."""
+        if self.target is not None:
+            return self.target
+        return self.chain[-1][1]
 
 
 @dataclass(frozen=True)
@@ -182,72 +225,73 @@ class ChevalleyEngine:
         return self._relation_jets[k]
 
     def _verified_run(self, k):
+        # the chain is nested in l and contains the target, so the target is
+        # reached exactly when the codimensions agree
         target = self.relation_space(k)
         self._hs_crosscheck(k, target)
-        chain = []
+        target_rows = target.integer_basis()
+        codims = []
         for l in range(k, self.l_max + 1):
-            e = self.jets.projected_kernel(l, k)
-            if not e.contains(target):
+            if not self.jets.kernel_contains(l, k, target_rows):
                 raise ConsistencyError(
                     "validated relation jets escaped a projected kernel"
                     f" at l={l}, k={k}"
                 )
-            chain.append((l, e))
-            if e == target:
+            codims.append(self.jets.quotient_dim(l, k))
+            if codims[-1] == target.codim:
                 return RelationJets(
-                    k=k, subspace=target, status=VERIFIED, l_value=l,
-                    l_stab=l, chain=tuple(chain), target=target,
+                    k=k, status=VERIFIED, l_value=l, l_stab=l,
+                    chain=KernelChain(self.jets, k, range(k, l + 1)),
+                    target=target, codim=target.codim,
                 )
-        if self._tail_window_equal(chain):
+        if self._tail_window_equal(codims):
+            dim = index_count(self.phi.target_arity, k) - codims[-1]
             raise RelationsMismatchError(
-                f"projected kernels stabilized at dimension"
-                f" {chain[-1][1].dim} but the supplied relations span"
-                f" dimension {target.dim} at k={k}; either the generators"
-                " do not generate the full relation ideal or the window"
-                " reported a false stabilization"
+                f"projected kernels stabilized at dimension {dim} but the"
+                f" supplied relations span dimension {target.dim} at k={k};"
+                " either the generators do not generate the full relation"
+                " ideal or the window reported a false stabilization"
             )
         return RelationJets(
-            k=k, subspace=target, status=VERIFIED,
-            l_value=AtLeast(self.l_max + 1), l_stab=None,
-            chain=tuple(chain), target=target,
+            k=k, status=VERIFIED, l_value=AtLeast(self.l_max + 1),
+            l_stab=None,
+            chain=KernelChain(self.jets, k, range(k, self.l_max + 1)),
+            target=target, codim=target.codim,
         )
 
     def _window_run(self, k):
-        chain = []
+        # nested chain members are equal exactly when their codimensions are
+        codims = []
         for l in range(k, self.l_max + 1):
-            e = self.jets.projected_kernel(l, k)
-            chain.append((l, e))
-            if self._tail_window_equal(chain):
+            codims.append(self.jets.quotient_dim(l, k))
+            if self._tail_window_equal(codims):
                 l_stab = l - self.window + 1
                 return RelationJets(
-                    k=k, subspace=e, status=STABILIZED, l_value=l_stab,
-                    l_stab=l_stab, chain=tuple(chain), target=None,
+                    k=k, status=STABILIZED, l_value=l_stab, l_stab=l_stab,
+                    chain=KernelChain(self.jets, k, range(k, l + 1)),
+                    target=None, codim=codims[-1],
                 )
         # the provable bound: the threshold is at least the last order at
         # which the chain still moved (and at least k by definition)
         bound = k
-        for (l_prev, e_prev), (l_cur, e_cur) in zip(chain, chain[1:]):
-            if e_prev != e_cur:
-                bound = l_cur
+        for i in range(1, len(codims)):
+            if codims[i - 1] != codims[i]:
+                bound = k + i
         return RelationJets(
-            k=k, subspace=chain[-1][1], status=INCONCLUSIVE,
-            l_value=AtLeast(bound), l_stab=None,
-            chain=tuple(chain), target=None,
+            k=k, status=INCONCLUSIVE, l_value=AtLeast(bound), l_stab=None,
+            chain=KernelChain(self.jets, k, range(k, self.l_max + 1)),
+            target=None, codim=codims[-1],
         )
 
-    def _tail_window_equal(self, chain):
+    def _tail_window_equal(self, codims):
         w = self.window
-        if len(chain) < w:
-            return False
-        last = chain[-1][1]
-        return all(chain[-i][1] == last for i in range(2, w + 1))
+        return len(codims) >= w and len(set(codims[-w:])) == 1
 
     # derived quantities
 
     def hilbert_samuel(self, k):
         """Jet-space codimension of the relation jets at degree k."""
-        rj = self.relation_jets(k)
-        return index_count(self.phi.target_arity, k) - rj.subspace.dim
+        return self.relation_jets(k).codim
 
     def chevalley_threshold(self, k):
         """Least jet order whose projected kernel is the relation jets."""
@@ -256,17 +300,12 @@ class ChevalleyEngine:
     # staircase-restricted route
 
     def _diagram_kernel(self, l):
+        # a staircase is exact through its truncation and only exponents of
+        # degree <= l <= l_max are asked about, so one staircase serves all l
         if l not in self._diagram_kernels:
-            diag = self.diagram(l)
-            jm = self.jets.jet(l)
-            kept = [
-                c for c, beta in enumerate(jm.col_labels)
-                if not diag.contains(beta)
-            ]
-            sub = jm.matrix.submatrix(col_idx=kept)
-            _, kernel = sub.rank_kernel()
-            kept_betas = [jm.col_labels[c] for c in kept]
-            self._diagram_kernels[l] = (kernel, kept_betas)
+            self._diagram_kernels[l] = _staircase_free_kernel(
+                self.jets.jet(l), self.diagram(self.l_max)
+            )
         return self._diagram_kernels[l]
 
     def diagram_threshold(self, k, l):
@@ -274,9 +313,24 @@ class ChevalleyEngine:
         through the staircase-restricted jet matrix (independent route)."""
         if k > l:
             raise InputError(f"degree {k} exceeds jet order {l}")
-        kernel, kept_betas = self._diagram_kernel(l)
-        eta = [i for i, b in enumerate(kept_betas) if degree(b) <= k]
-        return kernel.project(eta).is_zero()
+        return _projects_to_zero(*self._diagram_kernel(l), k)
+
+
+def _staircase_free_kernel(jm, diagram):
+    """(kernel, column exponents) of the jet matrix restricted to the
+    columns whose exponent lies outside the staircase."""
+    kept = [
+        c for c, beta in enumerate(jm.col_labels)
+        if not diagram.contains(beta)
+    ]
+    _, kernel = jm.matrix.submatrix(col_idx=kept).rank_kernel()
+    return kernel, [jm.col_labels[c] for c in kept]
+
+
+def _projects_to_zero(kernel, betas, k):
+    """Whether the kernel vanishes on the coordinates of degree <= k."""
+    eta = [i for i, b in enumerate(betas) if degree(b) <= k]
+    return kernel.project(eta).is_zero()
 
 
 def diagram_threshold_test(phi, tup, k, l, diagram, jm=None):
@@ -301,14 +355,7 @@ def diagram_threshold_test(phi, tup, k, l, diagram, jm=None):
         )
     if jm is None:
         jm = jet_matrix(phi, tup, l)
-    kept = [
-        c for c, beta in enumerate(jm.col_labels)
-        if not diagram.contains(beta)
-    ]
-    sub = jm.matrix.submatrix(col_idx=kept)
-    _, kernel = sub.rank_kernel()
-    eta = [i for i, c in enumerate(kept) if degree(jm.col_labels[c]) <= k]
-    return kernel.project(eta).is_zero()
+    return _projects_to_zero(*_staircase_free_kernel(jm, diagram), k)
 
 
 @dataclass(frozen=True)

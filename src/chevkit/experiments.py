@@ -118,10 +118,11 @@ def _max_pair_slope(rows):
     return alpha
 
 
-def _fit_pairs(certified, censored):
+def _bound_at_slope(alpha, certified, censored):
+    """The least intercept >= 0 covering every (k, l) row and every censored
+    (k, bound) row at slope alpha, with the certified rows it meets."""
     if not certified:
         raise InputError("linear fit needs at least one uncensored row")
-    alpha = _max_pair_slope(certified)
     beta = max(0, max(l - alpha * k for k, l in certified))
     for k, bound in censored:
         beta = max(beta, bound - alpha * k)
@@ -153,18 +154,10 @@ def fit_linear_bound(entries):
                 (e.k, e.l_value)
             )
     certified = [pair for rows in groups.values() for pair in rows]
-    if not certified:
-        raise InputError("linear fit needs at least one uncensored row")
     alpha = max(
         (_max_pair_slope(rows) for rows in groups.values()), default=0
     )
-    beta = max(0, max(l - alpha * k for k, l in certified))
-    for k, bound in censored:
-        beta = max(beta, bound - alpha * k)
-    witnesses = tuple(
-        (k, l) for k, l in certified if l == alpha * k + beta
-    )
-    return LinearBound(alpha=alpha, beta=beta, witnesses=witnesses)
+    return _bound_at_slope(alpha, certified, censored)
 
 
 @dataclass(frozen=True)
@@ -270,7 +263,7 @@ def product_order_probe(presentation, trials=200, seed=0, trunc=8):
     envelope = None
     if triples:
         pairs = [(nf + ng, nfg) for nf, ng, nfg in triples]
-        envelope = _fit_pairs(pairs, [])
+        envelope = _bound_at_slope(_max_pair_slope(pairs), pairs, [])
     return ProductProbe(
         triples=tuple(triples), excluded=excluded, envelope=envelope,
         trials=trials, seed=seed, trunc_degree=trunc,
@@ -437,7 +430,8 @@ def verify_consistency(scenario, membership_l_cap=6, dense_cell_cap=2000):
     chain; three independent membership routes compute the same projected
     kernels (including the dense alternating-minors route when it fits
     under dense_cell_cap); growth of validated relations is bounded by the
-    exact shortcut; and the monotonicity laws hold across the table.
+    exact shortcut; and the monotonicity laws hold across the table, with
+    validated relation jets inside every projected kernel of their chain.
     """
     checks = []
     phi = scenario.phi
@@ -596,6 +590,16 @@ def verify_consistency(scenario, membership_l_cap=6, dense_cell_cap=2000):
                     details.append(
                         f"{key} k={k}: kernel grew from l={l0} to l={l1}"
                     )
+            # the engine guards this on integer rows; recheck it here on
+            # the canonical subspaces
+            if rj.target is not None:
+                for l, e in chain:
+                    if not e.contains(rj.target):
+                        ok = False
+                        details.append(
+                            f"{key} k={k} l={l}: relation jets outside the"
+                            " projected kernel"
+                        )
             if rj.status == VERIFIED and not is_censored(rj.l_value):
                 h = engine.hilbert_samuel(k)
                 n = phi.target_arity

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import InputError
 from .indices import degree, index_count, indices_up_to
@@ -205,11 +206,27 @@ class JetSystem:
 
     def projected_kernel(self, l, k):
         """Projection of the order-l kernel onto coordinates of degree <= k."""
-        return self.analysis(l).block(k)[1]
+        return self.analysis(l).block(k)
 
     def quotient_dim(self, l, k):
-        """Codimension of the projected kernel in the degree-<= k jet space."""
-        return self.analysis(l).block(k)[2]
+        """Codimension of the projected kernel in the degree-<= k jet space.
+
+        Read off the elimination's ranks as rank J_l - rank of the degree-> k
+        column block; no subspace is built.
+        """
+        return self.analysis(l).quotient_dim(k)
+
+    def kernel_contains(self, l, k, vectors):
+        """Whether the projected kernel at (l, k) holds every vector.
+
+        Vectors are integer coordinates over the degree-<= k indices.  The
+        test is the exact product residual . v == 0 on the elimination's
+        integer rows, so no subspace is built.
+        """
+        rows = self.analysis(l).residual_rows(k)
+        return all(
+            not sum(map(mul, row, v)) for v in vectors for row in rows
+        )
 
     def membership_residual(self, l, k):
         """(residual matrix, high-block rank) for the degree-k split at order l.
@@ -218,7 +235,7 @@ class JetSystem:
         when (low block)u lies in the column span of the high block.
         """
         a = self.analysis(l)
-        return a.residuals[k], a.high_ranks[k]
+        return a.residual(k), a.high_ranks[k]
 
 
 class _JetAnalysis:
@@ -240,15 +257,33 @@ class _JetAnalysis:
         )
         self.rank = elim.rank
         self._elim = elim
-        self.residuals = {}
-        self.high_ranks = {}
-        for k in range(l):
-            snap = elim.snapshots[l - k - 1]
-            self.residuals[k] = snap.residual
-            self.high_ranks[k] = snap.rank
-        self.residuals[l] = self.jet.matrix
+        self._snapshots = {k: elim.snapshots[l - k - 1] for k in range(l)}
+        self.high_ranks = {k: snap.rank for k, snap in self._snapshots.items()}
         self.high_ranks[l] = 0
         self._blocks = {}
+
+    def _check_degree(self, k):
+        if not 0 <= k <= self.level:
+            raise InputError(f"block degree {k} outside 0..{self.level}")
+
+    def quotient_dim(self, k):
+        self._check_degree(k)
+        return self.rank - self.high_ranks[k]
+
+    def residual(self, k):
+        """Row system (a Matrix) whose kernel is the projected kernel at k."""
+        self._check_degree(k)
+        if k == self.level:
+            return self.jet.matrix
+        return self._snapshots[k].residual
+
+    def residual_rows(self, k):
+        """Integer rows with the same kernel as residual(k)."""
+        self._check_degree(k)
+        if k == self.level:
+            # row operations keep the kernel; only pivot rows are nonzero
+            return [self._elim.rows[r] for r, _ in self._elim.pivots]
+        return self._snapshots[k].rows
 
     @cached_property
     def kernel(self):
@@ -258,15 +293,9 @@ class _JetAnalysis:
         )
 
     def block(self, k):
-        """(residual, projected kernel, quotient dim) at degree k."""
+        """Projected kernel at degree k, canonicalised on first use."""
         if k not in self._blocks:
-            if not 0 <= k <= self.level:
-                raise InputError(
-                    f"block degree {k} outside 0..{self.level}"
-                )
-            residual = self.residuals[k]
-            rank, kernel = residual.rank_kernel()
-            self._blocks[k] = (residual, kernel, rank)
+            self._blocks[k] = self.residual(k).rank_kernel()[1]
         return self._blocks[k]
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InputError
@@ -117,9 +118,18 @@ class Matrix:
             raise InputError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        cols = other.transpose().rows
-        rows = [[sum((a * b for a, b in zip(row, col)), Fraction(0))
-                 for col in cols] for row in self.rows]
+        # row by row, skipping zero entries on both sides: wedge operators
+        # have at most r + 1 nonzeros per row
+        rows = []
+        for row in self.rows:
+            acc = [0] * other.ncols
+            for a, orow in zip(row, other.rows):
+                if not a:
+                    continue
+                for j, b in enumerate(orow):
+                    if b:
+                        acc[j] += a * b
+            rows.append(acc)
         return Matrix(rows, ncols=other.ncols)
 
     def __eq__(self, other):
@@ -157,15 +167,20 @@ class StageSnapshot:
 
     rank: pivots found so far = rank of the columns of all finished stages.
     kept_cols: columns of the unfinished stages, ascending.
-    residual: the pivot-free rows restricted to kept_cols.  A vector u lies
-    in the kernel of residual exactly when (kept columns)·u is a combination
-    of the finished columns, so residual is a membership test for the span
-    of the eliminated block.
+    rows: the pivot-free rows restricted to kept_cols, as the elimination's
+    integer rows.  A vector u is killed by every row exactly when
+    (kept columns)·u is a combination of the finished columns, so the rows
+    are a membership test for the span of the eliminated block.
+    residual: the same rows as a Matrix, built on first read.
     """
 
     rank: int
     kept_cols: list
-    residual: Matrix
+    rows: list
+
+    @cached_property
+    def residual(self):
+        return Matrix(self.rows, ncols=len(self.kept_cols))
 
 
 class Elimination:
@@ -254,12 +269,11 @@ def staged_elimination(rows, ncols, col_stages, snapshot_after=()):
             kept = sorted(
                 c for later in col_stages[si + 1:] for c in later
             )
-            resid = [[work[i][c] for c in kept]
-                     for i in range(nrows) if i not in pivot_rows]
             snapshots[si] = StageSnapshot(
                 rank=len(pivots),
                 kept_cols=kept,
-                residual=Matrix(resid, ncols=len(kept)),
+                rows=[[work[i][c] for c in kept]
+                      for i in range(nrows) if i not in pivot_rows],
             )
     return Elimination(work, ncols, pivots, snapshots)
 
@@ -360,6 +374,11 @@ class Subspace:
             if f:
                 row = [x - f * y for x, y in zip(row, b)]
         return row
+
+    def integer_basis(self):
+        """The basis rows scaled to coprime integers; they span the same
+        subspace and are what integer row systems test against."""
+        return [_integerize(b) for b in self.basis]
 
     def contains_vector(self, vec):
         return not any(self.reduce_vector(vec))

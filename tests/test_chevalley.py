@@ -16,7 +16,9 @@ from chevkit.chevalley import (
     validate_relations,
 )
 from chevkit.errors import ConsistencyError, InputError, RelationsMismatchError
+from chevkit.indices import indices_up_to
 from chevkit.jets import FibredTuple, PolyMap, jet_matrix
+from chevkit.linalg import Subspace
 from chevkit.poly import parse_poly
 from chevkit.staircase import IdealPresentation, diagram_from_generators
 
@@ -176,6 +178,12 @@ class TestVerifiedThresholds:
         for (_, prev), (_, cur) in zip(rj.chain, rj.chain[1:]):
             assert prev.contains(cur)
 
+    def test_relation_jets_compare_by_value(self):
+        a, b = cusp_engine().relation_jets(2), cusp_engine().relation_jets(2)
+        assert a == b and hash(a) == hash(b)
+        assert a.chain == tuple(a.chain)
+        assert a.chain[-1] == (a.l_value, a.subspace)
+
     def test_censored_when_range_too_short(self):
         eng = cusp_engine(l_max=5)
         rj = eng.relation_jets(3)
@@ -278,6 +286,22 @@ class TestConsistencyGuards:
         # is the evidence (a failure raises ConsistencyError)
         eng = cusp_engine()
         for k in range(0, 5):
+            eng.relation_jets(k)
+
+    @pytest.mark.parametrize("mono, l", [((1, 0), 2), ((0, 1), 3)])
+    def test_escaped_relation_jets_raise(self, mono, l, monkeypatch):
+        # a space of the true dimension, so the staircase cross-check
+        # passes, that is not inside the chain: y1 is already outside the
+        # projected kernel at l=2, y2 is inside it at l=2 but not at l=3
+        k = 2
+        eng = cusp_engine()
+        betas = indices_up_to(2, k)
+        fake = Subspace.from_vectors([[int(b == mono) for b in betas]],
+                                     len(betas))
+        assert fake.dim == eng.relation_space(k).dim
+        monkeypatch.setattr(eng, "relation_space", lambda _: fake)
+        with pytest.raises(ConsistencyError,
+                           match=f"escaped a projected kernel at l={l}, k=2"):
             eng.relation_jets(k)
 
     def test_relation_space_requires_generators(self):

@@ -28,6 +28,15 @@ def heuristic_squaring(tmp_path, k_range, l_max):
     })
 
 
+def output_digests(argv, tmp_path, capsys):
+    """sha256 of the (stdout, --out) bytes of one successful CLI run."""
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    return (hashlib.sha256(stdout).hexdigest(),
+            hashlib.sha256(out.read_bytes()).hexdigest())
+
+
 class TestCanonicalJson:
     def test_shape(self):
         from fractions import Fraction
@@ -182,14 +191,78 @@ class TestDiagramVerb:
 
     @pytest.mark.parametrize("name", sorted(PINS))
     def test_shipped_scenarios_byte_pinned(self, name, tmp_path, capsys):
-        out = tmp_path / "diag.json"
         scenario = str(ROOT / "scenarios" / f"{name}.json")
-        assert main(["diagram", "--scenario", scenario,
-                     "--out", str(out)]) == 0
-        stdout = capsys.readouterr().out.encode()
-        assert (hashlib.sha256(stdout).hexdigest(),
-                hashlib.sha256(out.read_bytes()).hexdigest()) == \
-            self.PINS[name]
+        argv = ["diagram", "--scenario", scenario]
+        assert output_digests(argv, tmp_path, capsys) == self.PINS[name]
+
+
+class TestOutputPins:
+    # sha256 of (stdout, --out) bytes of the threshold verbs on the shipped
+    # scenarios and on the scaled cusp run, so that any faster route to the
+    # thresholds must reproduce every output byte.
+    PINS = {
+        "chevalley-cone": (
+            "d9578ebf185649af6a51450488551f6b559795cf9acc221100340a0b9504257c",
+            "f6f664bd9ebc4c84df8de070fc6c46509fd9db827d4b40db11bbb3bfb2192f0c",
+        ),
+        "chevalley-cusp": (
+            "12bac2fe048731ac41f61c406c9f96fa9e69d19be3ab065418a556e81aee380a",
+            "1209a7d7070de7b279ea60b8029e3370be1be19f23e328332f78c4674aa46b36",
+        ),
+        "chevalley-cusp-l16-k8": (
+            "2e34ba42c831902e29efc9016ac03b163a3acf464a68d007d0526d6f1a4122d2",
+            "bd65e0e35d9970ba56322ad769001389851da1b07437a6538f5345ac4b0f2dac",
+        ),
+        "chevalley-identity": (
+            "71bc54256547c9f726433199d1f7a199cf51e6d74f956892e30a5ff887e13db6",
+            "612eae6c0a6adc3ab221fb71c6009121a099c039fe418bccd662563956d709e0",
+        ),
+        "chevalley-squaring": (
+            "a76c905e12eb596d66a88d64e197e23d63082fce866c4b04a6568ed56803aff0",
+            "1dc1738071a727a457153be973d69032282e45cd2dddab20e2736736fb53a0b6",
+        ),
+        "fit-cone": (
+            "fcef8396151cdfb6fbd3e932b16344f8da6ec08f7720190b26be6d95bee06ce2",
+            "ced03250bacb0e16583408d95299162544fd698ce9b95fc2d4543c136aa1e80d",
+        ),
+        "fit-cusp": (
+            "7ddad370895db0205b32ea8f30b5186f99a196d36654a2bb66e76b146eea1fb5",
+            "5b3c473ab496c6206a43c6dfa70180808ddb0b43494797ac404d316197690414",
+        ),
+        "fit-identity": (
+            "06bc86c5737adb79559c6191161a954b5f8fea843f1c05c3fb8f6b3bcddb5570",
+            "ad8f832e7bafab381a8e129a68d38f2e33f1119c525c65080b79b58737babeb5",
+        ),
+        "fit-squaring": (
+            "0464f240729f1de544bde6059d99412119d623099a5161ad7842dee1e7fd2b18",
+            "04cecaaf6a1dcc10af428df408078fcd0cf7dc5415efca739cb3e381abc4652a",
+        ),
+        "verify-cone": (
+            "93498212b370e3397d8d7cd7d1b19d5e7879bbff8ebad51cb2959228a7479179",
+            "22b4bef797066424ad4f60477d4b68471030515db52b3e98ab5c5728a8190782",
+        ),
+        "verify-cusp": (
+            "3acede170beaf70b4d236168e2a53d1a93ba5874512981ab55adfd6d110752e3",
+            "133e7778ec6095c4945b7f856b9e9ac6471a5e1397b1ffa1daf5787d7b02b5a5",
+        ),
+        "verify-identity": (
+            "89f232f5623f65ce615bb3760ad07d75d91443feab427a56b785628e43726de5",
+            "582cb7b0f1d67dc451d6e3ac75910f313c2a1d630a4b80200a36a8de0c786bcf",
+        ),
+        "verify-squaring": (
+            "806e44aa37188db2f6e5b30af50fe09ccceb29cb48e20e015dd4e2039d7f6e87",
+            "04589b62e1bc129c41e3db8359b527573a1b0331d819774644a5e2540f50e1d9",
+        ),
+    }
+    SCALED = ["--l-max", "16", "--k-max", "8"]
+
+    @pytest.mark.parametrize("case", sorted(PINS))
+    def test_byte_pinned(self, case, tmp_path, capsys):
+        verb, name, *scaled = case.split("-")
+        argv = [verb, "--scenario", str(ROOT / "scenarios" / f"{name}.json")]
+        if scaled:
+            argv += self.SCALED
+        assert output_digests(argv, tmp_path, capsys) == self.PINS[case]
 
 
 class TestNuVerb:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,9 @@ from chevkit.jets import (
     projected_jet_kernel,
 )
 from chevkit.poly import Poly, parse_poly
+from chevkit.scenario import load_scenario, scenario_tuples
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def squaring():
@@ -184,12 +188,46 @@ class TestKernels:
                 proj = sys.projected_kernel(l, k).dim
                 assert sys.quotient_dim(l, k) == total - proj
 
+    @pytest.mark.parametrize("name", ["cone", "cusp", "identity", "squaring"])
+    def test_rank_only_codim_on_shipped_maps(self, name):
+        # quotient_dim reads ranks only; it must match the codimension of
+        # the canonicalised projected kernel everywhere on the chain
+        scenario = load_scenario(ROOT / "scenarios" / f"{name}.json")
+        for _, tup in scenario_tuples(scenario):
+            sys = JetSystem(scenario.phi, tup)
+            for l in range(scenario.l_max + 1):
+                for k in range(l + 1):
+                    assert sys.quotient_dim(l, k) == \
+                        sys.projected_kernel(l, k).codim, (tup, l, k)
+
+    @given(st.sampled_from([cusp, cone]),
+           st.lists(st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=4), min_size=2, max_size=2))
+    @settings(max_examples=25, deadline=None)
+    def test_rank_only_codim_at_random_points(self, mk, coords):
+        phi = mk()
+        tup = FibredTuple.make(phi, [tuple(coords[:phi.source_arity])])
+        sys = JetSystem(phi, tup)
+        for l in range(5):
+            for k in range(l + 1):
+                assert sys.quotient_dim(l, k) == \
+                    sys.projected_kernel(l, k).codim
+
     def test_projection_degree_bound(self):
         tup = FibredTuple.make(squaring(), [(0,)])
         with pytest.raises(InputError):
             projected_jet_kernel(squaring(), tup, 2, 3)
         with pytest.raises(InputError):
             jet_quotient_dim(squaring(), tup, 2, 3)
+
+    def test_negative_projection_degree(self):
+        tup = FibredTuple.make(squaring(), [(0,)])
+        with pytest.raises(InputError):
+            projected_jet_kernel(squaring(), tup, 2, -1)
+        with pytest.raises(InputError):
+            jet_quotient_dim(squaring(), tup, 2, -1)
+        with pytest.raises(InputError):
+            JetSystem(squaring(), tup).membership_residual(2, -1)
 
     def test_membership_residual_kernel(self):
         phi = cusp()

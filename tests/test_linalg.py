@@ -54,6 +54,21 @@ class TestMatrix:
         assert (a @ b).rows == [[Fraction(2), Fraction(1)],
                                 [Fraction(4), Fraction(3)]]
 
+    @given(matrix_strategy(), st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matmul_matches_triple_loop(self, a, width, data):
+        b = data.draw(st.lists(
+            st.lists(st.sampled_from([Fraction(0)]) | entries,
+                     min_size=width, max_size=width),
+            min_size=a.ncols, max_size=a.ncols,
+        ))
+        expected = [
+            [sum((a.rows[i][t] * b[t][j] for t in range(a.ncols)),
+                 Fraction(0)) for j in range(width)]
+            for i in range(a.nrows)
+        ]
+        assert (a @ Matrix(b, ncols=width)).rows == expected
+
     @given(matrix_strategy())
     @settings(max_examples=60, deadline=None)
     def test_rank_matches_sympy(self, m):
