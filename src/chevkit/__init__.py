@@ -1,6 +1,6 @@
 """Exact jet, staircase, and threshold computations for polynomial maps."""
 
-from .censored import AtLeast, format_value, is_censored
+from .censored import AtLeast, is_censored
 from .chevalley import (
     HEURISTIC,
     INCONCLUSIVE,
@@ -97,7 +97,7 @@ from .wedge import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtLeast", "format_value", "is_censored",
+    "AtLeast", "is_censored",
     "HEURISTIC", "INCONCLUSIVE", "STABILIZED", "VERIFIED",
     "ChevalleyEngine", "ChevalleyEntry", "Leaf", "LeafSample",
     "RelationJets", "diagram_threshold_test", "sample_leaf_chevalley",

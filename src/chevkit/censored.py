@@ -18,6 +18,3 @@ class AtLeast:
 def is_censored(value):
     return isinstance(value, AtLeast)
 
-
-def format_value(value):
-    return str(value)

@@ -168,7 +168,7 @@ class ChevalleyEngine:
         else:
             gens = validate_relations(phi, tup, relations)
             self.presentation = IdealPresentation.make(gens, tup.image)
-        self.jets = JetSystem(phi, tup)
+        self.jets = JetSystem(phi, tup, l_max=l_max)
         self._relation_jets = {}
         self._relation_spaces = {}
         self._diagrams = {}
@@ -438,37 +438,26 @@ class LeafSample:
 
 
 def sample_leaf_chevalley(phi, leaf, k, trials=5, seed=0, l_max=12,
-                          window=3, relations=None):
+                          window=3, relations=None, *, _drawn=None):
     """Estimate the generic threshold for degree k along a leaf by sampling
     rational parameter points.  Results are heuristic: membership of a
-    sample in the generic stratum is not certified."""
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    leaf.validate(phi)
-    rng = random.Random(seed)
+    sample in the generic stratum is not certified.
+
+    _drawn is the result of _draw_leaf_trials on these same arguments: the
+    draw does not depend on k, so run_table draws once per leaf and reads
+    every k from the same engines.
+    """
+    if _drawn is None:
+        _drawn = _draw_leaf_trials(
+            phi, leaf, trials, seed, l_max, window, relations
+        )
     samples = []
-    seen = set()
-    attempts = 0
-    while len(samples) < trials and attempts < 50 * trials:
-        attempts += 1
-        t = tuple(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-            for _ in leaf.params
-        )
-        if t in seen:
-            continue
-        seen.add(t)
-        tup = leaf.tuple_at(phi, t)
-        engine = ChevalleyEngine(
-            phi, tup, relations=relations, l_max=l_max, window=window
-        )
+    for t, engine in _drawn:
         rj = engine.relation_jets(k)
         profile = {
             l: engine.jets.quotient_dim(l, k) for l in range(k, l_max + 1)
         }
         samples.append((t, rj.l_value, profile))
-    if not samples:
-        raise InputError("could not draw any parameter samples")
 
     finite = [lv for _, lv, _ in samples if not is_censored(lv)]
     if finite:
@@ -497,3 +486,31 @@ def sample_leaf_chevalley(phi, leaf, k, trials=5, seed=0, l_max=12,
         trials=trials,
         seed=seed,
     )
+
+
+def _draw_leaf_trials(phi, leaf, trials, seed, l_max, window, relations):
+    """Validate the leaf and draw (parameters, engine) per trial.  The draw
+    depends on the seed and the leaf alone, so one draw serves every k."""
+    if trials < 1:
+        raise InputError("trials must be >= 1")
+    leaf.validate(phi)
+    rng = random.Random(seed)
+    drawn = []
+    seen = set()
+    attempts = 0
+    while len(drawn) < trials and attempts < 50 * trials:
+        attempts += 1
+        t = tuple(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+            for _ in leaf.params
+        )
+        if t in seen:
+            continue
+        seen.add(t)
+        tup = leaf.tuple_at(phi, t)
+        drawn.append((t, ChevalleyEngine(
+            phi, tup, relations=relations, l_max=l_max, window=window
+        )))
+    if not drawn:
+        raise InputError("could not draw any parameter samples")
+    return drawn

@@ -19,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .censored import AtLeast, format_value, is_censored
+from .censored import AtLeast, is_censored
 from .chevalley import HEURISTIC, INCONCLUSIVE, validate_relations
 from .errors import ConsistencyError, InputError, RelationsMismatchError
 from .experiments import (
@@ -139,7 +139,7 @@ def _print_entries(entries):
     rows = [["map", "tuple", "k", "l", "H", "status", "l_stab"]]
     for e in entries:
         rows.append([
-            e.map_name, e.tuple_id, str(e.k), format_value(e.l_value),
+            e.map_name, e.tuple_id, str(e.k), str(e.l_value),
             str(e.h_value), e.status,
             "-" if e.l_stab is None else str(e.l_stab),
         ])
@@ -153,7 +153,7 @@ def _write_csv(entries, path):
         writer.writerow(["map", "tuple", "k", "l", "H", "status", "l_stab"])
         for e in entries:
             writer.writerow([
-                e.map_name, e.tuple_id, e.k, format_value(e.l_value),
+                e.map_name, e.tuple_id, e.k, str(e.l_value),
                 e.h_value, e.status,
                 "" if e.l_stab is None else e.l_stab,
             ])
@@ -168,7 +168,7 @@ def cmd_chevalley(args):
     _print_entries(run.entries)
     for sample in run.leaf_samples:
         print(f"leaf {sample.leaf_name} k={sample.k}:"
-              f" generic l={format_value(sample.l_generic)}"
+              f" generic l={sample.l_generic}"
               f" over {len(sample.samples)} samples"
               + (" [rank profile mismatch]" if sample.mismatch else ""))
     if args.csv:
@@ -341,7 +341,7 @@ def cmd_nu(args):
     entries = []
     for text, entry in zip(args.poly, probe.entries):
         nf_text = format_poly(entry.normal_form.to_poly(), names)
-        print(f"nu({text}) = {format_value(entry.value)}"
+        print(f"nu({text}) = {entry.value}"
               f"  normal form: {nf_text}")
         entries.append({
             "poly": text,

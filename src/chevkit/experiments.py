@@ -18,6 +18,7 @@ from .chevalley import (
     ChevalleyEntry,
     HEURISTIC,
     VERIFIED,
+    _draw_leaf_trials,
     sample_leaf_chevalley,
 )
 from .errors import ConsistencyError, InputError, RelationsMismatchError
@@ -77,10 +78,14 @@ def run_table(scenario):
     leaf_samples = []
     for leaf in scenario.leaves:
         rel = relations_for(scenario, "leaf:" + leaf.name)
+        drawn = _draw_leaf_trials(
+            phi, leaf, 5, scenario.seed, scenario.l_max, scenario.window, rel
+        )
         for k in range(k_min, k_max + 1):
             sample = sample_leaf_chevalley(
                 phi, leaf, k, trials=5, seed=scenario.seed,
                 l_max=scenario.l_max, window=scenario.window, relations=rel,
+                _drawn=drawn,
             )
             leaf_samples.append(sample)
             entries.append(ChevalleyEntry(

@@ -7,6 +7,12 @@ follow the shared index enumeration of the target, rows are grouped per
 source point.  Every column for an exponent of degree D is a pullback of
 order >= D, so rows of degree <= k see zeros in all columns of degree > k;
 that triangular shape is what the staged elimination exploits.
+
+Indices are enumerated degree ascending, so the order-l jet matrix is the
+leading block of any higher-order one: per point, its first C(m+l, l) rows,
+and its first C(n+l, l) columns.  JetSystem therefore builds one jet matrix
+per fibred tuple and slices every order out of it, growing the build
+geometrically (capped at the engine's l_max) when a higher order is asked.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from operator import mul
 
 from .errors import InputError
 from .indices import degree, index_count, indices_up_to
-from .linalg import Matrix, Subspace, staged_elimination
+from .linalg import Matrix, Subspace, _integerize, staged_elimination
 from .poly import Poly, TruncatedSeries
 
 
@@ -185,19 +191,55 @@ class JetSystem:
     the state at every degree boundary.  That one pass yields, for every
     k <= l: the rank of the degree-> k column block, and a residual row
     system whose kernel is the projected jet kernel at degree k.
+
+    The system keeps one jet_matrix build, at some order L, and reads every
+    order l <= L off it as a leading block: indices are enumerated degree
+    ascending, so the order-l matrix is rows p*C(m+L, L) + i for each point
+    p and i < C(m+l, l), and columns j < C(n+l, l).  The build's rows are
+    scaled to coprime integers once; a slice of such a row only needs its
+    gcd divided out, which staged_elimination does on entry.  An order past
+    L rebuilds at max(l, min(2L, l_max)), so a climb l = k, k+1, ... makes
+    logarithmically many builds and never passes l_max; without l_max the
+    rebuild is at exactly l.
     """
 
-    def __init__(self, phi, tup):
+    def __init__(self, phi, tup, l_max=None):
         self.phi = phi
         self.tup = tup
+        self.l_max = l_max
+        self._build = None
+        self._int_rows = None
         self._analyses = {}
+
+    def _grow(self, l):
+        level = l
+        if self._build is not None and self.l_max is not None:
+            level = max(l, min(2 * self._build.level, self.l_max))
+        self._build = jet_matrix(self.phi, self.tup, level)
+        self._int_rows = [_integerize(r) for r in self._build.matrix.rows]
 
     def jet(self, l):
         return self.analysis(l).jet
 
     def analysis(self, l):
         if l not in self._analyses:
-            self._analyses[l] = _JetAnalysis(self.phi, self.tup, l)
+            if l < 0:
+                raise InputError("jet order must be >= 0")
+            if self._build is None or l > self._build.level:
+                self._grow(l)
+            build = self._build
+            m, n = self.phi.source_arity, self.phi.target_arity
+            per_point = index_count(m, build.level)
+            row_idx = [
+                p * per_point + i
+                for p in range(self.tup.size)
+                for i in range(index_count(m, l))
+            ]
+            ncols = index_count(n, l)
+            rows = [self._int_rows[r][:ncols] for r in row_idx]
+            self._analyses[l] = _JetAnalysis(
+                build, row_idx, rows, ncols, n, l
+            )
         return self._analyses[l]
 
     def kernel(self, l):
@@ -239,10 +281,13 @@ class JetSystem:
 
 
 class _JetAnalysis:
-    def __init__(self, phi, tup, l):
+    # holds the build it was sliced from, never its JetSystem: a system <->
+    # analysis cycle would outlive every engine until the cyclic GC ran
+    def __init__(self, build, row_idx, rows, ncols, n, l):
         self.level = l
-        self.jet = jet_matrix(phi, tup, l)
-        n = phi.target_arity
+        self._build = build
+        self._row_idx = row_idx
+        self._ncols = ncols
         counts = [index_count(n, d) for d in range(-1, l + 1)]
         # stage si holds the columns of degree l - si; highest degree first
         stages = [
@@ -250,10 +295,7 @@ class _JetAnalysis:
             for si in range(l + 1)
         ]
         elim = staged_elimination(
-            self.jet.matrix.rows,
-            self.jet.matrix.ncols,
-            stages,
-            snapshot_after=range(l),
+            rows, ncols, stages, snapshot_after=range(l),
         )
         self.rank = elim.rank
         self._elim = elim
@@ -261,6 +303,21 @@ class _JetAnalysis:
         self.high_ranks = {k: snap.rank for k, snap in self._snapshots.items()}
         self.high_ranks[l] = 0
         self._blocks = {}
+
+    @cached_property
+    def jet(self):
+        """The order-l JetMatrix: the leading block of the build."""
+        build, ncols = self._build, self._ncols
+        if build.level == self.level:
+            return build
+        src = build.matrix.rows
+        return JetMatrix(
+            matrix=Matrix([src[r][:ncols] for r in self._row_idx],
+                          ncols=ncols),
+            level=self.level,
+            col_labels=build.col_labels[:ncols],
+            row_labels=tuple(build.row_labels[r] for r in self._row_idx),
+        )
 
     def _check_degree(self, k):
         if not 0 <= k <= self.level:
@@ -288,9 +345,7 @@ class _JetAnalysis:
     @cached_property
     def kernel(self):
         """Full kernel of the jet matrix, canonicalised on first use."""
-        return Subspace.from_vectors(
-            self._elim.kernel_vectors(), self.jet.matrix.ncols
-        )
+        return Subspace.from_vectors(self._elim.kernel_vectors(), self._ncols)
 
     def block(self, k):
         """Projected kernel at degree k, canonicalised on first use."""

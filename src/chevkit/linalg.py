@@ -23,11 +23,17 @@ from .errors import InputError
 
 
 def _integerize(row):
-    """Scale a row of ints/Fractions to coprime integers (kernel-preserving)."""
-    denom = 1
-    for x in row:
-        denom = lcm(denom, x.denominator)
-    ints = [x.numerator * (denom // x.denominator) for x in row]
+    """Scale a row of ints/Fractions to coprime integers (kernel-preserving).
+
+    Always returns a new list, which callers may reduce in place.
+    """
+    if all(x.__class__ is int for x in row):
+        ints = list(row)
+    else:
+        denom = 1
+        for x in row:
+            denom = lcm(denom, x.denominator)
+        ints = [x.numerator * (denom // x.denominator) for x in row]
     _normalize(ints)
     return ints
 
@@ -50,7 +56,10 @@ class Matrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        rows = [[Fraction(x) for x in r] for r in rows]
+        # Fraction() re-checks a Fraction through the numbers ABCs; cells
+        # that already are one are kept as they are
+        rows = [[x if x.__class__ is Fraction else Fraction(x) for x in r]
+                for r in rows]
         if rows:
             width = len(rows[0])
             for r in rows:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb, prod
+from operator import add, sub
 
 from .errors import InputError, TruncationError
 from .indices import degree, index_add, indices_up_to, mono_key
@@ -352,31 +353,25 @@ class TruncatedSeries:
             and self.terms == other.terms
         )
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        # termwise op below the common truncation degree
         d = self._common_degree(other)
         terms = {b: c for b, c in self.terms.items() if degree(b) <= d}
         for b, c in other.terms.items():
             if degree(b) > d:
                 continue
-            s = terms.get(b, Fraction(0)) + c
+            s = op(terms.get(b, Fraction(0)), c)
             if s:
                 terms[b] = s
             else:
                 terms.pop(b, None)
         return TruncatedSeries(self.arity, terms, d, _exact=True)
 
+    def __add__(self, other):
+        return self._combine(other, add)
+
     def __sub__(self, other):
-        d = self._common_degree(other)
-        terms = {b: c for b, c in self.terms.items() if degree(b) <= d}
-        for b, c in other.terms.items():
-            if degree(b) > d:
-                continue
-            s = terms.get(b, Fraction(0)) - c
-            if s:
-                terms[b] = s
-            else:
-                terms.pop(b, None)
-        return TruncatedSeries(self.arity, terms, d, _exact=True)
+        return self._combine(other, sub)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

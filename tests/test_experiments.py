@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from chevkit.censored import AtLeast
@@ -5,7 +7,9 @@ from chevkit.chevalley import (
     HEURISTIC,
     STABILIZED,
     VERIFIED,
+    ChevalleyEngine,
     ChevalleyEntry,
+    sample_leaf_chevalley,
 )
 from chevkit.errors import InputError, RelationsMismatchError
 from chevkit.experiments import (
@@ -18,8 +22,15 @@ from chevkit.experiments import (
 )
 from chevkit.jets import PolyMap
 from chevkit.poly import parse_poly
-from chevkit.scenario import parse_scenario
+from chevkit.scenario import (
+    load_scenario,
+    parse_scenario,
+    relations_for,
+    scenario_tuples,
+)
 from chevkit.staircase import IdealPresentation
+
+ROOT = Path(__file__).resolve().parent.parent
 
 Y2 = ["y1", "y2"]
 
@@ -232,6 +243,34 @@ class TestRunTable:
         assert all(e.status == HEURISTIC for e in leaf_rows)
         assert len(table.leaf_samples) == 2
         assert table.leaf_samples[0].l_generic == 1
+
+    def test_leaf_draw_serves_every_k(self, monkeypatch):
+        sc = load_scenario(ROOT / "scenarios" / "squaring.json")
+        built = []
+        init = ChevalleyEngine.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChevalleyEngine, "__init__", counting)
+        table = run_table(sc)
+        tuples = len(list(scenario_tuples(sc)))
+        # one engine per scenario tuple, then one per trial of the leaf
+        assert len(built) == tuples + 5 * len(sc.leaves)
+        monkeypatch.setattr(ChevalleyEngine, "__init__", init)
+
+        k_min, k_max = sc.k_range
+        separate = tuple(
+            sample_leaf_chevalley(
+                sc.phi, leaf, k, trials=5, seed=sc.seed, l_max=sc.l_max,
+                window=sc.window,
+                relations=relations_for(sc, "leaf:" + leaf.name),
+            )
+            for leaf in sc.leaves for k in range(k_min, k_max + 1)
+        )
+        assert len(separate) == 3
+        assert table.leaf_samples == separate
 
 
 class TestVerify:

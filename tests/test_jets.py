@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracles
+import chevkit.jets
+from chevkit.chevalley import ChevalleyEngine
 from chevkit.errors import InputError
 from chevkit.indices import degree, index_count, indices_up_to
 from chevkit.jets import (
@@ -19,6 +23,7 @@ from chevkit.jets import (
     jet_quotient_dim,
     projected_jet_kernel,
 )
+from chevkit.censored import AtLeast
 from chevkit.poly import Poly, parse_poly
 from chevkit.scenario import load_scenario, scenario_tuples
 
@@ -239,6 +244,139 @@ class TestKernels:
         assert kern == sys.projected_kernel(l, k)
         low, high = jet_blocks(sys.jet(l), k)
         assert high_rank == oracles.sympy_rank(high.rows)
+
+
+def _count_builds(monkeypatch):
+    """Record the order of every jet_matrix build a JetSystem makes."""
+    levels = []
+    build = chevkit.jets.jet_matrix
+
+    def counting(phi, tup, l):
+        levels.append(l)
+        return build(phi, tup, l)
+
+    monkeypatch.setattr(chevkit.jets, "jet_matrix", counting)
+    return levels
+
+
+def _assert_leading_blocks(phi, tup, top):
+    sys = JetSystem(phi, tup, l_max=top)
+    sys.analysis(top)
+    for l in range(top + 1):
+        got, want = sys.jet(l), jet_matrix(phi, tup, l)
+        assert got.level == l
+        assert got.matrix.rows == want.matrix.rows, (tup, l)
+        assert got.col_labels == want.col_labels
+        assert got.row_labels == want.row_labels
+
+
+class TestSingleBuild:
+    """One jet_matrix build per system; every lower order is its leading
+    block of rows (per point) and columns."""
+
+    @pytest.mark.parametrize("name", ["cone", "cusp", "identity", "squaring"])
+    def test_slices_equal_fresh_builds_on_shipped_maps(self, name):
+        scenario = load_scenario(ROOT / "scenarios" / f"{name}.json")
+        for _, tup in scenario_tuples(scenario):
+            _assert_leading_blocks(scenario.phi, tup, scenario.l_max)
+
+    @given(st.sampled_from([cusp, cone]),
+           st.lists(st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=4), min_size=2, max_size=2),
+           st.integers(0, 6))
+    @settings(max_examples=20, deadline=None)
+    def test_slices_equal_fresh_builds_at_random_points(self, mk, coords,
+                                                        top):
+        phi = mk()
+        tup = FibredTuple.make(phi, [tuple(coords[:phi.source_arity])])
+        _assert_leading_blocks(phi, tup, top)
+
+    @pytest.mark.parametrize("mk,pts", [
+        (cusp, [(Fraction(1, 2),)]),
+        (cone, [(1, 1)]),
+        (squaring, [(1,), (-1,)]),
+    ])
+    def test_out_of_order_analyses_match_single_order_systems(self, mk, pts):
+        phi = mk()
+        tup = FibredTuple.make(phi, pts)
+        sys = JetSystem(phi, tup, l_max=9)
+        for l in (5, 2, 9, 1):
+            got = sys.analysis(l)
+            fresh = JetSystem(phi, tup).analysis(l)
+            assert got.rank == fresh.rank
+            assert got.high_ranks == fresh.high_ranks
+            for k in range(l + 1):
+                assert got.residual_rows(k) == fresh.residual_rows(k), (l, k)
+
+    def test_engine_climb_builds_geometrically(self, monkeypatch):
+        levels = _count_builds(monkeypatch)
+        phi = cusp()
+        tup = FibredTuple.make(phi, [(0,)])
+        rel = parse_poly("y1^3 - y2^2", 2, names=["y1", "y2"])
+        engine = ChevalleyEngine(phi, tup, relations=[rel], l_max=16)
+        assert [engine.chevalley_threshold(k) for k in range(1, 9)] == \
+            [3, 5, 7, 9, 11, 13, 15, AtLeast(17)]
+        assert len(levels) <= 5
+        assert max(levels) == 16
+
+    @given(st.integers(0, 12),
+           st.lists(st.integers(0, 14), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_builds_stay_within_twice_the_requests(self, l_max, requests):
+        levels = []
+        build = chevkit.jets.jet_matrix
+
+        def counting(phi, tup, l):
+            levels.append(l)
+            return build(phi, tup, l)
+
+        phi = squaring()
+        tup = FibredTuple.make(phi, [(1,), (-1,)])
+        sys = JetSystem(phi, tup, l_max=l_max)
+        highest = 0
+        original, chevkit.jets.jet_matrix = chevkit.jets.jet_matrix, counting
+        try:
+            for l in requests:
+                before = len(levels)
+                highest = max(highest, l)
+                sys.analysis(l)
+                for level in levels[before:]:
+                    assert l <= level <= max(l, min(2 * highest, l_max))
+        finally:
+            chevkit.jets.jet_matrix = original
+        assert len(levels) <= len(set(requests))
+
+    def test_unbounded_system_builds_exactly_the_requested_order(
+            self, monkeypatch):
+        levels = _count_builds(monkeypatch)
+        tup = FibredTuple.make(cusp(), [(0,)])
+        jet_quotient_dim(cusp(), tup, 7, 2)
+        assert levels == [7]
+        sys = JetSystem(cusp(), tup)
+        for l in (1, 2, 3, 6):
+            sys.analysis(l)
+        assert levels == [7, 1, 2, 3, 6]
+
+    def test_no_reference_cycle(self):
+        # a system <-> analysis cycle keeps every engine's matrices alive
+        # until the cyclic collector runs, which shows in peak memory
+        phi = cone()
+        tup = FibredTuple.make(phi, [(1, 1)])
+        gc.disable()
+        try:
+            sys = JetSystem(phi, tup, l_max=6)
+            for l in (2, 6, 3):
+                sys.analysis(l)
+                sys.jet(l)
+                sys.projected_kernel(l, 1)
+            sys.kernel(3)
+            dead_sys = weakref.ref(sys)
+            dead_analysis = weakref.ref(sys.analysis(3))
+            del sys
+            assert dead_sys() is None
+            assert dead_analysis() is None
+        finally:
+            gc.enable()
 
 
 class TestDefiningProperty:

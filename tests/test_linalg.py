@@ -82,6 +82,23 @@ class TestMatrix:
         for v in kern.basis:
             assert all(x == 0 for x in m.apply(v))
 
+    @given(st.lists(st.lists(entries.flatmap(_entry_forms), min_size=3,
+                             max_size=3), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_entries_are_boxed_as_fractions(self, rows):
+        m = Matrix(rows)
+        assert m.rows == [[Fraction(x) for x in r] for r in rows]
+        assert all(type(x) is Fraction for r in m.rows for x in r)
+        assert all(row is not src for row, src in zip(m.rows, rows))
+
+    def test_identity_and_zero(self):
+        assert Matrix.identity(3).rows == [
+            [Fraction(int(i == j)) for j in range(3)] for i in range(3)
+        ]
+        assert Matrix.zero(2, 3).rows == [[Fraction(0)] * 3] * 2
+        for m in (Matrix.identity(3), Matrix.zero(2, 3)):
+            assert all(type(x) is Fraction for r in m.rows for x in r)
+
     def test_submatrix(self):
         m = Matrix([[1, 2, 3], [4, 5, 6]], ncols=3)
         s = m.submatrix(row_idx=[1], col_idx=[0, 2])
@@ -193,6 +210,22 @@ class TestStagedElimination:
         stages = [[c] for c in range(m.ncols)]
         elim = staged_elimination(m.rows, m.ncols, stages)
         assert elim.rank == O.sympy_rank(m.rows)
+
+    @given(st.lists(st.lists(st.integers(-12, 12), min_size=4, max_size=4),
+                    min_size=1, max_size=4), st.integers(1, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_integer_rows_eliminate_like_fraction_rows(self, rows, scale):
+        # integer rows skip the denominator pass but are still divided by
+        # their gcd, and the caller's rows are never reduced in place
+        copy = [list(r) for r in rows]
+        scaled = [[Fraction(x, scale) for x in r] for r in rows]
+        stages = [[3], [2], [0, 1]]
+        a = staged_elimination(rows, 4, stages, snapshot_after=(0, 1))
+        b = staged_elimination(scaled, 4, stages, snapshot_after=(0, 1))
+        assert rows == copy
+        assert a.rows == b.rows and a.pivots == b.pivots
+        assert [s.rows for s in a.snapshots.values()] == \
+            [s.rows for s in b.snapshots.values()]
 
 
 def _schur_rows(first, second):
