@@ -33,7 +33,6 @@ from .staircase import (
     IdealPresentation,
     diagram_from_generators,
     hilbert_samuel_count,
-    ideal_jet_space,
 )
 
 VERIFIED = "VERIFIED"
@@ -171,16 +170,23 @@ class ChevalleyEngine:
         self.jets = JetSystem(phi, tup, l_max=l_max)
         self._relation_jets = {}
         self._relation_spaces = {}
-        self._diagrams = {}
+        self._diagram = None
         self._diagram_kernels = {}
 
     # exact relation jets (verified mode only)
 
     def relation_space(self, k):
-        if self.presentation is None:
-            raise InputError("no relation generators were supplied")
+        """Degree-<= k jets of the relation ideal: the leading slice of the
+        engine's one relation echelon, diagram(k).span.
+
+        Indices are enumerated degree ascending, so the reduced echelon of
+        the degree-<= k jets is that of any higher degree restricted to its
+        rows pivoting below C(n+k, k), each cut to that length.
+        """
         if k not in self._relation_spaces:
-            self._relation_spaces[k] = ideal_jet_space(self.presentation, k)
+            span = self.diagram(k).span
+            n = self.phi.target_arity
+            self._relation_spaces[k] = span.project(range(index_count(n, k)))
         return self._relation_spaces[k]
 
     def _generator_degree(self):
@@ -189,18 +195,26 @@ class ChevalleyEngine:
         return max(degs, default=0)
 
     def diagram(self, trunc):
-        """Staircase of the supplied relation ideal, exact through trunc."""
+        """Staircase of the supplied relation ideal, exact through trunc.
+
+        The engine keeps one diagram and rebuilds it, at exactly
+        max(trunc, generator degree), only when a request passes its
+        truncation.  The diagram returned may therefore be exact through
+        more than trunc; every caller only counts or tests membership at
+        degrees <= trunc, where the answer does not depend on it.
+        """
         if self.presentation is None:
             raise InputError("no relation generators were supplied")
-        trunc = max(trunc, self._generator_degree())
-        if trunc not in self._diagrams:
-            self._diagrams[trunc] = diagram_from_generators(
-                self.presentation, trunc
+        if self._diagram is None or trunc > self._diagram.trunc_degree:
+            self._diagram = diagram_from_generators(
+                self.presentation, max(trunc, self._generator_degree())
             )
-        return self._diagrams[trunc]
+        return self._diagram
 
     def _hs_crosscheck(self, k, target):
-        # two independent counts of the jet codimension must agree
+        # the codimension of the relation jets must equal the staircase
+        # count; both read the engine's one relation echelon, so this checks
+        # the slicing and the staircase bookkeeping, not the echelon itself
         n = self.phi.target_arity
         from_jets = index_count(n, k) - target.dim
         from_staircase = hilbert_samuel_count(self.diagram(k), k)

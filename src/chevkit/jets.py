@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from .errors import InputError
 from .indices import degree, index_count, indices_up_to
@@ -263,11 +262,13 @@ class JetSystem:
 
         Vectors are integer coordinates over the degree-<= k indices.  The
         test is the exact product residual . v == 0 on the elimination's
-        integer rows, so no subspace is built.
+        integer rows, so no subspace is built.  Each product runs over the
+        vector's nonzero entries only, collected once per vector.
         """
         rows = self.analysis(l).residual_rows(k)
+        sparse = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
         return all(
-            not sum(map(mul, row, v)) for v in vectors for row in rows
+            not sum(row[i] * x for i, x in t) for t in sparse for row in rows
         )
 
     def membership_residual(self, l, k):

@@ -21,6 +21,9 @@ from math import gcd, lcm
 
 from .errors import InputError
 
+# the one zero cell of every canonical basis; Fractions are immutable
+_ZERO = Fraction(0)
+
 
 def _integerize(row):
     """Scale a row of ints/Fractions to coprime integers (kernel-preserving).
@@ -329,7 +332,7 @@ class Subspace:
         for r, c in elim.pivots:
             row = elim.rows[r]
             pv = row[c]
-            basis.append([Fraction(v, pv) for v in row])
+            basis.append([Fraction(v, pv) if v else _ZERO for v in row])
             pivots.append(c)
         return cls(ambient_dim, basis, pivots, _trusted=True)
 
@@ -421,11 +424,22 @@ class Subspace:
         return Subspace.from_vectors(vecs, self.ambient_dim)
 
     def project(self, coords):
-        """Image under selection of the listed coordinates."""
+        """Image under selection of the listed coordinates.
+
+        Onto a leading prefix 0..n-1 the image is read off the basis: rows
+        pivoting past n vanish there, and the rest, cut to length n, are
+        still reduced row-echelon, so they are the canonical basis.
+        """
         coords = list(coords)
         for c in coords:
             if not 0 <= c < self.ambient_dim:
                 raise InputError(f"projection coordinate {c} out of range")
+        n = len(coords)
+        if coords == list(range(n)):
+            kept = [(b[:n], p) for b, p in zip(self.basis, self.pivots)
+                    if p < n]
+            return Subspace(n, [b for b, _ in kept], [p for _, p in kept],
+                            _trusted=True)
         vecs = [[b[c] for c in coords] for b in self.basis]
         return Subspace.from_vectors(vecs, len(coords))
 

@@ -229,17 +229,41 @@ class Poly:
         return result
 
     def shift(self, point):
-        """Recenter at `point`: returns q with q(x) = p(x + point)."""
+        """Recenter at `point`: returns q with q(x) = p(x + point).
+
+        Each term expands binomially, prod (x_i + a_i)^alpha_i =
+        sum_beta prod C(alpha_i, beta_i) a_i^(alpha_i - beta_i) x^beta, with
+        beta running lexicographically and every beta_i from alpha_i down
+        (fixed at alpha_i where a_i = 0).  That is the order in which
+        substituting x_i + a_i would create the terms, so the result's term
+        order is the substitution's too.
+        """
         if len(point) != self.arity:
             raise InputError(
                 f"point has {len(point)} coordinates, expected {self.arity}"
             )
         point = tuple(Fraction(p) for p in point)
-        args = [
-            Poly.variable(self.arity, i) + Poly.constant(self.arity, point[i])
-            for i in range(self.arity)
-        ]
-        return self.compose(args)
+        terms = {}
+        for alpha, c in self.terms.items():
+            partial = [((), c)]
+            for a, e in zip(point, alpha):
+                if not a or not e:
+                    partial = [(b + (e,), v) for b, v in partial]
+                    continue
+                factors = [(j, comb(e, j) * a ** (e - j))
+                           for j in range(e, -1, -1)]
+                partial = [(b + (j,), v * f)
+                           for b, v in partial for j, f in factors]
+            for beta, v in partial:
+                s = terms.get(beta, 0) + v
+                if s:
+                    terms[beta] = s
+                else:
+                    terms.pop(beta, None)
+        out = Poly.__new__(Poly)
+        out.arity = self.arity
+        out.terms = terms
+        return out
 
     def scaled_derivative(self, beta):
         """Taylor-coefficient extractor: apply (1/beta!) * d^beta.
@@ -402,28 +426,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({format_poly(self)}, trunc={self.trunc_degree})"
-
-
-def map_power(series_list, beta, d):
-    """Product series_list[0]^beta[0] * ... truncated past degree d.
-
-    Every factor must already be truncated at >= d; the result is exact in
-    degrees <= d because truncation commutes with multiplication there.
-    """
-    if len(series_list) != len(beta):
-        raise InputError(
-            f"power index {beta} does not match {len(series_list)} series"
-        )
-    arity = series_list[0].arity if series_list else 1
-    result = TruncatedSeries.constant(arity, 1, d)
-    for s, e in zip(series_list, beta):
-        if s.trunc_degree < d:
-            raise TruncationError(
-                f"factor truncated at {s.trunc_degree}, need degree {d}"
-            )
-        for _ in range(e):
-            result = result * s
-    return result
 
 
 def var_names(arity, names=None):

@@ -15,10 +15,18 @@ element has it as initial exponent.  No claim is made past d, which the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .censored import AtLeast
 from .errors import ConsistencyError, InputError
-from .indices import degree, dominates, index_count, indices_up_to, mono_key
+from .indices import (
+    degree,
+    dominates,
+    index_add,
+    index_count,
+    indices_up_to,
+    mono_key,
+)
 from .linalg import Subspace
 from .poly import Poly, TruncatedSeries, format_poly
 
@@ -34,8 +42,8 @@ def initial_exponent(f):
 class IdealPresentation:
     """Generators of an ideal of target-variable polynomials at a center.
 
-    Generators are written in the global coordinates; recentering at the
-    stored point happens on use, so one presentation can serve any center.
+    Generators are written in the global coordinates; they are recentred at
+    the stored point on first use.
     """
 
     generators: tuple
@@ -56,14 +64,15 @@ class IdealPresentation:
             gens.append(g)
         return cls(tuple(gens), center, arity)
 
+    @cached_property
+    def _recentered(self):
+        shifted = (g.shift(self.center) for g in self.generators)
+        return tuple(g for g in shifted if not g.is_zero())
+
     def recentered_generators(self):
-        """Nonzero generators rewritten in coordinates centered at the point."""
-        out = []
-        for g in self.generators:
-            shifted = g.shift(self.center)
-            if not shifted.is_zero():
-                out.append(shifted)
-        return out
+        """Nonzero generators rewritten in coordinates centered at the point,
+        as a tuple computed once per presentation."""
+        return self._recentered
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,9 @@ class Diagram:
     <= trunc_degree, echelon-reduced so that each has that monomial as its
     initial exponent with coefficient 1 and a tail entirely off the
     staircase.  provisional is True when vertices of degree > trunc_degree
-    may exist (any nonzero ideal).
+    may exist (any nonzero ideal).  span: the ideal_jet_space at
+    trunc_degree, whose pivots are the staircase; its leading slices are the
+    ideal's jets of every lower degree.
     """
 
     arity: int
@@ -84,6 +95,7 @@ class Diagram:
     provisional: bool
     reduced_basis: tuple = field(repr=False)
     _pivot_pos: dict = field(repr=False, compare=False)
+    span: Subspace = field(repr=False, compare=False)
 
     def contains(self, beta):
         """Staircase membership; exact for degree <= trunc_degree."""
@@ -118,23 +130,6 @@ def _check_staircase_closure(pivot_set, arity, d):
                 )
 
 
-def _multiples_span(gens, arity, d):
-    """(degree-<= d monomials, canonical span of the degree-<= d truncations
-    of the monomial multiples of the generators) over those monomials."""
-    monomials = indices_up_to(arity, d)
-    position = {b: i for i, b in enumerate(monomials)}
-    vectors = []
-    for g in gens:
-        for gamma in indices_up_to(arity, d - g.order()):
-            prod = Poly.monomial(gamma) * g
-            vec = [0] * len(monomials)
-            for b, c in prod.terms.items():
-                if degree(b) <= d:
-                    vec[position[b]] = c
-            vectors.append(vec)
-    return monomials, Subspace.from_vectors(vectors, len(monomials))
-
-
 def diagram_from_generators(presentation, d):
     """Staircase of the ideal the generators span, exact through degree d.
 
@@ -153,7 +148,8 @@ def diagram_from_generators(presentation, d):
             raise InputError(
                 f"truncation degree {d} is below a generator degree {max_deg}"
             )
-    monomials, echelon = _multiples_span(gens, arity, d)
+    monomials = indices_up_to(arity, d)
+    echelon = ideal_jet_space(presentation, d)
     pivot_exponents = [monomials[p] for p in echelon.pivots]
     pivot_set = set(pivot_exponents)
     _check_staircase_closure(pivot_set, arity, d)
@@ -192,6 +188,7 @@ def diagram_from_generators(presentation, d):
         provisional=bool(gens),
         reduced_basis=basis,
         _pivot_pos=pivot_pos,
+        span=echelon,
     )
 
 
@@ -278,10 +275,21 @@ def hilbert_samuel_count(diagram, k):
 def ideal_jet_space(presentation, k):
     """Degree-<= k jets (at the center) of the generated ideal, as a Subspace.
 
-    Spanned by monomial multiples of the recentered generators, truncated at
-    degree k; ambient coordinates follow the shared index enumeration.
+    Spanned by the monomial multiples x^gamma * g of the recentered
+    generators that can still have initial exponent of degree <= k,
+    truncated at degree k; ambient coordinates follow the shared index
+    enumeration.  This is the one place ideal-jet vectors are built.
     """
-    _, span = _multiples_span(
-        presentation.recentered_generators(), presentation.arity, k
-    )
-    return span
+    monomials = indices_up_to(presentation.arity, k)
+    position = {b: i for i, b in enumerate(monomials)}
+    vectors = []
+    for g in presentation.recentered_generators():
+        for gamma in indices_up_to(presentation.arity, k - g.order()):
+            vec = [0] * len(monomials)
+            for b, c in g.terms.items():
+                # terms of x^gamma * g past degree k have no position
+                i = position.get(index_add(gamma, b))
+                if i is not None:
+                    vec[i] = c
+            vectors.append(vec)
+    return Subspace.from_vectors(vectors, len(monomials))

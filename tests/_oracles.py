@@ -1,16 +1,21 @@
-"""Independent oracles built on sympy.
+"""Independent oracles built on sympy, plus reference copies of package
+routines that the package has replaced.
 
-Everything here recomputes package results from scratch through symbolic
+The sympy oracles recompute package results from scratch through symbolic
 composition and sympy linear algebra, sharing no code with the package
 beyond the index enumeration contract (degree then lexicographic), so
-agreement is meaningful.
+agreement is meaningful.  The reference copies (shift_by_compose,
+map_power) are the straightforward versions of a faster package routine,
+written on Poly arithmetic; tests compare the package against them.
 """
 
 from fractions import Fraction
 
 import sympy
 
+from chevkit.errors import InputError, TruncationError
 from chevkit.indices import indices_up_to
+from chevkit.poly import Poly, TruncatedSeries
 
 
 def _to_sympy(q):
@@ -161,3 +166,40 @@ def sympy_rref(vectors, ncols):
     basis = [[_from_sympy(reduced[i, j]) for j in range(ncols)]
              for i in range(len(pivots))]
     return basis, list(pivots)
+
+
+def shift_by_compose(p, point):
+    """p(x + point) by substituting x_i + a_i into p through Poly.compose:
+    the body Poly.shift had before it expanded terms binomially."""
+    if len(point) != p.arity:
+        raise InputError(
+            f"point has {len(point)} coordinates, expected {p.arity}"
+        )
+    point = tuple(Fraction(a) for a in point)
+    args = [
+        Poly.variable(p.arity, i) + Poly.constant(p.arity, point[i])
+        for i in range(p.arity)
+    ]
+    return p.compose(args)
+
+
+def map_power(series_list, beta, d):
+    """Product series_list[0]^beta[0] * ... truncated past degree d.
+
+    Every factor must already be truncated at >= d; the result is exact in
+    degrees <= d because truncation commutes with multiplication there.
+    """
+    if len(series_list) != len(beta):
+        raise InputError(
+            f"power index {beta} does not match {len(series_list)} series"
+        )
+    arity = series_list[0].arity if series_list else 1
+    result = TruncatedSeries.constant(arity, 1, d)
+    for s, e in zip(series_list, beta):
+        if s.trunc_degree < d:
+            raise TruncationError(
+                f"factor truncated at {s.trunc_degree}, need degree {d}"
+            )
+        for _ in range(e):
+            result = result * s
+    return result

@@ -15,12 +15,21 @@ from chevkit.chevalley import (
     sample_leaf_chevalley,
     validate_relations,
 )
+from hypothesis import given, settings, strategies as st
+
+from chevkit import chevalley as chevalley_module
+from chevkit import staircase as staircase_module
 from chevkit.errors import ConsistencyError, InputError, RelationsMismatchError
 from chevkit.indices import indices_up_to
 from chevkit.jets import FibredTuple, PolyMap, jet_matrix
 from chevkit.linalg import Subspace
-from chevkit.poly import parse_poly
-from chevkit.staircase import IdealPresentation, diagram_from_generators
+from chevkit.poly import Poly, parse_poly
+from chevkit.staircase import (
+    IdealPresentation,
+    diagram_from_generators,
+    hilbert_samuel_count,
+    ideal_jet_space,
+)
 
 Y2 = ["y1", "y2"]
 Y3 = ["y1", "y2", "y3"]
@@ -278,6 +287,88 @@ class TestDiagramRoute:
         diag = diagram_from_generators(pres, 6)
         jm = jet_matrix(phi, tup, 5)
         assert diagram_threshold_test(phi, tup, 2, 5, diag, jm=jm) is True
+
+
+def _vanishing_at(p, center):
+    return p - p.eval(center)
+
+
+@st.composite
+def presentations_at_centres(draw):
+    """(engine, presentation) for 1-2 random generators in arity 1-3 at a
+    random rational centre.  The map is constant at the centre, so every
+    generator vanishing there is a relation.  Two generators share a
+    factor, which makes their monomial multiples dependent."""
+    n = draw(st.integers(1, 3))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    exps = st.tuples(*([st.integers(0, 2)] * n)).filter(
+        lambda b: 0 < sum(b) <= 2)
+    poly = st.dictionaries(exps, coeff, min_size=1, max_size=3).map(
+        lambda t: Poly(n, t)).filter(lambda p: not p.is_zero())
+    center = draw(st.tuples(*([st.fractions(
+        min_value=-2, max_value=2, max_denominator=3)] * n)))
+    if draw(st.booleans()):
+        gens = [_vanishing_at(draw(poly), center)]
+    else:
+        factor = _vanishing_at(draw(poly), center)
+        gens = [factor * draw(poly), factor * draw(poly)]
+    gens = [g for g in gens if not g.is_zero()]
+    phi = PolyMap("constant", [Poly.constant(1, c) for c in center])
+    tup = FibredTuple.make(phi, [(0,)])
+    eng = ChevalleyEngine(phi, tup, relations=gens, l_max=6)
+    return eng, IdealPresentation.make(gens, center)
+
+
+class TestRelationEchelon:
+    @given(presentations_at_centres(),
+           st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_slices_match_fresh_builds(self, case, requests):
+        # requests in any order: the one echelon grows and is sliced
+        eng, pres = case
+        deg = max((g.total_degree() for g in pres.generators), default=0)
+        for k in requests:
+            space = eng.relation_space(k)
+            fresh = ideal_jet_space(pres, k)
+            assert space == fresh and space.pivots == fresh.pivots
+            assert hilbert_samuel_count(eng.diagram(k), k) == \
+                hilbert_samuel_count(
+                    diagram_from_generators(pres, max(k, deg)), k)
+
+    def test_cusp_builds_one_diagram_per_new_level(self, monkeypatch):
+        levels = []
+        inside = []
+        build = diagram_from_generators
+        jets = staircase_module.ideal_jet_space
+
+        def counting_build(presentation, d):
+            levels.append(d)
+            inside.append(True)
+            try:
+                return build(presentation, d)
+            finally:
+                inside.pop()
+
+        def guarded_jets(presentation, k):
+            assert inside, "ideal_jet_space reached outside a diagram build"
+            return jets(presentation, k)
+
+        monkeypatch.setattr(chevalley_module, "diagram_from_generators",
+                            counting_build)
+        monkeypatch.setattr(staircase_module, "ideal_jet_space",
+                            guarded_jets)
+        eng = cusp_engine(l_max=16)
+        for k in range(1, 9):
+            eng.relation_jets(k)
+        assert levels == [3, 4, 5, 6, 7, 8]
+        assert eng.diagram(2).trunc_degree == 8
+        assert levels == [3, 4, 5, 6, 7, 8]
+
+    def test_diagram_may_be_exact_past_the_request(self):
+        eng = cusp_engine()
+        assert eng.diagram(7).trunc_degree == 7
+        assert eng.diagram(5).trunc_degree == 7
+        assert eng.diagram(9).trunc_degree == 9
 
 
 class TestConsistencyGuards:

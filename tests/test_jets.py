@@ -218,6 +218,25 @@ class TestKernels:
                 assert sys.quotient_dim(l, k) == \
                     sys.projected_kernel(l, k).codim
 
+    @given(st.sampled_from([cusp, cone]), st.integers(0, 5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_contains_matches_canonical_membership(self, mk, l, data):
+        # kernel vectors (scaled to integers), sparse and dense random
+        # vectors, in one call and one at a time
+        phi = mk()
+        tup = FibredTuple.make(phi, [(0,) * phi.source_arity])
+        sys = JetSystem(phi, tup)
+        k = data.draw(st.integers(0, l))
+        width = index_count(phi.target_arity, k)
+        proj = sys.projected_kernel(l, k)
+        vectors = proj.integer_basis() + data.draw(st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -2, 3]),
+                     min_size=width, max_size=width), max_size=3))
+        for v in vectors:
+            assert sys.kernel_contains(l, k, [v]) == proj.contains_vector(v)
+        assert sys.kernel_contains(l, k, vectors) == \
+            all(proj.contains_vector(v) for v in vectors)
+
     def test_projection_degree_bound(self):
         tup = FibredTuple.make(squaring(), [(0,)])
         with pytest.raises(InputError):

@@ -138,6 +138,27 @@ class TestSubspace:
         assert p == Subspace.from_vectors([[1, 2]], 2)
         assert s.project([2]).dim == 1
 
+    @given(vector_families(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_project_onto_prefix_matches_from_vectors(self, family, data):
+        n, vecs = family
+        s = Subspace.from_vectors(vecs, n)
+        cut = data.draw(st.integers(0, n))
+        p = s.project(range(cut))
+        fresh = Subspace.from_vectors([b[:cut] for b in s.basis], cut)
+        assert p == fresh
+        assert p.pivots == fresh.pivots
+        assert p.ambient_dim == cut
+        assert all(type(x) is Fraction for row in p.basis for x in row)
+
+    def test_project_onto_non_prefix(self):
+        s = Subspace.from_vectors([[1, 2, 0], [0, 1, 1]], 3)
+        assert s.project([1, 2]) == Subspace.full_space(2)
+        assert s.project([0, 2]) == Subspace.full_space(2)
+        assert s.project([2, 1]) == Subspace.full_space(2)
+        with pytest.raises(InputError, match="out of range"):
+            s.project([0, 3])
+
     def test_zero_and_full(self):
         z = Subspace.zero_space(4)
         f = Subspace.full_space(4)

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import map_power, shift_by_compose
 from chevkit.errors import InputError, TruncationError
 from chevkit.poly import (
     Poly,
     TruncatedSeries,
     format_poly,
-    map_power,
     parse_poly,
     parse_rational,
 )
@@ -30,6 +30,12 @@ def poly_strategy(arity, max_degree=3, max_terms=4):
 
 
 points2 = st.tuples(rationals, rationals)
+
+# (polynomial, point) in 1 to 3 variables
+shift_cases = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    poly_strategy(n, max_degree=4, max_terms=6),
+    st.tuples(*([rationals] * n)),
+))
 
 
 class TestParseRational:
@@ -108,6 +114,36 @@ class TestArithmetic:
         shifted = p.shift(a)
         moved = tuple(xi + ai for xi, ai in zip(x, a))
         assert shifted.eval(x) == p.eval(moved)
+
+    @given(shift_cases)
+    @settings(max_examples=60)
+    def test_shift_matches_substitution(self, case):
+        # same terms, same values, and the same term order as substituting
+        # x_i + a_i, so anything that iterates the terms sees no change
+        p, a = case
+        shifted = p.shift(a)
+        reference = shift_by_compose(p, a)
+        assert shifted == reference
+        assert list(shifted.terms.items()) == list(reference.terms.items())
+        assert all(type(c) is Fraction for c in shifted.terms.values())
+
+    @given(shift_cases)
+    @settings(max_examples=60)
+    def test_shift_round_trip(self, case):
+        p, a = case
+        assert p.shift(a).shift(tuple(-x for x in a)) == p
+
+    def test_shift_frozen_example(self):
+        p = parse_poly("x1^2 x2 - 3x2", 2)
+        q = p.shift((Fraction(1), Fraction(-1, 2)))
+        # (x1 + 1)^2 (x2 - 1/2) - 3(x2 - 1/2)
+        assert q == parse_poly(
+            "x1^2 x2 - 1/2 x1^2 + 2x1 x2 - x1 - 2x2 + 1", 2
+        )
+
+    def test_shift_rejects_wrong_point_length(self):
+        with pytest.raises(InputError):
+            parse_poly("x1", 2).shift((1,))
 
     def test_compose(self):
         f = parse_poly("y1^2 + y2", 2, names=["y1", "y2"])

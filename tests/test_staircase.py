@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevkit.errors import ConsistencyError, InputError
-from chevkit.indices import index_count
+from chevkit.indices import index_count, indices_up_to
+from chevkit.linalg import Subspace
 from chevkit.poly import Poly, parse_poly
 from chevkit.staircase import (
     IdealPresentation,
@@ -165,6 +166,46 @@ class TestIdealJets:
     def test_zero_ideal_jets(self):
         pres = IdealPresentation.make([], (0, 0))
         assert ideal_jet_space(pres, 4).is_zero()
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.dictionaries(
+            st.tuples(*([st.integers(0, 3)] * n)).filter(
+                lambda b: sum(b) <= 3),
+            st.fractions(min_value=-3, max_value=3, max_denominator=3),
+            min_size=1, max_size=3,
+        ), min_size=0, max_size=2),
+        st.tuples(*([st.fractions(min_value=-2, max_value=2,
+                                  max_denominator=2)] * n)),
+        st.integers(0, 4),
+    )))
+    @settings(max_examples=60, deadline=None)
+    def test_jets_match_explicit_multiples(self, case):
+        # each multiple x^gamma * g, formed by Poly arithmetic and cut at k
+        term_dicts, center, k = case
+        n = len(center)
+        pres = IdealPresentation.make(
+            [Poly(n, t) for t in term_dicts], center)
+        monomials = indices_up_to(n, k)
+        vectors = []
+        for g in pres.recentered_generators():
+            for gamma in indices_up_to(n, k - g.order()):
+                prod = Poly.monomial(gamma) * g
+                vectors.append([prod.coeff(b) for b in monomials])
+        assert ideal_jet_space(pres, k) == \
+            Subspace.from_vectors(vectors, len(monomials))
+
+    def test_diagram_span_slices_to_every_lower_degree(self):
+        pres = cusp_presentation((1, 1))
+        diag = diagram_from_generators(pres, 6)
+        assert diag.span == ideal_jet_space(pres, 6)
+        for k in range(0, 7):
+            sliced = diag.span.project(range(index_count(2, k)))
+            fresh = ideal_jet_space(pres, k)
+            assert sliced == fresh and sliced.pivots == fresh.pivots
+
+    def test_recentering_is_computed_once(self):
+        pres = cusp_presentation((1, 1))
+        assert pres.recentered_generators() is pres.recentered_generators()
 
     def test_count_routes_agree_at_smooth_point(self):
         pres = cusp_presentation((1, 1))
