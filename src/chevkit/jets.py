@@ -5,25 +5,25 @@ polynomials (degree <= l, coordinates centered at the shared image point) to
 the Taylor coefficients of their pullbacks at each source point.  Columns
 follow the shared index enumeration of the target, rows are grouped per
 source point.  Every column for an exponent of degree D is a pullback of
-order >= D, so rows of degree <= k see zeros in all columns of degree > k;
-that triangular shape is what the staged elimination exploits.
+order >= D, so rows of degree <= k see zeros in all columns of degree > k.
 
 Indices are enumerated degree ascending, so the order-l jet matrix is the
 leading block of any higher-order one: per point, its first C(m+l, l) rows,
 and its first C(n+l, l) columns.  JetSystem therefore builds one jet matrix
 per fibred tuple and slices every order out of it, growing the build
 geometrically (capped at the engine's l_max) when a higher order is asked.
+By the triangular shape, order l + 1 only adds rows to order l, so JetSystem
+also keeps one append-only row echelon and reads every order off a prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import InputError
 from .indices import degree, index_count, indices_up_to
-from .linalg import Matrix, Subspace, _integerize, staged_elimination
+from .linalg import Matrix, _integerize, _reduce_row, staged_elimination
 from .poly import Poly, TruncatedSeries
 
 
@@ -183,23 +183,31 @@ def jet_blocks(jm, k):
 
 
 class JetSystem:
-    """Cached jet analyses of one map at one fibred tuple.
-
-    analysis(l) runs a single staged elimination of the order-l jet matrix,
-    eliminating column blocks from the highest degree down and photographing
-    the state at every degree boundary.  That one pass yields, for every
-    k <= l: the rank of the degree-> k column block, and a residual row
-    system whose kernel is the projected jet kernel at degree k.
+    """Jet analyses of one map at one fibred tuple, read off one echelon.
 
     The system keeps one jet_matrix build, at some order L, and reads every
     order l <= L off it as a leading block: indices are enumerated degree
     ascending, so the order-l matrix is rows p*C(m+L, L) + i for each point
-    p and i < C(m+l, l), and columns j < C(n+l, l).  The build's rows are
-    scaled to coprime integers once; a slice of such a row only needs its
-    gcd divided out, which staged_elimination does on entry.  An order past
-    L rebuilds at max(l, min(2L, l_max)), so a climb l = k, k+1, ... makes
+    p and i < C(m+l, l), and columns j < C(n+l, l).  An order past L
+    rebuilds at max(l, min(2L, l_max)), so a climb l = k, k+1, ... makes
     logarithmically many builds and never passes l_max; without l_max the
     rebuild is at exactly l.
+
+    Entry (p, alpha; beta) is zero whenever |alpha| < |beta|, so J_{l+1} is
+    J_l, padded with zero columns of degree l + 1, plus the rows of x-degree
+    l + 1.  The system keeps one row echelon over the staged column order:
+    highest degree first, ascending within a degree.  Reaching order l + 1
+    reduces the new rows against the existing pivot rows in that order and
+    pivots what is left with one staged_elimination.  A row never changes
+    once made and is zero before its pivot in the staged order, so the
+    order-l echelon is a prefix, and off that prefix:
+
+    - rank J_l is its length;
+    - quotient_dim(l, k) is the number of its pivots of degree <= k, as the
+      others count the rank of the degree-> k column block;
+    - its rows pivoting at degree <= k vanish on the higher columns and span
+      every row-space vector that does; cut to the degree-<= k columns they
+      are the guard rows, whose kernel is the projected kernel.
     """
 
     def __init__(self, phi, tup, l_max=None):
@@ -207,152 +215,144 @@ class JetSystem:
         self.tup = tup
         self.l_max = l_max
         self._build = None
-        self._int_rows = None
-        self._analyses = {}
+        # (pivot degree, pivot column, row) in the order the rows were made;
+        # _ends[l] is the length of the order-l prefix
+        self._echelon = []
+        self._ends = []
+        self._jets = {}
+        self._kernels = {}
+        self._blocks = {}
 
-    def _grow(self, l):
-        level = l
-        if self._build is not None and self.l_max is not None:
-            level = max(l, min(2 * self._build.level, self.l_max))
-        self._build = jet_matrix(self.phi, self.tup, level)
-        self._int_rows = [_integerize(r) for r in self._build.matrix.rows]
+    def _reach(self, l):
+        """The build, regrown first if it does not cover order l."""
+        if l < 0:
+            raise InputError("jet order must be >= 0")
+        if self._build is None or l > self._build.level:
+            level = l
+            if self._build is not None and self.l_max is not None:
+                level = max(l, min(2 * self._build.level, self.l_max))
+            self._build = jet_matrix(self.phi, self.tup, level)
+        return self._build
 
-    def jet(self, l):
-        return self.analysis(l).jet
+    def _row_index(self, lo, hi):
+        """Build rows (p, alpha) of every point with lo <= pos(alpha) < hi."""
+        per_point = index_count(self.phi.source_arity, self._build.level)
+        return [p * per_point + i
+                for p in range(self.tup.size) for i in range(lo, hi)]
+
+    def _extend(self):
+        """Append the pivot rows of the next order to the echelon."""
+        l = len(self._ends)
+        m, n = self.phi.source_arity, self.phi.target_arity
+        ncols = index_count(n, l)
+        src = self._build.matrix.rows
+        batch = [
+            _integerize(src[r][:ncols])
+            for r in self._row_index(index_count(m, l - 1), index_count(m, l))
+        ]
+        for _, _, row in self._echelon:
+            row.extend([0] * (ncols - len(row)))
+        for _, c, prow in sorted(self._echelon, key=lambda e: (-e[0], e[1])):
+            for row in batch:
+                if row[c]:
+                    _reduce_row(row, prow, c)
+        stages = [list(range(index_count(n, d - 1), index_count(n, d)))
+                  for d in range(l, -1, -1)]
+        elim = staged_elimination(batch, ncols, stages)
+        labels = self._build.col_labels
+        for r, c in elim.pivots:
+            self._echelon.append((degree(labels[c]), c, elim.rows[r]))
+        self._ends.append(len(self._echelon))
 
     def analysis(self, l):
-        if l not in self._analyses:
-            if l < 0:
-                raise InputError("jet order must be >= 0")
-            if self._build is None or l > self._build.level:
-                self._grow(l)
-            build = self._build
-            m, n = self.phi.source_arity, self.phi.target_arity
-            per_point = index_count(m, build.level)
-            row_idx = [
-                p * per_point + i
-                for p in range(self.tup.size)
-                for i in range(index_count(m, l))
-            ]
-            ncols = index_count(n, l)
-            rows = [self._int_rows[r][:ncols] for r in row_idx]
-            self._analyses[l] = _JetAnalysis(
-                build, row_idx, rows, ncols, n, l
-            )
-        return self._analyses[l]
+        """Extend the echelon through order l; return rank J_l, the length
+        of its order-l prefix."""
+        self._reach(l)
+        while len(self._ends) <= l:
+            self._extend()
+        return self._ends[l]
+
+    def _prefix(self, l, k):
+        end = self.analysis(l)
+        if not 0 <= k <= l:
+            raise InputError(f"block degree {k} outside 0..{l}")
+        return self._echelon[:end]
+
+    def _guard_rows(self, l, k):
+        cut = index_count(self.phi.target_arity, k)
+        return [row[:cut] for d, _, row in self._prefix(l, k) if d <= k]
+
+    def jet(self, l):
+        """The order-l JetMatrix: a leading block of the build, sliced
+        without any elimination."""
+        if l not in self._jets:
+            build = self._reach(l)
+            if build.level == l:
+                self._jets[l] = build
+            else:
+                m, n = self.phi.source_arity, self.phi.target_arity
+                ncols = index_count(n, l)
+                row_idx = self._row_index(0, index_count(m, l))
+                src = build.matrix.rows
+                self._jets[l] = JetMatrix(
+                    matrix=Matrix([src[r][:ncols] for r in row_idx],
+                                  ncols=ncols),
+                    level=l,
+                    col_labels=build.col_labels[:ncols],
+                    row_labels=tuple(build.row_labels[r] for r in row_idx),
+                )
+        return self._jets[l]
 
     def kernel(self, l):
-        """Kernel of the order-l jet matrix, ambient dim = target indices."""
-        return self.analysis(l).kernel
+        """Kernel of the order-l jet matrix, ambient dim = target indices.
+
+        One fresh single-stage elimination of jet(l), apart from the
+        echelon, so its projections are a separate route.
+        """
+        if l not in self._kernels:
+            self._kernels[l] = self.jet(l).matrix.rank_kernel()[1]
+        return self._kernels[l]
 
     def projected_kernel(self, l, k):
-        """Projection of the order-l kernel onto coordinates of degree <= k."""
-        return self.analysis(l).block(k)
+        """Projection of the order-l kernel onto coordinates of degree <= k:
+        the kernel of the guard rows, canonicalised on first read."""
+        if (l, k) not in self._blocks:
+            residual, _ = self.membership_residual(l, k)
+            self._blocks[(l, k)] = residual.rank_kernel()[1]
+        return self._blocks[(l, k)]
 
     def quotient_dim(self, l, k):
         """Codimension of the projected kernel in the degree-<= k jet space.
 
-        Read off the elimination's ranks as rank J_l - rank of the degree-> k
-        column block; no subspace is built.
+        The number of order-l echelon pivots of degree <= k; no subspace is
+        built.
         """
-        return self.analysis(l).quotient_dim(k)
+        return sum(d <= k for d, _, _ in self._prefix(l, k))
 
     def kernel_contains(self, l, k, vectors):
         """Whether the projected kernel at (l, k) holds every vector.
 
         Vectors are integer coordinates over the degree-<= k indices.  The
-        test is the exact product residual . v == 0 on the elimination's
-        integer rows, so no subspace is built.  Each product runs over the
-        vector's nonzero entries only, collected once per vector.
+        test is the exact product guard . v == 0 on the integer guard rows,
+        so no subspace is built.  Each product runs over the vector's
+        nonzero entries only, collected once per vector.
         """
-        rows = self.analysis(l).residual_rows(k)
+        rows = self._guard_rows(l, k)
         sparse = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
         return all(
             not sum(row[i] * x for i, x in t) for t in sparse for row in rows
         )
 
     def membership_residual(self, l, k):
-        """(residual matrix, high-block rank) for the degree-k split at order l.
+        """(guard rows as a Matrix, high-block rank) for the degree-k split
+        at order l.
 
-        The residual's kernel equals the projected kernel: u is in it exactly
-        when (low block)u lies in the column span of the high block.
+        The guard rows' kernel equals the projected kernel: u is in it
+        exactly when (low block)u lies in the column span of the high block.
         """
-        a = self.analysis(l)
-        return a.residual(k), a.high_ranks[k]
-
-
-class _JetAnalysis:
-    # holds the build it was sliced from, never its JetSystem: a system <->
-    # analysis cycle would outlive every engine until the cyclic GC ran
-    def __init__(self, build, row_idx, rows, ncols, n, l):
-        self.level = l
-        self._build = build
-        self._row_idx = row_idx
-        self._ncols = ncols
-        counts = [index_count(n, d) for d in range(-1, l + 1)]
-        # stage si holds the columns of degree l - si; highest degree first
-        stages = [
-            list(range(counts[l - si], counts[l - si + 1]))
-            for si in range(l + 1)
-        ]
-        elim = staged_elimination(
-            rows, ncols, stages, snapshot_after=range(l),
-        )
-        self.rank = elim.rank
-        self._elim = elim
-        self._snapshots = {k: elim.snapshots[l - k - 1] for k in range(l)}
-        self.high_ranks = {k: snap.rank for k, snap in self._snapshots.items()}
-        self.high_ranks[l] = 0
-        self._blocks = {}
-
-    @cached_property
-    def jet(self):
-        """The order-l JetMatrix: the leading block of the build."""
-        build, ncols = self._build, self._ncols
-        if build.level == self.level:
-            return build
-        src = build.matrix.rows
-        return JetMatrix(
-            matrix=Matrix([src[r][:ncols] for r in self._row_idx],
-                          ncols=ncols),
-            level=self.level,
-            col_labels=build.col_labels[:ncols],
-            row_labels=tuple(build.row_labels[r] for r in self._row_idx),
-        )
-
-    def _check_degree(self, k):
-        if not 0 <= k <= self.level:
-            raise InputError(f"block degree {k} outside 0..{self.level}")
-
-    def quotient_dim(self, k):
-        self._check_degree(k)
-        return self.rank - self.high_ranks[k]
-
-    def residual(self, k):
-        """Row system (a Matrix) whose kernel is the projected kernel at k."""
-        self._check_degree(k)
-        if k == self.level:
-            return self.jet.matrix
-        return self._snapshots[k].residual
-
-    def residual_rows(self, k):
-        """Integer rows with the same kernel as residual(k)."""
-        self._check_degree(k)
-        if k == self.level:
-            # row operations keep the kernel; only pivot rows are nonzero
-            return [self._elim.rows[r] for r, _ in self._elim.pivots]
-        return self._snapshots[k].rows
-
-    @cached_property
-    def kernel(self):
-        """Full kernel of the jet matrix, canonicalised on first use."""
-        return Subspace.from_vectors(self._elim.kernel_vectors(), self._ncols)
-
-    def block(self, k):
-        """Projected kernel at degree k, canonicalised on first use."""
-        if k not in self._blocks:
-            self._blocks[k] = self.residual(k).rank_kernel()[1]
-        return self._blocks[k]
+        rows = self._guard_rows(l, k)
+        residual = Matrix(rows, ncols=index_count(self.phi.target_arity, k))
+        return residual, self._ends[l] - len(rows)
 
 
 def jet_kernel(phi, tup, l):

@@ -1,12 +1,13 @@
 """Dense exact linear algebra over the rationals.
 
 The workhorse is a staged fraction-free elimination: columns are processed
-in caller-chosen groups, and the reduced state can be photographed at group
-boundaries.  One pass over a matrix therefore yields the ranks of a whole
-chain of nested column blocks, the residual row systems that test membership
-in their column spans, and finally the full kernel.  Callers that only want
-a plain rank/kernel use a single stage, and Subspace canonicalises through
-one ascending stage as well: it is the only elimination in this module.
+in caller-chosen groups, highest-priority group first.  Rows that end without
+a pivot in the first groups vanish there, so one pass over a matrix yields
+the ranks of a chain of nested column blocks and, read off the finished
+rows, the residual row systems that test membership in their column spans.
+Callers that only want a plain rank/kernel use a single stage, and Subspace
+canonicalises through one ascending stage as well: it is the only
+elimination in this module.
 
 Elimination runs on integer rows; Fractions appear only at the API edge, in
 Matrix entries, kernel vectors and canonical Subspace bases.
@@ -14,9 +15,7 @@ Matrix entries, kernel vectors and canonical Subspace bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InputError
@@ -39,6 +38,17 @@ def _integerize(row):
         ints = [x.numerator * (denom // x.denominator) for x in row]
     _normalize(ints)
     return ints
+
+
+def _reduce_row(row, prow, c):
+    """Clear column c of row against the pivot row prow, in place.
+
+    row <- pv·row − f·prow with pv = prow[c] and f = row[c], then divided by
+    its gcd.  Both rows have the same length.
+    """
+    pv, f = prow[c], row[c]
+    row[:] = [pv * a - f * b for a, b in zip(row, prow)]
+    _normalize(row)
 
 
 def _normalize(row):
@@ -95,14 +105,8 @@ class Matrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def row(self, i):
         return list(self.rows[i])
-
-    def col(self, j):
-        return [r[j] for r in self.rows]
 
     def transpose(self):
         rows = [[self.rows[i][j] for i in range(self.nrows)]
@@ -173,36 +177,13 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})"
 
 
-@dataclass
-class StageSnapshot:
-    """State photographed after a column stage finished.
-
-    rank: pivots found so far = rank of the columns of all finished stages.
-    kept_cols: columns of the unfinished stages, ascending.
-    rows: the pivot-free rows restricted to kept_cols, as the elimination's
-    integer rows.  A vector u is killed by every row exactly when
-    (kept columns)·u is a combination of the finished columns, so the rows
-    are a membership test for the span of the eliminated block.
-    residual: the same rows as a Matrix, built on first read.
-    """
-
-    rank: int
-    kept_cols: list
-    rows: list
-
-    @cached_property
-    def residual(self):
-        return Matrix(self.rows, ncols=len(self.kept_cols))
-
-
 class Elimination:
     """Result of staged_elimination: reduced rows plus pivot bookkeeping."""
 
-    def __init__(self, rows, ncols, pivots, snapshots):
+    def __init__(self, rows, ncols, pivots):
         self.rows = rows
         self.ncols = ncols
         self.pivots = pivots
-        self.snapshots = snapshots
 
     @property
     def rank(self):
@@ -224,15 +205,15 @@ class Elimination:
         return basis
 
 
-def staged_elimination(rows, ncols, col_stages, snapshot_after=()):
+def staged_elimination(rows, ncols, col_stages):
     """Fraction-free Gauss-Jordan over caller-ordered column stages.
 
     rows hold ints or Fractions.  col_stages must partition range(ncols);
-    stages are processed in order.
-    snapshot_after is a set of stage indices; after each listed stage the
-    pivot-free rows restricted to the remaining columns are recorded.
-    Row operations preserve kernel and row space, so every snapshot's
-    residual answers span-membership for the block eliminated so far.
+    stages are processed in order.  A row left without a pivot in stages
+    0..s is zero on their columns, and those rows, restricted to the later
+    columns, have the kernel {u : (later columns)·u lies in the span of the
+    earlier ones}: row operations preserve kernel and row space, and the
+    later stages only recombine such rows among themselves.
     """
     work = [_integerize(r) for r in rows]
     for r in work:
@@ -246,13 +227,11 @@ def staged_elimination(rows, ncols, col_stages, snapshot_after=()):
             seen.add(c)
     if len(seen) != ncols:
         raise InputError("column stages must cover every column")
-    snapshot_after = set(snapshot_after)
 
     nrows = len(work)
     pivots = []
     pivot_rows = set()
-    snapshots = {}
-    for si, stage in enumerate(col_stages):
+    for stage in col_stages:
         for c in stage:
             # smallest nonzero pivot keeps the integer growth tame
             best = None
@@ -265,29 +244,11 @@ def staged_elimination(rows, ncols, col_stages, snapshot_after=()):
                 continue
             pivots.append((best, c))
             pivot_rows.add(best)
-            pv = work[best][c]
             prow = work[best]
             for i in range(nrows):
-                if i == best:
-                    continue
-                row = work[i]
-                f = row[c]
-                if not f:
-                    continue
-                for j in range(ncols):
-                    row[j] = pv * row[j] - f * prow[j]
-                _normalize(row)
-        if si in snapshot_after:
-            kept = sorted(
-                c for later in col_stages[si + 1:] for c in later
-            )
-            snapshots[si] = StageSnapshot(
-                rank=len(pivots),
-                kept_cols=kept,
-                rows=[[work[i][c] for c in kept]
-                      for i in range(nrows) if i not in pivot_rows],
-            )
-    return Elimination(work, ncols, pivots, snapshots)
+                if i != best and work[i][c]:
+                    _reduce_row(work[i], prow, c)
+    return Elimination(work, ncols, pivots)
 
 
 class Subspace:

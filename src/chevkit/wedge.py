@@ -7,8 +7,9 @@ image" into "does this matrix kill it", which composes with other maps.
 
 The dense operator has comb(e, r) * comb(f, r+1) rows and explodes quickly,
 so it is guarded by a cap.  membership_kernel computes the same kernel by a
-staged elimination instead: eliminate B's columns, and the pivot-free rows
-of what remains are a row system with the identical kernel at any size.
+staged elimination instead: eliminate B's columns first, and the rows left
+without a pivot among them are a row system with the identical kernel at
+any size.
 """
 
 from __future__ import annotations
@@ -122,21 +123,19 @@ class MembershipResult:
     residual_rank: codimension of that kernel (rank of the residual rows,
     which equals the rank of the composed wedge operator).
     absorbed_rank: rank of the absorbed block.
-    residual: the row system itself, for reuse.
     """
 
     kernel: Subspace
     residual_rank: int
     absorbed_rank: int
-    residual: Matrix
 
 
 def membership_kernel(kept, absorbed):
     """Same kernel as membership_operator at r = rank(absorbed), any size.
 
-    One staged elimination: absorbed's columns first, snapshot, done.  The
-    pivot-free rows restricted to kept's columns vanish on u exactly when
-    kept . u is a combination of absorbed's columns.
+    One staged elimination, absorbed's columns first.  The rows left without
+    a pivot among absorbed's columns, restricted to kept's columns, vanish
+    on u exactly when kept . u is a combination of absorbed's columns.
     """
     if kept.nrows != absorbed.nrows:
         raise InputError(
@@ -146,16 +145,15 @@ def membership_kernel(kept, absorbed):
     ea, ek = absorbed.ncols, kept.ncols
     rows = [ra + rk for ra, rk in zip(absorbed.rows, kept.rows)]
     elim = staged_elimination(
-        rows,
-        ea + ek,
-        [list(range(ea)), list(range(ea, ea + ek))],
-        snapshot_after={0},
+        rows, ea + ek, [list(range(ea)), list(range(ea, ea + ek))],
     )
-    snap = elim.snapshots[0]
-    rank, kernel = snap.residual.rank_kernel()
+    absorbed_rows = {r for r, c in elim.pivots if c < ea}
+    residual = Matrix(
+        [row[ea:] for i, row in enumerate(elim.rows)
+         if i not in absorbed_rows],
+        ncols=ek,
+    )
+    rank, kernel = residual.rank_kernel()
     return MembershipResult(
-        kernel=kernel,
-        residual_rank=rank,
-        absorbed_rank=snap.rank,
-        residual=snap.residual,
+        kernel=kernel, residual_rank=rank, absorbed_rank=len(absorbed_rows),
     )

@@ -24,6 +24,7 @@ from chevkit.jets import (
     projected_jet_kernel,
 )
 from chevkit.censored import AtLeast
+from chevkit.linalg import Matrix, staged_elimination
 from chevkit.poly import Poly, parse_poly
 from chevkit.scenario import load_scenario, scenario_tuples
 
@@ -321,11 +322,12 @@ class TestSingleBuild:
         sys = JetSystem(phi, tup, l_max=9)
         for l in (5, 2, 9, 1):
             got = sys.analysis(l)
-            fresh = JetSystem(phi, tup).analysis(l)
-            assert got.rank == fresh.rank
-            assert got.high_ranks == fresh.high_ranks
+            fresh = JetSystem(phi, tup)
+            assert got == fresh.analysis(l)
             for k in range(l + 1):
-                assert got.residual_rows(k) == fresh.residual_rows(k), (l, k)
+                assert sys.quotient_dim(l, k) == fresh.quotient_dim(l, k)
+                assert sys.membership_residual(l, k) == \
+                    fresh.membership_residual(l, k), (l, k)
 
     def test_engine_climb_builds_geometrically(self, monkeypatch):
         levels = _count_builds(monkeypatch)
@@ -377,8 +379,8 @@ class TestSingleBuild:
         assert levels == [7, 1, 2, 3, 6]
 
     def test_no_reference_cycle(self):
-        # a system <-> analysis cycle keeps every engine's matrices alive
-        # until the cyclic collector runs, which shows in peak memory
+        # a reference cycle through the system keeps every engine's matrices
+        # alive until the cyclic collector runs, which shows in peak memory
         phi = cone()
         tup = FibredTuple.make(phi, [(1, 1)])
         gc.disable()
@@ -388,15 +390,124 @@ class TestSingleBuild:
                 sys.analysis(l)
                 sys.jet(l)
                 sys.projected_kernel(l, 1)
+                sys.kernel_contains(l, 1, [])
             sys.kernel(3)
             dead_sys = weakref.ref(sys)
-            dead_analysis = weakref.ref(sys.analysis(3))
+            dead_jet = weakref.ref(sys.jet(3))
             del sys
             assert dead_sys() is None
-            assert dead_analysis() is None
+            assert dead_jet() is None
         finally:
             gc.enable()
 
+
+def _fresh_splits(phi, tup, l):
+    """{k: (rank J_l, quotient_dim, projected kernel)} from one fresh
+    two-stage staged elimination of the order-l jet matrix per k:
+    degree-> k columns first; the rows left without a pivot there, cut to
+    the degree-<= k columns, have the projected kernel as their kernel."""
+    rows = jet_matrix(phi, tup, l).matrix.rows
+    ncols = index_count(phi.target_arity, l)
+    splits = {}
+    for k in range(l + 1):
+        cut = index_count(phi.target_arity, k)
+        elim = staged_elimination(rows, ncols,
+                                  [list(range(cut, ncols)), list(range(cut))])
+        high = {r for r, c in elim.pivots if c >= cut}
+        residual = Matrix([row[:cut] for i, row in enumerate(elim.rows)
+                           if i not in high], ncols=cut)
+        splits[k] = (elim.rank, elim.rank - len(high),
+                     residual.rank_kernel()[1])
+    return splits
+
+
+def _assert_prefix_reads(phi, tup, orders, l_max):
+    sys = JetSystem(phi, tup, l_max=l_max)
+    for l in orders:
+        rank = sys.analysis(l)
+        for k, (want_rank, want_codim, want_kernel) in \
+                _fresh_splits(phi, tup, l).items():
+            assert rank == want_rank, (tup, l)
+            assert sys.quotient_dim(l, k) == want_codim, (tup, l, k)
+            assert sys.projected_kernel(l, k) == want_kernel, (tup, l, k)
+
+
+@st.composite
+def _random_tuples(draw):
+    """(map, points): one cusp or cone point, or 2-3 points on the cone's
+    singular fibre x1 = 0, where new rows must be reduced against old
+    pivots before they are pivoted."""
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    kind = draw(st.sampled_from(["cusp", "cone", "fibre"]))
+    if kind == "fibre":
+        ts = draw(st.lists(coord, min_size=2, max_size=3, unique=True))
+        return cone(), [(0, t) for t in ts]
+    phi = cusp() if kind == "cusp" else cone()
+    return phi, [tuple(draw(coord) for _ in range(phi.source_arity))]
+
+
+class TestEchelon:
+    """The append-only echelon: every (l, k) read off its order-l prefix
+    equals a fresh staged elimination of the order-l jet matrix."""
+
+    @given(_random_tuples(), st.permutations(range(6)))
+    @settings(max_examples=25, deadline=None)
+    def test_prefix_reads_match_fresh_eliminations_at_random_points(
+            self, case, orders):
+        phi, pts = case
+        _assert_prefix_reads(phi, FibredTuple.make(phi, pts), orders,
+                             l_max=5)
+
+    @pytest.mark.parametrize("comps,m,pts,top", [
+        (["x1^3 - x1"], 1, [(0,), (1,), (-1,)], 8),
+        (["x1", "x2^3 - x2"], 2, [(0, 1), (0, -1), (0, 0)], 5),
+        # reducing against the old pivots lowest degree first, instead of
+        # in the staged order, miscounts here at order 4
+        (["x2 + x1^3", "x2^2 + x1^2 x2"], 2, [(0, 0)], 5),
+    ])
+    def test_prefix_reads_match_fresh_eliminations_on_folds(
+            self, comps, m, pts, top):
+        phi = PolyMap("fold", [parse_poly(c, m) for c in comps])
+        orders = list(range(top + 1))
+        random.Random(top).shuffle(orders)
+        _assert_prefix_reads(phi, FibredTuple.make(phi, pts), orders, top)
+
+    @pytest.mark.parametrize("name", ["cone", "cusp", "identity", "squaring"])
+    def test_prefix_reads_match_fresh_eliminations_on_shipped_tuples(
+            self, name):
+        # orders shuffled by a fixed seed; cone stops at 7 for time
+        scenario = load_scenario(ROOT / "scenarios" / f"{name}.json")
+        top = min(scenario.l_max, 7 if name == "cone" else 12)
+        rng = random.Random(name)
+        for _, tup in scenario_tuples(scenario):
+            orders = list(range(top + 1))
+            rng.shuffle(orders)
+            _assert_prefix_reads(scenario.phi, tup, orders, l_max=top)
+
+    def test_one_elimination_per_new_order(self, monkeypatch):
+        calls = []
+        elim = chevkit.jets.staged_elimination
+
+        def counting(rows, ncols, stages):
+            calls.append(ncols)
+            return elim(rows, ncols, stages)
+
+        monkeypatch.setattr(chevkit.jets, "staged_elimination", counting)
+        phi = cone()
+        sys = JetSystem(phi, FibredTuple.make(phi, [(1, 1)]), l_max=8)
+        for l in (6, 3, 8):
+            sys.jet(l)
+        assert calls == []
+        sys.analysis(4)
+        assert len(calls) == 5
+        sys.quotient_dim(3, 2)
+        sys.kernel_contains(4, 1, [[1, 0, 0, 0]])
+        sys.membership_residual(2, 2)
+        assert len(calls) == 5
+        sys.quotient_dim(7, 7)
+        assert len(calls) == 8
+        sys.jet(5)
+        assert len(calls) == 8
 
 class TestDefiningProperty:
     """J^l(phi) applied to the coefficients of F equals the Taylor

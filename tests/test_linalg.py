@@ -199,31 +199,17 @@ class TestStagedElimination:
 
     @given(matrix_strategy(max_rows=5, max_cols=5), st.integers(1, 4))
     @settings(max_examples=50, deadline=None)
-    def test_snapshot_matches_membership_oracle(self, m, cut_raw):
-        # split columns [0, cut) | [cut, ncols); the snapshot's residual
-        # kernel must be exactly {u : (second block) u lies in the image of
-        # the first block}
+    def test_split_matches_membership_oracle(self, m, cut_raw):
+        # split columns [0, cut) | [cut, ncols); the residual read off the
+        # finished elimination must have kernel exactly {u : (second block)
+        # u lies in the image of the first block}
         cut = min(cut_raw, m.ncols - 1)
         if cut < 1:
             return
-        stages = [list(range(cut)), list(range(cut, m.ncols))]
-        elim = staged_elimination(m.rows, m.ncols, stages,
-                                  snapshot_after=(0,))
-        snap = elim.snapshots[0]
-        first = [[row[c] for c in range(cut)] for row in m.rows]
-        second = [[row[c] for c in range(cut, m.ncols)] for row in m.rows]
-        assert snap.rank == O.sympy_rank(first)
-        _, kern = snap.residual.rank_kernel()
-        ncols2 = m.ncols - cut
-        first_cols = [list(col) for col in zip(*first)]
-        for u in kern.basis:
-            bu = [
-                sum(second[i][j] * u[j] for j in range(ncols2))
-                for i in range(m.nrows)
-            ]
-            assert O.in_row_span(first_cols, [Fraction(v) for v in bu])
-        schur = _schur_rows(first, second)
-        assert kern.dim == ncols2 - O.sympy_rank(schur)
+        first = list(range(cut))
+        stages = [first, list(range(cut, m.ncols))]
+        elim = staged_elimination(m.rows, m.ncols, stages)
+        _assert_split_matches_oracle(m.rows, first, *_split(elim, first))
 
     @given(matrix_strategy(max_rows=4, max_cols=5))
     @settings(max_examples=40, deadline=None)
@@ -241,12 +227,40 @@ class TestStagedElimination:
         copy = [list(r) for r in rows]
         scaled = [[Fraction(x, scale) for x in r] for r in rows]
         stages = [[3], [2], [0, 1]]
-        a = staged_elimination(rows, 4, stages, snapshot_after=(0, 1))
-        b = staged_elimination(scaled, 4, stages, snapshot_after=(0, 1))
+        a = staged_elimination(rows, 4, stages)
+        b = staged_elimination(scaled, 4, stages)
         assert rows == copy
         assert a.rows == b.rows and a.pivots == b.pivots
-        assert [s.rows for s in a.snapshots.values()] == \
-            [s.rows for s in b.snapshots.values()]
+        for absorbed in ([3], [3, 2]):
+            split = _split(a, absorbed)
+            assert split == _split(b, absorbed)
+            _assert_split_matches_oracle(rows, absorbed, *split)
+
+
+def _split(elim, absorbed):
+    """(rank of the absorbed columns, residual) read off a finished
+    elimination: the rows without a pivot among the absorbed columns,
+    restricted to the other columns in ascending order."""
+    kept = [c for c in range(elim.ncols) if c not in absorbed]
+    pivoted = {r for r, c in elim.pivots if c in absorbed}
+    rows = [[row[c] for c in kept]
+            for i, row in enumerate(elim.rows) if i not in pivoted]
+    return len(pivoted), Matrix(rows, ncols=len(kept))
+
+
+def _assert_split_matches_oracle(rows, absorbed, rank, residual):
+    """rank is the rank of the absorbed columns, and the residual's kernel
+    is {u : (kept columns) u lies in their image}, by sympy."""
+    kept = [c for c in range(len(rows[0])) if c not in absorbed]
+    first = [[row[c] for c in absorbed] for row in rows]
+    second = [[row[c] for c in kept] for row in rows]
+    assert rank == O.sympy_rank(first)
+    _, kern = residual.rank_kernel()
+    first_cols = [list(col) for col in zip(*first)]
+    for u in kern.basis:
+        bu = [sum(row[j] * u[j] for j in range(len(kept))) for row in second]
+        assert O.in_row_span(first_cols, [Fraction(v) for v in bu])
+    assert kern.dim == len(kept) - O.sympy_rank(_schur_rows(first, second))
 
 
 def _schur_rows(first, second):
