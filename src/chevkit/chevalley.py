@@ -171,6 +171,7 @@ class ChevalleyEngine:
         self._relation_jets = {}
         self._relation_spaces = {}
         self._diagram = None
+        self._diagram_rows = None
         self._diagram_kernels = {}
 
     # exact relation jets (verified mode only)
@@ -209,7 +210,22 @@ class ChevalleyEngine:
             self._diagram = diagram_from_generators(
                 self.presentation, max(trunc, self._generator_degree())
             )
+            self._diagram_rows = None
         return self._diagram
+
+    def _relation_rows(self, k):
+        """Integer vectors spanning relation_space(k), one per basis row.
+
+        The diagram's basis is integerised once per build.  Its rows
+        pivoting below C(n+k, k), cut to that length, are positive multiples
+        of relation_space(k)'s canonical rows, in the same order.
+        """
+        span = self.diagram(k).span
+        if self._diagram_rows is None:
+            self._diagram_rows = span.integer_basis()
+        cut = index_count(self.phi.target_arity, k)
+        return [row[:cut] for row, p in zip(self._diagram_rows, span.pivots)
+                if p < cut]
 
     def _hs_crosscheck(self, k, target):
         # the codimension of the relation jets must equal the staircase
@@ -243,7 +259,7 @@ class ChevalleyEngine:
         # reached exactly when the codimensions agree
         target = self.relation_space(k)
         self._hs_crosscheck(k, target)
-        target_rows = target.integer_basis()
+        target_rows = self._relation_rows(k)
         codims = []
         for l in range(k, self.l_max + 1):
             if not self.jets.kernel_contains(l, k, target_rows):

@@ -6,10 +6,13 @@ kernel is exactly the column span of B.  That turns "is this vector in the
 image" into "does this matrix kill it", which composes with other maps.
 
 The dense operator has comb(e, r) * comb(f, r+1) rows and explodes quickly,
-so it is guarded by a cap.  membership_kernel computes the same kernel by a
-staged elimination instead: eliminate B's columns first, and the rows left
-without a pivot among them are a row system with the identical kernel at
-any size.
+so it is guarded by a cap.  membership_operator composes it with a second
+block without building it: each composed row is a signed sum of integer
+r x r minors times integer rows, and the rows that come out zero, most of
+them in practice, are dropped.  membership_kernel computes the same kernel
+by a staged elimination instead: eliminate B's columns first, and the rows
+left without a pivot among them are a row system with the identical kernel
+at any size.
 """
 
 from __future__ import annotations
@@ -20,26 +23,31 @@ from itertools import combinations
 from math import comb
 
 from .errors import InputError, WedgeCapError
-from .linalg import Matrix, Subspace, staged_elimination
+from .linalg import (
+    Matrix, Subspace, _integerize, _normalize, staged_elimination,
+)
 
 DEFAULT_WEDGE_CAP = 10**6
 
 
 def _minor(rows_of_b, row_set, col_set, memo):
-    """Determinant of the square submatrix, memoized by index sets."""
+    """Determinant of the square submatrix, memoized by index sets.
+
+    Exact in whatever the cells are, ints or Fractions; the empty minor is 1.
+    """
     key = (row_set, col_set)
     got = memo.get(key)
     if got is not None:
         return got
     size = len(row_set)
     if size == 0:
-        val = Fraction(1)
+        val = 1
     elif size == 1:
         val = rows_of_b[row_set[0]][col_set[0]]
     else:
         # expand along the first column; subminors repeat across the
         # operator's rows, which is where the memo pays off
-        val = Fraction(0)
+        val = 0
         rest = col_set[1:]
         for pos, ri in enumerate(row_set):
             c = rows_of_b[ri][col_set[0]]
@@ -50,6 +58,17 @@ def _minor(rows_of_b, row_set, col_set, memo):
             val += term if pos % 2 == 0 else -term
     memo[key] = val
     return val
+
+
+def _check_cap(e, f, r, cap):
+    """Refuse an order-r wedge operator of an f x e block with more than cap
+    rows, comb(e, r) * comb(f, r + 1)."""
+    cells = comb(e, r) * comb(f, r + 1)
+    if cells > cap:
+        raise WedgeCapError(
+            f"wedge target needs {cells} rows x {f} cols, over the cap"
+            f" {cap}; use membership_kernel for large blocks"
+        )
 
 
 def wedge_operator(b, r, cap=DEFAULT_WEDGE_CAP):
@@ -68,12 +87,7 @@ def wedge_operator(b, r, cap=DEFAULT_WEDGE_CAP):
     if r > e or r + 1 > f:
         # the source or target exterior power collapses to zero
         return Matrix([], ncols=f)
-    cells = comb(e, r) * comb(f, r + 1)
-    if cells > cap:
-        raise WedgeCapError(
-            f"wedge target needs {cells} rows x {f} cols, over the cap"
-            f" {cap}; use membership_kernel for large blocks"
-        )
+    _check_cap(e, f, r, cap)
     memo = {}
     rows = []
     for col_subset in combinations(range(e), r):
@@ -102,17 +116,64 @@ def image_kernel_check(b, cap=DEFAULT_WEDGE_CAP):
 
 
 def membership_operator(kept, absorbed, r, cap=DEFAULT_WEDGE_CAP):
-    """Compose the order-r wedge operator of `absorbed` with `kept`.
+    """The order-r wedge operator of `absorbed` composed with `kept`, up to
+    positive row scalings, with its zero rows dropped.
 
     With r = rank(absorbed), a vector u is killed exactly when kept . u
     lies in the column span of absorbed.
+
+    W = wedge_operator(absorbed, r) is never built.  Each row i of
+    [absorbed | kept] is scaled once to coprime integers, by a positive d_i;
+    row (J, I) of the product is then the sum over p in I of the signed
+    integer minor on rows I minus p and columns J times kept row p, which is
+    prod_{i in I} d_i times row (J, I) of W @ kept.  Rows in (J, I) order
+    that are not zero are returned, each divided by its gcd, so kernel and
+    rank are those of W @ kept.  The cap applies to W's full row count.
     """
     if kept.nrows != absorbed.nrows:
         raise InputError(
             f"row mismatch: kept has {kept.nrows}, absorbed has"
             f" {absorbed.nrows}"
         )
-    return wedge_operator(absorbed, r, cap) @ kept
+    if r < 0:
+        raise InputError("wedge order must be >= 0")
+    f, e, ek = absorbed.nrows, absorbed.ncols, kept.ncols
+    if r > e or r + 1 > f:
+        # the source or target exterior power collapses to zero
+        return Matrix([], ncols=ek)
+    if r:
+        _check_cap(e, f, r, cap)
+    joined = [_integerize(ra + rk) for ra, rk in zip(absorbed.rows, kept.rows)]
+    high = [row[:e] for row in joined]
+    # kept rows as (column, value) pairs; an all-zero row adds nothing
+    low = [[(j, v) for j, v in enumerate(row[e:]) if v] for row in joined]
+    # a minor on rows that include a zero row of absorbed vanishes: a row
+    # subset holding two such rows gives a zero row, and one holding just z
+    # keeps only the term p = z
+    zero = {i for i, row in enumerate(high) if not any(row)}
+    memo = {}
+    rows = []
+    for col_subset in combinations(range(e), r):
+        for row_subset in combinations(range(f), r + 1):
+            hit = [i for i in row_subset if i in zero]
+            if len(hit) > 1:
+                continue
+            acc = [0] * ek
+            for pos, p in enumerate(row_subset):
+                if not low[p] or hit and p != hit[0]:
+                    continue
+                rest = row_subset[:pos] + row_subset[pos + 1:]
+                minor = _minor(high, rest, col_subset, memo)
+                if not minor:
+                    continue
+                if pos % 2:
+                    minor = -minor
+                for j, v in low[p]:
+                    acc[j] += minor * v
+            if any(acc):
+                _normalize(acc)
+                rows.append(acc)
+    return Matrix(rows, ncols=ek)
 
 
 @dataclass(frozen=True)

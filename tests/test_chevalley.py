@@ -335,6 +335,23 @@ class TestRelationEchelon:
                 hilbert_samuel_count(
                     diagram_from_generators(pres, max(k, deg)), k)
 
+    @given(presentations_at_centres(),
+           st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_guard_rows_span_relation_space(self, case, requests):
+        # sliced off the integerised diagram rows, across rebuilds
+        eng, _ = case
+        for k in requests:
+            space = eng.relation_space(k)
+            rows = eng._relation_rows(k)
+            # row i is a positive integer multiple of canonical row i, so
+            # the rows span the space and pivot where it does
+            assert len(rows) == space.dim
+            for row, b, p in zip(rows, space.basis, space.pivots):
+                assert all(isinstance(x, int) for x in row)
+                assert row[p] > 0
+                assert [Fraction(x, row[p]) for x in row] == b
+
     def test_cusp_builds_one_diagram_per_new_level(self, monkeypatch):
         levels = []
         inside = []
@@ -391,6 +408,9 @@ class TestConsistencyGuards:
                                      len(betas))
         assert fake.dim == eng.relation_space(k).dim
         monkeypatch.setattr(eng, "relation_space", lambda _: fake)
+        # the guard tests the integer rows that stand for relation_space(k)
+        monkeypatch.setattr(eng, "_relation_rows",
+                            lambda _: fake.integer_basis())
         with pytest.raises(ConsistencyError,
                            match=f"escaped a projected kernel at l={l}, k=2"):
             eng.relation_jets(k)

@@ -101,6 +101,92 @@ class TestWedgeOperator:
         assert all(all(v == 0 for v in row) for row in prod.rows)
 
 
+@st.composite
+def membership_blocks(draw):
+    """(kept, absorbed) with 1-5 shared rows, small integer or non-integer
+    rational entries, and some rows zero in one block or both."""
+    f = draw(st.integers(1, 5))
+    ea = draw(st.integers(1, 4))
+    ek = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        cell = small_entries
+    else:
+        cell = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    def block(ncols):
+        rows = []
+        for _ in range(f):
+            if draw(st.integers(0, 3)) == 0:
+                rows.append([0] * ncols)
+            else:
+                rows.append(draw(st.lists(cell, min_size=ncols,
+                                          max_size=ncols)))
+        return mat(rows, ncols=ncols)
+
+    return block(ek), block(ea)
+
+
+class TestMembershipOperator:
+    @given(membership_blocks(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_are_positive_multiples_of_the_product(self, blocks, data):
+        kept, absorbed = blocks
+        r = data.draw(st.integers(0, absorbed.rank() + 1))
+        got = membership_operator(kept, absorbed, r)
+        want = [row for row in (wedge_operator(absorbed, r) @ kept).rows
+                if any(row)]
+        assert got.ncols == kept.ncols
+        assert len(got.rows) == len(want)
+        for g, w in zip(got.rows, want):
+            p = next(j for j, x in enumerate(w) if x)
+            ratio = g[p] / w[p]
+            assert ratio > 0
+            assert g == [ratio * x for x in w]
+
+    @given(membership_blocks())
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_and_rank_match_membership_kernel(self, blocks):
+        kept, absorbed = blocks
+        res = membership_kernel(kept, absorbed)
+        op = membership_operator(kept, absorbed, res.absorbed_rank)
+        assert op.rank_kernel() == (res.residual_rank, res.kernel)
+
+    def test_cap_matches_wedge_operator(self):
+        rng = random.Random(0)
+        absorbed = mat([[rng.randint(0, 3) for _ in range(6)]
+                        for _ in range(8)])
+        kept = mat([[rng.randint(0, 3) for _ in range(2)]
+                    for _ in range(8)])
+        # comb(6, 3) * comb(8, 4) = 1400 rows; the cap counts them all,
+        # zero rows included
+        membership_operator(kept, absorbed, 3, cap=1400)
+        for r, cap in ((3, 1399), (1, 10)):
+            with pytest.raises(WedgeCapError) as want:
+                wedge_operator(absorbed, r, cap=cap)
+            with pytest.raises(WedgeCapError) as got:
+                membership_operator(kept, absorbed, r, cap=cap)
+            assert str(got.value) == str(want.value)
+
+    def test_order_zero_keeps_the_nonzero_kept_rows(self):
+        kept = mat([[0, 2], [0, 0], ["1/2", "-3/2"]])
+        absorbed = mat([[1], [2], [3]])
+        op = membership_operator(kept, absorbed, 0, cap=0)
+        assert op.rows == [[0, 1], [1, -3]]
+
+    @pytest.mark.parametrize("shape, r", [((3, 2), 3), ((2, 3), 2),
+                                          ((2, 1), 2)])
+    def test_collapse_gives_no_rows(self, shape, r):
+        f, e = shape
+        absorbed = mat([[i + j + 1 for j in range(e)] for i in range(f)])
+        kept = mat([[i - j for j in range(4)] for i in range(f)])
+        op = membership_operator(kept, absorbed, r, cap=0)
+        assert (op.nrows, op.ncols) == (0, 4)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(InputError):
+            membership_operator(mat([[1]]), mat([[1]]), -1)
+
+
 class TestMembership:
     def test_routes_agree_small(self):
         rng = random.Random(3)
