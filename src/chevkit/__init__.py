@@ -11,7 +11,6 @@ from .chevalley import (
     Leaf,
     LeafSample,
     RelationJets,
-    diagram_threshold_test,
     sample_leaf_chevalley,
     validate_relations,
 )
@@ -20,7 +19,6 @@ from .errors import (
     ConsistencyError,
     InputError,
     RelationsMismatchError,
-    TruncationError,
     WedgeCapError,
 )
 from .experiments import (
@@ -43,7 +41,6 @@ from .indices import (
     index_count,
     indices_of_degree,
     indices_up_to,
-    mono_cmp,
     mono_key,
 )
 from .jets import (
@@ -52,10 +49,7 @@ from .jets import (
     JetSystem,
     PolyMap,
     jet_blocks,
-    jet_kernel,
     jet_matrix,
-    jet_quotient_dim,
-    projected_jet_kernel,
 )
 from .linalg import Matrix, Subspace, staged_elimination
 from .poly import (
@@ -80,18 +74,14 @@ from .staircase import (
     diagram_from_generators,
     hilbert_samuel_count,
     ideal_jet_space,
-    initial_exponent,
     normal_form,
     residual_order,
 )
 from .wedge import (
     DEFAULT_WEDGE_CAP,
     MembershipResult,
-    column_span,
-    image_kernel_check,
     membership_kernel,
     membership_operator,
-    wedge_operator,
 )
 
 __version__ = "0.1.0"
@@ -100,27 +90,25 @@ __all__ = [
     "AtLeast", "is_censored",
     "HEURISTIC", "INCONCLUSIVE", "STABILIZED", "VERIFIED",
     "ChevalleyEngine", "ChevalleyEntry", "Leaf", "LeafSample",
-    "RelationJets", "diagram_threshold_test", "sample_leaf_chevalley",
-    "validate_relations",
+    "RelationJets", "sample_leaf_chevalley", "validate_relations",
     "ChevkitError", "ConsistencyError", "InputError",
-    "RelationsMismatchError", "TruncationError", "WedgeCapError",
+    "RelationsMismatchError", "WedgeCapError",
     "ConsistencyReport", "GrowthReport", "LinearBound", "OrderProbe",
     "ProductProbe", "TableRun", "fit_linear_bound", "product_order_probe",
     "residual_order_probe", "run_table", "taylor_growth_estimate",
     "verify_consistency",
     "degree", "dominates", "index_count", "indices_of_degree",
-    "indices_up_to", "mono_cmp", "mono_key",
+    "indices_up_to", "mono_key",
     "FibredTuple", "JetMatrix", "JetSystem", "PolyMap", "jet_blocks",
-    "jet_kernel", "jet_matrix", "jet_quotient_dim", "projected_jet_kernel",
+    "jet_matrix",
     "Matrix", "Subspace", "staged_elimination",
     "Poly", "TruncatedSeries", "format_poly", "parse_poly",
     "parse_rational",
     "Scenario", "load_scenario", "parse_scenario", "point_key",
     "relations_for", "scenario_tuples", "tuple_key",
     "Diagram", "IdealPresentation", "diagram_from_generators",
-    "hilbert_samuel_count", "ideal_jet_space", "initial_exponent",
-    "normal_form", "residual_order",
-    "DEFAULT_WEDGE_CAP", "MembershipResult", "column_span",
-    "image_kernel_check", "membership_kernel", "membership_operator",
-    "wedge_operator",
+    "hilbert_samuel_count", "ideal_jet_space", "normal_form",
+    "residual_order",
+    "DEFAULT_WEDGE_CAP", "MembershipResult", "membership_kernel",
+    "membership_operator",
 ]

@@ -122,14 +122,6 @@ class RelationJets:
     target: object
     codim: int
 
-    @property
-    def subspace(self):
-        """The relation jets: exact in VERIFIED mode, the stabilized or
-        last-computed projected kernel otherwise."""
-        if self.target is not None:
-            return self.target
-        return self.chain[-1][1]
-
 
 @dataclass(frozen=True)
 class ChevalleyEntry:
@@ -322,10 +314,6 @@ class ChevalleyEngine:
     def hilbert_samuel(self, k):
         """Jet-space codimension of the relation jets at degree k."""
         return self.relation_jets(k).codim
-
-    def chevalley_threshold(self, k):
-        """Least jet order whose projected kernel is the relation jets."""
-        return self.relation_jets(k).l_value
 
     # staircase-restricted route
 

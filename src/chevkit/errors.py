@@ -9,10 +9,6 @@ class InputError(ChevkitError, ValueError):
     """Malformed or inconsistent input (bad arity, bad text, bad scenario)."""
 
 
-class TruncationError(InputError):
-    """A truncation degree does not support the requested operation."""
-
-
 class WedgeCapError(ChevkitError):
     """A wedge-power target would exceed the configured entry cap."""
 

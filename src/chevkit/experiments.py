@@ -34,6 +34,17 @@ from .staircase import (
 from .scenario import relations_for, scenario_tuples
 from .wedge import membership_kernel, membership_operator
 
+# verify_consistency's membership-route orders and dense wedge row budget
+MEMBERSHIP_L_CAP = 6
+DENSE_CELL_CAP = 2000
+
+# taylor_growth_estimate's sampling and slope tolerance
+GROWTH_TOL = 0.15
+GROWTH_BOX = 0.5
+GROWTH_SHRINK = 0.5
+GROWTH_SCALES = 6
+GROWTH_SAMPLES = 40
+
 
 @dataclass(frozen=True)
 class TableRun:
@@ -245,6 +256,8 @@ def product_order_probe(presentation, trials=200, seed=0, trunc=8):
     """Sample random F, G in the coordinates centered at the presentation's
     center and compare order(FG) against order(F) + order(G).  Triples with
     any censored order are excluded and counted."""
+    if trials < 1:
+        raise InputError("trials must be >= 1")
     if trunc < 2:
         raise InputError("product probe needs truncation degree >= 2")
     diagram = diagram_from_generators(presentation, trunc)
@@ -307,17 +320,17 @@ def _feval(compiled, point):
     return total
 
 
-def taylor_growth_estimate(f, phi, a, ls, tol=0.15, box=0.5, shrink=0.5,
-                           scales=6, samples=40, seed=0):
+def taylor_growth_estimate(f, phi, a, ls, seed=0):
     """Numeric probe of how fast the degree-l Taylor remainder-free
     truncation of f at the image point grows along the fibre near a.
 
-    For each l, samples source points in shrinking boxes around a, regresses
-    log max|truncation| against log max|image displacement|, and calls the
-    ratio bounded when the slope reaches l - tol.  This is the only
-    float-based routine in the package; nothing it returns is certified
-    unless an exact shortcut applies (f composing to zero with the map, or
-    a truncation with no terms at all).
+    For each l, samples GROWTH_SAMPLES source points in each of
+    GROWTH_SCALES boxes around a, of half-width GROWTH_BOX shrinking by
+    GROWTH_SHRINK, regresses log max|truncation| against log max|image
+    displacement|, and calls the ratio bounded when the slope reaches
+    l - GROWTH_TOL.  This is the only float-based routine in the package;
+    nothing it returns is certified unless an exact shortcut applies (f
+    composing to zero with the map, or a truncation with no terms at all).
     """
     if f.arity != phi.target_arity:
         raise InputError(
@@ -348,11 +361,11 @@ def taylor_growth_estimate(f, phi, a, ls, tol=0.15, box=0.5, shrink=0.5,
     bf = [float(v) for v in b]
     comp_terms = [_float_terms(c.terms) for c in phi.components]
     scale_data = []
-    for s in range(scales):
-        radius = box * (shrink ** s)
+    for s in range(GROWTH_SCALES):
+        radius = GROWTH_BOX * (GROWTH_SHRINK ** s)
         dys = []
         r_max = 0.0
-        for _ in range(samples):
+        for _ in range(GROWTH_SAMPLES):
             x = [ai + radius * rng.uniform(-1.0, 1.0) for ai in af]
             dy = [
                 _feval(ct, x) - bj for ct, bj in zip(comp_terms, bf)
@@ -403,7 +416,8 @@ def taylor_growth_estimate(f, phi, a, ls, tol=0.15, box=0.5, shrink=0.5,
             continue
         slope = sxy / sxx
         entries.append(GrowthEntry(
-            l=l, slope=slope, bounded=(slope >= l - tol), certified=False,
+            l=l, slope=slope, bounded=(slope >= l - GROWTH_TOL),
+            certified=False,
         ))
     return GrowthReport(
         point=a, image=b, entries=tuple(entries),
@@ -427,16 +441,17 @@ class ConsistencyReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_consistency(scenario, membership_l_cap=6, dense_cell_cap=2000):
+def verify_consistency(scenario):
     """Cross-validate every route the package offers on one scenario.
 
     Checks: the supplied relations really vanish; the two jet-codimension
     counts agree; the staircase-restricted threshold test agrees with the
     chain; three independent membership routes compute the same projected
-    kernels (including the dense alternating-minors route when it fits
-    under dense_cell_cap); growth of validated relations is bounded by the
-    exact shortcut; and the monotonicity laws hold across the table, with
-    validated relation jets inside every projected kernel of their chain.
+    kernels for l <= MEMBERSHIP_L_CAP (including the dense alternating-minors
+    route when its operator has at most DENSE_CELL_CAP rows); growth of
+    validated relations is bounded by the exact shortcut; and the
+    monotonicity laws hold across the table, with validated relation jets
+    inside every projected kernel of their chain.
     """
     checks = []
     phi = scenario.phi
@@ -530,7 +545,7 @@ def verify_consistency(scenario, membership_l_cap=6, dense_cell_cap=2000):
         engine = engines[key]
         n = phi.target_arity
         for k in range(k_min, k_max + 1):
-            for l in range(k, min(scenario.l_max, membership_l_cap) + 1):
+            for l in range(k, min(scenario.l_max, MEMBERSHIP_L_CAP) + 1):
                 staged = engine.jets.projected_kernel(l, k)
                 low_positions = list(range(index_count(n, k)))
                 projected = engine.jets.kernel(l).project(low_positions)
@@ -545,7 +560,7 @@ def verify_consistency(scenario, membership_l_cap=6, dense_cell_cap=2000):
                 r = schur.absorbed_rank
                 cells = (math.comb(high.ncols, r)
                          * math.comb(high.nrows, r + 1))
-                if cells <= dense_cell_cap:
+                if cells <= DENSE_CELL_CAP:
                     dense = membership_operator(low, high, r)
                     _, dense_kernel = dense.rank_kernel()
                     dense_count += 1

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import InputError
-
 
 def degree(beta):
     return sum(beta)
@@ -21,16 +19,6 @@ def degree(beta):
 def mono_key(beta):
     """Sort key for the order: compare (|b|, b1, ..., bn) lexicographically."""
     return (sum(beta),) + tuple(beta)
-
-
-def mono_cmp(beta, gamma):
-    """Three-way comparison in the shared monomial order (-1, 0 or 1)."""
-    if len(beta) != len(gamma):
-        raise InputError(
-            f"cannot compare multi-indices of arities {len(beta)} and {len(gamma)}"
-        )
-    a, b = mono_key(beta), mono_key(gamma)
-    return (a > b) - (a < b)
 
 
 def indices_of_degree(arity, d):
@@ -70,7 +58,3 @@ def dominates(beta, gamma):
     """True when beta >= gamma componentwise (beta lies in gamma's cone)."""
     return all(b >= g for b, g in zip(beta, gamma))
 
-
-def position_map(arity, d):
-    """Map each multi-index of degree <= d to its position in the enumeration."""
-    return {b: i for i, b in enumerate(indices_up_to(arity, d))}

@@ -190,8 +190,7 @@ class JetSystem:
     ascending, so the order-l matrix is rows p*C(m+L, L) + i for each point
     p and i < C(m+l, l), and columns j < C(n+l, l).  An order past L
     rebuilds at max(l, min(2L, l_max)), so a climb l = k, k+1, ... makes
-    logarithmically many builds and never passes l_max; without l_max the
-    rebuild is at exactly l.
+    logarithmically many builds and never passes l_max.
 
     Entry (p, alpha; beta) is zero whenever |alpha| < |beta|, so J_{l+1} is
     J_l, padded with zero columns of degree l + 1, plus the rows of x-degree
@@ -210,7 +209,7 @@ class JetSystem:
       are the guard rows, whose kernel is the projected kernel.
     """
 
-    def __init__(self, phi, tup, l_max=None):
+    def __init__(self, phi, tup, l_max):
         self.phi = phi
         self.tup = tup
         self.l_max = l_max
@@ -229,7 +228,7 @@ class JetSystem:
             raise InputError("jet order must be >= 0")
         if self._build is None or l > self._build.level:
             level = l
-            if self._build is not None and self.l_max is not None:
+            if self._build is not None:
                 level = max(l, min(2 * self._build.level, self.l_max))
             self._build = jet_matrix(self.phi, self.tup, level)
         return self._build
@@ -315,9 +314,14 @@ class JetSystem:
 
     def projected_kernel(self, l, k):
         """Projection of the order-l kernel onto coordinates of degree <= k:
-        the kernel of the guard rows, canonicalised on first read."""
+        the kernel of the guard rows, canonicalised on first read.
+
+        u is in it exactly when (low block)u lies in the column span of the
+        high block.
+        """
         if (l, k) not in self._blocks:
-            residual, _ = self.membership_residual(l, k)
+            residual = Matrix(self._guard_rows(l, k),
+                              ncols=index_count(self.phi.target_arity, k))
             self._blocks[(l, k)] = residual.rank_kernel()[1]
         return self._blocks[(l, k)]
 
@@ -342,33 +346,3 @@ class JetSystem:
         return all(
             not sum(row[i] * x for i, x in t) for t in sparse for row in rows
         )
-
-    def membership_residual(self, l, k):
-        """(guard rows as a Matrix, high-block rank) for the degree-k split
-        at order l.
-
-        The guard rows' kernel equals the projected kernel: u is in it
-        exactly when (low block)u lies in the column span of the high block.
-        """
-        rows = self._guard_rows(l, k)
-        residual = Matrix(rows, ncols=index_count(self.phi.target_arity, k))
-        return residual, self._ends[l] - len(rows)
-
-
-def jet_kernel(phi, tup, l):
-    """Kernel of the order-l jet matrix as a canonical subspace."""
-    return JetSystem(phi, tup).kernel(l)
-
-
-def projected_jet_kernel(phi, tup, l, k):
-    """Projection of the order-l jet kernel to coordinates of degree <= k."""
-    if k > l:
-        raise InputError(f"projection degree {k} exceeds jet order {l}")
-    return JetSystem(phi, tup).projected_kernel(l, k)
-
-
-def jet_quotient_dim(phi, tup, l, k):
-    """Dimension of the degree-<= k jet space modulo the projected kernel."""
-    if k > l:
-        raise InputError(f"projection degree {k} exceeds jet order {l}")
-    return JetSystem(phi, tup).quotient_dim(l, k)

@@ -97,21 +97,9 @@ class Matrix:
             [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         )
 
-    @classmethod
-    def zero(cls, nrows, ncols):
-        return cls([[Fraction(0)] * ncols for _ in range(nrows)], ncols=ncols)
-
     @property
     def shape(self):
         return (self.nrows, self.ncols)
-
-    def row(self, i):
-        return list(self.rows[i])
-
-    def transpose(self):
-        rows = [[self.rows[i][j] for i in range(self.nrows)]
-                for j in range(self.ncols)]
-        return Matrix(rows, ncols=self.nrows)
 
     def submatrix(self, row_idx=None, col_idx=None):
         rs = range(self.nrows) if row_idx is None else row_idx
@@ -119,59 +107,17 @@ class Matrix:
         rows = [[self.rows[i][j] for j in cs] for i in rs]
         return Matrix(rows, ncols=len(cs))
 
-    def apply(self, vec):
-        if len(vec) != self.ncols:
-            raise InputError(
-                f"vector length {len(vec)} does not match {self.ncols} columns"
-            )
-        return [sum((r[j] * vec[j] for j in range(self.ncols)), Fraction(0))
-                for r in self.rows]
-
-    def __matmul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise InputError(
-                f"cannot multiply {self.shape} by {other.shape}"
-            )
-        # row by row, skipping zero entries on both sides: wedge operators
-        # have at most r + 1 nonzeros per row
-        rows = []
-        for row in self.rows:
-            acc = [0] * other.ncols
-            for a, orow in zip(row, other.rows):
-                if not a:
-                    continue
-                for j, b in enumerate(orow):
-                    if b:
-                        acc[j] += a * b
-            rows.append(acc)
-        return Matrix(rows, ncols=other.ncols)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.shape == other.shape and self.rows == other.rows
 
-    def is_zero(self):
-        return all(not x for r in self.rows for x in r)
-
-    def rank(self):
-        return self.elimination().rank
-
-    def kernel(self):
-        """Kernel basis as raw vectors (not canonicalized)."""
-        return self.elimination().kernel_vectors()
-
     def rank_kernel(self):
         """(rank, kernel as canonical Subspace); rank + dim kernel = ncols."""
-        elim = self.elimination()
+        elim = staged_elimination(self.rows, self.ncols,
+                                  [list(range(self.ncols))])
         kernel = Subspace.from_vectors(elim.kernel_vectors(), self.ncols)
         return elim.rank, kernel
-
-    def elimination(self):
-        return staged_elimination(self.rows, self.ncols,
-                                  [list(range(self.ncols))])
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -297,14 +243,6 @@ class Subspace:
             pivots.append(c)
         return cls(ambient_dim, basis, pivots, _trusted=True)
 
-    @classmethod
-    def zero_space(cls, ambient_dim):
-        return cls.from_vectors([], ambient_dim)
-
-    @classmethod
-    def full_space(cls, ambient_dim):
-        return cls.from_vectors(Matrix.identity(ambient_dim).rows, ambient_dim)
-
     @property
     def dim(self):
         return len(self.basis)
@@ -328,13 +266,6 @@ class Subspace:
             (self.ambient_dim, tuple(tuple(r) for r in self.basis))
         )
 
-    def _check_ambient(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise InputError(
-                f"ambient dimension mismatch: {self.ambient_dim} vs"
-                f" {other.ambient_dim}"
-            )
-
     def reduce_vector(self, vec):
         """Subtract the basis component; the result is zero iff vec is inside."""
         row = [Fraction(x) for x in vec]
@@ -357,32 +288,12 @@ class Subspace:
         return not any(self.reduce_vector(vec))
 
     def contains(self, other):
-        self._check_ambient(other)
+        if self.ambient_dim != other.ambient_dim:
+            raise InputError(
+                f"ambient dimension mismatch: {self.ambient_dim} vs"
+                f" {other.ambient_dim}"
+            )
         return all(self.contains_vector(b) for b in other.basis)
-
-    def sum_with(self, other):
-        self._check_ambient(other)
-        return Subspace.from_vectors(self.basis + other.basis,
-                                     self.ambient_dim)
-
-    def intersect(self, other):
-        self._check_ambient(other)
-        if not self.basis or not other.basis:
-            return Subspace.zero_space(self.ambient_dim)
-        # solve sum_i s_i a_i = sum_j t_j b_j; columns are the basis vectors
-        stacked = [list(a) for a in self.basis]
-        stacked += [[-x for x in b] for b in other.basis]
-        combos = Matrix(stacked, ncols=self.ambient_dim).transpose().kernel()
-        vecs = []
-        for w in combos:
-            coeffs = w[: len(self.basis)]
-            vec = [Fraction(0)] * self.ambient_dim
-            for s, a in zip(coeffs, self.basis):
-                if s:
-                    for i, x in enumerate(a):
-                        vec[i] += s * x
-            vecs.append(vec)
-        return Subspace.from_vectors(vecs, self.ambient_dim)
 
     def project(self, coords):
         """Image under selection of the listed coordinates.

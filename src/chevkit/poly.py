@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import comb, prod
 from operator import add, sub
 
-from .errors import InputError, TruncationError
-from .indices import degree, index_add, indices_up_to, mono_key
+from .errors import InputError
+from .indices import degree, index_add, mono_key
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -80,9 +80,6 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def coeff(self, beta):
-        return self.terms.get(tuple(beta), Fraction(0))
-
     def total_degree(self):
         """Degree of the polynomial, or -1 for the zero polynomial."""
         if not self.terms:
@@ -94,9 +91,6 @@ class Poly:
         if not self.terms:
             return None
         return min(degree(b) for b in self.terms)
-
-    def support(self):
-        return sorted(self.terms, key=mono_key)
 
     # arithmetic
 
@@ -182,9 +176,6 @@ class Poly:
             e >>= 1
         return result
 
-    def scale(self, c):
-        return self * c
-
     # evaluation and substitution
 
     def eval(self, point):
@@ -265,26 +256,6 @@ class Poly:
         out.terms = terms
         return out
 
-    def scaled_derivative(self, beta):
-        """Taylor-coefficient extractor: apply (1/beta!) * d^beta.
-
-        The coefficient of x^alpha in the result is comb-weighted so that
-        evaluating at a point a gives exactly the x^beta coefficient of the
-        expansion of the polynomial around a.
-        """
-        if len(beta) != self.arity:
-            raise InputError(
-                f"derivative index {beta} has wrong arity for {self.arity} variables"
-            )
-        terms = {}
-        for alpha, c in self.terms.items():
-            if not all(a >= b for a, b in zip(alpha, beta)):
-                continue
-            w = c * prod(comb(a, b) for a, b in zip(alpha, beta))
-            if w:
-                terms[tuple(a - b for a, b in zip(alpha, beta))] = w
-        return Poly(self.arity, terms)
-
     def truncate(self, d):
         """Drop all terms of degree > d, returning a TruncatedSeries."""
         kept = {b: c for b, c in self.terms.items() if degree(b) <= d}
@@ -303,7 +274,7 @@ class TruncatedSeries:
 
     Arithmetic narrows the truncation degree the way interval arithmetic
     narrows intervals: the result is only claimed up to the degree both
-    operands support.  Reading past trunc_degree raises TruncationError.
+    operands support.
     """
 
     __slots__ = ("arity", "terms", "trunc_degree")
@@ -338,23 +309,6 @@ class TruncatedSeries:
         if c:
             terms[(0,) * arity] = c
         return cls(arity, terms, d, _exact=True)
-
-    def coeff(self, beta):
-        if degree(beta) > self.trunc_degree:
-            raise TruncationError(
-                f"coefficient at {beta} lies past truncation degree {self.trunc_degree}"
-            )
-        return self.terms.get(tuple(beta), Fraction(0))
-
-    def coeff_vector(self, d=None):
-        """Coefficients at all indices of degree <= d, in the shared order."""
-        if d is None:
-            d = self.trunc_degree
-        if d > self.trunc_degree:
-            raise TruncationError(
-                f"requested degree {d} exceeds truncation degree {self.trunc_degree}"
-            )
-        return [self.terms.get(b, Fraction(0)) for b in indices_up_to(self.arity, d)]
 
     def order(self):
         if not self.terms:

@@ -10,7 +10,7 @@ are x1..xm on the source (alias x when m is 1) and y1..yn on the target
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .chevalley import Leaf

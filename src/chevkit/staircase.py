@@ -31,13 +31,6 @@ from .linalg import Subspace
 from .poly import Poly, TruncatedSeries, format_poly
 
 
-def initial_exponent(f):
-    """Minimum exponent of the support in the shared order; None when f = 0."""
-    if not f.terms:
-        return None
-    return min(f.terms, key=mono_key)
-
-
 @dataclass(frozen=True)
 class IdealPresentation:
     """Generators of an ideal of target-variable polynomials at a center.

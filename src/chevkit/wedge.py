@@ -102,19 +102,6 @@ def wedge_operator(b, r, cap=DEFAULT_WEDGE_CAP):
     return Matrix(rows, ncols=f)
 
 
-def column_span(b):
-    return Subspace.from_vectors(b.transpose().rows, b.nrows)
-
-
-def image_kernel_check(b, cap=DEFAULT_WEDGE_CAP):
-    """Self-test: the column span of b equals the kernel of its wedge operator
-    at order rank(b).  Should hold for every matrix."""
-    r = b.rank()
-    op = wedge_operator(b, r, cap)
-    _, kernel = op.rank_kernel()
-    return column_span(b) == kernel
-
-
 def membership_operator(kept, absorbed, r, cap=DEFAULT_WEDGE_CAP):
     """The order-r wedge operator of `absorbed` composed with `kept`, up to
     positive row scalings, with its zero rows dropped.

@@ -1,21 +1,28 @@
-"""Independent oracles built on sympy, plus reference copies of package
-routines that the package has replaced.
+"""Independent oracles built on sympy, reference copies of package
+routines that the package has replaced, and helpers only tests use.
 
 The sympy oracles recompute package results from scratch through symbolic
 composition and sympy linear algebra, sharing no code with the package
 beyond the index enumeration contract (degree then lexicographic), so
 agreement is meaningful.  The reference copies (shift_by_compose,
 map_power) are the straightforward versions of a faster package routine,
-written on Poly arithmetic; tests compare the package against them.
+written on Poly arithmetic; tests compare the package against them.  The
+helpers at the end (matrix products, subspace sums and meets, wedge
+self-tests, coefficient reads) were package functions that nothing in the
+package or the benchmark called; tests build inputs and references with
+them.
 """
 
 from fractions import Fraction
+from math import comb, prod
 
 import sympy
 
-from chevkit.errors import InputError, TruncationError
-from chevkit.indices import indices_up_to
+from chevkit.errors import InputError
+from chevkit.indices import degree, indices_up_to, mono_key
+from chevkit.linalg import Matrix, Subspace, staged_elimination
 from chevkit.poly import Poly, TruncatedSeries
+from chevkit.wedge import DEFAULT_WEDGE_CAP, wedge_operator
 
 
 def _to_sympy(q):
@@ -203,3 +210,179 @@ def map_power(series_list, beta, d):
         for _ in range(e):
             result = result * s
     return result
+
+
+class TruncationError(InputError):
+    """A truncation degree does not support the requested operation."""
+
+
+# matrices and subspaces
+
+def zero_matrix(nrows, ncols):
+    return Matrix([[Fraction(0)] * ncols for _ in range(nrows)], ncols=ncols)
+
+
+def elimination_rank(m):
+    """Rank of m by one fresh single-stage staged_elimination; no kernel
+    is canonicalised."""
+    return staged_elimination(m.rows, m.ncols, [list(range(m.ncols))]).rank
+
+
+def transpose(m):
+    rows = [[m.rows[i][j] for i in range(m.nrows)] for j in range(m.ncols)]
+    return Matrix(rows, ncols=m.nrows)
+
+
+def apply(m, vec):
+    """m times the column vector vec, as a list."""
+    if len(vec) != m.ncols:
+        raise InputError(
+            f"vector length {len(vec)} does not match {m.ncols} columns"
+        )
+    return [sum((r[j] * vec[j] for j in range(m.ncols)), Fraction(0))
+            for r in m.rows]
+
+
+def matmul(a, b):
+    """The product a @ b, row by row, skipping zero entries on both sides:
+    wedge operators have at most r + 1 nonzeros per row."""
+    if a.ncols != b.nrows:
+        raise InputError(f"cannot multiply {a.shape} by {b.shape}")
+    rows = []
+    for row in a.rows:
+        acc = [0] * b.ncols
+        for x, brow in zip(row, b.rows):
+            if not x:
+                continue
+            for j, y in enumerate(brow):
+                if y:
+                    acc[j] += x * y
+        rows.append(acc)
+    return Matrix(rows, ncols=b.ncols)
+
+
+def zero_space(ambient_dim):
+    return Subspace.from_vectors([], ambient_dim)
+
+
+def full_space(ambient_dim):
+    return Subspace.from_vectors(Matrix.identity(ambient_dim).rows,
+                                 ambient_dim)
+
+
+def _check_ambient(a, b):
+    if a.ambient_dim != b.ambient_dim:
+        raise InputError(
+            f"ambient dimension mismatch: {a.ambient_dim} vs {b.ambient_dim}"
+        )
+
+
+def sum_with(a, b):
+    _check_ambient(a, b)
+    return Subspace.from_vectors(a.basis + b.basis, a.ambient_dim)
+
+
+def intersect(a, b):
+    _check_ambient(a, b)
+    if not a.basis or not b.basis:
+        return zero_space(a.ambient_dim)
+    # solve sum_i s_i a_i = sum_j t_j b_j; columns are the basis vectors
+    stacked = [list(v) for v in a.basis] + [[-x for x in v] for v in b.basis]
+    combos = sympy_nullspace([list(col) for col in zip(*stacked)],
+                             len(stacked))
+    vecs = []
+    for w in combos:
+        vec = [Fraction(0)] * a.ambient_dim
+        for s, v in zip(w[: len(a.basis)], a.basis):
+            if s:
+                for i, x in enumerate(v):
+                    vec[i] += s * x
+        vecs.append(vec)
+    return Subspace.from_vectors(vecs, a.ambient_dim)
+
+
+def column_span(b):
+    return Subspace.from_vectors(transpose(b).rows, b.nrows)
+
+
+def image_kernel_check(b, cap=DEFAULT_WEDGE_CAP):
+    """Self-test: the column span of b equals the kernel of its wedge operator
+    at order rank(b).  Should hold for every matrix."""
+    r = sympy_rank(b.rows)
+    _, kernel = wedge_operator(b, r, cap).rank_kernel()
+    return column_span(b) == kernel
+
+
+# multi-indices and polynomials
+
+def mono_cmp(beta, gamma):
+    """Three-way comparison in the shared monomial order (-1, 0 or 1)."""
+    if len(beta) != len(gamma):
+        raise InputError(
+            f"cannot compare multi-indices of arities {len(beta)} and"
+            f" {len(gamma)}"
+        )
+    a, b = mono_key(beta), mono_key(gamma)
+    return (a > b) - (a < b)
+
+
+def position_map(arity, d):
+    """Map each multi-index of degree <= d to its enumeration position."""
+    return {b: i for i, b in enumerate(indices_up_to(arity, d))}
+
+
+def initial_exponent(f):
+    """Minimum exponent of the support in the shared order; None when f = 0."""
+    if not f.terms:
+        return None
+    return min(f.terms, key=mono_key)
+
+
+def coeff(f, beta):
+    """Coefficient of x^beta in a Poly or TruncatedSeries; reading a series
+    past its truncation degree raises TruncationError."""
+    if isinstance(f, TruncatedSeries) and degree(beta) > f.trunc_degree:
+        raise TruncationError(
+            f"coefficient at {beta} lies past truncation degree"
+            f" {f.trunc_degree}"
+        )
+    return f.terms.get(tuple(beta), Fraction(0))
+
+
+def coeff_vector(s, d):
+    """Coefficients of a series at all indices of degree <= d, in the shared
+    order."""
+    if d > s.trunc_degree:
+        raise TruncationError(
+            f"requested degree {d} exceeds truncation degree {s.trunc_degree}"
+        )
+    return [s.terms.get(b, Fraction(0)) for b in indices_up_to(s.arity, d)]
+
+
+def scaled_derivative(p, beta):
+    """Taylor-coefficient extractor: apply (1/beta!) * d^beta.
+
+    The coefficient of x^alpha in the result is comb-weighted so that
+    evaluating at a point a gives exactly the x^beta coefficient of the
+    expansion of the polynomial around a.
+    """
+    if len(beta) != p.arity:
+        raise InputError(
+            f"derivative index {beta} has wrong arity for {p.arity} variables"
+        )
+    terms = {}
+    for alpha, c in p.terms.items():
+        if not all(a >= b for a, b in zip(alpha, beta)):
+            continue
+        w = c * prod(comb(a, b) for a, b in zip(alpha, beta))
+        if w:
+            terms[tuple(a - b for a, b in zip(alpha, beta))] = w
+    return Poly(p.arity, terms)
+
+
+def relation_subspace(rj):
+    """The relation jets of a RelationJets row: exact in VERIFIED mode, the
+    stabilized or last-computed projected kernel otherwise."""
+    if rj.target is not None:
+        return rj.target
+    return rj.chain[-1][1]

@@ -28,7 +28,6 @@ from chevkit.staircase import (
     residual_order,
 )
 from chevkit.wedge import (
-    image_kernel_check,
     membership_kernel,
     membership_operator,
     wedge_operator,
@@ -145,7 +144,7 @@ def test_c01_window_stabilization(c1_data):
         assert rj.status == STABILIZED
         assert rj.l_value == 2 * k
         assert rj.l_stab == 2 * k
-        assert rj.subspace.is_zero()
+        assert oracles.relation_subspace(rj).is_zero()
         assert oracle[k] == 2 * k
     assert elapsed < 5.0, f"took {elapsed:.1f}s, budget 5s"
     verdict(f"C1 PASS: window mode l=2k for k=1..6 in {elapsed:.2f}s,"
@@ -194,7 +193,8 @@ def test_c03_route_agreement(c3_data):
                 assert staged == full == schur.kernel, (key, k, l)
                 # codim of the projected kernel = rank J_l - rank(high), by
                 # two fresh eliminations apart from the echelon
-                assert (jm.matrix.rank() - high.rank()
+                assert (oracles.elimination_rank(jm.matrix)
+                        - oracles.elimination_rank(high)
                         == engine.jets.quotient_dim(l, k)), (key, k, l)
                 cells += 1
                 r = schur.absorbed_rank
@@ -223,11 +223,11 @@ def test_c04_wedge_identities():
              for _ in range(nr)],
             ncols=nc,
         )
-        assert image_kernel_check(b), trial
-        r = b.rank()
+        assert oracles.image_kernel_check(b), trial
+        r = oracles.sympy_rank(b.rows)
         for order in (r, r + 1):
             op = wedge_operator(b, order)
-            prod = op @ b
+            prod = oracles.matmul(op, b)
             assert all(v == 0 for row in prod.rows for v in row), trial
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s"
@@ -260,8 +260,8 @@ def test_c05_jet_composition_oracle():
         f_local = rand_poly(n, 3)
         tup = FibredTuple.make(phi, [a])
         jm = jet_matrix(phi, tup, l)
-        vec = f_local.taylor((0,) * n, l).coeff_vector(l)
-        got = jm.matrix.apply(vec)
+        vec = oracles.coeff_vector(f_local.taylor((0,) * n, l), l)
+        got = oracles.apply(jm.matrix, vec)
         expected = oracles.composition_taylor_vector(
             f_local, phi.components, tup.image, a, l
         )
@@ -296,7 +296,7 @@ def test_c06_division_checks():
         nf = normal_form(f, diagram)
         assert all(not diagram.contains(b) for b in nf.terms), trial
         diff = f - nf.to_poly()
-        vec = [diff.coeff(b) for b in betas]
+        vec = [oracles.coeff(diff, b) for b in betas]
         member = Subspace.from_vectors([vec], len(betas))
         assert ideal8.contains(member), trial
         assert normal_form(nf.to_poly(), diagram) == nf, trial

@@ -107,7 +107,7 @@ class TestVerifiedThresholds:
         assert rj.l_value == 2 * k + 1
         assert rj.l_stab == 2 * k + 1
         assert eng.hilbert_samuel(k) == 2 * k + 1
-        assert rj.subspace == rj.target
+        assert oracles.relation_subspace(rj) == rj.target
 
     @pytest.mark.parametrize("k", range(1, 5))
     def test_squaring_origin_zero_ideal(self, k):
@@ -117,7 +117,7 @@ class TestVerifiedThresholds:
         rj = eng.relation_jets(k)
         assert rj.status == VERIFIED
         assert rj.l_value == 2 * k
-        assert rj.subspace.is_zero()
+        assert oracles.relation_subspace(rj).is_zero()
         assert eng.hilbert_samuel(k) == k + 1
 
     @pytest.mark.parametrize("k", range(1, 4))
@@ -136,18 +136,18 @@ class TestVerifiedThresholds:
         origin = ChevalleyEngine(
             phi, FibredTuple.make(phi, [(0, 0)]), relations=g, l_max=8
         )
-        assert origin.chevalley_threshold(1) == 3
+        assert origin.relation_jets(1).l_value == 3
         assert origin.hilbert_samuel(1) == 4
         assert origin.hilbert_samuel(2) == 9
         off = ChevalleyEngine(
             phi, FibredTuple.make(phi, [(0, 1)]), relations=g, l_max=8
         )
-        assert off.chevalley_threshold(1) == 3
+        assert off.relation_jets(1).l_value == 3
         assert off.hilbert_samuel(2) == 9
         smooth = ChevalleyEngine(
             phi, FibredTuple.make(phi, [(1, 1)]), relations=g, l_max=8
         )
-        assert smooth.chevalley_threshold(2) == 2
+        assert smooth.relation_jets(2).l_value == 2
         assert smooth.hilbert_samuel(2) == 6
 
     def test_threshold_matches_brute_force_search(self):
@@ -160,7 +160,7 @@ class TestVerifiedThresholds:
             expected = oracles.threshold_by_stabilization(
                 phi.components, tup.points, tup.image, k, 10
             )
-            assert eng.chevalley_threshold(k) == expected
+            assert eng.relation_jets(k).l_value == expected
         sq = squaring()
         sq_tup = FibredTuple.make(sq, [(0,)])
         sq_eng = ChevalleyEngine(sq, sq_tup, relations=[], l_max=10)
@@ -168,7 +168,7 @@ class TestVerifiedThresholds:
             expected = oracles.threshold_by_search(
                 sq.components, sq_tup.points, sq_tup.image, k, 10
             )
-            assert sq_eng.chevalley_threshold(k) == expected
+            assert sq_eng.relation_jets(k).l_value == expected
 
     def test_mid_chain_plateau_is_tolerated(self):
         # the dimension chain pauses twice on its way down; only the final
@@ -191,7 +191,7 @@ class TestVerifiedThresholds:
         a, b = cusp_engine().relation_jets(2), cusp_engine().relation_jets(2)
         assert a == b and hash(a) == hash(b)
         assert a.chain == tuple(a.chain)
-        assert a.chain[-1] == (a.l_value, a.subspace)
+        assert a.chain[-1] == (a.l_value, oracles.relation_subspace(a))
 
     def test_censored_when_range_too_short(self):
         eng = cusp_engine(l_max=5)
@@ -200,7 +200,7 @@ class TestVerifiedThresholds:
         assert rj.l_value == AtLeast(6)
         assert rj.l_stab is None
         # the exact subspace is still reported
-        assert rj.subspace == rj.target
+        assert oracles.relation_subspace(rj) == rj.target
 
     def test_incomplete_generators_detected(self):
         # y1 * (y1^3 - y2^2) composes to zero but generates a smaller ideal
@@ -237,17 +237,17 @@ class TestWindowMode:
         heuristic = ChevalleyEngine(phi, tup, l_max=12, window=3)
         certified = cusp_engine()
         for k in (1, 2, 3):
-            assert (heuristic.relation_jets(k).subspace
-                    == certified.relation_jets(k).subspace)
-            assert (heuristic.chevalley_threshold(k)
-                    == certified.chevalley_threshold(k))
+            assert (oracles.relation_subspace(heuristic.relation_jets(k))
+                    == oracles.relation_subspace(certified.relation_jets(k)))
+            assert (heuristic.relation_jets(k).l_value
+                    == certified.relation_jets(k).l_value)
 
 
 class TestDiagramRoute:
     def test_engine_route_agrees(self):
         eng = cusp_engine()
         for k in (1, 2):
-            lv = eng.chevalley_threshold(k)
+            lv = eng.relation_jets(k).l_value
             for l in range(k, 9):
                 assert eng.diagram_threshold(k, l) == (l >= lv)
 

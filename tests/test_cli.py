@@ -329,6 +329,14 @@ class TestProductVerb:
         data = json.loads(out.read_text())
         assert data["envelope"] == {"alpha": 2, "beta": 0}
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials_exit_2(self, trials, capsys):
+        code = main(["product", "--scenario", CUSP, "--trials", trials])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trials must be >= 1" in captured.err
+
 
 class TestVerifyVerb:
     def test_identity_passes(self, capsys):

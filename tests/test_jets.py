@@ -18,15 +18,13 @@ from chevkit.jets import (
     PolyMap,
     component_series,
     jet_blocks,
-    jet_kernel,
     jet_matrix,
-    jet_quotient_dim,
-    projected_jet_kernel,
 )
 from chevkit.censored import AtLeast
 from chevkit.linalg import Matrix, staged_elimination
 from chevkit.poly import Poly, parse_poly
 from chevkit.scenario import load_scenario, scenario_tuples
+from chevkit.wedge import membership_kernel
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -143,16 +141,16 @@ class TestJetBlocks:
 class TestKernels:
     def test_squaring_order_2_kernel(self):
         tup = FibredTuple.make(squaring(), [(0,)])
-        kern = jet_kernel(squaring(), tup, 2)
+        kern = JetSystem(squaring(), tup, l_max=2).kernel(2)
         assert kern.dim == 1
         assert list(kern.basis[0]) == [0, 0, 1]
 
     def test_kernel_annihilated(self):
         tup = FibredTuple.make(cusp(), [(Fraction(1, 2),)])
         jm = jet_matrix(cusp(), tup, 4)
-        kern = jet_kernel(cusp(), tup, 4)
+        kern = JetSystem(cusp(), tup, l_max=4).kernel(4)
         for v in kern.basis:
-            image = jm.matrix.apply(list(v))
+            image = oracles.apply(jm.matrix, list(v))
             assert all(c == 0 for c in image)
 
     @pytest.mark.parametrize("mk,pts", [
@@ -167,17 +165,19 @@ class TestKernels:
         l = 4
         jm = jet_matrix(phi, tup, l)
         rank = oracles.sympy_rank(jm.matrix.rows)
-        assert jet_kernel(phi, tup, l).dim == jm.matrix.ncols - rank
+        assert JetSystem(phi, tup, l_max=l).kernel(l).dim == \
+            jm.matrix.ncols - rank
         for k in range(0, l + 1):
             expected = oracles.projected_kernel_dim(
                 phi.components, tup.points, tup.image, l, k
             )
-            assert projected_jet_kernel(phi, tup, l, k).dim == expected
+            assert JetSystem(phi, tup, l_max=l).projected_kernel(l, k).dim \
+                == expected
 
     def test_projection_routes_agree(self):
         phi = cusp()
         tup = FibredTuple.make(phi, [(0,)])
-        sys = JetSystem(phi, tup)
+        sys = JetSystem(phi, tup, l_max=5)
         for l in range(1, 6):
             full = sys.kernel(l)
             for k in range(0, l + 1):
@@ -187,7 +187,7 @@ class TestKernels:
     def test_quotient_dim_is_codimension(self):
         phi = cone()
         tup = FibredTuple.make(phi, [(1, 1)])
-        sys = JetSystem(phi, tup)
+        sys = JetSystem(phi, tup, l_max=3)
         for l in range(0, 4):
             for k in range(0, l + 1):
                 total = index_count(phi.target_arity, k)
@@ -200,7 +200,7 @@ class TestKernels:
         # the canonicalised projected kernel everywhere on the chain
         scenario = load_scenario(ROOT / "scenarios" / f"{name}.json")
         for _, tup in scenario_tuples(scenario):
-            sys = JetSystem(scenario.phi, tup)
+            sys = JetSystem(scenario.phi, tup, l_max=scenario.l_max)
             for l in range(scenario.l_max + 1):
                 for k in range(l + 1):
                     assert sys.quotient_dim(l, k) == \
@@ -213,7 +213,7 @@ class TestKernels:
     def test_rank_only_codim_at_random_points(self, mk, coords):
         phi = mk()
         tup = FibredTuple.make(phi, [tuple(coords[:phi.source_arity])])
-        sys = JetSystem(phi, tup)
+        sys = JetSystem(phi, tup, l_max=4)
         for l in range(5):
             for k in range(l + 1):
                 assert sys.quotient_dim(l, k) == \
@@ -226,7 +226,7 @@ class TestKernels:
         # vectors, in one call and one at a time
         phi = mk()
         tup = FibredTuple.make(phi, [(0,) * phi.source_arity])
-        sys = JetSystem(phi, tup)
+        sys = JetSystem(phi, tup, l_max=l)
         k = data.draw(st.integers(0, l))
         width = index_count(phi.target_arity, k)
         proj = sys.projected_kernel(l, k)
@@ -241,29 +241,32 @@ class TestKernels:
     def test_projection_degree_bound(self):
         tup = FibredTuple.make(squaring(), [(0,)])
         with pytest.raises(InputError):
-            projected_jet_kernel(squaring(), tup, 2, 3)
+            JetSystem(squaring(), tup, l_max=2).projected_kernel(2, 3)
         with pytest.raises(InputError):
-            jet_quotient_dim(squaring(), tup, 2, 3)
+            JetSystem(squaring(), tup, l_max=2).quotient_dim(2, 3)
 
     def test_negative_projection_degree(self):
         tup = FibredTuple.make(squaring(), [(0,)])
         with pytest.raises(InputError):
-            projected_jet_kernel(squaring(), tup, 2, -1)
+            JetSystem(squaring(), tup, l_max=2).projected_kernel(2, -1)
         with pytest.raises(InputError):
-            jet_quotient_dim(squaring(), tup, 2, -1)
+            JetSystem(squaring(), tup, l_max=2).quotient_dim(2, -1)
         with pytest.raises(InputError):
-            JetSystem(squaring(), tup).membership_residual(2, -1)
+            JetSystem(squaring(), tup, l_max=2).kernel_contains(2, -1, [])
 
     def test_membership_residual_kernel(self):
         phi = cusp()
         tup = FibredTuple.make(phi, [(0,)])
-        sys = JetSystem(phi, tup)
+        sys = JetSystem(phi, tup, l_max=5)
         l, k = 5, 2
-        residual, high_rank = sys.membership_residual(l, k)
-        _, kern = residual.rank_kernel()
-        assert kern == sys.projected_kernel(l, k)
         low, high = jet_blocks(sys.jet(l), k)
-        assert high_rank == oracles.sympy_rank(high.rows)
+        # the guard rows' kernel is the kernel of the membership system
+        # (low)u in the column span of (high); the pivots they leave out of
+        # rank J_l count the rank of the high block
+        assert membership_kernel(low, high).kernel == \
+            sys.projected_kernel(l, k)
+        assert sys.analysis(l) - sys.quotient_dim(l, k) == \
+            oracles.sympy_rank(high.rows)
 
 
 def _count_builds(monkeypatch):
@@ -322,12 +325,12 @@ class TestSingleBuild:
         sys = JetSystem(phi, tup, l_max=9)
         for l in (5, 2, 9, 1):
             got = sys.analysis(l)
-            fresh = JetSystem(phi, tup)
+            fresh = JetSystem(phi, tup, l_max=l)
             assert got == fresh.analysis(l)
             for k in range(l + 1):
                 assert sys.quotient_dim(l, k) == fresh.quotient_dim(l, k)
-                assert sys.membership_residual(l, k) == \
-                    fresh.membership_residual(l, k), (l, k)
+                assert sys._guard_rows(l, k) == fresh._guard_rows(l, k), \
+                    (l, k)
 
     def test_engine_climb_builds_geometrically(self, monkeypatch):
         levels = _count_builds(monkeypatch)
@@ -335,7 +338,7 @@ class TestSingleBuild:
         tup = FibredTuple.make(phi, [(0,)])
         rel = parse_poly("y1^3 - y2^2", 2, names=["y1", "y2"])
         engine = ChevalleyEngine(phi, tup, relations=[rel], l_max=16)
-        assert [engine.chevalley_threshold(k) for k in range(1, 9)] == \
+        assert [engine.relation_jets(k).l_value for k in range(1, 9)] == \
             [3, 5, 7, 9, 11, 13, 15, AtLeast(17)]
         assert len(levels) <= 5
         assert max(levels) == 16
@@ -367,16 +370,19 @@ class TestSingleBuild:
             chevkit.jets.jet_matrix = original
         assert len(levels) <= len(set(requests))
 
-    def test_unbounded_system_builds_exactly_the_requested_order(
-            self, monkeypatch):
+    def test_first_build_is_at_the_requested_order(self, monkeypatch):
+        # the first request builds exactly its order, lower orders are
+        # sliced out of that build, and only a higher one regrows it
         levels = _count_builds(monkeypatch)
         tup = FibredTuple.make(cusp(), [(0,)])
-        jet_quotient_dim(cusp(), tup, 7, 2)
+        sys = JetSystem(cusp(), tup, l_max=16)
+        sys.quotient_dim(7, 2)
         assert levels == [7]
-        sys = JetSystem(cusp(), tup)
         for l in (1, 2, 3, 6):
             sys.analysis(l)
-        assert levels == [7, 1, 2, 3, 6]
+        assert levels == [7]
+        sys.analysis(9)
+        assert levels == [7, 14]
 
     def test_no_reference_cycle(self):
         # a reference cycle through the system keeps every engine's matrices
@@ -502,7 +508,7 @@ class TestEchelon:
         assert len(calls) == 5
         sys.quotient_dim(3, 2)
         sys.kernel_contains(4, 1, [[1, 0, 0, 0]])
-        sys.membership_residual(2, 2)
+        sys.projected_kernel(2, 2)
         assert len(calls) == 5
         sys.quotient_dim(7, 7)
         assert len(calls) == 8
@@ -517,8 +523,8 @@ class TestDefiningProperty:
         tup = FibredTuple.make(phi, pts)
         jm = jet_matrix(phi, tup, l)
         origin = (0,) * phi.target_arity
-        vec = f_local.taylor(origin, l).coeff_vector(l)
-        image = jm.matrix.apply(vec)
+        vec = oracles.coeff_vector(f_local.taylor(origin, l), l)
+        image = oracles.apply(jm.matrix, vec)
         per_point = len(indices_up_to(phi.source_arity, l))
         for pi, a in enumerate(tup.points):
             expected = oracles.composition_taylor_vector(

@@ -44,14 +44,14 @@ class TestMatrix:
     def test_shapes_and_zero_rows(self):
         m = Matrix([], ncols=3)
         assert m.shape == (0, 3)
-        assert m.rank() == 0
+        assert m.rank_kernel()[0] == 0
         _, kern = m.rank_kernel()
         assert kern.dim == 3
 
     def test_matmul(self):
         a = Matrix([[1, 2], [3, 4]], ncols=2)
         b = Matrix([[0, 1], [1, 0]], ncols=2)
-        assert (a @ b).rows == [[Fraction(2), Fraction(1)],
+        assert O.matmul(a, b).rows == [[Fraction(2), Fraction(1)],
                                 [Fraction(4), Fraction(3)]]
 
     @given(matrix_strategy(), st.integers(1, 5), st.data())
@@ -67,12 +67,12 @@ class TestMatrix:
                  Fraction(0)) for j in range(width)]
             for i in range(a.nrows)
         ]
-        assert (a @ Matrix(b, ncols=width)).rows == expected
+        assert O.matmul(a, Matrix(b, ncols=width)).rows == expected
 
     @given(matrix_strategy())
     @settings(max_examples=60, deadline=None)
     def test_rank_matches_sympy(self, m):
-        assert m.rank() == O.sympy_rank(m.rows)
+        assert m.rank_kernel()[0] == O.sympy_rank(m.rows)
 
     @given(matrix_strategy())
     @settings(max_examples=60, deadline=None)
@@ -80,7 +80,7 @@ class TestMatrix:
         rank, kern = m.rank_kernel()
         assert rank + kern.dim == m.ncols
         for v in kern.basis:
-            assert all(x == 0 for x in m.apply(v))
+            assert all(x == 0 for x in O.apply(m, v))
 
     @given(st.lists(st.lists(entries.flatmap(_entry_forms), min_size=3,
                              max_size=3), min_size=1, max_size=4))
@@ -95,8 +95,8 @@ class TestMatrix:
         assert Matrix.identity(3).rows == [
             [Fraction(int(i == j)) for j in range(3)] for i in range(3)
         ]
-        assert Matrix.zero(2, 3).rows == [[Fraction(0)] * 3] * 2
-        for m in (Matrix.identity(3), Matrix.zero(2, 3)):
+        assert O.zero_matrix(2, 3).rows == [[Fraction(0)] * 3] * 2
+        for m in (Matrix.identity(3), O.zero_matrix(2, 3)):
             assert all(type(x) is Fraction for r in m.rows for x in r)
 
     def test_submatrix(self):
@@ -126,8 +126,8 @@ class TestSubspace:
     def test_dimension_formula(self, gens_a, gens_b):
         a = Subspace.from_vectors(gens_a, 4)
         b = Subspace.from_vectors(gens_b, 4)
-        total = a.sum_with(b)
-        meet = a.intersect(b)
+        total = O.sum_with(a, b)
+        meet = O.intersect(a, b)
         assert a.dim + b.dim == total.dim + meet.dim
         assert total.contains(a) and total.contains(b)
         assert a.contains(meet) and b.contains(meet)
@@ -153,15 +153,15 @@ class TestSubspace:
 
     def test_project_onto_non_prefix(self):
         s = Subspace.from_vectors([[1, 2, 0], [0, 1, 1]], 3)
-        assert s.project([1, 2]) == Subspace.full_space(2)
-        assert s.project([0, 2]) == Subspace.full_space(2)
-        assert s.project([2, 1]) == Subspace.full_space(2)
+        assert s.project([1, 2]) == O.full_space(2)
+        assert s.project([0, 2]) == O.full_space(2)
+        assert s.project([2, 1]) == O.full_space(2)
         with pytest.raises(InputError, match="out of range"):
             s.project([0, 3])
 
     def test_zero_and_full(self):
-        z = Subspace.zero_space(4)
-        f = Subspace.full_space(4)
+        z = O.zero_space(4)
+        f = O.full_space(4)
         assert z.is_zero() and z.dim == 0
         assert f.dim == 4 and f.contains(z)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _oracles as oracles
 from chevkit.errors import ConsistencyError, InputError
 from chevkit.indices import index_count, indices_up_to
 from chevkit.linalg import Subspace
@@ -12,7 +13,6 @@ from chevkit.staircase import (
     diagram_from_generators,
     hilbert_samuel_count,
     ideal_jet_space,
-    initial_exponent,
     normal_form,
     residual_order,
 )
@@ -34,17 +34,17 @@ def cusp_diagram():
 class TestInitialExponent:
     def test_plain(self):
         p = parse_poly("y1^3 - y2^2", 2, names=Y)
-        assert initial_exponent(p) == (0, 2)
+        assert oracles.initial_exponent(p) == (0, 2)
 
     def test_degree_tie_breaks_lexicographically(self):
         # after recentering at a smooth point both degree-1 terms survive;
         # (0, 1) sorts before (1, 0) in the shared order
         pres = cusp_presentation(center=(1, 1))
         (g_loc,) = pres.recentered_generators()
-        assert initial_exponent(g_loc) == (0, 1)
+        assert oracles.initial_exponent(g_loc) == (0, 1)
 
     def test_zero(self):
-        assert initial_exponent(Poly.zero(2)) is None
+        assert oracles.initial_exponent(Poly.zero(2)) is None
 
 
 class TestDiagram:
@@ -190,7 +190,7 @@ class TestIdealJets:
         for g in pres.recentered_generators():
             for gamma in indices_up_to(n, k - g.order()):
                 prod = Poly.monomial(gamma) * g
-                vectors.append([prod.coeff(b) for b in monomials])
+                vectors.append([oracles.coeff(prod, b) for b in monomials])
         assert ideal_jet_space(pres, k) == \
             Subspace.from_vectors(vectors, len(monomials))
 

@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as oracles
 from chevkit.errors import InputError, WedgeCapError
-from chevkit.linalg import Matrix, Subspace
+from chevkit.linalg import Matrix
 from chevkit.wedge import (
-    column_span,
-    image_kernel_check,
     membership_kernel,
     membership_operator,
     wedge_operator,
@@ -51,7 +49,7 @@ class TestWedgeOperator:
             [Fraction(0), Fraction(0)],
         ]
         _, kern = op.rank_kernel()
-        assert kern == column_span(b)
+        assert kern == oracles.column_span(b)
 
     def test_full_rank_square_collapses(self):
         b = mat([[1, 0], [0, 1]])
@@ -59,7 +57,7 @@ class TestWedgeOperator:
         assert op.nrows == 0
         assert op.ncols == 2
         _, kern = op.rank_kernel()
-        assert kern == Subspace.full_space(2)
+        assert kern == oracles.full_space(2)
 
     def test_entries_are_signed_minors(self):
         b = mat([[1, 2], [3, 4], [5, 6]])
@@ -84,20 +82,20 @@ class TestWedgeOperator:
     def test_above_rank_kills_everything(self):
         b = mat([[1, 2], [2, 4], [1, 1]])  # rank 2
         op = wedge_operator(b, 2)
-        for col in b.transpose().rows:
-            assert all(v == 0 for v in op.apply(list(col)))
+        for col in oracles.transpose(b).rows:
+            assert all(v == 0 for v in oracles.apply(op, list(col)))
 
     @given(matrix_strategy())
     @settings(max_examples=60, deadline=None)
     def test_kernel_is_column_span(self, b):
-        assert image_kernel_check(b)
+        assert oracles.image_kernel_check(b)
 
     @given(matrix_strategy(max_dim=4))
     @settings(max_examples=40, deadline=None)
     def test_wedge_past_rank_is_zero_map(self, b):
-        r = b.rank()
+        r = oracles.sympy_rank(b.rows)
         op = wedge_operator(b, r + 1)
-        prod = op @ b
+        prod = oracles.matmul(op, b)
         assert all(all(v == 0 for v in row) for row in prod.rows)
 
 
@@ -131,10 +129,11 @@ class TestMembershipOperator:
     @settings(max_examples=150, deadline=None)
     def test_rows_are_positive_multiples_of_the_product(self, blocks, data):
         kept, absorbed = blocks
-        r = data.draw(st.integers(0, absorbed.rank() + 1))
+        rank = oracles.sympy_rank(absorbed.rows)
+        r = data.draw(st.integers(0, rank + 1))
         got = membership_operator(kept, absorbed, r)
-        want = [row for row in (wedge_operator(absorbed, r) @ kept).rows
-                if any(row)]
+        product = oracles.matmul(wedge_operator(absorbed, r), kept)
+        want = [row for row in product.rows if any(row)]
         assert got.ncols == kept.ncols
         assert len(got.rows) == len(want)
         for g, w in zip(got.rows, want):
@@ -199,11 +198,12 @@ class TestMembership:
             absorbed = mat([[rng.randint(-2, 2) for _ in range(ea)]
                             for _ in range(f)], ncols=ea)
             res = membership_kernel(kept, absorbed)
-            op = membership_operator(kept, absorbed, absorbed.rank())
+            rank = oracles.sympy_rank(absorbed.rows)
+            op = membership_operator(kept, absorbed, rank)
             op_rank, op_kern = op.rank_kernel()
             assert res.kernel == op_kern
             assert res.residual_rank == op_rank
-            assert res.absorbed_rank == absorbed.rank()
+            assert res.absorbed_rank == rank
 
     def test_kernel_meaning(self):
         kept = mat([[1, 0], [0, 1], [0, 0]])
@@ -228,8 +228,8 @@ class TestMembership:
             small_entries,
             min_size=absorbed.ncols, max_size=absorbed.ncols,
         ))
-        target = absorbed.apply([Fraction(c) for c in coeffs])
+        target = oracles.apply(absorbed, [Fraction(c) for c in coeffs])
         kept = Matrix([[v] for v in target], ncols=1)
         res = membership_kernel(kept, absorbed)
         # the single kept column is itself in the span, so u = (1) is killed
-        assert res.kernel == Subspace.full_space(1)
+        assert res.kernel == oracles.full_space(1)
