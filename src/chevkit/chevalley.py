@@ -254,7 +254,10 @@ class ChevalleyEngine:
         target_rows = self._relation_rows(k)
         codims = []
         for l in range(k, self.l_max + 1):
-            if not self.jets.kernel_contains(l, k, target_rows):
+            # each guard row is tested at the order that made it; the first
+            # test covers every row through order k
+            if not self.jets.kernel_contains(l, k, target_rows,
+                                             since=0 if l == k else l):
                 raise ConsistencyError(
                     "validated relation jets escaped a projected kernel"
                     f" at l={l}, k={k}"
@@ -341,7 +344,7 @@ def _staircase_free_kernel(jm, diagram):
         c for c, beta in enumerate(jm.col_labels)
         if not diagram.contains(beta)
     ]
-    _, kernel = jm.matrix.submatrix(col_idx=kept).rank_kernel()
+    _, kernel = jm.integer_matrix().submatrix(col_idx=kept).rank_kernel()
     return kernel, [jm.col_labels[c] for c in kept]
 
 

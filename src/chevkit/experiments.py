@@ -121,17 +121,22 @@ class LinearBound:
 
 
 def _max_pair_slope(rows):
-    # largest ceil((lj - li) / (kj - ki)) over row pairs, never below zero
-    alpha = 0
-    for i, (ki, li) in enumerate(rows):
-        for kj, lj in rows[i + 1:]:
-            num, den = lj - li, kj - ki
-            if den == 0:
-                continue
-            if den < 0:
-                num, den = -num, -den
-            alpha = max(alpha, -(-num // den))
-    return alpha
+    """Largest ceil((lj - li) / (kj - ki)) over row pairs with ki < kj,
+    never below zero.
+
+    Only adjacent distinct k need be read, each pair taking the largest l
+    at the higher k and the smallest at the lower: the rise from k to k''
+    over any k < k' < k'' is at most the two adjacent rises, so its slope
+    is at most the larger of theirs, and ceil is monotone.  One sort.
+    """
+    low, high = {}, {}
+    for k, l in rows:
+        low[k] = min(l, low.get(k, l))
+        high[k] = max(l, high.get(k, l))
+    ks = sorted(low)
+    return max(
+        [0] + [-((low[a] - high[b]) // (b - a)) for a, b in zip(ks, ks[1:])]
+    )
 
 
 def _bound_at_slope(alpha, certified, censored):

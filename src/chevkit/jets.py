@@ -7,6 +7,15 @@ follow the shared index enumeration of the target, rows are grouped per
 source point.  Every column for an exponent of degree D is a pullback of
 order >= D, so rows of degree <= k see zeros in all columns of degree > k.
 
+Rows are built and kept as integers.  At each point p the image-centered
+component series vanish at p; substituting x -> t_p x, with t_p the least
+common denominator of their coefficients, makes every one of them integer
+and multiplies the x^alpha coefficient of every product by t_p^|alpha|.
+So row (p, alpha) is stored as t_p^|alpha| times its exact entries: a
+positive factor constant along the row, which leaves every rank, kernel,
+echelon row and canonical subspace as it is.  The exact Fraction entries
+are rebuilt only where they are printed or compared (JetMatrix.matrix).
+
 Indices are enumerated degree ascending, so the order-l jet matrix is the
 leading block of any higher-order one: per point, its first C(m+l, l) rows,
 and its first C(n+l, l) columns.  JetSystem therefore builds one jet matrix
@@ -20,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 from .indices import degree, index_count, indices_up_to
@@ -91,22 +101,42 @@ class FibredTuple:
         return len(self.points)
 
 
-@dataclass(frozen=True)
 class JetMatrix:
     """A jet matrix with its row/column index labels.
 
     col_labels[j] is the target exponent of column j; row_labels[i] is a
-    (point position, source exponent) pair.
+    (point position, source exponent) pair.  rows holds the integer rows:
+    row (p, alpha) is scales[p]^|alpha| times the exact row, where scales[p]
+    is the positive integer t_p of the build.  matrix is the exact Fraction
+    matrix, built on first read; shape and every rank or kernel read rows.
     """
 
-    matrix: Matrix
-    level: int
-    col_labels: tuple
-    row_labels: tuple
+    def __init__(self, rows, scales, level, col_labels, row_labels):
+        self.rows = rows
+        self.scales = scales
+        self.level = level
+        self.col_labels = col_labels
+        self.row_labels = row_labels
+        self._matrix = None
 
     @property
     def shape(self):
-        return self.matrix.shape
+        return (len(self.rows), len(self.col_labels))
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            exact = []
+            for row, (p, alpha) in zip(self.rows, self.row_labels):
+                f = self.scales[p] ** degree(alpha)
+                exact.append([Fraction(v, f) for v in row])
+            self._matrix = Matrix(exact, ncols=len(self.col_labels))
+        return self._matrix
+
+    def integer_matrix(self):
+        """The integer rows as a Matrix: the same ranks and kernels as
+        matrix, with no Fraction built."""
+        return Matrix(self.rows, ncols=len(self.col_labels))
 
 
 def component_series(phi, tup, point_index, l):
@@ -119,13 +149,32 @@ def component_series(phi, tup, point_index, l):
     ]
 
 
+def _integer_series(phi, tup, point_index, l):
+    """(t, series): the component series at one point with x -> t x, t the
+    least common denominator of their coefficients.  Each series vanishes
+    at the point, so every kept term has |alpha| >= 1 and c t^|alpha| is an
+    integer; the series hold ints."""
+    comps = component_series(phi, tup, point_index, l)
+    t = 1
+    for c in comps:
+        for v in c.terms.values():
+            t = lcm(t, v.denominator)
+    out = []
+    for c in comps:
+        terms = {alpha: (v * t ** degree(alpha)).numerator
+                 for alpha, v in c.terms.items()}
+        out.append(TruncatedSeries(c.arity, terms, l, _exact=True))
+    return t, out
+
+
 def jet_matrix(phi, tup, l):
     """The order-l jet matrix of phi at the fibred tuple.
 
     Column for exponent beta holds, per point, the Taylor coefficients of
-    the product of the image-centered components raised to beta.  Products
-    are memoized along the exponent lattice: each column is one truncated
-    multiplication away from a previously built column.
+    the product of the image-centered components raised to beta, each row
+    (p, alpha) scaled to integers by t_p^|alpha|.  Products are memoized
+    along the exponent lattice: each column is one truncated multiplication
+    of integer series away from a previously built column.
     """
     if l < 0:
         raise InputError("jet order must be >= 0")
@@ -135,41 +184,40 @@ def jet_matrix(phi, tup, l):
     rows_per_point = len(alphas)
     alpha_pos = {a: i for i, a in enumerate(alphas)}
 
-    rows = [
-        [Fraction(0)] * len(betas)
-        for _ in range(tup.size * rows_per_point)
-    ]
+    # beta = parent + e_j, j its first nonzero coordinate; beta = 0 has none
+    steps = [None]
+    for beta in betas[1:]:
+        j = next(i for i, e in enumerate(beta) if e)
+        steps.append((tuple(e - (i == j) for i, e in enumerate(beta)), j))
+
+    rows = [[0] * len(betas) for _ in range(tup.size * rows_per_point)]
+    scales = []
+    one = TruncatedSeries(m, {(0,) * m: 1}, l, _exact=True)
     for pi in range(tup.size):
-        comps = component_series(phi, tup, pi, l)
-        powers = {(0,) * n: TruncatedSeries.constant(m, 1, l)}
+        t, comps = _integer_series(phi, tup, pi, l)
+        scales.append(t)
+        powers = {(0,) * n: one}
         base = pi * rows_per_point
-        for col, beta in enumerate(betas):
-            if any(beta):
-                j = next(i for i, e in enumerate(beta) if e)
-                parent = tuple(
-                    e - (i == j) for i, e in enumerate(beta)
-                )
+        for col, (beta, step) in enumerate(zip(betas, steps)):
+            if step is not None:
+                parent, j = step
                 powers[beta] = powers[parent] * comps[j]
-            series = powers[beta]
-            for alpha, c in series.terms.items():
+            for alpha, c in powers[beta].terms.items():
                 rows[base + alpha_pos[alpha]][col] = c
 
     row_labels = tuple(
         (pi, alpha) for pi in range(tup.size) for alpha in alphas
     )
-    return JetMatrix(
-        matrix=Matrix(rows, ncols=len(betas)),
-        level=l,
-        col_labels=tuple(betas),
-        row_labels=row_labels,
-    )
+    return JetMatrix(rows, tuple(scales), l, tuple(betas), row_labels)
 
 
 def jet_blocks(jm, k):
     """Split columns at degree k: (low block, high block).
 
     Low carries the columns of degree <= k, high the rest.  Columns are
-    degree-sorted, so both blocks are contiguous.
+    degree-sorted, so both blocks are contiguous.  Both hold the integer
+    rows: a positive scaling of each row of [low | high] leaves every
+    membership kernel {u : low u in the column span of high} unchanged.
     """
     if k > jm.level:
         raise InputError(f"split degree {k} exceeds jet order {jm.level}")
@@ -177,8 +225,9 @@ def jet_blocks(jm, k):
         raise InputError("split degree must be >= 0")
     n = len(jm.col_labels[0])
     cut = index_count(n, k)
-    low = jm.matrix.submatrix(col_idx=range(cut))
-    high = jm.matrix.submatrix(col_idx=range(cut, jm.matrix.ncols))
+    whole = jm.integer_matrix()
+    low = whole.submatrix(col_idx=range(cut))
+    high = whole.submatrix(col_idx=range(cut, whole.ncols))
     return low, high
 
 
@@ -244,7 +293,7 @@ class JetSystem:
         l = len(self._ends)
         m, n = self.phi.source_arity, self.phi.target_arity
         ncols = index_count(n, l)
-        src = self._build.matrix.rows
+        src = self._build.rows
         batch = [
             _integerize(src[r][:ncols])
             for r in self._row_index(index_count(m, l - 1), index_count(m, l))
@@ -271,15 +320,18 @@ class JetSystem:
             self._extend()
         return self._ends[l]
 
-    def _prefix(self, l, k):
+    def _prefix(self, l, k, since=0):
+        """The echelon rows made at orders since..l; since=0 gives the whole
+        order-l prefix."""
         end = self.analysis(l)
         if not 0 <= k <= l:
             raise InputError(f"block degree {k} outside 0..{l}")
-        return self._echelon[:end]
+        return self._echelon[self._ends[since - 1] if since else 0:end]
 
-    def _guard_rows(self, l, k):
+    def _guard_rows(self, l, k, since=0):
         cut = index_count(self.phi.target_arity, k)
-        return [row[:cut] for d, _, row in self._prefix(l, k) if d <= k]
+        return [row[:cut] for d, _, row in self._prefix(l, k, since)
+                if d <= k]
 
     def jet(self, l):
         """The order-l JetMatrix: a leading block of the build, sliced
@@ -292,13 +344,13 @@ class JetSystem:
                 m, n = self.phi.source_arity, self.phi.target_arity
                 ncols = index_count(n, l)
                 row_idx = self._row_index(0, index_count(m, l))
-                src = build.matrix.rows
+                src = build.rows
                 self._jets[l] = JetMatrix(
-                    matrix=Matrix([src[r][:ncols] for r in row_idx],
-                                  ncols=ncols),
-                    level=l,
-                    col_labels=build.col_labels[:ncols],
-                    row_labels=tuple(build.row_labels[r] for r in row_idx),
+                    [src[r][:ncols] for r in row_idx],
+                    build.scales,
+                    l,
+                    build.col_labels[:ncols],
+                    tuple(build.row_labels[r] for r in row_idx),
                 )
         return self._jets[l]
 
@@ -309,7 +361,7 @@ class JetSystem:
         echelon, so its projections are a separate route.
         """
         if l not in self._kernels:
-            self._kernels[l] = self.jet(l).matrix.rank_kernel()[1]
+            self._kernels[l] = self.jet(l).integer_matrix().rank_kernel()[1]
         return self._kernels[l]
 
     def projected_kernel(self, l, k):
@@ -333,15 +385,20 @@ class JetSystem:
         """
         return sum(d <= k for d, _, _ in self._prefix(l, k))
 
-    def kernel_contains(self, l, k, vectors):
+    def kernel_contains(self, l, k, vectors, since=0):
         """Whether the projected kernel at (l, k) holds every vector.
 
         Vectors are integer coordinates over the degree-<= k indices.  The
         test is the exact product guard . v == 0 on the integer guard rows,
         so no subspace is built.  Each product runs over the vector's
         nonzero entries only, collected once per vector.
+
+        With since > 0 only the guard rows made at orders since..l are
+        tested.  A row's cut to the degree-<= k columns never changes once
+        made, so a climb over l that has passed order since - 1 tests each
+        row once and still fails at the same order.
         """
-        rows = self._guard_rows(l, k)
+        rows = self._guard_rows(l, k, since)
         sparse = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
         return all(
             not sum(row[i] * x for i, x in t) for t in sparse for row in rows

@@ -10,7 +10,8 @@ canonicalises through one ascending stage as well: it is the only
 elimination in this module.
 
 Elimination runs on integer rows; Fractions appear only at the API edge, in
-Matrix entries, kernel vectors and canonical Subspace bases.
+Matrix entries that were given as Fractions, kernel vectors and canonical
+Subspace bases.  Integer Matrix cells stay ints all the way in.
 """
 
 from __future__ import annotations
@@ -64,15 +65,20 @@ def _normalize(row):
 
 
 class Matrix:
-    """Immutable-by-convention dense rational matrix."""
+    """Immutable-by-convention dense rational matrix.
+
+    Cells are ints or Fractions.  Consumers compare, multiply and eliminate
+    them; none divides cells with /, which would turn two ints into a float.
+    """
 
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        # Fraction() re-checks a Fraction through the numbers ABCs; cells
-        # that already are one are kept as they are
-        rows = [[x if x.__class__ is Fraction else Fraction(x) for x in r]
-                for r in rows]
+        # int and Fraction cells are kept as they are (Fraction() would
+        # re-check a Fraction through the numbers ABCs); anything else,
+        # str included, is boxed
+        rows = [[x if x.__class__ is int or x.__class__ is Fraction
+                 else Fraction(x) for x in r] for r in rows]
         if rows:
             width = len(rows[0])
             for r in rows:

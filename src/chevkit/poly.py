@@ -4,7 +4,8 @@ Polynomials are dicts from exponent tuples to Fractions; everything stays
 exact, there is no floating point anywhere in this module.  Truncated series
 wrap the same representation together with the degree past which terms have
 been discarded, so that downstream code can refuse to read coefficients it
-does not actually know.
+does not actually know.  A truncated series may also hold int coefficients,
+as the jet build's integer series do; their products stay int.
 """
 
 from __future__ import annotations
@@ -302,14 +303,6 @@ class TruncatedSeries:
                     clean[tuple(beta)] = c
             self.terms = clean
 
-    @classmethod
-    def constant(cls, arity, c, d):
-        terms = {}
-        c = Fraction(c)
-        if c:
-            terms[(0,) * arity] = c
-        return cls(arity, terms, d, _exact=True)
-
     def order(self):
         if not self.terms:
             return None
@@ -357,16 +350,18 @@ class TruncatedSeries:
             terms = {b: c * v for b, v in self.terms.items()} if c else {}
             return TruncatedSeries(self.arity, terms, self.trunc_degree, _exact=True)
         d = self._common_degree(other)
+        right = [(b2, c2, degree(b2)) for b2, c2 in other.terms.items()]
         terms = {}
         for b1, c1 in self.terms.items():
             d1 = degree(b1)
             if d1 > d:
                 continue
-            for b2, c2 in other.terms.items():
-                if d1 + degree(b2) > d:
+            for b2, c2, d2 in right:
+                if d1 + d2 > d:
                     continue
                 b = index_add(b1, b2)
-                s = terms.get(b, Fraction(0)) + c1 * c2
+                # an int zero keeps the product of int series int
+                s = terms.get(b, 0) + c1 * c2
                 if s:
                     terms[b] = s
                 else:

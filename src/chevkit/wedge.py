@@ -60,18 +60,19 @@ def _minor(rows_of_b, row_set, col_set, memo):
     return val
 
 
-def _check_cap(e, f, r, cap):
-    """Refuse an order-r wedge operator of an f x e block with more than cap
-    rows, comb(e, r) * comb(f, r + 1)."""
+def _check_cap(e, f, r):
+    """Refuse an order-r wedge operator of an f x e block with more than
+    DEFAULT_WEDGE_CAP rows, comb(e, r) * comb(f, r + 1).  The cap is read
+    at each call."""
     cells = comb(e, r) * comb(f, r + 1)
-    if cells > cap:
+    if cells > DEFAULT_WEDGE_CAP:
         raise WedgeCapError(
             f"wedge target needs {cells} rows x {f} cols, over the cap"
-            f" {cap}; use membership_kernel for large blocks"
+            f" {DEFAULT_WEDGE_CAP}; use membership_kernel for large blocks"
         )
 
 
-def wedge_operator(b, r, cap=DEFAULT_WEDGE_CAP):
+def wedge_operator(b, r):
     """The order-r wedge operator of b, as a dense matrix.
 
     Rows are indexed by (column r-subset J, row (r+1)-subset I), both in
@@ -87,7 +88,7 @@ def wedge_operator(b, r, cap=DEFAULT_WEDGE_CAP):
     if r > e or r + 1 > f:
         # the source or target exterior power collapses to zero
         return Matrix([], ncols=f)
-    _check_cap(e, f, r, cap)
+    _check_cap(e, f, r)
     memo = {}
     rows = []
     for col_subset in combinations(range(e), r):
@@ -102,7 +103,7 @@ def wedge_operator(b, r, cap=DEFAULT_WEDGE_CAP):
     return Matrix(rows, ncols=f)
 
 
-def membership_operator(kept, absorbed, r, cap=DEFAULT_WEDGE_CAP):
+def membership_operator(kept, absorbed, r):
     """The order-r wedge operator of `absorbed` composed with `kept`, up to
     positive row scalings, with its zero rows dropped.
 
@@ -129,7 +130,7 @@ def membership_operator(kept, absorbed, r, cap=DEFAULT_WEDGE_CAP):
         # the source or target exterior power collapses to zero
         return Matrix([], ncols=ek)
     if r:
-        _check_cap(e, f, r, cap)
+        _check_cap(e, f, r)
     joined = [_integerize(ra + rk) for ra, rk in zip(absorbed.rows, kept.rows)]
     high = [row[:e] for row in joined]
     # kept rows as (column, value) pairs; an all-zero row adds nothing

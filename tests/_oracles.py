@@ -22,7 +22,7 @@ from chevkit.errors import InputError
 from chevkit.indices import degree, indices_up_to, mono_key
 from chevkit.linalg import Matrix, Subspace, staged_elimination
 from chevkit.poly import Poly, TruncatedSeries
-from chevkit.wedge import DEFAULT_WEDGE_CAP, wedge_operator
+from chevkit.wedge import wedge_operator
 
 
 def _to_sympy(q):
@@ -201,7 +201,7 @@ def map_power(series_list, beta, d):
             f"power index {beta} does not match {len(series_list)} series"
         )
     arity = series_list[0].arity if series_list else 1
-    result = TruncatedSeries.constant(arity, 1, d)
+    result = TruncatedSeries(arity, {(0,) * arity: Fraction(1)}, d)
     for s, e in zip(series_list, beta):
         if s.trunc_degree < d:
             raise TruncationError(
@@ -305,11 +305,11 @@ def column_span(b):
     return Subspace.from_vectors(transpose(b).rows, b.nrows)
 
 
-def image_kernel_check(b, cap=DEFAULT_WEDGE_CAP):
+def image_kernel_check(b):
     """Self-test: the column span of b equals the kernel of its wedge operator
     at order rank(b).  Should hold for every matrix."""
     r = sympy_rank(b.rows)
-    _, kernel = wedge_operator(b, r, cap).rank_kernel()
+    _, kernel = wedge_operator(b, r).rank_kernel()
     return column_span(b) == kernel
 
 
@@ -386,3 +386,21 @@ def relation_subspace(rj):
     if rj.target is not None:
         return rj.target
     return rj.chain[-1][1]
+
+
+# fits
+
+def max_pair_slope_by_pairs(rows):
+    """Largest ceil((lj - li) / (kj - ki)) over every pair of (k, l) rows
+    with distinct k, never below zero: the quadratic reference for
+    experiments._max_pair_slope."""
+    alpha = 0
+    for i, (ki, li) in enumerate(rows):
+        for kj, lj in rows[i + 1:]:
+            num, den = lj - li, kj - ki
+            if den == 0:
+                continue
+            if den < 0:
+                num, den = -num, -den
+            alpha = max(alpha, -(-num // den))
+    return alpha

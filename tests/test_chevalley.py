@@ -396,11 +396,17 @@ class TestConsistencyGuards:
         for k in range(0, 5):
             eng.relation_jets(k)
 
-    @pytest.mark.parametrize("mono, l", [((1, 0), 2), ((0, 1), 3)])
+    @pytest.mark.parametrize("mono, l", [((1, 0), 2), ((0, 1), 3),
+                                         ((0, 0), 2), ((2, 0), 4),
+                                         ((1, 1), 5)])
     def test_escaped_relation_jets_raise(self, mono, l, monkeypatch):
         # a space of the true dimension, so the staircase cross-check
-        # passes, that is not inside the chain: y1 is already outside the
-        # projected kernel at l=2, y2 is inside it at l=2 but not at l=3
+        # passes, that is not inside the chain: y1 = x^2 is already outside
+        # the projected kernel at l=2, y2 = x^3 leaves it at l=3, y1^2 = x^4
+        # at l=4 and y1*y2 = x^5 at l=5, the true threshold.  The guard
+        # tests each echelon row only at the order that made it: the
+        # constant escapes through the order-0 row at the first test, and
+        # the last two through rows made at l > k + 1
         k = 2
         eng = cusp_engine()
         betas = indices_up_to(2, k)

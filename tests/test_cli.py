@@ -265,6 +265,36 @@ class TestOutputPins:
         assert output_digests(argv, tmp_path, capsys) == self.PINS[case]
 
 
+class TestJetDumpPins:
+    # sha256 of (stdout, --out) bytes of `jet --dump-matrix` on the shipped
+    # scenarios: the only output that prints jet matrix entries, so these
+    # pins hold the exact Fraction view of the integer jet rows
+    PINS = {
+        "cone": (
+            "727b6a76b15d62b27ec990df8c610c84c77e63e3fd26d5a1b70df6854c56623a",
+            "f18574b04640c3a8b0cdb0341da26c35d3c1affc1501ed3ad0680025a4bfe9b9",
+        ),
+        "cusp": (
+            "520dca6123b61643aee6f889c5799a543046ff5621f37b7cbb6c4011a94fe439",
+            "731cab4119f3d5d7381f9e14187934c03cc261f30f6791997dda25a336238a27",
+        ),
+        "identity": (
+            "77b84dc249e45be98d8d7b9da4f04f6ff41d230b947f86ee1bb635626b421d3f",
+            "02c68b40c9990176b2db6fd4a8a175758873463f8f5cd82d9b17e4a57e96b038",
+        ),
+        "squaring": (
+            "23e455336835ff19108b354402201354a00763d2192a7f473b32951a5a7b1a72",
+            "f14e09ecc1dee4ff33c2c3e8cb5befa705718521a7d6b936c60fbcde061f48c8",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_dump_matrix_byte_pinned(self, name, tmp_path, capsys):
+        scenario = str(ROOT / "scenarios" / f"{name}.json")
+        argv = ["jet", "--scenario", scenario, "--dump-matrix"]
+        assert output_digests(argv, tmp_path, capsys) == self.PINS[name]
+
+
 class TestNuVerb:
     def test_frozen_lines(self, capsys):
         code = main(["nu", "--scenario", CUSP, "--point", "0",

@@ -1,7 +1,9 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import _oracles as oracles
 from chevkit.censored import AtLeast
 from chevkit.chevalley import (
     HEURISTIC,
@@ -13,6 +15,7 @@ from chevkit.chevalley import (
 )
 from chevkit.errors import InputError, RelationsMismatchError
 from chevkit.experiments import (
+    _max_pair_slope,
     fit_linear_bound,
     product_order_probe,
     residual_order_probe,
@@ -62,6 +65,25 @@ class TestLinearFit:
         bound = fit_linear_bound([row(1, 3), row(2, 5)])
         assert (bound.alpha, bound.beta) == (2, 1)
         assert bound.witnesses == ((1, 3), (2, 5))
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(-20, 40)),
+                    max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_pair_slope_matches_every_pair(self, rows):
+        # repeated k, a single k and falling l included
+        assert _max_pair_slope(rows) == oracles.max_pair_slope_by_pairs(rows)
+
+    @pytest.mark.parametrize("rows, alpha", [
+        ([], 0),
+        ([(3, 7)], 0),
+        ([(2, 5), (2, 9), (2, 1)], 0),
+        ([(1, 9), (4, 2)], 0),
+        ([(1, 2), (1, 8), (3, 7), (3, 3)], 3),
+        ([(5, 1), (0, 0), (2, 9), (2, 4)], 5),
+    ])
+    def test_pair_slope_edge_cases(self, rows, alpha):
+        assert _max_pair_slope(rows) == alpha
+        assert oracles.max_pair_slope_by_pairs(rows) == alpha
 
     def test_ragged_slopes_round_up(self):
         bound = fit_linear_bound([row(1, 2), row(3, 7)])

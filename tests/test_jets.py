@@ -120,6 +120,76 @@ class TestJetMatrix:
             jet_matrix(squaring(), tup, -1)
 
 
+@st.composite
+def _rational_map_tuples(draw):
+    """(map, tuple, order): 1-2 components in 1-2 source variables with
+    small rational coefficients, at a random rational point; an even
+    one-variable map is also taken at the opposite point."""
+    m = draw(st.integers(1, 2))
+    even = m == 1 and draw(st.booleans())
+    step = 2 if even else 1
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    exps = st.tuples(*[st.integers(0, 2).map(lambda e: step * e)] * m)
+    comps = [Poly(m, draw(st.dictionaries(exps, coeff, min_size=1,
+                                          max_size=3)))
+             for _ in range(draw(st.integers(1, 2)))]
+    phi = PolyMap("rational", comps, source_arity=m)
+    point = tuple(draw(st.fractions(min_value=-2, max_value=2,
+                                    max_denominator=4)) for _ in range(m))
+    points = [point, tuple(-c for c in point)] if even and any(point) \
+        else [point]
+    return phi, FibredTuple.make(phi, points), draw(st.integers(0, 3))
+
+
+class TestIntegerRows:
+    """jet_matrix keeps integer rows, each a positive multiple of the exact
+    row; the exact Fraction view is built only when read."""
+
+    @given(_rational_map_tuples())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_positive_multiples_of_the_exact_rows(self, case):
+        phi, tup, l = case
+        jm = jet_matrix(phi, tup, l)
+        want = oracles.jet_matrix_by_composition(
+            phi.components, tup.points, tup.image, l
+        )
+        assert len(jm.rows) == len(want)
+        for got, exact in zip(jm.rows, want):
+            assert all(type(v) is int for v in got)
+            lead = next((j for j, x in enumerate(exact) if x), None)
+            if lead is None:
+                assert not any(got)
+                continue
+            ratio = Fraction(got[lead]) / exact[lead]
+            assert ratio > 0
+            assert got == [ratio * x for x in exact]
+        assert jm.matrix.rows == want
+
+    def test_reads_off_the_integer_rows_never_build_the_exact_view(
+            self, monkeypatch):
+        def refuse(jm):
+            raise AssertionError("exact view built")
+
+        monkeypatch.setattr(chevkit.jets.JetMatrix, "matrix",
+                            property(refuse))
+        phi = cusp()
+        tup = FibredTuple.make(phi, [(Fraction(1, 2),)])
+        sys = JetSystem(phi, tup, l_max=6)
+        assert sys.jet(6).shape == (7, index_count(2, 6))
+        for l in range(7):
+            sys.analysis(l)
+            sys.kernel(l)
+            for k in range(l + 1):
+                sys.projected_kernel(l, k)
+                sys.quotient_dim(l, k)
+                sys.kernel_contains(l, k, [])
+                jet_blocks(sys.jet(l), k)
+        engine = ChevalleyEngine(phi, tup, relations=[
+            parse_poly("y1^3 - y2^2", 2, names=["y1", "y2"])], l_max=6)
+        engine.relation_jets(2)
+        assert engine.diagram_threshold(2, 6) in (True, False)
+
+
 class TestJetBlocks:
     def test_split_shapes(self):
         tup = FibredTuple.make(cusp(), [(1,)])

@@ -82,13 +82,18 @@ class TestMatrix:
         for v in kern.basis:
             assert all(x == 0 for x in O.apply(m, v))
 
-    @given(st.lists(st.lists(entries.flatmap(_entry_forms), min_size=3,
-                             max_size=3), min_size=1, max_size=4))
+    @given(st.lists(st.lists(entries.flatmap(_entry_forms) | st.booleans(),
+                             min_size=3, max_size=3), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_entries_are_boxed_as_fractions(self, rows):
+        # int and Fraction cells are kept as given; a str, a bool or any
+        # other input is boxed as a Fraction
         m = Matrix(rows)
         assert m.rows == [[Fraction(x) for x in r] for r in rows]
-        assert all(type(x) is Fraction for r in m.rows for x in r)
+        assert all(
+            type(x) is (type(v) if type(v) in (int, Fraction) else Fraction)
+            for r, src in zip(m.rows, rows) for x, v in zip(r, src)
+        )
         assert all(row is not src for row, src in zip(m.rows, rows))
 
     def test_identity_and_zero(self):

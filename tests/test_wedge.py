@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracles
+import chevkit.wedge
 from chevkit.errors import InputError, WedgeCapError
 from chevkit.linalg import Matrix
 from chevkit.wedge import (
@@ -73,11 +74,12 @@ class TestWedgeOperator:
         with pytest.raises(InputError):
             wedge_operator(mat([[1]]), -1)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         b = mat([[random.Random(0).randint(0, 3) for _ in range(6)]
                  for _ in range(8)])
+        monkeypatch.setattr(chevkit.wedge, "DEFAULT_WEDGE_CAP", 10)
         with pytest.raises(WedgeCapError):
-            wedge_operator(b, 3, cap=10)
+            wedge_operator(b, 3)
 
     def test_above_rank_kills_everything(self):
         b = mat([[1, 2], [2, 4], [1, 1]])  # rank 2
@@ -138,7 +140,7 @@ class TestMembershipOperator:
         assert len(got.rows) == len(want)
         for g, w in zip(got.rows, want):
             p = next(j for j, x in enumerate(w) if x)
-            ratio = g[p] / w[p]
+            ratio = Fraction(g[p]) / w[p]  # g holds ints; keep it exact
             assert ratio > 0
             assert g == [ratio * x for x in w]
 
@@ -150,7 +152,7 @@ class TestMembershipOperator:
         op = membership_operator(kept, absorbed, res.absorbed_rank)
         assert op.rank_kernel() == (res.residual_rank, res.kernel)
 
-    def test_cap_matches_wedge_operator(self):
+    def test_cap_matches_wedge_operator(self, monkeypatch):
         rng = random.Random(0)
         absorbed = mat([[rng.randint(0, 3) for _ in range(6)]
                         for _ in range(8)])
@@ -158,27 +160,31 @@ class TestMembershipOperator:
                     for _ in range(8)])
         # comb(6, 3) * comb(8, 4) = 1400 rows; the cap counts them all,
         # zero rows included
-        membership_operator(kept, absorbed, 3, cap=1400)
+        monkeypatch.setattr(chevkit.wedge, "DEFAULT_WEDGE_CAP", 1400)
+        membership_operator(kept, absorbed, 3)
         for r, cap in ((3, 1399), (1, 10)):
+            monkeypatch.setattr(chevkit.wedge, "DEFAULT_WEDGE_CAP", cap)
             with pytest.raises(WedgeCapError) as want:
-                wedge_operator(absorbed, r, cap=cap)
+                wedge_operator(absorbed, r)
             with pytest.raises(WedgeCapError) as got:
-                membership_operator(kept, absorbed, r, cap=cap)
+                membership_operator(kept, absorbed, r)
             assert str(got.value) == str(want.value)
 
-    def test_order_zero_keeps_the_nonzero_kept_rows(self):
+    def test_order_zero_keeps_the_nonzero_kept_rows(self, monkeypatch):
         kept = mat([[0, 2], [0, 0], ["1/2", "-3/2"]])
         absorbed = mat([[1], [2], [3]])
-        op = membership_operator(kept, absorbed, 0, cap=0)
+        monkeypatch.setattr(chevkit.wedge, "DEFAULT_WEDGE_CAP", 0)
+        op = membership_operator(kept, absorbed, 0)
         assert op.rows == [[0, 1], [1, -3]]
 
     @pytest.mark.parametrize("shape, r", [((3, 2), 3), ((2, 3), 2),
                                           ((2, 1), 2)])
-    def test_collapse_gives_no_rows(self, shape, r):
+    def test_collapse_gives_no_rows(self, shape, r, monkeypatch):
         f, e = shape
         absorbed = mat([[i + j + 1 for j in range(e)] for i in range(f)])
         kept = mat([[i - j for j in range(4)] for i in range(f)])
-        op = membership_operator(kept, absorbed, r, cap=0)
+        monkeypatch.setattr(chevkit.wedge, "DEFAULT_WEDGE_CAP", 0)
+        op = membership_operator(kept, absorbed, r)
         assert (op.nrows, op.ncols) == (0, 4)
 
     def test_negative_order_rejected(self):
