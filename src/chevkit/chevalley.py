@@ -40,6 +40,9 @@ STABILIZED = "STABILIZED"
 INCONCLUSIVE = "INCONCLUSIVE"
 HEURISTIC = "HEURISTIC"
 
+# parameter points drawn per leaf by sample_leaf_chevalley
+LEAF_TRIALS = 5
+
 
 def validate_relations(phi, tup, generators):
     """Check that every generator really is a relation of the map.
@@ -161,9 +164,7 @@ class ChevalleyEngine:
             self.presentation = IdealPresentation.make(gens, tup.image)
         self.jets = JetSystem(phi, tup, l_max=l_max)
         self._relation_jets = {}
-        self._relation_spaces = {}
         self._diagram = None
-        self._diagram_rows = None
         self._diagram_kernels = {}
 
     # exact relation jets (verified mode only)
@@ -176,16 +177,8 @@ class ChevalleyEngine:
         the degree-<= k jets is that of any higher degree restricted to its
         rows pivoting below C(n+k, k), each cut to that length.
         """
-        if k not in self._relation_spaces:
-            span = self.diagram(k).span
-            n = self.phi.target_arity
-            self._relation_spaces[k] = span.project(range(index_count(n, k)))
-        return self._relation_spaces[k]
-
-    def _generator_degree(self):
-        degs = [g.total_degree() for g in self.presentation.generators
-                if not g.is_zero()]
-        return max(degs, default=0)
+        span = self.diagram(k).span
+        return span.project(index_count(self.phi.target_arity, k))
 
     def diagram(self, trunc):
         """Staircase of the supplied relation ideal, exact through trunc.
@@ -200,24 +193,10 @@ class ChevalleyEngine:
             raise InputError("no relation generators were supplied")
         if self._diagram is None or trunc > self._diagram.trunc_degree:
             self._diagram = diagram_from_generators(
-                self.presentation, max(trunc, self._generator_degree())
+                self.presentation,
+                max(trunc, self.presentation.generator_degree),
             )
-            self._diagram_rows = None
         return self._diagram
-
-    def _relation_rows(self, k):
-        """Integer vectors spanning relation_space(k), one per basis row.
-
-        The diagram's basis is integerised once per build.  Its rows
-        pivoting below C(n+k, k), cut to that length, are positive multiples
-        of relation_space(k)'s canonical rows, in the same order.
-        """
-        span = self.diagram(k).span
-        if self._diagram_rows is None:
-            self._diagram_rows = span.integer_basis()
-        cut = index_count(self.phi.target_arity, k)
-        return [row[:cut] for row, p in zip(self._diagram_rows, span.pivots)
-                if p < cut]
 
     def _hs_crosscheck(self, k, target):
         # the codimension of the relation jets must equal the staircase
@@ -240,36 +219,57 @@ class ChevalleyEngine:
         if k > self.l_max:
             raise InputError(f"k={k} exceeds l_max={self.l_max}")
         if k not in self._relation_jets:
-            if self.presentation is not None:
-                self._relation_jets[k] = self._verified_run(k)
-            else:
-                self._relation_jets[k] = self._window_run(k)
+            self._relation_jets[k] = self._climb(k)
         return self._relation_jets[k]
 
-    def _verified_run(self, k):
-        # the chain is nested in l and contains the target, so the target is
-        # reached exactly when the codimensions agree
-        target = self.relation_space(k)
-        self._hs_crosscheck(k, target)
-        target_rows = self._relation_rows(k)
+    def _climb(self, k):
+        """Read the chain at l = k, k+1, ... up to the first order that
+        settles degree k.
+
+        Chain members are nested in l, so two are equal exactly when their
+        codimensions are.  With relations the chain contains the target,
+        which is reached at the first order of codimension target.codim
+        (VERIFIED); the guard checks the target against each order first.
+        Without relations the chain is STABILIZED at the first full window
+        of equal codimensions.
+        """
+        target = None
+        if self.presentation is not None:
+            target = self.relation_space(k)
+            self._hs_crosscheck(k, target)
+            rows = target.integer_basis()
+        w = self.window
         codims = []
         for l in range(k, self.l_max + 1):
             # each guard row is tested at the order that made it; the first
             # test covers every row through order k
-            if not self.jets.kernel_contains(l, k, target_rows,
-                                             since=0 if l == k else l):
+            if target is not None and not self.jets.kernel_contains(
+                    l, k, rows, since=0 if l == k else l):
                 raise ConsistencyError(
                     "validated relation jets escaped a projected kernel"
                     f" at l={l}, k={k}"
                 )
             codims.append(self.jets.quotient_dim(l, k))
-            if codims[-1] == target.codim:
-                return RelationJets(
-                    k=k, status=VERIFIED, l_value=l, l_stab=l,
-                    chain=KernelChain(self.jets, k, range(k, l + 1)),
-                    target=target, codim=target.codim,
-                )
-        if self._tail_window_equal(codims):
+            full_window = len(codims) >= w and len(set(codims[-w:])) == 1
+            if target is not None and codims[-1] == target.codim:
+                l_value, status = l, VERIFIED
+            elif target is None and full_window:
+                l_value, status = l - w + 1, STABILIZED
+            else:
+                continue
+            return RelationJets(
+                k=k, status=status, l_value=l_value, l_stab=l_value,
+                chain=KernelChain(self.jets, k, range(k, l + 1)),
+                target=target, codim=codims[-1],
+            )
+        if target is None:
+            # the provable bound: the threshold is at least the last order
+            # at which the chain still moved (and at least k by definition)
+            l_value = AtLeast(k + max((i for i in range(1, len(codims))
+                                       if codims[i - 1] != codims[i]),
+                                      default=0))
+            status, codim = INCONCLUSIVE, codims[-1]
+        elif full_window:
             dim = index_count(self.phi.target_arity, k) - codims[-1]
             raise RelationsMismatchError(
                 f"projected kernels stabilized at dimension {dim} but the"
@@ -277,40 +277,14 @@ class ChevalleyEngine:
                 " either the generators do not generate the full relation"
                 " ideal or the window reported a false stabilization"
             )
+        else:
+            l_value, status = AtLeast(self.l_max + 1), VERIFIED
+            codim = target.codim
         return RelationJets(
-            k=k, status=VERIFIED, l_value=AtLeast(self.l_max + 1),
-            l_stab=None,
+            k=k, status=status, l_value=l_value, l_stab=None,
             chain=KernelChain(self.jets, k, range(k, self.l_max + 1)),
-            target=target, codim=target.codim,
+            target=target, codim=codim,
         )
-
-    def _window_run(self, k):
-        # nested chain members are equal exactly when their codimensions are
-        codims = []
-        for l in range(k, self.l_max + 1):
-            codims.append(self.jets.quotient_dim(l, k))
-            if self._tail_window_equal(codims):
-                l_stab = l - self.window + 1
-                return RelationJets(
-                    k=k, status=STABILIZED, l_value=l_stab, l_stab=l_stab,
-                    chain=KernelChain(self.jets, k, range(k, l + 1)),
-                    target=None, codim=codims[-1],
-                )
-        # the provable bound: the threshold is at least the last order at
-        # which the chain still moved (and at least k by definition)
-        bound = k
-        for i in range(1, len(codims)):
-            if codims[i - 1] != codims[i]:
-                bound = k + i
-        return RelationJets(
-            k=k, status=INCONCLUSIVE, l_value=AtLeast(bound), l_stab=None,
-            chain=KernelChain(self.jets, k, range(k, self.l_max + 1)),
-            target=None, codim=codims[-1],
-        )
-
-    def _tail_window_equal(self, codims):
-        w = self.window
-        return len(codims) >= w and len(set(codims[-w:])) == 1
 
     # derived quantities
 
@@ -349,9 +323,11 @@ def _staircase_free_kernel(jm, diagram):
 
 
 def _projects_to_zero(kernel, betas, k):
-    """Whether the kernel vanishes on the coordinates of degree <= k."""
-    eta = [i for i, b in enumerate(betas) if degree(b) <= k]
-    return kernel.project(eta).is_zero()
+    """Whether the kernel vanishes on the coordinates of degree <= k.
+
+    betas are sorted by degree, so those coordinates are a leading prefix.
+    """
+    return kernel.project(sum(degree(b) <= k for b in betas)).is_zero()
 
 
 def diagram_threshold_test(phi, tup, k, l, diagram, jm=None):
@@ -458,68 +434,22 @@ class LeafSample:
     seed: int
 
 
-def sample_leaf_chevalley(phi, leaf, k, trials=5, seed=0, l_max=12,
-                          window=3, relations=None, *, _drawn=None):
-    """Estimate the generic threshold for degree k along a leaf by sampling
-    rational parameter points.  Results are heuristic: membership of a
-    sample in the generic stratum is not certified.
+def sample_leaf_chevalley(phi, leaf, ks, seed=0, l_max=12, window=3,
+                          relations=None):
+    """Estimate the generic threshold for each degree k in ks along a leaf
+    by sampling rational parameter points; one LeafSample per k, in order.
+    Results are heuristic: membership of a sample in the generic stratum is
+    not certified.
 
-    _drawn is the result of _draw_leaf_trials on these same arguments: the
-    draw does not depend on k, so run_table draws once per leaf and reads
-    every k from the same engines.
+    The draw of LEAF_TRIALS parameter points depends on the seed and the
+    leaf alone, so one engine per point serves every k.
     """
-    if _drawn is None:
-        _drawn = _draw_leaf_trials(
-            phi, leaf, trials, seed, l_max, window, relations
-        )
-    samples = []
-    for t, engine in _drawn:
-        rj = engine.relation_jets(k)
-        profile = {
-            l: engine.jets.quotient_dim(l, k) for l in range(k, l_max + 1)
-        }
-        samples.append((t, rj.l_value, profile))
-
-    finite = [lv for _, lv, _ in samples if not is_censored(lv)]
-    if finite:
-        l_generic = min(finite)
-    else:
-        l_generic = AtLeast(min(lv.bound for _, lv, _ in samples))
-    orders = range(k, l_max + 1)
-    max_profile = {
-        l: max(prof[l] for _, _, prof in samples) for l in orders
-    }
-    mismatch = False
-    if finite:
-        best = next(
-            prof for _, lv, prof in samples
-            if not is_censored(lv) and lv == l_generic
-        )
-        mismatch = any(best[l] != max_profile[l] for l in orders)
-    return LeafSample(
-        leaf_name=leaf.name,
-        k=k,
-        l_generic=l_generic,
-        rank_profile=max_profile,
-        samples=tuple(samples),
-        mismatch=mismatch,
-        status=HEURISTIC,
-        trials=trials,
-        seed=seed,
-    )
-
-
-def _draw_leaf_trials(phi, leaf, trials, seed, l_max, window, relations):
-    """Validate the leaf and draw (parameters, engine) per trial.  The draw
-    depends on the seed and the leaf alone, so one draw serves every k."""
-    if trials < 1:
-        raise InputError("trials must be >= 1")
     leaf.validate(phi)
     rng = random.Random(seed)
     drawn = []
     seen = set()
     attempts = 0
-    while len(drawn) < trials and attempts < 50 * trials:
+    while len(drawn) < LEAF_TRIALS and attempts < 50 * LEAF_TRIALS:
         attempts += 1
         t = tuple(
             Fraction(rng.randint(-9, 9), rng.randint(1, 3))
@@ -532,6 +462,39 @@ def _draw_leaf_trials(phi, leaf, trials, seed, l_max, window, relations):
         drawn.append((t, ChevalleyEngine(
             phi, tup, relations=relations, l_max=l_max, window=window
         )))
-    if not drawn:
-        raise InputError("could not draw any parameter samples")
-    return drawn
+    results = []
+    for k in ks:
+        orders = range(k, l_max + 1)
+        samples = []
+        for t, engine in drawn:
+            rj = engine.relation_jets(k)
+            profile = {l: engine.jets.quotient_dim(l, k) for l in orders}
+            samples.append((t, rj.l_value, profile))
+
+        finite = [lv for _, lv, _ in samples if not is_censored(lv)]
+        if finite:
+            l_generic = min(finite)
+        else:
+            l_generic = AtLeast(min(lv.bound for _, lv, _ in samples))
+        max_profile = {
+            l: max(prof[l] for _, _, prof in samples) for l in orders
+        }
+        mismatch = False
+        if finite:
+            best = next(
+                prof for _, lv, prof in samples
+                if not is_censored(lv) and lv == l_generic
+            )
+            mismatch = any(best[l] != max_profile[l] for l in orders)
+        results.append(LeafSample(
+            leaf_name=leaf.name,
+            k=k,
+            l_generic=l_generic,
+            rank_profile=max_profile,
+            samples=tuple(samples),
+            mismatch=mismatch,
+            status=HEURISTIC,
+            trials=LEAF_TRIALS,
+            seed=seed,
+        ))
+    return results

@@ -120,6 +120,21 @@ def _presentation_for(scenario, key, tup):
     return IdealPresentation.make(gens, tup.image)
 
 
+def _probe_target(scenario, point):
+    """(key, presentation) of the tuple a relation probe runs at: the one
+    named by point, or else the first tuple with relation generators."""
+    pairs = _select(scenario, point)
+    if point is None:
+        pairs = [
+            (key, tup) for key, tup in pairs
+            if relations_for(scenario, key) is not None
+        ]
+        if not pairs:
+            raise InputError("scenario supplies no relation generators")
+    key, tup = pairs[0]
+    return key, _presentation_for(scenario, key, tup)
+
+
 def _entry_rows(entries):
     return [
         {
@@ -294,9 +309,9 @@ def cmd_diagram(args):
         if rel is None:
             continue
         presentation = _presentation_for(scenario, key, tup)
-        deg = max((g.total_degree() for g in presentation.generators
-                   if not g.is_zero()), default=0)
-        diagram = diagram_from_generators(presentation, max(trunc, deg))
+        diagram = diagram_from_generators(
+            presentation, max(trunc, presentation.generator_degree)
+        )
         info = diagram.to_dict(names)
         info["tuple"] = key
         info["center"] = list(tup.image)
@@ -318,23 +333,11 @@ def cmd_diagram(args):
 
 def cmd_nu(args):
     scenario = _load(args)
-    phi = scenario.phi
-    n = phi.target_arity
+    n = scenario.phi.target_arity
     names = target_names(n)
-    pairs = _select(scenario, args.point)
-    if args.point is None:
-        pairs = [
-            (key, tup) for key, tup in pairs
-            if relations_for(scenario, key) is not None
-        ]
-        if not pairs:
-            raise InputError("scenario supplies no relation generators")
-        pairs = pairs[:1]
-    key, tup = pairs[0]
-    presentation = _presentation_for(scenario, key, tup)
+    key, presentation = _probe_target(scenario, args.point)
     polys = [
-        parse_poly(text, n, names=target_names(n),
-                   aliases=target_aliases(n))
+        parse_poly(text, n, names=names, aliases=target_aliases(n))
         for text in args.poly
     ]
     probe = residual_order_probe(presentation, polys, trunc=args.trunc)
@@ -413,17 +416,7 @@ def cmd_mu(args):
 
 def cmd_product(args):
     scenario = _load(args)
-    pairs = _select(scenario, args.point)
-    if args.point is None:
-        pairs = [
-            (key, tup) for key, tup in pairs
-            if relations_for(scenario, key) is not None
-        ]
-        if not pairs:
-            raise InputError("scenario supplies no relation generators")
-        pairs = pairs[:1]
-    key, tup = pairs[0]
-    presentation = _presentation_for(scenario, key, tup)
+    key, presentation = _probe_target(scenario, args.point)
     probe = product_order_probe(
         presentation, trials=args.trials, seed=scenario.seed,
         trunc=args.trunc,
@@ -551,9 +544,12 @@ def build_parser():
     return parser
 
 
+# built once: parse_args fills a fresh namespace on every call
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

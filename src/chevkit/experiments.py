@@ -18,7 +18,6 @@ from .chevalley import (
     ChevalleyEntry,
     HEURISTIC,
     VERIFIED,
-    _draw_leaf_trials,
     sample_leaf_chevalley,
 )
 from .errors import ConsistencyError, InputError, RelationsMismatchError
@@ -88,23 +87,20 @@ def run_table(scenario):
             ))
     leaf_samples = []
     for leaf in scenario.leaves:
-        rel = relations_for(scenario, "leaf:" + leaf.name)
-        drawn = _draw_leaf_trials(
-            phi, leaf, 5, scenario.seed, scenario.l_max, scenario.window, rel
+        samples = sample_leaf_chevalley(
+            phi, leaf, range(k_min, k_max + 1), seed=scenario.seed,
+            l_max=scenario.l_max, window=scenario.window,
+            relations=relations_for(scenario, "leaf:" + leaf.name),
         )
-        for k in range(k_min, k_max + 1):
-            sample = sample_leaf_chevalley(
-                phi, leaf, k, trials=5, seed=scenario.seed,
-                l_max=scenario.l_max, window=scenario.window, relations=rel,
-                _drawn=drawn,
-            )
-            leaf_samples.append(sample)
-            entries.append(ChevalleyEntry(
-                map_name=phi.name, tuple_id="leaf:" + leaf.name, k=k,
-                l_value=sample.l_generic,
-                h_value=sample.rank_profile[scenario.l_max],
+        leaf_samples.extend(samples)
+        entries.extend(
+            ChevalleyEntry(
+                map_name=phi.name, tuple_id="leaf:" + leaf.name, k=s.k,
+                l_value=s.l_generic, h_value=s.rank_profile[scenario.l_max],
                 status=HEURISTIC, l_stab=None,
-            ))
+            )
+            for s in samples
+        )
     return TableRun(
         scenario=scenario, entries=tuple(entries), engines=engines,
         leaf_samples=tuple(leaf_samples),
@@ -437,6 +433,13 @@ class CheckResult:
     detail: str
 
 
+def _check(name, details, summary):
+    """A check that passes exactly when no failure detail was recorded; its
+    detail is the failures joined, or the summary when there are none."""
+    return CheckResult(name, not details,
+                       "; ".join(details) if details else summary)
+
+
 @dataclass(frozen=True)
 class ConsistencyReport:
     checks: tuple
@@ -490,20 +493,16 @@ def verify_consistency(scenario):
         if engines[key].presentation is not None
     ]
 
-    ok = True
     details = []
     for key in verified_keys:
         for g in engines[key].presentation.generators:
             if not g.compose(list(phi.components)).is_zero():
-                ok = False
                 details.append(f"{key}: generator fails to compose to zero")
-    checks.append(CheckResult(
-        "relations-vanish", ok,
-        "; ".join(details) if details else
+    checks.append(_check(
+        "relations-vanish", details,
         f"{len(verified_keys)} tuples with validated generators",
     ))
 
-    ok = True
     details = []
     count = 0
     for key in verified_keys:
@@ -513,14 +512,10 @@ def verify_consistency(scenario):
             b = hilbert_samuel_count(engine.diagram(k), k)
             count += 1
             if a != b:
-                ok = False
                 details.append(f"{key} k={k}: jets {a} vs staircase {b}")
-    checks.append(CheckResult(
-        "codimension-count-agreement", ok,
-        "; ".join(details) if details else f"{count} counts agree",
-    ))
+    checks.append(_check("codimension-count-agreement", details,
+                         f"{count} counts agree"))
 
-    ok = True
     details = []
     count = 0
     for key in verified_keys:
@@ -533,17 +528,13 @@ def verify_consistency(scenario):
                 got = engine.diagram_threshold(k, l)
                 count += 1
                 if got != expected:
-                    ok = False
                     details.append(
                         f"{key} k={k} l={l}: staircase route {got},"
                         f" chain route {expected}"
                     )
-    checks.append(CheckResult(
-        "threshold-route-agreement", ok,
-        "; ".join(details) if details else f"{count} (k, l) cells agree",
-    ))
+    checks.append(_check("threshold-route-agreement", details,
+                         f"{count} (k, l) cells agree"))
 
-    ok = True
     details = []
     count = dense_count = 0
     for key, _ in pairs:
@@ -552,14 +543,11 @@ def verify_consistency(scenario):
         for k in range(k_min, k_max + 1):
             for l in range(k, min(scenario.l_max, MEMBERSHIP_L_CAP) + 1):
                 staged = engine.jets.projected_kernel(l, k)
-                low_positions = list(range(index_count(n, k)))
-                projected = engine.jets.kernel(l).project(low_positions)
-                jm = engine.jets.jet(l)
-                low, high = jet_blocks(jm, k)
+                projected = engine.jets.kernel(l).project(index_count(n, k))
+                low, high = jet_blocks(engine.jets.jet(l), k)
                 schur = membership_kernel(low, high)
                 count += 1
                 if projected != staged or schur.kernel != staged:
-                    ok = False
                     details.append(f"{key} k={k} l={l}: kernels differ")
                     continue
                 r = schur.absorbed_rank
@@ -570,17 +558,14 @@ def verify_consistency(scenario):
                     _, dense_kernel = dense.rank_kernel()
                     dense_count += 1
                     if dense_kernel != staged:
-                        ok = False
                         details.append(
                             f"{key} k={k} l={l}: dense route differs"
                         )
-    checks.append(CheckResult(
-        "membership-route-agreement", ok,
-        "; ".join(details) if details else
+    checks.append(_check(
+        "membership-route-agreement", details,
         f"{count} cells agree ({dense_count} also checked densely)",
     ))
 
-    ok = True
     details = []
     count = 0
     for key, tup in pairs:
@@ -594,15 +579,12 @@ def verify_consistency(scenario):
             count += 1
             if not (report.entries and all(
                     e.bounded and e.certified for e in report.entries)):
-                ok = False
                 details.append(f"{key}: generator growth not certified")
-    checks.append(CheckResult(
-        "relation-growth-bounded", ok,
-        "; ".join(details) if details else
+    checks.append(_check(
+        "relation-growth-bounded", details,
         f"{count} generators certified by exact vanishing",
     ))
 
-    ok = True
     details = []
     for key, _ in pairs:
         engine = engines[key]
@@ -611,7 +593,6 @@ def verify_consistency(scenario):
             chain = rj.chain
             for (l0, e0), (l1, e1) in zip(chain, chain[1:]):
                 if not e0.contains(e1):
-                    ok = False
                     details.append(
                         f"{key} k={k}: kernel grew from l={l0} to l={l1}"
                     )
@@ -620,7 +601,6 @@ def verify_consistency(scenario):
             if rj.target is not None:
                 for l, e in chain:
                     if not e.contains(rj.target):
-                        ok = False
                         details.append(
                             f"{key} k={k} l={l}: relation jets outside the"
                             " projected kernel"
@@ -631,13 +611,11 @@ def verify_consistency(scenario):
                 for l, e in chain:
                     d = index_count(n, k) - e.dim
                     if d > h:
-                        ok = False
                         details.append(
                             f"{key} k={k} l={l}: codimension {d} exceeds"
                             f" {h}"
                         )
                     if (d == h) != (l >= rj.l_value):
-                        ok = False
                         details.append(
                             f"{key} k={k} l={l}: equality at the wrong"
                             " order"
@@ -645,14 +623,11 @@ def verify_consistency(scenario):
         for k in range(k_min, k_max):
             lo, hi = rows[(key, k)].l_value, rows[(key, k + 1)].l_value
             if not is_censored(lo) and not is_censored(hi) and hi < lo:
-                ok = False
                 details.append(
                     f"{key}: threshold dropped from k={k} ({lo}) to"
                     f" k={k + 1} ({hi})"
                 )
-    checks.append(CheckResult(
-        "monotonicity", ok,
-        "; ".join(details) if details else "chains and thresholds monotone",
-    ))
+    checks.append(_check("monotonicity", details,
+                         "chains and thresholds monotone"))
 
     return ConsistencyReport(tuple(checks))

@@ -33,7 +33,7 @@ from math import lcm
 
 from .errors import InputError
 from .indices import degree, index_count, indices_up_to
-from .linalg import Matrix, _integerize, _reduce_row, staged_elimination
+from .linalg import Matrix, _reduce_row, staged_elimination
 from .poly import Poly, TruncatedSeries
 
 
@@ -294,8 +294,10 @@ class JetSystem:
         m, n = self.phi.source_arity, self.phi.target_arity
         ncols = index_count(n, l)
         src = self._build.rows
+        # unscaled: _reduce_row and staged_elimination both leave rows
+        # primitive, so the pivot rows come out the same
         batch = [
-            _integerize(src[r][:ncols])
+            src[r][:ncols]
             for r in self._row_index(index_count(m, l - 1), index_count(m, l))
         ]
         for _, _, row in self._echelon:

@@ -301,25 +301,21 @@ class Subspace:
             )
         return all(self.contains_vector(b) for b in other.basis)
 
-    def project(self, coords):
-        """Image under selection of the listed coordinates.
+    def project(self, n):
+        """Image under projection onto the first n coordinates.
 
-        Onto a leading prefix 0..n-1 the image is read off the basis: rows
-        pivoting past n vanish there, and the rest, cut to length n, are
-        still reduced row-echelon, so they are the canonical basis.
+        It is read off the basis: rows pivoting at or past n vanish there,
+        and the rest, cut to length n, are still reduced row-echelon, so
+        they are the canonical basis.
         """
-        coords = list(coords)
-        for c in coords:
-            if not 0 <= c < self.ambient_dim:
-                raise InputError(f"projection coordinate {c} out of range")
-        n = len(coords)
-        if coords == list(range(n)):
-            kept = [(b[:n], p) for b, p in zip(self.basis, self.pivots)
-                    if p < n]
-            return Subspace(n, [b for b, _ in kept], [p for _, p in kept],
-                            _trusted=True)
-        vecs = [[b[c] for c in coords] for b in self.basis]
-        return Subspace.from_vectors(vecs, len(coords))
+        if not 0 <= n <= self.ambient_dim:
+            raise InputError(
+                f"projection onto {n} coordinates out of range for"
+                f" Q^{self.ambient_dim}"
+            )
+        kept = [(b[:n], p) for b, p in zip(self.basis, self.pivots) if p < n]
+        return Subspace(n, [b for b, _ in kept], [p for _, p in kept],
+                        _trusted=True)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

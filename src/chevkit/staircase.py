@@ -67,6 +67,13 @@ class IdealPresentation:
         as a tuple computed once per presentation."""
         return self._recentered
 
+    @cached_property
+    def generator_degree(self):
+        """Largest total degree of a nonzero generator (0 for the zero
+        ideal), kept by recentring: the least truncation of a diagram."""
+        return max((g.total_degree() for g in self.generators
+                    if not g.is_zero()), default=0)
+
 
 @dataclass(frozen=True)
 class Diagram:
@@ -135,12 +142,11 @@ def diagram_from_generators(presentation, d):
     gens = presentation.recentered_generators()
     if d < 0:
         raise InputError("truncation degree must be >= 0")
-    if gens:
-        max_deg = max(g.total_degree() for g in gens)
-        if d < max_deg:
-            raise InputError(
-                f"truncation degree {d} is below a generator degree {max_deg}"
-            )
+    if d < presentation.generator_degree:
+        raise InputError(
+            f"truncation degree {d} is below a generator degree"
+            f" {presentation.generator_degree}"
+        )
     monomials = indices_up_to(arity, d)
     echelon = ideal_jet_space(presentation, d)
     pivot_exponents = [monomials[p] for p in echelon.pivots]

@@ -184,9 +184,7 @@ def test_c03_route_agreement(c3_data):
                 reached = engine.diagram_threshold(k, l)
                 assert reached == (l >= rj.l_value), (key, k, l)
                 staged = engine.jets.projected_kernel(l, k)
-                full = engine.jets.kernel(l).project(
-                    range(index_count(n, k))
-                )
+                full = engine.jets.kernel(l).project(index_count(n, k))
                 jm = engine.jets.jet(l)
                 low, high = jet_blocks(jm, k)
                 schur = membership_kernel(low, high)

@@ -7,6 +7,7 @@ from chevkit.censored import AtLeast, is_censored
 from chevkit.chevalley import (
     HEURISTIC,
     INCONCLUSIVE,
+    LEAF_TRIALS,
     STABILIZED,
     VERIFIED,
     ChevalleyEngine,
@@ -335,23 +336,6 @@ class TestRelationEchelon:
                 hilbert_samuel_count(
                     diagram_from_generators(pres, max(k, deg)), k)
 
-    @given(presentations_at_centres(),
-           st.lists(st.integers(0, 5), min_size=1, max_size=6))
-    @settings(max_examples=40, deadline=None)
-    def test_guard_rows_span_relation_space(self, case, requests):
-        # sliced off the integerised diagram rows, across rebuilds
-        eng, _ = case
-        for k in requests:
-            space = eng.relation_space(k)
-            rows = eng._relation_rows(k)
-            # row i is a positive integer multiple of canonical row i, so
-            # the rows span the space and pivot where it does
-            assert len(rows) == space.dim
-            for row, b, p in zip(rows, space.basis, space.pivots):
-                assert all(isinstance(x, int) for x in row)
-                assert row[p] > 0
-                assert [Fraction(x, row[p]) for x in row] == b
-
     def test_cusp_builds_one_diagram_per_new_level(self, monkeypatch):
         levels = []
         inside = []
@@ -413,10 +397,8 @@ class TestConsistencyGuards:
         fake = Subspace.from_vectors([[int(b == mono) for b in betas]],
                                      len(betas))
         assert fake.dim == eng.relation_space(k).dim
+        # the guard tests the integer basis of relation_space(k)
         monkeypatch.setattr(eng, "relation_space", lambda _: fake)
-        # the guard tests the integer rows that stand for relation_space(k)
-        monkeypatch.setattr(eng, "_relation_rows",
-                            lambda _: fake.integer_basis())
         with pytest.raises(ConsistencyError,
                            match=f"escaped a projected kernel at l={l}, k=2"):
             eng.relation_jets(k)
@@ -459,27 +441,47 @@ class TestLeaves:
             Leaf.make("no_points", ["t"], [])
 
     def test_sampling_is_heuristic_and_deterministic(self):
-        samp = sample_leaf_chevalley(
-            squaring(), pair_leaf(), 2, trials=4, seed=1, l_max=10
+        (samp,) = sample_leaf_chevalley(
+            squaring(), pair_leaf(), [2], seed=1, l_max=10
         )
         assert samp.status == HEURISTIC
         assert samp.l_generic == 2
         assert samp.mismatch is False
-        assert samp.trials == 4
+        assert samp.trials == LEAF_TRIALS == 5
+        assert len(samp.samples) == 5
         assert samp.rank_profile[10] == 3
-        again = sample_leaf_chevalley(
-            squaring(), pair_leaf(), 2, trials=4, seed=1, l_max=10
+        (again,) = sample_leaf_chevalley(
+            squaring(), pair_leaf(), [2], seed=1, l_max=10
         )
         assert again.samples == samp.samples
 
     def test_sampling_with_relations(self):
-        samp = sample_leaf_chevalley(
-            squaring(), pair_leaf(), 1, trials=3, seed=0, l_max=8,
-            relations=[],
+        (samp,) = sample_leaf_chevalley(
+            squaring(), pair_leaf(), [1], seed=0, l_max=8, relations=[],
         )
         assert samp.status == HEURISTIC
         assert samp.l_generic == 1
 
-    def test_trials_bound(self):
-        with pytest.raises(InputError):
-            sample_leaf_chevalley(squaring(), pair_leaf(), 1, trials=0)
+    @pytest.mark.parametrize("ks", [[], [1], [1, 2, 3], [3, 1, 3]])
+    @pytest.mark.parametrize("relations", [None, []])
+    def test_one_draw_serves_every_k(self, ks, relations, monkeypatch):
+        built = []
+        init = ChevalleyEngine.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChevalleyEngine, "__init__", counting)
+        samples = sample_leaf_chevalley(
+            squaring(), pair_leaf(), ks, seed=2, l_max=8, relations=relations
+        )
+        assert len(built) == LEAF_TRIALS
+        assert [s.k for s in samples] == ks
+        monkeypatch.undo()
+        for s, k in zip(samples, ks):
+            (alone,) = sample_leaf_chevalley(
+                squaring(), pair_leaf(), [k], seed=2, l_max=8,
+                relations=relations,
+            )
+            assert s == alone

@@ -295,6 +295,90 @@ class TestJetDumpPins:
         assert output_digests(argv, tmp_path, capsys) == self.PINS[name]
 
 
+class TestProbePins:
+    # sha256 of (stdout, --out) bytes of the probe verbs on the shipped
+    # scenarios; nu and product pick their tuple through one shared
+    # selection, and every verb parses through the one module-level parser
+    PINS = {
+        "nu-cone": (
+            "977d9bd17057299561da607ce7effb67541e72794787b7a4b4d5845ea19399ba",
+            "13d6f5a06edf82eebb77beea1c085067c33e60f26f8c6c39f712d28d2d3ca4d5",
+        ),
+        "nu-cusp": (
+            "977d9bd17057299561da607ce7effb67541e72794787b7a4b4d5845ea19399ba",
+            "e2570495c0f2447e533b37a0e0dc668bb6e26c73b2ca75da33b160abfc7b74ac",
+        ),
+        "nu-identity": (
+            "977d9bd17057299561da607ce7effb67541e72794787b7a4b4d5845ea19399ba",
+            "c7afe2fbad14576cf6850d88d6aa23f07dcb492a6e844f65676cbe1e28638e6a",
+        ),
+        "nu-squaring": (
+            "977d9bd17057299561da607ce7effb67541e72794787b7a4b4d5845ea19399ba",
+            "d5df61d6d30f9be1fe745f8ad15699e6c3af916b67ca81ddd2dfdec217be0df2",
+        ),
+        "mu-cone": (
+            "1e377d62ba5d579ed686ae54560ffdd316ca9517557adac6cb661190ae2f0fb1",
+            "8130e6b6e2ad8349df1f01992c90132a8b924f0839b115a2387cba9ee7db7ad3",
+        ),
+        "mu-cusp": (
+            "1e377d62ba5d579ed686ae54560ffdd316ca9517557adac6cb661190ae2f0fb1",
+            "b6db43de0c53484e2180ad455b91e164653f4f0f5f61587b7a7f563aaae833b6",
+        ),
+        "mu-identity": (
+            "1e377d62ba5d579ed686ae54560ffdd316ca9517557adac6cb661190ae2f0fb1",
+            "63c6a9a1337d93c4bf44e1273ce56ad8aa939032ce2d321def0ab7e04885ee97",
+        ),
+        "mu-squaring": (
+            "1e377d62ba5d579ed686ae54560ffdd316ca9517557adac6cb661190ae2f0fb1",
+            "3c89f06c8405acc3cdab595d42fed1611cce959ef25b7697750fd4cb7025b1b9",
+        ),
+        "product-cone": (
+            "464cfb58af23d0399adcfc85e22faf466e4db8f70520ac5b7230ab7e80ae7f19",
+            "47e4f4fc0c87bc6ba2f51cb02eeaa9778861225630a747aadd920ee26bff7e71",
+        ),
+        "product-cusp": (
+            "dcbcde01ec1aa3026c54ae1d00c6efcbc0d1629ff414ed4867aadde4114badea",
+            "a7002f44fea35190e390046a3551efb283adf5222aafe0191bf778ae6ab180f0",
+        ),
+        "product-identity": (
+            "2d2d267cb4699e3c0ee8557abffa268f4cd8ed9a3db9db32610388ddaf60a28c",
+            "ad084db5adfe832c53a78e7814b5081f756dcf979fa51b7f75983c8a88106533",
+        ),
+        "product-squaring": (
+            "2d2d267cb4699e3c0ee8557abffa268f4cd8ed9a3db9db32610388ddaf60a28c",
+            "20bad8e6586e93628fbd6729ffad0fa8e8644b9b92dac2d5c0f585941293e411",
+        ),
+    }
+    ARGS = {
+        "nu": ["--poly", "y1^2"],
+        "mu": ["--poly", "y1"],
+        "product": ["--trials", "50"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINS))
+    def test_byte_pinned(self, case, tmp_path, capsys):
+        verb, name = case.split("-")
+        argv = [verb, "--scenario", str(ROOT / "scenarios" / f"{name}.json")]
+        argv += self.ARGS[verb]
+        assert output_digests(argv, tmp_path, capsys) == self.PINS[case]
+
+    def test_parser_reuse_keeps_no_state(self, tmp_path):
+        # an option given in one call must not become the next call's value
+        out = tmp_path / "prod.json"
+        assert main(["product", "--scenario", CUSP, "--trials", "7",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["trials"] == 7
+        assert main(["product", "--scenario", CUSP, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["trials"] == 200
+        # appended options start from an empty list at every call
+        assert main(["nu", "--scenario", CUSP, "--poly", "y1", "--poly",
+                     "y2", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["entries"]) == 2
+        assert main(["nu", "--scenario", CUSP, "--poly", "y1",
+                     "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["entries"]) == 1
+
+
 class TestNuVerb:
     def test_frozen_lines(self, capsys):
         code = main(["nu", "--scenario", CUSP, "--point", "0",

@@ -285,10 +285,10 @@ class TestRunTable:
         k_min, k_max = sc.k_range
         separate = tuple(
             sample_leaf_chevalley(
-                sc.phi, leaf, k, trials=5, seed=sc.seed, l_max=sc.l_max,
+                sc.phi, leaf, [k], seed=sc.seed, l_max=sc.l_max,
                 window=sc.window,
                 relations=relations_for(sc, "leaf:" + leaf.name),
-            )
+            )[0]
             for leaf in sc.leaves for k in range(k_min, k_max + 1)
         )
         assert len(separate) == 3

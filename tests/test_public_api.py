@@ -2,6 +2,7 @@
 and library callers use.  Helpers that only tests use live in
 tests/_oracles.py."""
 
+import ast
 import inspect
 
 import chevkit
@@ -89,8 +90,19 @@ def test_signatures_carry_no_single_value_knobs():
     assert params(experiments.verify_consistency) == ["scenario"]
     assert params(experiments.taylor_growth_estimate) == \
         ["f", "phi", "a", "ls", "seed"]
+    assert params(chevalley.sample_leaf_chevalley) == \
+        ["phi", "leaf", "ks", "seed", "l_max", "window", "relations"]
     l_max = inspect.signature(jets.JetSystem).parameters["l_max"]
     assert l_max.default is inspect.Parameter.empty
+
+
+def test_experiments_imports_no_private_chevalley_name():
+    tree = ast.parse(inspect.getsource(experiments))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "chevalley"
+             for alias in node.names]
+    assert names and not any(name.startswith("_") for name in names)
 
 
 def test_single_value_knobs_are_constants():

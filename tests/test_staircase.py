@@ -199,7 +199,7 @@ class TestIdealJets:
         diag = diagram_from_generators(pres, 6)
         assert diag.span == ideal_jet_space(pres, 6)
         for k in range(0, 7):
-            sliced = diag.span.project(range(index_count(2, k)))
+            sliced = diag.span.project(index_count(2, k))
             fresh = ideal_jet_space(pres, k)
             assert sliced == fresh and sliced.pivots == fresh.pivots
 
@@ -213,3 +213,38 @@ class TestIdealJets:
         for k in range(0, 6):
             via_jets = index_count(2, k) - ideal_jet_space(pres, k).dim
             assert via_jets == hilbert_samuel_count(diag, k)
+
+
+class TestGeneratorDegree:
+    @pytest.mark.parametrize("gens, center, deg", [
+        (["y1^3 - y2^2"], (0, 0), 3),
+        (["y1^3 - y2^2"], (1, 1), 3),
+        (["y1 - 1", "y2^2 - y1^2"], (1, 1), 2),
+        (["0", "y2 - 2"], (0, 2), 1),
+        (["0"], (0, 0), 0),
+        ([], (3, 4), 0),
+    ])
+    def test_largest_nonzero_total_degree(self, gens, center, deg):
+        pres = IdealPresentation.make(
+            [parse_poly(g, 2, names=Y) for g in gens], center
+        )
+        assert pres.generator_degree == deg
+        # the recentred generators have the same degrees
+        assert deg == max((g.total_degree()
+                           for g in pres.recentered_generators()), default=0)
+
+    def test_truncation_below_it_is_refused(self):
+        pres = IdealPresentation.make(
+            [parse_poly("y1^3 - y2^2", 2, names=Y)], (0, 0)
+        )
+        with pytest.raises(InputError,
+                           match="truncation degree 2 is below a generator"
+                                 " degree 3"):
+            diagram_from_generators(pres, 2)
+        assert diagram_from_generators(pres, 3).trunc_degree == 3
+
+    def test_zero_ideal_builds_at_every_truncation(self):
+        pres = IdealPresentation.make([], (0, 0))
+        assert pres.generator_degree == 0
+        diagram = diagram_from_generators(pres, 0)
+        assert diagram.vertices == () and not diagram.provisional
