@@ -286,12 +286,6 @@ class ChevalleyEngine:
             target=target, codim=codim,
         )
 
-    # derived quantities
-
-    def hilbert_samuel(self, k):
-        """Jet-space codimension of the relation jets at degree k."""
-        return self.relation_jets(k).codim
-
     # staircase-restricted route
 
     def _diagram_kernel(self, l):
@@ -442,7 +436,8 @@ def sample_leaf_chevalley(phi, leaf, ks, seed=0, l_max=12, window=3,
     not certified.
 
     The draw of LEAF_TRIALS parameter points depends on the seed and the
-    leaf alone, so one engine per point serves every k.
+    leaf alone, so one engine per point serves every k.  A draw at which
+    two points collide, off the generic stratum, is skipped.
     """
     leaf.validate(phi)
     rng = random.Random(seed)
@@ -458,10 +453,16 @@ def sample_leaf_chevalley(phi, leaf, ks, seed=0, l_max=12, window=3,
         if t in seen:
             continue
         seen.add(t)
-        tup = leaf.tuple_at(phi, t)
+        try:
+            tup = leaf.tuple_at(phi, t)
+        except InputError:  # validated leaf: only a repeated point is left
+            continue
         drawn.append((t, ChevalleyEngine(
             phi, tup, relations=relations, l_max=l_max, window=window
         )))
+    if len(drawn) < LEAF_TRIALS:
+        raise InputError(f"leaf {leaf.name!r}: only {len(drawn)} of"
+                         f" {LEAF_TRIALS} draws give distinct points")
     results = []
     for k in ks:
         orders = range(k, l_max + 1)

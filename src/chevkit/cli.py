@@ -135,43 +135,45 @@ def _probe_target(scenario, point):
     return key, _presentation_for(scenario, key, tup)
 
 
+_COLUMNS = ("map", "tuple", "k", "l", "H", "status", "l_stab")
+
+
+def _entry_values(e):
+    return (e.map_name, e.tuple_id, e.k, e.l_value, e.h_value, e.status,
+            e.l_stab)
+
+
 def _entry_rows(entries):
-    return [
-        {
-            "map": e.map_name,
-            "tuple": e.tuple_id,
-            "k": e.k,
-            "l": e.l_value,
-            "H": e.h_value,
-            "status": e.status,
-            "l_stab": e.l_stab,
-        }
+    return [dict(zip(_COLUMNS, _entry_values(e))) for e in entries]
+
+
+def _emit_table(entries, csv_path):
+    """Print the table; with csv_path, also write it there as CSV."""
+    rows = [_COLUMNS] + [
+        ["-" if v is None else str(v) for v in _entry_values(e)]
         for e in entries
     ]
-
-
-def _print_entries(entries):
-    rows = [["map", "tuple", "k", "l", "H", "status", "l_stab"]]
-    for e in entries:
-        rows.append([
-            e.map_name, e.tuple_id, str(e.k), str(e.l_value),
-            str(e.h_value), e.status,
-            "-" if e.l_stab is None else str(e.l_stab),
-        ])
     for line in _fmt_columns(rows):
         print(line)
+    if csv_path:
+        # the csv module writes None as an empty field and str() of the rest
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(_COLUMNS)
+            writer.writerows(_entry_values(e) for e in entries)
 
 
-def _write_csv(entries, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["map", "tuple", "k", "l", "H", "status", "l_stab"])
-        for e in entries:
-            writer.writerow([
-                e.map_name, e.tuple_id, e.k, str(e.l_value),
-                e.h_value, e.status,
-                "" if e.l_stab is None else e.l_stab,
-            ])
+def _table_payload(verb, scenario, entries):
+    """The JSON fields chevalley and fit share."""
+    return {
+        "verb": verb,
+        "scenario": scenario.name,
+        "k_range": list(scenario.k_range),
+        "l_max": scenario.l_max,
+        "window": scenario.window,
+        "seed": scenario.seed,
+        "entries": _entry_rows(entries),
+    }
 
 
 def cmd_chevalley(args):
@@ -180,36 +182,25 @@ def cmd_chevalley(args):
     run = run_table(scenario)
     print(f"{scenario.name}: thresholds with l_max={scenario.l_max},"
           f" window={scenario.window}")
-    _print_entries(run.entries)
+    _emit_table(run.entries, args.csv)
     for sample in run.leaf_samples:
         print(f"leaf {sample.leaf_name} k={sample.k}:"
               f" generic l={sample.l_generic}"
               f" over {len(sample.samples)} samples"
               + (" [rank profile mismatch]" if sample.mismatch else ""))
-    if args.csv:
-        _write_csv(run.entries, args.csv)
-    payload = {
-        "verb": "chevalley",
-        "scenario": scenario.name,
-        "k_range": list(scenario.k_range),
-        "l_max": scenario.l_max,
-        "window": scenario.window,
-        "seed": scenario.seed,
-        "entries": _entry_rows(run.entries),
-        "leaf_samples": [
-            {
-                "leaf": s.leaf_name,
-                "k": s.k,
-                "l_generic": s.l_generic,
-                "mismatch": s.mismatch,
-                "status": s.status,
-                "trials": s.trials,
-                "rank_profile": {str(l): d
-                                 for l, d in s.rank_profile.items()},
-            }
-            for s in run.leaf_samples
-        ],
-    }
+    payload = _table_payload("chevalley", scenario, run.entries)
+    payload["leaf_samples"] = [
+        {
+            "leaf": s.leaf_name,
+            "k": s.k,
+            "l_generic": s.l_generic,
+            "mismatch": s.mismatch,
+            "status": s.status,
+            "trials": s.trials,
+            "rank_profile": {str(l): d for l, d in s.rank_profile.items()},
+        }
+        for s in run.leaf_samples
+    ]
     _write_out(payload, args.out or scenario.out)
     if run.entries and all(e.status == INCONCLUSIVE for e in run.entries):
         print("all rows inconclusive; raise l_max or supply relations")
@@ -227,9 +218,7 @@ def cmd_fit(args):
     ]
     if not run.entries:
         raise InputError("scenario produced an empty table")
-    _print_entries(run.entries)
-    if args.csv:
-        _write_csv(run.entries, args.csv)
+    _emit_table(run.entries, args.csv)
     if not usable:
         print("no certified rows to fit; raise l_max or supply relations")
         return 3
@@ -238,18 +227,9 @@ def cmd_fit(args):
     print("witnesses: " + ", ".join(
         f"(k={k}, l={l})" for k, l in bound.witnesses
     ))
-    payload = {
-        "verb": "fit",
-        "scenario": scenario.name,
-        "k_range": list(scenario.k_range),
-        "l_max": scenario.l_max,
-        "window": scenario.window,
-        "seed": scenario.seed,
-        "alpha": bound.alpha,
-        "beta": bound.beta,
-        "witnesses": [list(w) for w in bound.witnesses],
-        "entries": _entry_rows(run.entries),
-    }
+    payload = _table_payload("fit", scenario, run.entries)
+    payload.update(alpha=bound.alpha, beta=bound.beta,
+                   witnesses=[list(w) for w in bound.witnesses])
     _write_out(payload, args.out or scenario.out)
     return 0
 

@@ -9,6 +9,7 @@ is what makes the block decompositions of jet matrices line up.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 
@@ -35,12 +36,12 @@ def indices_of_degree(arity, d):
     yield from gen((), arity, d)
 
 
+@lru_cache(maxsize=None)
 def indices_up_to(arity, d):
-    """All multi-indices of degree <= d, in the shared order."""
-    out = []
-    for deg in range(d + 1):
-        out.extend(indices_of_degree(arity, deg))
-    return out
+    """All multi-indices of degree <= d, in the shared order, as a tuple
+    built once per (arity, d)."""
+    return tuple(b for deg in range(d + 1)
+                 for b in indices_of_degree(arity, deg))
 
 
 def index_count(arity, d):

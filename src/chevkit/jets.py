@@ -34,7 +34,7 @@ from math import lcm
 from .errors import InputError
 from .indices import degree, index_count, indices_up_to
 from .linalg import Matrix, _reduce_row, staged_elimination
-from .poly import Poly, TruncatedSeries
+from .poly import TruncatedSeries
 
 
 class PolyMap:
@@ -86,6 +86,10 @@ class FibredTuple:
         if not points:
             raise InputError("a fibred tuple needs at least one point")
         pts = tuple(tuple(Fraction(c) for c in p) for p in points)
+        if len(set(pts)) < len(pts):
+            repeated = next(p for i, p in enumerate(pts) if p in pts[:i])
+            raise InputError("a fibred tuple repeats the point"
+                             f" ({', '.join(map(str, repeated))})")
         images = [phi.eval_at(p) for p in pts]
         first = images[0]
         for p, img in zip(pts, images):
@@ -140,13 +144,12 @@ class JetMatrix:
 
 
 def component_series(phi, tup, point_index, l):
-    """Image-centered component series at one source point, truncated at l."""
-    a = tup.points[point_index]
-    b = tup.image
-    return [
-        (c - Poly.constant(phi.source_arity, bj)).taylor(a, l)
-        for c, bj in zip(phi.components, b)
-    ]
+    """Image-centered component series at one source point, truncated at l:
+    each component shifted once, less its constant term c(a) = b_j."""
+    series = [c.taylor(tup.points[point_index], l) for c in phi.components]
+    for s in series:
+        s.terms.pop((0,) * phi.source_arity, None)
+    return series
 
 
 def _integer_series(phi, tup, point_index, l):
@@ -208,7 +211,7 @@ def jet_matrix(phi, tup, l):
     row_labels = tuple(
         (pi, alpha) for pi in range(tup.size) for alpha in alphas
     )
-    return JetMatrix(rows, tuple(scales), l, tuple(betas), row_labels)
+    return JetMatrix(rows, tuple(scales), l, betas, row_labels)
 
 
 def jet_blocks(jm, k):

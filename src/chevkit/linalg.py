@@ -97,12 +97,6 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = ncols
 
-    @classmethod
-    def identity(cls, n):
-        return cls(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
-
     @property
     def shape(self):
         return (self.nrows, self.ncols)

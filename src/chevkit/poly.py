@@ -32,6 +32,58 @@ def parse_rational(text):
         raise InputError(f"zero denominator in {text!r}") from None
 
 
+def _sum_terms(left, right, op, d=None):
+    """Termwise op(left, right), add or sub, of two term dicts of nonzero
+    coefficients; with d given, terms of degree > d are dropped from both.
+    A term new to the result is stored as it comes, with no zero added."""
+    if d is None:
+        terms = dict(left)
+        right = right.items()
+    else:
+        terms = {b: c for b, c in left.items() if degree(b) <= d}
+        right = [(b, c) for b, c in right.items() if degree(b) <= d]
+    for b, c in right:
+        if b not in terms:
+            terms[b] = c if op is add else -c
+        elif s := op(terms[b], c):
+            terms[b] = s
+        else:
+            del terms[b]
+    return terms
+
+
+def _mul_terms(left, right, d=None):
+    """Product of two term dicts of nonzero coefficients; with d given, no
+    term pair of degree > d is formed, and only then are degrees computed.
+    A new term is stored as it comes, so products of ints stay int."""
+    if d is None:
+        right = right.items()
+        rows = ((b1, c1, right) for b1, c1 in left.items())
+    else:
+        right = [(b2, c2, degree(b2)) for b2, c2 in right.items()]
+        rows = ((b1, c1, [(b2, c2) for b2, c2, d2 in right if d2 <= room])
+                for b1, c1 in left.items() if (room := d - degree(b1)) >= 0)
+    terms = {}
+    for b1, c1, row in rows:
+        for b2, c2 in row:
+            b = index_add(b1, b2)
+            if b not in terms:
+                terms[b] = c1 * c2
+            elif s := terms[b] + c1 * c2:
+                terms[b] = s
+            else:
+                del terms[b]
+    return terms
+
+
+def _poly(arity, terms):
+    """A Poly around a term dict that is already clean."""
+    out = Poly.__new__(Poly)
+    out.arity = arity
+    out.terms = terms
+    return out
+
+
 class Poly:
     """A polynomial in `arity` variables with Fraction coefficients."""
 
@@ -95,11 +147,13 @@ class Poly:
 
     # arithmetic
 
-    def _check_same_arity(self, other):
+    def _operand(self, other):
+        """other as a Poly of this arity; a scalar becomes a constant."""
+        if isinstance(other, (int, Fraction)):
+            return Poly.constant(self.arity, other)
         if self.arity != other.arity:
-            raise InputError(
-                f"arity mismatch: {self.arity} vs {other.arity}"
-            )
+            raise InputError(f"arity mismatch: {self.arity} vs {other.arity}")
+        return other
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -109,59 +163,27 @@ class Poly:
     def __hash__(self):
         return hash((self.arity, frozenset(self.terms.items())))
 
+    def _sum(self, other, op):
+        return _poly(self.arity,
+                     _sum_terms(self.terms, self._operand(other).terms, op))
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.arity, other)
-        self._check_same_arity(other)
-        terms = dict(self.terms)
-        for b, c in other.terms.items():
-            s = terms.get(b, Fraction(0)) + c
-            if s:
-                terms[b] = s
-            else:
-                terms.pop(b, None)
-        out = Poly.__new__(Poly)
-        out.arity = self.arity
-        out.terms = terms
-        return out
+        return self._sum(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.arity = self.arity
-        out.terms = {b: -c for b, c in self.terms.items()}
-        return out
+        return _poly(self.arity, {b: -c for b, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.arity, other)
-        return self + (-other)
+        return self._sum(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            out = Poly.__new__(Poly)
-            out.arity = self.arity
-            out.terms = {b: c * v for b, v in self.terms.items()} if c else {}
-            return out
-        self._check_same_arity(other)
-        terms = {}
-        for b1, c1 in self.terms.items():
-            for b2, c2 in other.terms.items():
-                b = index_add(b1, b2)
-                s = terms.get(b, Fraction(0)) + c1 * c2
-                if s:
-                    terms[b] = s
-                else:
-                    terms.pop(b, None)
-        out = Poly.__new__(Poly)
-        out.arity = self.arity
-        out.terms = terms
-        return out
+        return _poly(self.arity,
+                     _mul_terms(self.terms, self._operand(other).terms))
 
     __rmul__ = __mul__
 
@@ -247,15 +269,13 @@ class Poly:
                 partial = [(b + (j,), v * f)
                            for b, v in partial for j, f in factors]
             for beta, v in partial:
-                s = terms.get(beta, 0) + v
-                if s:
+                if beta not in terms:
+                    terms[beta] = v
+                elif s := terms[beta] + v:
                     terms[beta] = s
                 else:
-                    terms.pop(beta, None)
-        out = Poly.__new__(Poly)
-        out.arity = self.arity
-        out.terms = terms
-        return out
+                    del terms[beta]
+        return _poly(self.arity, terms)
 
     def truncate(self, d):
         """Drop all terms of degree > d, returning a TruncatedSeries."""
@@ -283,30 +303,19 @@ class TruncatedSeries:
     def __init__(self, arity, terms, trunc_degree, _exact=False):
         if trunc_degree < 0:
             raise InputError(f"truncation degree must be >= 0, got {trunc_degree}")
-        self.arity = arity
-        self.trunc_degree = trunc_degree
-        if _exact:
-            self.terms = terms
-        else:
-            clean = {}
-            for beta, c in terms.items():
-                if len(beta) != arity:
-                    raise InputError(
-                        f"exponent {beta} has arity {len(beta)}, expected {arity}"
-                    )
+        if not _exact:
+            # Poly checks the exponents and makes the coefficients Fractions
+            terms = Poly(arity, terms).terms
+            for beta in terms:
                 if degree(beta) > trunc_degree:
                     raise InputError(
                         f"term {beta} exceeds truncation degree {trunc_degree}"
                     )
-                c = Fraction(c)
-                if c:
-                    clean[tuple(beta)] = c
-            self.terms = clean
+        self.arity = arity
+        self.trunc_degree = trunc_degree
+        self.terms = terms
 
-    def order(self):
-        if not self.terms:
-            return None
-        return min(degree(b) for b in self.terms)
+    order = Poly.order
 
     def _common_degree(self, other):
         if self.arity != other.arity:
@@ -324,51 +333,21 @@ class TruncatedSeries:
             and self.terms == other.terms
         )
 
-    def _combine(self, other, op):
-        # termwise op below the common truncation degree
+    def _sum(self, other, op):
         d = self._common_degree(other)
-        terms = {b: c for b, c in self.terms.items() if degree(b) <= d}
-        for b, c in other.terms.items():
-            if degree(b) > d:
-                continue
-            s = op(terms.get(b, Fraction(0)), c)
-            if s:
-                terms[b] = s
-            else:
-                terms.pop(b, None)
+        terms = _sum_terms(self.terms, other.terms, op, d)
         return TruncatedSeries(self.arity, terms, d, _exact=True)
 
     def __add__(self, other):
-        return self._combine(other, add)
+        return self._sum(other, add)
 
     def __sub__(self, other):
-        return self._combine(other, sub)
+        return self._sum(other, sub)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            terms = {b: c * v for b, v in self.terms.items()} if c else {}
-            return TruncatedSeries(self.arity, terms, self.trunc_degree, _exact=True)
         d = self._common_degree(other)
-        right = [(b2, c2, degree(b2)) for b2, c2 in other.terms.items()]
-        terms = {}
-        for b1, c1 in self.terms.items():
-            d1 = degree(b1)
-            if d1 > d:
-                continue
-            for b2, c2, d2 in right:
-                if d1 + d2 > d:
-                    continue
-                b = index_add(b1, b2)
-                # an int zero keeps the product of int series int
-                s = terms.get(b, 0) + c1 * c2
-                if s:
-                    terms[b] = s
-                else:
-                    terms.pop(b, None)
+        terms = _mul_terms(self.terms, other.terms, d)
         return TruncatedSeries(self.arity, terms, d, _exact=True)
-
-    __rmul__ = __mul__
 
     def to_poly(self):
         return Poly(self.arity, self.terms)

@@ -58,14 +58,11 @@ class IdealPresentation:
         return cls(tuple(gens), center, arity)
 
     @cached_property
-    def _recentered(self):
-        shifted = (g.shift(self.center) for g in self.generators)
-        return tuple(g for g in shifted if not g.is_zero())
-
-    def recentered_generators(self):
+    def recentered(self):
         """Nonzero generators rewritten in coordinates centered at the point,
         as a tuple computed once per presentation."""
-        return self._recentered
+        shifted = (g.shift(self.center) for g in self.generators)
+        return tuple(g for g in shifted if not g.is_zero())
 
     @cached_property
     def generator_degree(self):
@@ -139,7 +136,7 @@ def diagram_from_generators(presentation, d):
     truncations of ideal elements.
     """
     arity = presentation.arity
-    gens = presentation.recentered_generators()
+    gens = presentation.recentered
     if d < 0:
         raise InputError("truncation degree must be >= 0")
     if d < presentation.generator_degree:
@@ -282,7 +279,7 @@ def ideal_jet_space(presentation, k):
     monomials = indices_up_to(presentation.arity, k)
     position = {b: i for i, b in enumerate(monomials)}
     vectors = []
-    for g in presentation.recentered_generators():
+    for g in presentation.recentered:
         for gamma in indices_up_to(presentation.arity, k - g.order()):
             vec = [0] * len(monomials)
             for b, c in g.terms.items():

@@ -18,7 +18,6 @@ at any size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -72,37 +71,6 @@ def _check_cap(e, f, r):
         )
 
 
-def wedge_operator(b, r):
-    """The order-r wedge operator of b, as a dense matrix.
-
-    Rows are indexed by (column r-subset J, row (r+1)-subset I), both in
-    lexicographic order, J outermost.  The entry in column p is zero unless
-    p is in I, and otherwise the signed r x r minor of b on rows I minus p
-    and columns J.  Order 0 gives the identity.
-    """
-    if r < 0:
-        raise InputError("wedge order must be >= 0")
-    f, e = b.nrows, b.ncols
-    if r == 0:
-        return Matrix.identity(f)
-    if r > e or r + 1 > f:
-        # the source or target exterior power collapses to zero
-        return Matrix([], ncols=f)
-    _check_cap(e, f, r)
-    memo = {}
-    rows = []
-    for col_subset in combinations(range(e), r):
-        for row_subset in combinations(range(f), r + 1):
-            row = [Fraction(0)] * f
-            for pos, p in enumerate(row_subset):
-                rest = row_subset[:pos] + row_subset[pos + 1:]
-                minor = _minor(b.rows, rest, col_subset, memo)
-                if minor:
-                    row[p] = minor if pos % 2 == 0 else -minor
-            rows.append(row)
-    return Matrix(rows, ncols=f)
-
-
 def membership_operator(kept, absorbed, r):
     """The order-r wedge operator of `absorbed` composed with `kept`, up to
     positive row scalings, with its zero rows dropped.
@@ -110,7 +78,9 @@ def membership_operator(kept, absorbed, r):
     With r = rank(absorbed), a vector u is killed exactly when kept . u
     lies in the column span of absorbed.
 
-    W = wedge_operator(absorbed, r) is never built.  Each row i of
+    W, the order-r wedge operator of absorbed, is never built.  Its rows
+    are indexed by (column r-subset J, row (r+1)-subset I), both in
+    lexicographic order, J outermost.  Each row i of
     [absorbed | kept] is scaled once to coprime integers, by a positive d_i;
     row (J, I) of the product is then the sum over p in I of the signed
     integer minor on rows I minus p and columns J times kept row p, which is

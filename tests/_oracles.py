@@ -7,13 +7,14 @@ beyond the index enumeration contract (degree then lexicographic), so
 agreement is meaningful.  The reference copies (shift_by_compose,
 map_power) are the straightforward versions of a faster package routine,
 written on Poly arithmetic; tests compare the package against them.  The
-helpers at the end (matrix products, subspace sums and meets, wedge
-self-tests, coefficient reads) were package functions that nothing in the
-package or the benchmark called; tests build inputs and references with
-them.
+helpers at the end (matrix products, the identity, subspace sums and
+meets, the dense wedge operator and its self-test, coefficient reads) were
+package functions that nothing in the package or the benchmark called;
+tests build inputs and references with them.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, prod
 
 import sympy
@@ -22,7 +23,7 @@ from chevkit.errors import InputError
 from chevkit.indices import degree, indices_up_to, mono_key
 from chevkit.linalg import Matrix, Subspace, staged_elimination
 from chevkit.poly import Poly, TruncatedSeries
-from chevkit.wedge import wedge_operator
+from chevkit.wedge import _check_cap, _minor
 
 
 def _to_sympy(q):
@@ -218,6 +219,12 @@ class TruncationError(InputError):
 
 # matrices and subspaces
 
+def identity(n):
+    return Matrix(
+        [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    )
+
+
 def zero_matrix(nrows, ncols):
     return Matrix([[Fraction(0)] * ncols for _ in range(nrows)], ncols=ncols)
 
@@ -266,7 +273,7 @@ def zero_space(ambient_dim):
 
 
 def full_space(ambient_dim):
-    return Subspace.from_vectors(Matrix.identity(ambient_dim).rows,
+    return Subspace.from_vectors(identity(ambient_dim).rows,
                                  ambient_dim)
 
 
@@ -303,6 +310,39 @@ def intersect(a, b):
 
 def column_span(b):
     return Subspace.from_vectors(transpose(b).rows, b.nrows)
+
+
+def wedge_operator(b, r):
+    """The order-r wedge operator of b, as a dense matrix.
+
+    Rows are indexed by (column r-subset J, row (r+1)-subset I), both in
+    lexicographic order, J outermost.  The entry in column p is zero unless
+    p is in I, and otherwise the signed r x r minor of b on rows I minus p
+    and columns J.  Order 0 gives the identity.  The reference that
+    chevkit.wedge.membership_operator composes without building it; it
+    shares the package's minors and its cap.
+    """
+    if r < 0:
+        raise InputError("wedge order must be >= 0")
+    f, e = b.nrows, b.ncols
+    if r == 0:
+        return identity(f)
+    if r > e or r + 1 > f:
+        # the source or target exterior power collapses to zero
+        return Matrix([], ncols=f)
+    _check_cap(e, f, r)
+    memo = {}
+    rows = []
+    for col_subset in combinations(range(e), r):
+        for row_subset in combinations(range(f), r + 1):
+            row = [Fraction(0)] * f
+            for pos, p in enumerate(row_subset):
+                rest = row_subset[:pos] + row_subset[pos + 1:]
+                minor = _minor(b.rows, rest, col_subset, memo)
+                if minor:
+                    row[p] = minor if pos % 2 == 0 else -minor
+            rows.append(row)
+    return Matrix(rows, ncols=f)
 
 
 def image_kernel_check(b):

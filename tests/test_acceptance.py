@@ -27,11 +27,7 @@ from chevkit.staircase import (
     normal_form,
     residual_order,
 )
-from chevkit.wedge import (
-    membership_kernel,
-    membership_operator,
-    wedge_operator,
-)
+from chevkit.wedge import membership_kernel, membership_operator
 
 DENSE_CELL_CAP = 2000
 
@@ -96,7 +92,7 @@ def c2_data():
     entries = [
         ChevalleyEntry(
             map_name="cusp", tuple_id="0", k=k, l_value=rows[k].l_value,
-            h_value=engine.hilbert_samuel(k), status=rows[k].status,
+            h_value=engine.relation_jets(k).codim, status=rows[k].status,
             l_stab=rows[k].l_stab,
         )
         for k in range(1, 6)
@@ -159,7 +155,7 @@ def test_c02_certified_cusp_table(c2_data):
         rj = rows[k]
         assert rj.status == VERIFIED
         assert rj.l_value == 2 * k + 1
-        assert engine.hilbert_samuel(k) == 2 * k + 1
+        assert engine.relation_jets(k).codim == 2 * k + 1
     assert (bound.alpha, bound.beta) == (2, 1)
     assert len(bound.witnesses) == 5
     assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"
@@ -224,7 +220,7 @@ def test_c04_wedge_identities():
         assert oracles.image_kernel_check(b), trial
         r = oracles.sympy_rank(b.rows)
         for order in (r, r + 1):
-            op = wedge_operator(b, order)
+            op = oracles.wedge_operator(b, order)
             prod = oracles.matmul(op, b)
             assert all(v == 0 for row in prod.rows for v in row), trial
     elapsed = time.monotonic() - t0
@@ -320,7 +316,7 @@ def test_c07_count_agreement():
     for k in range(1, 7):
         expected = 2 * k + 1
         assert hilbert_samuel_count(diagram, k) == expected
-        assert engine.hilbert_samuel(k) == expected
+        assert engine.relation_jets(k).codim == expected
     verdict("C7 PASS: both counts give 2k+1 for k=1..6")
 
 
@@ -354,7 +350,7 @@ def test_c08_monotonicity(c1_data, c2_data, c3_data):
                 continue
             if rj.status != VERIFIED:
                 continue
-            h = engine.hilbert_samuel(k)
+            h = engine.relation_jets(k).codim
             n = engine.phi.target_arity
             for l, e in chain:
                 d = index_count(n, k) - e.dim

@@ -107,7 +107,7 @@ class TestVerifiedThresholds:
         assert rj.status == VERIFIED
         assert rj.l_value == 2 * k + 1
         assert rj.l_stab == 2 * k + 1
-        assert eng.hilbert_samuel(k) == 2 * k + 1
+        assert eng.relation_jets(k).codim == 2 * k + 1
         assert oracles.relation_subspace(rj) == rj.target
 
     @pytest.mark.parametrize("k", range(1, 5))
@@ -119,7 +119,7 @@ class TestVerifiedThresholds:
         assert rj.status == VERIFIED
         assert rj.l_value == 2 * k
         assert oracles.relation_subspace(rj).is_zero()
-        assert eng.hilbert_samuel(k) == k + 1
+        assert eng.relation_jets(k).codim == k + 1
 
     @pytest.mark.parametrize("k", range(1, 4))
     def test_squaring_pair(self, k):
@@ -129,7 +129,7 @@ class TestVerifiedThresholds:
         rj = eng.relation_jets(k)
         assert rj.status == VERIFIED
         assert rj.l_value == k
-        assert eng.hilbert_samuel(k) == k + 1
+        assert eng.relation_jets(k).codim == k + 1
 
     def test_cone_thresholds(self):
         phi = cone()
@@ -138,18 +138,18 @@ class TestVerifiedThresholds:
             phi, FibredTuple.make(phi, [(0, 0)]), relations=g, l_max=8
         )
         assert origin.relation_jets(1).l_value == 3
-        assert origin.hilbert_samuel(1) == 4
-        assert origin.hilbert_samuel(2) == 9
+        assert origin.relation_jets(1).codim == 4
+        assert origin.relation_jets(2).codim == 9
         off = ChevalleyEngine(
             phi, FibredTuple.make(phi, [(0, 1)]), relations=g, l_max=8
         )
         assert off.relation_jets(1).l_value == 3
-        assert off.hilbert_samuel(2) == 9
+        assert off.relation_jets(2).codim == 9
         smooth = ChevalleyEngine(
             phi, FibredTuple.make(phi, [(1, 1)]), relations=g, l_max=8
         )
         assert smooth.relation_jets(2).l_value == 2
-        assert smooth.hilbert_samuel(2) == 6
+        assert smooth.relation_jets(2).codim == 6
 
     def test_threshold_matches_brute_force_search(self):
         # the chains settle well inside the cap, so the sympy dimension
@@ -432,6 +432,21 @@ class TestLeaves:
         tup = pair_leaf().tuple_at(squaring(), [Fraction(1, 2)])
         assert tup.points == ((Fraction(1, 2),), (Fraction(-1, 2),))
         assert tup.image == (Fraction(1, 4),)
+
+    def test_draws_skip_colliding_points(self):
+        # at seed 2 the stream draws t = 0, where t and -t are one point
+        for samp in sample_leaf_chevalley(
+            squaring(), pair_leaf(), [1, 2, 3], seed=2, l_max=8
+        ):
+            assert len(samp.samples) == LEAF_TRIALS
+            assert all(t != (0,) for t, _, _ in samp.samples)
+            assert [lv for _, lv, _ in samp.samples] == [samp.k] * 5
+
+    def test_leaf_whose_points_always_collide_is_refused(self):
+        pe = lambda s: parse_poly(s, 1, names=["t"])
+        same = Leaf.make("same", ["t"], [[pe("t")], [pe("t")]])
+        with pytest.raises(InputError, match="distinct points"):
+            sample_leaf_chevalley(squaring(), same, [1], l_max=4)
 
     def test_make_needs_params_and_points(self):
         pe = lambda s: parse_poly(s, 1, names=["t"])

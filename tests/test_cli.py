@@ -265,6 +265,30 @@ class TestOutputPins:
         assert output_digests(argv, tmp_path, capsys) == self.PINS[case]
 
 
+class TestCsvPins:
+    # sha256 of the --csv bytes of chevalley and fit on the shipped
+    # scenarios; both verbs write the same table, so they share one pin
+    PINS = {
+        "cone": "5671361027a5c3fdf3261a90fb44bd04062c02c42f3cefdc93915cddb2f5b8ac",
+        "cusp": "9c67837328933cae5802e64e5a433b74fad01944a1bd0e9f7f429534af7b6c5b",
+        "identity":
+            "908b660aab27644d2945f6048f6e3530254769a9c1e1ec2d7333718f814dab07",
+        "squaring":
+            "f5728931e1dd667e809d79e579b1250b81b25ae39f80cdf46fe8ced71dc0a468",
+    }
+
+    @pytest.mark.parametrize("verb", ["chevalley", "fit"])
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_csv_byte_pinned(self, verb, name, tmp_path, capsys):
+        csv_path = tmp_path / "table.csv"
+        scenario = str(ROOT / "scenarios" / f"{name}.json")
+        argv = [verb, "--scenario", scenario, "--csv", str(csv_path)]
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        assert digest == self.PINS[name]
+
+
 class TestJetDumpPins:
     # sha256 of (stdout, --out) bytes of `jet --dump-matrix` on the shipped
     # scenarios: the only output that prints jet matrix entries, so these
@@ -485,6 +509,18 @@ class TestErrorPaths:
         })
         assert main(["chevalley", "--scenario", path]) == 2
         assert "float literal" in capsys.readouterr().err
+
+    def test_repeated_point_exits_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "name": "squaring",
+            "map": {"name": "squaring", "m": 1, "n": 1,
+                    "components": ["x^2"]},
+            "tuples": [[["1/2"], ["-1/2"], ["1/2"]]],
+            "k_range": [1, 1],
+            "l_max": 3,
+        })
+        assert main(["chevalley", "--scenario", path]) == 2
+        assert "repeats the point (1/2)" in capsys.readouterr().err
 
     def test_missing_scenario_exits_2(self, tmp_path):
         assert main(["chevalley", "--scenario",

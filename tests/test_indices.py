@@ -17,13 +17,13 @@ from chevkit.indices import (
 
 
 def test_enumeration_order_two_vars():
-    assert indices_up_to(2, 2) == [
+    assert indices_up_to(2, 2) == (
         (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
-    ]
+    )
 
 
 def test_enumeration_order_one_var():
-    assert indices_up_to(1, 3) == [(0,), (1,), (2,), (3,)]
+    assert indices_up_to(1, 3) == ((0,), (1,), (2,), (3,))
 
 
 @given(st.integers(1, 4), st.integers(0, 6))

@@ -97,11 +97,11 @@ class TestMatrix:
         assert all(row is not src for row, src in zip(m.rows, rows))
 
     def test_identity_and_zero(self):
-        assert Matrix.identity(3).rows == [
+        assert O.identity(3).rows == [
             [Fraction(int(i == j)) for j in range(3)] for i in range(3)
         ]
         assert O.zero_matrix(2, 3).rows == [[Fraction(0)] * 3] * 2
-        for m in (Matrix.identity(3), O.zero_matrix(2, 3)):
+        for m in (O.identity(3), O.zero_matrix(2, 3)):
             assert all(type(x) is Fraction for r in m.rows for x in r)
 
     def test_submatrix(self):

@@ -195,6 +195,22 @@ class TestSeries:
         sp = (p * q).truncate(d)
         assert p.truncate(d) * q.truncate(d) == sp
 
+    @given(poly_strategy(2), poly_strategy(2), st.integers(0, 4))
+    @settings(max_examples=40)
+    def test_products_keep_their_coefficient_type(self, p, q, d):
+        # Poly arithmetic stays in Fractions; series of ints multiply to ints
+        for r in (p * q, p + q, p - q, p * 3):
+            assert all(type(c) is Fraction for c in r.terms.values())
+
+        def ints(f):
+            terms = {b: int(c * 12) for b, c in f.terms.items()}
+            return TruncatedSeries(2, terms, d, _exact=True)
+
+        got = ints(p) * ints(q)
+        assert all(type(c) is int for c in got.terms.values())
+        want = (p * q).truncate(d)
+        assert got.terms == {b: c * 144 for b, c in want.terms.items()}
+
     def test_map_power_matches_direct_expansion(self):
         d = 4
         comps = [parse_poly("x1^2", 1), parse_poly("x1^3", 1)]

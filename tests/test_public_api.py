@@ -6,7 +6,7 @@ import ast
 import inspect
 
 import chevkit
-from chevkit import chevalley, experiments, jets, linalg, wedge
+from chevkit import chevalley, experiments, jets, linalg, staircase, wedge
 from chevkit.poly import Poly, TruncatedSeries
 
 PUBLIC = [
@@ -48,7 +48,7 @@ REMOVED = [
 REMOVED_ATTRIBUTES = [
     (linalg.Matrix, name) for name in (
         "apply", "__matmul__", "transpose", "zero", "kernel", "rank",
-        "elimination", "row", "is_zero",
+        "elimination", "row", "is_zero", "identity",
     )
 ] + [
     (linalg.Subspace, name) for name in (
@@ -57,13 +57,16 @@ REMOVED_ATTRIBUTES = [
 ] + [
     (Poly, "scaled_derivative"), (Poly, "coeff"), (Poly, "support"),
     (Poly, "scale"), (TruncatedSeries, "coeff"),
-    (TruncatedSeries, "coeff_vector"),
+    (TruncatedSeries, "coeff_vector"), (TruncatedSeries, "__rmul__"),
     (jets.JetSystem, "membership_residual"),
     (chevalley.ChevalleyEngine, "chevalley_threshold"),
+    (chevalley.ChevalleyEngine, "hilbert_samuel"),
+    (staircase.IdealPresentation, "recentered_generators"),
     (chevalley.RelationJets, "subspace"),
     (jets, "jet_kernel"), (jets, "projected_jet_kernel"),
     (jets, "jet_quotient_dim"),
     (wedge, "column_span"), (wedge, "image_kernel_check"),
+    (wedge, "wedge_operator"),
 ]
 
 

@@ -202,9 +202,19 @@ class TestKeysAndLookup:
         assert point_key((Fraction(2, 4),)) == "1/2"
 
     def test_scenario_tuples_order(self):
-        sc = parse_scenario(cusp_data())
+        # the cusp is injective, so its only two-point tuple, (1; 1),
+        # repeats a point and is refused; x -> (x^2, x^4) has (1; -1)
+        data = cusp_data()
+        data["map"]["components"] = ["x^2", "x^4"]
+        data["tuples"] = [[[1], [-1]]]
+        sc = parse_scenario(data)
         keys = [key for key, _ in scenario_tuples(sc)]
-        assert keys == ["0", "1/2", "-1", "1;1"]
+        assert keys == ["0", "1/2", "-1", "1;-1"]
+
+    def test_repeated_point_is_refused(self):
+        sc = parse_scenario(cusp_data())
+        with pytest.raises(InputError, match=r"repeats the point \(1\)"):
+            scenario_tuples(sc)
 
     def test_wildcard_relations(self):
         sc = parse_scenario(cusp_data())

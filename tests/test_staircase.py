@@ -40,7 +40,7 @@ class TestInitialExponent:
         # after recentering at a smooth point both degree-1 terms survive;
         # (0, 1) sorts before (1, 0) in the shared order
         pres = cusp_presentation(center=(1, 1))
-        (g_loc,) = pres.recentered_generators()
+        (g_loc,) = pres.recentered
         assert oracles.initial_exponent(g_loc) == (0, 1)
 
     def test_zero(self):
@@ -187,7 +187,7 @@ class TestIdealJets:
             [Poly(n, t) for t in term_dicts], center)
         monomials = indices_up_to(n, k)
         vectors = []
-        for g in pres.recentered_generators():
+        for g in pres.recentered:
             for gamma in indices_up_to(n, k - g.order()):
                 prod = Poly.monomial(gamma) * g
                 vectors.append([oracles.coeff(prod, b) for b in monomials])
@@ -205,7 +205,7 @@ class TestIdealJets:
 
     def test_recentering_is_computed_once(self):
         pres = cusp_presentation((1, 1))
-        assert pres.recentered_generators() is pres.recentered_generators()
+        assert pres.recentered is pres.recentered
 
     def test_count_routes_agree_at_smooth_point(self):
         pres = cusp_presentation((1, 1))
@@ -231,7 +231,7 @@ class TestGeneratorDegree:
         assert pres.generator_degree == deg
         # the recentred generators have the same degrees
         assert deg == max((g.total_degree()
-                           for g in pres.recentered_generators()), default=0)
+                           for g in pres.recentered), default=0)
 
     def test_truncation_below_it_is_refused(self):
         pres = IdealPresentation.make(
