@@ -33,7 +33,7 @@ from math import lcm
 
 from .errors import InputError
 from .indices import degree, index_count, indices_up_to
-from .linalg import Matrix, _reduce_row, staged_elimination
+from .linalg import Matrix, _dense, _reduce, staged_elimination
 from .poly import TruncatedSeries
 
 
@@ -266,8 +266,8 @@ class JetSystem:
         self.tup = tup
         self.l_max = l_max
         self._build = None
-        # (pivot degree, pivot column, row) in the order the rows were made;
-        # _ends[l] is the length of the order-l prefix
+        # (pivot degree, pivot column, sparse row) in the order the rows
+        # were made; _ends[l] is the length of the order-l prefix
         self._echelon = []
         self._ends = []
         self._jets = {}
@@ -297,24 +297,23 @@ class JetSystem:
         m, n = self.phi.source_arity, self.phi.target_arity
         ncols = index_count(n, l)
         src = self._build.rows
-        # unscaled: _reduce_row and staged_elimination both leave rows
-        # primitive, so the pivot rows come out the same
+        # sparse and unscaled: _reduce and staged_elimination both leave
+        # rows primitive, so the pivot rows come out the same
         batch = [
-            src[r][:ncols]
+            {j: v for j, v in enumerate(src[r][:ncols]) if v}
             for r in self._row_index(index_count(m, l - 1), index_count(m, l))
         ]
-        for _, _, row in self._echelon:
-            row.extend([0] * (ncols - len(row)))
         for _, c, prow in sorted(self._echelon, key=lambda e: (-e[0], e[1])):
             for row in batch:
-                if row[c]:
-                    _reduce_row(row, prow, c)
-        stages = [list(range(index_count(n, d - 1), index_count(n, d)))
+                if c in row:
+                    _reduce(row, prow, c)
+        stages = [range(index_count(n, d - 1), index_count(n, d))
                   for d in range(l, -1, -1)]
         elim = staged_elimination(batch, ncols, stages)
         labels = self._build.col_labels
         for r, c in elim.pivots:
-            self._echelon.append((degree(labels[c]), c, elim.rows[r]))
+            self._echelon.append(
+                (degree(labels[c]), c, elim.sparse_rows[r]))
         self._ends.append(len(self._echelon))
 
     def analysis(self, l):
@@ -334,9 +333,10 @@ class JetSystem:
         return self._echelon[self._ends[since - 1] if since else 0:end]
 
     def _guard_rows(self, l, k, since=0):
-        cut = index_count(self.phi.target_arity, k)
-        return [row[:cut] for d, _, row in self._prefix(l, k, since)
-                if d <= k]
+        """The sparse echelon rows pivoting at degree <= k: they vanish on
+        every column of degree > k, so they are already cut to the
+        degree-<= k columns."""
+        return [row for d, _, row in self._prefix(l, k, since) if d <= k]
 
     def jet(self, l):
         """The order-l JetMatrix: a leading block of the build, sliced
@@ -377,8 +377,10 @@ class JetSystem:
         high block.
         """
         if (l, k) not in self._blocks:
-            residual = Matrix(self._guard_rows(l, k),
-                              ncols=index_count(self.phi.target_arity, k))
+            cut = index_count(self.phi.target_arity, k)
+            residual = Matrix(
+                [_dense(row, cut) for row in self._guard_rows(l, k)],
+                ncols=cut)
             self._blocks[(l, k)] = residual.rank_kernel()[1]
         return self._blocks[(l, k)]
 
@@ -406,5 +408,6 @@ class JetSystem:
         rows = self._guard_rows(l, k, since)
         sparse = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
         return all(
-            not sum(row[i] * x for i, x in t) for t in sparse for row in rows
+            not sum(row[i] * x for i, x in t if i in row)
+            for t in sparse for row in rows
         )

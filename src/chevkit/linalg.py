@@ -1,17 +1,21 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: one sparse integer elimination
+kernel behind a dense edge.
 
-The workhorse is a staged fraction-free elimination: columns are processed
-in caller-chosen groups, highest-priority group first.  Rows that end without
-a pivot in the first groups vanish there, so one pass over a matrix yields
-the ranks of a chain of nested column blocks and, read off the finished
-rows, the residual row systems that test membership in their column spans.
+The kernel is a staged fraction-free elimination: columns are processed in
+caller-chosen groups, highest-priority group first.  Rows that end without a
+pivot in the first groups vanish there, so one pass over a matrix yields the
+ranks of a chain of nested column blocks and, read off the finished rows,
+the residual row systems that test membership in their column spans.
 Callers that only want a plain rank/kernel use a single stage, and Subspace
 canonicalises through one ascending stage as well: it is the only
 elimination in this module.
 
-Elimination runs on integer rows; Fractions appear only at the API edge, in
-Matrix entries that were given as Fractions, kernel vectors and canonical
-Subspace bases.  Integer Matrix cells stay ints all the way in.
+The kernel runs on sparse integer rows, {column: nonzero int} dicts, so
+every row operation, gcd and scan costs the row's nonzeros, not its width:
+jet and ideal-jet matrices are a few percent nonzero.  Dense rows are the
+API edge: Matrix cells, Elimination.rows, canonical Subspace bases and
+integer bases are dense lists, and Fractions appear only there.  Integer
+Matrix cells stay ints all the way in.
 """
 
 from __future__ import annotations
@@ -25,43 +29,62 @@ from .errors import InputError
 _ZERO = Fraction(0)
 
 
-def _integerize(row):
-    """Scale a row of ints/Fractions to coprime integers (kernel-preserving).
-
-    Always returns a new list, which callers may reduce in place.
-    """
-    if all(x.__class__ is int for x in row):
-        ints = list(row)
-    else:
+def _integer_row(row):
+    """A new sparse row: the nonzeros of a dense or sparse row of
+    ints/Fractions, scaled to coprime integers (kernel-preserving)."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    out = {j: v for j, v in items if v}
+    if any(v.__class__ is not int for v in out.values()):
         denom = 1
-        for x in row:
-            denom = lcm(denom, x.denominator)
-        ints = [x.numerator * (denom // x.denominator) for x in row]
-    _normalize(ints)
-    return ints
+        for v in out.values():
+            denom = lcm(denom, v.denominator)
+        out = {j: v.numerator * (denom // v.denominator)
+               for j, v in out.items()}
+    _primitive(out)
+    return out
 
 
-def _reduce_row(row, prow, c):
-    """Clear column c of row against the pivot row prow, in place.
-
-    row <- pv·row − f·prow with pv = prow[c] and f = row[c], then divided by
-    its gcd.  Both rows have the same length.
-    """
-    pv, f = prow[c], row[c]
-    row[:] = [pv * a - f * b for a, b in zip(row, prow)]
-    _normalize(row)
-
-
-def _normalize(row):
-    """Divide an integer row in place by the gcd of its entries."""
+def _primitive(row):
+    """Divide a sparse integer row in place by the gcd of its nonzeros."""
     g = 0
-    for v in row:
+    for v in row.values():
         g = gcd(g, v)
         if g == 1:
             return
     if g > 1:
-        for i, v in enumerate(row):
-            row[i] = v // g
+        for j in row:
+            row[j] //= g
+
+
+def _reduce(row, prow, c):
+    """Clear column c of the sparse row against the pivot row prow, in place.
+
+    With pv = prow[c], f = row[c] and g = gcd(pv, f), row <- (pv/g)·row −
+    (f/g)·prow, then divided by its gcd: the same primitive row as
+    pv·row − f·prow, as g > 0 keeps the sign.  The subtraction touches only
+    prow's support.
+    """
+    pv, f = prow[c], row[c]
+    g = gcd(pv, f)
+    a, b = pv // g, f // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    for j, v in prow.items():
+        s = row.get(j, 0) - b * v
+        if s:
+            row[j] = s
+        else:
+            del row[j]
+    _primitive(row)
+
+
+def _dense(row, ncols):
+    """The dense int list of a sparse row."""
+    out = [0] * ncols
+    for j, v in row.items():
+        out[j] = v
+    return out
 
 
 class Matrix:
@@ -113,58 +136,86 @@ class Matrix:
         return self.shape == other.shape and self.rows == other.rows
 
     def rank_kernel(self):
-        """(rank, kernel as canonical Subspace); rank + dim kernel = ncols."""
+        """(rank, kernel as canonical Subspace); rank + dim kernel = ncols.
+
+        Kernel vectors are integer, read straight off the reduced rows: free
+        column f gets L, the lcm of the pivots pv of the rows nonzero at f,
+        and each such row's pivot column c gets -row[f]·(L // pv).
+        """
         elim = staged_elimination(self.rows, self.ncols,
-                                  [list(range(self.ncols))])
-        kernel = Subspace.from_vectors(elim.kernel_vectors(), self.ncols)
-        return elim.rank, kernel
+                                  [range(self.ncols)])
+        # per free column, (pivot column, pivot, entry) of the rows hitting
+        # it; a reduced pivot row is zero on every other pivot column
+        hits = {}
+        for r, c in elim.pivots:
+            row = elim.sparse_rows[r]
+            pv = row[c]
+            for f, v in row.items():
+                if f != c:
+                    hits.setdefault(f, []).append((c, pv, v))
+        pivot_cols = {c for _, c in elim.pivots}
+        vectors = []
+        for f in range(self.ncols):
+            if f in pivot_cols:
+                continue
+            col = hits.get(f, ())
+            big = lcm(*(pv for _, pv, _ in col))
+            vec = {f: big}
+            for c, pv, v in col:
+                vec[c] = -v * (big // pv)
+            vectors.append(vec)
+        return elim.rank, Subspace.from_vectors(vectors, self.ncols)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
 
 
 class Elimination:
-    """Result of staged_elimination: reduced rows plus pivot bookkeeping."""
+    """Result of staged_elimination: reduced sparse rows plus pivot
+    bookkeeping.
 
-    def __init__(self, rows, ncols, pivots):
-        self.rows = rows
+    sparse_rows[i] is the finished input row i as {column: nonzero int};
+    pivots lists (row, column) in the order the pivots were taken.
+    """
+
+    def __init__(self, sparse_rows, ncols, pivots):
+        self.sparse_rows = sparse_rows
         self.ncols = ncols
         self.pivots = pivots
+
+    @property
+    def rows(self):
+        """The finished rows as dense int lists, built on each read."""
+        return [_dense(row, self.ncols) for row in self.sparse_rows]
 
     @property
     def rank(self):
         return len(self.pivots)
 
-    def kernel_vectors(self):
-        pivot_cols = {c for _, c in self.pivots}
-        basis = []
-        for free in range(self.ncols):
-            if free in pivot_cols:
-                continue
-            v = [Fraction(0)] * self.ncols
-            v[free] = Fraction(1)
-            for r, c in self.pivots:
-                num = self.rows[r][free]
-                if num:
-                    v[c] = Fraction(-num, self.rows[r][c])
-            basis.append(v)
-        return basis
-
 
 def staged_elimination(rows, ncols, col_stages):
     """Fraction-free Gauss-Jordan over caller-ordered column stages.
 
-    rows hold ints or Fractions.  col_stages must partition range(ncols);
-    stages are processed in order.  A row left without a pivot in stages
-    0..s is zero on their columns, and those rows, restricted to the later
-    columns, have the kernel {u : (later columns)·u lies in the span of the
-    earlier ones}: row operations preserve kernel and row space, and the
-    later stages only recombine such rows among themselves.
+    rows hold ints or Fractions, each a dense sequence of ncols cells or a
+    sparse {column: value} dict; the caller's rows are never changed.
+    col_stages must partition range(ncols); stages are processed in order.
+    A row left without a pivot in stages 0..s is zero on their columns, and
+    those rows, restricted to the later columns, have the kernel
+    {u : (later columns)·u lies in the span of the earlier ones}: row
+    operations preserve kernel and row space, and the later stages only
+    recombine such rows among themselves.
+
+    Each column's pivot is the row of smallest |value| there, the lowest
+    row index on a tie, and every row ends primitive.
     """
-    work = [_integerize(r) for r in rows]
-    for r in work:
-        if len(r) != ncols:
+    work = []
+    for r in rows:
+        if isinstance(r, dict):
+            if any(not 0 <= j < ncols for j in r):
+                raise InputError("row column outside the column count")
+        elif len(r) != ncols:
             raise InputError("row length does not match column count")
+        work.append(_integer_row(r))
     seen = set()
     for stage in col_stages:
         for c in stage:
@@ -174,26 +225,25 @@ def staged_elimination(rows, ncols, col_stages):
     if len(seen) != ncols:
         raise InputError("column stages must cover every column")
 
-    nrows = len(work)
     pivots = []
-    pivot_rows = set()
+    # rows that may still take a pivot, ascending, so the first row of
+    # smallest |value| wins
+    free = list(range(len(work)))
     for stage in col_stages:
         for c in stage:
-            # smallest nonzero pivot keeps the integer growth tame
             best = None
-            for i in range(nrows):
-                if i in pivot_rows or not work[i][c]:
-                    continue
-                if best is None or abs(work[i][c]) < abs(work[best][c]):
-                    best = i
+            for i in free:
+                v = work[i].get(c)
+                if v is not None and (best is None or abs(v) < low):
+                    best, low = i, abs(v)
             if best is None:
                 continue
             pivots.append((best, c))
-            pivot_rows.add(best)
+            free.remove(best)
             prow = work[best]
-            for i in range(nrows):
-                if i != best and work[i][c]:
-                    _reduce_row(work[i], prow, c)
+            for i, row in enumerate(work):
+                if i != best and c in row:
+                    _reduce(row, prow, c)
     return Elimination(work, ncols, pivots)
 
 
@@ -217,11 +267,16 @@ class Subspace:
     @classmethod
     def from_vectors(cls, vectors, ambient_dim):
         """Canonical span of the vectors; entries are anything Fraction()
-        accepts (int, Fraction, "1/2")."""
+        accepts (int, Fraction, "1/2").  A vector is a dense sequence of
+        ambient_dim entries or a sparse {coordinate: entry} dict."""
         if ambient_dim < 0:
             raise InputError("negative ambient dimension")
         rows = []
         for vec in vectors:
+            if isinstance(vec, dict):
+                rows.append({j: x if isinstance(x, (int, Fraction))
+                             else Fraction(x) for j, x in vec.items()})
+                continue
             row = [x if isinstance(x, (int, Fraction)) else Fraction(x)
                    for x in vec]
             if len(row) != ambient_dim:
@@ -233,13 +288,16 @@ class Subspace:
         # pivot column outside its pivot row and leaves each pivot row led by
         # its pivot; scaling the pivots to 1 gives the reduced row-echelon
         # form, which is unique
-        elim = staged_elimination(rows, ambient_dim, [list(range(ambient_dim))])
+        elim = staged_elimination(rows, ambient_dim, [range(ambient_dim)])
         basis = []
         pivots = []
         for r, c in elim.pivots:
-            row = elim.rows[r]
+            row = elim.sparse_rows[r]
             pv = row[c]
-            basis.append([Fraction(v, pv) if v else _ZERO for v in row])
+            vals = [_ZERO] * ambient_dim
+            for j, v in row.items():
+                vals[j] = Fraction(v, pv)
+            basis.append(vals)
             pivots.append(c)
         return cls(ambient_dim, basis, pivots, _trusted=True)
 
@@ -282,7 +340,11 @@ class Subspace:
     def integer_basis(self):
         """The basis rows scaled to coprime integers; they span the same
         subspace and are what integer row systems test against."""
-        return [_integerize(b) for b in self.basis]
+        # every zero cell of a canonical basis is _ZERO, so an identity test
+        # skips it without a Fraction truth test
+        return [_dense(_integer_row({j: v for j, v in enumerate(b)
+                                     if v is not _ZERO}), self.ambient_dim)
+                for b in self.basis]
 
     def contains_vector(self, vec):
         return not any(self.reduce_vector(vec))

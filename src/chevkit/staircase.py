@@ -225,11 +225,14 @@ def normal_form(f, diagram):
         for b, bc in basis_elem.terms.items():
             if degree(b) > t:
                 continue
-            s = terms.get(b, 0) - c * bc
-            if s:
+            # a term new to the remainder is stored negated, with no zero
+            # subtracted from
+            if b not in terms:
+                terms[b] = -(c * bc)
+            elif s := terms[b] - c * bc:
                 terms[b] = s
             else:
-                terms.pop(b, None)
+                del terms[b]
     return TruncatedSeries(f.arity, terms, t, _exact=True)
 
 
@@ -274,14 +277,15 @@ def ideal_jet_space(presentation, k):
     Spanned by the monomial multiples x^gamma * g of the recentered
     generators that can still have initial exponent of degree <= k,
     truncated at degree k; ambient coordinates follow the shared index
-    enumeration.  This is the one place ideal-jet vectors are built.
+    enumeration.  This is the one place ideal-jet vectors are built, as
+    sparse {position: coefficient} rows.
     """
     monomials = indices_up_to(presentation.arity, k)
     position = {b: i for i, b in enumerate(monomials)}
     vectors = []
     for g in presentation.recentered:
         for gamma in indices_up_to(presentation.arity, k - g.order()):
-            vec = [0] * len(monomials)
+            vec = {}
             for b, c in g.terms.items():
                 # terms of x^gamma * g past degree k have no position
                 i = position.get(index_add(gamma, b))

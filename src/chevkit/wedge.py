@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from .errors import InputError, WedgeCapError
 from .linalg import (
-    Matrix, Subspace, _integerize, _normalize, staged_elimination,
+    Matrix, Subspace, _dense, _integer_row, staged_elimination,
 )
 
 DEFAULT_WEDGE_CAP = 10**6
@@ -101,7 +101,8 @@ def membership_operator(kept, absorbed, r):
         return Matrix([], ncols=ek)
     if r:
         _check_cap(e, f, r)
-    joined = [_integerize(ra + rk) for ra, rk in zip(absorbed.rows, kept.rows)]
+    joined = [_dense(_integer_row(ra + rk), e + ek)
+              for ra, rk in zip(absorbed.rows, kept.rows)]
     high = [row[:e] for row in joined]
     # kept rows as (column, value) pairs; an all-zero row adds nothing
     low = [[(j, v) for j, v in enumerate(row[e:]) if v] for row in joined]
@@ -129,8 +130,8 @@ def membership_operator(kept, absorbed, r):
                 for j, v in low[p]:
                     acc[j] += minor * v
             if any(acc):
-                _normalize(acc)
-                rows.append(acc)
+                g = gcd(*acc)
+                rows.append([v // g for v in acc])
     return Matrix(rows, ncols=ek)
 
 
@@ -168,7 +169,7 @@ def membership_kernel(kept, absorbed):
     )
     absorbed_rows = {r for r, c in elim.pivots if c < ea}
     residual = Matrix(
-        [row[ea:] for i, row in enumerate(elim.rows)
+        [_dense(row, ea + ek)[ea:] for i, row in enumerate(elim.sparse_rows)
          if i not in absorbed_rows],
         ncols=ek,
     )

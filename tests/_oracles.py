@@ -6,7 +6,9 @@ composition and sympy linear algebra, sharing no code with the package
 beyond the index enumeration contract (degree then lexicographic), so
 agreement is meaningful.  The reference copies (shift_by_compose,
 map_power) are the straightforward versions of a faster package routine,
-written on Poly arithmetic; tests compare the package against them.  The
+written on Poly arithmetic; tests compare the package against them.
+dense_staged_elimination is likewise the package's elimination kernel as
+it was on dense rows, before it moved to sparse integer rows.  The
 helpers at the end (matrix products, the identity, subspace sums and
 meets, the dense wedge operator and its self-test, coefficient reads) were
 package functions that nothing in the package or the benchmark called;
@@ -15,7 +17,7 @@ tests build inputs and references with them.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import comb, gcd, lcm, prod
 
 import sympy
 
@@ -215,6 +217,145 @@ def map_power(series_list, beta, d):
 
 class TruncationError(InputError):
     """A truncation degree does not support the requested operation."""
+
+
+# the dense staged elimination
+
+def _integerize(row):
+    """Scale a row of ints/Fractions to coprime integers (kernel-preserving).
+
+    Always returns a new list, which callers may reduce in place.
+    """
+    if all(x.__class__ is int for x in row):
+        ints = list(row)
+    else:
+        denom = 1
+        for x in row:
+            denom = lcm(denom, x.denominator)
+        ints = [x.numerator * (denom // x.denominator) for x in row]
+    _normalize(ints)
+    return ints
+
+
+def _reduce_row(row, prow, c):
+    """Clear column c of row against the pivot row prow, in place.
+
+    row <- pv·row − f·prow with pv = prow[c] and f = row[c], then divided by
+    its gcd.  Both rows have the same length.
+    """
+    pv, f = prow[c], row[c]
+    row[:] = [pv * a - f * b for a, b in zip(row, prow)]
+    _normalize(row)
+
+
+def _normalize(row):
+    """Divide an integer row in place by the gcd of its entries."""
+    g = 0
+    for v in row:
+        g = gcd(g, v)
+        if g == 1:
+            return
+    if g > 1:
+        for i, v in enumerate(row):
+            row[i] = v // g
+
+
+class DenseElimination:
+    """Result of dense_staged_elimination: reduced rows plus pivot
+    bookkeeping."""
+
+    def __init__(self, rows, ncols, pivots):
+        self.rows = rows
+        self.ncols = ncols
+        self.pivots = pivots
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def kernel_vectors(self):
+        pivot_cols = {c for _, c in self.pivots}
+        basis = []
+        for free in range(self.ncols):
+            if free in pivot_cols:
+                continue
+            v = [Fraction(0)] * self.ncols
+            v[free] = Fraction(1)
+            for r, c in self.pivots:
+                num = self.rows[r][free]
+                if num:
+                    v[c] = Fraction(-num, self.rows[r][c])
+            basis.append(v)
+        return basis
+
+
+def dense_staged_elimination(rows, ncols, col_stages):
+    """Fraction-free Gauss-Jordan over caller-ordered column stages.
+
+    rows hold ints or Fractions.  col_stages must partition range(ncols);
+    stages are processed in order.  A row left without a pivot in stages
+    0..s is zero on their columns, and those rows, restricted to the later
+    columns, have the kernel {u : (later columns)·u lies in the span of the
+    earlier ones}: row operations preserve kernel and row space, and the
+    later stages only recombine such rows among themselves.
+    """
+    work = [_integerize(r) for r in rows]
+    for r in work:
+        if len(r) != ncols:
+            raise InputError("row length does not match column count")
+    seen = set()
+    for stage in col_stages:
+        for c in stage:
+            if not 0 <= c < ncols or c in seen:
+                raise InputError("column stages must partition the columns")
+            seen.add(c)
+    if len(seen) != ncols:
+        raise InputError("column stages must cover every column")
+
+    nrows = len(work)
+    pivots = []
+    pivot_rows = set()
+    for stage in col_stages:
+        for c in stage:
+            # smallest nonzero pivot keeps the integer growth tame
+            best = None
+            for i in range(nrows):
+                if i in pivot_rows or not work[i][c]:
+                    continue
+                if best is None or abs(work[i][c]) < abs(work[best][c]):
+                    best = i
+            if best is None:
+                continue
+            pivots.append((best, c))
+            pivot_rows.add(best)
+            prow = work[best]
+            for i in range(nrows):
+                if i != best and work[i][c]:
+                    _reduce_row(work[i], prow, c)
+    return DenseElimination(work, ncols, pivots)
+
+
+def dense_from_vectors_basis(vectors, ambient_dim):
+    """(basis, pivots) of the canonical span of dense int/Fraction vectors,
+    by one ascending dense elimination, as Subspace.from_vectors built it."""
+    elim = dense_staged_elimination(vectors, ambient_dim,
+                                    [list(range(ambient_dim))])
+    basis = []
+    pivots = []
+    for r, c in elim.pivots:
+        row = elim.rows[r]
+        pv = row[c]
+        basis.append([Fraction(v, pv) if v else Fraction(0) for v in row])
+        pivots.append(c)
+    return basis, pivots
+
+
+def dense_rank_kernel(rows, ncols):
+    """(rank, kernel basis, kernel pivots) of a dense matrix by the dense
+    route: Fraction kernel vectors, then their canonical span."""
+    elim = dense_staged_elimination(rows, ncols, [list(range(ncols))])
+    return (elim.rank,
+            *dense_from_vectors_basis(elim.kernel_vectors(), ncols))
 
 
 # matrices and subspaces

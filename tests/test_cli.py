@@ -198,8 +198,9 @@ class TestDiagramVerb:
 
 class TestOutputPins:
     # sha256 of (stdout, --out) bytes of the threshold verbs on the shipped
-    # scenarios and on the scaled cusp run, so that any faster route to the
-    # thresholds must reproduce every output byte.
+    # scenarios and on the scaled runs (a case ending -l<L>-k<K> runs with
+    # --l-max L --k-max K), so that any faster route to the thresholds must
+    # reproduce every output byte.
     PINS = {
         "chevalley-cone": (
             "d9578ebf185649af6a51450488551f6b559795cf9acc221100340a0b9504257c",
@@ -209,9 +210,17 @@ class TestOutputPins:
             "12bac2fe048731ac41f61c406c9f96fa9e69d19be3ab065418a556e81aee380a",
             "1209a7d7070de7b279ea60b8029e3370be1be19f23e328332f78c4674aa46b36",
         ),
+        "chevalley-cone-l18-k9": (
+            "c5dcd9a8ac77b6e040a1fbd3ee1fa470012d32c7d58e80b14d8bb7704ff3bb3b",
+            "3ea0966c83fbec5350b190037b8879b13e84c11cb94f9e7c76799fdb1dbacb04",
+        ),
         "chevalley-cusp-l16-k8": (
             "2e34ba42c831902e29efc9016ac03b163a3acf464a68d007d0526d6f1a4122d2",
             "bd65e0e35d9970ba56322ad769001389851da1b07437a6538f5345ac4b0f2dac",
+        ),
+        "chevalley-cusp-l32-k16": (
+            "cbade976546233b654742a17f5eca31c8be08db87f4fbd843112e96f9366f7a3",
+            "48a46f10af3a95f003b212985e0b6f713f74c29a86adc00b9f07c220bddd1f79",
         ),
         "chevalley-identity": (
             "71bc54256547c9f726433199d1f7a199cf51e6d74f956892e30a5ff887e13db6",
@@ -254,14 +263,13 @@ class TestOutputPins:
             "04589b62e1bc129c41e3db8359b527573a1b0331d819774644a5e2540f50e1d9",
         ),
     }
-    SCALED = ["--l-max", "16", "--k-max", "8"]
-
     @pytest.mark.parametrize("case", sorted(PINS))
     def test_byte_pinned(self, case, tmp_path, capsys):
         verb, name, *scaled = case.split("-")
         argv = [verb, "--scenario", str(ROOT / "scenarios" / f"{name}.json")]
         if scaled:
-            argv += self.SCALED
+            l_max, k_max = scaled
+            argv += ["--l-max", l_max[1:], "--k-max", k_max[1:]]
         assert output_digests(argv, tmp_path, capsys) == self.PINS[case]
 
 

@@ -238,6 +238,73 @@ class TestStagedElimination:
             _assert_split_matches_oracle(rows, absorbed, *split)
 
 
+@st.composite
+def elimination_cases(draw):
+    """(dense rows, ncols, column stages): mostly-zero or dense rows of
+    small ints, wide ints or Fractions, and a random partition of the
+    columns into ordered stages.  Small ints make pivot ties common."""
+    ncols = draw(st.integers(1, 6))
+    value = draw(st.sampled_from([
+        st.integers(-3, 3),
+        st.integers(-60, 60),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    ]))
+    zero = st.just(0)
+    cell = draw(st.sampled_from([zero | value, zero | zero | zero | value]))
+    rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
+                         max_size=7))
+    order = draw(st.permutations(range(ncols)))
+    cuts = sorted(draw(st.sets(st.integers(1, ncols - 1)))) if ncols > 1 \
+        else []
+    stages = [order[a:b] for a, b in zip([0] + cuts, cuts + [ncols])]
+    return rows, ncols, stages
+
+
+class TestDenseOracleParity:
+    """The sparse kernel against the dense elimination it replaced: the
+    same rows, pivots, ranks, kernels and canonical bases."""
+
+    @given(elimination_cases(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_kernel_matches_dense_oracle(self, case, sparse):
+        rows, ncols, stages = case
+        given_rows = rows
+        if sparse:
+            given_rows = [{j: v for j, v in enumerate(r) if v} for r in rows]
+        before = [r.copy() for r in given_rows]
+        got = staged_elimination(given_rows, ncols, stages)
+        assert given_rows == before
+        want = O.dense_staged_elimination(rows, ncols, stages)
+        assert got.rows == want.rows
+        assert got.pivots == want.pivots and got.rank == want.rank
+        rank, kernel = Matrix(rows, ncols=ncols).rank_kernel()
+        assert (rank, kernel.basis, kernel.pivots) == \
+            O.dense_rank_kernel(rows, ncols)
+        span = Subspace.from_vectors(given_rows, ncols)
+        assert (span.basis, span.pivots) == \
+            O.dense_from_vectors_basis(rows, ncols)
+
+    def test_rows_are_dense_int_lists(self):
+        # bench/tracer.py reads len(rows) * ncols off the input and the
+        # bit-lengths of the values in elim.rows
+        dense = [[0, 2, Fraction(1, 2)], [0, 0, 0], [3, 0, 6]]
+        sparse = [{1: 2, 2: Fraction(1, 2)}, {}, {0: 3, 2: 6}]
+        for rows in (dense, sparse):
+            elim = staged_elimination(rows, 3, [[2], [0, 1]])
+            assert isinstance(elim.rows, list) and len(elim.rows) == 3
+            for row in elim.rows:
+                assert isinstance(row, list) and len(row) == 3
+                assert all(type(v) is int for v in row)
+            assert elim.rows == staged_elimination(dense, 3,
+                                                   [[2], [0, 1]]).rows
+
+    def test_sparse_columns_must_fit(self):
+        with pytest.raises(InputError):
+            staged_elimination([{3: 1}], 3, [[0, 1, 2]])
+        with pytest.raises(InputError):
+            Subspace.from_vectors([{-1: 1}], 2)
+
+
 def _split(elim, absorbed):
     """(rank of the absorbed columns, residual) read off a finished
     elimination: the rows without a pivot among the absorbed columns,
