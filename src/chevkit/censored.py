@@ -18,3 +18,9 @@ class AtLeast:
 def is_censored(value):
     return isinstance(value, AtLeast)
 
+
+def censor(value, bound):
+    """value when it is known and below bound, else AtLeast(bound)."""
+    if value is not None and value < bound:
+        return value
+    return AtLeast(bound)

@@ -237,7 +237,7 @@ class ChevalleyEngine:
         if self.presentation is not None:
             target = self.relation_space(k)
             self._hs_crosscheck(k, target)
-            rows = target.integer_basis()
+            rows = target.integer_rows()
         w = self.window
         codims = []
         for l in range(k, self.l_max + 1):

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .censored import is_censored
+from .censored import censor, is_censored
 from .chevalley import (
     ChevalleyEngine,
     ChevalleyEntry,
@@ -23,7 +23,7 @@ from .chevalley import (
 from .errors import ConsistencyError, InputError, RelationsMismatchError
 from .indices import degree, index_count
 from .jets import jet_blocks
-from .poly import Poly
+from .poly import Poly, TruncatedSeries
 from .staircase import (
     diagram_from_generators,
     hilbert_samuel_count,
@@ -206,11 +206,11 @@ def residual_order_probe(presentation, polys, trunc=8):
     diagram = diagram_from_generators(presentation, trunc)
     entries = []
     for p in polys:
-        local = p.shift(presentation.center)
+        nf = normal_form(p.shift(presentation.center), diagram)
         entries.append(OrderEntry(
             poly=p,
-            value=residual_order(local, diagram),
-            normal_form=normal_form(local, diagram),
+            value=censor(nf.order(), nf.trunc_degree),
+            normal_form=nf,
         ))
     return OrderProbe(
         center=presentation.center,
@@ -233,7 +233,9 @@ class ProductProbe:
     trunc_degree: int
 
 
-def _random_poly(rng, arity, max_degree):
+def _random_series(rng, arity, max_degree, trunc):
+    """A nonzero polynomial of degree <= max_degree with int coefficients,
+    as a series truncated at trunc."""
     while True:
         terms = {}
         for _ in range(rng.randint(1, 4)):
@@ -245,12 +247,9 @@ def _random_poly(rng, arity, max_degree):
                     break
             coeff = rng.choice([-3, -2, -1, 1, 2, 3])
             terms[exps] = terms.get(exps, 0) + coeff
-        p = Poly.zero(arity)
-        for exps, c in terms.items():
-            if c:
-                p = p + Poly.monomial(exps, c)
-        if not p.is_zero():
-            return p
+        terms = {exps: c for exps, c in terms.items() if c}
+        if terms:
+            return TruncatedSeries(arity, terms, trunc, _exact=True)
 
 
 def product_order_probe(presentation, trials=200, seed=0, trunc=8):
@@ -268,8 +267,8 @@ def product_order_probe(presentation, trials=200, seed=0, trunc=8):
     triples = []
     excluded = 0
     for _ in range(trials):
-        f = _random_poly(rng, arity, half)
-        g = _random_poly(rng, arity, half)
+        f = _random_series(rng, arity, half, trunc)
+        g = _random_series(rng, arity, half, trunc)
         vals = [
             residual_order(f, diagram),
             residual_order(g, diagram),

@@ -337,14 +337,18 @@ class Subspace:
                 row = [x - f * y for x, y in zip(row, b)]
         return row
 
-    def integer_basis(self):
-        """The basis rows scaled to coprime integers; they span the same
-        subspace and are what integer row systems test against."""
+    def integer_rows(self):
+        """The basis rows scaled to coprime integers, as sparse rows; they
+        span the same subspace, and each keeps its pivot, now positive."""
         # every zero cell of a canonical basis is _ZERO, so an identity test
         # skips it without a Fraction truth test
-        return [_dense(_integer_row({j: v for j, v in enumerate(b)
-                                     if v is not _ZERO}), self.ambient_dim)
+        return [_integer_row({j: v for j, v in enumerate(b)
+                              if v is not _ZERO})
                 for b in self.basis]
+
+    def integer_basis(self):
+        """integer_rows() as dense int lists."""
+        return [_dense(row, self.ambient_dim) for row in self.integer_rows()]
 
     def contains_vector(self, vec):
         return not any(self.reduce_vector(vec))

@@ -1,11 +1,15 @@
 """Exact polynomial arithmetic over the rationals.
 
-Polynomials are dicts from exponent tuples to Fractions; everything stays
-exact, there is no floating point anywhere in this module.  Truncated series
-wrap the same representation together with the degree past which terms have
-been discarded, so that downstream code can refuse to read coefficients it
-does not actually know.  A truncated series may also hold int coefficients,
-as the jet build's integer series do; their products stay int.
+Polynomials wrap term dicts, from exponent tuples to nonzero Fractions;
+everything stays exact, there is no floating point anywhere in this module.
+Truncated series wrap the same representation together with the degree past
+which terms have been discarded, so that downstream code can refuse to read
+coefficients it does not actually know.  A truncated series may also hold
+int coefficients, as the jet build's integer series and the product probe's
+random factors do; their products stay int.  The arithmetic lives in three
+term-dict helpers (_sum_terms, _mul_terms, _pow_terms) that the classes and
+the text parser share: the parser combines term dicts, int or Fraction, and
+builds one Poly at the end.
 """
 
 from __future__ import annotations
@@ -76,6 +80,25 @@ def _mul_terms(left, right, d=None):
     return terms
 
 
+def _negate(terms):
+    return {b: -c for b, c in terms.items()}
+
+
+def _pow_terms(terms, e, arity):
+    """The e-th power, e >= 0, of a term dict of nonzero coefficients: a
+    monomial's directly, anything else by repeated squaring."""
+    if len(terms) == 1:
+        ((b, c),) = terms.items()
+        return {tuple(x * e for x in b): c ** e}
+    result = {(0,) * arity: 1}
+    while e:
+        if e & 1:
+            result = _mul_terms(result, terms)
+        terms = _mul_terms(terms, terms) if e > 1 else terms
+        e >>= 1
+    return result
+
+
 def _poly(arity, terms):
     """A Poly around a term dict that is already clean."""
     out = Poly.__new__(Poly)
@@ -116,17 +139,6 @@ class Poly:
     @classmethod
     def constant(cls, arity, c):
         return cls(arity, {(0,) * arity: Fraction(c)})
-
-    @classmethod
-    def variable(cls, arity, i):
-        if not 0 <= i < arity:
-            raise InputError(f"variable index {i} out of range for arity {arity}")
-        beta = tuple(1 if j == i else 0 for j in range(arity))
-        return cls(arity, {beta: Fraction(1)})
-
-    @classmethod
-    def monomial(cls, beta, c=1):
-        return cls(len(beta), {tuple(beta): Fraction(c)})
 
     # predicates and views
 
@@ -173,7 +185,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.arity, {b: -c for b, c in self.terms.items()})
+        return _poly(self.arity, _negate(self.terms))
 
     def __sub__(self, other):
         return self._sum(other, sub)
@@ -190,14 +202,9 @@ class Poly:
     def __pow__(self, e):
         if e < 0:
             raise InputError("negative powers are not defined for polynomials")
-        result = Poly.constant(self.arity, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        if not e:
+            return Poly.constant(self.arity, 1)
+        return _poly(self.arity, _pow_terms(self.terms, e, self.arity))
 
     # evaluation and substitution
 
@@ -395,7 +402,9 @@ class _Parser:
     """Recursive-descent parser for +, -, *, ^ (or **), parentheses.
 
     Adjacent factors multiply implicitly, so '2x y^2' works.  Exponents must
-    be literal nonnegative integers.
+    be literal nonnegative integers.  Every rule returns a term dict of
+    nonzero coefficients (int, or Fraction for p/q literals); parse builds
+    the one Poly at the end.
     """
 
     def __init__(self, tokens, arity, names, aliases=None):
@@ -420,27 +429,30 @@ class _Parser:
         return t
 
     def parse(self):
-        p = self.expr()
+        terms = self.expr()
         if self.peek() is not None:
             raise InputError(f"unexpected trailing token {self.peek()[1]!r}")
-        return p
+        return _poly(self.arity, {b: c if c.__class__ is Fraction
+                                  else Fraction(c)
+                                  for b, c in terms.items()})
 
     def expr(self):
-        sign = 1
+        negate = False
         t = self.peek()
         while t and t[0] == "op" and t[1] in "+-":
             if t[1] == "-":
-                sign = -sign
+                negate = not negate
             self.take()
             t = self.peek()
-        p = self.term() * sign
+        p = self.term()
+        if negate:
+            p = _negate(p)
         while True:
             t = self.peek()
             if t is None or t[0] != "op" or t[1] not in "+-":
                 break
             op = self.take()[1]
-            q = self.term()
-            p = p + q if op == "+" else p - q
+            p = _sum_terms(p, self.term(), add if op == "+" else sub)
         return p
 
     def term(self):
@@ -451,9 +463,9 @@ class _Parser:
                 break
             if t[0] == "op" and t[1] == "*":
                 self.take()
-                p = p * self.factor()
+                p = _mul_terms(p, self.factor())
             elif t[0] in ("num", "name") or (t[0] == "op" and t[1] == "("):
-                p = p * self.factor()
+                p = _mul_terms(p, self.factor())
             else:
                 break
         return p
@@ -466,7 +478,7 @@ class _Parser:
             e = self.take()
             if e is None or e[0] != "num" or "/" in e[1]:
                 raise InputError("exponent must be a nonnegative integer literal")
-            return base ** int(e[1])
+            return _pow_terms(base, int(e[1]), self.arity)
         return base
 
     def atom(self):
@@ -476,14 +488,19 @@ class _Parser:
         kind, val = t
         if kind == "num":
             # allow p/q only when it forms a single rational literal
-            try:
-                return Poly.constant(self.arity, Fraction(val))
-            except ZeroDivisionError:
-                raise InputError(f"zero denominator in {val!r}") from None
+            if "/" in val:
+                try:
+                    c = Fraction(val)
+                except ZeroDivisionError:
+                    raise InputError(f"zero denominator in {val!r}") from None
+            else:
+                c = int(val)
+            return {(0,) * self.arity: c} if c else {}
         if kind == "name":
             if val not in self.index:
                 raise InputError(f"unknown variable {val!r}")
-            return Poly.variable(self.arity, self.index[val])
+            i = self.index[val]
+            return {tuple(int(j == i) for j in range(self.arity)): 1}
         if kind == "op" and val == "(":
             p = self.expr()
             t = self.take()
@@ -491,7 +508,7 @@ class _Parser:
                 raise InputError("unbalanced parenthesis")
             return p
         if kind == "op" and val == "-":
-            return -self.atom()
+            return _negate(self.atom())
         raise InputError(f"unexpected token {val!r}")
 
 

@@ -15,9 +15,11 @@ element has it as initial exponent.  No claim is made past d, which the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
-from .censored import AtLeast
+from .censored import AtLeast, censor
 from .errors import ConsistencyError, InputError
 from .indices import (
     degree,
@@ -27,7 +29,7 @@ from .indices import (
     indices_up_to,
     mono_key,
 )
-from .linalg import Subspace
+from .linalg import _ZERO, Subspace, _reduce
 from .poly import Poly, TruncatedSeries, format_poly
 
 
@@ -74,25 +76,22 @@ class IdealPresentation:
 
 @dataclass(frozen=True)
 class Diagram:
-    """A staircase with an attached reduced division basis.
+    """A staircase with its ideal jet space and, read off it on demand, a
+    reduced division basis.
 
     vertices: the minimal staircase exponents of degree <= trunc_degree.
-    reduced_basis: one truncated series per staircase monomial of degree
-    <= trunc_degree, echelon-reduced so that each has that monomial as its
-    initial exponent with coefficient 1 and a tail entirely off the
-    staircase.  provisional is True when vertices of degree > trunc_degree
-    may exist (any nonzero ideal).  span: the ideal_jet_space at
-    trunc_degree, whose pivots are the staircase; its leading slices are the
-    ideal's jets of every lower degree.
+    provisional is True when vertices of degree > trunc_degree may exist
+    (any nonzero ideal).  span: the ideal_jet_space at trunc_degree, whose
+    pivots are the staircase; its leading slices are the ideal's jets of
+    every lower degree.  Two diagrams are equal when their spans are, so
+    two ideals with one staircase stay apart.
     """
 
     arity: int
     trunc_degree: int
     vertices: tuple
     provisional: bool
-    reduced_basis: tuple = field(repr=False)
-    _pivot_pos: dict = field(repr=False, compare=False)
-    span: Subspace = field(repr=False, compare=False)
+    span: Subspace = field(repr=False)
 
     def contains(self, beta):
         """Staircase membership; exact for degree <= trunc_degree."""
@@ -102,6 +101,41 @@ class Diagram:
                 f" {self.arity}"
             )
         return any(dominates(beta, v) for v in self.vertices)
+
+    @property
+    def _monomials(self):
+        """The span's coordinates: the monomials of degree <= trunc_degree
+        in the shared order."""
+        return indices_up_to(self.arity, self.trunc_degree)
+
+    @cached_property
+    def reduced_basis(self):
+        """One truncated series per staircase monomial of degree <=
+        trunc_degree: that monomial with coefficient 1 plus a tail entirely
+        off the staircase (the span's canonical rows)."""
+        monomials = self._monomials
+        # every zero cell of a canonical basis is _ZERO
+        return tuple(
+            TruncatedSeries(
+                self.arity,
+                {monomials[j]: v for j, v in enumerate(row)
+                 if v is not _ZERO},
+                self.trunc_degree,
+                _exact=True,
+            )
+            for row in self.span.basis
+        )
+
+    @cached_property
+    def _position(self):
+        """Monomial -> its position in _monomials."""
+        return {b: i for i, b in enumerate(self._monomials)}
+
+    @cached_property
+    def _pivot_rows(self):
+        """Staircase position -> the primitive integer row of the span's
+        canonical row pivoting there, as a sparse {position: int} row."""
+        return dict(zip(self.span.pivots, self.span.integer_rows()))
 
     def to_dict(self, names=None):
         return {
@@ -167,34 +201,24 @@ def diagram_from_generators(presentation, d):
             if v != w and dominates(v, w):
                 raise ConsistencyError(f"comparable vertices {v}, {w}")
 
-    basis = tuple(
-        TruncatedSeries(
-            arity,
-            {monomials[i]: c for i, c in enumerate(row) if c},
-            d,
-            _exact=True,
-        )
-        for row in echelon.basis
-    )
-    pivot_pos = {monomials[p]: i for i, p in enumerate(echelon.pivots)}
     return Diagram(
         arity=arity,
         trunc_degree=d,
         vertices=vertices,
         provisional=bool(gens),
-        reduced_basis=basis,
-        _pivot_pos=pivot_pos,
         span=echelon,
     )
 
 
-def normal_form(f, diagram):
-    """Division remainder of f against the diagram's reduced basis.
+def _reduce_to_row(f, diagram):
+    """f reduced against the diagram, as (row, t, scale).
 
-    The result has the same truncation degree as f, carries no staircase
-    monomial, and differs from f by an element of the truncated ideal span.
-    One linear pass suffices: the basis is reduced, so subtracting the
-    pivot multiples never reintroduces a pivot monomial.
+    row is a sparse {position: int} row over the degree-<= t monomials, t
+    the truncation degree of f, and row[scale] the positive integer it is
+    scaled by: the normal form is row / row[scale], with the scale key past
+    every position.  Each staircase term of f is cleared once against its
+    pivot row, cut below degree t; a canonical row is zero on every other
+    pivot, so no clearing brings a staircase term back.
     """
     if isinstance(f, Poly):
         # a polynomial is known exactly, so it carries the diagram's full
@@ -216,23 +240,36 @@ def normal_form(f, diagram):
             f" {diagram.trunc_degree}"
         )
     t = f.trunc_degree
-    terms = dict(f.terms)
-    for exponent, c in f.terms.items():
-        pos = diagram._pivot_pos.get(exponent)
-        if pos is None:
-            continue
-        basis_elem = diagram.reduced_basis[pos]
-        for b, bc in basis_elem.terms.items():
-            if degree(b) > t:
-                continue
-            # a term new to the remainder is stored negated, with no zero
-            # subtracted from
-            if b not in terms:
-                terms[b] = -(c * bc)
-            elif s := terms[b] - c * bc:
-                terms[b] = s
-            else:
-                del terms[b]
+    position = diagram._position
+    scale = len(position)
+    denom = 1
+    for c in f.terms.values():
+        denom = lcm(denom, c.denominator)
+    row = {position[b]: c.numerator * (denom // c.denominator)
+           for b, c in f.terms.items()}
+    row[scale] = denom
+    pivot_rows = diagram._pivot_rows
+    cut = index_count(diagram.arity, t) if t < diagram.trunc_degree else None
+    for p in [p for p in row if p in pivot_rows]:
+        prow = pivot_rows[p]
+        if cut is not None:
+            prow = {j: v for j, v in prow.items() if j < cut}
+        _reduce(row, prow, p)
+    return row, t, scale
+
+
+def normal_form(f, diagram):
+    """Division remainder of f against the diagram's reduced basis.
+
+    The result has the same truncation degree as f, carries no staircase
+    monomial, and differs from f by an element of the truncated ideal span.
+    The reduction runs on one integer row (see _reduce_to_row); only the
+    final division by its scale makes Fractions.
+    """
+    row, t, scale = _reduce_to_row(f, diagram)
+    monomials = diagram._monomials
+    s = row.pop(scale)
+    terms = {monomials[j]: Fraction(v, s) for j, v in row.items()}
     return TruncatedSeries(f.arity, terms, t, _exact=True)
 
 
@@ -241,14 +278,14 @@ def residual_order(f, diagram):
 
     Returns the order of the normal form when that is visibly below the
     truncation degree; otherwise AtLeast(truncation degree of f), meaning
-    the residual order meets or exceeds the bound.
+    the residual order meets or exceeds the bound.  The order is the degree
+    of the reduced row's first position, so no Fraction is built.
     """
-    nf = normal_form(f, diagram)
-    t = nf.trunc_degree
-    order = nf.order()
-    if order is not None and order < t:
-        return order
-    return AtLeast(t)
+    row, t, scale = _reduce_to_row(f, diagram)
+    first = min(row)
+    if first == scale:
+        return AtLeast(t)
+    return censor(degree(diagram._monomials[first]), t)
 
 
 def hilbert_samuel_count(diagram, k):

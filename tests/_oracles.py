@@ -8,7 +8,10 @@ agreement is meaningful.  The reference copies (shift_by_compose,
 map_power) are the straightforward versions of a faster package routine,
 written on Poly arithmetic; tests compare the package against them.
 dense_staged_elimination is likewise the package's elimination kernel as
-it was on dense rows, before it moved to sparse integer rows.  The
+it was on dense rows, before it moved to sparse integer rows;
+normal_form_by_fractions is the Fraction division pass staircase.normal_form
+ran before it reduced integer rows, and PolyArithmeticParser the parser as
+it was when every literal, variable and power was a Poly.  The
 helpers at the end (matrix products, the identity, subspace sums and
 meets, the dense wedge operator and its self-test, coefficient reads) were
 package functions that nothing in the package or the benchmark called;
@@ -21,10 +24,11 @@ from math import comb, gcd, lcm, prod
 
 import sympy
 
+from chevkit.censored import AtLeast
 from chevkit.errors import InputError
 from chevkit.indices import degree, indices_up_to, mono_key
 from chevkit.linalg import Matrix, Subspace, staged_elimination
-from chevkit.poly import Poly, TruncatedSeries
+from chevkit.poly import Poly, TruncatedSeries, _tokenize, var_names
 from chevkit.wedge import _check_cap, _minor
 
 
@@ -187,7 +191,7 @@ def shift_by_compose(p, point):
         )
     point = tuple(Fraction(a) for a in point)
     args = [
-        Poly.variable(p.arity, i) + Poly.constant(p.arity, point[i])
+        variable(p.arity, i) + Poly.constant(p.arity, point[i])
         for i in range(p.arity)
     ]
     return p.compose(args)
@@ -585,3 +589,198 @@ def max_pair_slope_by_pairs(rows):
                 num, den = -num, -den
             alpha = max(alpha, -(-num // den))
     return alpha
+
+
+# polynomial construction and the Fraction-valued probe path
+
+def variable(arity, i):
+    """The polynomial x_i (formerly Poly.variable)."""
+    if not 0 <= i < arity:
+        raise InputError(f"variable index {i} out of range for arity {arity}")
+    beta = tuple(1 if j == i else 0 for j in range(arity))
+    return Poly(arity, {beta: Fraction(1)})
+
+
+def monomial(beta, c=1):
+    """The polynomial c * x^beta (formerly Poly.monomial)."""
+    return Poly(len(beta), {tuple(beta): Fraction(c)})
+
+
+def normal_form_by_fractions(f, diagram):
+    """staircase.normal_form as it was before it reduced integer rows: one
+    Fraction pass subtracting c times the reduced basis element of each
+    staircase term of f."""
+    monomials = indices_up_to(diagram.arity, diagram.trunc_degree)
+    pivot_pos = {monomials[p]: i for i, p in enumerate(diagram.span.pivots)}
+    if isinstance(f, Poly):
+        # a polynomial is known exactly, so it carries the diagram's full
+        # truncation degree as long as it fits under it
+        if f.total_degree() > diagram.trunc_degree:
+            raise InputError(
+                f"polynomial degree {f.total_degree()} exceeds diagram"
+                f" truncation {diagram.trunc_degree}"
+            )
+        f = f.truncate(diagram.trunc_degree)
+    if f.arity != diagram.arity:
+        raise InputError(
+            f"series arity {f.arity} does not match diagram arity"
+            f" {diagram.arity}"
+        )
+    if f.trunc_degree > diagram.trunc_degree:
+        raise InputError(
+            f"series truncated at {f.trunc_degree} exceeds diagram degree"
+            f" {diagram.trunc_degree}"
+        )
+    t = f.trunc_degree
+    terms = dict(f.terms)
+    for exponent, c in f.terms.items():
+        pos = pivot_pos.get(exponent)
+        if pos is None:
+            continue
+        basis_elem = diagram.reduced_basis[pos]
+        for b, bc in basis_elem.terms.items():
+            if degree(b) > t:
+                continue
+            # a term new to the remainder is stored negated, with no zero
+            # subtracted from
+            if b not in terms:
+                terms[b] = -(c * bc)
+            elif s := terms[b] - c * bc:
+                terms[b] = s
+            else:
+                del terms[b]
+    return TruncatedSeries(f.arity, terms, t, _exact=True)
+
+
+def residual_order_by_fractions(f, diagram):
+    """staircase.residual_order read off normal_form_by_fractions."""
+    nf = normal_form_by_fractions(f, diagram)
+    t = nf.trunc_degree
+    order = nf.order()
+    if order is not None and order < t:
+        return order
+    return AtLeast(t)
+
+
+class PolyArithmeticParser:
+    """poly._Parser as it was before it combined term dicts: every literal,
+    variable and power is a Poly, combined by Poly arithmetic."""
+
+    def __init__(self, tokens, arity, names, aliases=None):
+        self.tokens = tokens
+        self.pos = 0
+        self.arity = arity
+        self.index = {n: i for i, n in enumerate(names)}
+        if aliases:
+            for alias, target in aliases.items():
+                if target not in self.index:
+                    raise InputError(
+                        f"alias target {target!r} is not a variable name"
+                    )
+                self.index[alias] = self.index[target]
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        t = self.peek()
+        self.pos += 1
+        return t
+
+    def parse(self):
+        p = self.expr()
+        if self.peek() is not None:
+            raise InputError(f"unexpected trailing token {self.peek()[1]!r}")
+        return p
+
+    def expr(self):
+        sign = 1
+        t = self.peek()
+        while t and t[0] == "op" and t[1] in "+-":
+            if t[1] == "-":
+                sign = -sign
+            self.take()
+            t = self.peek()
+        p = self.term() * sign
+        while True:
+            t = self.peek()
+            if t is None or t[0] != "op" or t[1] not in "+-":
+                break
+            op = self.take()[1]
+            q = self.term()
+            p = p + q if op == "+" else p - q
+        return p
+
+    def term(self):
+        p = self.factor()
+        while True:
+            t = self.peek()
+            if t is None:
+                break
+            if t[0] == "op" and t[1] == "*":
+                self.take()
+                p = p * self.factor()
+            elif t[0] in ("num", "name") or (t[0] == "op" and t[1] == "("):
+                p = p * self.factor()
+            else:
+                break
+        return p
+
+    def factor(self):
+        base = self.atom()
+        t = self.peek()
+        if t and t[0] == "op" and t[1] in ("^", "**"):
+            self.take()
+            e = self.take()
+            if e is None or e[0] != "num" or "/" in e[1]:
+                raise InputError("exponent must be a nonnegative integer literal")
+            return power_by_squaring(base, int(e[1]))
+        return base
+
+    def atom(self):
+        t = self.take()
+        if t is None:
+            raise InputError("unexpected end of polynomial text")
+        kind, val = t
+        if kind == "num":
+            # allow p/q only when it forms a single rational literal
+            try:
+                return Poly.constant(self.arity, Fraction(val))
+            except ZeroDivisionError:
+                raise InputError(f"zero denominator in {val!r}") from None
+        if kind == "name":
+            if val not in self.index:
+                raise InputError(f"unknown variable {val!r}")
+            return variable(self.arity, self.index[val])
+        if kind == "op" and val == "(":
+            p = self.expr()
+            t = self.take()
+            if t is None or t[1] != ")":
+                raise InputError("unbalanced parenthesis")
+            return p
+        if kind == "op" and val == "-":
+            return -self.atom()
+        raise InputError(f"unexpected token {val!r}")
+
+
+def power_by_squaring(p, e):
+    """Poly.__pow__ as it was before it shared poly._pow_terms."""
+    if e < 0:
+        raise InputError("negative powers are not defined for polynomials")
+    result = Poly.constant(p.arity, 1)
+    base = p
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base if e > 1 else base
+        e >>= 1
+    return result
+
+
+def parse_poly_by_poly_arithmetic(text, arity, names=None, aliases=None):
+    """poly.parse_poly through PolyArithmeticParser."""
+    names = var_names(arity, names)
+    tokens = _tokenize(text)
+    if not tokens:
+        raise InputError("empty polynomial text")
+    return PolyArithmeticParser(tokens, arity, names, aliases).parse()

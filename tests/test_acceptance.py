@@ -241,7 +241,7 @@ def test_c05_jet_composition_oracle():
                 e = tuple(rng.randint(0, max_deg) for _ in range(arity))
                 if sum(e) <= max_deg:
                     break
-            p = p + Poly.monomial(e, Fraction(rng.randint(-3, 3)))
+            p = p + oracles.monomial(e, Fraction(rng.randint(-3, 3)))
         return p if not p.is_zero() else rand_poly(arity, max_deg)
 
     for trial in range(200):
@@ -281,7 +281,7 @@ def test_c06_division_checks():
                 e = (rng.randint(0, trunc), rng.randint(0, trunc))
                 if sum(e) <= trunc:
                     break
-            p = p + Poly.monomial(e, Fraction(rng.randint(-4, 4)))
+            p = p + oracles.monomial(e, Fraction(rng.randint(-4, 4)))
         return p
 
     for trial in range(100):

@@ -411,6 +411,44 @@ class TestProbePins:
         assert len(json.loads(out.read_text())["entries"]) == 1
 
 
+class TestRichProbePins:
+    # sha256 of (stdout, --out) bytes, taken before normal forms and the
+    # parser moved to integer rows and term dicts: nu with p/q coefficients,
+    # parenthesised powers and relation multiples, and a longer product run
+    CONE = str(ROOT / "scenarios" / "cone.json")
+    CASES = {
+        "nu-cusp": (["nu", "--scenario", CUSP,
+                     "--poly", "y2^2 - 1/2*y1^3", "--poly", "(y1 + 2/3 y2)^3",
+                     "--poly", "-(y1^3 - y2^2)*y1 y2",
+                     "--poly", "3/4 y1 y2^2 - (y2 - y1)^2"], (
+            "0d834bd62187b0ccf9539b6e5dc151a0e2c15f79788f40cb8ed24dd0e482df93",
+            "5c25abadcbacbd38590b809fd320f17b4f6c900af81d3a8c82b88614c3900777",
+        )),
+        "nu-cone": (["nu", "--scenario", CONE,
+                     "--poly", "y1*y3 - 1/2 y2^2",
+                     "--poly", "(y1 - 3/2 y3)^2 y2",
+                     "--poly", "(y1 y3 - y2^2)*(y1 + y2)^2"], (
+            "745813b069f4e57f14858a482b2df0b03429b5ba1414b5270f6e896eae5c81cb",
+            "8c9d9c446d7c4092c76c8c8be29604f9431485913a4e986859ce764e95fa5e1c",
+        )),
+        "product-cusp": (["product", "--scenario", CUSP, "--trials", "200",
+                          "--trunc", "10"], (
+            "5c5e64776739c8eda2f22d7e954a54806439faf039bd2d68223ba5a933738d2f",
+            "87b56347f7ded2b36cdbf1e62209c38f8523a1ef966d80d992aaf7b2e35388d2",
+        )),
+        "product-cone": (["product", "--scenario", CONE, "--trials", "200",
+                          "--trunc", "10"], (
+            "7545815188b5f70f4d1c92476b60285baaa159a0f7724bbc236f67fe20ae0076",
+            "53b4f451d4444499cf9daa450c443e6aa0d20bdabf31d7d041bd6725211136db",
+        )),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_byte_pinned(self, case, tmp_path, capsys):
+        argv, pins = self.CASES[case]
+        assert output_digests(argv, tmp_path, capsys) == pins
+
+
 class TestNuVerb:
     def test_frozen_lines(self, capsys):
         code = main(["nu", "--scenario", CUSP, "--point", "0",

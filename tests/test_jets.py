@@ -308,6 +308,28 @@ class TestKernels:
         assert sys.kernel_contains(l, k, vectors) == \
             all(proj.contains_vector(v) for v in vectors)
 
+    @given(st.sampled_from([cusp, cone]), st.integers(0, 5), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_kernel_contains_takes_sparse_vectors(self, mk, l, data):
+        # a sparse {index: x} vector answers as its dense twin does
+        phi = mk()
+        tup = FibredTuple.make(phi, [(0,) * phi.source_arity])
+        sys = JetSystem(phi, tup, l_max=l)
+        k = data.draw(st.integers(0, l))
+        width = index_count(phi.target_arity, k)
+        proj = sys.projected_kernel(l, k)
+        dense = proj.integer_basis() + data.draw(st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -2, 3]),
+                     min_size=width, max_size=width), max_size=3))
+        sparse = [{i: x for i, x in enumerate(v) if x} for v in dense]
+        assert proj.integer_rows() == sparse[:proj.dim]
+        for since in range(l + 1):
+            for d, v in zip(dense, sparse):
+                assert sys.kernel_contains(l, k, [v], since) == \
+                    sys.kernel_contains(l, k, [d], since)
+            assert sys.kernel_contains(l, k, sparse, since) == \
+                sys.kernel_contains(l, k, dense, since)
+
     def test_projection_degree_bound(self):
         tup = FibredTuple.make(squaring(), [(0,)])
         with pytest.raises(InputError):
@@ -618,7 +640,7 @@ class TestDefiningProperty:
             f = Poly.zero(3)
             for _ in range(rng.randint(1, 3)):
                 beta = tuple(rng.randint(0, 2) for _ in range(3))
-                f = f + Poly.monomial(beta, Fraction(rng.randint(-3, 3)))
+                f = f + oracles.monomial(beta, Fraction(rng.randint(-3, 3)))
             if f.is_zero():
                 continue
             self.run_case(phi, [a], f, l)

@@ -8,6 +8,8 @@ from _oracles import (
     coeff,
     coeff_vector,
     map_power,
+    parse_poly_by_poly_arithmetic,
+    power_by_squaring,
     scaled_derivative,
     shift_by_compose,
 )
@@ -102,6 +104,74 @@ class TestParse:
         assert p == parse_poly("x1^2 + 2x1 x2 + x2^2", 2)
 
 
+# polynomial texts in x1, x2 and the alias x: p/q literals, unary minus,
+# parentheses, powers of sums and implicit products
+_atoms = st.one_of(
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 9), st.integers(1, 4)).map(
+        lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["x1", "x2", "x"]),
+)
+
+
+def _compound(inner):
+    return st.one_of(
+        inner.map(lambda a: f"({a})"),
+        inner.map(lambda a: f"-{a}"),
+        inner.map(lambda a: f"- -({a})"),
+        st.tuples(inner, st.sampled_from(["^", "**"]),
+                  st.integers(0, 3)).map(lambda t: f"({t[0]}){t[1]}{t[2]}"),
+        st.tuples(st.sampled_from(["x1", "x2", "3", "2/3"]),
+                  st.integers(0, 4)).map(lambda t: f"{t[0]}^{t[1]}"),
+        st.tuples(inner, st.sampled_from([" + ", " - ", "*", " ", ""]),
+                  inner).map("".join),
+    )
+
+
+expression_texts = st.recursive(_atoms, _compound, max_leaves=10)
+
+# token soup: every token the grammar knows, plus unknown names
+token_soup = st.lists(st.sampled_from(
+    ["x1", "x2", "y", "2", "1/2", "0", "3/0", "+", "-", "*", "^", "**",
+     "(", ")", " ", "1.5"]), max_size=8).map("".join)
+
+
+def _outcome(parse, text):
+    try:
+        p = parse(text, 2, aliases={"x": "x1"})
+    except InputError as exc:
+        return ("error", str(exc))
+    return ("poly", list(p.terms.items()),
+            [type(c) for c in p.terms.values()])
+
+
+class TestParserParity:
+    """parse_poly combines term dicts; the parser that built every literal,
+    variable and power as a Poly is the reference, down to term order and
+    coefficient types."""
+
+    @given(expression_texts)
+    @settings(max_examples=300, deadline=None)
+    def test_expressions(self, text):
+        assert _outcome(parse_poly, text) == \
+            _outcome(parse_poly_by_poly_arithmetic, text)
+
+    @given(token_soup)
+    @settings(max_examples=300, deadline=None)
+    def test_token_soup_and_error_messages(self, text):
+        assert _outcome(parse_poly, text) == \
+            _outcome(parse_poly_by_poly_arithmetic, text)
+
+    @pytest.mark.parametrize("text", [
+        "", "x1^", "x1^x2", "x1^1/2", "(x1 + 1", "3/0 x1", "x1 y", ")",
+        "x1 +", "2 ** -1", "x1 $ 2", "(x1 - x2)^0", "0^0", "(0)^2",
+        "-(x1 - x2)^3 x2 - 1/2", "x^2 x1", "+-+x1",
+    ])
+    def test_frozen_texts(self, text):
+        assert _outcome(parse_poly, text) == \
+            _outcome(parse_poly_by_poly_arithmetic, text)
+
+
 class TestArithmetic:
     @given(poly_strategy(2), poly_strategy(2), points2)
     def test_product_evaluates_pointwise(self, p, q, a):
@@ -115,6 +185,15 @@ class TestArithmetic:
     @settings(max_examples=40)
     def test_power_matches_repeated_product(self, p, e, a):
         assert (p ** e).eval(a) == p.eval(a) ** e
+
+    @given(poly_strategy(2, max_terms=3), st.integers(0, 5))
+    @settings(max_examples=60)
+    def test_power_matches_squaring_by_poly_products(self, p, e):
+        # term order included: a power of a monomial is taken directly
+        q = p ** e
+        assert list(q.terms.items()) == \
+            list(power_by_squaring(p, e).terms.items())
+        assert all(type(c) is Fraction for c in q.terms.values())
 
     @given(poly_strategy(2), points2, points2)
     def test_shift_recenters(self, p, a, x):

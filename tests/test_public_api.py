@@ -56,7 +56,7 @@ REMOVED_ATTRIBUTES = [
     )
 ] + [
     (Poly, "scaled_derivative"), (Poly, "coeff"), (Poly, "support"),
-    (Poly, "scale"), (TruncatedSeries, "coeff"),
+    (Poly, "scale"), (Poly, "monomial"), (Poly, "variable"), (TruncatedSeries, "coeff"),
     (TruncatedSeries, "coeff_vector"), (TruncatedSeries, "__rmul__"),
     (jets.JetSystem, "membership_residual"),
     (chevalley.ChevalleyEngine, "chevalley_threshold"),

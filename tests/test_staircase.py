@@ -7,7 +7,7 @@ import _oracles as oracles
 from chevkit.errors import ConsistencyError, InputError
 from chevkit.indices import index_count, indices_up_to
 from chevkit.linalg import Subspace
-from chevkit.poly import Poly, parse_poly
+from chevkit.poly import Poly, TruncatedSeries, parse_poly
 from chevkit.staircase import (
     IdealPresentation,
     diagram_from_generators,
@@ -140,7 +140,7 @@ class TestNormalForm:
         diag = diagram_from_generators(cusp_presentation(), 6)
         f = Poly.zero(2)
         for e1, e2, c in raw:
-            f = f + Poly.monomial((e1, e2), c)
+            f = f + oracles.monomial((e1, e2), c)
         nf = normal_form(f, diag)
         again = normal_form(nf.to_poly(), diag)
         assert again == nf
@@ -153,6 +153,118 @@ class TestNormalForm:
             nf = normal_form(f, cusp_diagram)
             if not nf.to_poly().is_zero():
                 assert nf.order() >= f.order()
+
+
+@st.composite
+def ideal_cases(draw):
+    """(presentation, truncation degree): up to two generators in 1 to 3
+    variables with non-monic rational coefficients, at a rational centre,
+    truncated at or up to two degrees past the largest generator."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*([st.integers(0, 3)] * n)).filter(
+        lambda b: sum(b) <= 3)
+    coeffs = st.fractions(min_value=-3, max_value=3,
+                          max_denominator=3).filter(bool)
+    gens = draw(st.lists(st.dictionaries(exps, coeffs, min_size=1,
+                                         max_size=3),
+                         min_size=0, max_size=2))
+    center = draw(st.tuples(*([st.fractions(
+        min_value=-2, max_value=2, max_denominator=3)] * n)))
+    pres = IdealPresentation.make([Poly(n, g) for g in gens], center)
+    return pres, pres.generator_degree + draw(st.integers(0, 2))
+
+
+@st.composite
+def probe_inputs(draw, n, d):
+    """A Poly of degree <= d, or a series truncated at some t <= d, with
+    int or Fraction coefficients."""
+    t = draw(st.integers(0, d))
+    exps = st.tuples(*([st.integers(0, t)] * n)).filter(
+        lambda b: sum(b) <= t)
+    coeffs = st.one_of(
+        st.integers(-4, 4),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    ).filter(bool)
+    terms = draw(st.dictionaries(exps, coeffs, max_size=6))
+    if t == d and draw(st.booleans()):
+        return Poly(n, terms)
+    return TruncatedSeries(n, terms, t, _exact=True)
+
+
+class TestIntegerNormalForm:
+    """normal_form and residual_order reduce one integer row; the Fraction
+    division pass they replaced is the reference."""
+
+    @given(ideal_cases(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fraction_division(self, case, data):
+        pres, d = case
+        diag = diagram_from_generators(pres, d)
+        for _ in range(3):
+            f = data.draw(probe_inputs(pres.arity, d))
+            assert normal_form(f, diag) == \
+                oracles.normal_form_by_fractions(f, diag)
+            assert residual_order(f, diag) == \
+                oracles.residual_order_by_fractions(f, diag)
+
+    def test_non_monic_generator(self):
+        # the pivot row of y2^2 is 2y2^2 - 3y1^3, so the scale matters
+        pres = IdealPresentation.make(
+            [parse_poly("2y2^2 - 3y1^3", 2, names=Y)], (0, 0))
+        diag = diagram_from_generators(pres, 6)
+        f = parse_poly("1/5 y2^2 + y1 y2^2 - 7", 2, names=Y)
+        assert normal_form(f, diag).to_poly() == \
+            parse_poly("-7 + 3/10 y1^3 + 3/2 y1^4", 2, names=Y)
+        assert residual_order(f, diag) == 0
+        assert residual_order(f + 7, diag) == 3
+
+    def test_series_truncated_below_the_diagram(self):
+        # y2^3 reduces to y1^3 y2, which a degree-3 series cannot see
+        diag = diagram_from_generators(cusp_presentation(), 8)
+        f = TruncatedSeries(2, {(0, 3): Fraction(1, 2), (2, 0): 1}, 3,
+                            _exact=True)
+        nf = normal_form(f, diag)
+        assert nf == TruncatedSeries(2, {(2, 0): 1}, 3, _exact=True)
+        assert residual_order(f - TruncatedSeries(2, {(2, 0): 1}, 3),
+                              diag) == AtLeast(3)
+
+    @pytest.mark.parametrize("route", [normal_form, residual_order])
+    def test_input_checks(self, route, cusp_diagram):
+        for f, message in [
+            (parse_poly("y2^9", 2, names=Y),
+             "polynomial degree 9 exceeds diagram truncation 8"),
+            (TruncatedSeries(3, {}, 4), "series arity 3 does not match"),
+            (TruncatedSeries(2, {}, 9), "series truncated at 9 exceeds"),
+        ]:
+            with pytest.raises(InputError, match=message):
+                route(f, cusp_diagram)
+
+
+class TestLazyDiagram:
+    def test_reduced_basis_is_built_on_first_read(self):
+        diag = diagram_from_generators(cusp_presentation((1, 1)), 5)
+        assert "reduced_basis" not in vars(diag)
+        basis = diag.reduced_basis
+        assert basis is diag.reduced_basis
+        monomials = indices_up_to(2, 5)
+        for series, row, p in zip(basis, diag.span.basis, diag.span.pivots):
+            assert series.terms == {monomials[j]: v
+                                    for j, v in enumerate(row) if v}
+            assert series.terms[monomials[p]] == 1
+            assert all(not diag.contains(b) for b in series.terms
+                       if b != monomials[p])
+
+    def test_equality_compares_the_span(self):
+        def diagram(text):
+            pres = IdealPresentation.make([parse_poly(text, 2, names=Y)],
+                                          (0, 0))
+            return diagram_from_generators(pres, 6)
+
+        plus, minus = diagram("y1^3 + y2^2"), diagram("y1^3 - y2^2")
+        assert plus.vertices == minus.vertices
+        assert plus != minus
+        assert minus == diagram("2y1^3 - 2y2^2")
+        assert hash(minus) == hash(diagram("2y1^3 - 2y2^2"))
 
 
 class TestIdealJets:
@@ -189,7 +301,7 @@ class TestIdealJets:
         vectors = []
         for g in pres.recentered:
             for gamma in indices_up_to(n, k - g.order()):
-                prod = Poly.monomial(gamma) * g
+                prod = oracles.monomial(gamma) * g
                 vectors.append([oracles.coeff(prod, b) for b in monomials])
         assert ideal_jet_space(pres, k) == \
             Subspace.from_vectors(vectors, len(monomials))
