@@ -162,7 +162,7 @@ class ChevalleyEngine:
         else:
             gens = validate_relations(phi, tup, relations)
             self.presentation = IdealPresentation.make(gens, tup.image)
-        self.jets = JetSystem(phi, tup, l_max=l_max)
+        self.jets = JetSystem(phi, tup)
         self._relation_jets = {}
         self._diagram = None
         self._diagram_kernels = {}

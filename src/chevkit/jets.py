@@ -8,33 +8,37 @@ source point.  Every column for an exponent of degree D is a pullback of
 order >= D, so rows of degree <= k see zeros in all columns of degree > k.
 
 Rows are built and kept as integers.  At each point p the image-centered
-component series vanish at p; substituting x -> t_p x, with t_p the least
-common denominator of their coefficients, makes every one of them integer
-and multiplies the x^alpha coefficient of every product by t_p^|alpha|.
-So row (p, alpha) is stored as t_p^|alpha| times its exact entries: a
-positive factor constant along the row, which leaves every rank, kernel,
-echelon row and canonical subspace as it is.  The exact Fraction entries
-are rebuilt only where they are printed or compared (JetMatrix.matrix).
+component series are shifted once and kept whole, and they vanish at p;
+substituting x -> t_p x, with t_p the least common denominator of all their
+coefficients, makes every one of them integer and multiplies the x^alpha
+coefficient of every product by t_p^|alpha|.  So row (p, alpha) is stored as
+t_p^|alpha| times its exact entries: a positive factor constant along the
+row, which leaves every rank, kernel, echelon row and canonical subspace as
+it is.  The exact Fraction entries are rebuilt only where they are printed
+or compared (JetMatrix.matrix).
 
 Indices are enumerated degree ascending, so the order-l jet matrix is the
 leading block of any higher-order one: per point, its first C(m+l, l) rows,
-and its first C(n+l, l) columns.  JetSystem therefore builds one jet matrix
-per fibred tuple and slices every order out of it, growing the build
-geometrically (capped at the engine's l_max) when a higher order is asked.
-By the triangular shape, order l + 1 only adds rows to order l, so JetSystem
-also keeps one append-only row echelon and reads every order off a prefix.
+and its first C(n+l, l) columns.  By the triangular shape, order d only adds
+the rows of x-degree d, and those are the degree-d homogeneous parts of the
+powers: H_d(phi^beta) = sum_e H_{d-e}(phi^parent) H_e(phi_j), where beta is
+parent + e_j.  A JetMatrix keeps every power as its homogeneous parts and
+grows in place, making each order's sparse rows once.  JetSystem makes one
+build per fibred tuple, grows it to every order asked, and keeps one
+append-only row echelon that reads every order off a prefix.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .errors import InputError
-from .indices import degree, index_count, indices_up_to
+from .indices import degree, index_count, indices_of_degree, indices_up_to
 from .linalg import Matrix, _dense, _reduce, staged_elimination
-from .poly import TruncatedSeries
 
 
 class PolyMap:
@@ -106,26 +110,155 @@ class FibredTuple:
 
 
 class JetMatrix:
-    """A jet matrix with its row/column index labels.
+    """A jet matrix with its row/column index labels, grown in place.
 
     col_labels[j] is the target exponent of column j; row_labels[i] is a
-    (point position, source exponent) pair.  rows holds the integer rows:
-    row (p, alpha) is scales[p]^|alpha| times the exact row, where scales[p]
-    is the positive integer t_p of the build.  matrix is the exact Fraction
-    matrix, built on first read; shape and every rank or kernel read rows.
+    (point position, source exponent) pair.  Rows are integer: row (p, alpha)
+    is scales[p]^|alpha| times the exact row, where scales[p] is the positive
+    integer t_p of the build.  layer(d) holds the sparse rows of x-degree d,
+    made once, when grow first passes order d.  rows (dense int lists) and
+    matrix (exact Fractions) are made on first read at the current order;
+    shape is counted, and every rank or kernel reads rows.
+
+    prefix(l) is the order-l leading block, a JetMatrix over the same build:
+    growing any of them makes the new orders once for all.
     """
 
-    def __init__(self, rows, scales, level, col_labels, row_labels):
-        self.rows = rows
-        self.scales = scales
-        self.level = level
-        self.col_labels = col_labels
-        self.row_labels = row_labels
-        self._matrix = None
+    def __init__(self, phi, tup):
+        """The build before its first order; jet_matrix grows it."""
+        m, n = phi.source_arity, phi.target_arity
+        self._arity = (m, n)
+        self._size = tup.size
+        scales, self._comps = [], []
+        for point in tup.points:
+            t, comps = _integer_components(phi, point)
+            scales.append(t)
+            self._comps.append(comps)
+        self.scales = tuple(scales)
+        # per column beta, (parent column, j) with beta = parent + e_j, j
+        # its first nonzero coordinate; None for beta = 0
+        self._steps = []
+        # per point and column, phi^beta as (lo, hi, parts): its nonzero
+        # homogeneous parts {degree: term dict}, all of degree lo..hi, or
+        # None where phi^beta is zero
+        self._powers = [[] for _ in tup.points]
+        # per order d, per point, the sparse rows of x-degree d
+        self._layers = []
+        self.level = -1
+        self._rows = self._matrix = None
+
+    def _add_order(self):
+        """Make the rows of the next x-degree d: the degree-d part of every
+        power phi^beta, from the parts of lower degree already made."""
+        m, n = self._arity
+        d = len(self._layers)
+        new = index_count(n, d) - index_count(n, d - 1)
+        if d == 0:
+            self._steps.append(None)
+        else:
+            cols = indices_up_to(n, d)
+            base = index_count(n, d - 2)
+            pos = {b: base + i for i, b in enumerate(cols[base:-new])}
+            for beta in cols[-new:]:
+                j = next(i for i, e in enumerate(beta) if e)
+                parent = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
+                self._steps.append((pos[parent], j))
+        alpha_pos = {a: i for i, a in enumerate(indices_of_degree(m, d))}
+        layer = []
+        for comps, powers in zip(self._comps, self._powers):
+            for step in self._steps[-new:]:
+                if step is None:
+                    powers.append((0, 0, {0: {(0,) * m: 1}}))
+                elif powers[step[0]] is None or not comps[step[1]]:
+                    powers.append(None)
+                else:
+                    lo, hi, _ = powers[step[0]]
+                    parts = comps[step[1]]
+                    powers.append((lo + parts[0][0], hi + parts[-1][0], {}))
+            rows = [{} for _ in alpha_pos]
+            for col, power in enumerate(powers):
+                if power is None or not power[0] <= d <= power[1]:
+                    continue
+                parts = power[2]
+                if d:
+                    parent, j = self._steps[col]
+                    below = powers[parent][2]
+                    part = {}
+                    for e, terms in comps[j]:
+                        left = below.get(d - e)
+                        if left is None:
+                            continue
+                        for b1, c1 in left.items():
+                            for b2, c2 in terms:
+                                b = tuple(map(add, b1, b2))
+                                if b not in part:
+                                    part[b] = c1 * c2
+                                elif s := part[b] + c1 * c2:
+                                    part[b] = s
+                                else:
+                                    del part[b]
+                    if not part:
+                        continue
+                    parts[d] = part
+                for alpha, c in parts[d].items():
+                    rows[alpha_pos[alpha]][col] = c
+            layer.append(rows)
+        self._layers.append(layer)
+
+    def grow(self, l):
+        """Raise the order to l, making each order's rows once; an order
+        already reached is left as it is."""
+        if l < 0:
+            raise InputError("jet order must be >= 0")
+        while len(self._layers) <= l:
+            self._add_order()
+        if l > self.level:
+            self.level = l
+            self._rows = self._matrix = None
+        return self
+
+    def prefix(self, l):
+        """The order-l leading block, l <= level, over the same build."""
+        if not 0 <= l <= self.level:
+            raise InputError(f"jet order {l} outside 0..{self.level}")
+        view = copy(self)
+        view.level = l
+        view._rows = view._matrix = None
+        return view
+
+    def layer(self, d):
+        """The sparse rows of x-degree d, point by point, as {column: int}
+        over the columns of degree <= d.  They are the build's own rows: a
+        caller that changes one copies it first."""
+        if not 0 <= d <= self.level:
+            raise InputError(f"jet order {d} outside 0..{self.level}")
+        return [row for rows in self._layers[d] for row in rows]
+
+    @property
+    def col_labels(self):
+        return indices_up_to(self._arity[1], self.level)
+
+    @property
+    def row_labels(self):
+        alphas = indices_up_to(self._arity[0], self.level)
+        return tuple((p, alpha) for p in range(self._size) for alpha in alphas)
 
     @property
     def shape(self):
-        return (len(self.rows), len(self.col_labels))
+        m, n = self._arity
+        return (self._size * index_count(m, self.level),
+                index_count(n, self.level))
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            ncols = index_count(self._arity[1], self.level)
+            self._rows = [
+                _dense(row, ncols) for p in range(self._size)
+                for layer in self._layers[:self.level + 1]
+                for row in layer[p]
+            ]
+        return self._rows
 
     @property
     def matrix(self):
@@ -143,75 +276,41 @@ class JetMatrix:
         return Matrix(self.rows, ncols=len(self.col_labels))
 
 
-def component_series(phi, tup, point_index, l):
-    """Image-centered component series at one source point, truncated at l:
-    each component shifted once, less its constant term c(a) = b_j."""
-    series = [c.taylor(tup.points[point_index], l) for c in phi.components]
-    for s in series:
-        s.terms.pop((0,) * phi.source_arity, None)
-    return series
-
-
-def _integer_series(phi, tup, point_index, l):
-    """(t, series): the component series at one point with x -> t x, t the
-    least common denominator of their coefficients.  Each series vanishes
-    at the point, so every kept term has |alpha| >= 1 and c t^|alpha| is an
-    integer; the series hold ints."""
-    comps = component_series(phi, tup, point_index, l)
+def _integer_components(phi, point):
+    """(t, comps): the image-centered components at one source point,
+    shifted once and kept whole, with x -> t x, t the least common
+    denominator of all their coefficients.  Each vanishes at the point, so
+    every term has |alpha| >= 1 and c t^|alpha| is an integer.  comps[j] is
+    component j's nonzero homogeneous parts, [(e, [(alpha, int)])] by
+    ascending degree e >= 1."""
+    series = [c.taylor(point, max(c.total_degree(), 0)).terms
+              for c in phi.components]
     t = 1
-    for c in comps:
-        for v in c.terms.values():
+    for terms in series:
+        terms.pop((0,) * phi.source_arity, None)
+        for v in terms.values():
             t = lcm(t, v.denominator)
-    out = []
-    for c in comps:
-        terms = {alpha: (v * t ** degree(alpha)).numerator
-                 for alpha, v in c.terms.items()}
-        out.append(TruncatedSeries(c.arity, terms, l, _exact=True))
-    return t, out
+    comps = []
+    for terms in series:
+        parts = {}
+        for alpha, v in terms.items():
+            e = degree(alpha)
+            parts.setdefault(e, []).append((alpha, (v * t ** e).numerator))
+        comps.append(sorted(parts.items()))
+    return t, comps
 
 
 def jet_matrix(phi, tup, l):
-    """The order-l jet matrix of phi at the fibred tuple.
+    """The order-l jet matrix of phi at the fibred tuple, as a build that
+    grows in place (JetMatrix.grow).
 
     Column for exponent beta holds, per point, the Taylor coefficients of
     the product of the image-centered components raised to beta, each row
-    (p, alpha) scaled to integers by t_p^|alpha|.  Products are memoized
-    along the exponent lattice: each column is one truncated multiplication
-    of integer series away from a previously built column.
+    (p, alpha) scaled to integers by t_p^|alpha|.  Each power is one
+    product of integer series away from a previously built column, made
+    one homogeneous part at a time.
     """
-    if l < 0:
-        raise InputError("jet order must be >= 0")
-    m, n = phi.source_arity, phi.target_arity
-    betas = indices_up_to(n, l)
-    alphas = indices_up_to(m, l)
-    rows_per_point = len(alphas)
-    alpha_pos = {a: i for i, a in enumerate(alphas)}
-
-    # beta = parent + e_j, j its first nonzero coordinate; beta = 0 has none
-    steps = [None]
-    for beta in betas[1:]:
-        j = next(i for i, e in enumerate(beta) if e)
-        steps.append((tuple(e - (i == j) for i, e in enumerate(beta)), j))
-
-    rows = [[0] * len(betas) for _ in range(tup.size * rows_per_point)]
-    scales = []
-    one = TruncatedSeries(m, {(0,) * m: 1}, l, _exact=True)
-    for pi in range(tup.size):
-        t, comps = _integer_series(phi, tup, pi, l)
-        scales.append(t)
-        powers = {(0,) * n: one}
-        base = pi * rows_per_point
-        for col, (beta, step) in enumerate(zip(betas, steps)):
-            if step is not None:
-                parent, j = step
-                powers[beta] = powers[parent] * comps[j]
-            for alpha, c in powers[beta].terms.items():
-                rows[base + alpha_pos[alpha]][col] = c
-
-    row_labels = tuple(
-        (pi, alpha) for pi in range(tup.size) for alpha in alphas
-    )
-    return JetMatrix(rows, tuple(scales), l, betas, row_labels)
+    return JetMatrix(phi, tup).grow(l)
 
 
 def jet_blocks(jm, k):
@@ -237,12 +336,12 @@ def jet_blocks(jm, k):
 class JetSystem:
     """Jet analyses of one map at one fibred tuple, read off one echelon.
 
-    The system keeps one jet_matrix build, at some order L, and reads every
-    order l <= L off it as a leading block: indices are enumerated degree
-    ascending, so the order-l matrix is rows p*C(m+L, L) + i for each point
-    p and i < C(m+l, l), and columns j < C(n+l, l).  An order past L
-    rebuilds at max(l, min(2L, l_max)), so a climb l = k, k+1, ... makes
-    logarithmically many builds and never passes l_max.
+    The system makes one jet_matrix build, at the first order asked, and
+    grows it in place to each later one, so every order's rows are made
+    once whatever order the requests come in.  Every order l reads the
+    build as a leading block: indices are enumerated degree ascending, so
+    the order-l matrix is, per point, the rows of x-degree <= l, and the
+    columns j < C(n+l, l).
 
     Entry (p, alpha; beta) is zero whenever |alpha| < |beta|, so J_{l+1} is
     J_l, padded with zero columns of degree l + 1, plus the rows of x-degree
@@ -261,10 +360,9 @@ class JetSystem:
       are the guard rows, whose kernel is the projected kernel.
     """
 
-    def __init__(self, phi, tup, l_max):
+    def __init__(self, phi, tup):
         self.phi = phi
         self.tup = tup
-        self.l_max = l_max
         self._build = None
         # (pivot degree, pivot column, sparse row) in the order the rows
         # were made; _ends[l] is the length of the order-l prefix
@@ -274,35 +372,21 @@ class JetSystem:
         self._kernels = {}
         self._blocks = {}
 
-    def _reach(self, l):
-        """The build, regrown first if it does not cover order l."""
-        if l < 0:
-            raise InputError("jet order must be >= 0")
-        if self._build is None or l > self._build.level:
-            level = l
-            if self._build is not None:
-                level = max(l, min(2 * self._build.level, self.l_max))
-            self._build = jet_matrix(self.phi, self.tup, level)
-        return self._build
-
-    def _row_index(self, lo, hi):
-        """Build rows (p, alpha) of every point with lo <= pos(alpha) < hi."""
-        per_point = index_count(self.phi.source_arity, self._build.level)
-        return [p * per_point + i
-                for p in range(self.tup.size) for i in range(lo, hi)]
+    def _grow(self, l):
+        """The build, made or grown first so that it covers order l."""
+        if self._build is None:
+            self._build = jet_matrix(self.phi, self.tup, l)
+        return self._build.grow(l)
 
     def _extend(self):
         """Append the pivot rows of the next order to the echelon."""
         l = len(self._ends)
-        m, n = self.phi.source_arity, self.phi.target_arity
+        n = self.phi.target_arity
         ncols = index_count(n, l)
-        src = self._build.rows
-        # sparse and unscaled: _reduce and staged_elimination both leave
+        # copies, as _reduce works in place; the rows keep their positive
+        # t_p^|alpha| scales, but _reduce and staged_elimination both leave
         # rows primitive, so the pivot rows come out the same
-        batch = [
-            {j: v for j, v in enumerate(src[r][:ncols]) if v}
-            for r in self._row_index(index_count(m, l - 1), index_count(m, l))
-        ]
+        batch = [dict(row) for row in self._build.layer(l)]
         for _, c, prow in sorted(self._echelon, key=lambda e: (-e[0], e[1])):
             for row in batch:
                 if c in row:
@@ -310,7 +394,7 @@ class JetSystem:
         stages = [range(index_count(n, d - 1), index_count(n, d))
                   for d in range(l, -1, -1)]
         elim = staged_elimination(batch, ncols, stages)
-        labels = self._build.col_labels
+        labels = indices_up_to(n, l)
         for r, c in elim.pivots:
             self._echelon.append(
                 (degree(labels[c]), c, elim.sparse_rows[r]))
@@ -319,7 +403,7 @@ class JetSystem:
     def analysis(self, l):
         """Extend the echelon through order l; return rank J_l, the length
         of its order-l prefix."""
-        self._reach(l)
+        self._grow(l)
         while len(self._ends) <= l:
             self._extend()
         return self._ends[l]
@@ -339,24 +423,10 @@ class JetSystem:
         return [row for d, _, row in self._prefix(l, k, since) if d <= k]
 
     def jet(self, l):
-        """The order-l JetMatrix: a leading block of the build, sliced
-        without any elimination."""
+        """The order-l JetMatrix: a leading block of the build, made dense
+        only when its rows are read."""
         if l not in self._jets:
-            build = self._reach(l)
-            if build.level == l:
-                self._jets[l] = build
-            else:
-                m, n = self.phi.source_arity, self.phi.target_arity
-                ncols = index_count(n, l)
-                row_idx = self._row_index(0, index_count(m, l))
-                src = build.rows
-                self._jets[l] = JetMatrix(
-                    [src[r][:ncols] for r in row_idx],
-                    build.scales,
-                    l,
-                    build.col_labels[:ncols],
-                    tuple(build.row_labels[r] for r in row_idx),
-                )
+            self._jets[l] = self._grow(l).prefix(l)
         return self._jets[l]
 
     def kernel(self, l):

@@ -13,9 +13,9 @@ elimination in this module.
 The kernel runs on sparse integer rows, {column: nonzero int} dicts, so
 every row operation, gcd and scan costs the row's nonzeros, not its width:
 jet and ideal-jet matrices are a few percent nonzero.  Dense rows are the
-API edge: Matrix cells, Elimination.rows, canonical Subspace bases and
-integer bases are dense lists, and Fractions appear only there.  Integer
-Matrix cells stay ints all the way in.
+API edge: Matrix cells, Elimination.rows and canonical Subspace bases are
+dense lists, and Fractions appear only there.  Integer Matrix cells stay
+ints all the way in.
 """
 
 from __future__ import annotations
@@ -345,10 +345,6 @@ class Subspace:
         return [_integer_row({j: v for j, v in enumerate(b)
                               if v is not _ZERO})
                 for b in self.basis]
-
-    def integer_basis(self):
-        """integer_rows() as dense int lists."""
-        return [_dense(row, self.ambient_dim) for row in self.integer_rows()]
 
     def contains_vector(self, vec):
         return not any(self.reduce_vector(vec))

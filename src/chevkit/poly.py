@@ -5,8 +5,8 @@ everything stays exact, there is no floating point anywhere in this module.
 Truncated series wrap the same representation together with the degree past
 which terms have been discarded, so that downstream code can refuse to read
 coefficients it does not actually know.  A truncated series may also hold
-int coefficients, as the jet build's integer series and the product probe's
-random factors do; their products stay int.  The arithmetic lives in three
+int coefficients, as the product probe's random factors do; their products
+stay int.  The arithmetic lives in three
 term-dict helpers (_sum_terms, _mul_terms, _pow_terms) that the classes and
 the text parser share: the parser combines term dicts, int or Fraction, and
 builds one Poly at the end.

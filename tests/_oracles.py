@@ -9,13 +9,15 @@ map_power) are the straightforward versions of a faster package routine,
 written on Poly arithmetic; tests compare the package against them.
 dense_staged_elimination is likewise the package's elimination kernel as
 it was on dense rows, before it moved to sparse integer rows;
+dense_jet_matrix (with component_series) the jet build as it was before it
+grew one x-degree at a time, in dense rows;
 normal_form_by_fractions is the Fraction division pass staircase.normal_form
 ran before it reduced integer rows, and PolyArithmeticParser the parser as
 it was when every literal, variable and power was a Poly.  The
-helpers at the end (matrix products, the identity, subspace sums and
-meets, the dense wedge operator and its self-test, coefficient reads) were
-package functions that nothing in the package or the benchmark called;
-tests build inputs and references with them.
+helpers at the end (integer bases, matrix products, the identity, subspace
+sums and meets, the dense wedge operator and its self-test, coefficient
+reads) were package functions that nothing in the package or the benchmark
+called; tests build inputs and references with them.
 """
 
 from fractions import Fraction
@@ -27,7 +29,7 @@ import sympy
 from chevkit.censored import AtLeast
 from chevkit.errors import InputError
 from chevkit.indices import degree, indices_up_to, mono_key
-from chevkit.linalg import Matrix, Subspace, staged_elimination
+from chevkit.linalg import Matrix, Subspace, _dense, staged_elimination
 from chevkit.poly import Poly, TruncatedSeries, _tokenize, var_names
 from chevkit.wedge import _check_cap, _minor
 
@@ -219,6 +221,53 @@ def map_power(series_list, beta, d):
     return result
 
 
+# the dense jet build
+
+def component_series(phi, tup, point_index, l):
+    """Image-centered component series at one source point, truncated at l:
+    each component shifted once, less its constant term c(a) = b_j."""
+    series = [c.taylor(tup.points[point_index], l) for c in phi.components]
+    for s in series:
+        s.terms.pop((0,) * phi.source_arity, None)
+    return series
+
+
+def dense_jet_matrix(phi, tup, l):
+    """(rows, scales, col_labels, row_labels): the order-l jet matrix as
+    jets.jet_matrix built it before it grew one x-degree at a time.  Dense
+    int rows, row (p, alpha) scaled by scales[p]^|alpha|, where scales[p]
+    is the least common denominator of the series truncated at l, and each
+    column one truncated product away from a previously built one."""
+    m, n = phi.source_arity, phi.target_arity
+    betas = indices_up_to(n, l)
+    alphas = indices_up_to(m, l)
+    alpha_pos = {a: i for i, a in enumerate(alphas)}
+    rows = [[0] * len(betas) for _ in range(tup.size * len(alphas))]
+    scales = []
+    for pi in range(tup.size):
+        comps = component_series(phi, tup, pi, l)
+        t = 1
+        for c in comps:
+            for v in c.terms.values():
+                t = lcm(t, v.denominator)
+        comps = [TruncatedSeries(m, {a: (v * t ** degree(a)).numerator
+                                     for a, v in c.terms.items()},
+                                 l, _exact=True)
+                 for c in comps]
+        scales.append(t)
+        powers = {(0,) * n: TruncatedSeries(m, {(0,) * m: 1}, l,
+                                            _exact=True)}
+        for col, beta in enumerate(betas):
+            if col:
+                j = next(i for i, e in enumerate(beta) if e)
+                parent = tuple(e - (i == j) for i, e in enumerate(beta))
+                powers[beta] = powers[parent] * comps[j]
+            for alpha, c in powers[beta].terms.items():
+                rows[pi * len(alphas) + alpha_pos[alpha]][col] = c
+    row_labels = tuple((pi, a) for pi in range(tup.size) for a in alphas)
+    return rows, tuple(scales), betas, row_labels
+
+
 class TruncationError(InputError):
     """A truncation degree does not support the requested operation."""
 
@@ -360,6 +409,13 @@ def dense_rank_kernel(rows, ncols):
     elim = dense_staged_elimination(rows, ncols, [list(range(ncols))])
     return (elim.rank,
             *dense_from_vectors_basis(elim.kernel_vectors(), ncols))
+
+
+def integer_basis(subspace):
+    """A subspace's integer_rows() as dense int lists: the body of the
+    Subspace.integer_basis that only tests called."""
+    return [_dense(row, subspace.ambient_dim)
+            for row in subspace.integer_rows()]
 
 
 # matrices and subspaces
