@@ -202,8 +202,7 @@ class ChevalleyEngine:
         # the codimension of the relation jets must equal the staircase
         # count; both read the engine's one relation echelon, so this checks
         # the slicing and the staircase bookkeeping, not the echelon itself
-        n = self.phi.target_arity
-        from_jets = index_count(n, k) - target.dim
+        from_jets = target.codim
         from_staircase = hilbert_samuel_count(self.diagram(k), k)
         if from_jets != from_staircase:
             raise ConsistencyError(
@@ -237,7 +236,7 @@ class ChevalleyEngine:
         if self.presentation is not None:
             target = self.relation_space(k)
             self._hs_crosscheck(k, target)
-            rows = target.integer_rows()
+            rows = target.rows.values()
         w = self.window
         codims = []
         for l in range(k, self.l_max + 1):

@@ -595,8 +595,9 @@ def verify_consistency(scenario):
                     details.append(
                         f"{key} k={k}: kernel grew from l={l0} to l={l1}"
                     )
-            # the engine guards this on integer rows; recheck it here on
-            # the canonical subspaces
+            # the engine guards this by multiplying the target's rows into
+            # the echelon's guard rows; recheck it here by reducing them
+            # against each chain member's own canonical rows
             if rj.target is not None:
                 for l, e in chain:
                     if not e.contains(rj.target):

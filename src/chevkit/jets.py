@@ -465,12 +465,10 @@ class JetSystem:
     def kernel_contains(self, l, k, vectors, since=0):
         """Whether the projected kernel at (l, k) holds every vector.
 
-        Vectors are integer coordinates over the degree-<= k indices, each
-        a dense sequence or a sparse {index: nonzero} dict.  The test is the
-        exact product guard . v == 0 on the integer guard rows, so no
-        subspace is built.  Each product runs over the vector's nonzero
-        entries only, collected once per call from a dense vector; a caller
-        that tests the same vectors at many orders passes sparse ones.
+        Vectors are sparse {index: nonzero int} dicts over the degree-<= k
+        indices, such as a canonical Subspace's rows.  The test is the exact
+        product guard . v == 0 on the integer guard rows, over the vector's
+        nonzero entries only, so no subspace is built.
 
         With since > 0 only the guard rows made at orders since..l are
         tested.  A row's cut to the degree-<= k columns never changes once
@@ -478,10 +476,7 @@ class JetSystem:
         row once and still fails at the same order.
         """
         rows = self._guard_rows(l, k, since)
-        sparse = [v.items() if isinstance(v, dict)
-                  else [(i, x) for i, x in enumerate(v) if x]
-                  for v in vectors]
         return all(
-            not sum(row[i] * x for i, x in t if i in row)
-            for t in sparse for row in rows
+            not sum(row[i] * x for i, x in v.items() if i in row)
+            for v in vectors for row in rows
         )

@@ -12,10 +12,11 @@ elimination in this module.
 
 The kernel runs on sparse integer rows, {column: nonzero int} dicts, so
 every row operation, gcd and scan costs the row's nonzeros, not its width:
-jet and ideal-jet matrices are a few percent nonzero.  Dense rows are the
-API edge: Matrix cells, Elimination.rows and canonical Subspace bases are
-dense lists, and Fractions appear only there.  Integer Matrix cells stay
-ints all the way in.
+jet and ideal-jet matrices are a few percent nonzero.  A canonical Subspace
+keeps the kernel's own finished rows, primitive with positive pivots, and
+reduces through the kernel's one row operation.  Dense rows are the API
+edge: Matrix cells and Elimination.rows are dense lists.  Integer Matrix
+cells stay ints all the way in.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
-
-# the one zero cell of every canonical basis; Fractions are immutable
-_ZERO = Fraction(0)
 
 
 def _integer_row(row):
@@ -248,21 +246,23 @@ def staged_elimination(rows, ncols, col_stages):
 
 
 class Subspace:
-    """A subspace of Q^n held as a canonical reduced row-echelon basis.
+    """A subspace of Q^n held as its canonical primitive integer rows.
 
-    Pivot entries are 1, pivot columns are cleared everywhere else, and rows
-    are sorted by pivot position, so two Subspace objects are equal exactly
-    when they describe the same subspace.
+    rows maps each pivot column, ascending, to the fraction-free reduced
+    echelon row pivoting there: a sparse {column: nonzero int} dict that is
+    primitive, has a positive pivot and is zero on every other pivot
+    column.  Dividing a row by its pivot gives the unique reduced
+    row-echelon row, so two Subspace objects are equal exactly when their
+    rows are.  The rows are shared; no caller changes them.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "rows")
 
-    def __init__(self, ambient_dim, basis, pivots, _trusted=False):
+    def __init__(self, ambient_dim, rows, _trusted=False):
         if not _trusted:
             raise InputError("use Subspace.from_vectors to build a subspace")
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.pivots = pivots
+        self.rows = rows
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim):
@@ -284,70 +284,56 @@ class Subspace:
                     f"vector of length {len(row)} in ambient dim {ambient_dim}"
                 )
             rows.append(row)
-        # one ascending stage finds pivots in column order, clears every
-        # pivot column outside its pivot row and leaves each pivot row led by
-        # its pivot; scaling the pivots to 1 gives the reduced row-echelon
-        # form, which is unique
+        # one ascending stage takes the pivots in column order and clears
+        # every pivot column outside its pivot row; the finished rows are
+        # primitive, so only a negative pivot's sign is left to fix
         elim = staged_elimination(rows, ambient_dim, [range(ambient_dim)])
-        basis = []
-        pivots = []
+        canonical = {}
         for r, c in elim.pivots:
             row = elim.sparse_rows[r]
-            pv = row[c]
-            vals = [_ZERO] * ambient_dim
-            for j, v in row.items():
-                vals[j] = Fraction(v, pv)
-            basis.append(vals)
-            pivots.append(c)
-        return cls(ambient_dim, basis, pivots, _trusted=True)
+            if row[c] < 0:
+                for j in row:
+                    row[j] = -row[j]
+            canonical[c] = row
+        return cls(ambient_dim, canonical, _trusted=True)
+
+    @property
+    def pivots(self):
+        return list(self.rows)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def codim(self):
-        return self.ambient_dim - len(self.basis)
+        return self.ambient_dim - len(self.rows)
 
     def is_zero(self):
-        return not self.basis
+        return not self.rows
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim and self.basis == other.basis
-        )
+        return (self.ambient_dim == other.ambient_dim
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash(
-            (self.ambient_dim, tuple(tuple(r) for r in self.basis))
-        )
+        return hash((self.ambient_dim,
+                     tuple(frozenset(r.items()) for r in self.rows.values())))
 
-    def reduce_vector(self, vec):
-        """Subtract the basis component; the result is zero iff vec is inside."""
-        row = [Fraction(x) for x in vec]
-        if len(row) != self.ambient_dim:
-            raise InputError(
-                f"vector of length {len(row)} in ambient dim {self.ambient_dim}"
-            )
-        for b, p in zip(self.basis, self.pivots):
-            f = row[p]
-            if f:
-                row = [x - f * y for x, y in zip(row, b)]
+    def reduce(self, row):
+        """Clear every pivot column of a sparse integer row in place, through
+        _reduce, and return it: it is empty exactly when the row lies in the
+        subspace.  Keys past the ambient dimension ride along untouched.
+
+        Each of the subspace's rows is zero on every other pivot column, so
+        no clearing brings a cleared column back.
+        """
+        rows = self.rows
+        for p in [p for p in row if p in rows]:
+            _reduce(row, rows[p], p)
         return row
-
-    def integer_rows(self):
-        """The basis rows scaled to coprime integers, as sparse rows; they
-        span the same subspace, and each keeps its pivot, now positive."""
-        # every zero cell of a canonical basis is _ZERO, so an identity test
-        # skips it without a Fraction truth test
-        return [_integer_row({j: v for j, v in enumerate(b)
-                              if v is not _ZERO})
-                for b in self.basis]
-
-    def contains_vector(self, vec):
-        return not any(self.reduce_vector(vec))
 
     def contains(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -355,23 +341,27 @@ class Subspace:
                 f"ambient dimension mismatch: {self.ambient_dim} vs"
                 f" {other.ambient_dim}"
             )
-        return all(self.contains_vector(b) for b in other.basis)
+        return not any(self.reduce(dict(row)) for row in other.rows.values())
 
     def project(self, n):
         """Image under projection onto the first n coordinates.
 
-        It is read off the basis: rows pivoting at or past n vanish there,
-        and the rest, cut to length n, are still reduced row-echelon, so
-        they are the canonical basis.
+        It is read off the rows: rows pivoting at or past n vanish there,
+        and the rest, cut to length n and made primitive again, are still
+        reduced echelon rows with positive pivots, so they are canonical.
         """
         if not 0 <= n <= self.ambient_dim:
             raise InputError(
                 f"projection onto {n} coordinates out of range for"
                 f" Q^{self.ambient_dim}"
             )
-        kept = [(b[:n], p) for b, p in zip(self.basis, self.pivots) if p < n]
-        return Subspace(n, [b for b, _ in kept], [p for _, p in kept],
-                        _trusted=True)
+        kept = {}
+        for p, row in self.rows.items():
+            if p < n:
+                cut = {j: v for j, v in row.items() if j < n}
+                _primitive(cut)
+                kept[p] = cut
+        return Subspace(n, kept, _trusted=True)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

@@ -29,7 +29,7 @@ from .indices import (
     indices_up_to,
     mono_key,
 )
-from .linalg import _ZERO, Subspace, _reduce
+from .linalg import Subspace
 from .poly import Poly, TruncatedSeries, format_poly
 
 
@@ -112,30 +112,22 @@ class Diagram:
     def reduced_basis(self):
         """One truncated series per staircase monomial of degree <=
         trunc_degree: that monomial with coefficient 1 plus a tail entirely
-        off the staircase (the span's canonical rows)."""
+        off the staircase (the span's canonical rows over their pivots)."""
         monomials = self._monomials
-        # every zero cell of a canonical basis is _ZERO
         return tuple(
             TruncatedSeries(
                 self.arity,
-                {monomials[j]: v for j, v in enumerate(row)
-                 if v is not _ZERO},
+                {monomials[j]: Fraction(v, row[p]) for j, v in row.items()},
                 self.trunc_degree,
                 _exact=True,
             )
-            for row in self.span.basis
+            for p, row in self.span.rows.items()
         )
 
     @cached_property
     def _position(self):
         """Monomial -> its position in _monomials."""
         return {b: i for i, b in enumerate(self._monomials)}
-
-    @cached_property
-    def _pivot_rows(self):
-        """Staircase position -> the primitive integer row of the span's
-        canonical row pivoting there, as a sparse {position: int} row."""
-        return dict(zip(self.span.pivots, self.span.integer_rows()))
 
     def to_dict(self, names=None):
         return {
@@ -216,9 +208,8 @@ def _reduce_to_row(f, diagram):
     row is a sparse {position: int} row over the degree-<= t monomials, t
     the truncation degree of f, and row[scale] the positive integer it is
     scaled by: the normal form is row / row[scale], with the scale key past
-    every position.  Each staircase term of f is cleared once against its
-    pivot row, cut below degree t; a canonical row is zero on every other
-    pivot, so no clearing brings a staircase term back.
+    every position.  The span, projected below degree t when f is
+    truncated there, clears each staircase term of f once.
     """
     if isinstance(f, Poly):
         # a polynomial is known exactly, so it carries the diagram's full
@@ -248,14 +239,10 @@ def _reduce_to_row(f, diagram):
     row = {position[b]: c.numerator * (denom // c.denominator)
            for b, c in f.terms.items()}
     row[scale] = denom
-    pivot_rows = diagram._pivot_rows
-    cut = index_count(diagram.arity, t) if t < diagram.trunc_degree else None
-    for p in [p for p in row if p in pivot_rows]:
-        prow = pivot_rows[p]
-        if cut is not None:
-            prow = {j: v for j, v in prow.items() if j < cut}
-        _reduce(row, prow, p)
-    return row, t, scale
+    span = diagram.span
+    if t < diagram.trunc_degree:
+        span = span.project(index_count(diagram.arity, t))
+    return span.reduce(row), t, scale
 
 
 def normal_form(f, diagram):

@@ -13,8 +13,11 @@ dense_jet_matrix (with component_series) the jet build as it was before it
 grew one x-degree at a time, in dense rows;
 normal_form_by_fractions is the Fraction division pass staircase.normal_form
 ran before it reduced integer rows, and PolyArithmeticParser the parser as
-it was when every literal, variable and power was a Poly.  The
-helpers at the end (integer bases, matrix products, the identity, subspace
+it was when every literal, variable and power was a Poly.  dense_basis,
+reduce_vector and contains_vector are the dense Fraction basis of a
+canonical Subspace and the membership test on it, as Subspace held them
+before it kept the elimination's primitive integer rows.  The
+helpers at the end (matrix products, the identity, subspace
 sums and meets, the dense wedge operator and its self-test, coefficient
 reads) were package functions that nothing in the package or the benchmark
 called; tests build inputs and references with them.
@@ -29,7 +32,7 @@ import sympy
 from chevkit.censored import AtLeast
 from chevkit.errors import InputError
 from chevkit.indices import degree, indices_up_to, mono_key
-from chevkit.linalg import Matrix, Subspace, _dense, staged_elimination
+from chevkit.linalg import Matrix, Subspace, staged_elimination
 from chevkit.poly import Poly, TruncatedSeries, _tokenize, var_names
 from chevkit.wedge import _check_cap, _minor
 
@@ -411,11 +414,32 @@ def dense_rank_kernel(rows, ncols):
             *dense_from_vectors_basis(elim.kernel_vectors(), ncols))
 
 
-def integer_basis(subspace):
-    """A subspace's integer_rows() as dense int lists: the body of the
-    Subspace.integer_basis that only tests called."""
-    return [_dense(row, subspace.ambient_dim)
-            for row in subspace.integer_rows()]
+def dense_basis(subspace):
+    """The canonical basis as dense Fraction lists with pivots 1, the form
+    Subspace stored before it kept its primitive integer rows."""
+    n = subspace.ambient_dim
+    return [[Fraction(row.get(j, 0), row[p]) for j in range(n)]
+            for p, row in subspace.rows.items()]
+
+
+def reduce_vector(subspace, vec):
+    """Subspace.reduce_vector as it was on the dense Fraction basis:
+    subtract the basis component; the result is zero iff vec is inside."""
+    row = [Fraction(x) for x in vec]
+    if len(row) != subspace.ambient_dim:
+        raise InputError(
+            f"vector of length {len(row)} in ambient dim"
+            f" {subspace.ambient_dim}"
+        )
+    for b, p in zip(dense_basis(subspace), subspace.pivots):
+        f = row[p]
+        if f:
+            row = [x - f * y for x, y in zip(row, b)]
+    return row
+
+
+def contains_vector(subspace, vec):
+    return not any(reduce_vector(subspace, vec))
 
 
 # matrices and subspaces
@@ -487,21 +511,23 @@ def _check_ambient(a, b):
 
 def sum_with(a, b):
     _check_ambient(a, b)
-    return Subspace.from_vectors(a.basis + b.basis, a.ambient_dim)
+    return Subspace.from_vectors(dense_basis(a) + dense_basis(b),
+                                 a.ambient_dim)
 
 
 def intersect(a, b):
     _check_ambient(a, b)
-    if not a.basis or not b.basis:
+    basis_a, basis_b = dense_basis(a), dense_basis(b)
+    if not basis_a or not basis_b:
         return zero_space(a.ambient_dim)
     # solve sum_i s_i a_i = sum_j t_j b_j; columns are the basis vectors
-    stacked = [list(v) for v in a.basis] + [[-x for x in v] for v in b.basis]
+    stacked = [list(v) for v in basis_a] + [[-x for x in v] for v in basis_b]
     combos = sympy_nullspace([list(col) for col in zip(*stacked)],
                              len(stacked))
     vecs = []
     for w in combos:
         vec = [Fraction(0)] * a.ambient_dim
-        for s, v in zip(w[: len(a.basis)], a.basis):
+        for s, v in zip(w[: len(basis_a)], basis_a):
             if s:
                 for i, x in enumerate(v):
                     vec[i] += s * x

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,8 @@ from chevkit.staircase import (
     diagram_from_generators,
     hilbert_samuel_count,
     ideal_jet_space,
+    normal_form,
+    residual_order,
 )
 
 Y2 = ["y1", "y2"]
@@ -397,7 +400,7 @@ class TestConsistencyGuards:
         fake = Subspace.from_vectors([[int(b == mono) for b in betas]],
                                      len(betas))
         assert fake.dim == eng.relation_space(k).dim
-        # the guard tests the integer basis of relation_space(k)
+        # the guard tests the canonical rows of relation_space(k)
         monkeypatch.setattr(eng, "relation_space", lambda _: fake)
         with pytest.raises(ConsistencyError,
                            match=f"escaped a projected kernel at l={l}, k=2"):
@@ -411,6 +414,44 @@ class TestConsistencyGuards:
             eng.relation_space(2)
         with pytest.raises(InputError):
             eng.diagram(4)
+
+
+class TestSharedRows:
+    """A Subspace hands its canonical rows out shared: every reader leaves
+    them as they were."""
+
+    def test_readers_leave_the_rows_unchanged(self):
+        eng = cusp_engine(l_max=10)
+        pres = eng.presentation
+        diag = eng.diagram(8)
+        span_rows = copy.deepcopy(diag.span.rows)
+
+        # relation_jets slices the diagram and guards with the slice's rows
+        for k in range(1, 5):
+            rj = eng.relation_jets(k)
+            assert rj.target.rows == ideal_jet_space(pres, k).rows
+            assert diag.span.rows == span_rows
+
+        # below the threshold the kernel is strictly larger than the target
+        k, l = 3, 3
+        target = eng.relation_space(k)
+        kernel = eng.jets.projected_kernel(l, k)
+        target_rows = copy.deepcopy(target.rows)
+        kernel_rows = copy.deepcopy(kernel.rows)
+        assert eng.jets.kernel_contains(l, k, target.rows.values())
+        assert target.rows == target_rows
+        assert kernel.dim > target.dim and kernel.contains(target)
+        assert target.rows == target_rows and kernel.rows == kernel_rows
+        assert not target.contains(kernel)
+        assert target.rows == target_rows and kernel.rows == kernel_rows
+
+        f = parse_poly("y1^4 + 3 y1^2 y2 - y2^3 + 2", 2, names=Y2)
+        shifted = f.shift(pres.center)
+        series = [shifted, shifted.truncate(8), shifted.truncate(5)]
+        for g in series:
+            normal_form(g, diag)
+            residual_order(g, diag)
+            assert diag.span.rows == span_rows
 
 
 def pair_leaf():

@@ -20,7 +20,7 @@ from chevkit.jets import (
     jet_matrix,
 )
 from chevkit.censored import AtLeast
-from chevkit.linalg import Matrix, _dense, staged_elimination
+from chevkit.linalg import Matrix, _dense, _integer_row, staged_elimination
 from chevkit.poly import Poly, parse_poly
 from chevkit.scenario import load_scenario, scenario_tuples
 from chevkit.wedge import membership_kernel
@@ -285,13 +285,13 @@ class TestKernels:
         tup = FibredTuple.make(squaring(), [(0,)])
         kern = JetSystem(squaring(), tup).kernel(2)
         assert kern.dim == 1
-        assert list(kern.basis[0]) == [0, 0, 1]
+        assert list(oracles.dense_basis(kern)[0]) == [0, 0, 1]
 
     def test_kernel_annihilated(self):
         tup = FibredTuple.make(cusp(), [(Fraction(1, 2),)])
         jm = jet_matrix(cusp(), tup, 4)
         kern = JetSystem(cusp(), tup).kernel(4)
-        for v in kern.basis:
+        for v in oracles.dense_basis(kern):
             image = oracles.apply(jm.matrix, list(v))
             assert all(c == 0 for c in image)
 
@@ -364,43 +364,48 @@ class TestKernels:
     @given(st.sampled_from([cusp, cone]), st.integers(0, 5), st.data())
     @settings(max_examples=40, deadline=None)
     def test_kernel_contains_matches_canonical_membership(self, mk, l, data):
-        # kernel vectors (scaled to integers), sparse and dense random
-        # vectors, in one call and one at a time
+        # the kernel's canonical rows and random sparse vectors, in one call
+        # and one at a time, against the dense Fraction membership oracle
         phi = mk()
         tup = FibredTuple.make(phi, [(0,) * phi.source_arity])
         sys = JetSystem(phi, tup)
         k = data.draw(st.integers(0, l))
         width = index_count(phi.target_arity, k)
         proj = sys.projected_kernel(l, k)
-        vectors = oracles.integer_basis(proj) + data.draw(st.lists(
-            st.lists(st.sampled_from([0, 0, 0, 1, -2, 3]),
-                     min_size=width, max_size=width), max_size=3))
-        for v in vectors:
-            assert sys.kernel_contains(l, k, [v]) == proj.contains_vector(v)
-        assert sys.kernel_contains(l, k, vectors) == \
-            all(proj.contains_vector(v) for v in vectors)
+        vectors = list(proj.rows.values()) + data.draw(st.lists(
+            st.dictionaries(st.integers(0, width - 1),
+                            st.sampled_from([1, -2, 3])), max_size=3))
+        member = [oracles.contains_vector(proj, _dense(v, width))
+                  for v in vectors]
+        for v, inside in zip(vectors, member):
+            assert sys.kernel_contains(l, k, [v]) == inside
+        assert sys.kernel_contains(l, k, vectors) == all(member)
 
     @given(st.sampled_from([cusp, cone]), st.integers(0, 5), st.data())
     @settings(max_examples=30, deadline=None)
     def test_kernel_contains_takes_sparse_vectors(self, mk, l, data):
-        # a sparse {index: x} vector answers as its dense twin does
+        # sparse {index: x} vectors: the whole guard answers as the oracle
+        # does, and a guard cut to the rows made since an order passes
+        # every member and answers for a batch as for each vector
         phi = mk()
         tup = FibredTuple.make(phi, [(0,) * phi.source_arity])
         sys = JetSystem(phi, tup)
         k = data.draw(st.integers(0, l))
         width = index_count(phi.target_arity, k)
         proj = sys.projected_kernel(l, k)
-        dense = oracles.integer_basis(proj) + data.draw(st.lists(
-            st.lists(st.sampled_from([0, 0, 0, 1, -2, 3]),
-                     min_size=width, max_size=width), max_size=3))
-        sparse = [{i: x for i, x in enumerate(v) if x} for v in dense]
-        assert proj.integer_rows() == sparse[:proj.dim]
+        rows = list(proj.rows.values())
+        assert rows == [_integer_row(b) for b in oracles.dense_basis(proj)]
+        sparse = rows + data.draw(st.lists(
+            st.dictionaries(st.integers(0, width - 1),
+                            st.sampled_from([1, -2, 3])), max_size=3))
         for since in range(l + 1):
-            for d, v in zip(dense, sparse):
-                assert sys.kernel_contains(l, k, [v], since) == \
-                    sys.kernel_contains(l, k, [d], since)
-            assert sys.kernel_contains(l, k, sparse, since) == \
-                sys.kernel_contains(l, k, dense, since)
+            single = [sys.kernel_contains(l, k, [v], since) for v in sparse]
+            for v, got in zip(sparse, single):
+                if oracles.contains_vector(proj, _dense(v, width)):
+                    assert got
+                elif since == 0:
+                    assert not got
+            assert sys.kernel_contains(l, k, sparse, since) == all(single)
 
     def test_projection_degree_bound(self):
         tup = FibredTuple.make(squaring(), [(0,)])
@@ -723,7 +728,7 @@ class TestEchelon:
         sys.analysis(4)
         assert len(calls) == 5
         sys.quotient_dim(3, 2)
-        sys.kernel_contains(4, 1, [[1, 0, 0, 0]])
+        sys.kernel_contains(4, 1, [{0: 1}])
         sys.projected_kernel(2, 2)
         assert len(calls) == 5
         sys.quotient_dim(7, 7)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,7 +80,7 @@ class TestMatrix:
     def test_kernel_is_annihilated_and_has_right_dim(self, m):
         rank, kern = m.rank_kernel()
         assert rank + kern.dim == m.ncols
-        for v in kern.basis:
+        for v in O.dense_basis(kern):
             assert all(x == 0 for x in O.apply(m, v))
 
     @given(st.lists(st.lists(entries.flatmap(_entry_forms) | st.booleans(),
@@ -122,8 +123,12 @@ class TestSubspace:
 
     def test_contains(self):
         s = Subspace.from_vectors([[1, 0, 1], [0, 1, 0]], 3)
-        assert s.contains_vector([2, 3, 2])
-        assert not s.contains_vector([1, 0, 0])
+        assert O.contains_vector(s, [2, 3, 2])
+        assert not O.contains_vector(s, [1, 0, 0])
+        assert s.reduce({0: 2, 1: 3, 2: 2}) == {}
+        assert s.reduce({0: 1}) == {2: -1}
+        assert s.contains(Subspace.from_vectors([[2, 3, 2]], 3))
+        assert not s.contains(Subspace.from_vectors([[1, 0, 0]], 3))
 
     @given(st.lists(st.lists(entries, min_size=4, max_size=4), max_size=3),
            st.lists(st.lists(entries, min_size=4, max_size=4), max_size=3))
@@ -154,11 +159,13 @@ class TestSubspace:
         s = Subspace.from_vectors(vecs, n)
         cut = data.draw(st.integers(0, n))
         p = s.project(cut)
-        fresh = Subspace.from_vectors([b[:cut] for b in s.basis], cut)
+        fresh = Subspace.from_vectors(
+            [b[:cut] for b in O.dense_basis(s)], cut)
         assert p == fresh
         assert p.pivots == fresh.pivots
         assert p.ambient_dim == cut
-        assert all(type(x) is Fraction for row in p.basis for x in row)
+        _assert_canonical_rows(p)
+        assert O.dense_basis(p) == O.dense_basis(fresh)
 
     def test_zero_and_full(self):
         z = O.zero_space(4)
@@ -172,16 +179,17 @@ class TestSubspace:
         n, vecs = family
         s = Subspace.from_vectors(vecs, n)
         basis, pivots = O.sympy_rref(vecs, n)
-        assert s.basis == basis
+        assert O.dense_basis(s) == basis
         assert s.pivots == pivots
-        assert all(type(x) is Fraction for row in s.basis for x in row)
+        _assert_canonical_rows(s)
 
     def test_from_vectors_edge_inputs(self):
-        assert Subspace.from_vectors([], 3).basis == []
+        assert O.dense_basis(Subspace.from_vectors([], 3)) == []
         empty = Subspace.from_vectors([[], []], 0)
-        assert empty.basis == [] and empty.ambient_dim == 0
+        assert O.dense_basis(empty) == [] and empty.ambient_dim == 0
         s = Subspace.from_vectors([["1/2", 1], [Fraction(1, 4), "1/2"]], 2)
-        assert s.basis == [[Fraction(1), Fraction(2)]] and s.pivots == [0]
+        assert O.dense_basis(s) == [[Fraction(1), Fraction(2)]]
+        assert s.pivots == [0] and s.rows == {0: {0: 1, 1: 2}}
 
     @pytest.mark.parametrize("vecs, n", [
         ([[1, 2], [1]], 2),
@@ -191,6 +199,113 @@ class TestSubspace:
     def test_from_vectors_wrong_length(self, vecs, n):
         with pytest.raises(InputError, match="vector of length"):
             Subspace.from_vectors(vecs, n)
+
+
+def _assert_canonical_rows(s):
+    """s.rows: ascending pivots, each row a primitive {column: nonzero int}
+    dict inside the ambient space, led by its positive pivot and zero on
+    every other pivot column."""
+    pivots = list(s.rows)
+    assert pivots == sorted(pivots)
+    for p, row in s.rows.items():
+        assert all(type(v) is int and v for v in row.values())
+        assert all(0 <= j < s.ambient_dim for j in row)
+        assert min(row) == p and row[p] > 0
+        assert gcd(*row.values()) == 1
+        assert not any(q in row for q in pivots if q != p)
+
+
+def _integer_vector(vec):
+    """A dense int/Fraction vector as a sparse row of coprime ints."""
+    denom = lcm(*(Fraction(x).denominator for x in vec)) if vec else 1
+    row = {j: int(Fraction(x) * denom) for j, x in enumerate(vec) if x}
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()}
+
+
+@st.composite
+def subspace_cases(draw):
+    """(ambient dim, dense vectors, the same vectors as given, cell
+    strategy): small ints, wide ints or Fractions, mostly zero or dense,
+    handed over as dense lists or sparse dicts; the cell strategy draws
+    more vectors of the same kind."""
+    n = draw(st.integers(0, 6))
+    value = draw(st.sampled_from([
+        st.integers(-3, 3),
+        st.integers(-60, 60),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    ]))
+    zero = st.just(0)
+    cell = draw(st.sampled_from([zero | value, zero | zero | zero | value]))
+    vecs = draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                         max_size=5))
+    given_vecs = vecs
+    if draw(st.booleans()):
+        given_vecs = [{j: v for j, v in enumerate(r) if v} for r in vecs]
+    return n, vecs, given_vecs, cell
+
+
+class TestCanonicalRows:
+    """The primitive integer rows against the dense Fraction basis that
+    Subspace stored before (tests/_oracles.py)."""
+
+    @given(subspace_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_are_the_scaled_reduced_basis(self, case):
+        n, vecs, given_vecs, _ = case
+        s = Subspace.from_vectors(given_vecs, n)
+        _assert_canonical_rows(s)
+        assert (O.dense_basis(s), s.pivots) == \
+            O.dense_from_vectors_basis(vecs, n)
+        negated = Subspace.from_vectors([[-x for x in v] for v in vecs], n)
+        assert negated == s and negated.rows == s.rows
+        assert hash(negated) == hash(s)
+
+    def test_a_negative_pivot_is_flipped(self):
+        s = Subspace.from_vectors([[0, -2, 4, -1]], 4)
+        assert s.rows == {1: {1: 2, 2: -4, 3: 1}}
+        assert s == Subspace.from_vectors([{1: 2, 2: -4, 3: 1}], 4)
+
+    @given(subspace_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reduce_and_contains_match_the_fraction_reference(self, case,
+                                                             data):
+        n, _, given_vecs, cell = case
+        s = Subspace.from_vectors(given_vecs, n)
+        probes = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                    max_size=3))
+        # members too: combinations of the generators
+        for v in probes + O.dense_basis(s)[:2]:
+            want = O.reduce_vector(s, v)
+            got = s.reduce(_integer_vector(v))
+            assert got == _integer_vector(want)
+            assert (not got) == O.contains_vector(s, v)
+        other = Subspace.from_vectors(probes, n)
+        assert s.contains(other) == all(
+            O.contains_vector(s, b) for b in O.dense_basis(other))
+        assert s.contains(s) and other.contains(Subspace.from_vectors([], n))
+
+    @given(subspace_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_project_equals_a_fresh_span_of_the_cut_rows(self, case, data):
+        n, _, given_vecs, _ = case
+        s = Subspace.from_vectors(given_vecs, n)
+        cut = data.draw(st.integers(0, n))
+        p = s.project(cut)
+        fresh = Subspace.from_vectors(
+            [{j: v for j, v in row.items() if j < cut}
+             for row in s.rows.values()], cut)
+        assert p == fresh and p.rows == fresh.rows
+        _assert_canonical_rows(p)
+
+    def test_project_divides_out_a_common_factor_of_the_cut(self):
+        # the row 2, 4, 1 is primitive; cut to its first two columns it is
+        # 2·(1, 2)
+        s = Subspace.from_vectors([[2, 4, 1]], 3)
+        assert s.rows == {0: {0: 2, 1: 4, 2: 1}}
+        p = s.project(2)
+        assert p.rows == {0: {0: 1, 1: 2}}
+        assert p == Subspace.from_vectors([[1, 2]], 2)
 
 
 class TestStagedElimination:
@@ -278,10 +393,10 @@ class TestDenseOracleParity:
         assert got.rows == want.rows
         assert got.pivots == want.pivots and got.rank == want.rank
         rank, kernel = Matrix(rows, ncols=ncols).rank_kernel()
-        assert (rank, kernel.basis, kernel.pivots) == \
+        assert (rank, O.dense_basis(kernel), kernel.pivots) == \
             O.dense_rank_kernel(rows, ncols)
         span = Subspace.from_vectors(given_rows, ncols)
-        assert (span.basis, span.pivots) == \
+        assert (O.dense_basis(span), span.pivots) == \
             O.dense_from_vectors_basis(rows, ncols)
 
     def test_rows_are_dense_int_lists(self):
@@ -325,7 +440,7 @@ def _assert_split_matches_oracle(rows, absorbed, rank, residual):
     assert rank == O.sympy_rank(first)
     _, kern = residual.rank_kernel()
     first_cols = [list(col) for col in zip(*first)]
-    for u in kern.basis:
+    for u in O.dense_basis(kern):
         bu = [sum(row[j] * u[j] for j in range(len(kept))) for row in second]
         assert O.in_row_span(first_cols, [Fraction(v) for v in bu])
     assert kern.dim == len(kept) - O.sympy_rank(_schur_rows(first, second))

@@ -44,7 +44,7 @@ REMOVED = [
     "initial_exponent", "TruncationError",
 ]
 
-# (owner, attribute) pairs that only tests used
+# (owner, attribute) pairs that only tests used, or that were deleted
 REMOVED_ATTRIBUTES = [
     (linalg.Matrix, name) for name in (
         "apply", "__matmul__", "transpose", "zero", "kernel", "rank",
@@ -60,6 +60,8 @@ REMOVED_ATTRIBUTES = [
     (TruncatedSeries, "coeff_vector"), (TruncatedSeries, "__rmul__"),
     (jets.JetSystem, "membership_residual"),
     (linalg.Subspace, "integer_basis"), (jets, "component_series"),
+    (linalg.Subspace, "basis"), (linalg.Subspace, "integer_rows"),
+    (linalg.Subspace, "reduce_vector"), (linalg.Subspace, "contains_vector"),
     (chevalley.ChevalleyEngine, "chevalley_threshold"),
     (chevalley.ChevalleyEngine, "hilbert_samuel"),
     (staircase.IdealPresentation, "recentered_generators"),
@@ -85,6 +87,12 @@ def test_removed_names_are_gone():
         assert not hasattr(chevkit, name), name
     for owner, name in REMOVED_ATTRIBUTES:
         assert not hasattr(owner, name), (owner, name)
+
+
+def test_linalg_has_no_fraction_zero():
+    # canonical subspaces keep integer rows, so no shared Fraction zero
+    # cell is left to test identity against
+    assert not hasattr(linalg, "_ZERO")
 
 
 def test_signatures_carry_no_single_value_knobs():

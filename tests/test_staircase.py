@@ -247,7 +247,8 @@ class TestLazyDiagram:
         basis = diag.reduced_basis
         assert basis is diag.reduced_basis
         monomials = indices_up_to(2, 5)
-        for series, row, p in zip(basis, diag.span.basis, diag.span.pivots):
+        for series, row, p in zip(basis, oracles.dense_basis(diag.span),
+                                  diag.span.pivots):
             assert series.terms == {monomials[j]: v
                                     for j, v in enumerate(row) if v}
             assert series.terms[monomials[p]] == 1

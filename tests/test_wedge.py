@@ -214,7 +214,7 @@ class TestMembership:
         res = membership_kernel(kept, absorbed)
         # kept.u = (u1, u2, 0) lies in span{(1,1,0)} iff u1 == u2
         assert res.kernel.dim == 1
-        u = list(res.kernel.basis[0])
+        u = list(oracles.dense_basis(res.kernel)[0])
         assert u[0] == u[1]
         assert res.residual_rank == 1
 
