@@ -311,7 +311,7 @@ def _staircase_free_kernel(jm, diagram):
         c for c, beta in enumerate(jm.col_labels)
         if not diagram.contains(beta)
     ]
-    _, kernel = jm.integer_matrix().submatrix(col_idx=kept).rank_kernel()
+    _, kernel = jm.integer_matrix().columns(kept).rank_kernel()
     return kernel, [jm.col_labels[c] for c in kept]
 
 

@@ -38,7 +38,7 @@ from operator import add
 
 from .errors import InputError
 from .indices import degree, index_count, indices_of_degree, indices_up_to
-from .linalg import Matrix, _dense, _reduce, staged_elimination
+from .linalg import Matrix, _reduce, staged_elimination
 
 
 class PolyMap:
@@ -116,9 +116,9 @@ class JetMatrix:
     (point position, source exponent) pair.  Rows are integer: row (p, alpha)
     is scales[p]^|alpha| times the exact row, where scales[p] is the positive
     integer t_p of the build.  layer(d) holds the sparse rows of x-degree d,
-    made once, when grow first passes order d.  rows (dense int lists) and
-    matrix (exact Fractions) are made on first read at the current order;
-    shape is counted, and every rank or kernel reads rows.
+    made once, when grow first passes order d.  integer_matrix(), one Matrix
+    over those rows, and its views rows (dense ints) and matrix (Fractions)
+    are made on first read at the current order; shape is counted.
 
     prefix(l) is the order-l leading block, a JetMatrix over the same build:
     growing any of them makes the new orders once for all.
@@ -145,7 +145,7 @@ class JetMatrix:
         # per order d, per point, the sparse rows of x-degree d
         self._layers = []
         self.level = -1
-        self._rows = self._matrix = None
+        self._integer = self._matrix = None
 
     def _add_order(self):
         """Make the rows of the next x-degree d: the degree-d part of every
@@ -214,7 +214,7 @@ class JetMatrix:
             self._add_order()
         if l > self.level:
             self.level = l
-            self._rows = self._matrix = None
+            self._integer = self._matrix = None
         return self
 
     def prefix(self, l):
@@ -223,7 +223,7 @@ class JetMatrix:
             raise InputError(f"jet order {l} outside 0..{self.level}")
         view = copy(self)
         view.level = l
-        view._rows = view._matrix = None
+        view._integer = view._matrix = None
         return view
 
     def layer(self, d):
@@ -251,29 +251,28 @@ class JetMatrix:
 
     @property
     def rows(self):
-        if self._rows is None:
-            ncols = index_count(self._arity[1], self.level)
-            self._rows = [
-                _dense(row, ncols) for p in range(self._size)
-                for layer in self._layers[:self.level + 1]
-                for row in layer[p]
-            ]
-        return self._rows
+        return self.integer_matrix().rows
 
     @property
     def matrix(self):
         if self._matrix is None:
             exact = []
-            for row, (p, alpha) in zip(self.rows, self.row_labels):
+            for row, (p, alpha) in zip(self.integer_matrix().sparse_rows,
+                                       self.row_labels):
                 f = self.scales[p] ** degree(alpha)
-                exact.append([Fraction(v, f) for v in row])
+                exact.append({j: Fraction(v, f) for j, v in row.items()})
             self._matrix = Matrix(exact, ncols=len(self.col_labels))
         return self._matrix
 
     def integer_matrix(self):
-        """The integer rows as a Matrix: the same ranks and kernels as
-        matrix, with no Fraction built."""
-        return Matrix(self.rows, ncols=len(self.col_labels))
+        """The build's own sparse rows as one Matrix, made on first read:
+        the same ranks and kernels as matrix, with no row copied."""
+        if self._integer is None:
+            self._integer = Matrix(
+                [row for p in range(self._size)
+                 for layer in self._layers[:self.level + 1]
+                 for row in layer[p]], ncols=len(self.col_labels))
+        return self._integer
 
 
 def _integer_components(phi, point):
@@ -328,9 +327,7 @@ def jet_blocks(jm, k):
     n = len(jm.col_labels[0])
     cut = index_count(n, k)
     whole = jm.integer_matrix()
-    low = whole.submatrix(col_idx=range(cut))
-    high = whole.submatrix(col_idx=range(cut, whole.ncols))
-    return low, high
+    return whole.columns(range(cut)), whole.columns(range(cut, whole.ncols))
 
 
 class JetSystem:
@@ -448,9 +445,7 @@ class JetSystem:
         """
         if (l, k) not in self._blocks:
             cut = index_count(self.phi.target_arity, k)
-            residual = Matrix(
-                [_dense(row, cut) for row in self._guard_rows(l, k)],
-                ncols=cut)
+            residual = Matrix(self._guard_rows(l, k), ncols=cut)
             self._blocks[(l, k)] = residual.rank_kernel()[1]
         return self._blocks[(l, k)]
 

@@ -1,5 +1,5 @@
 """Exact linear algebra over the rationals: one sparse integer elimination
-kernel behind a dense edge.
+kernel, fed sparse rows from end to end.
 
 The kernel is a staged fraction-free elimination: columns are processed in
 caller-chosen groups, highest-priority group first.  Rows that end without a
@@ -14,9 +14,9 @@ The kernel runs on sparse integer rows, {column: nonzero int} dicts, so
 every row operation, gcd and scan costs the row's nonzeros, not its width:
 jet and ideal-jet matrices are a few percent nonzero.  A canonical Subspace
 keeps the kernel's own finished rows, primitive with positive pivots, and
-reduces through the kernel's one row operation.  Dense rows are the API
-edge: Matrix cells and Elimination.rows are dense lists.  Integer Matrix
-cells stay ints all the way in.
+reduces through the kernel's one row operation.  A Matrix hands the kernel
+its sparse rows as they are; Matrix.rows and Elimination.rows are dense
+views built on read, for printing, tests and the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -29,12 +29,15 @@ from .errors import InputError
 
 def _integer_row(row):
     """A new sparse row: the nonzeros of a dense or sparse row of
-    ints/Fractions, scaled to coprime integers (kernel-preserving)."""
+    ints/Fractions, scaled to coprime integers (kernel-preserving).  Any
+    other cell is refused."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
     out = {j: v for j, v in items if v}
     if any(v.__class__ is not int for v in out.values()):
         denom = 1
         for v in out.values():
+            if not isinstance(v, (int, Fraction)):
+                raise InputError(f"cell {v!r} is not an int or a Fraction")
             denom = lcm(denom, v.denominator)
         out = {j: v.numerator * (denom // v.denominator)
                for j, v in out.items()}
@@ -78,7 +81,7 @@ def _reduce(row, prow, c):
 
 
 def _dense(row, ncols):
-    """The dense int list of a sparse row."""
+    """The dense list of a sparse row; absent cells read 0."""
     out = [0] * ncols
     for j, v in row.items():
         out[j] = v
@@ -86,47 +89,62 @@ def _dense(row, ncols):
 
 
 class Matrix:
-    """Immutable-by-convention dense rational matrix.
+    """Immutable-by-convention exact rational matrix of sparse rows.
 
-    Cells are ints or Fractions.  Consumers compare, multiply and eliminate
-    them; none divides cells with /, which would turn two ints into a float.
+    sparse_rows[i] is row i as {column: nonzero int or Fraction}: a dict
+    row is kept as given, shared and never changed, and a dense row is
+    boxed and stripped of its zeros once.  Consumers compare, multiply and
+    eliminate cells; none divides them with /, which would turn two ints
+    into a float.
     """
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("sparse_rows", "nrows", "ncols", "_rows")
 
     def __init__(self, rows, ncols=None):
-        # int and Fraction cells are kept as they are (Fraction() would
-        # re-check a Fraction through the numbers ABCs); anything else,
-        # str included, is boxed
-        rows = [[x if x.__class__ is int or x.__class__ is Fraction
-                 else Fraction(x) for x in r] for r in rows]
-        if rows:
-            width = len(rows[0])
-            for r in rows:
-                if len(r) != width:
-                    raise InputError("ragged matrix rows")
-            if ncols is not None and ncols != width:
-                raise InputError(
-                    f"declared {ncols} columns but rows have {width}"
-                )
-            ncols = width
-        elif ncols is None:
-            raise InputError("a matrix with no rows needs an explicit ncols")
-        if ncols < 0:
+        if ncols is not None and ncols < 0:
             raise InputError("negative column count")
-        self.rows = rows
-        self.nrows = len(rows)
+        sparse = []
+        for r in rows:
+            if isinstance(r, dict):
+                if ncols is None or r and (min(r) < 0 or max(r) >= ncols):
+                    raise InputError("sparse row outside ncols, or no ncols")
+                sparse.append(r)
+                continue
+            if ncols is None:
+                ncols = len(r)
+            elif len(r) != ncols:
+                raise InputError(f"vector of length {len(r)} in Q^{ncols}")
+            # int and Fraction cells are kept as they are (Fraction() would
+            # re-check a Fraction through the numbers ABCs); anything else,
+            # str included, is boxed
+            cells = [x if x.__class__ is int or x.__class__ is Fraction
+                     else Fraction(x) for x in r]
+            sparse.append({j: x for j, x in enumerate(cells) if x})
+        if ncols is None:
+            raise InputError("a matrix with no rows needs an explicit ncols")
+        self.sparse_rows = sparse
+        self.nrows = len(sparse)
         self.ncols = ncols
+        self._rows = None
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def submatrix(self, row_idx=None, col_idx=None):
-        rs = range(self.nrows) if row_idx is None else row_idx
-        cs = range(self.ncols) if col_idx is None else list(col_idx)
-        rows = [[self.rows[i][j] for j in cs] for i in rs]
-        return Matrix(rows, ncols=len(cs))
+    @property
+    def rows(self):
+        """The rows as dense lists, absent cells 0, built on first read."""
+        if self._rows is None:
+            self._rows = [_dense(row, self.ncols) for row in self.sparse_rows]
+        return self._rows
+
+    def columns(self, cols):
+        """The matrix of a sequence of distinct columns, in its order."""
+        pos = {c: i for i, c in enumerate(cols)}
+        if len(pos) < len(cols) or not all(0 <= c < self.ncols for c in pos):
+            raise InputError("columns must be distinct and in range")
+        return Matrix([{pos[j]: v for j, v in row.items() if j in pos}
+                       for row in self.sparse_rows], ncols=len(pos))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -140,7 +158,7 @@ class Matrix:
         column f gets L, the lcm of the pivots pv of the rows nonzero at f,
         and each such row's pivot column c gets -row[f]·(L // pv).
         """
-        elim = staged_elimination(self.rows, self.ncols,
+        elim = staged_elimination(self.sparse_rows, self.ncols,
                                   [range(self.ncols)])
         # per free column, (pivot column, pivot, entry) of the rows hitting
         # it; a reduced pivot row is zero on every other pivot column
@@ -209,7 +227,7 @@ def staged_elimination(rows, ncols, col_stages):
     work = []
     for r in rows:
         if isinstance(r, dict):
-            if any(not 0 <= j < ncols for j in r):
+            if r and (min(r) < 0 or max(r) >= ncols):
                 raise InputError("row column outside the column count")
         elif len(r) != ncols:
             raise InputError("row length does not match column count")
@@ -266,24 +284,11 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim):
-        """Canonical span of the vectors; entries are anything Fraction()
-        accepts (int, Fraction, "1/2").  A vector is a dense sequence of
-        ambient_dim entries or a sparse {coordinate: entry} dict."""
-        if ambient_dim < 0:
-            raise InputError("negative ambient dimension")
-        rows = []
-        for vec in vectors:
-            if isinstance(vec, dict):
-                rows.append({j: x if isinstance(x, (int, Fraction))
-                             else Fraction(x) for j, x in vec.items()})
-                continue
-            row = [x if isinstance(x, (int, Fraction)) else Fraction(x)
-                   for x in vec]
-            if len(row) != ambient_dim:
-                raise InputError(
-                    f"vector of length {len(row)} in ambient dim {ambient_dim}"
-                )
-            rows.append(row)
+        """Canonical span of the vectors, read as the rows of a Matrix:
+        dense sequences of ambient_dim entries that Fraction() accepts
+        (int, Fraction, "1/2"), or sparse {coordinate: nonzero int or
+        Fraction} dicts."""
+        rows = Matrix(vectors, ambient_dim).sparse_rows
         # one ascending stage takes the pivots in column order and clears
         # every pivot column outside its pivot row; the finished rows are
         # primitive, so only a negative pivot's sign is left to fix

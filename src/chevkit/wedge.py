@@ -12,7 +12,7 @@ r x r minors times integer rows, and the rows that come out zero, most of
 them in practice, are dropped.  membership_kernel computes the same kernel
 by a staged elimination instead: eliminate B's columns first, and the rows
 left without a pivot among them are a row system with the identical kernel
-at any size.
+at any size.  Both read and return sparse rows.
 """
 
 from __future__ import annotations
@@ -22,15 +22,13 @@ from itertools import combinations
 from math import comb, gcd
 
 from .errors import InputError, WedgeCapError
-from .linalg import (
-    Matrix, Subspace, _dense, _integer_row, staged_elimination,
-)
+from .linalg import Matrix, Subspace, _integer_row, staged_elimination
 
 DEFAULT_WEDGE_CAP = 10**6
 
 
 def _minor(rows_of_b, row_set, col_set, memo):
-    """Determinant of the square submatrix, memoized by index sets.
+    """Determinant of a square minor of sparse rows, memoized by index sets.
 
     Exact in whatever the cells are, ints or Fractions; the empty minor is 1.
     """
@@ -42,14 +40,14 @@ def _minor(rows_of_b, row_set, col_set, memo):
     if size == 0:
         val = 1
     elif size == 1:
-        val = rows_of_b[row_set[0]][col_set[0]]
+        val = rows_of_b[row_set[0]].get(col_set[0], 0)
     else:
         # expand along the first column; subminors repeat across the
         # operator's rows, which is where the memo pays off
         val = 0
         rest = col_set[1:]
         for pos, ri in enumerate(row_set):
-            c = rows_of_b[ri][col_set[0]]
+            c = rows_of_b[ri].get(col_set[0])
             if not c:
                 continue
             sub = row_set[:pos] + row_set[pos + 1:]
@@ -101,15 +99,15 @@ def membership_operator(kept, absorbed, r):
         return Matrix([], ncols=ek)
     if r:
         _check_cap(e, f, r)
-    joined = [_dense(_integer_row(ra + rk), e + ek)
-              for ra, rk in zip(absorbed.rows, kept.rows)]
-    high = [row[:e] for row in joined]
+    joined = [_integer_row({**ra, **{e + j: v for j, v in rk.items()}})
+              for ra, rk in zip(absorbed.sparse_rows, kept.sparse_rows)]
+    high = [{j: v for j, v in row.items() if j < e} for row in joined]
     # kept rows as (column, value) pairs; an all-zero row adds nothing
-    low = [[(j, v) for j, v in enumerate(row[e:]) if v] for row in joined]
+    low = [[(j - e, v) for j, v in row.items() if j >= e] for row in joined]
     # a minor on rows that include a zero row of absorbed vanishes: a row
     # subset holding two such rows gives a zero row, and one holding just z
     # keeps only the term p = z
-    zero = {i for i, row in enumerate(high) if not any(row)}
+    zero = {i for i, row in enumerate(high) if not row}
     memo = {}
     rows = []
     for col_subset in combinations(range(e), r):
@@ -131,7 +129,7 @@ def membership_operator(kept, absorbed, r):
                     acc[j] += minor * v
             if any(acc):
                 g = gcd(*acc)
-                rows.append([v // g for v in acc])
+                rows.append({j: v // g for j, v in enumerate(acc) if v})
     return Matrix(rows, ncols=ek)
 
 
@@ -163,14 +161,15 @@ def membership_kernel(kept, absorbed):
             f" {absorbed.nrows}"
         )
     ea, ek = absorbed.ncols, kept.ncols
-    rows = [ra + rk for ra, rk in zip(absorbed.rows, kept.rows)]
+    rows = [{**ra, **{ea + j: v for j, v in rk.items()}}
+            for ra, rk in zip(absorbed.sparse_rows, kept.sparse_rows)]
     elim = staged_elimination(
         rows, ea + ek, [list(range(ea)), list(range(ea, ea + ek))],
     )
     absorbed_rows = {r for r, c in elim.pivots if c < ea}
     residual = Matrix(
-        [_dense(row, ea + ek)[ea:] for i, row in enumerate(elim.sparse_rows)
-         if i not in absorbed_rows],
+        [{j - ea: v for j, v in row.items()}
+         for i, row in enumerate(elim.sparse_rows) if i not in absorbed_rows],
         ncols=ek,
     )
     rank, kernel = residual.rank_kernel()

@@ -565,7 +565,7 @@ def wedge_operator(b, r):
             row = [Fraction(0)] * f
             for pos, p in enumerate(row_subset):
                 rest = row_subset[:pos] + row_subset[pos + 1:]
-                minor = _minor(b.rows, rest, col_subset, memo)
+                minor = _minor(b.sparse_rows, rest, col_subset, memo)
                 if minor:
                     row[p] = minor if pos % 2 == 0 else -minor
             rows.append(row)

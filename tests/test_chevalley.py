@@ -1,5 +1,6 @@
 import copy
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -22,8 +23,9 @@ from hypothesis import given, settings, strategies as st
 from chevkit import chevalley as chevalley_module
 from chevkit import staircase as staircase_module
 from chevkit.errors import ConsistencyError, InputError, RelationsMismatchError
+from chevkit.experiments import DENSE_CELL_CAP
 from chevkit.indices import indices_up_to
-from chevkit.jets import FibredTuple, PolyMap, jet_matrix
+from chevkit.jets import FibredTuple, PolyMap, jet_blocks, jet_matrix
 from chevkit.linalg import Subspace
 from chevkit.poly import Poly, parse_poly
 from chevkit.staircase import (
@@ -34,6 +36,7 @@ from chevkit.staircase import (
     normal_form,
     residual_order,
 )
+from chevkit.wedge import membership_kernel, membership_operator
 
 Y2 = ["y1", "y2"]
 Y3 = ["y1", "y2", "y3"]
@@ -452,6 +455,41 @@ class TestSharedRows:
             normal_form(g, diag)
             residual_order(g, diag)
             assert diag.span.rows == span_rows
+
+    def test_jet_routes_leave_the_build_rows_unchanged(self):
+        # the jet matrices, their column blocks and the projected kernels
+        # hand the kernel the build's layer rows and the echelon's guard
+        # rows without copying them; every route copies before it reduces
+        eng = cusp_engine(l_max=8, point=(Fraction(1, 2),))
+        jets, top = eng.jets, 6
+        jets.analysis(top)
+        layers = copy.deepcopy([jets.jet(top).layer(d)
+                                for d in range(top + 1)])
+        guards = {(l, k): copy.deepcopy(jets._guard_rows(l, k))
+                  for l in range(top + 1) for k in range(l + 1)}
+
+        def assert_unchanged():
+            assert [jets.jet(top).layer(d) for d in range(top + 1)] == layers
+            assert {key: jets._guard_rows(*key) for key in guards} == guards
+
+        dense = 0
+        for l in range(top + 1):
+            jets.kernel(l)
+            assert_unchanged()
+            for k in range(l + 1):
+                jets.projected_kernel(l, k)
+                assert_unchanged()
+                low, high = jet_blocks(jets.jet(l), k)
+                blocks = copy.deepcopy([low.sparse_rows, high.sparse_rows])
+                r = membership_kernel(low, high).absorbed_rank
+                if (comb(high.ncols, r) * comb(high.nrows, r + 1)
+                        <= DENSE_CELL_CAP):
+                    membership_operator(low, high, r).rank_kernel()
+                    dense += 1
+                assert [low.sparse_rows, high.sparse_rows] == blocks
+                eng.diagram_threshold(k, l)
+                assert_unchanged()
+        assert dense
 
 
 def pair_leaf():

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -9,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as oracles
 import chevkit.jets
+import chevkit.linalg
 from chevkit.chevalley import ChevalleyEngine
 from chevkit.errors import InputError
+from chevkit.experiments import DENSE_CELL_CAP
 from chevkit.indices import degree, index_count, indices_up_to
 from chevkit.jets import (
     FibredTuple,
@@ -23,7 +26,7 @@ from chevkit.censored import AtLeast
 from chevkit.linalg import Matrix, _dense, _integer_row, staged_elimination
 from chevkit.poly import Poly, parse_poly
 from chevkit.scenario import load_scenario, scenario_tuples
-from chevkit.wedge import membership_kernel
+from chevkit.wedge import membership_kernel, membership_operator
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -584,12 +587,13 @@ class TestSingleBuild:
         assert sys.jet(7).level == 7
 
     def test_threshold_reads_build_no_dense_rows(self, monkeypatch):
-        # the climb reads the sparse rows of each new order; only jet(l)
-        # reads, and the callers of its rows, make an order dense
-        def refuse(jm):
+        # every route reads the sparse rows of the build and the echelon;
+        # only a read of rows, as jet --dump-matrix makes, builds them dense
+        def refuse(owner):
             raise AssertionError("dense rows built")
 
         monkeypatch.setattr(chevkit.jets.JetMatrix, "rows", property(refuse))
+        monkeypatch.setattr(chevkit.linalg.Matrix, "rows", property(refuse))
         phi = cone()
         tup = FibredTuple.make(phi, [(1, 1)])
         rel = parse_poly("y2^2 - y1 y3", 3, names=["y1", "y2", "y3"])
@@ -597,14 +601,30 @@ class TestSingleBuild:
         for k in (1, 2):
             engine.relation_jets(k)
         sys = engine.jets
+        dense = 0
         for l in range(9):
             for k in range(l + 1):
                 sys.quotient_dim(l, k)
                 sys.projected_kernel(l, k)
                 sys.kernel_contains(l, k, [])
+                engine.diagram_threshold(k, l)
+                # verify runs the membership routes on low orders only,
+                # and the dense wedge route under its cell cap
+                if l > 4:
+                    continue
+                low, high = jet_blocks(sys.jet(l), k)
+                r = membership_kernel(low, high).absorbed_rank
+                if math.comb(high.ncols, r) * math.comb(
+                        high.nrows, r + 1) <= DENSE_CELL_CAP:
+                    membership_operator(low, high, r).rank_kernel()
+                    dense += 1
+        assert dense
         assert sys.jet(8).shape == (index_count(2, 8), index_count(3, 8))
+        sys.kernel(8)
         with pytest.raises(AssertionError, match="dense rows built"):
-            sys.kernel(8)
+            sys.jet(8).rows
+        with pytest.raises(AssertionError, match="dense rows built"):
+            sys.jet(8).integer_matrix().rows
 
     def test_no_reference_cycle(self):
         # a reference cycle through the system keeps every engine's matrices

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -87,28 +88,73 @@ class TestMatrix:
                              min_size=3, max_size=3), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_entries_are_boxed_as_fractions(self, rows):
-        # int and Fraction cells are kept as given; a str, a bool or any
-        # other input is boxed as a Fraction
+        # a dense row keeps its nonzero int and Fraction cells as given and
+        # boxes a str, a bool or any other cell as a Fraction; its zero
+        # cells are absent from sparse_rows and read as int 0 in the dense
+        # view
         m = Matrix(rows)
         assert m.rows == [[Fraction(x) for x in r] for r in rows]
-        assert all(
-            type(x) is (type(v) if type(v) in (int, Fraction) else Fraction)
-            for r, src in zip(m.rows, rows) for x, v in zip(r, src)
-        )
-        assert all(row is not src for row, src in zip(m.rows, rows))
+        for sparse, dense, src in zip(m.sparse_rows, m.rows, rows):
+            assert sparse == {j: Fraction(v) for j, v in enumerate(src)
+                              if Fraction(v)}
+            assert all(type(x) is (type(src[j]) if type(src[j]) in
+                                   (int, Fraction) else Fraction)
+                       for j, x in sparse.items())
+            assert all(type(x) is int and x == 0
+                       for j, x in enumerate(dense) if j not in sparse)
+            assert dense is not src
+        # sparse rows are kept as given
+        given = [dict(row) for row in m.sparse_rows]
+        again = Matrix(given, ncols=3)
+        assert all(a is b for a, b in zip(again.sparse_rows, given))
+        assert again.rows == m.rows and again == m
 
     def test_identity_and_zero(self):
         assert O.identity(3).rows == [
-            [Fraction(int(i == j)) for j in range(3)] for i in range(3)
+            [int(i == j) for j in range(3)] for i in range(3)
         ]
-        assert O.zero_matrix(2, 3).rows == [[Fraction(0)] * 3] * 2
-        for m in (O.identity(3), O.zero_matrix(2, 3)):
-            assert all(type(x) is Fraction for r in m.rows for x in r)
+        assert O.identity(3).sparse_rows == [{0: 1}, {1: 1}, {2: 1}]
+        assert all(type(x) is Fraction
+                   for r in O.identity(3).sparse_rows for x in r.values())
+        zero = O.zero_matrix(2, 3)
+        assert zero.sparse_rows == [{}, {}]
+        assert zero.rows == [[0] * 3] * 2
+        assert all(type(x) is int for r in zero.rows for x in r)
 
-    def test_submatrix(self):
-        m = Matrix([[1, 2, 3], [4, 5, 6]], ncols=3)
-        s = m.submatrix(row_idx=[1], col_idx=[0, 2])
-        assert s.rows == [[Fraction(4), Fraction(6)]]
+    def test_column_selection(self):
+        m = Matrix([[1, 2, 3], [4, 0, Fraction(1, 2)]], ncols=3)
+        source = copy.deepcopy(m.sparse_rows)
+        s = m.columns([0, 2])
+        assert s.shape == (2, 2)
+        assert s.rows == [[1, 3], [4, Fraction(1, 2)]]
+        reordered = m.columns([2, 0, 1])
+        assert reordered.rows == [[3, 1, 2], [Fraction(1, 2), 4, 0]]
+        assert reordered.sparse_rows[1] == {0: Fraction(1, 2), 1: 4}
+        empty = m.columns([])
+        assert empty.shape == (2, 0) and empty.sparse_rows == [{}, {}]
+        assert empty.rows == [[], []]
+        assert m.columns(range(3)) == m
+        assert m.sparse_rows == source
+        for bad in ([0, 0], [3], [-1, 0]):
+            with pytest.raises(InputError):
+                m.columns(bad)
+
+    @pytest.mark.parametrize("rows, ncols", [
+        pytest.param([[1, 2], [3]], None, id="ragged"),
+        pytest.param([[1, 2], [3, 4, 5]], 2, id="ragged-declared"),
+        pytest.param([[1, 2]], 3, id="declared-wider"),
+        pytest.param([[1, 2]], 1, id="declared-narrower"),
+        pytest.param([], None, id="no-rows-no-ncols"),
+        pytest.param([], -1, id="negative-ncols"),
+        pytest.param([[]], -1, id="negative-ncols-with-rows"),
+        pytest.param([{-1: 1}], 2, id="sparse-below-0"),
+        pytest.param([{2: 1}], 2, id="sparse-at-ncols"),
+        pytest.param([{0: 1, 5: 1}], 2, id="sparse-above-ncols"),
+        pytest.param([{0: 1}], None, id="sparse-no-ncols"),
+    ])
+    def test_input_checks(self, rows, ncols):
+        with pytest.raises(InputError):
+            Matrix(rows, ncols=ncols)
 
 
 class TestSubspace:
@@ -312,6 +358,20 @@ class TestStagedElimination:
     def test_stages_must_partition_columns(self):
         with pytest.raises(InputError):
             staged_elimination([[1, 2]], 2, [[0], [0, 1]])
+
+    @pytest.mark.parametrize("rows", [
+        [{0: "1/2"}], [["1/2", 0]], [{1: 1.5}], [[1, 1.5]],
+        [[1, 2], {0: 1, 1: "2"}],
+    ])
+    def test_bad_cells_are_refused(self, rows):
+        # only int and Fraction cells reach the kernel; a Matrix keeps a
+        # sparse row as given, so the kernel is where its cells are checked
+        with pytest.raises(InputError, match="not an int or a Fraction"):
+            staged_elimination(rows, 2, [[0, 1]])
+        sparse = [r if isinstance(r, dict) else dict(enumerate(r))
+                  for r in rows]
+        with pytest.raises(InputError, match="not an int or a Fraction"):
+            Matrix(sparse, ncols=2).rank_kernel()
 
     @given(matrix_strategy(max_rows=5, max_cols=5), st.integers(1, 4))
     @settings(max_examples=50, deadline=None)

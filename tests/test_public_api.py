@@ -48,7 +48,7 @@ REMOVED = [
 REMOVED_ATTRIBUTES = [
     (linalg.Matrix, name) for name in (
         "apply", "__matmul__", "transpose", "zero", "kernel", "rank",
-        "elimination", "row", "is_zero", "identity",
+        "elimination", "row", "is_zero", "identity", "submatrix",
     )
 ] + [
     (linalg.Subspace, name) for name in (
