@@ -404,10 +404,10 @@ def taylor_growth_estimate(f, phi, a, ls, seed=0):
                 GrowthEntry(l=l, slope=None, bounded=None, certified=False)
             )
             continue
-        mx = sum(x for x, _ in pairs) / len(pairs)
-        my = sum(y for _, y in pairs) / len(pairs)
-        sxx = sum((x - mx) ** 2 for x, _ in pairs)
-        sxy = sum((x - mx) * (y - my) for x, y in pairs)
+        mx = math.fsum(x for x, _ in pairs) / len(pairs)
+        my = math.fsum(y for _, y in pairs) / len(pairs)
+        sxx = math.fsum((x - mx) ** 2 for x, _ in pairs)
+        sxy = math.fsum((x - mx) * (y - my) for x, y in pairs)
         if sxx == 0.0:
             warnings.append(f"l={l}: degenerate regression abscissae")
             entries.append(

@@ -6,9 +6,9 @@ caller-chosen groups, highest-priority group first.  Rows that end without a
 pivot in the first groups vanish there, so one pass over a matrix yields the
 ranks of a chain of nested column blocks and, read off the finished rows,
 the residual row systems that test membership in their column spans.
-Callers that only want a plain rank/kernel use a single stage, and Subspace
-canonicalises through one ascending stage as well: it is the only
-elimination in this module.
+Callers that only want a plain rank/kernel use a single stage; every
+canonical Subspace, kernel or span, is read off the one elimination that
+made it, and staged_elimination is the only one in this module.
 
 The kernel runs on sparse integer rows, {column: nonzero int} dicts, so
 every row operation, gcd and scan costs the row's nonzeros, not its width:
@@ -152,35 +152,11 @@ class Matrix:
         return self.shape == other.shape and self.rows == other.rows
 
     def rank_kernel(self):
-        """(rank, kernel as canonical Subspace); rank + dim kernel = ncols.
-
-        Kernel vectors are integer, read straight off the reduced rows: free
-        column f gets L, the lcm of the pivots pv of the rows nonzero at f,
-        and each such row's pivot column c gets -row[f]·(L // pv).
-        """
+        """(rank, kernel as canonical Subspace); rank + dim kernel = ncols,
+        both off one elimination, columns highest first."""
         elim = staged_elimination(self.sparse_rows, self.ncols,
-                                  [range(self.ncols)])
-        # per free column, (pivot column, pivot, entry) of the rows hitting
-        # it; a reduced pivot row is zero on every other pivot column
-        hits = {}
-        for r, c in elim.pivots:
-            row = elim.sparse_rows[r]
-            pv = row[c]
-            for f, v in row.items():
-                if f != c:
-                    hits.setdefault(f, []).append((c, pv, v))
-        pivot_cols = {c for _, c in elim.pivots}
-        vectors = []
-        for f in range(self.ncols):
-            if f in pivot_cols:
-                continue
-            col = hits.get(f, ())
-            big = lcm(*(pv for _, pv, _ in col))
-            vec = {f: big}
-            for c, pv, v in col:
-                vec[c] = -v * (big // pv)
-            vectors.append(vec)
-        return elim.rank, Subspace.from_vectors(vectors, self.ncols)
+                                  [range(self.ncols - 1, -1, -1)])
+        return elim.rank, elim.kernel()
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -207,6 +183,36 @@ class Elimination:
     @property
     def rank(self):
         return len(self.pivots)
+
+    def kernel(self, start=0):
+        """Canonical kernel, in Q^(ncols - start), of the rows pivoting at
+        or past start: columns that were the last stage, highest first.
+
+        A row pivoting at c is then zero on every free column past c, so
+        free column f's vector, L (the lcm of the pivots pv of the rows
+        nonzero at f) at f and -row[f]·(L // pv) at each such row's pivot,
+        leads at f and is 0 on the other free columns: made primitive, it
+        is the canonical row at f.
+        """
+        hits = {}  # free column -> (pivot column, pivot, entry) of its rows
+        for r, c in self.pivots:
+            if c >= start:
+                row = self.sparse_rows[r]
+                for f, v in row.items():
+                    if f != c:
+                        hits.setdefault(f, []).append((c, row[c], v))
+        pivoted = {c for _, c in self.pivots}
+        canonical = {}
+        for f in range(start, self.ncols):
+            if f not in pivoted:
+                col = hits.get(f, ())
+                big = lcm(*(pv for _, pv, _ in col))
+                vec = {f - start: big}
+                for c, pv, v in col:
+                    vec[c - start] = -v * (big // pv)
+                _primitive(vec)
+                canonical[f - start] = vec
+        return Subspace(self.ncols - start, canonical, _trusted=True)
 
 
 def staged_elimination(rows, ncols, col_stages):

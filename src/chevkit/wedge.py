@@ -10,9 +10,9 @@ so it is guarded by a cap.  membership_operator composes it with a second
 block without building it: each composed row is a signed sum of integer
 r x r minors times integer rows, and the rows that come out zero, most of
 them in practice, are dropped.  membership_kernel computes the same kernel
-by a staged elimination instead: eliminate B's columns first, and the rows
+by one staged elimination instead: eliminate B's columns first, and the rows
 left without a pivot among them are a row system with the identical kernel
-at any size.  Both read and return sparse rows.
+at any size, read off the same elimination.  Both read sparse rows.
 """
 
 from __future__ import annotations
@@ -151,9 +151,10 @@ class MembershipResult:
 def membership_kernel(kept, absorbed):
     """Same kernel as membership_operator at r = rank(absorbed), any size.
 
-    One staged elimination, absorbed's columns first.  The rows left without
-    a pivot among absorbed's columns, restricted to kept's columns, vanish
-    on u exactly when kept . u is a combination of absorbed's columns.
+    One staged elimination, absorbed's columns first, then kept's highest
+    first.  The rows left without a pivot among absorbed's columns,
+    restricted to kept's, vanish on u exactly when kept . u is a
+    combination of absorbed's columns; the kernel is read off them.
     """
     if kept.nrows != absorbed.nrows:
         raise InputError(
@@ -164,15 +165,8 @@ def membership_kernel(kept, absorbed):
     rows = [{**ra, **{ea + j: v for j, v in rk.items()}}
             for ra, rk in zip(absorbed.sparse_rows, kept.sparse_rows)]
     elim = staged_elimination(
-        rows, ea + ek, [list(range(ea)), list(range(ea, ea + ek))],
+        rows, ea + ek, [range(ea), range(ea + ek - 1, ea - 1, -1)],
     )
-    absorbed_rows = {r for r, c in elim.pivots if c < ea}
-    residual = Matrix(
-        [{j - ea: v for j, v in row.items()}
-         for i, row in enumerate(elim.sparse_rows) if i not in absorbed_rows],
-        ncols=ek,
-    )
-    rank, kernel = residual.rank_kernel()
-    return MembershipResult(
-        kernel=kernel, residual_rank=rank, absorbed_rank=len(absorbed_rows),
-    )
+    kernel = elim.kernel(ea)
+    absorbed_rank = sum(c < ea for _, c in elim.pivots)
+    return MembershipResult(kernel, ek - kernel.dim, absorbed_rank)

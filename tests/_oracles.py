@@ -13,7 +13,11 @@ dense_jet_matrix (with component_series) the jet build as it was before it
 grew one x-degree at a time, in dense rows;
 normal_form_by_fractions is the Fraction division pass staircase.normal_form
 ran before it reduced integer rows, and PolyArithmeticParser the parser as
-it was when every literal, variable and power was a Poly.  dense_basis,
+it was when every literal, variable and power was a Poly.
+rank_kernel_by_canonicalising and membership_kernel_by_residual are the
+kernel routes as they were before each read its canonical rows off one
+descending elimination: an ascending elimination, then a second one to
+canonicalise (and, for membership, a residual Matrix in between).  dense_basis,
 reduce_vector and contains_vector are the dense Fraction basis of a
 canonical Subspace and the membership test on it, as Subspace held them
 before it kept the elimination's primitive integer rows.  The
@@ -412,6 +416,55 @@ def dense_rank_kernel(rows, ncols):
     elim = dense_staged_elimination(rows, ncols, [list(range(ncols))])
     return (elim.rank,
             *dense_from_vectors_basis(elim.kernel_vectors(), ncols))
+
+
+def rank_kernel_by_canonicalising(matrix):
+    """(rank, kernel) of a Matrix as Matrix.rank_kernel computed it before
+    it read the canonical rows off a descending elimination: one ascending
+    stage, one integer kernel vector per free column, then a second
+    elimination through Subspace.from_vectors to canonicalise them."""
+    ncols = matrix.ncols
+    elim = staged_elimination(matrix.sparse_rows, ncols, [range(ncols)])
+    hits = {}
+    for r, c in elim.pivots:
+        row = elim.sparse_rows[r]
+        for f, v in row.items():
+            if f != c:
+                hits.setdefault(f, []).append((c, row[c], v))
+    pivot_cols = {c for _, c in elim.pivots}
+    vectors = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        col = hits.get(f, ())
+        big = lcm(*(pv for _, pv, _ in col))
+        vec = {f: big}
+        for c, pv, v in col:
+            vec[c] = -v * (big // pv)
+        vectors.append(vec)
+    return elim.rank, Subspace.from_vectors(vectors, ncols)
+
+
+def membership_kernel_by_residual(kept, absorbed):
+    """(kernel, residual_rank, absorbed_rank) of a membership system as
+    wedge.membership_kernel computed them before it made one elimination:
+    a two-stage elimination, absorbed's columns first, then the rows left
+    without a pivot among them as a residual Matrix, then that matrix's
+    rank_kernel by rank_kernel_by_canonicalising."""
+    ea, ek = absorbed.ncols, kept.ncols
+    rows = [{**ra, **{ea + j: v for j, v in rk.items()}}
+            for ra, rk in zip(absorbed.sparse_rows, kept.sparse_rows)]
+    elim = staged_elimination(
+        rows, ea + ek, [list(range(ea)), list(range(ea, ea + ek))],
+    )
+    absorbed_rows = {r for r, c in elim.pivots if c < ea}
+    residual = Matrix(
+        [{j - ea: v for j, v in row.items()}
+         for i, row in enumerate(elim.sparse_rows) if i not in absorbed_rows],
+        ncols=ek,
+    )
+    rank, kernel = rank_kernel_by_canonicalising(residual)
+    return kernel, rank, len(absorbed_rows)
 
 
 def dense_basis(subspace):

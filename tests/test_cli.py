@@ -414,9 +414,17 @@ class TestProbePins:
 class TestRichProbePins:
     # sha256 of (stdout, --out) bytes, taken before normal forms and the
     # parser moved to integer rows and term dicts: nu with p/q coefficients,
-    # parenthesised powers and relation multiples, and a longer product run
+    # parenthesised powers and relation multiples, and a longer product run.
+    # mu-cusp's slope is a least-squares fit in floats; its --out bytes are
+    # the same under every supported interpreter only because the sums are
+    # correctly rounded (math.fsum), not left to each version's sum()
     CONE = str(ROOT / "scenarios" / "cone.json")
     CASES = {
+        "mu-cusp": (["mu", "--scenario", CUSP,
+                     "--poly", "y2^2 - 1/2*y1^3"], (
+            "1dde6ef8245b189be66830f1c743cc4d54b94d23774fed2f6375f902ca894a38",
+            "22fdcf279003a8571d10ac7a39e0a1656544c53e99b9d624141d50ee11e1031e",
+        )),
         "nu-cusp": (["nu", "--scenario", CUSP,
                      "--poly", "y2^2 - 1/2*y1^3", "--poly", "(y1 + 2/3 y2)^3",
                      "--poly", "-(y1^3 - y2^2)*y1 y2",

@@ -413,19 +413,25 @@ class TestStagedElimination:
             _assert_split_matches_oracle(rows, absorbed, *split)
 
 
-@st.composite
-def elimination_cases(draw):
-    """(dense rows, ncols, column stages): mostly-zero or dense rows of
-    small ints, wide ints or Fractions, and a random partition of the
-    columns into ordered stages.  Small ints make pivot ties common."""
-    ncols = draw(st.integers(1, 6))
+def _cell_strategy(draw):
+    """One cell strategy per example: small ints (pivot ties are common),
+    wide ints or Fractions, mostly zero or mostly dense."""
     value = draw(st.sampled_from([
         st.integers(-3, 3),
         st.integers(-60, 60),
         st.fractions(min_value=-4, max_value=4, max_denominator=6),
     ]))
     zero = st.just(0)
-    cell = draw(st.sampled_from([zero | value, zero | zero | zero | value]))
+    return draw(st.sampled_from([zero | value, zero | zero | zero | value]))
+
+
+@st.composite
+def elimination_cases(draw):
+    """(dense rows, ncols, column stages): mostly-zero or dense rows of
+    small ints, wide ints or Fractions, and a random partition of the
+    columns into ordered stages.  Small ints make pivot ties common."""
+    ncols = draw(st.integers(1, 6))
+    cell = _cell_strategy(draw)
     rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
                          max_size=7))
     order = draw(st.permutations(range(ncols)))
@@ -536,3 +542,70 @@ def test_rank_kernel_method():
     rank, kern = m.rank_kernel()
     assert rank == 1
     assert kern == Subspace.from_vectors([[1, -1]], 2)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """A Matrix of 0-6 columns, dense or sparse rows of ints or Fractions
+    with zero rows mixed in; now and then the zero matrix, or one of full
+    column rank (a unit lower-triangular block among the rows)."""
+    ncols = draw(st.integers(0, 6))
+    cell = _cell_strategy(draw)
+    rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
+                         max_size=6))
+    kind = draw(st.sampled_from(["random", "zero", "full rank"]))
+    if kind == "zero":
+        rows = [[0] * ncols for _ in rows]
+    elif kind == "full rank":
+        rows += [[1 if j == i else draw(cell) if j < i else 0
+                  for j in range(ncols)] for i in range(ncols)]
+    rows += [[0] * ncols] * draw(st.integers(0, 2))
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        rows = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    return Matrix(rows, ncols=ncols)
+
+
+class TestOneEliminationKernel:
+    """rank_kernel reads the canonical kernel off its one descending
+    elimination; the ascending elimination plus a canonicalising second one
+    that it replaced must give the same rank and the same Subspace."""
+
+    @given(kernel_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_canonicalising_route(self, m):
+        rank, kernel = m.rank_kernel()
+        assert (rank, kernel) == O.rank_kernel_by_canonicalising(m)
+        assert rank + kernel.dim == m.ncols
+        # the rows are canonical as they stand
+        assert Subspace.from_vectors(list(kernel.rows.values()),
+                                     m.ncols) == kernel
+
+    def test_edge_shapes(self):
+        assert Matrix([], ncols=0).rank_kernel() == \
+            (0, Subspace.from_vectors([], 0))
+        assert Matrix([[0, 0], {}], ncols=2).rank_kernel() == \
+            (0, Subspace.from_vectors([[1, 0], [0, 1]], 2))
+        assert Matrix([[2, 4], [0, Fraction(1, 3)]]).rank_kernel() == \
+            (2, Subspace.from_vectors([], 2))
+
+    def test_one_elimination_no_canonicalising_pass(self, monkeypatch):
+        calls = []
+        real_from = Subspace.from_vectors.__func__
+
+        def counted_elim(*args, **kwargs):
+            calls.append("staged_elimination")
+            return staged_elimination(*args, **kwargs)
+
+        def counted_from(cls, *args, **kwargs):
+            calls.append("from_vectors")
+            return real_from(cls, *args, **kwargs)
+
+        m = Matrix([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1]], ncols=4)
+        monkeypatch.setattr("chevkit.linalg.staged_elimination",
+                            counted_elim)
+        monkeypatch.setattr(Subspace, "from_vectors",
+                            classmethod(counted_from))
+        rank, kernel = m.rank_kernel()
+        assert calls == ["staged_elimination"]
+        assert (rank, kernel.dim) == (2, 2)

@@ -8,7 +8,7 @@ import _oracles as oracles
 from _oracles import wedge_operator
 import chevkit.wedge
 from chevkit.errors import InputError, WedgeCapError
-from chevkit.linalg import Matrix
+from chevkit.linalg import Matrix, Subspace, staged_elimination
 from chevkit.wedge import membership_kernel, membership_operator
 
 
@@ -236,3 +236,75 @@ class TestMembership:
         res = membership_kernel(kept, absorbed)
         # the single kept column is itself in the span, so u = (1) is killed
         assert res.kernel == oracles.full_space(1)
+
+
+@st.composite
+def joined_blocks(draw):
+    """(kept, absorbed) sharing 0-6 rows, each block 0-4 columns, dense or
+    sparse rows of ints or Fractions; some rows zero in one block or both,
+    and now and then a block that is all zero."""
+    f = draw(st.integers(0, 6))
+    value = draw(st.sampled_from([
+        st.integers(-3, 3),
+        st.integers(-60, 60),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    ]))
+    cell = draw(st.sampled_from([st.just(0) | value,
+                                 st.just(0) | st.just(0) | value]))
+    sparse = draw(st.booleans())
+
+    def block():
+        ncols = draw(st.integers(0, 4))
+        zero = draw(st.integers(0, 5)) == 0
+        rows = []
+        for _ in range(f):
+            if zero or draw(st.integers(0, 3)) == 0:
+                rows.append([0] * ncols)
+            else:
+                rows.append(draw(st.lists(cell, min_size=ncols,
+                                          max_size=ncols)))
+        if sparse:
+            rows = [{j: v for j, v in enumerate(r) if v} for r in rows]
+        return Matrix(rows, ncols=ncols)
+
+    return block(), block()
+
+
+class TestOneEliminationMembership:
+    """membership_kernel reads kernel and ranks off one elimination; the
+    three-elimination route it replaced (staged elimination, residual
+    Matrix, canonicalising rank_kernel) must give the same results."""
+
+    @given(joined_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_residual_route(self, blocks):
+        kept, absorbed = blocks
+        res = membership_kernel(kept, absorbed)
+        assert (res.kernel, res.residual_rank, res.absorbed_rank) == \
+            oracles.membership_kernel_by_residual(kept, absorbed)
+
+    def test_one_elimination_no_matrix(self, monkeypatch):
+        kept = mat([[1, 0], [0, 1], [2, 3], [0, 0]])
+        absorbed = mat([[1, 1], [1, 1], [0, 5], [0, 0]])
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(chevkit.wedge, "staged_elimination", counted(
+            "staged_elimination", chevkit.wedge.staged_elimination))
+        monkeypatch.setattr("chevkit.linalg.staged_elimination", counted(
+            "staged_elimination", staged_elimination))
+        monkeypatch.setattr(Matrix, "__init__",
+                            counted("Matrix", Matrix.__init__))
+        monkeypatch.setattr(Matrix, "rank_kernel",
+                            counted("rank_kernel", Matrix.rank_kernel))
+        monkeypatch.setattr(Subspace, "from_vectors", classmethod(counted(
+            "from_vectors", Subspace.from_vectors.__func__)))
+        res = membership_kernel(kept, absorbed)
+        assert calls == ["staged_elimination"]
+        assert (res.kernel.dim, res.residual_rank, res.absorbed_rank) == \
+            (1, 1, 2)
