@@ -21,7 +21,6 @@ parameters to estimate the generic threshold along the family (HEURISTIC).
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,41 +69,6 @@ def validate_relations(phi, tup, generators):
     return tuple(gens)
 
 
-class KernelChain(Sequence):
-    """The (order, projected kernel) pairs computed for one degree k.
-
-    Only the orders are fixed when the chain is made: the threshold engine
-    reads codimensions alone.  Each projected kernel is canonicalised by the
-    JetSystem the first time it is read, and cached there.
-    """
-
-    __slots__ = ("jets", "k", "orders")
-
-    def __init__(self, jets, k, orders):
-        self.jets = jets
-        self.k = k
-        self.orders = tuple(orders)
-
-    def __len__(self):
-        return len(self.orders)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        l = self.orders[i]
-        return (l, self.jets.projected_kernel(l, self.k))
-
-    # compares and hashes as the tuple of pairs, so RelationJets keeps its
-    # value semantics
-    def __eq__(self, other):
-        if not isinstance(other, (KernelChain, tuple)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-
 @dataclass(frozen=True)
 class RelationJets:
     """Best knowledge of the degree-<= k relation jets at one tuple.
@@ -112,7 +76,8 @@ class RelationJets:
     l_value: least jet order whose projected kernel equals the subspace;
     censored (AtLeast) when the search range did not settle it.
     l_stab: first order of the certifying run, or None when censored.
-    chain: the computed (order, projected kernel) pairs, a KernelChain.
+    chain: the range of orders the climb read; the member at order l is
+    JetSystem.projected_kernel(l, k) of the engine's jets.
     target: the exact relation jets when generators were supplied.
     codim: codimension of the subspace in the degree-<= k jet space.
     """
@@ -121,7 +86,7 @@ class RelationJets:
     status: str
     l_value: object
     l_stab: object
-    chain: KernelChain
+    chain: range
     target: object
     codim: int
 
@@ -258,7 +223,7 @@ class ChevalleyEngine:
                 continue
             return RelationJets(
                 k=k, status=status, l_value=l_value, l_stab=l_value,
-                chain=KernelChain(self.jets, k, range(k, l + 1)),
+                chain=range(k, l + 1),
                 target=target, codim=codims[-1],
             )
         if target is None:
@@ -281,7 +246,7 @@ class ChevalleyEngine:
             codim = target.codim
         return RelationJets(
             k=k, status=status, l_value=l_value, l_stab=None,
-            chain=KernelChain(self.jets, k, range(k, self.l_max + 1)),
+            chain=range(k, self.l_max + 1),
             target=target, codim=codim,
         )
 

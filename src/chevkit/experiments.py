@@ -47,11 +47,10 @@ GROWTH_SAMPLES = 40
 
 @dataclass(frozen=True)
 class TableRun:
-    """A scenario's full threshold table plus the engines that produced it."""
+    """A scenario's full threshold table and its leaf samples."""
 
     scenario: object
     entries: tuple
-    engines: dict
     leaf_samples: tuple
 
 
@@ -61,7 +60,6 @@ def run_table(scenario):
     points as written, then tuples as written, k ascending."""
     phi = scenario.phi
     k_min, k_max = scenario.k_range
-    engines = {}
     entries = []
     for key, tup in scenario_tuples(scenario):
         rel = relations_for(scenario, key)
@@ -72,7 +70,6 @@ def run_table(scenario):
             )
         except InputError as exc:
             raise InputError(f"tuple {key}: {exc}") from None
-        engines[key] = engine
         for k in range(k_min, k_max + 1):
             try:
                 rj = engine.relation_jets(k)
@@ -102,7 +99,7 @@ def run_table(scenario):
             for s in samples
         )
     return TableRun(
-        scenario=scenario, entries=tuple(entries), engines=engines,
+        scenario=scenario, entries=tuple(entries),
         leaf_samples=tuple(leaf_samples),
     )
 
@@ -589,7 +586,8 @@ def verify_consistency(scenario):
         engine = engines[key]
         for k in range(k_min, k_max + 1):
             rj = rows[(key, k)]
-            chain = rj.chain
+            chain = [(l, engine.jets.projected_kernel(l, k))
+                     for l in rj.chain]
             for (l0, e0), (l1, e1) in zip(chain, chain[1:]):
                 if not e0.contains(e1):
                     details.append(

@@ -156,10 +156,10 @@ class JetMatrix:
         if d == 0:
             self._steps.append(None)
         else:
-            cols = indices_up_to(n, d)
             base = index_count(n, d - 2)
-            pos = {b: base + i for i, b in enumerate(cols[base:-new])}
-            for beta in cols[-new:]:
+            pos = {b: base + i
+                   for i, b in enumerate(indices_of_degree(n, d - 1))}
+            for beta in indices_of_degree(n, d):
                 j = next(i for i, e in enumerate(beta) if e)
                 parent = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
                 self._steps.append((pos[parent], j))
@@ -391,10 +391,10 @@ class JetSystem:
         stages = [range(index_count(n, d - 1), index_count(n, d))
                   for d in range(l, -1, -1)]
         elim = staged_elimination(batch, ncols, stages)
-        labels = indices_up_to(n, l)
         for r, c in elim.pivots:
-            self._echelon.append(
-                (degree(labels[c]), c, elim.sparse_rows[r]))
+            # a pivot's degree is that of its column's stage
+            d = next(l - i for i, stage in enumerate(stages) if c in stage)
+            self._echelon.append((d, c, elim.sparse_rows[r]))
         self._ends.append(len(self._echelon))
 
     def analysis(self, l):

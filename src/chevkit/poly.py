@@ -373,8 +373,10 @@ def var_names(arity, names=None):
     return [f"x{i + 1}" for i in range(arity)]
 
 
+# a variable name, as the tokenizer reads one
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+/\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"\s*(?:(?P<num>\d+/\d+|\d+)|(?P<name>{NAME_RE.pattern})"
     r"|(?P<op>\*\*|[-+*^()]))"
 )
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .chevalley import Leaf
 from .errors import InputError
 from .jets import FibredTuple, PolyMap
-from .poly import parse_poly, parse_rational
+from .poly import NAME_RE, parse_poly, parse_rational
 
 _SCENARIO_KEYS = {
     "name", "map", "points", "tuples", "leaves", "relations",
@@ -80,6 +80,14 @@ def _check_keys(data, allowed, where):
         raise InputError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _refuse_repeats(names, what):
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise InputError(f"{what} {name!r} repeated")
+        seen.add(name)
+
+
 def _parse_point(raw, m, where):
     if not isinstance(raw, list) or len(raw) != m:
         raise InputError(f"{where}: expected a list of {m} coordinates")
@@ -136,6 +144,9 @@ def parse_scenario(data):
     for i, group in enumerate(tuples):
         if not group:
             raise InputError(f"tuples[{i}]: a tuple needs at least one point")
+    # a one-point tuple has its point's key
+    _refuse_repeats([point_key(p) for p in points]
+                    + [tuple_key(g) for g in tuples], "scenario: tuple key")
 
     leaves = []
     for i, raw_leaf in enumerate(data.get("leaves", [])):
@@ -145,6 +156,10 @@ def parse_scenario(data):
         params = raw_leaf.get("params")
         if not isinstance(params, list) or not params:
             raise InputError(f"leaves[{i}]: 'params' must be a nonempty list")
+        for p in params:
+            if not isinstance(p, str) or not NAME_RE.fullmatch(p):
+                raise InputError(f"leaves[{i}]: parameter {p!r} is not a name")
+        _refuse_repeats(params, f"leaves[{i}]: parameter")
         raw_pts = raw_leaf.get("points")
         if not isinstance(raw_pts, list) or not raw_pts:
             raise InputError(f"leaves[{i}]: 'points' must be a nonempty list")
@@ -158,9 +173,12 @@ def parse_scenario(data):
                 parse_poly(text, len(params), names=list(params))
                 for text in pt
             ))
-        leaves.append(
-            Leaf.make(raw_leaf.get("name", f"leaf{i}"), params, pts)
-        )
+        name = raw_leaf.get("name", f"leaf{i}")
+        if not isinstance(name, str):
+            raise InputError(f"leaves[{i}]: 'name' must be a string")
+        leaves.append(Leaf.make(name, params, pts))
+
+    _refuse_repeats([leaf.name for leaf in leaves], "scenario: leaf name")
 
     relations = None
     if "relations" in data:

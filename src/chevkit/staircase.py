@@ -176,18 +176,14 @@ def diagram_from_generators(presentation, d):
     pivot_set = set(pivot_exponents)
     _check_staircase_closure(pivot_set, arity, d)
 
-    vertices = tuple(
-        sorted(
-            (
-                p
-                for p in pivot_exponents
-                if not any(
-                    q != p and dominates(p, q) for q in pivot_set
-                )
-            ),
-            key=mono_key,
-        )
-    )
+    # the pivot set is closed upward, so a pivot is minimal exactly when
+    # none of its lower neighbours is a pivot
+    vertices = tuple(sorted(
+        (p for p in pivot_exponents
+         if not any(p[:i] + (e - 1,) + p[i + 1:] in pivot_set
+                    for i, e in enumerate(p) if e)),
+        key=mono_key,
+    ))
     for v in vertices:
         for w in vertices:
             if v != w and dominates(v, w):

@@ -14,6 +14,8 @@ grew one x-degree at a time, in dense rows;
 normal_form_by_fractions is the Fraction division pass staircase.normal_form
 ran before it reduced integer rows, and PolyArithmeticParser the parser as
 it was when every literal, variable and power was a Poly.
+staircase_vertices_by_domination is the quadratic vertex search of
+diagram_from_generators before it tested lower neighbours.
 rank_kernel_by_canonicalising and membership_kernel_by_residual are the
 kernel routes as they were before each read its canonical rows off one
 descending elimination: an ascending elimination, then a second one to
@@ -35,7 +37,7 @@ import sympy
 
 from chevkit.censored import AtLeast
 from chevkit.errors import InputError
-from chevkit.indices import degree, indices_up_to, mono_key
+from chevkit.indices import degree, dominates, indices_up_to, mono_key
 from chevkit.linalg import Matrix, Subspace, staged_elimination
 from chevkit.poly import Poly, TruncatedSeries, _tokenize, var_names
 from chevkit.wedge import _check_cap, _minor
@@ -651,6 +653,20 @@ def position_map(arity, d):
     return {b: i for i, b in enumerate(indices_up_to(arity, d))}
 
 
+def staircase_vertices_by_domination(diagram):
+    """The minimal exponents of a diagram's pivot set, found by testing
+    every pivot against every other for componentwise domination: the
+    quadratic definition diagram_from_generators used before it tested
+    lower neighbours."""
+    monomials = indices_up_to(diagram.arity, diagram.trunc_degree)
+    pivots = [monomials[p] for p in diagram.span.pivots]
+    return tuple(sorted(
+        (p for p in pivots
+         if not any(q != p and dominates(p, q) for q in pivots)),
+        key=mono_key,
+    ))
+
+
 def initial_exponent(f):
     """Minimum exponent of the support in the shared order; None when f = 0."""
     if not f.terms:
@@ -700,12 +716,13 @@ def scaled_derivative(p, beta):
     return Poly(p.arity, terms)
 
 
-def relation_subspace(rj):
-    """The relation jets of a RelationJets row: exact in VERIFIED mode, the
-    stabilized or last-computed projected kernel otherwise."""
+def relation_subspace(engine, rj):
+    """The relation jets of a RelationJets row of the engine: exact in
+    VERIFIED mode, the stabilized or last-computed projected kernel
+    otherwise."""
     if rj.target is not None:
         return rj.target
-    return rj.chain[-1][1]
+    return engine.jets.projected_kernel(rj.chain[-1], rj.k)
 
 
 # fits

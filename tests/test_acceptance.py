@@ -140,7 +140,7 @@ def test_c01_window_stabilization(c1_data):
         assert rj.status == STABILIZED
         assert rj.l_value == 2 * k
         assert rj.l_stab == 2 * k
-        assert oracles.relation_subspace(rj).is_zero()
+        assert oracles.relation_subspace(engine, rj).is_zero()
         assert oracle[k] == 2 * k
     assert elapsed < 5.0, f"took {elapsed:.1f}s, budget 5s"
     verdict(f"C1 PASS: window mode l=2k for k=1..6 in {elapsed:.2f}s,"
@@ -324,11 +324,11 @@ def test_c08_monotonicity(c1_data, c2_data, c3_data):
     """Across every table computed above: chains only shrink, thresholds
     never drop as k grows, and the codimension reaches its ceiling exactly
     from the threshold on."""
-    _, c1_rows, _, _ = c1_data
+    c1_engine, c1_rows, _, _ = c1_data
     c2_engine, c2_rows, _, _ = c2_data
     c3_engines, c3_rows = c3_data
 
-    tables = [(None, c1_rows), (c2_engine, c2_rows)]
+    tables = [(c1_engine, c1_rows), (c2_engine, c2_rows)]
     tables += [
         (c3_engines[key], c3_rows[key]) for key in sorted(
             c3_rows, key=lambda key: (key[0], [str(c) for c in key[1]])
@@ -343,12 +343,11 @@ def test_c08_monotonicity(c1_data, c2_data, c3_data):
                 assert l1 >= l0, (k0, k1)
         for k in ks:
             rj = rows[k]
-            chain = rj.chain
+            chain = [(l, engine.jets.projected_kernel(l, k))
+                     for l in rj.chain]
             for (_, e0), (_, e1) in zip(chain, chain[1:]):
                 assert e0.contains(e1), k
-            if engine is None or is_censored(rj.l_value):
-                continue
-            if rj.status != VERIFIED:
+            if is_censored(rj.l_value) or rj.status != VERIFIED:
                 continue
             h = engine.relation_jets(k).codim
             n = engine.phi.target_arity

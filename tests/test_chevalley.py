@@ -25,7 +25,13 @@ from chevkit import staircase as staircase_module
 from chevkit.errors import ConsistencyError, InputError, RelationsMismatchError
 from chevkit.experiments import DENSE_CELL_CAP
 from chevkit.indices import indices_up_to
-from chevkit.jets import FibredTuple, PolyMap, jet_blocks, jet_matrix
+from chevkit.jets import (
+    FibredTuple,
+    JetSystem,
+    PolyMap,
+    jet_blocks,
+    jet_matrix,
+)
 from chevkit.linalg import Subspace
 from chevkit.poly import Poly, parse_poly
 from chevkit.staircase import (
@@ -114,7 +120,7 @@ class TestVerifiedThresholds:
         assert rj.l_value == 2 * k + 1
         assert rj.l_stab == 2 * k + 1
         assert eng.relation_jets(k).codim == 2 * k + 1
-        assert oracles.relation_subspace(rj) == rj.target
+        assert oracles.relation_subspace(eng, rj) == rj.target
 
     @pytest.mark.parametrize("k", range(1, 5))
     def test_squaring_origin_zero_ideal(self, k):
@@ -124,7 +130,7 @@ class TestVerifiedThresholds:
         rj = eng.relation_jets(k)
         assert rj.status == VERIFIED
         assert rj.l_value == 2 * k
-        assert oracles.relation_subspace(rj).is_zero()
+        assert oracles.relation_subspace(eng, rj).is_zero()
         assert eng.relation_jets(k).codim == k + 1
 
     @pytest.mark.parametrize("k", range(1, 4))
@@ -184,21 +190,35 @@ class TestVerifiedThresholds:
         tup = FibredTuple.make(phi, [(0,)])
         eng = ChevalleyEngine(phi, tup, relations=[], l_max=14, window=3)
         rj = eng.relation_jets(6)
-        dims = [e.dim for _, e in rj.chain]
+        dims = [eng.jets.projected_kernel(l, 6).dim for l in rj.chain]
         assert dims == [3, 3, 2, 2, 1, 1, 0]
         assert rj.status == VERIFIED
         assert rj.l_value == 12
 
     def test_chain_is_nested(self):
-        rj = cusp_engine().relation_jets(2)
-        for (_, prev), (_, cur) in zip(rj.chain, rj.chain[1:]):
+        eng = cusp_engine()
+        chain = [eng.jets.projected_kernel(l, 2)
+                 for l in eng.relation_jets(2).chain]
+        for prev, cur in zip(chain, chain[1:]):
             assert prev.contains(cur)
 
     def test_relation_jets_compare_by_value(self):
-        a, b = cusp_engine().relation_jets(2), cusp_engine().relation_jets(2)
+        eng = cusp_engine()
+        a, b = eng.relation_jets(2), cusp_engine().relation_jets(2)
         assert a == b and hash(a) == hash(b)
-        assert a.chain == tuple(a.chain)
-        assert a.chain[-1] == (a.l_value, oracles.relation_subspace(a))
+        last = a.chain[-1]
+        assert ((last, eng.jets.projected_kernel(last, 2))
+                == (a.l_value, oracles.relation_subspace(eng, a)))
+
+    def test_chain_is_the_range_of_orders_read(self, monkeypatch):
+        a, b = cusp_engine().relation_jets(2), cusp_engine().relation_jets(2)
+        assert type(a.chain) is range and a.chain == range(2, 6)
+
+        # comparing and hashing results builds no projected kernel
+        def refuse(self, l, k):
+            raise AssertionError("projected kernel built")
+        monkeypatch.setattr(JetSystem, "projected_kernel", refuse)
+        assert a == b and hash(a) == hash(b)
 
     def test_censored_when_range_too_short(self):
         eng = cusp_engine(l_max=5)
@@ -207,7 +227,7 @@ class TestVerifiedThresholds:
         assert rj.l_value == AtLeast(6)
         assert rj.l_stab is None
         # the exact subspace is still reported
-        assert oracles.relation_subspace(rj) == rj.target
+        assert oracles.relation_subspace(eng, rj) == rj.target
 
     def test_incomplete_generators_detected(self):
         # y1 * (y1^3 - y2^2) composes to zero but generates a smaller ideal
@@ -226,7 +246,8 @@ class TestWindowMode:
         assert rj.status == STABILIZED
         assert rj.l_value == 2
         assert rj.l_stab == 2
-        assert [e.dim for _, e in rj.chain] == [1, 0, 0]
+        assert [eng.jets.projected_kernel(l, 1).dim
+                for l in rj.chain] == [1, 0, 0]
 
     def test_inconclusive_when_window_never_fills(self):
         phi = squaring()
@@ -244,8 +265,10 @@ class TestWindowMode:
         heuristic = ChevalleyEngine(phi, tup, l_max=12, window=3)
         certified = cusp_engine()
         for k in (1, 2, 3):
-            assert (oracles.relation_subspace(heuristic.relation_jets(k))
-                    == oracles.relation_subspace(certified.relation_jets(k)))
+            assert (oracles.relation_subspace(
+                        heuristic, heuristic.relation_jets(k))
+                    == oracles.relation_subspace(
+                        certified, certified.relation_jets(k)))
             assert (heuristic.relation_jets(k).l_value
                     == certified.relation_jets(k).l_value)
 

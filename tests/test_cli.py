@@ -576,6 +576,43 @@ class TestErrorPaths:
         assert main(["chevalley", "--scenario", path]) == 2
         assert "repeats the point (1/2)" in capsys.readouterr().err
 
+    def test_repeated_tuple_key_exits_2(self, tmp_path, capsys):
+        # the rows of tuple 0 would be printed three times, and verify's
+        # counts would collapse the repeats
+        path = write_scenario(tmp_path, {
+            "map": {"name": "squaring", "m": 1, "n": 1,
+                    "components": ["x^2"]},
+            "points": [[0], ["1/2"], [0]],
+            "tuples": [[[0]]],
+            "k_range": [1, 1],
+            "l_max": 3,
+        })
+        for verb in ("chevalley", "verify"):
+            assert main([verb, "--scenario", path]) == 2
+            assert ("input error: scenario: tuple key '0' repeated"
+                    in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("leaves, message", [
+        ([{"params": ["t", "t"], "points": [["t"], ["-t"]]}],
+         "leaves[0]: parameter 't' repeated"),
+        ([{"params": ["t", 3], "points": [["t"], ["-t"]]}],
+         "leaves[0]: parameter 3 is not a name"),
+        ([{"name": "a", "params": ["t"], "points": [["t"], ["-t"]]},
+          {"name": "a", "params": ["s"], "points": [["s"], ["-s"]]}],
+         "scenario: leaf name 'a' repeated"),
+    ], ids=["repeated-param", "int-param", "repeated-leaf-name"])
+    def test_invalid_leaf_exits_2(self, tmp_path, capsys, leaves, message):
+        path = write_scenario(tmp_path, {
+            "map": {"name": "squaring", "m": 1, "n": 1,
+                    "components": ["x^2"]},
+            "points": [[0]],
+            "leaves": leaves,
+            "k_range": [1, 1],
+            "l_max": 3,
+        })
+        assert main(["chevalley", "--scenario", path]) == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+
     def test_missing_scenario_exits_2(self, tmp_path):
         assert main(["chevalley", "--scenario",
                      str(tmp_path / "nope.json")]) == 2

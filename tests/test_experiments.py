@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from chevkit.chevalley import (
 )
 from chevkit.errors import InputError, RelationsMismatchError
 from chevkit.experiments import (
+    TableRun,
     _max_pair_slope,
     fit_linear_bound,
     product_order_probe,
@@ -242,7 +244,11 @@ class TestRunTable:
         assert by_id[("0", 2)].l_value == 5
         assert by_id[("1", 1)].l_value == 1
         assert all(e.status == VERIFIED for e in table.entries)
-        assert set(table.engines) == {"0", "1"}
+
+    def test_table_run_holds_no_engine(self):
+        # a result record is a plain value: nothing keeps an engine alive
+        assert [f.name for f in dataclasses.fields(TableRun)] == [
+            "scenario", "entries", "leaf_samples"]
 
     def test_mismatch_names_the_tuple(self):
         bad = small_cusp_scenario(gens=("y1^4 - y1 y2^2",))

@@ -756,6 +756,17 @@ class TestEchelon:
         sys.jet(5)
         assert len(calls) == 8
 
+    @pytest.mark.parametrize("phi, point", [
+        (cone(), (0, 0)), (cusp(), (0,)), (cone(), (1, 1)),
+    ])
+    def test_growth_enumerates_no_index_prefix(self, phi, point):
+        # each order reads the indices of its own degree and the one below
+        # it, so the cached full enumerations do not pile up one per order
+        indices_up_to.cache_clear()
+        JetSystem(phi, FibredTuple.make(phi, [point])).analysis(12)
+        assert indices_up_to.cache_info().currsize == 0
+
+
 class TestDefiningProperty:
     """J^l(phi) applied to the coefficients of F equals the Taylor
     coefficients of F composed with the recentered map, at every point."""

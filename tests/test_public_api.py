@@ -65,7 +65,7 @@ REMOVED_ATTRIBUTES = [
     (chevalley.ChevalleyEngine, "chevalley_threshold"),
     (chevalley.ChevalleyEngine, "hilbert_samuel"),
     (staircase.IdealPresentation, "recentered_generators"),
-    (chevalley.RelationJets, "subspace"),
+    (chevalley.RelationJets, "subspace"), (chevalley, "KernelChain"),
     (jets, "jet_kernel"), (jets, "projected_jet_kernel"),
     (jets, "jet_quotient_dim"),
     (wedge, "column_span"), (wedge, "image_kernel_check"),

@@ -83,6 +83,14 @@ class TestParsing:
         assert leaf.name == "pair"
         leaf.validate(sc.phi)
 
+    def test_leaf_param_names(self):
+        # any name the polynomial parser reads is a parameter
+        sc = parse_scenario({
+            "map": {"m": 1, "n": 2, "components": ["x", "x^2"]},
+            "leaves": [{"params": ["_t0", "S"], "points": [["_t0 - S"]]}],
+        })
+        assert sc.leaves[0].params == ("_t0", "S")
+
 
 class TestRejection:
     def test_unknown_scenario_key(self):
@@ -191,6 +199,47 @@ class TestRejection:
         data = cusp_data()
         data["relations"] = ["y1^3 - y2^2"]
         with pytest.raises(InputError, match="tuple keys"):
+            parse_scenario(data)
+
+    @pytest.mark.parametrize("points, tuples, key", [
+        ([[0], ["1/2"], [0]], [], "0"),
+        ([[0], ["0/1"]], [], "0"),
+        ([["1/2"]], [[["2/4"]]], "1/2"),
+        ([], [[[1], [-1]], [["1"], ["-2/2"]]], "1;-1"),
+    ], ids=["point", "unreduced-point", "one-point-tuple", "unreduced-tuple"])
+    def test_repeated_tuple_key(self, points, tuples, key):
+        # keys compare after point_key: a one-point tuple is its point
+        data = cusp_data()
+        data["points"], data["tuples"] = points, tuples
+        with pytest.raises(InputError, match=f"tuple key '{key}' repeated"):
+            parse_scenario(data)
+
+    def test_repeated_leaf_name(self):
+        leaf = {"name": "pair", "params": ["t"], "points": [["t"], ["-t"]]}
+        data = cusp_data()
+        data["leaves"] = [leaf, dict(leaf, points=[["t"], ["2*t"]])]
+        with pytest.raises(InputError, match="leaf name 'pair' repeated"):
+            parse_scenario(data)
+
+    @pytest.mark.parametrize("params, match", [
+        (["t", "t"], "parameter 't' repeated"),
+        (["t", 3], "parameter 3 is not a name"),
+        (["2t"], "parameter '2t' is not a name"),
+        (["t s"], "parameter 't s' is not a name"),
+        ([""], "parameter '' is not a name"),
+        ([None], "parameter None is not a name"),
+    ], ids=["repeated", "int", "digit-first", "space", "empty", "null"])
+    def test_leaf_params_are_distinct_names(self, params, match):
+        data = cusp_data()
+        data["leaves"] = [{"params": params, "points": [["1"]]}]
+        with pytest.raises(InputError, match=match):
+            parse_scenario(data)
+
+    def test_leaf_name_is_a_string(self):
+        data = cusp_data()
+        data["leaves"] = [{"name": ["a"], "params": ["t"],
+                           "points": [["t"]]}]
+        with pytest.raises(InputError, match="'name' must be a string"):
             parse_scenario(data)
 
 

@@ -191,6 +191,15 @@ def probe_inputs(draw, n, d):
     return TruncatedSeries(n, terms, t, _exact=True)
 
 
+class TestVertices:
+    @given(ideal_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_lower_neighbours_match_domination(self, case):
+        pres, d = case
+        diag = diagram_from_generators(pres, d)
+        assert diag.vertices == oracles.staircase_vertices_by_domination(diag)
+
+
 class TestIntegerNormalForm:
     """normal_form and residual_order reduce one integer row; the Fraction
     division pass they replaced is the reference."""
