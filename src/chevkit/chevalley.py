@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .censored import AtLeast, is_censored
 from .errors import ConsistencyError, InputError, RelationsMismatchError
-from .indices import degree, index_count
+from .indices import degree, index_count, indices_up_to
 from .jets import FibredTuple, JetSystem, jet_matrix
 from .staircase import (
     IdealPresentation,
@@ -271,13 +271,13 @@ class ChevalleyEngine:
 
 def _staircase_free_kernel(jm, diagram):
     """(kernel, column exponents) of the jet matrix restricted to the
-    columns whose exponent lies outside the staircase."""
-    kept = [
-        c for c, beta in enumerate(jm.col_labels)
-        if not diagram.contains(beta)
-    ]
+    columns whose exponent lies outside the staircase.  The diagram is
+    truncated at or past jm's order, so the column labels are a prefix of
+    its monomials."""
+    betas = indices_up_to(diagram.arity, diagram.trunc_degree)[:jm.shape[1]]
+    kept = [c for c, beta in enumerate(betas) if not diagram.contains(beta)]
     _, kernel = jm.integer_matrix().columns(kept).rank_kernel()
-    return kernel, [jm.col_labels[c] for c in kept]
+    return kernel, [betas[c] for c in kept]
 
 
 def _projects_to_zero(kernel, betas, k):
@@ -308,8 +308,7 @@ def diagram_threshold_test(phi, tup, k, l, diagram, jm=None):
             f"staircase is only exact through degree {diagram.trunc_degree},"
             f" need {l}"
         )
-    if jm is None:
-        jm = jet_matrix(phi, tup, l)
+    jm = jet_matrix(phi, tup, l) if jm is None else jm.prefix(l)
     return _projects_to_zero(*_staircase_free_kernel(jm, diagram), k)
 
 

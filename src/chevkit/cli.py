@@ -258,11 +258,9 @@ def cmd_jet(args):
             report["row_labels"] = [
                 [pt, list(alpha)] for pt, alpha in jm.row_labels
             ]
-            report["entries"] = [
-                [str(v) for v in row] for row in jm.matrix.rows
-            ]
+            grid = [[str(v) for v in row] for row in jm.matrix]
+            report["entries"] = grid
             if ncols <= 14 and nrows <= 40:
-                grid = [[str(v) for v in row] for row in jm.matrix.rows]
                 for line in _fmt_columns(grid):
                     print("  " + line)
             else:
@@ -348,6 +346,8 @@ def cmd_mu(args):
     phi = scenario.phi
     n = phi.target_arity
     pairs = _select(scenario, args.point)
+    if not pairs:
+        raise InputError("growth probe needs a point; the scenario has none")
     key, tup = pairs[0]
     if tup.size != 1:
         raise InputError("growth probe needs a single-point tuple")

@@ -117,8 +117,8 @@ class JetMatrix:
     is scales[p]^|alpha| times the exact row, where scales[p] is the positive
     integer t_p of the build.  layer(d) holds the sparse rows of x-degree d,
     made once, when grow first passes order d.  integer_matrix(), one Matrix
-    over those rows, and its views rows (dense ints) and matrix (Fractions)
-    are made on first read at the current order; shape is counted.
+    over those rows, and matrix, the exact entries as dense Fraction row
+    lists, are made on first read at the current order; shape is counted.
 
     prefix(l) is the order-l leading block, a JetMatrix over the same build:
     growing any of them makes the new orders once for all.
@@ -250,18 +250,17 @@ class JetMatrix:
                 index_count(n, self.level))
 
     @property
-    def rows(self):
-        return self.integer_matrix().rows
-
-    @property
     def matrix(self):
         if self._matrix is None:
-            exact = []
+            ncols = self.shape[1]
+            self._matrix = []
             for row, (p, alpha) in zip(self.integer_matrix().sparse_rows,
                                        self.row_labels):
                 f = self.scales[p] ** degree(alpha)
-                exact.append({j: Fraction(v, f) for j, v in row.items()})
-            self._matrix = Matrix(exact, ncols=len(self.col_labels))
+                exact = [Fraction(0)] * ncols
+                for j, v in row.items():
+                    exact[j] = Fraction(v, f)
+                self._matrix.append(exact)
         return self._matrix
 
     def integer_matrix(self):
@@ -271,7 +270,7 @@ class JetMatrix:
             self._integer = Matrix(
                 [row for p in range(self._size)
                  for layer in self._layers[:self.level + 1]
-                 for row in layer[p]], ncols=len(self.col_labels))
+                 for row in layer[p]], ncols=self.shape[1])
         return self._integer
 
 
@@ -324,8 +323,7 @@ def jet_blocks(jm, k):
         raise InputError(f"split degree {k} exceeds jet order {jm.level}")
     if k < 0:
         raise InputError("split degree must be >= 0")
-    n = len(jm.col_labels[0])
-    cut = index_count(n, k)
+    cut = index_count(jm._arity[1], k)
     whole = jm.integer_matrix()
     return whole.columns(range(cut)), whole.columns(range(cut, whole.ncols))
 

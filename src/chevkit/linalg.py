@@ -10,39 +10,31 @@ Callers that only want a plain rank/kernel use a single stage; every
 canonical Subspace, kernel or span, is read off the one elimination that
 made it, and staged_elimination is the only one in this module.
 
-The kernel runs on sparse integer rows, {column: nonzero int} dicts, so
-every row operation, gcd and scan costs the row's nonzeros, not its width:
-jet and ideal-jet matrices are a few percent nonzero.  A canonical Subspace
-keeps the kernel's own finished rows, primitive with positive pivots, and
-reduces through the kernel's one row operation.  A Matrix hands the kernel
-its sparse rows as they are; Matrix.rows and Elimination.rows are dense
-views built on read, for printing, tests and the benchmark's tracer.
+The kernel runs on sparse integer rows, {column: nonzero int} dicts, the
+one row format that enters this module; callers scale Fraction rows to
+integers first.  Every row operation, gcd and scan costs the row's
+nonzeros, not its width: jet and ideal-jet matrices are a few percent
+nonzero.  A canonical Subspace keeps the kernel's own finished rows,
+primitive with positive pivots, and reduces through the kernel's one row
+operation.  A Matrix hands the kernel its sparse rows as they are;
+Elimination.rows is a dense view built on read, for the benchmark's tracer.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
 
 
-def _integer_row(row):
-    """A new sparse row: the nonzeros of a dense or sparse row of
-    ints/Fractions, scaled to coprime integers (kernel-preserving).  Any
-    other cell is refused."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    out = {j: v for j, v in items if v}
-    if any(v.__class__ is not int for v in out.values()):
-        denom = 1
-        for v in out.values():
-            if not isinstance(v, (int, Fraction)):
-                raise InputError(f"cell {v!r} is not an int or a Fraction")
-            denom = lcm(denom, v.denominator)
-        out = {j: v.numerator * (denom // v.denominator)
-               for j, v in out.items()}
-    _primitive(out)
-    return out
+def _check_row(row, ncols):
+    """Refuse a row that is not a sparse {column: value} dict over the
+    columns 0..ncols-1; its cells are not looked at."""
+    if not isinstance(row, dict):
+        raise InputError(f"a {type(row).__name__} row is not a sparse"
+                         " {column: int} dict")
+    if row and (min(row) < 0 or max(row) >= ncols):
+        raise InputError("row column outside the column count")
 
 
 def _primitive(row):
@@ -89,54 +81,30 @@ def _dense(row, ncols):
 
 
 class Matrix:
-    """Immutable-by-convention exact rational matrix of sparse rows.
+    """Immutable-by-convention exact matrix of sparse integer rows.
 
-    sparse_rows[i] is row i as {column: nonzero int or Fraction}: a dict
-    row is kept as given, shared and never changed, and a dense row is
-    boxed and stripped of its zeros once.  Consumers compare, multiply and
-    eliminate cells; none divides them with /, which would turn two ints
-    into a float.
+    sparse_rows[i] is row i as {column: nonzero int}, kept as given after
+    one column-range check, shared and never changed; staged_elimination
+    checks the cells.  Callers with dense or Fraction rows scale them to
+    integers first.  No consumer divides cells with /, which would make
+    floats.
     """
 
-    __slots__ = ("sparse_rows", "nrows", "ncols", "_rows")
+    __slots__ = ("sparse_rows", "nrows", "ncols")
 
-    def __init__(self, rows, ncols=None):
-        if ncols is not None and ncols < 0:
-            raise InputError("negative column count")
-        sparse = []
+    def __init__(self, rows, ncols):
+        if not isinstance(ncols, int) or ncols < 0:
+            raise InputError(f"column count {ncols!r} is not an int >= 0")
+        rows = list(rows)
         for r in rows:
-            if isinstance(r, dict):
-                if ncols is None or r and (min(r) < 0 or max(r) >= ncols):
-                    raise InputError("sparse row outside ncols, or no ncols")
-                sparse.append(r)
-                continue
-            if ncols is None:
-                ncols = len(r)
-            elif len(r) != ncols:
-                raise InputError(f"vector of length {len(r)} in Q^{ncols}")
-            # int and Fraction cells are kept as they are (Fraction() would
-            # re-check a Fraction through the numbers ABCs); anything else,
-            # str included, is boxed
-            cells = [x if x.__class__ is int or x.__class__ is Fraction
-                     else Fraction(x) for x in r]
-            sparse.append({j: x for j, x in enumerate(cells) if x})
-        if ncols is None:
-            raise InputError("a matrix with no rows needs an explicit ncols")
-        self.sparse_rows = sparse
-        self.nrows = len(sparse)
+            _check_row(r, ncols)
+        self.sparse_rows = rows
+        self.nrows = len(rows)
         self.ncols = ncols
-        self._rows = None
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
-
-    @property
-    def rows(self):
-        """The rows as dense lists, absent cells 0, built on first read."""
-        if self._rows is None:
-            self._rows = [_dense(row, self.ncols) for row in self.sparse_rows]
-        return self._rows
 
     def columns(self, cols):
         """The matrix of a sequence of distinct columns, in its order."""
@@ -149,7 +117,8 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.shape == other.shape and self.rows == other.rows
+        return (self.shape == other.shape
+                and self.sparse_rows == other.sparse_rows)
 
     def rank_kernel(self):
         """(rank, kernel as canonical Subspace); rank + dim kernel = ncols,
@@ -218,8 +187,9 @@ class Elimination:
 def staged_elimination(rows, ncols, col_stages):
     """Fraction-free Gauss-Jordan over caller-ordered column stages.
 
-    rows hold ints or Fractions, each a dense sequence of ncols cells or a
-    sparse {column: value} dict; the caller's rows are never changed.
+    rows are sparse {column: nonzero int} dicts; each is copied and made
+    primitive on entry, so the caller's rows are never changed, and a cell
+    that is not an int is refused.
     col_stages must partition range(ncols); stages are processed in order.
     A row left without a pivot in stages 0..s is zero on their columns, and
     those rows, restricted to the later columns, have the kernel
@@ -232,12 +202,13 @@ def staged_elimination(rows, ncols, col_stages):
     """
     work = []
     for r in rows:
-        if isinstance(r, dict):
-            if r and (min(r) < 0 or max(r) >= ncols):
-                raise InputError("row column outside the column count")
-        elif len(r) != ncols:
-            raise InputError("row length does not match column count")
-        work.append(_integer_row(r))
+        _check_row(r, ncols)
+        if any(v.__class__ is not int for v in r.values()):
+            bad = next(v for v in r.values() if v.__class__ is not int)
+            raise InputError(f"cell {bad!r} is not an int")
+        row = {j: v for j, v in r.items() if v}
+        _primitive(row)
+        work.append(row)
     seen = set()
     for stage in col_stages:
         for c in stage:
@@ -290,15 +261,12 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim):
-        """Canonical span of the vectors, read as the rows of a Matrix:
-        dense sequences of ambient_dim entries that Fraction() accepts
-        (int, Fraction, "1/2"), or sparse {coordinate: nonzero int or
-        Fraction} dicts."""
-        rows = Matrix(vectors, ambient_dim).sparse_rows
+        """Canonical span of sparse {coordinate: nonzero int} vectors."""
         # one ascending stage takes the pivots in column order and clears
         # every pivot column outside its pivot row; the finished rows are
         # primitive, so only a negative pivot's sign is left to fix
-        elim = staged_elimination(rows, ambient_dim, [range(ambient_dim)])
+        elim = staged_elimination(vectors, ambient_dim,
+                                  [range(ambient_dim)])
         canonical = {}
         for r, c in elim.pivots:
             row = elim.sparse_rows[r]

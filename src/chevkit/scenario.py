@@ -34,11 +34,11 @@ class Scenario:
     tuples: tuple
     leaves: tuple
     relations: object  # dict key -> tuple of generators, or None
-    k_range: tuple = (1, 3)
-    l_max: int = 12
-    window: int = 3
-    seed: int = 0
-    out: object = None
+    k_range: tuple
+    l_max: int
+    window: int
+    seed: int
+    out: object
 
 
 def point_key(point):

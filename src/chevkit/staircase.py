@@ -298,15 +298,19 @@ def ideal_jet_space(presentation, k):
     generators that can still have initial exponent of degree <= k,
     truncated at degree k; ambient coordinates follow the shared index
     enumeration.  This is the one place ideal-jet vectors are built, as
-    sparse {position: coefficient} rows.
+    sparse integer rows: each generator is scaled once, by the lcm of its
+    coefficients' denominators, which leaves the span as it is.
     """
     monomials = indices_up_to(presentation.arity, k)
     position = {b: i for i, b in enumerate(monomials)}
     vectors = []
     for g in presentation.recentered:
+        denom = lcm(*(c.denominator for c in g.terms.values()))
+        terms = [(b, c.numerator * (denom // c.denominator))
+                 for b, c in g.terms.items()]
         for gamma in indices_up_to(presentation.arity, k - g.order()):
             vec = {}
-            for b, c in g.terms.items():
+            for b, c in terms:
                 # terms of x^gamma * g past degree k have no position
                 i = position.get(index_add(gamma, b))
                 if i is not None:

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb, gcd
 
 from .errors import InputError, WedgeCapError
-from .linalg import Matrix, Subspace, _integer_row, staged_elimination
+from .linalg import Matrix, Subspace, _primitive, staged_elimination
 
 DEFAULT_WEDGE_CAP = 10**6
 
@@ -78,13 +78,13 @@ def membership_operator(kept, absorbed, r):
 
     W, the order-r wedge operator of absorbed, is never built.  Its rows
     are indexed by (column r-subset J, row (r+1)-subset I), both in
-    lexicographic order, J outermost.  Each row i of
-    [absorbed | kept] is scaled once to coprime integers, by a positive d_i;
-    row (J, I) of the product is then the sum over p in I of the signed
-    integer minor on rows I minus p and columns J times kept row p, which is
-    prod_{i in I} d_i times row (J, I) of W @ kept.  Rows in (J, I) order
-    that are not zero are returned, each divided by its gcd, so kernel and
-    rank are those of W @ kept.  The cap applies to W's full row count.
+    lexicographic order, J outermost.  Each integer row i of
+    [absorbed | kept] is divided once by its gcd d_i; row (J, I) of the
+    product is then the sum over p in I of the signed minor on rows I minus
+    p and columns J times kept row p, which is row (J, I) of W @ kept
+    divided by prod_{i in I} d_i.  Rows in (J, I) order that are not zero
+    are returned, each divided by its gcd, so kernel and rank are those of
+    W @ kept.  The cap applies to W's full row count.
     """
     if kept.nrows != absorbed.nrows:
         raise InputError(
@@ -99,8 +99,10 @@ def membership_operator(kept, absorbed, r):
         return Matrix([], ncols=ek)
     if r:
         _check_cap(e, f, r)
-    joined = [_integer_row({**ra, **{e + j: v for j, v in rk.items()}})
+    joined = [{**ra, **{e + j: v for j, v in rk.items()}}
               for ra, rk in zip(absorbed.sparse_rows, kept.sparse_rows)]
+    for row in joined:
+        _primitive(row)
     high = [{j: v for j, v in row.items() if j < e} for row in joined]
     # kept rows as (column, value) pairs; an all-zero row adds nothing
     low = [[(j - e, v) for j, v in row.items() if j >= e] for row in joined]

@@ -15,7 +15,14 @@ normal_form_by_fractions is the Fraction division pass staircase.normal_form
 ran before it reduced integer rows, and PolyArithmeticParser the parser as
 it was when every literal, variable and power was a Poly.
 staircase_vertices_by_domination is the quadratic vertex search of
-diagram_from_generators before it tested lower neighbours.
+diagram_from_generators before it tested lower neighbours, and
+ideal_jet_space_by_fractions the ideal-jet rows as they were built before
+each generator was scaled to integers once.  integer_row is the
+conversion the elimination kernel made on entry while it still took
+dense and Fraction rows; tests that feed such rows go through it
+(integer_rows, int_matrix, and integer_blocks for the two blocks of a
+membership system), DenseMatrix holds the exact dense matrices that the
+references build, and dense_rows reads a package Matrix densely.
 rank_kernel_by_canonicalising and membership_kernel_by_residual are the
 kernel routes as they were before each read its canonical rows off one
 descending elimination: an ascending elimination, then a second one to
@@ -499,40 +506,116 @@ def contains_vector(subspace, vec):
 
 # matrices and subspaces
 
+def integer_row(row):
+    """A new sparse row: the nonzeros of a dense or sparse row of
+    ints/Fractions, scaled to coprime integers (kernel-preserving).  Any
+    other cell is refused.  The kernel made this conversion on entry while
+    it still took dense and Fraction rows; tests feed such rows through
+    here."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    out = {j: v for j, v in items if v}
+    if any(v.__class__ is not int for v in out.values()):
+        denom = 1
+        for v in out.values():
+            if not isinstance(v, (int, Fraction)):
+                raise InputError(f"cell {v!r} is not an int or a Fraction")
+            denom = lcm(denom, v.denominator)
+        out = {j: v.numerator * (denom // v.denominator)
+               for j, v in out.items()}
+    g = gcd(*out.values())
+    return {j: v // g for j, v in out.items()} if g > 1 else out
+
+
+def integer_rows(rows):
+    return [integer_row(r) for r in rows]
+
+
+def int_matrix(rows, ncols=None):
+    """The package Matrix over dense or sparse int/Fraction rows, each
+    through integer_row: the same rank, kernel and row space.  ncols
+    defaults to the length of the first row, which must then be dense."""
+    rows = list(rows)
+    return Matrix(integer_rows(rows), len(rows[0]) if ncols is None else ncols)
+
+
+def dense_rows(m):
+    """The rows of a package Matrix as dense lists, absent cells 0."""
+    return [[row.get(j, 0) for j in range(m.ncols)] for row in m.sparse_rows]
+
+
+class DenseMatrix:
+    """An exact matrix of dense int/Fraction rows, for references: the
+    form the package Matrix also held before it took sparse integer rows
+    only.  sparse_rows are its exact nonzeros; integer() is the package
+    Matrix over its rows scaled by integer_row."""
+
+    def __init__(self, rows, ncols):
+        self.rows = [list(r) for r in rows]
+        if any(len(r) != ncols for r in self.rows):
+            raise InputError(f"a row is not {ncols} cells long")
+        self.nrows, self.ncols = len(self.rows), ncols
+
+    @property
+    def shape(self):
+        return (self.nrows, self.ncols)
+
+    @property
+    def sparse_rows(self):
+        return [{j: v for j, v in enumerate(r) if v} for r in self.rows]
+
+    def integer(self):
+        return int_matrix(self.rows, self.ncols)
+
+
+def integer_blocks(kept, absorbed):
+    """(kept, absorbed) as package matrices, from two DenseMatrix blocks
+    with shared rows: each joined row [absorbed | kept] through
+    integer_row, which scales a row's two halves alike and so keeps the
+    membership system {u : kept u lies in the column span of absorbed}."""
+    ea = absorbed.ncols
+    joined = integer_rows(ra + rk for ra, rk in zip(absorbed.rows, kept.rows))
+    return (Matrix([{j - ea: v for j, v in r.items() if j >= ea}
+                    for r in joined], kept.ncols),
+            Matrix([{j: v for j, v in r.items() if j < ea} for r in joined],
+                   ea))
+
+
 def identity(n):
-    return Matrix(
-        [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    )
+    return DenseMatrix(
+        [[Fraction(int(i == j)) for j in range(n)] for i in range(n)], n)
 
 
 def zero_matrix(nrows, ncols):
-    return Matrix([[Fraction(0)] * ncols for _ in range(nrows)], ncols=ncols)
+    return DenseMatrix([[0] * ncols for _ in range(nrows)], ncols)
 
 
-def elimination_rank(m):
-    """Rank of m by one fresh single-stage staged_elimination; no kernel
-    is canonicalised."""
-    return staged_elimination(m.rows, m.ncols, [list(range(m.ncols))]).rank
+def elimination_rank(rows, ncols):
+    """Rank of dense rows by one fresh single-stage staged_elimination; no
+    kernel is canonicalised."""
+    return staged_elimination(integer_rows(rows), ncols,
+                              [list(range(ncols))]).rank
 
 
 def transpose(m):
     rows = [[m.rows[i][j] for i in range(m.nrows)] for j in range(m.ncols)]
-    return Matrix(rows, ncols=m.nrows)
+    return DenseMatrix(rows, m.nrows)
 
 
-def apply(m, vec):
-    """m times the column vector vec, as a list."""
-    if len(vec) != m.ncols:
-        raise InputError(
-            f"vector length {len(vec)} does not match {m.ncols} columns"
-        )
-    return [sum((r[j] * vec[j] for j in range(m.ncols)), Fraction(0))
-            for r in m.rows]
+def apply(rows, vec):
+    """The dense rows times the column vector vec, as a list."""
+    for r in rows:
+        if len(r) != len(vec):
+            raise InputError(
+                f"vector length {len(vec)} does not match {len(r)} columns"
+            )
+    return [sum((r[j] * vec[j] for j in range(len(vec))), Fraction(0))
+            for r in rows]
 
 
 def matmul(a, b):
-    """The product a @ b, row by row, skipping zero entries on both sides:
-    wedge operators have at most r + 1 nonzeros per row."""
+    """The product a @ b of DenseMatrix objects, row by row, skipping zero
+    entries on both sides: wedge operators have at most r + 1 nonzeros per
+    row."""
     if a.ncols != b.nrows:
         raise InputError(f"cannot multiply {a.shape} by {b.shape}")
     rows = []
@@ -545,7 +628,7 @@ def matmul(a, b):
                 if y:
                     acc[j] += x * y
         rows.append(acc)
-    return Matrix(rows, ncols=b.ncols)
+    return DenseMatrix(rows, b.ncols)
 
 
 def zero_space(ambient_dim):
@@ -553,7 +636,7 @@ def zero_space(ambient_dim):
 
 
 def full_space(ambient_dim):
-    return Subspace.from_vectors(identity(ambient_dim).rows,
+    return Subspace.from_vectors([{i: 1} for i in range(ambient_dim)],
                                  ambient_dim)
 
 
@@ -566,8 +649,8 @@ def _check_ambient(a, b):
 
 def sum_with(a, b):
     _check_ambient(a, b)
-    return Subspace.from_vectors(dense_basis(a) + dense_basis(b),
-                                 a.ambient_dim)
+    return Subspace.from_vectors(
+        integer_rows(dense_basis(a) + dense_basis(b)), a.ambient_dim)
 
 
 def intersect(a, b):
@@ -587,15 +670,15 @@ def intersect(a, b):
                 for i, x in enumerate(v):
                     vec[i] += s * x
         vecs.append(vec)
-    return Subspace.from_vectors(vecs, a.ambient_dim)
+    return Subspace.from_vectors(integer_rows(vecs), a.ambient_dim)
 
 
 def column_span(b):
-    return Subspace.from_vectors(transpose(b).rows, b.nrows)
+    return Subspace.from_vectors(integer_rows(transpose(b).rows), b.nrows)
 
 
 def wedge_operator(b, r):
-    """The order-r wedge operator of b, as a dense matrix.
+    """The order-r wedge operator of b, as a DenseMatrix.
 
     Rows are indexed by (column r-subset J, row (r+1)-subset I), both in
     lexicographic order, J outermost.  The entry in column p is zero unless
@@ -611,7 +694,7 @@ def wedge_operator(b, r):
         return identity(f)
     if r > e or r + 1 > f:
         # the source or target exterior power collapses to zero
-        return Matrix([], ncols=f)
+        return DenseMatrix([], f)
     _check_cap(e, f, r)
     memo = {}
     rows = []
@@ -624,14 +707,14 @@ def wedge_operator(b, r):
                 if minor:
                     row[p] = minor if pos % 2 == 0 else -minor
             rows.append(row)
-    return Matrix(rows, ncols=f)
+    return DenseMatrix(rows, f)
 
 
 def image_kernel_check(b):
     """Self-test: the column span of b equals the kernel of its wedge operator
     at order rank(b).  Should hold for every matrix."""
     r = sympy_rank(b.rows)
-    _, kernel = wedge_operator(b, r).rank_kernel()
+    _, kernel = wedge_operator(b, r).integer().rank_kernel()
     return column_span(b) == kernel
 
 
@@ -651,6 +734,25 @@ def mono_cmp(beta, gamma):
 def position_map(arity, d):
     """Map each multi-index of degree <= d to its enumeration position."""
     return {b: i for i, b in enumerate(indices_up_to(arity, d))}
+
+
+def ideal_jet_space_by_fractions(presentation, k):
+    """staircase.ideal_jet_space as it was before it scaled each generator
+    to integers once: every multiple x^gamma * g as a sparse row of the
+    generator's own Fraction coefficients, scaled to integers row by row
+    through integer_row, the conversion the kernel made on entry then."""
+    monomials = indices_up_to(presentation.arity, k)
+    position = {b: i for i, b in enumerate(monomials)}
+    vectors = []
+    for g in presentation.recentered:
+        for gamma in indices_up_to(presentation.arity, k - g.order()):
+            vec = {}
+            for b, c in g.terms.items():
+                i = position.get(tuple(x + y for x, y in zip(gamma, b)))
+                if i is not None:
+                    vec[i] = c
+            vectors.append(integer_row(vec))
+    return Subspace.from_vectors(vectors, len(monomials))
 
 
 def staircase_vertices_by_domination(diagram):

@@ -281,6 +281,26 @@ class TestDiagramRoute:
             for l in range(k, 9):
                 assert eng.diagram_threshold(k, l) == (l >= lv)
 
+    @pytest.mark.parametrize("phi, point, gen", [
+        (cusp(), (0,), "y1^3 - y2^2"),
+        (cone(), (1, 1), "y2^2 - y1 y3"),
+    ])
+    def test_reads_enumerate_no_index_prefix(self, phi, point, gen):
+        # the staircase route takes its column exponents from the
+        # diagram's own enumeration and jet_blocks its split from the
+        # build's arity, so no order leaves an indices_up_to cache entry
+        n = phi.target_arity
+        eng = ChevalleyEngine(
+            phi, FibredTuple.make(phi, [point]),
+            relations=[parse_poly(gen, n, names=Y3[:n])], l_max=8)
+        eng.diagram(eng.l_max)
+        size = indices_up_to.cache_info().currsize
+        for l in range(eng.l_max + 1):
+            for k in range(l + 1):
+                eng.diagram_threshold(k, l)
+                jet_blocks(eng.jets.jet(l), k)
+        assert indices_up_to.cache_info().currsize == size
+
     def test_standalone_frozen(self):
         phi = cusp()
         tup = FibredTuple.make(phi, [(0,)])
@@ -423,8 +443,9 @@ class TestConsistencyGuards:
         k = 2
         eng = cusp_engine()
         betas = indices_up_to(2, k)
-        fake = Subspace.from_vectors([[int(b == mono) for b in betas]],
-                                     len(betas))
+        fake = Subspace.from_vectors(
+            [oracles.integer_row([int(b == mono) for b in betas])],
+            len(betas))
         assert fake.dim == eng.relation_space(k).dim
         # the guard tests the canonical rows of relation_space(k)
         monkeypatch.setattr(eng, "relation_space", lambda _: fake)

@@ -508,6 +508,19 @@ class TestMuVerb:
         assert code == 2
         assert "single-point" in capsys.readouterr().err
 
+    def test_needs_a_point(self, tmp_path, capsys):
+        # a scenario with no points and no tuples is refused, not a crash
+        path = write_scenario(tmp_path, {
+            "name": "e",
+            "map": {"m": 1, "n": 2, "components": ["x^2", "x^3"]},
+        })
+        code = main(["mu", "--scenario", path, "--poly", "y1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: growth probe needs a point;"
+                                " the scenario has none\n")
+
 
 class TestProductVerb:
     def test_envelope(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
 import copy
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,14 +18,14 @@ def matrix_strategy(max_rows=5, max_cols=5):
             lambda c: st.lists(
                 st.lists(entries, min_size=c, max_size=c),
                 min_size=r, max_size=r,
-            ).map(lambda rows: Matrix(rows, ncols=c))
+            ).map(lambda rows: O.DenseMatrix(rows, c))
         )
     )
 
 
 def _entry_forms(q):
-    # one rational as a Fraction, a "p/q" string and, when integral, an int
-    forms = [q, str(q)] + ([int(q)] if q.denominator == 1 else [])
+    # one rational as a Fraction and, when integral, an int
+    forms = [q] + ([int(q)] if q.denominator == 1 else [])
     return st.sampled_from(forms)
 
 
@@ -51,8 +51,8 @@ class TestMatrix:
         assert kern.dim == 3
 
     def test_matmul(self):
-        a = Matrix([[1, 2], [3, 4]], ncols=2)
-        b = Matrix([[0, 1], [1, 0]], ncols=2)
+        a = O.DenseMatrix([[1, 2], [3, 4]], 2)
+        b = O.DenseMatrix([[0, 1], [1, 0]], 2)
         assert O.matmul(a, b).rows == [[Fraction(2), Fraction(1)],
                                 [Fraction(4), Fraction(3)]]
 
@@ -69,45 +69,39 @@ class TestMatrix:
                  Fraction(0)) for j in range(width)]
             for i in range(a.nrows)
         ]
-        assert O.matmul(a, Matrix(b, ncols=width)).rows == expected
+        assert O.matmul(a, O.DenseMatrix(b, width)).rows == expected
 
     @given(matrix_strategy())
     @settings(max_examples=60, deadline=None)
     def test_rank_matches_sympy(self, m):
-        assert m.rank_kernel()[0] == O.sympy_rank(m.rows)
+        assert m.integer().rank_kernel()[0] == O.sympy_rank(m.rows)
 
     @given(matrix_strategy())
     @settings(max_examples=60, deadline=None)
     def test_kernel_is_annihilated_and_has_right_dim(self, m):
-        rank, kern = m.rank_kernel()
+        rank, kern = m.integer().rank_kernel()
         assert rank + kern.dim == m.ncols
         for v in O.dense_basis(kern):
-            assert all(x == 0 for x in O.apply(m, v))
+            assert all(x == 0 for x in O.apply(m.rows, v))
 
     @given(st.lists(st.lists(entries.flatmap(_entry_forms) | st.booleans(),
                              min_size=3, max_size=3), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
-    def test_entries_are_boxed_as_fractions(self, rows):
-        # a dense row keeps its nonzero int and Fraction cells as given and
-        # boxes a str, a bool or any other cell as a Fraction; its zero
-        # cells are absent from sparse_rows and read as int 0 in the dense
-        # view
-        m = Matrix(rows)
-        assert m.rows == [[Fraction(x) for x in r] for r in rows]
-        for sparse, dense, src in zip(m.sparse_rows, m.rows, rows):
-            assert sparse == {j: Fraction(v) for j, v in enumerate(src)
-                              if Fraction(v)}
-            assert all(type(x) is (type(src[j]) if type(src[j]) in
-                                   (int, Fraction) else Fraction)
-                       for j, x in sparse.items())
-            assert all(type(x) is int and x == 0
-                       for j, x in enumerate(dense) if j not in sparse)
-            assert dense is not src
-        # sparse rows are kept as given
-        given = [dict(row) for row in m.sparse_rows]
-        again = Matrix(given, ncols=3)
-        assert all(a is b for a, b in zip(again.sparse_rows, given))
-        assert again.rows == m.rows and again == m
+    def test_dense_rows_are_refused(self, rows):
+        # a dense row is refused whatever its cells; a sparse row is kept
+        # as given, and dense int/Fraction rows reach a Matrix through the
+        # reference conversion
+        with pytest.raises(InputError, match="not a sparse"):
+            Matrix(rows, 3)
+        given = [{j: v for j, v in enumerate(r) if v} for r in rows]
+        m = Matrix(given, 3)
+        assert all(a is b for a, b in zip(m.sparse_rows, given))
+        assert m == Matrix([dict(r) for r in given], 3)
+        if not any(type(x) is bool for r in rows for x in r):
+            converted = O.int_matrix(rows)
+            assert all(type(x) is int
+                       for r in converted.sparse_rows for x in r.values())
+            assert converted.rank_kernel()[0] == O.sympy_rank(rows)
 
     def test_identity_and_zero(self):
         assert O.identity(3).rows == [
@@ -122,31 +116,32 @@ class TestMatrix:
         assert all(type(x) is int for r in zero.rows for x in r)
 
     def test_column_selection(self):
-        m = Matrix([[1, 2, 3], [4, 0, Fraction(1, 2)]], ncols=3)
+        m = Matrix([{0: 1, 1: 2, 2: 3}, {0: 4, 2: 7}], 3)
         source = copy.deepcopy(m.sparse_rows)
         s = m.columns([0, 2])
         assert s.shape == (2, 2)
-        assert s.rows == [[1, 3], [4, Fraction(1, 2)]]
+        assert O.dense_rows(s) == [[1, 3], [4, 7]]
         reordered = m.columns([2, 0, 1])
-        assert reordered.rows == [[3, 1, 2], [Fraction(1, 2), 4, 0]]
-        assert reordered.sparse_rows[1] == {0: Fraction(1, 2), 1: 4}
+        assert O.dense_rows(reordered) == [[3, 1, 2], [7, 4, 0]]
+        assert reordered.sparse_rows[1] == {0: 7, 1: 4}
         empty = m.columns([])
         assert empty.shape == (2, 0) and empty.sparse_rows == [{}, {}]
-        assert empty.rows == [[], []]
+        assert O.dense_rows(empty) == [[], []]
         assert m.columns(range(3)) == m
         assert m.sparse_rows == source
         for bad in ([0, 0], [3], [-1, 0]):
             with pytest.raises(InputError):
                 m.columns(bad)
 
+    # a dense row is refused whatever its length; ncols is required
     @pytest.mark.parametrize("rows, ncols", [
-        pytest.param([[1, 2], [3]], None, id="ragged"),
+        pytest.param([[1, 2], [3]], 2, id="ragged"),
         pytest.param([[1, 2], [3, 4, 5]], 2, id="ragged-declared"),
         pytest.param([[1, 2]], 3, id="declared-wider"),
         pytest.param([[1, 2]], 1, id="declared-narrower"),
         pytest.param([], None, id="no-rows-no-ncols"),
         pytest.param([], -1, id="negative-ncols"),
-        pytest.param([[]], -1, id="negative-ncols-with-rows"),
+        pytest.param([{}], -1, id="negative-ncols-with-rows"),
         pytest.param([{-1: 1}], 2, id="sparse-below-0"),
         pytest.param([{2: 1}], 2, id="sparse-at-ncols"),
         pytest.param([{0: 1, 5: 1}], 2, id="sparse-above-ncols"),
@@ -155,33 +150,35 @@ class TestMatrix:
     def test_input_checks(self, rows, ncols):
         with pytest.raises(InputError):
             Matrix(rows, ncols=ncols)
+        with pytest.raises(TypeError):
+            Matrix(rows)
 
 
 class TestSubspace:
     @given(st.lists(st.lists(entries, min_size=3, max_size=3),
                     min_size=0, max_size=4))
     def test_canonical_under_generator_shuffling(self, vecs):
-        a = Subspace.from_vectors(vecs, 3)
-        b = Subspace.from_vectors(list(reversed(vecs)), 3)
+        a = Subspace.from_vectors(O.integer_rows(vecs), 3)
+        b = Subspace.from_vectors(O.integer_rows(reversed(vecs)), 3)
         assert a == b
         doubled = [[2 * x for x in v] for v in vecs]
-        assert Subspace.from_vectors(doubled + vecs, 3) == a
+        assert Subspace.from_vectors(O.integer_rows(doubled + vecs), 3) == a
 
     def test_contains(self):
-        s = Subspace.from_vectors([[1, 0, 1], [0, 1, 0]], 3)
+        s = Subspace.from_vectors([{0: 1, 2: 1}, {1: 1}], 3)
         assert O.contains_vector(s, [2, 3, 2])
         assert not O.contains_vector(s, [1, 0, 0])
         assert s.reduce({0: 2, 1: 3, 2: 2}) == {}
         assert s.reduce({0: 1}) == {2: -1}
-        assert s.contains(Subspace.from_vectors([[2, 3, 2]], 3))
-        assert not s.contains(Subspace.from_vectors([[1, 0, 0]], 3))
+        assert s.contains(Subspace.from_vectors([{0: 2, 1: 3, 2: 2}], 3))
+        assert not s.contains(Subspace.from_vectors([{0: 1}], 3))
 
     @given(st.lists(st.lists(entries, min_size=4, max_size=4), max_size=3),
            st.lists(st.lists(entries, min_size=4, max_size=4), max_size=3))
     @settings(max_examples=50, deadline=None)
     def test_dimension_formula(self, gens_a, gens_b):
-        a = Subspace.from_vectors(gens_a, 4)
-        b = Subspace.from_vectors(gens_b, 4)
+        a = Subspace.from_vectors(O.integer_rows(gens_a), 4)
+        b = Subspace.from_vectors(O.integer_rows(gens_b), 4)
         total = O.sum_with(a, b)
         meet = O.intersect(a, b)
         assert a.dim + b.dim == total.dim + meet.dim
@@ -189,9 +186,9 @@ class TestSubspace:
         assert a.contains(meet) and b.contains(meet)
 
     def test_project(self):
-        s = Subspace.from_vectors([[1, 2, 0], [0, 0, 1]], 3)
+        s = Subspace.from_vectors([{0: 1, 1: 2}, {2: 1}], 3)
         p = s.project(2)
-        assert p == Subspace.from_vectors([[1, 2]], 2)
+        assert p == Subspace.from_vectors([{0: 1, 1: 2}], 2)
         assert s.project(3) == s
         assert s.project(0).ambient_dim == 0 and s.project(0).is_zero()
         for n in (-1, 4):
@@ -202,11 +199,11 @@ class TestSubspace:
     @settings(max_examples=120, deadline=None)
     def test_project_onto_prefix_matches_from_vectors(self, family, data):
         n, vecs = family
-        s = Subspace.from_vectors(vecs, n)
+        s = Subspace.from_vectors(O.integer_rows(vecs), n)
         cut = data.draw(st.integers(0, n))
         p = s.project(cut)
         fresh = Subspace.from_vectors(
-            [b[:cut] for b in O.dense_basis(s)], cut)
+            O.integer_rows(b[:cut] for b in O.dense_basis(s)), cut)
         assert p == fresh
         assert p.pivots == fresh.pivots
         assert p.ambient_dim == cut
@@ -223,7 +220,7 @@ class TestSubspace:
     @settings(max_examples=150, deadline=None)
     def test_from_vectors_matches_sympy_rref(self, family):
         n, vecs = family
-        s = Subspace.from_vectors(vecs, n)
+        s = Subspace.from_vectors(O.integer_rows(vecs), n)
         basis, pivots = O.sympy_rref(vecs, n)
         assert O.dense_basis(s) == basis
         assert s.pivots == pivots
@@ -231,19 +228,27 @@ class TestSubspace:
 
     def test_from_vectors_edge_inputs(self):
         assert O.dense_basis(Subspace.from_vectors([], 3)) == []
-        empty = Subspace.from_vectors([[], []], 0)
+        empty = Subspace.from_vectors([{}, {}], 0)
         assert O.dense_basis(empty) == [] and empty.ambient_dim == 0
-        s = Subspace.from_vectors([["1/2", 1], [Fraction(1, 4), "1/2"]], 2)
+        # a str or Fraction cell is refused; Fraction vectors are scaled to
+        # integers first
+        for vecs in ([{0: "1/2", 1: 1}], [{0: Fraction(1, 4), 1: 1}],
+                     [[1, 2]]):
+            with pytest.raises(InputError):
+                Subspace.from_vectors(vecs, 2)
+        s = Subspace.from_vectors(O.integer_rows(
+            [[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]]), 2)
         assert O.dense_basis(s) == [[Fraction(1), Fraction(2)]]
         assert s.pivots == [0] and s.rows == {0: {0: 1, 1: 2}}
 
+    # sparse vectors with a coordinate outside Q^n
     @pytest.mark.parametrize("vecs, n", [
-        ([[1, 2], [1]], 2),
-        ([[1, 2, 3]], 2),
-        ([[1]], 0),
+        ([{0: 1, 1: 2}, {2: 1}], 2),
+        ([{0: 1, 1: 2, 2: 3}], 2),
+        ([{0: 1}], 0),
     ])
     def test_from_vectors_wrong_length(self, vecs, n):
-        with pytest.raises(InputError, match="vector of length"):
+        with pytest.raises(InputError, match="outside the column count"):
             Subspace.from_vectors(vecs, n)
 
 
@@ -261,20 +266,13 @@ def _assert_canonical_rows(s):
         assert not any(q in row for q in pivots if q != p)
 
 
-def _integer_vector(vec):
-    """A dense int/Fraction vector as a sparse row of coprime ints."""
-    denom = lcm(*(Fraction(x).denominator for x in vec)) if vec else 1
-    row = {j: int(Fraction(x) * denom) for j, x in enumerate(vec) if x}
-    g = gcd(*row.values())
-    return {j: v // g for j, v in row.items()}
-
-
 @st.composite
 def subspace_cases(draw):
     """(ambient dim, dense vectors, the same vectors as given, cell
     strategy): small ints, wide ints or Fractions, mostly zero or dense,
-    handed over as dense lists or sparse dicts; the cell strategy draws
-    more vectors of the same kind."""
+    handed over as sparse int rows, scaled to primitive ones or, when they
+    hold ints, as they are; the cell strategy draws more vectors of the
+    same kind."""
     n = draw(st.integers(0, 6))
     value = draw(st.sampled_from([
         st.integers(-3, 3),
@@ -285,10 +283,16 @@ def subspace_cases(draw):
     cell = draw(st.sampled_from([zero | value, zero | zero | zero | value]))
     vecs = draw(st.lists(st.lists(cell, min_size=n, max_size=n),
                          max_size=5))
-    given_vecs = vecs
-    if draw(st.booleans()):
-        given_vecs = [{j: v for j, v in enumerate(r) if v} for r in vecs]
-    return n, vecs, given_vecs, cell
+    return n, vecs, _given_rows(draw, vecs), cell
+
+
+def _given_rows(draw, rows):
+    """Dense int/Fraction rows as the kernel takes them: through the
+    reference conversion or, when they hold ints, as sparse rows that may
+    not be primitive."""
+    if all(type(v) is int for r in rows for v in r) and draw(st.booleans()):
+        return [{j: v for j, v in enumerate(r) if v} for r in rows]
+    return O.integer_rows(rows)
 
 
 class TestCanonicalRows:
@@ -303,12 +307,13 @@ class TestCanonicalRows:
         _assert_canonical_rows(s)
         assert (O.dense_basis(s), s.pivots) == \
             O.dense_from_vectors_basis(vecs, n)
-        negated = Subspace.from_vectors([[-x for x in v] for v in vecs], n)
+        negated = Subspace.from_vectors(
+            O.integer_rows([-x for x in v] for v in vecs), n)
         assert negated == s and negated.rows == s.rows
         assert hash(negated) == hash(s)
 
     def test_a_negative_pivot_is_flipped(self):
-        s = Subspace.from_vectors([[0, -2, 4, -1]], 4)
+        s = Subspace.from_vectors([{1: -2, 2: 4, 3: -1}], 4)
         assert s.rows == {1: {1: 2, 2: -4, 3: 1}}
         assert s == Subspace.from_vectors([{1: 2, 2: -4, 3: 1}], 4)
 
@@ -323,10 +328,10 @@ class TestCanonicalRows:
         # members too: combinations of the generators
         for v in probes + O.dense_basis(s)[:2]:
             want = O.reduce_vector(s, v)
-            got = s.reduce(_integer_vector(v))
-            assert got == _integer_vector(want)
+            got = s.reduce(O.integer_row(v))
+            assert got == O.integer_row(want)
             assert (not got) == O.contains_vector(s, v)
-        other = Subspace.from_vectors(probes, n)
+        other = Subspace.from_vectors(O.integer_rows(probes), n)
         assert s.contains(other) == all(
             O.contains_vector(s, b) for b in O.dense_basis(other))
         assert s.contains(s) and other.contains(Subspace.from_vectors([], n))
@@ -347,31 +352,48 @@ class TestCanonicalRows:
     def test_project_divides_out_a_common_factor_of_the_cut(self):
         # the row 2, 4, 1 is primitive; cut to its first two columns it is
         # 2·(1, 2)
-        s = Subspace.from_vectors([[2, 4, 1]], 3)
+        s = Subspace.from_vectors([{0: 2, 1: 4, 2: 1}], 3)
         assert s.rows == {0: {0: 2, 1: 4, 2: 1}}
         p = s.project(2)
         assert p.rows == {0: {0: 1, 1: 2}}
-        assert p == Subspace.from_vectors([[1, 2]], 2)
+        assert p == Subspace.from_vectors([{0: 1, 1: 2}], 2)
 
 
 class TestStagedElimination:
     def test_stages_must_partition_columns(self):
-        with pytest.raises(InputError):
-            staged_elimination([[1, 2]], 2, [[0], [0, 1]])
+        with pytest.raises(InputError, match="partition"):
+            staged_elimination([{0: 1, 1: 2}], 2, [[0], [0, 1]])
 
     @pytest.mark.parametrize("rows", [
         [{0: "1/2"}], [["1/2", 0]], [{1: 1.5}], [[1, 1.5]],
         [[1, 2], {0: 1, 1: "2"}],
     ])
     def test_bad_cells_are_refused(self, rows):
-        # only int and Fraction cells reach the kernel; a Matrix keeps a
-        # sparse row as given, so the kernel is where its cells are checked
-        with pytest.raises(InputError, match="not an int or a Fraction"):
-            staged_elimination(rows, 2, [[0, 1]])
+        # only sparse int rows reach the kernel: a dense row is refused, and
+        # a Matrix keeps a sparse row as given, so the kernel is where its
+        # cells are checked
+        if any(isinstance(r, list) for r in rows):
+            with pytest.raises(InputError, match="not a sparse"):
+                staged_elimination(rows, 2, [[0, 1]])
         sparse = [r if isinstance(r, dict) else dict(enumerate(r))
                   for r in rows]
-        with pytest.raises(InputError, match="not an int or a Fraction"):
+        with pytest.raises(InputError, match="is not an int"):
+            staged_elimination(sparse, 2, [[0, 1]])
+        with pytest.raises(InputError, match="is not an int"):
             Matrix(sparse, ncols=2).rank_kernel()
+
+    @pytest.mark.parametrize("cell", [Fraction(1, 2), Fraction(2), "1",
+                                      1.0, True],
+                             ids=["fraction", "integral-fraction", "str",
+                                  "float", "bool"])
+    def test_only_int_cells_enter(self, cell):
+        for route in (lambda rows: staged_elimination(rows, 2, [[1, 0]]),
+                      lambda rows: Matrix(rows, 2).rank_kernel(),
+                      lambda rows: Subspace.from_vectors(rows, 2)):
+            with pytest.raises(InputError, match="is not an int"):
+                route([{0: 1}, {1: cell}])
+            with pytest.raises(InputError, match="not a sparse"):
+                route([{0: 1}, [0, 1]])
 
     @given(matrix_strategy(max_rows=5, max_cols=5), st.integers(1, 4))
     @settings(max_examples=50, deadline=None)
@@ -384,28 +406,30 @@ class TestStagedElimination:
             return
         first = list(range(cut))
         stages = [first, list(range(cut, m.ncols))]
-        elim = staged_elimination(m.rows, m.ncols, stages)
+        elim = staged_elimination(O.integer_rows(m.rows), m.ncols, stages)
         _assert_split_matches_oracle(m.rows, first, *_split(elim, first))
 
     @given(matrix_strategy(max_rows=4, max_cols=5))
     @settings(max_examples=40, deadline=None)
     def test_total_rank_is_preserved(self, m):
         stages = [[c] for c in range(m.ncols)]
-        elim = staged_elimination(m.rows, m.ncols, stages)
+        elim = staged_elimination(O.integer_rows(m.rows), m.ncols, stages)
         assert elim.rank == O.sympy_rank(m.rows)
 
     @given(st.lists(st.lists(st.integers(-12, 12), min_size=4, max_size=4),
                     min_size=1, max_size=4), st.integers(1, 5))
     @settings(max_examples=50, deadline=None)
     def test_integer_rows_eliminate_like_fraction_rows(self, rows, scale):
-        # integer rows skip the denominator pass but are still divided by
-        # their gcd, and the caller's rows are never reduced in place
-        copy = [list(r) for r in rows]
+        # integer rows are made primitive on entry, so they eliminate like
+        # the same rows scaled by Fractions through the reference
+        # conversion, and the caller's rows are never reduced in place
+        given = [{j: v for j, v in enumerate(r) if v} for r in rows]
+        copy = [dict(r) for r in given]
         scaled = [[Fraction(x, scale) for x in r] for r in rows]
         stages = [[3], [2], [0, 1]]
-        a = staged_elimination(rows, 4, stages)
-        b = staged_elimination(scaled, 4, stages)
-        assert rows == copy
+        a = staged_elimination(given, 4, stages)
+        b = staged_elimination(O.integer_rows(scaled), 4, stages)
+        assert given == copy
         assert a.rows == b.rows and a.pivots == b.pivots
         for absorbed in ([3], [3, 2]):
             split = _split(a, absorbed)
@@ -445,20 +469,18 @@ class TestDenseOracleParity:
     """The sparse kernel against the dense elimination it replaced: the
     same rows, pivots, ranks, kernels and canonical bases."""
 
-    @given(elimination_cases(), st.booleans())
+    @given(elimination_cases(), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_sparse_kernel_matches_dense_oracle(self, case, sparse):
+    def test_sparse_kernel_matches_dense_oracle(self, case, data):
         rows, ncols, stages = case
-        given_rows = rows
-        if sparse:
-            given_rows = [{j: v for j, v in enumerate(r) if v} for r in rows]
+        given_rows = _given_rows(data.draw, rows)
         before = [r.copy() for r in given_rows]
         got = staged_elimination(given_rows, ncols, stages)
         assert given_rows == before
         want = O.dense_staged_elimination(rows, ncols, stages)
         assert got.rows == want.rows
         assert got.pivots == want.pivots and got.rank == want.rank
-        rank, kernel = Matrix(rows, ncols=ncols).rank_kernel()
+        rank, kernel = Matrix(given_rows, ncols=ncols).rank_kernel()
         assert (rank, O.dense_basis(kernel), kernel.pivots) == \
             O.dense_rank_kernel(rows, ncols)
         span = Subspace.from_vectors(given_rows, ncols)
@@ -469,14 +491,14 @@ class TestDenseOracleParity:
         # bench/tracer.py reads len(rows) * ncols off the input and the
         # bit-lengths of the values in elim.rows
         dense = [[0, 2, Fraction(1, 2)], [0, 0, 0], [3, 0, 6]]
-        sparse = [{1: 2, 2: Fraction(1, 2)}, {}, {0: 3, 2: 6}]
-        for rows in (dense, sparse):
+        sparse = [{1: 4, 2: 1}, {}, {0: 3, 2: 6}]
+        for rows in (O.integer_rows(dense), sparse):
             elim = staged_elimination(rows, 3, [[2], [0, 1]])
             assert isinstance(elim.rows, list) and len(elim.rows) == 3
             for row in elim.rows:
                 assert isinstance(row, list) and len(row) == 3
                 assert all(type(v) is int for v in row)
-            assert elim.rows == staged_elimination(dense, 3,
+            assert elim.rows == staged_elimination(O.integer_rows(dense), 3,
                                                    [[2], [0, 1]]).rows
 
     def test_sparse_columns_must_fit(self):
@@ -492,7 +514,7 @@ def _split(elim, absorbed):
     restricted to the other columns in ascending order."""
     kept = [c for c in range(elim.ncols) if c not in absorbed]
     pivoted = {r for r, c in elim.pivots if c in absorbed}
-    rows = [[row[c] for c in kept]
+    rows = [{k: row[c] for k, c in enumerate(kept) if row[c]}
             for i, row in enumerate(elim.rows) if i not in pivoted]
     return len(pivoted), Matrix(rows, ncols=len(kept))
 
@@ -538,17 +560,18 @@ def _schur_rows(first, second):
 
 
 def test_rank_kernel_method():
-    m = Matrix([[1, 1], [1, 1]], ncols=2)
+    m = Matrix([{0: 1, 1: 1}, {0: 1, 1: 1}], ncols=2)
     rank, kern = m.rank_kernel()
     assert rank == 1
-    assert kern == Subspace.from_vectors([[1, -1]], 2)
+    assert kern == Subspace.from_vectors([{0: 1, 1: -1}], 2)
 
 
 @st.composite
 def kernel_matrices(draw):
-    """A Matrix of 0-6 columns, dense or sparse rows of ints or Fractions
-    with zero rows mixed in; now and then the zero matrix, or one of full
-    column rank (a unit lower-triangular block among the rows)."""
+    """A Matrix of 0-6 columns over rows of ints or Fractions, handed over
+    as _given_rows does, with zero rows mixed in; now and then the zero
+    matrix, or one of full column rank (a unit lower-triangular block among
+    the rows)."""
     ncols = draw(st.integers(0, 6))
     cell = _cell_strategy(draw)
     rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
@@ -561,9 +584,7 @@ def kernel_matrices(draw):
                   for j in range(ncols)] for i in range(ncols)]
     rows += [[0] * ncols] * draw(st.integers(0, 2))
     rows = draw(st.permutations(rows))
-    if draw(st.booleans()):
-        rows = [{j: v for j, v in enumerate(r) if v} for r in rows]
-    return Matrix(rows, ncols=ncols)
+    return Matrix(_given_rows(draw, rows), ncols=ncols)
 
 
 class TestOneEliminationKernel:
@@ -584,9 +605,9 @@ class TestOneEliminationKernel:
     def test_edge_shapes(self):
         assert Matrix([], ncols=0).rank_kernel() == \
             (0, Subspace.from_vectors([], 0))
-        assert Matrix([[0, 0], {}], ncols=2).rank_kernel() == \
-            (0, Subspace.from_vectors([[1, 0], [0, 1]], 2))
-        assert Matrix([[2, 4], [0, Fraction(1, 3)]]).rank_kernel() == \
+        assert Matrix([{}, {}], ncols=2).rank_kernel() == \
+            (0, Subspace.from_vectors([{0: 1}, {1: 1}], 2))
+        assert O.int_matrix([[2, 4], [0, Fraction(1, 3)]]).rank_kernel() == \
             (2, Subspace.from_vectors([], 2))
 
     def test_one_elimination_no_canonicalising_pass(self, monkeypatch):
@@ -601,7 +622,7 @@ class TestOneEliminationKernel:
             calls.append("from_vectors")
             return real_from(cls, *args, **kwargs)
 
-        m = Matrix([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1]], ncols=4)
+        m = O.int_matrix([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1]])
         monkeypatch.setattr("chevkit.linalg.staged_elimination",
                             counted_elim)
         monkeypatch.setattr(Subspace, "from_vectors",

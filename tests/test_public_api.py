@@ -70,6 +70,8 @@ REMOVED_ATTRIBUTES = [
     (jets, "jet_quotient_dim"),
     (wedge, "column_span"), (wedge, "image_kernel_check"),
     (wedge, "wedge_operator"),
+    (linalg.Matrix, "rows"), (jets.JetMatrix, "rows"),
+    (linalg, "_integer_row"),
 ]
 
 
@@ -93,6 +95,12 @@ def test_linalg_has_no_fraction_zero():
     # canonical subspaces keep integer rows, so no shared Fraction zero
     # cell is left to test identity against
     assert not hasattr(linalg, "_ZERO")
+
+
+def test_linalg_takes_no_fractions():
+    # only sparse integer rows enter the kernel; Fraction rows are scaled
+    # to integers where they are made
+    assert not hasattr(linalg, "Fraction")
 
 
 def test_signatures_carry_no_single_value_knobs():

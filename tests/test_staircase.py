@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import _oracles as oracles
 from chevkit.errors import ConsistencyError, InputError
@@ -314,7 +314,8 @@ class TestIdealJets:
                 prod = oracles.monomial(gamma) * g
                 vectors.append([oracles.coeff(prod, b) for b in monomials])
         assert ideal_jet_space(pres, k) == \
-            Subspace.from_vectors(vectors, len(monomials))
+            Subspace.from_vectors(oracles.integer_rows(vectors),
+                                  len(monomials))
 
     def test_diagram_span_slices_to_every_lower_degree(self):
         pres = cusp_presentation((1, 1))
@@ -335,6 +336,34 @@ class TestIdealJets:
         for k in range(0, 6):
             via_jets = index_count(2, k) - ideal_jet_space(pres, k).dim
             assert via_jets == hilbert_samuel_count(diag, k)
+
+
+class TestIntegerIdealRows:
+    """ideal_jet_space scales each generator to integers once; the rows
+    of the Fraction multiples, scaled one by one, span the same space."""
+
+    @given(ideal_cases(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_fraction_route(self, case, data):
+        pres, d = case
+        assume(any(c.__class__ is not int and c.denominator > 1
+                   for g in pres.recentered for c in g.terms.values()))
+        k = data.draw(st.integers(0, d))
+        got = ideal_jet_space(pres, k)
+        want = oracles.ideal_jet_space_by_fractions(pres, k)
+        assert got == want and got.rows == want.rows
+
+    def test_a_truncated_multiple_keeps_a_common_factor(self):
+        # g = 2 y1 + 4 y2^2 + 3 y1^3 is an integer row, but cut at k = 2 it
+        # is (2, 4) at (y1, y2^2), which the elimination makes primitive
+        pres = IdealPresentation.make(
+            [parse_poly("2*y1 + 4*y2^2 + 3*y1^3", 2, names=["y1", "y2"])],
+            (0, 0))
+        space = ideal_jet_space(pres, 2)
+        assert space.rows == {2: {2: 1, 3: 2}, 4: {4: 1}, 5: {5: 1}}
+        assert space == oracles.ideal_jet_space_by_fractions(pres, 2)
+        assert diagram_from_generators(pres, 3).span == \
+            oracles.ideal_jet_space_by_fractions(pres, 3)
 
 
 class TestGeneratorDegree:

@@ -13,9 +13,12 @@ from chevkit.wedge import membership_kernel, membership_operator
 
 
 def mat(rows, ncols=None):
+    """An exact DenseMatrix; membership routes take its blocks through
+    oracles.integer_blocks."""
     if ncols is None:
         ncols = len(rows[0])
-    return Matrix([[Fraction(v) for v in r] for r in rows], ncols=ncols)
+    return oracles.DenseMatrix([[Fraction(v) for v in r] for r in rows],
+                               ncols)
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -46,7 +49,7 @@ class TestWedgeOperator:
             [Fraction(0), Fraction(-1)],
             [Fraction(0), Fraction(0)],
         ]
-        _, kern = op.rank_kernel()
+        _, kern = op.integer().rank_kernel()
         assert kern == oracles.column_span(b)
 
     def test_full_rank_square_collapses(self):
@@ -54,7 +57,7 @@ class TestWedgeOperator:
         op = wedge_operator(b, 2)
         assert op.nrows == 0
         assert op.ncols == 2
-        _, kern = op.rank_kernel()
+        _, kern = op.integer().rank_kernel()
         assert kern == oracles.full_space(2)
 
     def test_entries_are_signed_minors(self):
@@ -82,7 +85,7 @@ class TestWedgeOperator:
         b = mat([[1, 2], [2, 4], [1, 1]])  # rank 2
         op = wedge_operator(b, 2)
         for col in oracles.transpose(b).rows:
-            assert all(v == 0 for v in oracles.apply(op, list(col)))
+            assert all(v == 0 for v in oracles.apply(op.rows, list(col)))
 
     @given(matrix_strategy())
     @settings(max_examples=60, deadline=None)
@@ -100,8 +103,9 @@ class TestWedgeOperator:
 
 @st.composite
 def membership_blocks(draw):
-    """(kept, absorbed) with 1-5 shared rows, small integer or non-integer
-    rational entries, and some rows zero in one block or both."""
+    """(kept, absorbed) DenseMatrix blocks with 1-5 shared rows, small
+    integer or non-integer rational entries, and some rows zero in one
+    block or both."""
     f = draw(st.integers(1, 5))
     ea = draw(st.integers(1, 4))
     ek = draw(st.integers(1, 3))
@@ -130,12 +134,12 @@ class TestMembershipOperator:
         kept, absorbed = blocks
         rank = oracles.sympy_rank(absorbed.rows)
         r = data.draw(st.integers(0, rank + 1))
-        got = membership_operator(kept, absorbed, r)
+        got = membership_operator(*oracles.integer_blocks(kept, absorbed), r)
         product = oracles.matmul(wedge_operator(absorbed, r), kept)
         want = [row for row in product.rows if any(row)]
         assert got.ncols == kept.ncols
-        assert len(got.rows) == len(want)
-        for g, w in zip(got.rows, want):
+        assert got.nrows == len(want)
+        for g, w in zip(oracles.dense_rows(got), want):
             p = next(j for j, x in enumerate(w) if x)
             ratio = Fraction(g[p]) / w[p]  # g holds ints; keep it exact
             assert ratio > 0
@@ -144,7 +148,7 @@ class TestMembershipOperator:
     @given(membership_blocks())
     @settings(max_examples=80, deadline=None)
     def test_kernel_and_rank_match_membership_kernel(self, blocks):
-        kept, absorbed = blocks
+        kept, absorbed = oracles.integer_blocks(*blocks)
         res = membership_kernel(kept, absorbed)
         op = membership_operator(kept, absorbed, res.absorbed_rank)
         assert op.rank_kernel() == (res.residual_rank, res.kernel)
@@ -158,21 +162,22 @@ class TestMembershipOperator:
         # comb(6, 3) * comb(8, 4) = 1400 rows; the cap counts them all,
         # zero rows included
         monkeypatch.setattr(chevkit.wedge, "DEFAULT_WEDGE_CAP", 1400)
-        membership_operator(kept, absorbed, 3)
+        blocks = oracles.integer_blocks(kept, absorbed)
+        membership_operator(*blocks, 3)
         for r, cap in ((3, 1399), (1, 10)):
             monkeypatch.setattr(chevkit.wedge, "DEFAULT_WEDGE_CAP", cap)
             with pytest.raises(WedgeCapError) as want:
                 wedge_operator(absorbed, r)
             with pytest.raises(WedgeCapError) as got:
-                membership_operator(kept, absorbed, r)
+                membership_operator(*blocks, r)
             assert str(got.value) == str(want.value)
 
     def test_order_zero_keeps_the_nonzero_kept_rows(self, monkeypatch):
-        kept = mat([[0, 2], [0, 0], ["1/2", "-3/2"]])
+        kept = mat([[0, 2], [0, 0], [Fraction(1, 2), Fraction(-3, 2)]])
         absorbed = mat([[1], [2], [3]])
         monkeypatch.setattr(chevkit.wedge, "DEFAULT_WEDGE_CAP", 0)
-        op = membership_operator(kept, absorbed, 0)
-        assert op.rows == [[0, 1], [1, -3]]
+        op = membership_operator(*oracles.integer_blocks(kept, absorbed), 0)
+        assert oracles.dense_rows(op) == [[0, 1], [1, -3]]
 
     @pytest.mark.parametrize("shape, r", [((3, 2), 3), ((2, 3), 2),
                                           ((2, 1), 2)])
@@ -181,12 +186,12 @@ class TestMembershipOperator:
         absorbed = mat([[i + j + 1 for j in range(e)] for i in range(f)])
         kept = mat([[i - j for j in range(4)] for i in range(f)])
         monkeypatch.setattr(chevkit.wedge, "DEFAULT_WEDGE_CAP", 0)
-        op = membership_operator(kept, absorbed, r)
+        op = membership_operator(*oracles.integer_blocks(kept, absorbed), r)
         assert (op.nrows, op.ncols) == (0, 4)
 
     def test_negative_order_rejected(self):
         with pytest.raises(InputError):
-            membership_operator(mat([[1]]), mat([[1]]), -1)
+            membership_operator(Matrix([{0: 1}], 1), Matrix([{0: 1}], 1), -1)
 
 
 class TestMembership:
@@ -200,8 +205,9 @@ class TestMembership:
                         for _ in range(f)], ncols=ek)
             absorbed = mat([[rng.randint(-2, 2) for _ in range(ea)]
                             for _ in range(f)], ncols=ea)
-            res = membership_kernel(kept, absorbed)
             rank = oracles.sympy_rank(absorbed.rows)
+            kept, absorbed = oracles.integer_blocks(kept, absorbed)
+            res = membership_kernel(kept, absorbed)
             op = membership_operator(kept, absorbed, rank)
             op_rank, op_kern = op.rank_kernel()
             assert res.kernel == op_kern
@@ -211,7 +217,7 @@ class TestMembership:
     def test_kernel_meaning(self):
         kept = mat([[1, 0], [0, 1], [0, 0]])
         absorbed = mat([[1], [1], [0]])
-        res = membership_kernel(kept, absorbed)
+        res = membership_kernel(*oracles.integer_blocks(kept, absorbed))
         # kept.u = (u1, u2, 0) lies in span{(1,1,0)} iff u1 == u2
         assert res.kernel.dim == 1
         u = list(oracles.dense_basis(res.kernel)[0])
@@ -219,10 +225,11 @@ class TestMembership:
         assert res.residual_rank == 1
 
     def test_row_mismatch_rejected(self):
+        two, one = Matrix([{0: 1}, {0: 2}], 1), Matrix([{0: 1}], 1)
         with pytest.raises(InputError):
-            membership_kernel(mat([[1], [2]]), mat([[1]]))
+            membership_kernel(two, one)
         with pytest.raises(InputError):
-            membership_operator(mat([[1], [2]]), mat([[1]]), 1)
+            membership_operator(two, one, 1)
 
     @given(matrix_strategy(max_dim=4), st.data())
     @settings(max_examples=40, deadline=None)
@@ -231,17 +238,19 @@ class TestMembership:
             small_entries,
             min_size=absorbed.ncols, max_size=absorbed.ncols,
         ))
-        target = oracles.apply(absorbed, [Fraction(c) for c in coeffs])
-        kept = Matrix([[v] for v in target], ncols=1)
-        res = membership_kernel(kept, absorbed)
+        target = oracles.apply(absorbed.rows, [Fraction(c) for c in coeffs])
+        kept = mat([[v] for v in target], ncols=1)
+        res = membership_kernel(*oracles.integer_blocks(kept, absorbed))
         # the single kept column is itself in the span, so u = (1) is killed
         assert res.kernel == oracles.full_space(1)
 
 
 @st.composite
 def joined_blocks(draw):
-    """(kept, absorbed) sharing 0-6 rows, each block 0-4 columns, dense or
-    sparse rows of ints or Fractions; some rows zero in one block or both,
+    """(kept, absorbed) package matrices sharing 0-6 rows, each block 0-4
+    columns, over rows of ints or Fractions: through
+    oracles.integer_blocks or, when they hold ints, now and then as sparse
+    rows that may not be primitive; some rows zero in one block or both,
     and now and then a block that is all zero."""
     f = draw(st.integers(0, 6))
     value = draw(st.sampled_from([
@@ -251,8 +260,6 @@ def joined_blocks(draw):
     ]))
     cell = draw(st.sampled_from([st.just(0) | value,
                                  st.just(0) | st.just(0) | value]))
-    sparse = draw(st.booleans())
-
     def block():
         ncols = draw(st.integers(0, 4))
         zero = draw(st.integers(0, 5)) == 0
@@ -263,11 +270,14 @@ def joined_blocks(draw):
             else:
                 rows.append(draw(st.lists(cell, min_size=ncols,
                                           max_size=ncols)))
-        if sparse:
-            rows = [{j: v for j, v in enumerate(r) if v} for r in rows]
-        return Matrix(rows, ncols=ncols)
+        return oracles.DenseMatrix(rows, ncols)
 
-    return block(), block()
+    kept, absorbed = block(), block()
+    if all(type(v) is int for m in (kept, absorbed) for r in m.rows
+           for v in r) and draw(st.booleans()):
+        return (Matrix(kept.sparse_rows, kept.ncols),
+                Matrix(absorbed.sparse_rows, absorbed.ncols))
+    return oracles.integer_blocks(kept, absorbed)
 
 
 class TestOneEliminationMembership:
@@ -284,8 +294,9 @@ class TestOneEliminationMembership:
             oracles.membership_kernel_by_residual(kept, absorbed)
 
     def test_one_elimination_no_matrix(self, monkeypatch):
-        kept = mat([[1, 0], [0, 1], [2, 3], [0, 0]])
-        absorbed = mat([[1, 1], [1, 1], [0, 5], [0, 0]])
+        kept, absorbed = oracles.integer_blocks(
+            mat([[1, 0], [0, 1], [2, 3], [0, 0]]),
+            mat([[1, 1], [1, 1], [0, 5], [0, 0]]))
         calls = []
 
         def counted(name, real):
