@@ -22,7 +22,6 @@ from .errors import (
     WedgeCapError,
 )
 from .experiments import (
-    ConsistencyReport,
     GrowthReport,
     LinearBound,
     OrderProbe,
@@ -93,8 +92,8 @@ __all__ = [
     "RelationJets", "sample_leaf_chevalley", "validate_relations",
     "ChevkitError", "ConsistencyError", "InputError",
     "RelationsMismatchError", "WedgeCapError",
-    "ConsistencyReport", "GrowthReport", "LinearBound", "OrderProbe",
-    "ProductProbe", "TableRun", "fit_linear_bound", "product_order_probe",
+    "GrowthReport", "LinearBound", "OrderProbe", "ProductProbe",
+    "TableRun", "fit_linear_bound", "product_order_probe",
     "residual_order_probe", "run_table", "taylor_growth_estimate",
     "verify_consistency",
     "degree", "dominates", "index_count", "indices_of_degree",

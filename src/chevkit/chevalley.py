@@ -386,9 +386,6 @@ class LeafSample:
     rank_profile: dict
     samples: tuple
     mismatch: bool
-    status: str
-    trials: int
-    seed: int
 
 
 def sample_leaf_chevalley(phi, leaf, ks, seed=0, l_max=12, window=3,
@@ -457,8 +454,5 @@ def sample_leaf_chevalley(phi, leaf, ks, seed=0, l_max=12, window=3,
             rank_profile=max_profile,
             samples=tuple(samples),
             mismatch=mismatch,
-            status=HEURISTIC,
-            trials=LEAF_TRIALS,
-            seed=seed,
         ))
     return results

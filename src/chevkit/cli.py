@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .censored import AtLeast, is_censored
-from .chevalley import HEURISTIC, INCONCLUSIVE, validate_relations
+from .chevalley import HEURISTIC, INCONCLUSIVE, LEAF_TRIALS, validate_relations
 from .errors import ConsistencyError, InputError, RelationsMismatchError
 from .experiments import (
     fit_linear_bound,
@@ -195,8 +195,8 @@ def cmd_chevalley(args):
             "k": s.k,
             "l_generic": s.l_generic,
             "mismatch": s.mismatch,
-            "status": s.status,
-            "trials": s.trials,
+            "status": HEURISTIC,
+            "trials": LEAF_TRIALS,
             "rank_profile": {str(l): d for l, d in s.rank_profile.items()},
         }
         for s in run.leaf_samples
@@ -427,21 +427,22 @@ def cmd_product(args):
 def cmd_verify(args):
     scenario = _load(args)
     _check_k_budget(scenario)
-    report = verify_consistency(scenario)
-    for check in report.checks:
+    checks = verify_consistency(scenario)
+    all_passed = all(c.passed for c in checks)
+    for check in checks:
         mark = "PASS" if check.passed else "FAIL"
         print(f"{mark} {check.name}: {check.detail}")
     payload = {
         "verb": "verify",
         "scenario": scenario.name,
-        "all_passed": report.all_passed,
+        "all_passed": all_passed,
         "checks": [
             {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in report.checks
+            for c in checks
         ],
     }
     _write_out(payload, args.out or scenario.out)
-    return 0 if report.all_passed else 4
+    return 0 if all_passed else 4
 
 
 def _add_common(sp):

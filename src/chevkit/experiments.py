@@ -23,7 +23,7 @@ from .chevalley import (
 from .errors import ConsistencyError, InputError, RelationsMismatchError
 from .indices import degree, index_count
 from .jets import jet_blocks
-from .poly import Poly, TruncatedSeries
+from .poly import TruncatedSeries
 from .staircase import (
     diagram_from_generators,
     hilbert_samuel_count,
@@ -49,9 +49,36 @@ GROWTH_SAMPLES = 40
 class TableRun:
     """A scenario's full threshold table and its leaf samples."""
 
-    scenario: object
     entries: tuple
     leaf_samples: tuple
+
+
+def _climb_tuples(scenario, pairs):
+    """(key, tuple, engine, {k: RelationJets}) for every (key, tuple) of
+    pairs, the scenario's tuples in table order: one engine per tuple,
+    climbed at every k of k_range.  Errors name the tuple, and the map and
+    k of a failed climb."""
+    phi = scenario.phi
+    k_min, k_max = scenario.k_range
+    climbed = []
+    for key, tup in pairs:
+        try:
+            engine = ChevalleyEngine(
+                phi, tup, relations=relations_for(scenario, key),
+                l_max=scenario.l_max, window=scenario.window,
+            )
+        except InputError as exc:
+            raise InputError(f"tuple {key}: {exc}") from None
+        rows = {}
+        for k in range(k_min, k_max + 1):
+            try:
+                rows[k] = engine.relation_jets(k)
+            except (RelationsMismatchError, ConsistencyError) as exc:
+                raise type(exc)(
+                    f"map {phi.name!r}, tuple {key}, k={k}: {exc}"
+                ) from None
+        climbed.append((key, tup, engine, rows))
+    return climbed
 
 
 def run_table(scenario):
@@ -60,28 +87,16 @@ def run_table(scenario):
     points as written, then tuples as written, k ascending."""
     phi = scenario.phi
     k_min, k_max = scenario.k_range
-    entries = []
-    for key, tup in scenario_tuples(scenario):
-        rel = relations_for(scenario, key)
-        try:
-            engine = ChevalleyEngine(
-                phi, tup, relations=rel,
-                l_max=scenario.l_max, window=scenario.window,
-            )
-        except InputError as exc:
-            raise InputError(f"tuple {key}: {exc}") from None
-        for k in range(k_min, k_max + 1):
-            try:
-                rj = engine.relation_jets(k)
-            except (RelationsMismatchError, ConsistencyError) as exc:
-                raise type(exc)(
-                    f"map {phi.name!r}, tuple {key}, k={k}: {exc}"
-                ) from None
-            entries.append(ChevalleyEntry(
-                map_name=phi.name, tuple_id=key, k=k,
-                l_value=rj.l_value, h_value=rj.codim,
-                status=rj.status, l_stab=rj.l_stab,
-            ))
+    entries = [
+        ChevalleyEntry(
+            map_name=phi.name, tuple_id=key, k=k,
+            l_value=rj.l_value, h_value=rj.codim,
+            status=rj.status, l_stab=rj.l_stab,
+        )
+        for key, _, _, rows in _climb_tuples(
+            scenario, scenario_tuples(scenario))
+        for k, rj in rows.items()
+    ]
     leaf_samples = []
     for leaf in scenario.leaves:
         samples = sample_leaf_chevalley(
@@ -98,10 +113,7 @@ def run_table(scenario):
             )
             for s in samples
         )
-    return TableRun(
-        scenario=scenario, entries=tuple(entries),
-        leaf_samples=tuple(leaf_samples),
-    )
+    return TableRun(entries=tuple(entries), leaf_samples=tuple(leaf_samples))
 
 
 @dataclass(frozen=True)
@@ -176,7 +188,6 @@ def fit_linear_bound(entries):
 
 @dataclass(frozen=True)
 class OrderEntry:
-    poly: Poly            # as supplied, in the target coordinates
     value: object         # int or AtLeast
     normal_form: object   # TruncatedSeries in coordinates centered at b
 
@@ -205,9 +216,7 @@ def residual_order_probe(presentation, polys, trunc=8):
     for p in polys:
         nf = normal_form(p.shift(presentation.center), diagram)
         entries.append(OrderEntry(
-            poly=p,
-            value=censor(nf.order(), nf.trunc_degree),
-            normal_form=nf,
+            value=censor(nf.order(), nf.trunc_degree), normal_form=nf,
         ))
     return OrderProbe(
         center=presentation.center,
@@ -436,15 +445,6 @@ def _check(name, details, summary):
                        "; ".join(details) if details else summary)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    checks: tuple
-
-    @property
-    def all_passed(self):
-        return all(c.passed for c in self.checks)
-
-
 def verify_consistency(scenario):
     """Cross-validate every route the package offers on one scenario.
 
@@ -455,56 +455,42 @@ def verify_consistency(scenario):
     route when its operator has at most DENSE_CELL_CAP rows); growth of
     validated relations is bounded by the exact shortcut; and the
     monotonicity laws hold across the table, with validated relation jets
-    inside every projected kernel of their chain.
+    inside every projected kernel of their chain.  Returns the CheckResults
+    as a tuple; a table that cannot be built gives its one failed check.
     """
-    checks = []
     phi = scenario.phi
+    n = phi.target_arity
     k_min, k_max = scenario.k_range
+    # a tuple that is not fibred is malformed input, not a failed check
     pairs = scenario_tuples(scenario)
-
-    engines = {}
-    rows = {}
     try:
-        for key, tup in pairs:
-            rel = relations_for(scenario, key)
-            engines[key] = ChevalleyEngine(
-                phi, tup, relations=rel,
-                l_max=scenario.l_max, window=scenario.window,
-            )
-        for key, _ in pairs:
-            for k in range(k_min, k_max + 1):
-                rows[(key, k)] = engines[key].relation_jets(k)
+        climbed = _climb_tuples(scenario, pairs)
     except (RelationsMismatchError, ConsistencyError, InputError) as exc:
-        checks.append(CheckResult(
+        return (CheckResult(
             "table-construction", False, f"{type(exc).__name__}: {exc}"
-        ))
-        return ConsistencyReport(tuple(checks))
-    checks.append(CheckResult(
+        ),)
+    checks = [CheckResult(
         "table-construction", True,
-        f"{len(rows)} rows over {len(pairs)} tuples",
-    ))
-
-    verified_keys = [
-        key for key, _ in pairs
-        if engines[key].presentation is not None
-    ]
+        f"{sum(len(rows) for *_, rows in climbed)} rows over"
+        f" {len(climbed)} tuples",
+    )]
+    verified = [c for c in climbed if c[2].presentation is not None]
 
     details = []
-    for key in verified_keys:
-        for g in engines[key].presentation.generators:
+    for key, _, engine, _ in verified:
+        for g in engine.presentation.generators:
             if not g.compose(list(phi.components)).is_zero():
                 details.append(f"{key}: generator fails to compose to zero")
     checks.append(_check(
         "relations-vanish", details,
-        f"{len(verified_keys)} tuples with validated generators",
+        f"{len(verified)} tuples with validated generators",
     ))
 
     details = []
     count = 0
-    for key in verified_keys:
-        engine = engines[key]
-        for k in range(k_min, k_max + 1):
-            a = rows[(key, k)].codim
+    for key, _, engine, rows in verified:
+        for k, rj in rows.items():
+            a = rj.codim
             b = hilbert_samuel_count(engine.diagram(k), k)
             count += 1
             if a != b:
@@ -514,10 +500,8 @@ def verify_consistency(scenario):
 
     details = []
     count = 0
-    for key in verified_keys:
-        engine = engines[key]
-        for k in range(k_min, k_max + 1):
-            rj = rows[(key, k)]
+    for key, _, engine, rows in verified:
+        for k, rj in rows.items():
             for l in range(k, scenario.l_max + 1):
                 expected = (not is_censored(rj.l_value)
                             and l >= rj.l_value)
@@ -533,9 +517,7 @@ def verify_consistency(scenario):
 
     details = []
     count = dense_count = 0
-    for key, _ in pairs:
-        engine = engines[key]
-        n = phi.target_arity
+    for key, _, engine, _ in climbed:
         for k in range(k_min, k_max + 1):
             for l in range(k, min(scenario.l_max, MEMBERSHIP_L_CAP) + 1):
                 staged = engine.jets.projected_kernel(l, k)
@@ -564,10 +546,7 @@ def verify_consistency(scenario):
 
     details = []
     count = 0
-    for key, tup in pairs:
-        engine = engines[key]
-        if engine.presentation is None:
-            continue
+    for key, tup, engine, _ in verified:
         for g in engine.presentation.generators:
             report = taylor_growth_estimate(
                 g, phi, tup.points[0], [k_max], seed=scenario.seed,
@@ -582,10 +561,8 @@ def verify_consistency(scenario):
     ))
 
     details = []
-    for key, _ in pairs:
-        engine = engines[key]
-        for k in range(k_min, k_max + 1):
-            rj = rows[(key, k)]
+    for key, _, engine, rows in climbed:
+        for k, rj in rows.items():
             chain = [(l, engine.jets.projected_kernel(l, k))
                      for l in rj.chain]
             for (l0, e0), (l1, e1) in zip(chain, chain[1:]):
@@ -605,7 +582,6 @@ def verify_consistency(scenario):
                         )
             if rj.status == VERIFIED and not is_censored(rj.l_value):
                 h = rj.codim
-                n = phi.target_arity
                 for l, e in chain:
                     d = index_count(n, k) - e.dim
                     if d > h:
@@ -619,7 +595,7 @@ def verify_consistency(scenario):
                             " order"
                         )
         for k in range(k_min, k_max):
-            lo, hi = rows[(key, k)].l_value, rows[(key, k + 1)].l_value
+            lo, hi = rows[k].l_value, rows[k + 1].l_value
             if not is_censored(lo) and not is_censored(hi) and hi < lo:
                 details.append(
                     f"{key}: threshold dropped from k={k} ({lo}) to"
@@ -628,4 +604,4 @@ def verify_consistency(scenario):
     checks.append(_check("monotonicity", details,
                          "chains and thresholds monotone"))
 
-    return ConsistencyReport(tuple(checks))
+    return tuple(checks)

@@ -78,6 +78,11 @@ class PolyMap:
         )
 
 
+def _text(coords):
+    """Coordinates as reduced rationals in parentheses: (1/2, -1)."""
+    return f"({', '.join(map(str, coords))})"
+
+
 @dataclass(frozen=True)
 class FibredTuple:
     """Source points sharing one exact image point."""
@@ -92,15 +97,16 @@ class FibredTuple:
         pts = tuple(tuple(Fraction(c) for c in p) for p in points)
         if len(set(pts)) < len(pts):
             repeated = next(p for i, p in enumerate(pts) if p in pts[:i])
-            raise InputError("a fibred tuple repeats the point"
-                             f" ({', '.join(map(str, repeated))})")
+            raise InputError(
+                f"a fibred tuple repeats the point {_text(repeated)}")
         images = [phi.eval_at(p) for p in pts]
         first = images[0]
         for p, img in zip(pts, images):
             if img != first:
                 raise InputError(
-                    f"points do not share an image: phi{pts[0]} = {first}"
-                    f" but phi{p} = {img}"
+                    "points do not share an image: phi"
+                    f"{_text(pts[0])} = {_text(first)}"
+                    f" but phi{_text(p)} = {_text(img)}"
                 )
         return cls(pts, first)
 

@@ -37,6 +37,14 @@ def _check_row(row, ncols):
         raise InputError("row column outside the column count")
 
 
+def _check_cells(row):
+    """Refuse a sparse row with a cell that is not an int (a Fraction,
+    float, str or bool)."""
+    for v in row.values():
+        if v.__class__ is not int:
+            raise InputError(f"cell {v!r} is not an int")
+
+
 def _primitive(row):
     """Divide a sparse integer row in place by the gcd of its nonzeros."""
     g = 0
@@ -85,7 +93,7 @@ class Matrix:
 
     sparse_rows[i] is row i as {column: nonzero int}, kept as given after
     one column-range check, shared and never changed; staged_elimination
-    checks the cells.  Callers with dense or Fraction rows scale them to
+    and membership_operator check the cells.  Callers with dense or Fraction rows scale them to
     integers first.  No consumer divides cells with /, which would make
     floats.
     """
@@ -203,9 +211,7 @@ def staged_elimination(rows, ncols, col_stages):
     work = []
     for r in rows:
         _check_row(r, ncols)
-        if any(v.__class__ is not int for v in r.values()):
-            bad = next(v for v in r.values() if v.__class__ is not int)
-            raise InputError(f"cell {bad!r} is not an int")
+        _check_cells(r)
         row = {j: v for j, v in r.items() if v}
         _primitive(row)
         work.append(row)

@@ -145,8 +145,9 @@ def parse_scenario(data):
         if not group:
             raise InputError(f"tuples[{i}]: a tuple needs at least one point")
     # a one-point tuple has its point's key
-    _refuse_repeats([point_key(p) for p in points]
-                    + [tuple_key(g) for g in tuples], "scenario: tuple key")
+    tuple_keys = ([point_key(p) for p in points]
+                  + [tuple_key(g) for g in tuples])
+    _refuse_repeats(tuple_keys, "scenario: tuple key")
 
     leaves = []
     for i, raw_leaf in enumerate(data.get("leaves", [])):
@@ -188,8 +189,14 @@ def parse_scenario(data):
                 "scenario: 'relations' must map tuple keys to generator"
                 " lists"
             )
+        valid = ["*", *tuple_keys, *("leaf:" + leaf.name for leaf in leaves)]
         relations = {}
         for key, gens in raw_rel.items():
+            if key not in valid:
+                raise InputError(
+                    f"relations: key {key!r} names no point, tuple or leaf;"
+                    f" valid keys: {', '.join(valid)}"
+                )
             if not isinstance(gens, list):
                 raise InputError(f"relations[{key!r}]: expected a list")
             relations[key] = tuple(

@@ -22,7 +22,13 @@ from itertools import combinations
 from math import comb, gcd
 
 from .errors import InputError, WedgeCapError
-from .linalg import Matrix, Subspace, _primitive, staged_elimination
+from .linalg import (
+    Matrix,
+    Subspace,
+    _check_cells,
+    _primitive,
+    staged_elimination,
+)
 
 DEFAULT_WEDGE_CAP = 10**6
 
@@ -102,6 +108,7 @@ def membership_operator(kept, absorbed, r):
     joined = [{**ra, **{e + j: v for j, v in rk.items()}}
               for ra, rk in zip(absorbed.sparse_rows, kept.sparse_rows)]
     for row in joined:
+        _check_cells(row)
         _primitive(row)
     high = [{j: v for j, v in row.items() if j < e} for row in joined]
     # kept rows as (column, value) pairs; an all-zero row adds nothing
@@ -137,16 +144,14 @@ def membership_operator(kept, absorbed, r):
 
 @dataclass(frozen=True)
 class MembershipResult:
-    """Kernel and ranks of a span-membership system.
+    """Kernel of a span-membership system and the rank it was read at.
 
-    kernel: all u with kept . u in the column span of absorbed.
-    residual_rank: codimension of that kernel (rank of the residual rows,
-    which equals the rank of the composed wedge operator).
+    kernel: all u with kept . u in the column span of absorbed; its
+    codimension is the rank of the composed wedge operator.
     absorbed_rank: rank of the absorbed block.
     """
 
     kernel: Subspace
-    residual_rank: int
     absorbed_rank: int
 
 
@@ -169,6 +174,5 @@ def membership_kernel(kept, absorbed):
     elim = staged_elimination(
         rows, ea + ek, [range(ea), range(ea + ek - 1, ea - 1, -1)],
     )
-    kernel = elim.kernel(ea)
-    absorbed_rank = sum(c < ea for _, c in elim.pivots)
-    return MembershipResult(kernel, ek - kernel.dim, absorbed_rank)
+    return MembershipResult(elim.kernel(ea),
+                            sum(c < ea for _, c in elim.pivots))

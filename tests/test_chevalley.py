@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from chevkit import chevalley as chevalley_module
 from chevkit import staircase as staircase_module
 from chevkit.errors import ConsistencyError, InputError, RelationsMismatchError
-from chevkit.experiments import DENSE_CELL_CAP
+from chevkit.experiments import DENSE_CELL_CAP, run_table
 from chevkit.indices import indices_up_to
 from chevkit.jets import (
     FibredTuple,
@@ -34,6 +34,7 @@ from chevkit.jets import (
 )
 from chevkit.linalg import Subspace
 from chevkit.poly import Poly, parse_poly
+from chevkit.scenario import parse_scenario
 from chevkit.staircase import (
     IdealPresentation,
     diagram_from_generators,
@@ -541,6 +542,16 @@ def pair_leaf():
     return Leaf.make("pair", ["t"], [[pe("t")], [pe("-t")]])
 
 
+def pair_scenario(k, l_max, seed, **extra):
+    """squaring() with pair_leaf() and no tuples: a table of leaf rows."""
+    return parse_scenario({
+        "map": {"name": "squaring", "m": 1, "n": 1, "components": ["x^2"]},
+        "leaves": [{"name": "pair", "params": ["t"],
+                    "points": [["t"], ["-t"]]}],
+        "k_range": [k, k], "l_max": l_max, "seed": seed, **extra,
+    })
+
+
 class TestLeaves:
     def test_validate_accepts_identical_images(self):
         pair_leaf().validate(squaring())
@@ -582,11 +593,12 @@ class TestLeaves:
         (samp,) = sample_leaf_chevalley(
             squaring(), pair_leaf(), [2], seed=1, l_max=10
         )
-        assert samp.status == HEURISTIC
+        # a sample carries no status: its table row is HEURISTIC
+        (entry,) = run_table(pair_scenario(k=2, l_max=10, seed=1)).entries
+        assert (entry.status, entry.l_value) == (HEURISTIC, samp.l_generic)
         assert samp.l_generic == 2
         assert samp.mismatch is False
-        assert samp.trials == LEAF_TRIALS == 5
-        assert len(samp.samples) == 5
+        assert len(samp.samples) == LEAF_TRIALS == 5
         assert samp.rank_profile[10] == 3
         (again,) = sample_leaf_chevalley(
             squaring(), pair_leaf(), [2], seed=1, l_max=10
@@ -597,7 +609,10 @@ class TestLeaves:
         (samp,) = sample_leaf_chevalley(
             squaring(), pair_leaf(), [1], seed=0, l_max=8, relations=[],
         )
-        assert samp.status == HEURISTIC
+        # certified generators at every draw still give a HEURISTIC row
+        (entry,) = run_table(pair_scenario(
+            k=1, l_max=8, seed=0, relations={"leaf:pair": []})).entries
+        assert (entry.status, entry.l_value) == (HEURISTIC, samp.l_generic)
         assert samp.l_generic == 1
 
     @pytest.mark.parametrize("ks", [[], [1], [1, 2, 3], [3, 1, 3]])

@@ -37,6 +37,24 @@ def output_digests(argv, tmp_path, capsys):
             hashlib.sha256(out.read_bytes()).hexdigest())
 
 
+def readme_scenario():
+    """The JSON block under README's "Scenario files" heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Scenario files\n", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+class TestReadmeScenario:
+    def test_runs(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, readme_scenario())
+        assert main(["chevalley", "--scenario", path]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_is_the_shipped_file(self):
+        shipped = json.loads(Path(SQUARING).read_text(encoding="utf-8"))
+        assert readme_scenario() == shipped
+
+
 class TestCanonicalJson:
     def test_shape(self):
         from fractions import Fraction
@@ -561,10 +579,17 @@ class TestVerifyVerb:
             "k_range": [1, 2],
             "l_max": 8,
         })
-        code = main(["verify", "--scenario", path])
+        out = tmp_path / "verify.json"
+        code = main(["verify", "--scenario", path, "--out", str(out)])
         assert code == 4
         text = capsys.readouterr().out
         assert "FAIL table-construction" in text
+        # the failed climb is named by map, tuple and k
+        detail = ("RelationsMismatchError: map 'cusp', tuple 0, k=2:"
+                  " projected kernels stabilized at dimension 1")
+        assert text.startswith("FAIL table-construction: " + detail)
+        (check,) = json.loads(out.read_text())["checks"]
+        assert check["detail"].startswith(detail)
 
 
 class TestErrorPaths:
@@ -588,6 +613,37 @@ class TestErrorPaths:
         })
         assert main(["chevalley", "--scenario", path]) == 2
         assert "repeats the point (1/2)" in capsys.readouterr().err
+
+    def test_stray_relations_key_exits_2(self, tmp_path, capsys):
+        # "2/4" is not the key of point 1/2, and "O" is not 0: their
+        # generators would be dropped and every row reported STABILIZED
+        path = write_scenario(tmp_path, {
+            "map": {"name": "cusp", "m": 1, "n": 2,
+                    "components": ["x^2", "x^3"]},
+            "points": [[0], ["1/2"]],
+            "relations": {"2/4": ["y1^3 - y2^2"], "O": ["y1^3 - y2^2"]},
+            "k_range": [1, 2],
+            "l_max": 8,
+        })
+        for verb in ("chevalley", "verify"):
+            assert main([verb, "--scenario", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "input error: relations: key '2/4' names no point, tuple or"
+                " leaf; valid keys: *, 0, 1/2\n")
+
+    def test_shared_image_message_prints_rationals(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "map": {"name": "cusp", "m": 1, "n": 2,
+                    "components": ["x^2", "x^3"]},
+            "tuples": [[[1], ["-2/2"]]],
+        })
+        for verb in ("chevalley", "verify"):
+            assert main([verb, "--scenario", path]) == 2
+            assert capsys.readouterr().err == (
+                "input error: points do not share an image:"
+                " phi(1) = (1, 1) but phi(-1) = (1, -1)\n")
 
     def test_repeated_tuple_key_exits_2(self, tmp_path, capsys):
         # the rows of tuple 0 would be printed three times, and verify's

@@ -16,6 +16,7 @@ from chevkit.chevalley import (
 )
 from chevkit.errors import InputError, RelationsMismatchError
 from chevkit.experiments import (
+    CheckResult,
     TableRun,
     _max_pair_slope,
     fit_linear_bound,
@@ -248,7 +249,7 @@ class TestRunTable:
     def test_table_run_holds_no_engine(self):
         # a result record is a plain value: nothing keeps an engine alive
         assert [f.name for f in dataclasses.fields(TableRun)] == [
-            "scenario", "entries", "leaf_samples"]
+            "entries", "leaf_samples"]
 
     def test_mismatch_names_the_tuple(self):
         bad = small_cusp_scenario(gens=("y1^4 - y1 y2^2",))
@@ -312,9 +313,9 @@ class TestVerify:
             "k_range": [1, 2],
             "l_max": 6,
         })
-        report = verify_consistency(sc)
-        assert report.all_passed
-        names = [c.name for c in report.checks]
+        checks = verify_consistency(sc)
+        assert all(c.passed for c in checks)
+        names = [c.name for c in checks]
         assert names == [
             "table-construction",
             "relations-vanish",
@@ -336,13 +337,56 @@ class TestVerify:
             "k_range": [1, 2],
             "l_max": 8,
         })
-        report = verify_consistency(sc)
-        assert report.all_passed
+        checks = verify_consistency(sc)
+        assert all(c.passed for c in checks)
 
     def test_bad_generators_fail_construction(self):
         bad = small_cusp_scenario(gens=("y1^4 - y1 y2^2",))
-        report = verify_consistency(bad)
-        assert not report.all_passed
-        (check,) = report.checks
+        checks = verify_consistency(bad)
+        assert not all(c.passed for c in checks)
+        (check,) = checks
         assert check.name == "table-construction"
         assert "RelationsMismatchError" in check.detail
+        # the table climb is run_table's, and so is the context of its errors
+        assert check.detail.startswith(
+            "RelationsMismatchError: map 'cusp', tuple 0, k=2: projected"
+            " kernels stabilized")
+
+    def test_returns_a_plain_tuple(self):
+        checks = verify_consistency(small_cusp_scenario(k_max=1))
+        assert type(checks) is tuple
+        assert all(type(c) is CheckResult for c in checks)
+
+    def test_construction_failure_is_the_first_in_table_order(self):
+        # tuple 0 fails its climb at k=2 before tuple 1 refuses its
+        # generator; both would fail, the first in table order is reported
+        sc = parse_scenario({
+            "map": {"name": "cusp", "m": 1, "n": 2,
+                    "components": ["x^2", "x^3"]},
+            "points": [[0], [1]],
+            "relations": {"0": ["y1^4 - y1 y2^2"], "1": ["y1 - y2"]},
+            "k_range": [1, 2],
+            "l_max": 8,
+        })
+        (check,) = verify_consistency(sc)
+        assert check.detail.startswith(
+            "RelationsMismatchError: map 'cusp', tuple 0, k=2:")
+        with pytest.raises(RelationsMismatchError, match="tuple 0, k=2"):
+            run_table(sc)
+
+    def test_refused_engine_names_the_tuple(self):
+        sc = small_cusp_scenario(gens=("y1 - y2",))
+        (check,) = verify_consistency(sc)
+        assert check.detail == (
+            "InputError: tuple 0: claimed relation does not compose to zero"
+            " with the map")
+
+    def test_unfibred_tuple_is_an_input_error(self):
+        # a malformed tuple is refused before any check is run
+        sc = parse_scenario({
+            "map": {"name": "cusp", "m": 1, "n": 2,
+                    "components": ["x^2", "x^3"]},
+            "tuples": [[[1], [-1]]],
+        })
+        with pytest.raises(InputError, match="do not share an image"):
+            verify_consistency(sc)

@@ -3,6 +3,7 @@ and library callers use.  Helpers that only tests use live in
 tests/_oracles.py."""
 
 import ast
+import dataclasses
 import inspect
 
 import chevkit
@@ -16,8 +17,8 @@ PUBLIC = [
     "RelationJets", "sample_leaf_chevalley", "validate_relations",
     "ChevkitError", "ConsistencyError", "InputError",
     "RelationsMismatchError", "WedgeCapError",
-    "ConsistencyReport", "GrowthReport", "LinearBound", "OrderProbe",
-    "ProductProbe", "TableRun", "fit_linear_bound", "product_order_probe",
+    "GrowthReport", "LinearBound", "OrderProbe", "ProductProbe",
+    "TableRun", "fit_linear_bound", "product_order_probe",
     "residual_order_probe", "run_table", "taylor_growth_estimate",
     "verify_consistency",
     "degree", "dominates", "index_count", "indices_of_degree",
@@ -41,7 +42,7 @@ REMOVED = [
     "jet_kernel", "projected_jet_kernel", "jet_quotient_dim",
     "column_span", "image_kernel_check", "wedge_operator",
     "diagram_threshold_test", "mono_cmp", "position_map",
-    "initial_exponent", "TruncationError",
+    "initial_exponent", "TruncationError", "ConsistencyReport",
 ]
 
 # (owner, attribute) pairs that only tests used, or that were deleted
@@ -89,6 +90,21 @@ def test_removed_names_are_gone():
         assert not hasattr(chevkit, name), name
     for owner, name in REMOVED_ATTRIBUTES:
         assert not hasattr(owner, name), (owner, name)
+
+
+def test_result_records_carry_no_unread_fields():
+    # no echo of an input, no field that always holds one module constant
+    # (every leaf row is HEURISTIC over LEAF_TRIALS draws), and no count
+    # that the kernel already gives (residual rank = ncols - kernel.dim)
+    def names(record):
+        return [f.name for f in dataclasses.fields(record)]
+
+    assert names(experiments.TableRun) == ["entries", "leaf_samples"]
+    assert names(chevalley.LeafSample) == [
+        "leaf_name", "k", "l_generic", "rank_profile", "samples", "mismatch"]
+    assert names(experiments.OrderEntry) == ["value", "normal_form"]
+    assert names(wedge.MembershipResult) == ["kernel", "absorbed_rank"]
+    assert not hasattr(experiments, "ConsistencyReport")
 
 
 def test_linalg_has_no_fraction_zero():

@@ -201,6 +201,31 @@ class TestRejection:
         with pytest.raises(InputError, match="tuple keys"):
             parse_scenario(data)
 
+    @pytest.mark.parametrize("key", [
+        "2/4", "O", "1", "1;-1", "leaf:", "leaf:nope", "pair", "",
+    ])
+    def test_relations_key_names_nothing(self, key):
+        # a stray key would drop its generators without a word, or hand
+        # the tuple it meant the wildcard's; keys are not normalised
+        data = cusp_data()
+        data["relations"] = {"*": ["y1^3 - y2^2"], key: []}
+        data["leaves"] = [{"name": "pair", "params": ["t"],
+                           "points": [["t^2"]]}]
+        with pytest.raises(InputError) as err:
+            parse_scenario(data)
+        assert str(err.value) == (
+            f"relations: key {key!r} names no point, tuple or leaf; valid"
+            " keys: *, 0, 1/2, -1, 1;1, leaf:pair")
+
+    def test_relations_keys_that_name_something(self):
+        data = cusp_data()
+        data["leaves"] = [{"name": "pair", "params": ["t"],
+                           "points": [["t^2"]]}]
+        data["relations"] = {"*": [], "0": [], "1/2": [], "-1": [],
+                             "1;1": [], "leaf:pair": []}
+        sc = parse_scenario(data)
+        assert sorted(sc.relations) == sorted(data["relations"])
+
     @pytest.mark.parametrize("points, tuples, key", [
         ([[0], ["1/2"], [0]], [], "0"),
         ([[0], ["0/1"]], [], "0"),

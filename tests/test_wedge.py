@@ -151,7 +151,7 @@ class TestMembershipOperator:
         kept, absorbed = oracles.integer_blocks(*blocks)
         res = membership_kernel(kept, absorbed)
         op = membership_operator(kept, absorbed, res.absorbed_rank)
-        assert op.rank_kernel() == (res.residual_rank, res.kernel)
+        assert op.rank_kernel() == (kept.ncols - res.kernel.dim, res.kernel)
 
     def test_cap_matches_wedge_operator(self, monkeypatch):
         rng = random.Random(0)
@@ -211,7 +211,7 @@ class TestMembership:
             op = membership_operator(kept, absorbed, rank)
             op_rank, op_kern = op.rank_kernel()
             assert res.kernel == op_kern
-            assert res.residual_rank == op_rank
+            assert ek - res.kernel.dim == op_rank
             assert res.absorbed_rank == rank
 
     def test_kernel_meaning(self):
@@ -222,7 +222,20 @@ class TestMembership:
         assert res.kernel.dim == 1
         u = list(oracles.dense_basis(res.kernel)[0])
         assert u[0] == u[1]
-        assert res.residual_rank == 1
+        assert kept.ncols - res.kernel.dim == 1
+
+    @pytest.mark.parametrize("cell", [Fraction(1, 2), 0.5],
+                             ids=["fraction", "float"])
+    def test_non_int_cell_rejected_alike(self, cell):
+        # both routes refuse a cell the kernel does not take, with the
+        # kernel's own message
+        kept, absorbed = Matrix([{0: cell}], 1), Matrix([{0: 1}], 1)
+        with pytest.raises(InputError) as by_kernel:
+            membership_kernel(kept, absorbed)
+        with pytest.raises(InputError) as by_operator:
+            membership_operator(kept, absorbed, 0)
+        assert str(by_operator.value) == str(by_kernel.value) == \
+            f"cell {cell!r} is not an int"
 
     def test_row_mismatch_rejected(self):
         two, one = Matrix([{0: 1}, {0: 2}], 1), Matrix([{0: 1}], 1)
@@ -290,7 +303,8 @@ class TestOneEliminationMembership:
     def test_matches_residual_route(self, blocks):
         kept, absorbed = blocks
         res = membership_kernel(kept, absorbed)
-        assert (res.kernel, res.residual_rank, res.absorbed_rank) == \
+        assert (res.kernel, kept.ncols - res.kernel.dim,
+                res.absorbed_rank) == \
             oracles.membership_kernel_by_residual(kept, absorbed)
 
     def test_one_elimination_no_matrix(self, monkeypatch):
@@ -317,5 +331,5 @@ class TestOneEliminationMembership:
             "from_vectors", Subspace.from_vectors.__func__)))
         res = membership_kernel(kept, absorbed)
         assert calls == ["staged_elimination"]
-        assert (res.kernel.dim, res.residual_rank, res.absorbed_rank) == \
-            (1, 1, 2)
+        assert (res.kernel.dim, kept.ncols - res.kernel.dim,
+                res.absorbed_rank) == (1, 1, 2)
