@@ -1,14 +1,16 @@
 """Command line front end.
 
 Verbs: jet, diagram, chevalley, fit, nu, mu, product, verify.  Every verb
-reads a scenario file and accepts the same overrides; results go to stdout
-as text and, with --out (or the scenario's own "out"), to a canonical JSON
+reads a scenario file and takes only the scenario overrides it reads (an
+override it does not read exits 2); results go to stdout as text.  A verb
+returns its exit code and payload, and main alone loads the scenario, writes
+the payload with --out (or the scenario's own "out") as a canonical JSON
 file: sorted keys, two-space indent, rationals as "p/q" strings, censored
 values as {"at_least": n}, trailing newline, no timestamps, so identical
 inputs produce byte-identical output.
 
-Exit codes: 0 success, 2 malformed input, 3 the run produced only
-inconclusive results, 4 a certified cross-check failed.
+Exit codes, picked by main: 0 success, 2 malformed input, 3 the run produced
+only inconclusive results, 4 a certified cross-check failed.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .censored import AtLeast, is_censored
@@ -58,12 +61,6 @@ def canonical_json(payload):
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _write_out(payload, path):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(payload))
-
-
 def _fmt_columns(rows):
     if not rows:
         return []
@@ -73,30 +70,31 @@ def _fmt_columns(rows):
 
 
 def _load(args):
+    """The scenario file with the overrides the verb declares applied."""
     scenario = load_scenario(args.scenario)
-    if args.l_max is not None:
+    given = vars(args)
+    changes = {}
+    if given.get("l_max") is not None:
         if args.l_max < 0:
             raise InputError("--l-max must be >= 0")
-        scenario.l_max = args.l_max
-    if args.k_max is not None:
+        changes["l_max"] = args.l_max
+    if given.get("k_max") is not None:
         if args.k_max < 0:
             raise InputError("--k-max must be >= 0")
         k_min, _ = scenario.k_range
-        scenario.k_range = (min(k_min, args.k_max), args.k_max)
-    if args.window is not None:
+        changes["k_range"] = (min(k_min, args.k_max), args.k_max)
+    if given.get("window") is not None:
         if args.window < 1:
             raise InputError("--window must be >= 1")
-        scenario.window = args.window
-    if args.seed is not None:
-        scenario.seed = args.seed
-    return scenario
-
-
-def _check_k_budget(scenario):
-    if scenario.k_range[1] > scenario.l_max:
+        changes["window"] = args.window
+    if given.get("seed") is not None:
+        changes["seed"] = args.seed
+    scenario = replace(scenario, **changes)
+    if "k_max" in given and scenario.k_range[1] > scenario.l_max:
         raise InputError(
             f"k_max={scenario.k_range[1]} exceeds l_max={scenario.l_max}"
         )
+    return scenario
 
 
 def _select(scenario, key_arg):
@@ -163,11 +161,9 @@ def _emit_table(entries, csv_path):
             writer.writerows(_entry_values(e) for e in entries)
 
 
-def _table_payload(verb, scenario, entries):
+def _table_payload(scenario, entries):
     """The JSON fields chevalley and fit share."""
     return {
-        "verb": verb,
-        "scenario": scenario.name,
         "k_range": list(scenario.k_range),
         "l_max": scenario.l_max,
         "window": scenario.window,
@@ -176,9 +172,7 @@ def _table_payload(verb, scenario, entries):
     }
 
 
-def cmd_chevalley(args):
-    scenario = _load(args)
-    _check_k_budget(scenario)
+def cmd_chevalley(args, scenario):
     run = run_table(scenario)
     print(f"{scenario.name}: thresholds with l_max={scenario.l_max},"
           f" window={scenario.window}")
@@ -188,7 +182,7 @@ def cmd_chevalley(args):
               f" generic l={sample.l_generic}"
               f" over {len(sample.samples)} samples"
               + (" [rank profile mismatch]" if sample.mismatch else ""))
-    payload = _table_payload("chevalley", scenario, run.entries)
+    payload = _table_payload(scenario, run.entries)
     payload["leaf_samples"] = [
         {
             "leaf": s.leaf_name,
@@ -201,16 +195,13 @@ def cmd_chevalley(args):
         }
         for s in run.leaf_samples
     ]
-    _write_out(payload, args.out or scenario.out)
     if run.entries and all(e.status == INCONCLUSIVE for e in run.entries):
         print("all rows inconclusive; raise l_max or supply relations")
-        return 3
-    return 0
+        return 3, payload
+    return 0, payload
 
 
-def cmd_fit(args):
-    scenario = _load(args)
-    _check_k_budget(scenario)
+def cmd_fit(args, scenario):
     run = run_table(scenario)
     usable = [
         e for e in run.entries
@@ -221,21 +212,19 @@ def cmd_fit(args):
     _emit_table(run.entries, args.csv)
     if not usable:
         print("no certified rows to fit; raise l_max or supply relations")
-        return 3
+        return 3, None
     bound = fit_linear_bound(run.entries)
     print(f"fitted bound: l <= {bound.alpha}*k + {bound.beta}")
     print("witnesses: " + ", ".join(
         f"(k={k}, l={l})" for k, l in bound.witnesses
     ))
-    payload = _table_payload("fit", scenario, run.entries)
+    payload = _table_payload(scenario, run.entries)
     payload.update(alpha=bound.alpha, beta=bound.beta,
                    witnesses=[list(w) for w in bound.witnesses])
-    _write_out(payload, args.out or scenario.out)
-    return 0
+    return 0, payload
 
 
-def cmd_jet(args):
-    scenario = _load(args)
+def cmd_jet(args, scenario):
     phi = scenario.phi
     l = scenario.l_max
     reports = []
@@ -267,17 +256,13 @@ def cmd_jet(args):
                 print("  matrix too large for text; see JSON output")
         reports.append(report)
     payload = {
-        "verb": "jet",
-        "scenario": scenario.name,
         "l": l,
         "jets": reports,
     }
-    _write_out(payload, args.out or scenario.out)
-    return 0
+    return 0, payload
 
 
-def cmd_diagram(args):
-    scenario = _load(args)
+def cmd_diagram(args, scenario):
     phi = scenario.phi
     names = target_names(phi.target_arity)
     trunc = scenario.l_max
@@ -301,16 +286,12 @@ def cmd_diagram(args):
     if not reports:
         raise InputError("scenario supplies no relation generators")
     payload = {
-        "verb": "diagram",
-        "scenario": scenario.name,
         "diagrams": reports,
     }
-    _write_out(payload, args.out or scenario.out)
-    return 0
+    return 0, payload
 
 
-def cmd_nu(args):
-    scenario = _load(args)
+def cmd_nu(args, scenario):
     n = scenario.phi.target_arity
     names = target_names(n)
     key, presentation = _probe_target(scenario, args.point)
@@ -330,19 +311,15 @@ def cmd_nu(args):
             "normal_form": nf_text,
         })
     payload = {
-        "verb": "nu",
-        "scenario": scenario.name,
         "tuple": key,
         "center": list(probe.center),
         "trunc_degree": probe.trunc_degree,
         "entries": entries,
     }
-    _write_out(payload, args.out or scenario.out)
-    return 0
+    return 0, payload
 
 
-def cmd_mu(args):
-    scenario = _load(args)
+def cmd_mu(args, scenario):
     phi = scenario.phi
     n = phi.target_arity
     pairs = _select(scenario, args.point)
@@ -385,17 +362,13 @@ def cmd_mu(args):
             "warnings": list(report.warnings),
         })
     payload = {
-        "verb": "mu",
-        "scenario": scenario.name,
         "tuple": key,
         "probes": reports,
     }
-    _write_out(payload, args.out or scenario.out)
-    return 0
+    return 0, payload
 
 
-def cmd_product(args):
-    scenario = _load(args)
+def cmd_product(args, scenario):
     key, presentation = _probe_target(scenario, args.point)
     probe = product_order_probe(
         presentation, trials=args.trials, seed=scenario.seed,
@@ -407,8 +380,6 @@ def cmd_product(args):
         print(f"envelope: nu(FG) <= {probe.envelope.alpha}*(nu(F)+nu(G))"
               f" + {probe.envelope.beta}")
     payload = {
-        "verb": "product",
-        "scenario": scenario.name,
         "tuple": key,
         "trials": probe.trials,
         "seed": probe.seed,
@@ -420,42 +391,39 @@ def cmd_product(args):
             "beta": probe.envelope.beta,
         },
     }
-    _write_out(payload, args.out or scenario.out)
-    return 0
+    return 0, payload
 
 
-def cmd_verify(args):
-    scenario = _load(args)
-    _check_k_budget(scenario)
+def cmd_verify(args, scenario):
     checks = verify_consistency(scenario)
     all_passed = all(c.passed for c in checks)
     for check in checks:
         mark = "PASS" if check.passed else "FAIL"
         print(f"{mark} {check.name}: {check.detail}")
     payload = {
-        "verb": "verify",
-        "scenario": scenario.name,
         "all_passed": all_passed,
         "checks": [
             {"name": c.name, "passed": c.passed, "detail": c.detail}
             for c in checks
         ],
     }
-    _write_out(payload, args.out or scenario.out)
-    return 0 if all_passed else 4
+    return (0 if all_passed else 4), payload
 
 
-def _add_common(sp):
+_OVERRIDES = {
+    "--k-max": "override the scenario's top jet degree k",
+    "--l-max": "override the scenario's jet order budget",
+    "--window": "override the stabilization window",
+    "--seed": "override the scenario's random seed",
+}
+
+
+def _add_common(sp, *overrides):
+    """--scenario, --out, and the scenario overrides this verb reads."""
     sp.add_argument("--scenario", required=True,
                     help="path to a scenario JSON file")
-    sp.add_argument("--k-max", type=int, dest="k_max",
-                    help="override the scenario's top jet degree k")
-    sp.add_argument("--l-max", type=int, dest="l_max",
-                    help="override the scenario's jet order budget")
-    sp.add_argument("--window", type=int,
-                    help="override the stabilization window")
-    sp.add_argument("--seed", type=int,
-                    help="override the scenario's random seed")
+    for flag in overrides:
+        sp.add_argument(flag, type=int, help=_OVERRIDES[flag])
     sp.add_argument("--out", help="write canonical JSON to this path")
 
 
@@ -468,7 +436,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="verb", required=True)
 
     sp = sub.add_parser("jet", help="jet matrices, their rank and kernel")
-    _add_common(sp)
+    _add_common(sp, "--l-max")
     sp.add_argument("--point", help="restrict to one tuple key")
     sp.add_argument("--dump-matrix", action="store_true",
                     help="include matrix entries in the output")
@@ -476,19 +444,19 @@ def build_parser():
 
     sp = sub.add_parser("diagram",
                         help="staircases of the supplied relation ideals")
-    _add_common(sp)
+    _add_common(sp, "--l-max")
     sp.add_argument("--point", help="restrict to one tuple key")
     sp.set_defaults(func=cmd_diagram)
 
     sp = sub.add_parser("chevalley",
                         help="threshold table over the scenario")
-    _add_common(sp)
+    _add_common(sp, *_OVERRIDES)
     sp.add_argument("--csv", help="also write the table as CSV")
     sp.set_defaults(func=cmd_chevalley)
 
     sp = sub.add_parser("fit",
                         help="fit a linear bound over the threshold table")
-    _add_common(sp)
+    _add_common(sp, *_OVERRIDES)
     sp.add_argument("--csv", help="also write the table as CSV")
     sp.set_defaults(func=cmd_fit)
 
@@ -502,7 +470,7 @@ def build_parser():
     sp.set_defaults(func=cmd_nu)
 
     sp = sub.add_parser("mu", help="numeric growth probe (floats)")
-    _add_common(sp)
+    _add_common(sp, "--l-max", "--seed")
     sp.add_argument("--point", help="single-point tuple key to probe at")
     sp.add_argument("--poly", action="append", required=True,
                     help="target polynomial to probe (repeatable)")
@@ -510,7 +478,7 @@ def build_parser():
 
     sp = sub.add_parser("product",
                         help="orders of random products along the fibre")
-    _add_common(sp)
+    _add_common(sp, "--seed")
     sp.add_argument("--point", help="tuple key to probe at")
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--trunc", type=int, default=8,
@@ -519,7 +487,7 @@ def build_parser():
 
     sp = sub.add_parser("verify",
                         help="cross-validate every route on one scenario")
-    _add_common(sp)
+    _add_common(sp, *_OVERRIDES)
     sp.set_defaults(func=cmd_verify)
 
     return parser
@@ -532,13 +500,20 @@ _PARSER = build_parser()
 def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        scenario = _load(args)
+        code, payload = args.func(args, scenario)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (RelationsMismatchError, ConsistencyError) as exc:
         print(f"certified check failed: {exc}", file=sys.stderr)
         return 4
+    path = args.out or scenario.out
+    if payload is not None and path:
+        payload.update(verb=args.verb, scenario=scenario.name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(payload))
+    return code
 
 
 if __name__ == "__main__":

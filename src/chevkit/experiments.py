@@ -456,7 +456,8 @@ def verify_consistency(scenario):
     validated relations is bounded by the exact shortcut; and the
     monotonicity laws hold across the table, with validated relation jets
     inside every projected kernel of their chain.  Returns the CheckResults
-    as a tuple; a table that cannot be built gives its one failed check.
+    as a tuple; a table whose climb fails gives its one failed check, and
+    input an engine refuses raises InputError.
     """
     phi = scenario.phi
     n = phi.target_arity
@@ -465,7 +466,7 @@ def verify_consistency(scenario):
     pairs = scenario_tuples(scenario)
     try:
         climbed = _climb_tuples(scenario, pairs)
-    except (RelationsMismatchError, ConsistencyError, InputError) as exc:
+    except (RelationsMismatchError, ConsistencyError) as exc:
         return (CheckResult(
             "table-construction", False, f"{type(exc).__name__}: {exc}"
         ),)

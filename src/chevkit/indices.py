@@ -12,6 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
+from .errors import InputError
+
 
 def degree(beta):
     return sum(beta)
@@ -23,8 +25,12 @@ def mono_key(beta):
 
 
 def indices_of_degree(arity, d):
-    """Yield the multi-indices of total degree d, ascending lexicographically."""
-    assert arity >= 1 and d >= 0
+    """Iterate over the multi-indices of total degree d, ascending
+    lexicographically; arity < 1 or d < 0 raises InputError at the call."""
+    if arity < 1 or d < 0:
+        raise InputError(
+            f"indices_of_degree needs arity >= 1 and d >= 0, got {arity}, {d}"
+        )
 
     def gen(prefix, nvars, rem):
         if nvars == 1:
@@ -33,7 +39,7 @@ def indices_of_degree(arity, d):
         for i in range(rem + 1):
             yield from gen(prefix + (i,), nvars - 1, rem - i)
 
-    yield from gen((), arity, d)
+    return gen((), arity, d)
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ _MAP_KEYS = {"name", "m", "n", "components"}
 _LEAF_KEYS = {"name", "params", "points"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     name: str
     phi: PolyMap

@@ -101,11 +101,16 @@ class TestChevalleyVerb:
 
     def test_inconclusive_exit_code(self, tmp_path, capsys):
         path = heuristic_squaring(tmp_path, [2, 2], 3)
-        code = main(["chevalley", "--scenario", path])
+        out = tmp_path / "run.json"
+        code = main(["chevalley", "--scenario", path, "--out", str(out)])
         assert code == 3
         text = capsys.readouterr().out
         assert ">=2" in text
         assert "inconclusive" in text
+        # the inconclusive table is still written
+        data = json.loads(out.read_text())
+        assert data["verb"] == "chevalley"
+        assert [e["status"] for e in data["entries"]] == ["INCONCLUSIVE"]
 
     def test_censored_csv_cell(self, tmp_path):
         path = heuristic_squaring(tmp_path, [2, 2], 3)
@@ -134,9 +139,11 @@ class TestFitVerb:
 
     def test_no_certified_rows_exits_3(self, tmp_path, capsys):
         path = heuristic_squaring(tmp_path, [2, 2], 3)
-        code = main(["fit", "--scenario", path])
+        out = tmp_path / "fit.json"
+        code = main(["fit", "--scenario", path, "--out", str(out)])
         assert code == 3
         assert "no certified rows" in capsys.readouterr().out
+        assert not out.exists()
 
 
 class TestJetVerb:
@@ -592,6 +599,68 @@ class TestVerifyVerb:
         assert check["detail"].startswith(detail)
 
 
+# the scenario overrides each verb reads; argparse refuses the others
+READS = {
+    "chevalley": ("--k-max", "--l-max", "--window", "--seed"),
+    "fit": ("--k-max", "--l-max", "--window", "--seed"),
+    "verify": ("--k-max", "--l-max", "--window", "--seed"),
+    "jet": ("--l-max",),
+    "diagram": ("--l-max",),
+    "mu": ("--l-max", "--seed"),
+    "product": ("--seed",),
+    "nu": (),
+}
+# override -> (value given on cusp, the table field it sets and its value)
+OVERRIDES = {
+    "--k-max": ("2", "k_range", [1, 2]),
+    "--l-max": ("6", "l_max", 6),
+    "--window": ("2", "window", 2),
+    "--seed": ("1", "seed", 1),
+}
+
+
+class TestOverrides:
+    # the probe verbs' own arguments; few product trials keep the runs quick
+    EXTRA = {"nu": ["--poly", "y1"], "mu": ["--poly", "y1"],
+             "product": ["--trials", "5"]}
+
+    def argv(self, verb, flag):
+        return ([verb, "--scenario", CUSP, flag, OVERRIDES[flag][0]]
+                + self.EXTRA.get(verb, []))
+
+    @pytest.mark.parametrize("verb, flag", [
+        (verb, flag) for verb, reads in READS.items()
+        for flag in OVERRIDES if flag not in reads
+    ])
+    def test_unread_override_exits_2(self, verb, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.argv(verb, flag))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} " in captured.err
+
+    @pytest.mark.parametrize("verb, flag", [
+        (verb, flag) for verb, reads in READS.items() for flag in reads
+    ])
+    def test_read_override_is_applied(self, verb, flag, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(self.argv(verb, flag) + ["--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert (data["verb"], data["scenario"]) == (verb, "cusp")
+        if verb in ("chevalley", "fit"):
+            _, field, value = OVERRIDES[flag]
+            assert data[field] == value
+
+    @pytest.mark.parametrize("verb", sorted(READS))
+    def test_help_lists_only_read_overrides(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert {f for f in OVERRIDES if f in text} == set(READS[verb])
+
+
 class TestErrorPaths:
     def test_float_scenario_exits_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {
@@ -681,6 +750,26 @@ class TestErrorPaths:
         })
         assert main(["chevalley", "--scenario", path]) == 2
         assert f"input error: {message}" in capsys.readouterr().err
+
+    def test_refused_relation_exits_2_on_every_table_verb(self, tmp_path,
+                                                          capsys):
+        # verify refuses what the engine refuses, as chevalley and fit do,
+        # rather than reporting a failed cross-check
+        path = write_scenario(tmp_path, {
+            "map": {"name": "cusp", "m": 1, "n": 2,
+                    "components": ["x^2", "x^3"]},
+            "points": [[0]],
+            "relations": {"*": ["y1 - y2"]},
+        })
+        out = tmp_path / "out.json"
+        for verb in ("chevalley", "fit", "verify"):
+            assert main([verb, "--scenario", path, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "input error: tuple 0: claimed relation does not compose to"
+                " zero with the map\n")
+            assert not out.exists()
 
     def test_missing_scenario_exits_2(self, tmp_path):
         assert main(["chevalley", "--scenario",

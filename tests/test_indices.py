@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,6 +52,35 @@ def test_degree_slices(arity, d):
     block = list(indices_of_degree(arity, d))
     assert all(degree(b) == d for b in block)
     assert len(set(block)) == len(block)
+
+
+BAD_DEGREE_ARGS = [(1, -1), (0, 2)]
+
+
+@pytest.mark.parametrize("arity, d", BAD_DEGREE_ARGS)
+def test_indices_of_degree_refuses_bad_arguments(arity, d):
+    with pytest.raises(InputError, match="arity >= 1 and d >= 0"):
+        list(indices_of_degree(arity, d))
+
+
+def test_indices_of_degree_refuses_bad_arguments_under_O():
+    # the check must not be an assert, which python -O strips: (1, -1)
+    # would yield a negative exponent and (0, 2) recurse without end
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from chevkit.errors import InputError\n"
+        "from chevkit.indices import indices_of_degree\n"
+        f"for args in {BAD_DEGREE_ARGS!r}:\n"
+        "    try:\n"
+        "        list(indices_of_degree(*args))\n"
+        "    except InputError:\n"
+        "        print('refused')\n"
+    )
+    done = subprocess.run([sys.executable, "-O", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "refused\n" * len(BAD_DEGREE_ARGS)
 
 
 def test_mono_key_orders_degree_then_lex():

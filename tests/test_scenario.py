@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +46,12 @@ class TestParsing:
         assert sc.window == 2
         assert sc.seed == 5
         assert sc.out is None
+
+    def test_frozen(self):
+        sc = parse_scenario(cusp_data())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sc.l_max = 20
+        assert sc.l_max == 11
 
     def test_defaults(self):
         sc = parse_scenario({
