@@ -24,7 +24,6 @@ from .errors import (
 from .experiments import (
     GrowthReport,
     LinearBound,
-    OrderProbe,
     ProductProbe,
     TableRun,
     fit_linear_bound,
@@ -92,7 +91,7 @@ __all__ = [
     "RelationJets", "sample_leaf_chevalley", "validate_relations",
     "ChevkitError", "ConsistencyError", "InputError",
     "RelationsMismatchError", "WedgeCapError",
-    "GrowthReport", "LinearBound", "OrderProbe", "ProductProbe",
+    "GrowthReport", "LinearBound", "ProductProbe",
     "TableRun", "fit_linear_bound", "product_order_probe",
     "residual_order_probe", "run_table", "taylor_growth_estimate",
     "verify_consistency",

@@ -75,17 +75,14 @@ class RelationJets:
 
     l_value: least jet order whose projected kernel equals the subspace;
     censored (AtLeast) when the search range did not settle it.
-    l_stab: first order of the certifying run, or None when censored.
-    chain: the range of orders the climb read; the member at order l is
-    JetSystem.projected_kernel(l, k) of the engine's jets.
+    chain: the range of orders the climb read, from k; the member at order
+    l is JetSystem.projected_kernel(l, k) of the engine's jets.
     target: the exact relation jets when generators were supplied.
     codim: codimension of the subspace in the degree-<= k jet space.
     """
 
-    k: int
     status: str
     l_value: object
-    l_stab: object
     chain: range
     target: object
     codim: int
@@ -128,7 +125,6 @@ class ChevalleyEngine:
             gens = validate_relations(phi, tup, relations)
             self.presentation = IdealPresentation.make(gens, tup.image)
         self.jets = JetSystem(phi, tup)
-        self._relation_jets = {}
         self._diagram = None
         self._diagram_kernels = {}
 
@@ -178,17 +174,8 @@ class ChevalleyEngine:
     # the threshold chain
 
     def relation_jets(self, k):
-        if k < 0:
-            raise InputError("k must be >= 0")
-        if k > self.l_max:
-            raise InputError(f"k={k} exceeds l_max={self.l_max}")
-        if k not in self._relation_jets:
-            self._relation_jets[k] = self._climb(k)
-        return self._relation_jets[k]
-
-    def _climb(self, k):
         """Read the chain at l = k, k+1, ... up to the first order that
-        settles degree k.
+        settles degree k; each call climbs afresh.
 
         Chain members are nested in l, so two are equal exactly when their
         codimensions are.  With relations the chain contains the target,
@@ -197,6 +184,10 @@ class ChevalleyEngine:
         Without relations the chain is STABILIZED at the first full window
         of equal codimensions.
         """
+        if k < 0:
+            raise InputError("k must be >= 0")
+        if k > self.l_max:
+            raise InputError(f"k={k} exceeds l_max={self.l_max}")
         target = None
         if self.presentation is not None:
             target = self.relation_space(k)
@@ -222,8 +213,7 @@ class ChevalleyEngine:
             else:
                 continue
             return RelationJets(
-                k=k, status=status, l_value=l_value, l_stab=l_value,
-                chain=range(k, l + 1),
+                status=status, l_value=l_value, chain=range(k, l + 1),
                 target=target, codim=codims[-1],
             )
         if target is None:
@@ -245,8 +235,7 @@ class ChevalleyEngine:
             l_value, status = AtLeast(self.l_max + 1), VERIFIED
             codim = target.codim
         return RelationJets(
-            k=k, status=status, l_value=l_value, l_stab=None,
-            chain=range(k, self.l_max + 1),
+            status=status, l_value=l_value, chain=range(k, self.l_max + 1),
             target=target, codim=codim,
         )
 
@@ -263,9 +252,13 @@ class ChevalleyEngine:
 
     def diagram_threshold(self, k, l):
         """Whether order l has reached the threshold for degree k, decided
-        through the staircase-restricted jet matrix (independent route)."""
+        through the staircase-restricted jet matrix (independent route).
+        The engine's staircase is exact only through l_max, so a larger l
+        is refused, as relation_jets refuses k > l_max."""
         if k > l:
             raise InputError(f"degree {k} exceeds jet order {l}")
+        if l > self.l_max:
+            raise InputError(f"jet order {l} exceeds l_max={self.l_max}")
         return _projects_to_zero(*self._diagram_kernel(l), k)
 
 

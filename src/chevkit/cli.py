@@ -2,12 +2,12 @@
 
 Verbs: jet, diagram, chevalley, fit, nu, mu, product, verify.  Every verb
 reads a scenario file and takes only the scenario overrides it reads (an
-override it does not read exits 2); results go to stdout as text.  A verb
-returns its exit code and payload, and main alone loads the scenario, writes
-the payload with --out (or the scenario's own "out") as a canonical JSON
-file: sorted keys, two-space indent, rationals as "p/q" strings, censored
-values as {"at_least": n}, trailing newline, no timestamps, so identical
-inputs produce byte-identical output.
+override it does not read exits 2 with the verb's own usage); results go to
+stdout as text.  A verb returns its exit code and payload, and main alone
+loads the scenario, writes the payload with --out (or the scenario's own
+"out") as a canonical JSON file: sorted keys, two-space indent, rationals
+as "p/q" strings, censored values as {"at_least": n}, trailing newline, no
+timestamps, so identical inputs produce byte-identical output.
 
 Exit codes, picked by main: 0 success, 2 malformed input, 3 the run produced
 only inconclusive results, 4 a certified cross-check failed.
@@ -299,9 +299,9 @@ def cmd_nu(args, scenario):
         parse_poly(text, n, names=names, aliases=target_aliases(n))
         for text in args.poly
     ]
-    probe = residual_order_probe(presentation, polys, trunc=args.trunc)
+    orders = residual_order_probe(presentation, polys, trunc=args.trunc)
     entries = []
-    for text, entry in zip(args.poly, probe.entries):
+    for text, entry in zip(args.poly, orders):
         nf_text = format_poly(entry.normal_form.to_poly(), names)
         print(f"nu({text}) = {entry.value}"
               f"  normal form: {nf_text}")
@@ -312,8 +312,8 @@ def cmd_nu(args, scenario):
         })
     payload = {
         "tuple": key,
-        "center": list(probe.center),
-        "trunc_degree": probe.trunc_degree,
+        "center": list(presentation.center),
+        "trunc_degree": args.trunc,
         "entries": entries,
     }
     return 0, payload
@@ -347,8 +347,8 @@ def cmd_mu(args, scenario):
             print(f"  warning: {warning}")
         reports.append({
             "poly": text,
-            "point": list(report.point),
-            "image": list(report.image),
+            "point": list(a),
+            "image": list(tup.image),
             "heuristic": report.heuristic,
             "entries": [
                 {
@@ -381,9 +381,9 @@ def cmd_product(args, scenario):
               f" + {probe.envelope.beta}")
     payload = {
         "tuple": key,
-        "trials": probe.trials,
-        "seed": probe.seed,
-        "trunc_degree": probe.trunc_degree,
+        "trials": args.trials,
+        "seed": scenario.seed,
+        "trunc_degree": args.trunc,
         "excluded": probe.excluded,
         "triples": [list(t) for t in probe.triples],
         "envelope": None if probe.envelope is None else {
@@ -419,7 +419,9 @@ _OVERRIDES = {
 
 
 def _add_common(sp, *overrides):
-    """--scenario, --out, and the scenario overrides this verb reads."""
+    """--scenario, --out, and the scenario overrides this verb reads; the
+    verb's parser is kept to report what it does not read."""
+    sp.set_defaults(parser=sp)
     sp.add_argument("--scenario", required=True,
                     help="path to a scenario JSON file")
     for flag in overrides:
@@ -498,7 +500,9 @@ _PARSER = build_parser()
 
 
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
+    args, unread = _PARSER.parse_known_args(argv)
+    if unread:
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         scenario = _load(args)
         code, payload = args.func(args, scenario)

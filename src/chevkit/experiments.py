@@ -91,7 +91,8 @@ def run_table(scenario):
         ChevalleyEntry(
             map_name=phi.name, tuple_id=key, k=k,
             l_value=rj.l_value, h_value=rj.codim,
-            status=rj.status, l_stab=rj.l_stab,
+            status=rj.status,
+            l_stab=None if is_censored(rj.l_value) else rj.l_value,
         )
         for key, _, _, rows in _climb_tuples(
             scenario, scenario_tuples(scenario))
@@ -192,17 +193,11 @@ class OrderEntry:
     normal_form: object   # TruncatedSeries in coordinates centered at b
 
 
-@dataclass(frozen=True)
-class OrderProbe:
-    center: tuple
-    trunc_degree: int
-    entries: tuple
-
-
 def residual_order_probe(presentation, polys, trunc=8):
     """Vanishing orders of functions along the fibre: recenters each
     polynomial at the presentation's center and reduces it against the
-    staircase, reporting an exact order or a censored lower bound."""
+    staircase, exact through trunc, reporting an exact order or a censored
+    lower bound.  One OrderEntry per polynomial, in order."""
     deg_needed = max(
         (p.total_degree() for p in polys if not p.is_zero()), default=0
     )
@@ -218,11 +213,7 @@ def residual_order_probe(presentation, polys, trunc=8):
         entries.append(OrderEntry(
             value=censor(nf.order(), nf.trunc_degree), normal_form=nf,
         ))
-    return OrderProbe(
-        center=presentation.center,
-        trunc_degree=diagram.trunc_degree,
-        entries=tuple(entries),
-    )
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -234,9 +225,6 @@ class ProductProbe:
     triples: tuple
     excluded: int
     envelope: object  # LinearBound or None when every triple was censored
-    trials: int
-    seed: int
-    trunc_degree: int
 
 
 def _random_series(rng, arity, max_degree, trunc):
@@ -290,7 +278,6 @@ def product_order_probe(presentation, trials=200, seed=0, trunc=8):
         envelope = _bound_at_slope(_max_pair_slope(pairs), pairs, [])
     return ProductProbe(
         triples=tuple(triples), excluded=excluded, envelope=envelope,
-        trials=trials, seed=seed, trunc_degree=trunc,
     )
 
 
@@ -304,8 +291,6 @@ class GrowthEntry:
 
 @dataclass(frozen=True)
 class GrowthReport:
-    point: tuple
-    image: tuple
     entries: tuple
     warnings: tuple
     heuristic: bool
@@ -343,18 +328,11 @@ def taylor_growth_estimate(f, phi, a, ls, seed=0):
             f"function arity {f.arity} does not match target arity"
             f" {phi.target_arity}"
         )
-    a = tuple(a)
-    if len(a) != phi.source_arity:
-        raise InputError(
-            f"point has {len(a)} coordinates, map expects"
-            f" {phi.source_arity}"
-        )
     ls = list(ls)
-    b = phi.eval_at(a)
+    b = phi.eval_at(a)  # refuses a point of the wrong length
     composed = f.compose(list(phi.components))
     if composed.is_zero():
         return GrowthReport(
-            point=a, image=b,
             entries=tuple(
                 GrowthEntry(l=l, slope=None, bounded=True, certified=True)
                 for l in ls
@@ -426,7 +404,7 @@ def taylor_growth_estimate(f, phi, a, ls, seed=0):
             certified=False,
         ))
     return GrowthReport(
-        point=a, image=b, entries=tuple(entries),
+        entries=tuple(entries),
         warnings=tuple(warnings), heuristic=True,
     )
 

@@ -123,8 +123,9 @@ class JetMatrix:
     is scales[p]^|alpha| times the exact row, where scales[p] is the positive
     integer t_p of the build.  layer(d) holds the sparse rows of x-degree d,
     made once, when grow first passes order d.  integer_matrix(), one Matrix
-    over those rows, and matrix, the exact entries as dense Fraction row
-    lists, are made on first read at the current order; shape is counted.
+    over those rows, is made on first read at the current order; matrix,
+    the exact entries as dense Fraction row lists, is made on every read;
+    shape is counted.
 
     prefix(l) is the order-l leading block, a JetMatrix over the same build:
     growing any of them makes the new orders once for all.
@@ -151,7 +152,7 @@ class JetMatrix:
         # per order d, per point, the sparse rows of x-degree d
         self._layers = []
         self.level = -1
-        self._integer = self._matrix = None
+        self._integer = None
 
     def _add_order(self):
         """Make the rows of the next x-degree d: the degree-d part of every
@@ -220,7 +221,7 @@ class JetMatrix:
             self._add_order()
         if l > self.level:
             self.level = l
-            self._integer = self._matrix = None
+            self._integer = None
         return self
 
     def prefix(self, l):
@@ -229,7 +230,7 @@ class JetMatrix:
             raise InputError(f"jet order {l} outside 0..{self.level}")
         view = copy(self)
         view.level = l
-        view._integer = view._matrix = None
+        view._integer = None
         return view
 
     def layer(self, d):
@@ -257,17 +258,16 @@ class JetMatrix:
 
     @property
     def matrix(self):
-        if self._matrix is None:
-            ncols = self.shape[1]
-            self._matrix = []
-            for row, (p, alpha) in zip(self.integer_matrix().sparse_rows,
-                                       self.row_labels):
-                f = self.scales[p] ** degree(alpha)
-                exact = [Fraction(0)] * ncols
-                for j, v in row.items():
-                    exact[j] = Fraction(v, f)
-                self._matrix.append(exact)
-        return self._matrix
+        ncols = self.shape[1]
+        exact = []
+        for row, (p, alpha) in zip(self.integer_matrix().sparse_rows,
+                                   self.row_labels):
+            f = self.scales[p] ** degree(alpha)
+            dense = [Fraction(0)] * ncols
+            for j, v in row.items():
+                dense[j] = Fraction(v, f)
+            exact.append(dense)
+        return exact
 
     def integer_matrix(self):
         """The build's own sparse rows as one Matrix, made on first read:

