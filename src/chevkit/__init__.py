@@ -46,7 +46,6 @@ from .jets import (
     JetMatrix,
     JetSystem,
     PolyMap,
-    jet_blocks,
     jet_matrix,
 )
 from .linalg import Matrix, Subspace, staged_elimination
@@ -97,8 +96,7 @@ __all__ = [
     "verify_consistency",
     "degree", "dominates", "index_count", "indices_of_degree",
     "indices_up_to", "mono_key",
-    "FibredTuple", "JetMatrix", "JetSystem", "PolyMap", "jet_blocks",
-    "jet_matrix",
+    "FibredTuple", "JetMatrix", "JetSystem", "PolyMap", "jet_matrix",
     "Matrix", "Subspace", "staged_elimination",
     "Poly", "TruncatedSeries", "format_poly", "parse_poly",
     "parse_rational",

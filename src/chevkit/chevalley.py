@@ -255,6 +255,8 @@ class ChevalleyEngine:
         through the staircase-restricted jet matrix (independent route).
         The engine's staircase is exact only through l_max, so a larger l
         is refused, as relation_jets refuses k > l_max."""
+        if k < 0:
+            raise InputError("k must be >= 0")
         if k > l:
             raise InputError(f"degree {k} exceeds jet order {l}")
         if l > self.l_max:
@@ -294,6 +296,8 @@ def diagram_threshold_test(phi, tup, k, l, diagram, jm=None):
             f"staircase arity {diagram.arity} does not match target arity"
             f" {phi.target_arity}"
         )
+    if k < 0:
+        raise InputError("k must be >= 0")
     if k > l:
         raise InputError(f"degree {k} exceeds jet order {l}")
     if diagram.trunc_degree < l:

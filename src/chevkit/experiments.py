@@ -22,7 +22,6 @@ from .chevalley import (
 )
 from .errors import ConsistencyError, InputError, RelationsMismatchError
 from .indices import degree, index_count
-from .jets import jet_blocks
 from .poly import TruncatedSeries
 from .staircase import (
     diagram_from_generators,
@@ -499,19 +498,20 @@ def verify_consistency(scenario):
     for key, _, engine, _ in climbed:
         for k in range(k_min, k_max + 1):
             for l in range(k, min(scenario.l_max, MEMBERSHIP_L_CAP) + 1):
+                cut = index_count(n, k)
                 staged = engine.jets.projected_kernel(l, k)
-                projected = engine.jets.kernel(l).project(index_count(n, k))
-                low, high = jet_blocks(engine.jets.jet(l), k)
-                schur = membership_kernel(low, high)
+                projected = engine.jets.kernel(l).project(cut)
+                whole = engine.jets.jet(l).integer_matrix()
+                schur = membership_kernel(whole, cut)
                 count += 1
                 if projected != staged or schur.kernel != staged:
                     details.append(f"{key} k={k} l={l}: kernels differ")
                     continue
                 r = schur.absorbed_rank
-                cells = (math.comb(high.ncols, r)
-                         * math.comb(high.nrows, r + 1))
+                cells = (math.comb(whole.ncols - cut, r)
+                         * math.comb(whole.nrows, r + 1))
                 if cells <= DENSE_CELL_CAP:
-                    dense = membership_operator(low, high, r)
+                    dense = membership_operator(whole, cut, r)
                     _, dense_kernel = dense.rank_kernel()
                     dense_count += 1
                     if dense_kernel != staged:

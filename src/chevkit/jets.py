@@ -317,23 +317,6 @@ def jet_matrix(phi, tup, l):
     return JetMatrix(phi, tup).grow(l)
 
 
-def jet_blocks(jm, k):
-    """Split columns at degree k: (low block, high block).
-
-    Low carries the columns of degree <= k, high the rest.  Columns are
-    degree-sorted, so both blocks are contiguous.  Both hold the integer
-    rows: a positive scaling of each row of [low | high] leaves every
-    membership kernel {u : low u in the column span of high} unchanged.
-    """
-    if k > jm.level:
-        raise InputError(f"split degree {k} exceeds jet order {jm.level}")
-    if k < 0:
-        raise InputError("split degree must be >= 0")
-    cut = index_count(jm._arity[1], k)
-    whole = jm.integer_matrix()
-    return whole.columns(range(cut)), whole.columns(range(cut, whole.ncols))
-
-
 class JetSystem:
     """Jet analyses of one map at one fibred tuple, read off one echelon.
 
@@ -412,9 +395,9 @@ class JetSystem:
     def _prefix(self, l, k, since=0):
         """The echelon rows made at orders since..l; since=0 gives the whole
         order-l prefix."""
-        end = self.analysis(l)
         if not 0 <= k <= l:
             raise InputError(f"block degree {k} outside 0..{l}")
+        end = self.analysis(l)
         return self._echelon[self._ends[since - 1] if since else 0:end]
 
     def _guard_rows(self, l, k, since=0):

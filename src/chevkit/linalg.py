@@ -8,7 +8,9 @@ ranks of a chain of nested column blocks and, read off the finished rows,
 the residual row systems that test membership in their column spans.
 Callers that only want a plain rank/kernel use a single stage; every
 canonical Subspace, kernel or span, is read off the one elimination that
-made it, and staged_elimination is the only one in this module.
+made it, and staged_elimination is the only one in this module.  Every
+split is a column prefix: Elimination.kernel(stop) reads the kernel over
+the first stop columns, as Subspace.project(n) keeps the first n.
 
 The kernel runs on sparse integer rows, {column: nonzero int} dicts, the
 one row format that enters this module; callers scale Fraction rows to
@@ -93,9 +95,9 @@ class Matrix:
 
     sparse_rows[i] is row i as {column: nonzero int}, kept as given after
     one column-range check, shared and never changed; staged_elimination
-    and membership_operator check the cells.  Callers with dense or Fraction rows scale them to
-    integers first.  No consumer divides cells with /, which would make
-    floats.
+    and membership_operator check the cells.  Callers with dense or
+    Fraction rows scale them to integers first.  No consumer divides cells
+    with /, which would make floats.
     """
 
     __slots__ = ("sparse_rows", "nrows", "ncols")
@@ -161,9 +163,10 @@ class Elimination:
     def rank(self):
         return len(self.pivots)
 
-    def kernel(self, start=0):
-        """Canonical kernel, in Q^(ncols - start), of the rows pivoting at
-        or past start: columns that were the last stage, highest first.
+    def kernel(self, stop=None):
+        """Canonical kernel, in Q^stop, of the rows pivoting before stop
+        (default ncols); the first stop columns were the last stage, taken
+        highest first.
 
         A row pivoting at c is then zero on every free column past c, so
         free column f's vector, L (the lcm of the pivots pv of the rows
@@ -171,25 +174,27 @@ class Elimination:
         leads at f and is 0 on the other free columns: made primitive, it
         is the canonical row at f.
         """
+        if stop is None:
+            stop = self.ncols
         hits = {}  # free column -> (pivot column, pivot, entry) of its rows
         for r, c in self.pivots:
-            if c >= start:
+            if c < stop:
                 row = self.sparse_rows[r]
                 for f, v in row.items():
                     if f != c:
                         hits.setdefault(f, []).append((c, row[c], v))
         pivoted = {c for _, c in self.pivots}
         canonical = {}
-        for f in range(start, self.ncols):
+        for f in range(stop):
             if f not in pivoted:
                 col = hits.get(f, ())
                 big = lcm(*(pv for _, pv, _ in col))
-                vec = {f - start: big}
+                vec = {f: big}
                 for c, pv, v in col:
-                    vec[c - start] = -v * (big // pv)
+                    vec[c] = -v * (big // pv)
                 _primitive(vec)
-                canonical[f - start] = vec
-        return Subspace(self.ncols - start, canonical, _trusted=True)
+                canonical[f] = vec
+        return Subspace(stop, canonical, _trusted=True)
 
 
 def staged_elimination(rows, ncols, col_stages):

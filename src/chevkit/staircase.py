@@ -80,18 +80,23 @@ class Diagram:
     reduced division basis.
 
     vertices: the minimal staircase exponents of degree <= trunc_degree.
-    provisional is True when vertices of degree > trunc_degree may exist
-    (any nonzero ideal).  span: the ideal_jet_space at trunc_degree, whose
-    pivots are the staircase; its leading slices are the ideal's jets of
-    every lower degree.  Two diagrams are equal when their spans are, so
-    two ideals with one staircase stay apart.
+    span: the ideal_jet_space at trunc_degree, whose pivots are the
+    staircase; its leading slices are the ideal's jets of every lower
+    degree.  Two diagrams are equal when their spans are, so two ideals
+    with one staircase stay apart.
     """
 
     arity: int
     trunc_degree: int
     vertices: tuple
-    provisional: bool
     span: Subspace = field(repr=False)
+
+    @property
+    def provisional(self):
+        """True when vertices of degree > trunc_degree may exist: for any
+        nonzero ideal.  A diagram is built at a degree no lower than every
+        generator's, so its staircase is nonempty exactly then."""
+        return bool(self.vertices)
 
     def contains(self, beta):
         """Staircase membership; exact for degree <= trunc_degree."""
@@ -162,7 +167,6 @@ def diagram_from_generators(presentation, d):
     truncations of ideal elements.
     """
     arity = presentation.arity
-    gens = presentation.recentered
     if d < 0:
         raise InputError("truncation degree must be >= 0")
     if d < presentation.generator_degree:
@@ -193,7 +197,6 @@ def diagram_from_generators(presentation, d):
         arity=arity,
         trunc_degree=d,
         vertices=vertices,
-        provisional=bool(gens),
         span=echelon,
     )
 

@@ -12,7 +12,9 @@ r x r minors times integer rows, and the rows that come out zero, most of
 them in practice, are dropped.  membership_kernel computes the same kernel
 by one staged elimination instead: eliminate B's columns first, and the rows
 left without a pivot among them are a row system with the identical kernel
-at any size, read off the same elimination.  Both read sparse rows.
+at any size, read off the same elimination.  Both take one sparse integer
+matrix and a column split cut: the kept block is its columns before cut and
+the absorbed block B its columns at and past cut.
 """
 
 from __future__ import annotations
@@ -75,44 +77,48 @@ def _check_cap(e, f, r):
         )
 
 
-def membership_operator(kept, absorbed, r):
-    """The order-r wedge operator of `absorbed` composed with `kept`, up to
-    positive row scalings, with its zero rows dropped.
+def _check_cut(matrix, cut):
+    """Refuse a column split that is not an int in 0..ncols."""
+    if not isinstance(cut, int) or not 0 <= cut <= matrix.ncols:
+        raise InputError(f"column split {cut!r} outside 0..{matrix.ncols}")
 
-    With r = rank(absorbed), a vector u is killed exactly when kept . u
-    lies in the column span of absorbed.
+
+def membership_operator(matrix, cut, r):
+    """The order-r wedge operator of the absorbed block composed with the
+    kept block, up to positive row scalings, with its zero rows dropped.
+
+    The kept block is matrix's columns before cut, the absorbed block its
+    columns at and past cut.  With r = rank(absorbed), a vector u is killed
+    exactly when kept . u lies in the column span of absorbed.
 
     W, the order-r wedge operator of absorbed, is never built.  Its rows
     are indexed by (column r-subset J, row (r+1)-subset I), both in
-    lexicographic order, J outermost.  Each integer row i of
-    [absorbed | kept] is divided once by its gcd d_i; row (J, I) of the
-    product is then the sum over p in I of the signed minor on rows I minus
-    p and columns J times kept row p, which is row (J, I) of W @ kept
-    divided by prod_{i in I} d_i.  Rows in (J, I) order that are not zero
-    are returned, each divided by its gcd, so kernel and rank are those of
+    lexicographic order, J outermost.  Each integer row i of matrix is
+    copied and divided once by its gcd d_i; row (J, I) of the product is
+    then the sum over p in I of the signed minor on rows I minus p and
+    columns J times kept row p, which is row (J, I) of W @ kept divided by
+    prod_{i in I} d_i.  Rows in (J, I) order that are not zero are
+    returned, each divided by its gcd, so kernel and rank are those of
     W @ kept.  The cap applies to W's full row count.
     """
-    if kept.nrows != absorbed.nrows:
-        raise InputError(
-            f"row mismatch: kept has {kept.nrows}, absorbed has"
-            f" {absorbed.nrows}"
-        )
+    _check_cut(matrix, cut)
     if r < 0:
         raise InputError("wedge order must be >= 0")
-    f, e, ek = absorbed.nrows, absorbed.ncols, kept.ncols
+    f, e = matrix.nrows, matrix.ncols - cut
     if r > e or r + 1 > f:
         # the source or target exterior power collapses to zero
-        return Matrix([], ncols=ek)
+        return Matrix([], ncols=cut)
     if r:
         _check_cap(e, f, r)
-    joined = [{**ra, **{e + j: v for j, v in rk.items()}}
-              for ra, rk in zip(absorbed.sparse_rows, kept.sparse_rows)]
-    for row in joined:
+    high, low = [], []
+    for row in matrix.sparse_rows:
+        # a copy: the rows are the caller's and stay as they are
         _check_cells(row)
+        row = dict(row)
         _primitive(row)
-    high = [{j: v for j, v in row.items() if j < e} for row in joined]
-    # kept rows as (column, value) pairs; an all-zero row adds nothing
-    low = [[(j - e, v) for j, v in row.items() if j >= e] for row in joined]
+        high.append({j - cut: v for j, v in row.items() if j >= cut})
+        # kept rows as (column, value) pairs; an all-zero row adds nothing
+        low.append([(j, v) for j, v in row.items() if j < cut])
     # a minor on rows that include a zero row of absorbed vanishes: a row
     # subset holding two such rows gives a zero row, and one holding just z
     # keeps only the term p = z
@@ -124,7 +130,7 @@ def membership_operator(kept, absorbed, r):
             hit = [i for i in row_subset if i in zero]
             if len(hit) > 1:
                 continue
-            acc = [0] * ek
+            acc = [0] * cut
             for pos, p in enumerate(row_subset):
                 if not low[p] or hit and p != hit[0]:
                     continue
@@ -139,15 +145,17 @@ def membership_operator(kept, absorbed, r):
             if any(acc):
                 g = gcd(*acc)
                 rows.append({j: v // g for j, v in enumerate(acc) if v})
-    return Matrix(rows, ncols=ek)
+    return Matrix(rows, ncols=cut)
 
 
 @dataclass(frozen=True)
 class MembershipResult:
     """Kernel of a span-membership system and the rank it was read at.
 
-    kernel: all u with kept . u in the column span of absorbed; its
-    codimension is the rank of the composed wedge operator.
+    kernel: all u in Q^cut with kept . u in the column span of absorbed,
+    where kept is the matrix's columns before cut and absorbed its columns
+    at and past cut; its codimension is the rank of the composed wedge
+    operator.
     absorbed_rank: rank of the absorbed block.
     """
 
@@ -155,24 +163,20 @@ class MembershipResult:
     absorbed_rank: int
 
 
-def membership_kernel(kept, absorbed):
+def membership_kernel(matrix, cut):
     """Same kernel as membership_operator at r = rank(absorbed), any size.
 
-    One staged elimination, absorbed's columns first, then kept's highest
-    first.  The rows left without a pivot among absorbed's columns,
-    restricted to kept's, vanish on u exactly when kept . u is a
-    combination of absorbed's columns; the kernel is read off them.
+    One staged elimination, the absorbed columns (at and past cut) first,
+    then the kept ones (before cut) highest first.  The rows left without a
+    pivot among the absorbed columns vanish there and on u exactly when
+    kept . u is a combination of absorbed's columns; the kernel over the
+    first cut columns is read off them.
     """
-    if kept.nrows != absorbed.nrows:
-        raise InputError(
-            f"row mismatch: kept has {kept.nrows}, absorbed has"
-            f" {absorbed.nrows}"
-        )
-    ea, ek = absorbed.ncols, kept.ncols
-    rows = [{**ra, **{ea + j: v for j, v in rk.items()}}
-            for ra, rk in zip(absorbed.sparse_rows, kept.sparse_rows)]
+    _check_cut(matrix, cut)
+    ncols = matrix.ncols
     elim = staged_elimination(
-        rows, ea + ek, [range(ea), range(ea + ek - 1, ea - 1, -1)],
+        matrix.sparse_rows, ncols,
+        [range(cut, ncols), range(cut - 1, -1, -1)],
     )
-    return MembershipResult(elim.kernel(ea),
-                            sum(c < ea for _, c in elim.pivots))
+    return MembershipResult(elim.kernel(cut),
+                            sum(c >= cut for _, c in elim.pivots))

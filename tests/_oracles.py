@@ -20,9 +20,10 @@ ideal_jet_space_by_fractions the ideal-jet rows as they were built before
 each generator was scaled to integers once.  integer_row is the
 conversion the elimination kernel made on entry while it still took
 dense and Fraction rows; tests that feed such rows go through it
-(integer_rows, int_matrix, and integer_blocks for the two blocks of a
-membership system), DenseMatrix holds the exact dense matrices that the
-references build, and dense_rows reads a package Matrix densely.
+(integer_rows, int_matrix, and integer_blocks for the one matrix and
+column split of a membership system), DenseMatrix holds the exact dense
+matrices that the references build, and dense_rows reads a package Matrix
+densely.
 rank_kernel_by_canonicalising and membership_kernel_by_residual are the
 kernel routes as they were before each read its canonical rows off one
 descending elimination: an ascending elimination, then a second one to
@@ -454,23 +455,23 @@ def rank_kernel_by_canonicalising(matrix):
     return elim.rank, Subspace.from_vectors(vectors, ncols)
 
 
-def membership_kernel_by_residual(kept, absorbed):
+def membership_kernel_by_residual(matrix, cut):
     """(kernel, residual_rank, absorbed_rank) of a membership system as
     wedge.membership_kernel computed them before it made one elimination:
-    a two-stage elimination, absorbed's columns first, then the rows left
-    without a pivot among them as a residual Matrix, then that matrix's
-    rank_kernel by rank_kernel_by_canonicalising."""
-    ea, ek = absorbed.ncols, kept.ncols
-    rows = [{**ra, **{ea + j: v for j, v in rk.items()}}
-            for ra, rk in zip(absorbed.sparse_rows, kept.sparse_rows)]
+    a two-stage elimination, the absorbed columns (at and past cut) first,
+    then the rows left without a pivot among them as a residual Matrix over
+    the kept columns (before cut), then that matrix's rank_kernel by
+    rank_kernel_by_canonicalising."""
+    ncols = matrix.ncols
     elim = staged_elimination(
-        rows, ea + ek, [list(range(ea)), list(range(ea, ea + ek))],
+        matrix.sparse_rows, ncols,
+        [list(range(cut, ncols)), list(range(cut))],
     )
-    absorbed_rows = {r for r, c in elim.pivots if c < ea}
+    absorbed_rows = {r for r, c in elim.pivots if c >= cut}
     residual = Matrix(
-        [{j - ea: v for j, v in row.items()}
-         for i, row in enumerate(elim.sparse_rows) if i not in absorbed_rows],
-        ncols=ek,
+        [row for i, row in enumerate(elim.sparse_rows)
+         if i not in absorbed_rows],
+        ncols=cut,
     )
     rank, kernel = rank_kernel_by_canonicalising(residual)
     return kernel, rank, len(absorbed_rows)
@@ -568,16 +569,13 @@ class DenseMatrix:
 
 
 def integer_blocks(kept, absorbed):
-    """(kept, absorbed) as package matrices, from two DenseMatrix blocks
-    with shared rows: each joined row [absorbed | kept] through
+    """(matrix, cut) for the membership routes, from two DenseMatrix blocks
+    with shared rows: each joined row [kept | absorbed] through
     integer_row, which scales a row's two halves alike and so keeps the
-    membership system {u : kept u lies in the column span of absorbed}."""
-    ea = absorbed.ncols
-    joined = integer_rows(ra + rk for ra, rk in zip(absorbed.rows, kept.rows))
-    return (Matrix([{j - ea: v for j, v in r.items() if j >= ea}
-                    for r in joined], kept.ncols),
-            Matrix([{j: v for j, v in r.items() if j < ea} for r in joined],
-                   ea))
+    membership system {u : kept u lies in the column span of absorbed};
+    cut is kept's column count."""
+    joined = integer_rows(rk + ra for rk, ra in zip(kept.rows, absorbed.rows))
+    return Matrix(joined, kept.ncols + absorbed.ncols), kept.ncols
 
 
 def identity(n):

@@ -16,7 +16,7 @@ from chevkit.chevalley import STABILIZED, VERIFIED, ChevalleyEngine, ChevalleyEn
 from chevkit.cli import main as cli_main
 from chevkit.experiments import fit_linear_bound, product_order_probe
 from chevkit.indices import index_count, indices_up_to
-from chevkit.jets import FibredTuple, PolyMap, jet_blocks, jet_matrix
+from chevkit.jets import FibredTuple, PolyMap, jet_matrix
 from chevkit.linalg import Subspace
 from chevkit.poly import Poly, parse_poly
 from chevkit.staircase import (
@@ -178,24 +178,27 @@ def test_c03_route_agreement(c3_data):
             for l in range(k, 11):
                 reached = engine.diagram_threshold(k, l)
                 assert reached == (l >= rj.l_value), (key, k, l)
+                cut = index_count(n, k)
                 staged = engine.jets.projected_kernel(l, k)
-                full = engine.jets.kernel(l).project(index_count(n, k))
+                full = engine.jets.kernel(l).project(cut)
                 jm = engine.jets.jet(l)
-                low, high = jet_blocks(jm, k)
-                schur = membership_kernel(low, high)
+                whole = jm.integer_matrix()
+                schur = membership_kernel(whole, cut)
                 assert staged == full == schur.kernel, (key, k, l)
-                # codim of the projected kernel = rank J_l - rank(high), by
-                # two fresh eliminations apart from the echelon
-                assert (oracles.elimination_rank(jm.matrix, jm.shape[1])
-                        - oracles.elimination_rank(high.sparse_rows,
-                                                   high.ncols)
+                # codim of the projected kernel = rank J_l - rank(high), the
+                # columns past cut, by two fresh eliminations apart from the
+                # echelon
+                ncols = jm.shape[1]
+                assert (oracles.elimination_rank(jm.matrix, ncols)
+                        - oracles.elimination_rank(
+                            [row[cut:] for row in jm.matrix], ncols - cut)
                         == engine.jets.quotient_dim(l, k)), (key, k, l)
                 cells += 1
                 r = schur.absorbed_rank
-                size = (math.comb(high.ncols, r)
-                        * math.comb(high.nrows, r + 1))
+                size = (math.comb(ncols - cut, r)
+                        * math.comb(whole.nrows, r + 1))
                 if size <= DENSE_CELL_CAP:
-                    op = membership_operator(low, high, r)
+                    op = membership_operator(whole, cut, r)
                     _, dense_kernel = op.rank_kernel()
                     assert dense_kernel == staged, (key, k, l)
                     dense_cells += 1

@@ -24,12 +24,11 @@ from chevkit import chevalley as chevalley_module
 from chevkit import staircase as staircase_module
 from chevkit.errors import ConsistencyError, InputError, RelationsMismatchError
 from chevkit.experiments import DENSE_CELL_CAP, run_table
-from chevkit.indices import indices_up_to
+from chevkit.indices import index_count, indices_up_to
 from chevkit.jets import (
     FibredTuple,
     JetSystem,
     PolyMap,
-    jet_blocks,
     jet_matrix,
 )
 from chevkit.linalg import Subspace
@@ -284,8 +283,8 @@ class TestDiagramRoute:
     ])
     def test_reads_enumerate_no_index_prefix(self, phi, point, gen):
         # the staircase route takes its column exponents from the
-        # diagram's own enumeration and jet_blocks its split from the
-        # build's arity, so no order leaves an indices_up_to cache entry
+        # diagram's own enumeration and the membership routes their split
+        # from index_count, so no order leaves an indices_up_to cache entry
         n = phi.target_arity
         eng = ChevalleyEngine(
             phi, FibredTuple.make(phi, [point]),
@@ -295,7 +294,8 @@ class TestDiagramRoute:
         for l in range(eng.l_max + 1):
             for k in range(l + 1):
                 eng.diagram_threshold(k, l)
-                jet_blocks(eng.jets.jet(l), k)
+                membership_kernel(eng.jets.jet(l).integer_matrix(),
+                                  index_count(n, k))
         assert indices_up_to.cache_info().currsize == size
 
     @pytest.mark.parametrize("point", [(0, 0), (0, 1)])
@@ -312,6 +312,20 @@ class TestDiagramRoute:
             shallow.diagram_threshold(3, l)
         deep = ChevalleyEngine(phi, tup, relations=g, l_max=10)
         assert deep.diagram_threshold(3, l) is False
+
+    def test_negative_degree_refused(self):
+        # the staircase routes refuse k < 0 as the chain route does, in
+        # place of answering True
+        phi = cusp()
+        tup = FibredTuple.make(phi, [(0,)])
+        g = [parse_poly("y1^3 - y2^2", 2, names=Y2)]
+        engine = ChevalleyEngine(phi, tup, relations=g, l_max=6)
+        with pytest.raises(InputError, match="k must be >= 0"):
+            engine.relation_jets(-1)
+        with pytest.raises(InputError, match="k must be >= 0"):
+            engine.diagram_threshold(-1, 3)
+        with pytest.raises(InputError, match="k must be >= 0"):
+            diagram_threshold_test(phi, tup, -1, 3, engine.diagram(6))
 
     def test_standalone_frozen(self):
         phi = cusp()
@@ -535,14 +549,14 @@ class TestSharedRows:
             for k in range(l + 1):
                 jets.projected_kernel(l, k)
                 assert_unchanged()
-                low, high = jet_blocks(jets.jet(l), k)
-                blocks = copy.deepcopy([low.sparse_rows, high.sparse_rows])
-                r = membership_kernel(low, high).absorbed_rank
-                if (comb(high.ncols, r) * comb(high.nrows, r + 1)
+                whole, cut = jets.jet(l).integer_matrix(), index_count(2, k)
+                rows = copy.deepcopy(whole.sparse_rows)
+                r = membership_kernel(whole, cut).absorbed_rank
+                if (comb(whole.ncols - cut, r) * comb(whole.nrows, r + 1)
                         <= DENSE_CELL_CAP):
-                    membership_operator(low, high, r).rank_kernel()
+                    membership_operator(whole, cut, r).rank_kernel()
                     dense += 1
-                assert [low.sparse_rows, high.sparse_rows] == blocks
+                assert whole.sparse_rows == rows
                 eng.diagram_threshold(k, l)
                 assert_unchanged()
         assert dense

@@ -279,6 +279,16 @@ class TestOutputPins:
             "3acede170beaf70b4d236168e2a53d1a93ba5874512981ab55adfd6d110752e3",
             "133e7778ec6095c4945b7f856b9e9ac6471a5e1397b1ffa1daf5787d7b02b5a5",
         ),
+        # the membership routes' column split at k = 3 and 4, 24 and 64
+        # cells of them also checked by the dense wedge route
+        "verify-cone-l8-k3": (
+            "2611fca92677f800b826b9a6550a541310474568a0a861e6bba6972bfa12d89e",
+            "587ffea5f5d2cb80bd142bf2bdc49e886b7bd954a7c945bf7758bbd5b97afc57",
+        ),
+        "verify-cusp-l9-k4": (
+            "3f407dd1564458c2e6d87300486f3b8271a2adce814a2ce07d1ceef80e587cc0",
+            "657da527dcbec46c25451ed36ee8344654fa252674e625b7093d377edbdd5e37",
+        ),
         "verify-identity": (
             "89f232f5623f65ce615bb3760ad07d75d91443feab427a56b785628e43726de5",
             "582cb7b0f1d67dc451d6e3ac75910f313c2a1d630a4b80200a36a8de0c786bcf",

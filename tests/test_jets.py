@@ -19,7 +19,6 @@ from chevkit.jets import (
     FibredTuple,
     JetSystem,
     PolyMap,
-    jet_blocks,
     jet_matrix,
 )
 from chevkit.censored import AtLeast
@@ -192,7 +191,8 @@ class TestIntegerRows:
                 sys.projected_kernel(l, k)
                 sys.quotient_dim(l, k)
                 sys.kernel_contains(l, k, [])
-                jet_blocks(sys.jet(l), k)
+                membership_kernel(sys.jet(l).integer_matrix(),
+                                  index_count(2, k))
         engine = ChevalleyEngine(phi, tup, relations=[
             parse_poly("y1^3 - y2^2", 2, names=["y1", "y2"])], l_max=6)
         engine.relation_jets(2)
@@ -268,24 +268,6 @@ class TestGrownBuild:
             jm.layer(5)
         with pytest.raises(InputError):
             jm.prefix(5)
-
-
-class TestJetBlocks:
-    def test_split_shapes(self):
-        tup = FibredTuple.make(cusp(), [(1,)])
-        jm = jet_matrix(cusp(), tup, 4)
-        low, high = jet_blocks(jm, 2)
-        assert low.ncols == index_count(2, 2)
-        assert high.ncols == jm.shape[1] - low.ncols
-        assert low.nrows == high.nrows == jm.shape[0] == len(jm.matrix)
-
-    def test_split_degree_bounds(self):
-        tup = FibredTuple.make(cusp(), [(1,)])
-        jm = jet_matrix(cusp(), tup, 2)
-        with pytest.raises(InputError):
-            jet_blocks(jm, 3)
-        with pytest.raises(InputError):
-            jet_blocks(jm, -1)
 
 
 class TestKernels:
@@ -431,19 +413,33 @@ class TestKernels:
         with pytest.raises(InputError):
             JetSystem(squaring(), tup).kernel_contains(2, -1, [])
 
+    def test_degree_refused_before_the_build(self):
+        # a degree outside 0..l is refused before the jets are built
+        tup = FibredTuple.make(cusp(), [(0,)])
+        for read in (lambda sys, k: sys.quotient_dim(40, k),
+                     lambda sys, k: sys.projected_kernel(40, k),
+                     lambda sys, k: sys.kernel_contains(40, k, [])):
+            for k in (-1, 41):
+                sys = JetSystem(cusp(), tup)
+                with pytest.raises(InputError, match="outside 0..40"):
+                    read(sys, k)
+                assert sys._build is None
+
     def test_membership_residual_kernel(self):
         phi = cusp()
         tup = FibredTuple.make(phi, [(0,)])
         sys = JetSystem(phi, tup)
         l, k = 5, 2
-        low, high = jet_blocks(sys.jet(l), k)
+        whole, cut = sys.jet(l).integer_matrix(), index_count(2, k)
         # the guard rows' kernel is the kernel of the membership system
-        # (low)u in the column span of (high); the pivots they leave out of
-        # rank J_l count the rank of the high block
-        assert membership_kernel(low, high).kernel == \
-            sys.projected_kernel(l, k)
+        # (low)u in the column span of (high), the columns before and past
+        # cut; the pivots they leave out of rank J_l count the rank of the
+        # high block
+        res = membership_kernel(whole, cut)
+        assert res.kernel == sys.projected_kernel(l, k)
         assert sys.analysis(l) - sys.quotient_dim(l, k) == \
-            oracles.sympy_rank(oracles.dense_rows(high))
+            res.absorbed_rank == oracles.sympy_rank(
+                [row[cut:] for row in oracles.dense_rows(whole)])
 
 
 def _count_builds(monkeypatch):
@@ -620,11 +616,11 @@ class TestSingleBuild:
                 # and the dense wedge route under its cell cap
                 if l > 4:
                     continue
-                low, high = jet_blocks(sys.jet(l), k)
-                r = membership_kernel(low, high).absorbed_rank
-                if math.comb(high.ncols, r) * math.comb(
-                        high.nrows, r + 1) <= DENSE_CELL_CAP:
-                    membership_operator(low, high, r).rank_kernel()
+                whole, cut = sys.jet(l).integer_matrix(), index_count(3, k)
+                r = membership_kernel(whole, cut).absorbed_rank
+                if math.comb(whole.ncols - cut, r) * math.comb(
+                        whole.nrows, r + 1) <= DENSE_CELL_CAP:
+                    membership_operator(whole, cut, r).rank_kernel()
                     dense += 1
         assert dense
         assert sys.jet(8).shape == (index_count(2, 8), index_count(3, 8))

@@ -23,8 +23,7 @@ PUBLIC = [
     "verify_consistency",
     "degree", "dominates", "index_count", "indices_of_degree",
     "indices_up_to", "mono_key",
-    "FibredTuple", "JetMatrix", "JetSystem", "PolyMap", "jet_blocks",
-    "jet_matrix",
+    "FibredTuple", "JetMatrix", "JetSystem", "PolyMap", "jet_matrix",
     "Matrix", "Subspace", "staged_elimination",
     "Poly", "TruncatedSeries", "format_poly", "parse_poly",
     "parse_rational",
@@ -43,7 +42,7 @@ REMOVED = [
     "column_span", "image_kernel_check", "wedge_operator",
     "diagram_threshold_test", "mono_cmp", "position_map",
     "initial_exponent", "TruncationError", "ConsistencyReport",
-    "OrderProbe",
+    "OrderProbe", "jet_blocks",
 ]
 
 # (owner, attribute) pairs that only tests used, or that were deleted
@@ -74,6 +73,7 @@ REMOVED_ATTRIBUTES = [
     (wedge, "wedge_operator"),
     (linalg.Matrix, "rows"), (jets.JetMatrix, "rows"),
     (linalg, "_integer_row"), (experiments, "OrderProbe"),
+    (jets, "jet_blocks"),
 ]
 
 
@@ -120,6 +120,9 @@ def test_result_records_carry_no_unread_fields():
     assert names(experiments.GrowthEntry) == [
         "l", "slope", "bounded", "certified"]
     assert names(experiments.LinearBound) == ["alpha", "beta", "witnesses"]
+    # provisional is read off the vertices
+    assert names(staircase.Diagram) == [
+        "arity", "trunc_degree", "vertices", "span"]
     assert not hasattr(experiments, "ConsistencyReport")
 
 
@@ -158,6 +161,17 @@ def test_signatures_carry_no_single_value_knobs():
     assert params(chevalley.sample_leaf_chevalley) == \
         ["phi", "leaf", "ks", "seed", "l_max", "window", "relations"]
     assert params(jets.JetSystem) == ["phi", "tup"]
+
+
+def test_membership_routes_take_one_matrix_and_a_column_split():
+    # the kept block is the columns before cut, the absorbed block the
+    # columns at and past it
+    def params(f):
+        return list(inspect.signature(f).parameters)
+
+    assert params(wedge.membership_kernel) == ["matrix", "cut"]
+    assert params(wedge.membership_operator) == ["matrix", "cut", "r"]
+    assert params(linalg.Elimination.kernel) == ["self", "stop"]
 
 
 def test_experiments_imports_no_private_chevalley_name():

@@ -70,6 +70,19 @@ class TestDiagram:
         diag = diagram_from_generators(pres, 6)
         assert diag.vertices == ((0, 1),)
 
+    @pytest.mark.parametrize("gens, provisional", [
+        ([], False), (["0"], False), (["y1 - y1"], False),
+        (["y1^3 - y2^2"], True), (["2"], True),
+    ])
+    def test_provisional_is_read_off_the_staircase(self, gens, provisional):
+        # a nonzero recentred generator puts its initial exponent in the
+        # staircase at any truncation the diagram takes
+        pres = IdealPresentation.make(
+            [parse_poly(g, 2, names=["y1", "y2"]) for g in gens], (0, 0))
+        diag = diagram_from_generators(pres, max(pres.generator_degree, 1))
+        assert diag.provisional is provisional
+        assert bool(diag.vertices) is provisional
+
     def test_zero_ideal(self):
         pres = IdealPresentation.make([], (0, 0))
         diag = diagram_from_generators(pres, 5)

@@ -148,10 +148,10 @@ class TestMembershipOperator:
     @given(membership_blocks())
     @settings(max_examples=80, deadline=None)
     def test_kernel_and_rank_match_membership_kernel(self, blocks):
-        kept, absorbed = oracles.integer_blocks(*blocks)
-        res = membership_kernel(kept, absorbed)
-        op = membership_operator(kept, absorbed, res.absorbed_rank)
-        assert op.rank_kernel() == (kept.ncols - res.kernel.dim, res.kernel)
+        matrix, cut = oracles.integer_blocks(*blocks)
+        res = membership_kernel(matrix, cut)
+        op = membership_operator(matrix, cut, res.absorbed_rank)
+        assert op.rank_kernel() == (cut - res.kernel.dim, res.kernel)
 
     def test_cap_matches_wedge_operator(self, monkeypatch):
         rng = random.Random(0)
@@ -191,7 +191,7 @@ class TestMembershipOperator:
 
     def test_negative_order_rejected(self):
         with pytest.raises(InputError):
-            membership_operator(Matrix([{0: 1}], 1), Matrix([{0: 1}], 1), -1)
+            membership_operator(Matrix([{0: 1, 1: 1}], 2), 1, -1)
 
 
 class TestMembership:
@@ -206,9 +206,9 @@ class TestMembership:
             absorbed = mat([[rng.randint(-2, 2) for _ in range(ea)]
                             for _ in range(f)], ncols=ea)
             rank = oracles.sympy_rank(absorbed.rows)
-            kept, absorbed = oracles.integer_blocks(kept, absorbed)
-            res = membership_kernel(kept, absorbed)
-            op = membership_operator(kept, absorbed, rank)
+            matrix, cut = oracles.integer_blocks(kept, absorbed)
+            res = membership_kernel(matrix, cut)
+            op = membership_operator(matrix, cut, rank)
             op_rank, op_kern = op.rank_kernel()
             assert res.kernel == op_kern
             assert ek - res.kernel.dim == op_rank
@@ -229,20 +229,46 @@ class TestMembership:
     def test_non_int_cell_rejected_alike(self, cell):
         # both routes refuse a cell the kernel does not take, with the
         # kernel's own message
-        kept, absorbed = Matrix([{0: cell}], 1), Matrix([{0: 1}], 1)
+        matrix = Matrix([{0: cell, 1: 1}], 2)
         with pytest.raises(InputError) as by_kernel:
-            membership_kernel(kept, absorbed)
+            membership_kernel(matrix, 1)
         with pytest.raises(InputError) as by_operator:
-            membership_operator(kept, absorbed, 0)
+            membership_operator(matrix, 1, 0)
         assert str(by_operator.value) == str(by_kernel.value) == \
             f"cell {cell!r} is not an int"
 
-    def test_row_mismatch_rejected(self):
-        two, one = Matrix([{0: 1}, {0: 2}], 1), Matrix([{0: 1}], 1)
-        with pytest.raises(InputError):
-            membership_kernel(two, one)
-        with pytest.raises(InputError):
-            membership_operator(two, one, 1)
+    def test_cut_outside_the_columns_rejected(self):
+        matrix = Matrix([{0: 1}, {1: 2, 2: 1}], 3)
+        for cut in (-1, 4, 10, 1.5):
+            with pytest.raises(InputError) as by_kernel:
+                membership_kernel(matrix, cut)
+            with pytest.raises(InputError) as by_operator:
+                membership_operator(matrix, cut, 1)
+            assert str(by_operator.value) == str(by_kernel.value) == \
+                f"column split {cut!r} outside 0..3"
+
+    @given(matrix_strategy(max_dim=4))
+    @settings(max_examples=30, deadline=None)
+    def test_cuts_at_the_ends(self, b):
+        # cut = ncols: nothing is absorbed, the kernel is the matrix's own;
+        # cut = 0: nothing is kept, so the kernel lives in Q^0
+        m = b.integer()
+        rank, kernel = m.rank_kernel()
+        whole = membership_kernel(m, m.ncols)
+        assert (whole.kernel, whole.absorbed_rank) == (kernel, 0)
+        assert membership_operator(m, m.ncols, 0).rank_kernel() == \
+            (rank, kernel)
+        none = membership_kernel(m, 0)
+        assert (none.kernel.ambient_dim, none.absorbed_rank) == (0, rank)
+
+    def test_caller_rows_unchanged(self):
+        # both routes read the caller's rows, which are not primitive here,
+        # and leave them as they were
+        rows = [{0: 2, 1: 4, 2: 6}, {1: 3, 2: -9}, {0: 5}]
+        matrix = Matrix([dict(r) for r in rows], 3)
+        res = membership_kernel(matrix, 2)
+        membership_operator(matrix, 2, res.absorbed_rank)
+        assert matrix.sparse_rows == rows
 
     @given(matrix_strategy(max_dim=4), st.data())
     @settings(max_examples=40, deadline=None)
@@ -260,8 +286,8 @@ class TestMembership:
 
 @st.composite
 def joined_blocks(draw):
-    """(kept, absorbed) package matrices sharing 0-6 rows, each block 0-4
-    columns, over rows of ints or Fractions: through
+    """(matrix, cut) of a kept and an absorbed block sharing 0-6 rows,
+    each block 0-4 columns, over rows of ints or Fractions: through
     oracles.integer_blocks or, when they hold ints, now and then as sparse
     rows that may not be primitive; some rows zero in one block or both,
     and now and then a block that is all zero."""
@@ -288,8 +314,10 @@ def joined_blocks(draw):
     kept, absorbed = block(), block()
     if all(type(v) is int for m in (kept, absorbed) for r in m.rows
            for v in r) and draw(st.booleans()):
-        return (Matrix(kept.sparse_rows, kept.ncols),
-                Matrix(absorbed.sparse_rows, absorbed.ncols))
+        joined = oracles.DenseMatrix(
+            [rk + ra for rk, ra in zip(kept.rows, absorbed.rows)],
+            kept.ncols + absorbed.ncols)
+        return Matrix(joined.sparse_rows, joined.ncols), kept.ncols
     return oracles.integer_blocks(kept, absorbed)
 
 
@@ -301,14 +329,13 @@ class TestOneEliminationMembership:
     @given(joined_blocks())
     @settings(max_examples=300, deadline=None)
     def test_matches_residual_route(self, blocks):
-        kept, absorbed = blocks
-        res = membership_kernel(kept, absorbed)
-        assert (res.kernel, kept.ncols - res.kernel.dim,
-                res.absorbed_rank) == \
-            oracles.membership_kernel_by_residual(kept, absorbed)
+        matrix, cut = blocks
+        res = membership_kernel(matrix, cut)
+        assert (res.kernel, cut - res.kernel.dim, res.absorbed_rank) == \
+            oracles.membership_kernel_by_residual(matrix, cut)
 
     def test_one_elimination_no_matrix(self, monkeypatch):
-        kept, absorbed = oracles.integer_blocks(
+        matrix, cut = oracles.integer_blocks(
             mat([[1, 0], [0, 1], [2, 3], [0, 0]]),
             mat([[1, 1], [1, 1], [0, 5], [0, 0]]))
         calls = []
@@ -329,7 +356,7 @@ class TestOneEliminationMembership:
                             counted("rank_kernel", Matrix.rank_kernel))
         monkeypatch.setattr(Subspace, "from_vectors", classmethod(counted(
             "from_vectors", Subspace.from_vectors.__func__)))
-        res = membership_kernel(kept, absorbed)
+        res = membership_kernel(matrix, cut)
         assert calls == ["staged_elimination"]
-        assert (res.kernel.dim, kept.ncols - res.kernel.dim,
+        assert (res.kernel.dim, cut - res.kernel.dim,
                 res.absorbed_rank) == (1, 1, 2)
