@@ -111,10 +111,12 @@ class ChevalleyEngine:
     """
 
     def __init__(self, phi, tup, relations=None, l_max=12, window=3):
-        if l_max < 0:
-            raise InputError("l_max must be >= 0")
-        if window < 1:
-            raise InputError("stabilization window must be >= 1")
+        # bool is an int subclass; True would run as 1
+        if type(l_max) is not int or l_max < 0:
+            raise InputError(f"l_max must be an int >= 0, got {l_max!r}")
+        if type(window) is not int or window < 1:
+            raise InputError(
+                f"stabilization window must be an int >= 1, got {window!r}")
         self.phi = phi
         self.tup = tup
         self.l_max = l_max
@@ -175,14 +177,16 @@ class ChevalleyEngine:
 
     def relation_jets(self, k):
         """Read the chain at l = k, k+1, ... up to the first order that
-        settles degree k; each call climbs afresh.
+        settles degree k, or to l_max; each call climbs afresh.
 
         Chain members are nested in l, so two are equal exactly when their
         codimensions are.  With relations the chain contains the target,
         which is reached at the first order of codimension target.codim
-        (VERIFIED); the guard checks the target against each order first.
-        Without relations the chain is STABILIZED at the first full window
-        of equal codimensions.
+        (VERIFIED).  By the nesting the target lies in every member climbed
+        exactly when it lies in the last, so one guard at the stop order
+        checks it against them all, before any result or mismatch is
+        reported.  Without relations the chain is STABILIZED at the first
+        full window of equal codimensions.
         """
         if k < 0:
             raise InputError("k must be >= 0")
@@ -196,33 +200,28 @@ class ChevalleyEngine:
         w = self.window
         codims = []
         for l in range(k, self.l_max + 1):
-            # each guard row is tested at the order that made it; the first
-            # test covers every row through order k
-            if target is not None and not self.jets.kernel_contains(
-                    l, k, rows, since=0 if l == k else l):
-                raise ConsistencyError(
-                    "validated relation jets escaped a projected kernel"
-                    f" at l={l}, k={k}"
-                )
             codims.append(self.jets.quotient_dim(l, k))
             full_window = len(codims) >= w and len(set(codims[-w:])) == 1
-            if target is not None and codims[-1] == target.codim:
-                l_value, status = l, VERIFIED
-            elif target is None and full_window:
-                l_value, status = l - w + 1, STABILIZED
-            else:
-                continue
-            return RelationJets(
-                status=status, l_value=l_value, chain=range(k, l + 1),
-                target=target, codim=codims[-1],
+            settled = (full_window if target is None
+                       else codims[-1] == target.codim)
+            if settled:
+                break
+        if target is not None and not self.jets.kernel_contains(l, k, rows):
+            raise ConsistencyError(
+                "validated relation jets escaped a projected kernel"
+                f" at l={l}, k={k}"
             )
-        if target is None:
+        codim = codims[-1]
+        if settled:
+            l_value, status = ((l, VERIFIED) if target is not None
+                               else (l - w + 1, STABILIZED))
+        elif target is None:
             # the provable bound: the threshold is at least the last order
             # at which the chain still moved (and at least k by definition)
             l_value = AtLeast(k + max((i for i in range(1, len(codims))
                                        if codims[i - 1] != codims[i]),
                                       default=0))
-            status, codim = INCONCLUSIVE, codims[-1]
+            status = INCONCLUSIVE
         elif full_window:
             dim = index_count(self.phi.target_arity, k) - codims[-1]
             raise RelationsMismatchError(
@@ -235,7 +234,7 @@ class ChevalleyEngine:
             l_value, status = AtLeast(self.l_max + 1), VERIFIED
             codim = target.codim
         return RelationJets(
-            status=status, l_value=l_value, chain=range(k, self.l_max + 1),
+            status=status, l_value=l_value, chain=range(k, l + 1),
             target=target, codim=codim,
         )
 
@@ -264,14 +263,14 @@ class ChevalleyEngine:
         return _projects_to_zero(*self._diagram_kernel(l), k)
 
 
-def _staircase_free_kernel(jm, diagram):
+def _staircase_free_kernel(jet, diagram):
     """(kernel, column exponents) of the jet matrix restricted to the
     columns whose exponent lies outside the staircase.  The diagram is
-    truncated at or past jm's order, so the column labels are a prefix of
-    its monomials."""
-    betas = indices_up_to(diagram.arity, diagram.trunc_degree)[:jm.shape[1]]
+    truncated at or past the jet order, so the column labels are a prefix
+    of its monomials."""
+    betas = indices_up_to(diagram.arity, diagram.trunc_degree)[:jet.ncols]
     kept = [c for c, beta in enumerate(betas) if not diagram.contains(beta)]
-    _, kernel = jm.integer_matrix().columns(kept).rank_kernel()
+    _, kernel = jet.columns(kept).rank_kernel()
     return kernel, [betas[c] for c in kept]
 
 
@@ -283,7 +282,7 @@ def _projects_to_zero(kernel, betas, k):
     return kernel.project(sum(degree(b) <= k for b in betas)).is_zero()
 
 
-def diagram_threshold_test(phi, tup, k, l, diagram, jm=None):
+def diagram_threshold_test(phi, tup, k, l, diagram):
     """Standalone staircase-restricted threshold test.
 
     Drops the jet-matrix columns whose exponent lies in the staircase, takes
@@ -305,8 +304,8 @@ def diagram_threshold_test(phi, tup, k, l, diagram, jm=None):
             f"staircase is only exact through degree {diagram.trunc_degree},"
             f" need {l}"
         )
-    jm = jet_matrix(phi, tup, l) if jm is None else jm.prefix(l)
-    return _projects_to_zero(*_staircase_free_kernel(jm, diagram), k)
+    jet = jet_matrix(phi, tup, l).integer_matrix(l)
+    return _projects_to_zero(*_staircase_free_kernel(jet, diagram), k)
 
 
 @dataclass(frozen=True)

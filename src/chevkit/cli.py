@@ -230,7 +230,7 @@ def cmd_jet(args, scenario):
     reports = []
     for key, tup in _select(scenario, args.point):
         jm = jet_matrix(phi, tup, l)
-        rank, kernel = jm.integer_matrix().rank_kernel()
+        rank, kernel = jm.integer_matrix(l).rank_kernel()
         nrows, ncols = jm.shape
         print(f"tuple {key}: order {l} jet matrix {nrows}x{ncols},"
               f" rank {rank}, kernel dim {kernel.dim}")

@@ -501,7 +501,7 @@ def verify_consistency(scenario):
                 cut = index_count(n, k)
                 staged = engine.jets.projected_kernel(l, k)
                 projected = engine.jets.kernel(l).project(cut)
-                whole = engine.jets.jet(l).integer_matrix()
+                whole = engine.jets.jet(l)
                 schur = membership_kernel(whole, cut)
                 count += 1
                 if projected != staged or schur.kernel != staged:

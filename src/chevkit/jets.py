@@ -23,14 +23,14 @@ and its first C(n+l, l) columns.  By the triangular shape, order d only adds
 the rows of x-degree d, and those are the degree-d homogeneous parts of the
 powers: H_d(phi^beta) = sum_e H_{d-e}(phi^parent) H_e(phi_j), where beta is
 parent + e_j.  A JetMatrix keeps every power as its homogeneous parts and
-grows in place, making each order's sparse rows once.  JetSystem makes one
-build per fibred tuple, grows it to every order asked, and keeps one
-append-only row echelon that reads every order off a prefix.
+grows in place, making each order's sparse rows once, and reads order l
+off its rows through x-degree l.  JetSystem makes one build per fibred
+tuple, grows it to every order asked, and keeps one append-only row echelon
+whose rows through order l are the order-l echelon.
 """
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -122,13 +122,11 @@ class JetMatrix:
     (point position, source exponent) pair.  Rows are integer: row (p, alpha)
     is scales[p]^|alpha| times the exact row, where scales[p] is the positive
     integer t_p of the build.  layer(d) holds the sparse rows of x-degree d,
-    made once, when grow first passes order d.  integer_matrix(), one Matrix
-    over those rows, is made on first read at the current order; matrix,
-    the exact entries as dense Fraction row lists, is made on every read;
-    shape is counted.
-
-    prefix(l) is the order-l leading block, a JetMatrix over the same build:
-    growing any of them makes the new orders once for all.
+    made once, when grow first passes order d.  integer_matrix(l), the
+    order-l jet matrix, is one Matrix over the layers through d = l, made
+    on every read with no row copied.  The labels, shape and matrix, the
+    exact entries as dense Fraction row lists made on every read, are those
+    of the order reached, level.
     """
 
     def __init__(self, phi, tup):
@@ -152,7 +150,6 @@ class JetMatrix:
         # per order d, per point, the sparse rows of x-degree d
         self._layers = []
         self.level = -1
-        self._integer = None
 
     def _add_order(self):
         """Make the rows of the next x-degree d: the degree-d part of every
@@ -219,26 +216,18 @@ class JetMatrix:
             raise InputError("jet order must be >= 0")
         while len(self._layers) <= l:
             self._add_order()
-        if l > self.level:
-            self.level = l
-            self._integer = None
+        self.level = max(self.level, l)
         return self
 
-    def prefix(self, l):
-        """The order-l leading block, l <= level, over the same build."""
-        if not 0 <= l <= self.level:
-            raise InputError(f"jet order {l} outside 0..{self.level}")
-        view = copy(self)
-        view.level = l
-        view._integer = None
-        return view
+    def _check_order(self, d):
+        if not 0 <= d <= self.level:
+            raise InputError(f"jet order {d} outside 0..{self.level}")
 
     def layer(self, d):
         """The sparse rows of x-degree d, point by point, as {column: int}
         over the columns of degree <= d.  They are the build's own rows: a
         caller that changes one copies it first."""
-        if not 0 <= d <= self.level:
-            raise InputError(f"jet order {d} outside 0..{self.level}")
+        self._check_order(d)
         return [row for rows in self._layers[d] for row in rows]
 
     @property
@@ -258,26 +247,25 @@ class JetMatrix:
 
     @property
     def matrix(self):
-        ncols = self.shape[1]
+        whole = self.integer_matrix(self.level)
         exact = []
-        for row, (p, alpha) in zip(self.integer_matrix().sparse_rows,
-                                   self.row_labels):
+        for row, (p, alpha) in zip(whole.sparse_rows, self.row_labels):
             f = self.scales[p] ** degree(alpha)
-            dense = [Fraction(0)] * ncols
+            dense = [Fraction(0)] * whole.ncols
             for j, v in row.items():
                 dense[j] = Fraction(v, f)
             exact.append(dense)
         return exact
 
-    def integer_matrix(self):
-        """The build's own sparse rows as one Matrix, made on first read:
-        the same ranks and kernels as matrix, with no row copied."""
-        if self._integer is None:
-            self._integer = Matrix(
-                [row for p in range(self._size)
-                 for layer in self._layers[:self.level + 1]
-                 for row in layer[p]], ncols=self.shape[1])
-        return self._integer
+    def integer_matrix(self, l):
+        """The order-l jet matrix, l <= level: the build's own rows of
+        x-degree <= l, point by point, as one Matrix over the columns of
+        degree <= l, with no row copied.  At l = level it has the same ranks
+        and kernels as matrix."""
+        self._check_order(l)
+        return Matrix([row for p in range(self._size)
+                       for layer in self._layers[:l + 1] for row in layer[p]],
+                      ncols=index_count(self._arity[1], l))
 
 
 def _integer_components(phi, point):
@@ -322,9 +310,9 @@ class JetSystem:
 
     The system makes one jet_matrix build, at the first order asked, and
     grows it in place to each later one, so every order's rows are made
-    once whatever order the requests come in.  Every order l reads the
-    build as a leading block: indices are enumerated degree ascending, so
-    the order-l matrix is, per point, the rows of x-degree <= l, and the
+    once whatever order the requests come in.  jet(l) reads the build's
+    rows through order l: indices are enumerated degree ascending, so the
+    order-l matrix is, per point, the rows of x-degree <= l, over the
     columns j < C(n+l, l).
 
     Entry (p, alpha; beta) is zero whenever |alpha| < |beta|, so J_{l+1} is
@@ -334,14 +322,18 @@ class JetSystem:
     reduces the new rows against the existing pivot rows in that order and
     pivots what is left with one staged_elimination.  A row never changes
     once made and is zero before its pivot in the staged order, so the
-    order-l echelon is a prefix, and off that prefix:
+    order-l echelon is the rows made through order l, and of those:
 
-    - rank J_l is its length;
-    - quotient_dim(l, k) is the number of its pivots of degree <= k, as the
+    - rank J_l is their number;
+    - quotient_dim(l, k) is the number pivoting at degree <= k, as the
       others count the rank of the degree-> k column block;
-    - its rows pivoting at degree <= k vanish on the higher columns and span
+    - the rows pivoting at degree <= k vanish on the higher columns and span
       every row-space vector that does; cut to the degree-<= k columns they
       are the guard rows, whose kernel is the projected kernel.
+
+    The order-(l+1) guard rows hold the order-l ones, so the projected
+    kernels are nested, Kp(l+1, k) in Kp(l, k): a vector lies in every
+    member through order l exactly when it lies in Kp(l, k).
     """
 
     def __init__(self, phi, tup):
@@ -349,10 +341,9 @@ class JetSystem:
         self.tup = tup
         self._build = None
         # (pivot degree, pivot column, sparse row) in the order the rows
-        # were made; _ends[l] is the length of the order-l prefix
+        # were made; _ends[l] is the number made through order l
         self._echelon = []
         self._ends = []
-        self._jets = {}
         self._kernels = {}
         self._blocks = {}
 
@@ -385,33 +376,26 @@ class JetSystem:
         self._ends.append(len(self._echelon))
 
     def analysis(self, l):
-        """Extend the echelon through order l; return rank J_l, the length
-        of its order-l prefix."""
+        """Extend the echelon through order l; return rank J_l, the number
+        of its rows made through order l."""
         self._grow(l)
         while len(self._ends) <= l:
             self._extend()
         return self._ends[l]
 
-    def _prefix(self, l, k, since=0):
-        """The echelon rows made at orders since..l; since=0 gives the whole
-        order-l prefix."""
+    def _guard_rows(self, l, k):
+        """The sparse order-l echelon rows pivoting at degree <= k: they
+        vanish on every column of degree > k, so they are already cut to
+        the degree-<= k columns.  k is checked before anything is built."""
         if not 0 <= k <= l:
             raise InputError(f"block degree {k} outside 0..{l}")
-        end = self.analysis(l)
-        return self._echelon[self._ends[since - 1] if since else 0:end]
-
-    def _guard_rows(self, l, k, since=0):
-        """The sparse echelon rows pivoting at degree <= k: they vanish on
-        every column of degree > k, so they are already cut to the
-        degree-<= k columns."""
-        return [row for d, _, row in self._prefix(l, k, since) if d <= k]
+        return [row for d, _, row in self._echelon[:self.analysis(l)]
+                if d <= k]
 
     def jet(self, l):
-        """The order-l JetMatrix: a leading block of the build, made dense
-        only when its rows are read."""
-        if l not in self._jets:
-            self._jets[l] = self._grow(l).prefix(l)
-        return self._jets[l]
+        """The order-l jet matrix, one integer Matrix over the build's
+        rows through order l."""
+        return self._grow(l).integer_matrix(l)
 
     def kernel(self, l):
         """Kernel of the order-l jet matrix, ambient dim = target indices.
@@ -420,7 +404,7 @@ class JetSystem:
         echelon, so its projections are a separate route.
         """
         if l not in self._kernels:
-            self._kernels[l] = self.jet(l).integer_matrix().rank_kernel()[1]
+            self._kernels[l] = self.jet(l).rank_kernel()[1]
         return self._kernels[l]
 
     def projected_kernel(self, l, k):
@@ -439,25 +423,21 @@ class JetSystem:
     def quotient_dim(self, l, k):
         """Codimension of the projected kernel in the degree-<= k jet space.
 
-        The number of order-l echelon pivots of degree <= k; no subspace is
-        built.
+        The number of guard rows; no subspace is built.
         """
-        return sum(d <= k for d, _, _ in self._prefix(l, k))
+        return len(self._guard_rows(l, k))
 
-    def kernel_contains(self, l, k, vectors, since=0):
+    def kernel_contains(self, l, k, vectors):
         """Whether the projected kernel at (l, k) holds every vector.
 
         Vectors are sparse {index: nonzero int} dicts over the degree-<= k
         indices, such as a canonical Subspace's rows.  The test is the exact
         product guard . v == 0 on the integer guard rows, over the vector's
-        nonzero entries only, so no subspace is built.
-
-        With since > 0 only the guard rows made at orders since..l are
-        tested.  A row's cut to the degree-<= k columns never changes once
-        made, so a climb over l that has passed order since - 1 tests each
-        row once and still fails at the same order.
+        nonzero entries only, so no subspace is built.  The kernels are
+        nested in l, so the answer at l is also the answer for every order
+        from k to l together.
         """
-        rows = self._guard_rows(l, k, since)
+        rows = self._guard_rows(l, k)
         return all(
             not sum(row[i] * x for i, x in v.items() if i in row)
             for v in vectors for row in rows

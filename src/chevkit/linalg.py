@@ -176,6 +176,8 @@ class Elimination:
         """
         if stop is None:
             stop = self.ncols
+        elif not isinstance(stop, int) or not 0 <= stop <= self.ncols:
+            raise InputError(f"kernel stop {stop!r} outside 0..{self.ncols}")
         hits = {}  # free column -> (pivot column, pivot, entry) of its rows
         for r, c in self.pivots:
             if c < stop:

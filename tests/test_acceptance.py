@@ -181,17 +181,18 @@ def test_c03_route_agreement(c3_data):
                 cut = index_count(n, k)
                 staged = engine.jets.projected_kernel(l, k)
                 full = engine.jets.kernel(l).project(cut)
-                jm = engine.jets.jet(l)
-                whole = jm.integer_matrix()
+                whole = engine.jets.jet(l)
                 schur = membership_kernel(whole, cut)
                 assert staged == full == schur.kernel, (key, k, l)
                 # codim of the projected kernel = rank J_l - rank(high), the
                 # columns past cut, by two fresh eliminations apart from the
-                # echelon
-                ncols = jm.shape[1]
-                assert (oracles.elimination_rank(jm.matrix, ncols)
+                # echelon; the integer rows are positive multiples of the
+                # exact ones, with the same ranks
+                ncols = whole.ncols
+                dense = oracles.dense_rows(whole)
+                assert (oracles.elimination_rank(dense, ncols)
                         - oracles.elimination_rank(
-                            [row[cut:] for row in jm.matrix], ncols - cut)
+                            [row[cut:] for row in dense], ncols - cut)
                         == engine.jets.quotient_dim(l, k)), (key, k, l)
                 cells += 1
                 r = schur.absorbed_rank

@@ -29,7 +29,6 @@ from chevkit.jets import (
     FibredTuple,
     JetSystem,
     PolyMap,
-    jet_matrix,
 )
 from chevkit.linalg import Subspace
 from chevkit.poly import Poly, parse_poly
@@ -104,6 +103,12 @@ class TestValidation:
             ChevalleyEngine(phi, tup, l_max=-1)
         with pytest.raises(InputError):
             ChevalleyEngine(phi, tup, window=0)
+        # a float failed late with a TypeError, and True ran as l_max 1
+        for bad in (3.0, 2.5, True, False, "4", None):
+            with pytest.raises(InputError, match="l_max must be an int"):
+                ChevalleyEngine(phi, tup, l_max=bad)
+            with pytest.raises(InputError, match="window must be an int"):
+                ChevalleyEngine(phi, tup, window=bad)
         eng = ChevalleyEngine(phi, tup, l_max=4)
         with pytest.raises(InputError):
             eng.relation_jets(5)
@@ -294,8 +299,7 @@ class TestDiagramRoute:
         for l in range(eng.l_max + 1):
             for k in range(l + 1):
                 eng.diagram_threshold(k, l)
-                membership_kernel(eng.jets.jet(l).integer_matrix(),
-                                  index_count(n, k))
+                membership_kernel(eng.jets.jet(l), index_count(n, k))
         assert indices_up_to.cache_info().currsize == size
 
     @pytest.mark.parametrize("point", [(0, 0), (0, 1)])
@@ -354,15 +358,20 @@ class TestDiagramRoute:
         with pytest.raises(InputError, match="arity"):
             diagram_threshold_test(phi, tup, 1, 2, wrong_arity)
 
-    def test_reuses_supplied_jet_matrix(self):
+    def test_standalone_agrees_with_the_engine_route(self):
+        # the standalone test makes its own build; the engine reads its
+        # one build, grown once, at every order
         phi = cusp()
         tup = FibredTuple.make(phi, [(0,)])
         pres = IdealPresentation.make(
             [parse_poly("y1^3 - y2^2", 2, names=Y2)], tup.image
         )
         diag = diagram_from_generators(pres, 6)
-        jm = jet_matrix(phi, tup, 5)
-        assert diagram_threshold_test(phi, tup, 2, 5, diag, jm=jm) is True
+        assert diagram_threshold_test(phi, tup, 2, 5, diag) is True
+        engine = cusp_engine(l_max=6)
+        for l in range(2, 7):
+            assert diagram_threshold_test(phi, tup, 2, l, diag) == \
+                engine.diagram_threshold(2, l) == (l >= 5)
 
 
 def _vanishing_at(p, center):
@@ -447,6 +456,18 @@ class TestRelationEchelon:
         assert eng.diagram(9).trunc_degree == 9
 
 
+def _faked_engine(monkeypatch, mono, eng, k=2):
+    """eng with relation_space(k) replaced by the span of one monomial,
+    of the true dimension, so the staircase cross-check passes; the guard
+    tests its canonical rows."""
+    betas = indices_up_to(2, k)
+    fake = Subspace.from_vectors(
+        [oracles.integer_row([int(b == mono) for b in betas])], len(betas))
+    assert fake.dim == eng.relation_space(k).dim
+    monkeypatch.setattr(eng, "relation_space", lambda _: fake)
+    return eng
+
+
 class TestConsistencyGuards:
     def test_hs_crosscheck_runs(self):
         # the cross-check is exercised on every verified run; a passing run
@@ -462,22 +483,39 @@ class TestConsistencyGuards:
         # a space of the true dimension, so the staircase cross-check
         # passes, that is not inside the chain: y1 = x^2 is already outside
         # the projected kernel at l=2, y2 = x^3 leaves it at l=3, y1^2 = x^4
-        # at l=4 and y1*y2 = x^5 at l=5, the true threshold.  The guard
-        # tests each echelon row only at the order that made it: the
-        # constant escapes through the order-0 row at the first test, and
-        # the last two through rows made at l > k + 1
+        # at l=4 and y1*y2 = x^5 at l=5, the true threshold.  The chain is
+        # nested, so the one guard, at the order the climb stops at, the
+        # threshold, catches each of them
         k = 2
-        eng = cusp_engine()
-        betas = indices_up_to(2, k)
-        fake = Subspace.from_vectors(
-            [oracles.integer_row([int(b == mono) for b in betas])],
-            len(betas))
-        assert fake.dim == eng.relation_space(k).dim
-        # the guard tests the canonical rows of relation_space(k)
-        monkeypatch.setattr(eng, "relation_space", lambda _: fake)
+        eng = _faked_engine(monkeypatch, mono, cusp_engine())
+        fake = eng.relation_space(k).rows.values()
+        assert all(eng.jets.kernel_contains(below, k, fake)
+                   for below in range(k, l))
+        assert not eng.jets.kernel_contains(l, k, fake)
         with pytest.raises(ConsistencyError,
-                           match=f"escaped a projected kernel at l={l}, k=2"):
+                           match="escaped a projected kernel at l=5, k=2"):
             eng.relation_jets(k)
+
+    @pytest.mark.parametrize("mono", [(1, 0), (0, 1), (0, 0), (2, 0)])
+    def test_escape_caught_at_the_end_of_the_range(self, mono, monkeypatch):
+        # l_max = 4 stops the climb below the threshold; the guard at the
+        # last order climbed catches every monomial that has left by then
+        eng = _faked_engine(monkeypatch, mono, cusp_engine(l_max=4))
+        with pytest.raises(ConsistencyError,
+                           match="escaped a projected kernel at l=4, k=2"):
+            eng.relation_jets(2)
+
+    def test_escape_takes_precedence_over_a_mismatch(self, monkeypatch):
+        # a window of 1 holds at once, so a range ending below the
+        # threshold reports the true relations as a mismatch; an escaping
+        # target is reported as the escape
+        with pytest.raises(RelationsMismatchError):
+            cusp_engine(l_max=4, window=1).relation_jets(2)
+        eng = _faked_engine(monkeypatch, (1, 0),
+                            cusp_engine(l_max=4, window=1))
+        with pytest.raises(ConsistencyError,
+                           match="escaped a projected kernel at l=4, k=2"):
+            eng.relation_jets(2)
 
     def test_relation_space_requires_generators(self):
         phi = squaring()
@@ -533,13 +571,13 @@ class TestSharedRows:
         eng = cusp_engine(l_max=8, point=(Fraction(1, 2),))
         jets, top = eng.jets, 6
         jets.analysis(top)
-        layers = copy.deepcopy([jets.jet(top).layer(d)
-                                for d in range(top + 1)])
+        build = jets._grow(top)
+        layers = copy.deepcopy([build.layer(d) for d in range(top + 1)])
         guards = {(l, k): copy.deepcopy(jets._guard_rows(l, k))
                   for l in range(top + 1) for k in range(l + 1)}
 
         def assert_unchanged():
-            assert [jets.jet(top).layer(d) for d in range(top + 1)] == layers
+            assert [build.layer(d) for d in range(top + 1)] == layers
             assert {key: jets._guard_rows(*key) for key in guards} == guards
 
         dense = 0
@@ -549,7 +587,7 @@ class TestSharedRows:
             for k in range(l + 1):
                 jets.projected_kernel(l, k)
                 assert_unchanged()
-                whole, cut = jets.jet(l).integer_matrix(), index_count(2, k)
+                whole, cut = jets.jet(l), index_count(2, k)
                 rows = copy.deepcopy(whole.sparse_rows)
                 r = membership_kernel(whole, cut).absorbed_rank
                 if (comb(whole.ncols - cut, r) * comb(whole.nrows, r + 1)

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import random
@@ -167,7 +168,7 @@ class TestIntegerRows:
         want = oracles.jet_matrix_by_composition(
             phi.components, tup.points, tup.image, l
         )
-        rows = oracles.dense_rows(jm.integer_matrix())
+        rows = oracles.dense_rows(jm.integer_matrix(l))
         assert all(type(v) is int for row in rows for v in row)
         _assert_positive_multiples(rows, want)
         assert jm.matrix == want
@@ -191,8 +192,7 @@ class TestIntegerRows:
                 sys.projected_kernel(l, k)
                 sys.quotient_dim(l, k)
                 sys.kernel_contains(l, k, [])
-                membership_kernel(sys.jet(l).integer_matrix(),
-                                  index_count(2, k))
+                membership_kernel(sys.jet(l), index_count(2, k))
         engine = ChevalleyEngine(phi, tup, relations=[
             parse_poly("y1^3 - y2^2", 2, names=["y1", "y2"])], l_max=6)
         engine.relation_jets(2)
@@ -237,18 +237,17 @@ class TestGrownBuild:
         once = jet_matrix(phi, tup, top)
         assert grown.level == once.level == top
         assert grown.scales == once.scales
-        assert grown.integer_matrix() == once.integer_matrix()
         for d in range(top + 1):
             assert grown.layer(d) == once.layer(d)
-            assert grown.prefix(d).integer_matrix() == \
-                jet_matrix(phi, tup, d).integer_matrix()
+            assert grown.integer_matrix(d) == once.integer_matrix(d) == \
+                jet_matrix(phi, tup, d).integer_matrix(d)
         rows, _, col_labels, row_labels = oracles.dense_jet_matrix(phi, tup,
                                                                    top)
         assert (grown.col_labels, grown.row_labels) == (col_labels,
                                                         row_labels)
         assert grown.shape == (len(rows), len(col_labels))
         _assert_positive_multiples(
-            oracles.dense_rows(grown.integer_matrix()), rows)
+            oracles.dense_rows(grown.integer_matrix(top)), rows)
 
     def test_layers_are_the_new_rows_of_each_order(self):
         # layer(d) is the rows of x-degree d, point by point, cut to the
@@ -257,7 +256,7 @@ class TestGrownBuild:
         tup = FibredTuple.make(phi, [(0, 1), (0, -1)])
         jm = jet_matrix(phi, tup, 4)
         dense = dict(zip(jm.row_labels,
-                         oracles.dense_rows(jm.integer_matrix())))
+                         oracles.dense_rows(jm.integer_matrix(4))))
         for d in range(5):
             labels = [(p, a) for p, a in jm.row_labels if degree(a) == d]
             assert [_dense(row, len(jm.col_labels)) for row in jm.layer(d)] \
@@ -266,8 +265,9 @@ class TestGrownBuild:
                        for c in row)
         with pytest.raises(InputError):
             jm.layer(5)
-        with pytest.raises(InputError):
-            jm.prefix(5)
+        for l in (5, -1):
+            with pytest.raises(InputError, match=f"jet order {l} outside"):
+                jm.integer_matrix(l)
 
 
 class TestKernels:
@@ -374,9 +374,9 @@ class TestKernels:
     @given(st.sampled_from([cusp, cone]), st.integers(0, 5), st.data())
     @settings(max_examples=30, deadline=None)
     def test_kernel_contains_takes_sparse_vectors(self, mk, l, data):
-        # sparse {index: x} vectors: the whole guard answers as the oracle
-        # does, and a guard cut to the rows made since an order passes
-        # every member and answers for a batch as for each vector
+        # sparse {index: x} vectors: the guard answers as the oracle does,
+        # for a batch as for each vector, and a member at l passes at every
+        # order from k to l
         phi = mk()
         tup = FibredTuple.make(phi, [(0,) * phi.source_arity])
         sys = JetSystem(phi, tup)
@@ -388,14 +388,13 @@ class TestKernels:
         sparse = rows + data.draw(st.lists(
             st.dictionaries(st.integers(0, width - 1),
                             st.sampled_from([1, -2, 3])), max_size=3))
-        for since in range(l + 1):
-            single = [sys.kernel_contains(l, k, [v], since) for v in sparse]
-            for v, got in zip(sparse, single):
-                if oracles.contains_vector(proj, _dense(v, width)):
-                    assert got
-                elif since == 0:
-                    assert not got
-            assert sys.kernel_contains(l, k, sparse, since) == all(single)
+        single = [sys.kernel_contains(l, k, [v]) for v in sparse]
+        for v, got in zip(sparse, single):
+            assert got == oracles.contains_vector(proj, _dense(v, width))
+            if got:
+                assert all(sys.kernel_contains(below, k, [v])
+                           for below in range(k, l))
+        assert sys.kernel_contains(l, k, sparse) == all(single)
 
     def test_projection_degree_bound(self):
         tup = FibredTuple.make(squaring(), [(0,)])
@@ -412,6 +411,17 @@ class TestKernels:
             JetSystem(squaring(), tup).quotient_dim(2, -1)
         with pytest.raises(InputError):
             JetSystem(squaring(), tup).kernel_contains(2, -1, [])
+
+    @pytest.mark.parametrize("l", [0, 2, 5])
+    def test_kernel_contains_refuses_degree_outside_the_order(self, l):
+        # every k outside 0..l is an InputError, whatever the vectors
+        tup = FibredTuple.make(cusp(), [(0,)])
+        sys = JetSystem(cusp(), tup)
+        for k in (-3, -1, l + 1, l + 10):
+            for vectors in ([], [{0: 1}]):
+                with pytest.raises(InputError,
+                                   match=f"block degree {k} outside 0..{l}"):
+                    sys.kernel_contains(l, k, vectors)
 
     def test_degree_refused_before_the_build(self):
         # a degree outside 0..l is refused before the jets are built
@@ -430,7 +440,7 @@ class TestKernels:
         tup = FibredTuple.make(phi, [(0,)])
         sys = JetSystem(phi, tup)
         l, k = 5, 2
-        whole, cut = sys.jet(l).integer_matrix(), index_count(2, k)
+        whole, cut = sys.jet(l), index_count(2, k)
         # the guard rows' kernel is the kernel of the membership system
         # (low)u in the column span of (high), the columns before and past
         # cut; the pivots they leave out of rank J_l count the rank of the
@@ -473,10 +483,9 @@ def _assert_leading_blocks(phi, tup, top):
     sys.analysis(top)
     for l in range(top + 1):
         got, want = sys.jet(l), jet_matrix(phi, tup, l)
-        assert got.level == l
-        assert got.matrix == want.matrix, (tup, l)
-        assert got.col_labels == want.col_labels
-        assert got.row_labels == want.row_labels
+        assert got.shape == want.shape
+        assert got == want.integer_matrix(l), (tup, l)
+        _assert_positive_multiples(oracles.dense_rows(got), want.matrix)
 
 
 class TestSingleBuild:
@@ -558,7 +567,7 @@ class TestSingleBuild:
             for verb, l in requests:
                 getattr(sys, verb)(l)
                 if verb == "jet":
-                    assert sys.jet(l).level == l
+                    assert sys.jet(l).shape == (2 * (l + 1), l + 1)
         finally:
             chevkit.jets.jet_matrix = build
             chevkit.jets.JetMatrix._add_order = add
@@ -585,7 +594,7 @@ class TestSingleBuild:
         sys.jet(12)
         assert (levels, made) == ([7], list(range(13)))
         assert sys._build is build and build.level == 12
-        assert sys.jet(7).level == 7
+        assert sys.jet(7).shape == (8, index_count(2, 7))
 
     def test_threshold_reads_build_no_dense_rows(self, monkeypatch):
         # every route reads the sparse rows of the build and the echelon;
@@ -616,7 +625,7 @@ class TestSingleBuild:
                 # and the dense wedge route under its cell cap
                 if l > 4:
                     continue
-                whole, cut = sys.jet(l).integer_matrix(), index_count(3, k)
+                whole, cut = sys.jet(l), index_count(3, k)
                 r = membership_kernel(whole, cut).absorbed_rank
                 if math.comb(whole.ncols - cut, r) * math.comb(
                         whole.nrows, r + 1) <= DENSE_CELL_CAP:
@@ -626,9 +635,9 @@ class TestSingleBuild:
         assert sys.jet(8).shape == (index_count(2, 8), index_count(3, 8))
         sys.kernel(8)
         with pytest.raises(AssertionError, match="dense rows built"):
-            sys.jet(8).matrix
+            sys._build.matrix
         with pytest.raises(AssertionError, match="dense rows built"):
-            staged_elimination(sys.jet(8).integer_matrix().sparse_rows,
+            staged_elimination(sys.jet(8).sparse_rows,
                                index_count(3, 8),
                                [range(index_count(3, 8))]).rows
 
@@ -647,10 +656,10 @@ class TestSingleBuild:
                 sys.kernel_contains(l, 1, [])
             sys.kernel(3)
             dead_sys = weakref.ref(sys)
-            dead_jet = weakref.ref(sys.jet(3))
+            dead_build = weakref.ref(sys._build)
             del sys
             assert dead_sys() is None
-            assert dead_jet() is None
+            assert dead_build() is None
         finally:
             gc.enable()
 
@@ -772,6 +781,58 @@ class TestEchelon:
         indices_up_to.cache_clear()
         JetSystem(phi, FibredTuple.make(phi, [point])).analysis(12)
         assert indices_up_to.cache_info().currsize == 0
+
+
+SHIPPED = ["cone", "cusp", "identity", "squaring"]
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped_systems(name):
+    """(target arity, l_max, one JetSystem per tuple) for a shipped
+    scenario, shared by the tests and their examples."""
+    scenario = load_scenario(ROOT / "scenarios" / f"{name}.json")
+    return (scenario.phi.target_arity, scenario.l_max,
+            [JetSystem(scenario.phi, tup)
+             for _, tup in scenario_tuples(scenario)])
+
+
+class TestNesting:
+    """Kp(l+1, k) lies in Kp(l, k), the law the threshold climb's single
+    guard rests on: a vector lies in every member from k to l exactly when
+    it lies in Kp(l, k)."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_projected_kernels_are_nested_on_shipped_tuples(self, name):
+        _, top, systems = _shipped_systems(name)
+        for sys in systems:
+            for l in range(top):
+                for k in range(l + 1):
+                    assert sys.projected_kernel(l, k).contains(
+                        sys.projected_kernel(l + 1, k)), (sys.tup, l, k)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_guard_at_the_top_answers_for_every_order_below(self, name,
+                                                            data):
+        # sparse int vectors, mixed with canonical rows of one member so
+        # that some lie in the lower members and not in the higher ones
+        n, top, systems = _shipped_systems(name)
+        for sys in systems:
+            top_l = data.draw(st.integers(0, top), label="L")
+            k = data.draw(st.integers(0, top_l), label="k")
+            width = index_count(n, k)
+            member = sys.projected_kernel(
+                data.draw(st.integers(k, top), label="member"), k)
+            vs = data.draw(st.lists(st.dictionaries(
+                st.integers(0, width - 1),
+                st.integers(-3, 3).filter(bool), max_size=3), max_size=2))
+            if member.rows:
+                vs += data.draw(st.lists(
+                    st.sampled_from(list(member.rows.values())),
+                    max_size=3))
+            assert sys.kernel_contains(top_l, k, vs) == all(
+                sys.kernel_contains(l, k, vs) for l in range(k, top_l + 1))
 
 
 class TestDefiningProperty:

@@ -507,6 +507,17 @@ class TestDenseOracleParity:
         with pytest.raises(InputError):
             Subspace.from_vectors([{-1: 1}], 2)
 
+    def test_kernel_stop_must_be_a_column_count(self):
+        # a stop past ncols used to answer a kernel in a larger space, and
+        # a negative one a Q^-1
+        elim = staged_elimination([{0: 1}], 1, [range(0, -1, -1)])
+        for stop in (3, 2, -1, 0.5, 1.0, "1"):
+            with pytest.raises(InputError, match="kernel stop"):
+                elim.kernel(stop)
+        assert elim.kernel(1) == elim.kernel() == Subspace.from_vectors(
+            [], 1)
+        assert elim.kernel(0).ambient_dim == 0
+
 
 def _split(elim, absorbed):
     """(rank of the absorbed columns, residual) read off a finished

@@ -73,7 +73,8 @@ REMOVED_ATTRIBUTES = [
     (wedge, "wedge_operator"),
     (linalg.Matrix, "rows"), (jets.JetMatrix, "rows"),
     (linalg, "_integer_row"), (experiments, "OrderProbe"),
-    (jets, "jet_blocks"),
+    (jets, "jet_blocks"), (jets.JetMatrix, "prefix"),
+    (jets.JetSystem, "_prefix"),
 ]
 
 
@@ -127,8 +128,9 @@ def test_result_records_carry_no_unread_fields():
 
 
 def test_no_cache_without_a_second_reader():
-    # no run asks one engine for the same climb twice, and only the jet
-    # verb's dump reads a jet matrix's exact entries, once
+    # no run asks one engine for the same climb twice, only the jet verb's
+    # dump reads a jet matrix's exact entries, once, and an order-l jet
+    # matrix is one list of the build's rows, cheap to make again
     phi = jets.PolyMap("square", [parse_poly("x1^2", 1)])
     tup = jets.FibredTuple.make(phi, [(0,)])
     engine = chevalley.ChevalleyEngine(phi, tup, relations=[], l_max=4)
@@ -137,6 +139,8 @@ def test_no_cache_without_a_second_reader():
     jm.matrix
     assert not hasattr(engine, "_relation_jets")
     assert not hasattr(jm, "_matrix")
+    assert not hasattr(jm, "_integer")
+    assert not hasattr(engine.jets, "_jets")
 
 
 def test_linalg_has_no_fraction_zero():
@@ -172,6 +176,20 @@ def test_membership_routes_take_one_matrix_and_a_column_split():
     assert params(wedge.membership_kernel) == ["matrix", "cut"]
     assert params(wedge.membership_operator) == ["matrix", "cut", "r"]
     assert params(linalg.Elimination.kernel) == ["self", "stop"]
+
+
+def test_jet_reads_take_an_order_and_no_window():
+    # the order-l jet matrix is read off the one build by l, and the guard
+    # always tests every order-l guard row: the projected kernels are nested
+    def params(f):
+        return list(inspect.signature(f).parameters)
+
+    assert params(jets.JetSystem.kernel_contains) == \
+        ["self", "l", "k", "vectors"]
+    assert params(jets.JetMatrix.integer_matrix) == ["self", "l"]
+    assert params(chevalley.diagram_threshold_test) == \
+        ["phi", "tup", "k", "l", "diagram"]
+    assert not hasattr(jets, "copy")
 
 
 def test_experiments_imports_no_private_chevalley_name():
