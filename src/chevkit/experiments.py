@@ -21,7 +21,7 @@ from .chevalley import (
     sample_leaf_chevalley,
 )
 from .errors import ConsistencyError, InputError, RelationsMismatchError
-from .indices import degree, index_count
+from .indices import index_count
 from .poly import TruncatedSeries
 from .staircase import (
     diagram_from_generators,
@@ -226,20 +226,44 @@ class ProductProbe:
     envelope: object  # LinearBound or None when every triple was censored
 
 
+# the product probe's coefficients, drawn as an index into this tuple
+_COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
+
+
 def _random_series(rng, arity, max_degree, trunc):
     """A nonzero polynomial of degree <= max_degree with int coefficients,
-    as a series truncated at trunc."""
+    as a series truncated at trunc.
+
+    Each draw below n is rng.getrandbits(n.bit_length()), drawn again
+    while it is n or more: the rule by which Random.randint and
+    Random.choice draw, written out so that each value costs one call.  The
+    draws come in their order: the term count in 1..4, then per term the
+    exponent coordinates in 0..max_degree (the whole tuple drawn again
+    while its degree is too high) and the coefficient's index.
+    """
+    bits = rng.getrandbits
+    width = (max_degree + 1).bit_length()
+    coords = range(arity)
     while True:
         terms = {}
-        for _ in range(rng.randint(1, 4)):
+        count = bits(3)
+        while count > 3:
+            count = bits(3)
+        for _ in range(count + 1):
             while True:
-                exps = tuple(
-                    rng.randint(0, max_degree) for _ in range(arity)
-                )
-                if degree(exps) <= max_degree:
+                exps = []
+                for _ in coords:
+                    e = bits(width)
+                    while e > max_degree:
+                        e = bits(width)
+                    exps.append(e)
+                if sum(exps) <= max_degree:
                     break
-            coeff = rng.choice([-3, -2, -1, 1, 2, 3])
-            terms[exps] = terms.get(exps, 0) + coeff
+            exps = tuple(exps)
+            i = bits(3)
+            while i > 5:
+                i = bits(3)
+            terms[exps] = terms.get(exps, 0) + _COEFFICIENTS[i]
         terms = {exps: c for exps, c in terms.items() if c}
         if terms:
             return TruncatedSeries(arity, terms, trunc, _exact=True)
@@ -496,12 +520,15 @@ def verify_consistency(scenario):
     details = []
     count = dense_count = 0
     for key, _, engine, _ in climbed:
+        wholes = {}  # the order-l jet matrix, read once per l
         for k in range(k_min, k_max + 1):
             for l in range(k, min(scenario.l_max, MEMBERSHIP_L_CAP) + 1):
                 cut = index_count(n, k)
                 staged = engine.jets.projected_kernel(l, k)
                 projected = engine.jets.kernel(l).project(cut)
-                whole = engine.jets.jet(l)
+                if l not in wholes:
+                    wholes[l] = engine.jets.jet(l)
+                whole = wholes[l]
                 schur = membership_kernel(whole, cut)
                 count += 1
                 if projected != staged or schur.kernel != staged:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import add
 
 from .errors import InputError
 
@@ -58,7 +59,7 @@ def index_count(arity, d):
 
 
 def index_add(beta, gamma):
-    return tuple(b + g for b, g in zip(beta, gamma))
+    return tuple(map(add, beta, gamma))
 
 
 def dominates(beta, gamma):

@@ -211,9 +211,9 @@ class JetMatrix:
 
     def grow(self, l):
         """Raise the order to l, making each order's rows once; an order
-        already reached is left as it is."""
-        if l < 0:
-            raise InputError("jet order must be >= 0")
+        already reached is left as it is.  l must be an int (not a bool)."""
+        if type(l) is not int or l < 0:
+            raise InputError(f"jet order must be an int >= 0, got {l!r}")
         while len(self._layers) <= l:
             self._add_order()
         self.level = max(self.level, l)

@@ -382,22 +382,29 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text):
+    """The (kind, text) tokens of text, kind "num", "name" or "op", read in
+    one pass; text that no token starts, past leading whitespace, is
+    refused."""
     tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise InputError(f"cannot tokenize polynomial near {rest[:20]!r}")
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        tokens.append((m.lastgroup, m[m.lastindex]))
         pos = m.end()
+    rest = text[pos:].strip()
+    if rest:
+        raise InputError(f"cannot tokenize polynomial near {rest[:20]!r}")
     return tokens
+
+
+# the token after the last, so that the parser reads tokens with no bound
+# check; its kind is no token's
+_END = (None, None)
+_PLUS, _MINUS, _TIMES, _OPEN = (("op", "+"), ("op", "-"), ("op", "*"),
+                                 ("op", "("))
+_SIGNS = frozenset((_PLUS, _MINUS))
+_POWERS = frozenset((("op", "^"), ("op", "**")))
+_ATOM_KINDS = frozenset(("num", "name"))
 
 
 class _Parser:
@@ -406,110 +413,98 @@ class _Parser:
     Adjacent factors multiply implicitly, so '2x y^2' works.  Exponents must
     be literal nonnegative integers.  Every rule returns a term dict of
     nonzero coefficients (int, or Fraction for p/q literals); parse builds
-    the one Poly at the end.
+    the one Poly at the end.  The rules read self.tokens[self.pos] in
+    place, and each variable name and alias has its unit exponent tuple,
+    made once.
     """
 
     def __init__(self, tokens, arity, names, aliases=None):
-        self.tokens = tokens
+        self.tokens = tokens + [_END]
         self.pos = 0
         self.arity = arity
-        self.index = {n: i for i, n in enumerate(names)}
+        # the exponents of the monomial 1, and of each variable
+        self.one = (0,) * arity
+        self.units = {n: self.one[:i] + (1,) + self.one[i + 1:]
+                      for i, n in enumerate(names)}
         if aliases:
             for alias, target in aliases.items():
-                if target not in self.index:
+                if target not in self.units:
                     raise InputError(
                         f"alias target {target!r} is not a variable name"
                     )
-                self.index[alias] = self.index[target]
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        t = self.peek()
-        self.pos += 1
-        return t
+                self.units[alias] = self.units[target]
 
     def parse(self):
         terms = self.expr()
-        if self.peek() is not None:
-            raise InputError(f"unexpected trailing token {self.peek()[1]!r}")
+        kind, val = self.tokens[self.pos]
+        if kind is not None:
+            raise InputError(f"unexpected trailing token {val!r}")
         return _poly(self.arity, {b: c if c.__class__ is Fraction
                                   else Fraction(c)
                                   for b, c in terms.items()})
 
     def expr(self):
+        tokens = self.tokens
         negate = False
-        t = self.peek()
-        while t and t[0] == "op" and t[1] in "+-":
-            if t[1] == "-":
+        while tokens[self.pos] in _SIGNS:
+            if tokens[self.pos] == _MINUS:
                 negate = not negate
-            self.take()
-            t = self.peek()
+            self.pos += 1
         p = self.term()
         if negate:
             p = _negate(p)
-        while True:
-            t = self.peek()
-            if t is None or t[0] != "op" or t[1] not in "+-":
-                break
-            op = self.take()[1]
-            p = _sum_terms(p, self.term(), add if op == "+" else sub)
+        while (t := tokens[self.pos]) in _SIGNS:
+            self.pos += 1
+            p = _sum_terms(p, self.term(), add if t == _PLUS else sub)
         return p
 
     def term(self):
+        tokens = self.tokens
         p = self.factor()
         while True:
-            t = self.peek()
-            if t is None:
-                break
-            if t[0] == "op" and t[1] == "*":
-                self.take()
-                p = _mul_terms(p, self.factor())
-            elif t[0] in ("num", "name") or (t[0] == "op" and t[1] == "("):
-                p = _mul_terms(p, self.factor())
-            else:
-                break
-        return p
+            t = tokens[self.pos]
+            if t == _TIMES:
+                self.pos += 1
+            elif t[0] not in _ATOM_KINDS and t != _OPEN:
+                return p
+            p = _mul_terms(p, self.factor())
 
     def factor(self):
         base = self.atom()
-        t = self.peek()
-        if t and t[0] == "op" and t[1] in ("^", "**"):
-            self.take()
-            e = self.take()
-            if e is None or e[0] != "num" or "/" in e[1]:
-                raise InputError("exponent must be a nonnegative integer literal")
-            return _pow_terms(base, int(e[1]), self.arity)
-        return base
+        if self.tokens[self.pos] not in _POWERS:
+            return base
+        kind, val = self.tokens[self.pos + 1]
+        self.pos += 2
+        if kind != "num" or "/" in val:
+            raise InputError("exponent must be a nonnegative integer literal")
+        return _pow_terms(base, int(val), self.arity)
 
     def atom(self):
-        t = self.take()
-        if t is None:
+        kind, val = self.tokens[self.pos]
+        if kind is None:
             raise InputError("unexpected end of polynomial text")
-        kind, val = t
+        self.pos += 1
         if kind == "num":
             # allow p/q only when it forms a single rational literal
             if "/" in val:
-                try:
-                    c = Fraction(val)
-                except ZeroDivisionError:
-                    raise InputError(f"zero denominator in {val!r}") from None
+                p, q = map(int, val.split("/"))
+                if not q:
+                    raise InputError(f"zero denominator in {val!r}")
+                c = Fraction(p, q)
             else:
                 c = int(val)
-            return {(0,) * self.arity: c} if c else {}
+            return {self.one: c} if c else {}
         if kind == "name":
-            if val not in self.index:
+            if val not in self.units:
                 raise InputError(f"unknown variable {val!r}")
-            i = self.index[val]
-            return {tuple(int(j == i) for j in range(self.arity)): 1}
-        if kind == "op" and val == "(":
+            return {self.units[val]: 1}
+        if val == "(":
             p = self.expr()
-            t = self.take()
-            if t is None or t[1] != ")":
+            if self.tokens[self.pos][1] != ")":
                 raise InputError("unbalanced parenthesis")
+            self.pos += 1
             return p
-        if kind == "op" and val == "-":
+        if val == "-":
             return _negate(self.atom())
         raise InputError(f"unexpected token {val!r}")
 

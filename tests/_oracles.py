@@ -13,7 +13,10 @@ dense_jet_matrix (with component_series) the jet build as it was before it
 grew one x-degree at a time, in dense rows;
 normal_form_by_fractions is the Fraction division pass staircase.normal_form
 ran before it reduced integer rows, and PolyArithmeticParser the parser as
-it was when every literal, variable and power was a Poly.
+it was when every literal, variable and power was a Poly; it reads the
+tokens of tokenize_by_match_loop, the tokenizer as it was before it read
+its text in one finditer pass.  random_series_by_randint is the product
+probe's draw as it was before it called getrandbits directly.
 staircase_vertices_by_domination is the quadratic vertex search of
 diagram_from_generators before it tested lower neighbours, and
 ideal_jet_space_by_fractions the ideal-jet rows as they were built before
@@ -47,7 +50,7 @@ from chevkit.censored import AtLeast
 from chevkit.errors import InputError
 from chevkit.indices import degree, dominates, indices_up_to, mono_key
 from chevkit.linalg import Matrix, Subspace, staged_elimination
-from chevkit.poly import Poly, TruncatedSeries, _tokenize, var_names
+from chevkit.poly import _TOKEN_RE, Poly, TruncatedSeries, var_names
 from chevkit.wedge import _check_cap, _minor
 
 
@@ -1029,10 +1032,52 @@ def power_by_squaring(p, e):
     return result
 
 
+def tokenize_by_match_loop(text):
+    """poly._tokenize as it was before it read its text in one finditer
+    pass: one _TOKEN_RE.match per token."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            rest = text[pos:].strip()
+            if not rest:
+                break
+            raise InputError(f"cannot tokenize polynomial near {rest[:20]!r}")
+        if m.lastgroup == "num":
+            tokens.append(("num", m.group("num")))
+        elif m.lastgroup == "name":
+            tokens.append(("name", m.group("name")))
+        else:
+            tokens.append(("op", m.group("op")))
+        pos = m.end()
+    return tokens
+
+
 def parse_poly_by_poly_arithmetic(text, arity, names=None, aliases=None):
-    """poly.parse_poly through PolyArithmeticParser."""
+    """poly.parse_poly through tokenize_by_match_loop and
+    PolyArithmeticParser."""
     names = var_names(arity, names)
-    tokens = _tokenize(text)
+    tokens = tokenize_by_match_loop(text)
     if not tokens:
         raise InputError("empty polynomial text")
     return PolyArithmeticParser(tokens, arity, names, aliases).parse()
+
+
+def random_series_by_randint(rng, arity, max_degree, trunc):
+    """experiments._random_series as it was before it called getrandbits
+    directly: randint for the term count and each exponent coordinate,
+    choice for the coefficient."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            while True:
+                exps = tuple(
+                    rng.randint(0, max_degree) for _ in range(arity)
+                )
+                if degree(exps) <= max_degree:
+                    break
+            coeff = rng.choice([-3, -2, -1, 1, 2, 3])
+            terms[exps] = terms.get(exps, 0) + coeff
+        terms = {exps: c for exps, c in terms.items() if c}
+        if terms:
+            return TruncatedSeries(arity, terms, trunc, _exact=True)

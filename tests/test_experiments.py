@@ -1,4 +1,7 @@
+import collections
 import dataclasses
+import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ from chevkit.experiments import (
     CheckResult,
     TableRun,
     _max_pair_slope,
+    _random_series,
     fit_linear_bound,
     product_order_probe,
     residual_order_probe,
@@ -26,7 +30,7 @@ from chevkit.experiments import (
     taylor_growth_estimate,
     verify_consistency,
 )
-from chevkit.jets import PolyMap
+from chevkit.jets import JetSystem, PolyMap
 from chevkit.poly import parse_poly
 from chevkit.scenario import (
     load_scenario,
@@ -183,6 +187,27 @@ class TestProductProbe:
     def test_truncation_bound(self):
         with pytest.raises(InputError):
             product_order_probe(cusp_presentation(), trunc=1)
+
+
+class TestRandomSeries:
+    """The product probe draws with getrandbits by randrange's rule; the
+    draw through randint and choice is the reference, down to term order,
+    coefficient types and the generator's state afterwards."""
+
+    @given(st.integers(0, 2 ** 64), st.integers(1, 3), st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_draws_match_randint_and_choice(self, seed, arity, max_degree):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            got = _random_series(rng, arity, max_degree, 2 * max_degree)
+            want = oracles.random_series_by_randint(
+                reference, arity, max_degree, 2 * max_degree)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert [type(c) for c in got.terms.values()] == \
+                [type(c) for c in want.terms.values()] == \
+                [int] * len(got.terms)
+            assert got.trunc_degree == want.trunc_degree
+        assert rng.getstate() == reference.getstate()
 
 
 def cusp_map():
@@ -380,6 +405,26 @@ class TestVerify:
         with pytest.raises(InputError, match="tuple 0: claimed relation"
                            " does not compose to zero"):
             verify_consistency(sc)
+
+    def test_each_route_reads_each_jet_matrix_once(self, monkeypatch):
+        # the staircase route and kernel(l) cache what they take from
+        # jet(l), and the membership loop reads it once per order whatever
+        # the number of degrees k, so no caller reads one order twice
+        reads = collections.Counter()
+        jet = JetSystem.jet
+
+        def counting(self, l):
+            reads[(sys._getframe(1).f_code.co_name, id(self), l)] += 1
+            return jet(self, l)
+
+        monkeypatch.setattr(JetSystem, "jet", counting)
+        checks = verify_consistency(small_cusp_scenario(k_max=4))
+        assert all(c.passed for c in checks)
+        assert set(reads.values()) == {1}
+        membership = sorted(l for caller, _, l in reads
+                            if caller == "verify_consistency")
+        # two tuples, orders 1..6 (k_min to the membership cap)
+        assert membership == sorted(list(range(1, 7)) * 2)
 
     def test_unfibred_tuple_is_an_input_error(self):
         # a malformed tuple is refused before any check is run

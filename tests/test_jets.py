@@ -2,6 +2,7 @@ import functools
 import gc
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -268,6 +269,27 @@ class TestGrownBuild:
         for l in (5, -1):
             with pytest.raises(InputError, match=f"jet order {l} outside"):
                 jm.integer_matrix(l)
+
+    @pytest.mark.parametrize("l", [2.5, True, "3", -1])
+    def test_order_must_be_an_int(self, l):
+        # a bool is an int to isinstance, and a float would set a fractional
+        # level that shape and the readers cannot slice by
+        phi = cusp()
+        tup = FibredTuple.make(phi, [(0,)])
+        refused = re.escape(f"jet order must be an int >= 0, got {l!r}")
+        with pytest.raises(InputError, match=refused):
+            jet_matrix(phi, tup, l)
+        grown = jet_matrix(phi, tup, 1)
+        with pytest.raises(InputError, match=refused):
+            grown.grow(l)
+        assert grown.level == 1
+        for read in (JetSystem.analysis, JetSystem.jet):
+            system = JetSystem(phi, tup)
+            with pytest.raises(InputError, match=refused):
+                read(system, l)
+            system.analysis(1)
+            with pytest.raises(InputError, match=refused):
+                read(system, l)
 
 
 class TestKernels:

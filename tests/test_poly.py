@@ -12,11 +12,13 @@ from _oracles import (
     power_by_squaring,
     scaled_derivative,
     shift_by_compose,
+    tokenize_by_match_loop,
 )
 from chevkit.errors import InputError
 from chevkit.poly import (
     Poly,
     TruncatedSeries,
+    _tokenize,
     format_poly,
     parse_poly,
     parse_rational,
@@ -145,10 +147,25 @@ def _outcome(parse, text):
             [type(c) for c in p.terms.values()])
 
 
+def _tokens(tokenize, text):
+    try:
+        return tokenize(text)
+    except InputError as exc:
+        return ("error", str(exc))
+
+
 class TestParserParity:
     """parse_poly combines term dicts; the parser that built every literal,
-    variable and power as a Poly is the reference, down to term order and
-    coefficient types."""
+    variable and power as a Poly, on the tokens of the match-loop
+    tokenizer, is the reference, down to term order and coefficient
+    types."""
+
+    @given(st.one_of(token_soup, expression_texts, st.text(max_size=12)))
+    @settings(max_examples=300, deadline=None)
+    def test_tokens_match_the_match_loop(self, text):
+        # any text at all, other whitespace and other digits included
+        assert _tokens(_tokenize, text) == \
+            _tokens(tokenize_by_match_loop, text)
 
     @given(expression_texts)
     @settings(max_examples=300, deadline=None)
