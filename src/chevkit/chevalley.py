@@ -419,6 +419,10 @@ def sample_leaf_chevalley(phi, leaf, ks, seed=0, l_max=12, window=3,
     if len(drawn) < LEAF_TRIALS:
         raise InputError(f"leaf {leaf.name!r}: only {len(drawn)} of"
                          f" {LEAF_TRIALS} draws give distinct points")
+    if relations is not None and ks:
+        # one relation build per engine serves every k
+        for _, engine in drawn:
+            engine.diagram(max(ks))
     results = []
     for k in ks:
         orders = range(k, l_max + 1)

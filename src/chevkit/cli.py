@@ -21,6 +21,7 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .censored import AtLeast, is_censored
 from .chevalley import HEURISTIC, INCONCLUSIVE, LEAF_TRIALS, validate_relations
@@ -45,20 +46,60 @@ from .scenario import (
 from .staircase import IdealPresentation, diagram_from_generators
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, AtLeast):
-        return {"at_least": value.bound}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def canonical_json(payload):
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    """payload as canonical JSON text, written in one recursive pass: what
+    json.dumps(..., sort_keys=True, indent=2) writes once Fractions are
+    "p/q" strings, AtLeast values {"at_least": n}, tuples lists and dict
+    keys str(k) (a later duplicate winning), plus a trailing newline.
+    Strings are ASCII-escaped as the stdlib escapes them; a scalar of no
+    other kind, such as a float, is spelled by json.dumps."""
+    parts = []
+    append = parts.append
+
+    def write(value, newline):
+        if isinstance(value, str):
+            append(encode_basestring_ascii(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, Fraction):
+            append(encode_basestring_ascii(str(value)))
+        elif isinstance(value, AtLeast):
+            write({"at_least": value.bound}, newline)
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            inner = newline + "  "
+            sep = "{" + inner
+            for key, item in sorted({str(k): v
+                                     for k, v in value.items()}.items()):
+                append(sep + encode_basestring_ascii(key) + ": ")
+                write(item, inner)
+                sep = "," + inner
+            append(newline + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in value:
+                append(sep)
+                write(item, inner)
+                sep = "," + inner
+            append(newline + "]")
+        else:
+            append(json.dumps(value))
+
+    write(payload, "\n")
+    append("\n")
+    return "".join(parts)
 
 
 def _fmt_columns(rows):

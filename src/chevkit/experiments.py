@@ -55,8 +55,8 @@ class TableRun:
 def _climb_tuples(scenario, pairs):
     """(key, tuple, engine, {k: RelationJets}) for every (key, tuple) of
     pairs, the scenario's tuples in table order: one engine per tuple,
-    climbed at every k of k_range.  Errors name the tuple, and the map and
-    k of a failed climb."""
+    climbed at every k of k_range, whose relations are built once, at
+    k_max.  Errors name the tuple, and the map and k of a failed climb."""
     phi = scenario.phi
     k_min, k_max = scenario.k_range
     climbed = []
@@ -69,13 +69,17 @@ def _climb_tuples(scenario, pairs):
         except InputError as exc:
             raise InputError(f"tuple {key}: {exc}") from None
         rows = {}
-        for k in range(k_min, k_max + 1):
-            try:
+        k = k_max
+        try:
+            if engine.presentation is not None:
+                # one relation build, exact through k_max, serves every k
+                engine.diagram(k_max)
+            for k in range(k_min, k_max + 1):
                 rows[k] = engine.relation_jets(k)
-            except (RelationsMismatchError, ConsistencyError) as exc:
-                raise type(exc)(
-                    f"map {phi.name!r}, tuple {key}, k={k}: {exc}"
-                ) from None
+        except (RelationsMismatchError, ConsistencyError) as exc:
+            raise type(exc)(
+                f"map {phi.name!r}, tuple {key}, k={k}: {exc}"
+            ) from None
         climbed.append((key, tup, engine, rows))
     return climbed
 

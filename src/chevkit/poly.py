@@ -264,6 +264,9 @@ class Poly:
                 f"point has {len(point)} coordinates, expected {self.arity}"
             )
         point = tuple(Fraction(p) for p in point)
+        if not any(point):
+            # every factor is x_i itself: the same terms, in their order
+            return _poly(self.arity, dict(self.terms))
         terms = {}
         for alpha, c in self.terms.items():
             partial = [((), c)]

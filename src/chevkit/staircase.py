@@ -29,7 +29,7 @@ from .indices import (
     indices_up_to,
     mono_key,
 )
-from .linalg import Subspace
+from .linalg import Subspace, _reduce
 from .poly import Poly, TruncatedSeries, format_poly
 
 
@@ -201,14 +201,13 @@ def diagram_from_generators(presentation, d):
     )
 
 
-def _reduce_to_row(f, diagram):
-    """f reduced against the diagram, as (row, t, scale).
+def _integer_row(f, diagram):
+    """f as a sparse integer row over the diagram's monomials, as (row, t,
+    scale).
 
-    row is a sparse {position: int} row over the degree-<= t monomials, t
-    the truncation degree of f, and row[scale] the positive integer it is
-    scaled by: the normal form is row / row[scale], with the scale key past
-    every position.  The span, projected below degree t when f is
-    truncated there, clears each staircase term of f once.
+    t is the truncation degree of f, and row[scale] the positive integer
+    the row is scaled by: f is row / row[scale], with the scale key past
+    every position.
     """
     if isinstance(f, Poly):
         # a polynomial is known exactly, so it carries the diagram's full
@@ -229,7 +228,6 @@ def _reduce_to_row(f, diagram):
             f"series truncated at {f.trunc_degree} exceeds diagram degree"
             f" {diagram.trunc_degree}"
         )
-    t = f.trunc_degree
     position = diagram._position
     scale = len(position)
     denom = 1
@@ -238,10 +236,7 @@ def _reduce_to_row(f, diagram):
     row = {position[b]: c.numerator * (denom // c.denominator)
            for b, c in f.terms.items()}
     row[scale] = denom
-    span = diagram.span
-    if t < diagram.trunc_degree:
-        span = span.project(index_count(diagram.arity, t))
-    return span.reduce(row), t, scale
+    return row, f.trunc_degree, scale
 
 
 def normal_form(f, diagram):
@@ -249,10 +244,16 @@ def normal_form(f, diagram):
 
     The result has the same truncation degree as f, carries no staircase
     monomial, and differs from f by an element of the truncated ideal span.
-    The reduction runs on one integer row (see _reduce_to_row); only the
-    final division by its scale makes Fractions.
+    The reduction runs on one integer row (see _integer_row): the span,
+    projected below degree t when f is truncated there, clears each
+    staircase term of f once, and only the final division by the row's
+    scale makes Fractions.
     """
-    row, t, scale = _reduce_to_row(f, diagram)
+    row, t, scale = _integer_row(f, diagram)
+    span = diagram.span
+    if t < diagram.trunc_degree:
+        span = span.project(index_count(diagram.arity, t))
+    span.reduce(row)
     monomials = diagram._monomials
     s = row.pop(scale)
     terms = {monomials[j]: Fraction(v, s) for j, v in row.items()}
@@ -263,15 +264,28 @@ def residual_order(f, diagram):
     """Vanishing order of f modulo the ideal: exact, or censored.
 
     Returns the order of the normal form when that is visibly below the
-    truncation degree; otherwise AtLeast(truncation degree of f), meaning
-    the residual order meets or exceeds the bound.  The order is the degree
-    of the reduced row's first position, so no Fraction is built.
+    truncation degree t of f; otherwise AtLeast(t), meaning the residual
+    order meets or exceeds the bound.
+
+    The integer row is reduced only until its first position survives.
+    Each span row leads at its pivot, so clearing the first position
+    scales the row and changes it only past that position: the first
+    position that is no pivot is the normal form's first term, and one
+    at or past the degree-t cut (the scale key included) leaves nothing
+    below the cut.  Below the cut the span's rows agree with their
+    projection up to a nonzero factor, so a truncated f needs none.
     """
-    row, t, scale = _reduce_to_row(f, diagram)
-    first = min(row)
-    if first == scale:
-        return AtLeast(t)
-    return censor(degree(diagram._monomials[first]), t)
+    row, t, _ = _integer_row(f, diagram)
+    cut = index_count(diagram.arity, t)
+    rows = diagram.span.rows
+    while True:
+        first = min(row)
+        if first >= cut:
+            return AtLeast(t)
+        prow = rows.get(first)
+        if prow is None:
+            return censor(degree(diagram._monomials[first]), t)
+        _reduce(row, prow, first)
 
 
 def hilbert_samuel_count(diagram, k):

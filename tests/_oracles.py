@@ -16,7 +16,9 @@ ran before it reduced integer rows, and PolyArithmeticParser the parser as
 it was when every literal, variable and power was a Poly; it reads the
 tokens of tokenize_by_match_loop, the tokenizer as it was before it read
 its text in one finditer pass.  random_series_by_randint is the product
-probe's draw as it was before it called getrandbits directly.
+probe's draw as it was before it called getrandbits directly, and
+canonical_json_by_dumps the canonical JSON writer as it was before it
+wrote its text in one pass: the payload made JSON-ready, then json.dumps.
 staircase_vertices_by_domination is the quadratic vertex search of
 diagram_from_generators before it tested lower neighbours, and
 ideal_jet_space_by_fractions the ideal-jet rows as they were built before
@@ -40,6 +42,7 @@ reads) were package functions that nothing in the package or the benchmark
 called; tests build inputs and references with them.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm, prod
@@ -1081,3 +1084,22 @@ def random_series_by_randint(rng, arity, max_degree, trunc):
         terms = {exps: c for exps, c in terms.items() if c}
         if terms:
             return TruncatedSeries(arity, terms, trunc, _exact=True)
+
+
+def _jsonable(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, AtLeast):
+        return {"at_least": value.bound}
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+def canonical_json_by_dumps(payload):
+    """cli.canonical_json as it was before it wrote its text in one pass:
+    the payload made JSON-ready, then the stdlib encoder with sorted keys
+    and a two-space indent."""
+    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"

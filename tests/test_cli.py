@@ -1,9 +1,13 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from _oracles import canonical_json_by_dumps
+from chevkit.censored import AtLeast
 from chevkit.cli import canonical_json, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,15 +59,43 @@ class TestReadmeScenario:
         assert readme_scenario() == shipped
 
 
+# every kind of value a payload may hold; text includes non-ASCII and
+# control characters
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+    st.floats(), st.sampled_from([float("nan"), float("inf"),
+                                  float("-inf"), -0.0]),
+    st.fractions(), st.builds(AtLeast, st.integers(0, 50)),
+)
+# int and str keys, 1 and "1" among them, which collide once made str
+_KEYS = st.one_of(st.integers(-2, 2), st.sampled_from(["1", "-1", "a"]),
+                  st.text(max_size=3))
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
 class TestCanonicalJson:
     def test_shape(self):
-        from fractions import Fraction
-        from chevkit.censored import AtLeast
         payload = {"b": Fraction(1, 2), "a": [AtLeast(3), (1, 2)]}
         assert canonical_json(payload) == (
             '{\n  "a": [\n    {\n      "at_least": 3\n    },\n'
             '    [\n      1,\n      2\n    ]\n  ],\n  "b": "1/2"\n}\n'
         )
+
+    @given(_PAYLOADS)
+    @example({1: "int", "1": "str"})
+    @example({"1": "str", 1: "int"})
+    @example({"": {}, "x": [], "\u00e9\n\x00": ((), [{}])})
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_stdlib_encoder(self, payload):
+        assert canonical_json(payload) == canonical_json_by_dumps(payload)
 
 
 class TestChevalleyVerb:

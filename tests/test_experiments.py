@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracles
+import chevkit.chevalley as chevalley_module
 from chevkit.censored import AtLeast
 from chevkit.chevalley import (
     HEURISTIC,
@@ -325,6 +326,26 @@ class TestRunTable:
         )
         assert len(separate) == 3
         assert table.leaf_samples == separate
+
+    @pytest.mark.parametrize("name, k_max", [("cusp", 5), ("cone", 2),
+                                             ("squaring", 3)])
+    def test_one_relation_build_per_engine(self, monkeypatch, name, k_max):
+        # every engine, leaf trials included, builds its relations once,
+        # at k_max, which no generator degree exceeds here
+        sc = load_scenario(ROOT / "scenarios" / f"{name}.json")
+        builds = []
+        build = chevalley_module.diagram_from_generators
+
+        def counting(presentation, d):
+            builds.append((presentation, d))
+            return build(presentation, d)
+
+        monkeypatch.setattr(chevalley_module, "diagram_from_generators",
+                            counting)
+        run_table(sc)
+        engines = len(list(scenario_tuples(sc))) + 5 * len(sc.leaves)
+        assert len({id(p) for p, _ in builds}) == len(builds) == engines
+        assert {d for _, d in builds} == {k_max}
 
 
 class TestVerify:

@@ -230,6 +230,20 @@ class TestArithmetic:
         assert list(shifted.terms.items()) == list(reference.terms.items())
         assert all(type(c) is Fraction for c in shifted.terms.values())
 
+    @given(poly_strategy(3),
+           st.sampled_from([(0, 0, 0), (Fraction(0),) * 3,
+                            (0, Fraction(0), 0)]))
+    def test_shift_at_the_origin_copies_the_terms(self, p, origin):
+        shifted = p.shift(origin)
+        reference = shift_by_compose(p, origin)
+        assert shifted == reference
+        assert list(shifted.terms.items()) == list(reference.terms.items())
+        assert all(type(c) is Fraction for c in shifted.terms.values())
+        before = list(p.terms.items())
+        shifted.terms.clear()
+        shifted.terms[(9, 9, 9)] = Fraction(1)
+        assert list(p.terms.items()) == before
+
     @given(shift_cases)
     @settings(max_examples=60)
     def test_shift_round_trip(self, case):

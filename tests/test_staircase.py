@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import _oracles as oracles
+import chevkit.staircase as staircase_module
 from chevkit.errors import ConsistencyError, InputError
 from chevkit.indices import index_count, indices_up_to
 from chevkit.linalg import Subspace
@@ -249,6 +250,38 @@ class TestIntegerNormalForm:
         assert nf == TruncatedSeries(2, {(2, 0): 1}, 3, _exact=True)
         assert residual_order(f - TruncatedSeries(2, {(2, 0): 1}, 3),
                               diag) == AtLeast(3)
+
+    def test_truncated_series_whose_cut_terms_reduce_away(self,
+                                                          cusp_diagram):
+        # below the cut each term reduces away, against the diagram's full
+        # rows; what they bring in (y1^3, y1^4, y1^3 y2) lies past it
+        for terms, t in [({(0, 2): Fraction(1, 2)}, 2),
+                         ({(1, 2): 3, (0, 3): Fraction(-1, 2)}, 3),
+                         ({(0, 2): 1, (3, 0): -1}, 3)]:
+            f = TruncatedSeries(2, terms, t, _exact=True)
+            assert residual_order(f, cusp_diagram) == AtLeast(t)
+            assert normal_form(f, cusp_diagram) == \
+                TruncatedSeries(2, {}, t, _exact=True)
+
+    def test_stops_at_the_first_surviving_term(self, monkeypatch,
+                                               cusp_diagram):
+        cleared = []
+        reduce = staircase_module._reduce
+
+        def counting(row, prow, c):
+            cleared.append(indices_up_to(2, 8)[c])
+            reduce(row, prow, c)
+
+        monkeypatch.setattr(staircase_module, "_reduce", counting)
+        # y1 is no staircase monomial: nothing is reduced
+        f = parse_poly("y1 + y2^2 + y1 y2^2", 2, names=Y)
+        assert residual_order(f, cusp_diagram) == 1
+        assert cleared == []
+        # y2^2 and y2^3 clear to y1^3 y2 of degree 4, and y2^5 past it
+        # stays as it is
+        g = parse_poly("y2^2 - y1^3 + y2^3 + y2^5", 2, names=Y)
+        assert residual_order(g, cusp_diagram) == 4
+        assert cleared == [(0, 2), (0, 3)]
 
     @pytest.mark.parametrize("route", [normal_form, residual_order])
     def test_input_checks(self, route, cusp_diagram):
