@@ -480,7 +480,8 @@ def build_parser():
 
     sp = sub.add_parser("jet", help="jet matrices, their rank and kernel")
     _add_common(sp, "--l-max")
-    sp.add_argument("--point", help="restrict to one tuple key")
+    sp.add_argument("--point", help="restrict to one tuple key;"
+                    " write --point=KEY, as a key may start with -")
     sp.add_argument("--dump-matrix", action="store_true",
                     help="include matrix entries in the output")
     sp.set_defaults(func=cmd_jet)
@@ -488,7 +489,8 @@ def build_parser():
     sp = sub.add_parser("diagram",
                         help="staircases of the supplied relation ideals")
     _add_common(sp, "--l-max")
-    sp.add_argument("--point", help="restrict to one tuple key")
+    sp.add_argument("--point", help="restrict to one tuple key;"
+                    " write --point=KEY, as a key may start with -")
     sp.set_defaults(func=cmd_diagram)
 
     sp = sub.add_parser("chevalley",
@@ -505,7 +507,8 @@ def build_parser():
 
     sp = sub.add_parser("nu", help="vanishing orders along the fibre")
     _add_common(sp)
-    sp.add_argument("--point", help="tuple key to probe at")
+    sp.add_argument("--point", help="tuple key to probe at;"
+                    " write --point=KEY, as a key may start with -")
     sp.add_argument("--poly", action="append", required=True,
                     help="target polynomial to probe (repeatable)")
     sp.add_argument("--trunc", type=int, default=8,
@@ -514,7 +517,8 @@ def build_parser():
 
     sp = sub.add_parser("mu", help="numeric growth probe (floats)")
     _add_common(sp, "--l-max", "--seed")
-    sp.add_argument("--point", help="single-point tuple key to probe at")
+    sp.add_argument("--point", help="single-point tuple key to probe"
+                    " at; write --point=KEY, as a key may start with -")
     sp.add_argument("--poly", action="append", required=True,
                     help="target polynomial to probe (repeatable)")
     sp.set_defaults(func=cmd_mu)
@@ -522,7 +526,8 @@ def build_parser():
     sp = sub.add_parser("product",
                         help="orders of random products along the fibre")
     _add_common(sp, "--seed")
-    sp.add_argument("--point", help="tuple key to probe at")
+    sp.add_argument("--point", help="tuple key to probe at;"
+                    " write --point=KEY, as a key may start with -")
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--trunc", type=int, default=8,
                     help="staircase truncation degree")

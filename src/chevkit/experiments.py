@@ -52,11 +52,12 @@ class TableRun:
     leaf_samples: tuple
 
 
-def _climb_tuples(scenario, pairs):
+def _climb_tuples(scenario, pairs, build):
     """(key, tuple, engine, {k: RelationJets}) for every (key, tuple) of
     pairs, the scenario's tuples in table order: one engine per tuple,
     climbed at every k of k_range, whose relations are built once, at
-    k_max.  Errors name the tuple, and the map and k of a failed climb."""
+    degree build: the highest the caller reads, at least k_max.  Errors
+    name the tuple, and the map and k of a failed climb."""
     phi = scenario.phi
     k_min, k_max = scenario.k_range
     climbed = []
@@ -72,8 +73,8 @@ def _climb_tuples(scenario, pairs):
         k = k_max
         try:
             if engine.presentation is not None:
-                # one relation build, exact through k_max, serves every k
-                engine.diagram(k_max)
+                # one relation build, exact through build, serves every k
+                engine.diagram(build)
             for k in range(k_min, k_max + 1):
                 rows[k] = engine.relation_jets(k)
         except (RelationsMismatchError, ConsistencyError) as exc:
@@ -98,7 +99,7 @@ def run_table(scenario):
             l_stab=None if is_censored(rj.l_value) else rj.l_value,
         )
         for key, _, _, rows in _climb_tuples(
-            scenario, scenario_tuples(scenario))
+            scenario, scenario_tuples(scenario), k_max)
         for k, rj in rows.items()
     ]
     leaf_samples = []
@@ -470,7 +471,8 @@ def verify_consistency(scenario):
     # a tuple that is not fibred is malformed input, not a failed check
     pairs = scenario_tuples(scenario)
     try:
-        climbed = _climb_tuples(scenario, pairs)
+        # the staircase route reads each engine's relations up to l_max
+        climbed = _climb_tuples(scenario, pairs, scenario.l_max)
     except (RelationsMismatchError, ConsistencyError) as exc:
         return (CheckResult(
             "table-construction", False, f"{type(exc).__name__}: {exc}"

@@ -25,22 +25,19 @@ def mono_key(beta):
     return (sum(beta),) + tuple(beta)
 
 
+@lru_cache(maxsize=None)
 def indices_of_degree(arity, d):
-    """Iterate over the multi-indices of total degree d, ascending
-    lexicographically; arity < 1 or d < 0 raises InputError at the call."""
+    """The multi-indices of total degree d, ascending lexicographically, as
+    a tuple built once per (arity, d) from those of lower arity; arity < 1
+    or d < 0 raises InputError."""
     if arity < 1 or d < 0:
         raise InputError(
             f"indices_of_degree needs arity >= 1 and d >= 0, got {arity}, {d}"
         )
-
-    def gen(prefix, nvars, rem):
-        if nvars == 1:
-            yield prefix + (rem,)
-            return
-        for i in range(rem + 1):
-            yield from gen(prefix + (i,), nvars - 1, rem - i)
-
-    return gen((), arity, d)
+    if arity == 1:
+        return ((d,),)
+    return tuple((i,) + rest for i in range(d + 1)
+                 for rest in indices_of_degree(arity - 1, d - i))
 
 
 @lru_cache(maxsize=None)

@@ -516,13 +516,19 @@ def parse_poly(text, arity, names=None, aliases=None):
     """Parse polynomial text like '2x1^2 - x2*x3 + 1/2' exactly.
 
     aliases maps extra accepted names to canonical variable names (used to
-    accept bare 'x' for 'x1' in one-variable maps).
+    accept bare 'x' for 'x1' in one-variable maps).  A text that is not a
+    str, or nests too deeply for the parser's recursion, raises InputError.
     """
+    if not isinstance(text, str):
+        raise InputError(f"polynomial text must be a string, got {text!r}")
     names = var_names(arity, names)
     tokens = _tokenize(text)
     if not tokens:
         raise InputError("empty polynomial text")
-    return _Parser(tokens, arity, names, aliases).parse()
+    try:
+        return _Parser(tokens, arity, names, aliases).parse()
+    except RecursionError:
+        raise InputError("polynomial text nested too deeply") from None
 
 
 def format_poly(p, names=None):

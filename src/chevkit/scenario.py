@@ -58,26 +58,69 @@ def _reject_float(text):
     )
 
 
-def _is_int(value):
-    # JSON true/false arrive as bool, which Python counts as int
-    return isinstance(value, int) and not isinstance(value, bool)
+# The readers: each checks one JSON shape, returns the value, and raises
+# InputError naming the place; every value of a scenario passes one.
 
-
-def _coordinate(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise InputError(
-            f"{where}: coordinates must be integers or rational strings,"
-            f" got {value!r}"
-        )
-    if isinstance(value, str):
-        return parse_rational(value)
-    return Fraction(value)
-
-
-def _check_keys(data, allowed, where):
-    unknown = set(data) - allowed
+def _object(value, allowed, where, message=None, required=()):
+    """value, a JSON object with every key of required and none outside
+    allowed (any keys when allowed is None)."""
+    if not isinstance(value, dict):
+        raise InputError(message or f"{where}: expected an object")
+    unknown = value.keys() - allowed if allowed is not None else ()
     if unknown:
         raise InputError(f"{where}: unknown keys {sorted(unknown)}")
+    for key in required:
+        if key not in value:
+            raise InputError(f"{where}: missing required key {key!r}")
+    return value
+
+
+def _list(value, message, length=None, nonempty=False):
+    """value, a JSON list of the given length, or nonempty when asked."""
+    if (not isinstance(value, list) or (nonempty and not value)
+            or length is not None and len(value) != length):
+        raise InputError(message)
+    return value
+
+
+def _text(value, message, name=False):
+    """value, a string (a variable name when name is set)."""
+    if not isinstance(value, str) or name and not NAME_RE.fullmatch(value):
+        raise InputError(message)
+    return value
+
+
+def _integer(value, message, least=None):
+    """value, an integer, at least least when given.  JSON true and false
+    arrive as bool, which Python counts as int, and are refused."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or least is not None and value < least):
+        raise InputError(message)
+    return value
+
+
+def _point(value, m, where):
+    """A point: a JSON list of m integers or rational strings."""
+    return tuple(
+        parse_rational(c) if isinstance(c, str) else Fraction(_integer(
+            c, f"{where}: coordinates must be integers or rational strings,"
+               f" got {c!r}"))
+        for c in _list(value, f"{where}: expected a list of {m} coordinates",
+                       length=m)
+    )
+
+
+def _polys(value, where, what, arity, length=None, **names):
+    """The polynomials of a JSON list of polynomial texts; the refusal of a
+    text by parse_poly is prefixed with its place, where[i]."""
+    polys = []
+    for i, text in enumerate(
+            _list(value, f"{where}: expected {what}", length=length)):
+        try:
+            polys.append(parse_poly(text, arity, **names))
+        except InputError as exc:
+            raise InputError(f"{where}[{i}]: {exc}") from None
+    return tuple(polys)
 
 
 def _refuse_repeats(names, what):
@@ -86,16 +129,6 @@ def _refuse_repeats(names, what):
         if name in seen:
             raise InputError(f"{what} {name!r} repeated")
         seen.add(name)
-
-
-def _parse_point(raw, m, where):
-    if not isinstance(raw, list) or len(raw) != m:
-        raise InputError(f"{where}: expected a list of {m} coordinates")
-    return tuple(_coordinate(c, where) for c in raw)
-
-
-def _source_aliases(m):
-    return {"x": "x1"} if m == 1 else None
 
 
 def target_names(n):
@@ -107,88 +140,66 @@ def target_aliases(n):
 
 
 def parse_scenario(data):
-    if not isinstance(data, dict):
-        raise InputError("scenario must be a JSON object")
-    _check_keys(data, _SCENARIO_KEYS, "scenario")
-    if "map" not in data:
-        raise InputError("scenario: missing required key 'map'")
-
-    raw_map = data["map"]
-    if not isinstance(raw_map, dict):
-        raise InputError("scenario: 'map' must be an object")
-    _check_keys(raw_map, _MAP_KEYS, "map")
-    for key in ("m", "n", "components"):
-        if key not in raw_map:
-            raise InputError(f"map: missing required key {key!r}")
-    m, n = raw_map["m"], raw_map["n"]
-    if not _is_int(m) or not _is_int(n) or m < 1 or n < 1:
-        raise InputError("map: m and n must be positive integers")
-    comps_raw = raw_map["components"]
-    if not isinstance(comps_raw, list) or len(comps_raw) != n:
-        raise InputError(f"map: expected {n} component polynomials")
-    components = [
-        parse_poly(text, m, aliases=_source_aliases(m)) for text in comps_raw
-    ]
-    map_name = raw_map.get("name", "map")
+    _object(data, _SCENARIO_KEYS, "scenario", required=("map",))
+    raw_map = _object(data["map"], _MAP_KEYS, "map",
+                      required=("m", "n", "components"))
+    m, n = (_integer(raw_map[key], "map: m and n must be positive integers",
+                     least=1) for key in ("m", "n"))
+    components = _polys(
+        raw_map["components"], "map.components",
+        f"{n} component polynomials", m, length=n,
+        aliases={"x": "x1"} if m == 1 else None,
+    )
+    map_name = _text(raw_map.get("name", "map"),
+                     "map: 'name' must be a string")
     phi = PolyMap(map_name, components, source_arity=m)
 
     points = tuple(
-        _parse_point(p, m, f"points[{i}]")
-        for i, p in enumerate(data.get("points", []))
+        _point(p, m, f"points[{i}]") for i, p in enumerate(
+            _list(data.get("points", []), "points: expected a list"))
     )
     tuples = tuple(
-        tuple(_parse_point(p, m, f"tuples[{i}][{j}]")
-              for j, p in enumerate(group))
-        for i, group in enumerate(data.get("tuples", []))
+        tuple(_point(p, m, f"tuples[{i}][{j}]") for j, p in enumerate(
+            _list(group, f"tuples[{i}]: expected a list of at least one"
+                         " point", nonempty=True)))
+        for i, group in enumerate(
+            _list(data.get("tuples", []), "tuples: expected a list"))
     )
-    for i, group in enumerate(tuples):
-        if not group:
-            raise InputError(f"tuples[{i}]: a tuple needs at least one point")
     # a one-point tuple has its point's key
     tuple_keys = ([point_key(p) for p in points]
                   + [tuple_key(g) for g in tuples])
     _refuse_repeats(tuple_keys, "scenario: tuple key")
 
     leaves = []
-    for i, raw_leaf in enumerate(data.get("leaves", [])):
-        if not isinstance(raw_leaf, dict):
-            raise InputError(f"leaves[{i}]: expected an object")
-        _check_keys(raw_leaf, _LEAF_KEYS, f"leaves[{i}]")
-        params = raw_leaf.get("params")
-        if not isinstance(params, list) or not params:
-            raise InputError(f"leaves[{i}]: 'params' must be a nonempty list")
+    for i, raw_leaf in enumerate(
+            _list(data.get("leaves", []), "leaves: expected a list")):
+        where = f"leaves[{i}]"
+        _object(raw_leaf, _LEAF_KEYS, where)
+        params = _list(raw_leaf.get("params"),
+                       f"{where}: 'params' must be a nonempty list",
+                       nonempty=True)
         for p in params:
-            if not isinstance(p, str) or not NAME_RE.fullmatch(p):
-                raise InputError(f"leaves[{i}]: parameter {p!r} is not a name")
-        _refuse_repeats(params, f"leaves[{i}]: parameter")
-        raw_pts = raw_leaf.get("points")
-        if not isinstance(raw_pts, list) or not raw_pts:
-            raise InputError(f"leaves[{i}]: 'points' must be a nonempty list")
-        pts = []
-        for j, pt in enumerate(raw_pts):
-            if not isinstance(pt, list) or len(pt) != m:
-                raise InputError(
-                    f"leaves[{i}].points[{j}]: expected {m} expressions"
-                )
-            pts.append(tuple(
-                parse_poly(text, len(params), names=list(params))
-                for text in pt
-            ))
-        name = raw_leaf.get("name", f"leaf{i}")
-        if not isinstance(name, str):
-            raise InputError(f"leaves[{i}]: 'name' must be a string")
+            _text(p, f"{where}: parameter {p!r} is not a name", name=True)
+        _refuse_repeats(params, f"{where}: parameter")
+        pts = [
+            _polys(pt, f"{where}.points[{j}]", f"{m} expressions",
+                   len(params), length=m, names=params)
+            for j, pt in enumerate(_list(
+                raw_leaf.get("points"),
+                f"{where}: 'points' must be a nonempty list", nonempty=True))
+        ]
+        name = _text(raw_leaf.get("name", f"leaf{i}"),
+                     f"{where}: 'name' must be a string")
         leaves.append(Leaf.make(name, params, pts))
 
     _refuse_repeats([leaf.name for leaf in leaves], "scenario: leaf name")
 
     relations = None
     if "relations" in data:
-        raw_rel = data["relations"]
-        if not isinstance(raw_rel, dict):
-            raise InputError(
-                "scenario: 'relations' must map tuple keys to generator"
-                " lists"
-            )
+        raw_rel = _object(
+            data["relations"], None, "relations",
+            "scenario: 'relations' must map tuple keys to generator lists",
+        )
         valid = ["*", *tuple_keys, *("leaf:" + leaf.name for leaf in leaves)]
         relations = {}
         for key, gens in raw_rel.items():
@@ -197,56 +208,37 @@ def parse_scenario(data):
                     f"relations: key {key!r} names no point, tuple or leaf;"
                     f" valid keys: {', '.join(valid)}"
                 )
-            if not isinstance(gens, list):
-                raise InputError(f"relations[{key!r}]: expected a list")
-            relations[key] = tuple(
-                parse_poly(text, n, names=target_names(n),
-                           aliases=target_aliases(n))
-                for text in gens
+            relations[key] = _polys(
+                gens, f"relations[{key!r}]", "a list", n,
+                names=target_names(n), aliases=target_aliases(n),
             )
 
+    k_message = "scenario: k_range must be [k_min, k_max]"
     k_range = data.get("k_range", [1, 3])
-    if _is_int(k_range):
-        k_range = [1, k_range]
-    if (not isinstance(k_range, list) or len(k_range) != 2
-            or not all(_is_int(v) for v in k_range)):
-        raise InputError("scenario: k_range must be [k_min, k_max]")
-    k_min, k_max = k_range
-    l_max = data.get("l_max", 12)
-    window = data.get("window", 3)
-    seed = data.get("seed", 0)
-    for label, value in (("l_max", l_max), ("window", window),
-                         ("seed", seed)):
-        if not _is_int(value):
-            raise InputError(f"scenario: {label} must be an integer")
+    # an integer alone is k_max, with k_min 1
+    k_min, k_max = (_integer(v, k_message) for v in (
+        [1, k_range] if type(k_range) is int
+        else _list(k_range, k_message, length=2)))
+    l_max, seed = (_integer(data.get(label, default),
+                            f"scenario: {label} must be an integer")
+                   for label, default in (("l_max", 12), ("seed", 0)))
+    window = _integer(data.get("window", 3),
+                      "scenario: window must be an integer >= 1", least=1)
     if not (0 <= k_min <= k_max):
         raise InputError("scenario: need 0 <= k_min <= k_max")
     if k_max > l_max:
-        raise InputError(
-            f"scenario: k_max={k_max} exceeds l_max={l_max}"
-        )
-    if window < 1:
-        raise InputError("scenario: window must be >= 1")
+        raise InputError(f"scenario: k_max={k_max} exceeds l_max={l_max}")
 
     out = data.get("out")
-    if out is not None and not isinstance(out, str):
-        raise InputError("scenario: 'out' must be a string path")
-    name = data.get("name", map_name)
-    if not isinstance(name, str):
-        raise InputError("scenario: 'name' must be a string")
+    if out is not None:
+        _text(out, "scenario: 'out' must be a string path")
+    name = _text(data.get("name", map_name),
+                 "scenario: 'name' must be a string")
 
     return Scenario(
-        name=name,
-        phi=phi,
-        points=points,
-        tuples=tuples,
-        leaves=tuple(leaves),
-        relations=relations,
-        k_range=(k_min, k_max),
-        l_max=l_max,
-        window=window,
-        seed=seed,
-        out=out,
+        name=name, phi=phi, points=points, tuples=tuples,
+        leaves=tuple(leaves), relations=relations, k_range=(k_min, k_max),
+        l_max=l_max, window=window, seed=seed, out=out,
     )
 
 

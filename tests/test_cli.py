@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CUSP = str(ROOT / "scenarios" / "cusp.json")
 SQUARING = str(ROOT / "scenarios" / "squaring.json")
 IDENTITY = str(ROOT / "scenarios" / "identity.json")
+CONE = str(ROOT / "scenarios" / "cone.json")
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -207,6 +208,24 @@ class TestJetVerb:
         code = main(["jet", "--scenario", SQUARING, "--point", "7/3"])
         assert code == 2
         assert "available" in capsys.readouterr().err
+
+
+class TestPointKeyWithLeadingMinus:
+    # argparse reads a separate "-1,1" as an option string, so a key that
+    # starts with "-" is written attached, --point=KEY
+    def test_nu(self, tmp_path, capsys):
+        out = tmp_path / "nu.json"
+        assert main(["nu", "--scenario", CONE, "--point=-1,1",
+                     "--poly", "y1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "nu(y1) = 0  normal form: -1 + y1\n"
+        data = json.loads(out.read_text())
+        assert (data["tuple"], data["center"]) == ("-1,1", ["-1"] * 3)
+
+    def test_jet(self, capsys):
+        assert main(["jet", "--scenario", CONE, "--point=-1,1",
+                     "--l-max", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "tuple -1,1: order 2 jet matrix 6x10, rank 6, kernel dim 4\n")
 
 
 class TestDiagramVerb:
@@ -834,6 +853,40 @@ class TestErrorPaths:
                 "input error: tuple 0: claimed relation does not compose to"
                 " zero with the map\n")
             assert not out.exists()
+
+    # each of these ended in a Python traceback, exit 1
+    @pytest.mark.parametrize("verb, path, value, message", [
+        ("chevalley", ("points",), 5, "points: expected a list"),
+        ("chevalley", ("tuples",), [5], "tuples[0]: expected a list"),
+        ("chevalley", ("leaves",), 5, "leaves: expected a list"),
+        ("chevalley", ("relations", "*"), [5],
+         "relations['*'][0]: polynomial text must be a string, got 5"),
+        ("chevalley", ("map", "components"), [7],
+         "map.components[0]: polynomial text must be a string, got 7"),
+        ("chevalley", ("leaves",),
+         [{"params": ["t"], "points": [[5], ["-t"]]}],
+         "leaves[0].points[0][0]: polynomial text must be a string, got 5"),
+        ("fit", ("map", "name"), ["c"], "map: 'name' must be a string"),
+    ], ids=["points", "tuple", "leaves", "generator", "component",
+            "leaf-point", "map-name"])
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys, verb, path,
+                                     value, message):
+        data = json.loads(Path(SQUARING).read_text(encoding="utf-8"))
+        *outer, last = path
+        target = data
+        for part in outer:
+            target = target[part]
+        target[last] = value
+        assert main([verb, "--scenario", write_scenario(tmp_path, data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {message}")
+
+    def test_deeply_nested_poly_exits_2(self, capsys):
+        text = "(" * 300 + "y1" + ")" * 300
+        assert main(["nu", "--scenario", CUSP, "--poly", text]) == 2
+        assert capsys.readouterr().err == (
+            "input error: polynomial text nested too deeply\n")
 
     def test_missing_scenario_exits_2(self, tmp_path):
         assert main(["chevalley", "--scenario",

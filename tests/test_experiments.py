@@ -447,6 +447,29 @@ class TestVerify:
         # two tuples, orders 1..6 (k_min to the membership cap)
         assert membership == sorted(list(range(1, 7)) * 2)
 
+    @pytest.mark.parametrize("name", ["cusp", "cone", "squaring",
+                                      "identity"])
+    def test_one_relation_build_per_engine(self, monkeypatch, name):
+        # the staircase route reads each engine's relations through l_max,
+        # so the climb builds them there, once, and nothing builds again
+        sc = load_scenario(ROOT / "scenarios" / f"{name}.json")
+        builds = []
+        build = chevalley_module.diagram_from_generators
+
+        def counting(presentation, d):
+            builds.append((presentation, d))
+            return build(presentation, d)
+
+        monkeypatch.setattr(chevalley_module, "diagram_from_generators",
+                            counting)
+        checks = verify_consistency(sc)
+        assert all(c.passed for c in checks)
+        engines = sum(relations_for(sc, key) is not None
+                      for key, _ in scenario_tuples(sc))
+        assert engines > 0
+        assert len({id(p) for p, _ in builds}) == len(builds) == engines
+        assert {d for _, d in builds} == {sc.l_max}
+
     def test_unfibred_tuple_is_an_input_error(self):
         # a malformed tuple is refused before any check is run
         sc = parse_scenario({

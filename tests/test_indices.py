@@ -54,6 +54,13 @@ def test_degree_slices(arity, d):
     assert len(set(block)) == len(block)
 
 
+def test_degree_slices_are_built_once():
+    block = indices_of_degree(3, 4)
+    assert type(block) is tuple
+    assert indices_of_degree(3, 4) is block
+    assert block[:2] == ((0, 0, 4), (0, 1, 3))
+
+
 BAD_DEGREE_ARGS = [(1, -1), (0, 2)]
 
 

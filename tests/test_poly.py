@@ -105,6 +105,22 @@ class TestParse:
         p = parse_poly("(x1 + x2)^2", 2)
         assert p == parse_poly("x1^2 + 2x1 x2 + x2^2", 2)
 
+    @pytest.mark.parametrize("text", [5, None, ["x1"], b"x1"])
+    def test_text_that_is_not_a_str(self, text):
+        with pytest.raises(InputError, match="must be a string"):
+            parse_poly(text, 1)
+
+    @pytest.mark.parametrize("text", [
+        "(" * 400 + "x1" + ")" * 400,
+        "2*" + "-" * 4000 + "x1",
+    ], ids=["parentheses", "unary-minus"])
+    def test_deep_nesting_is_input_error(self, text):
+        with pytest.raises(InputError, match="nested too deeply"):
+            parse_poly(text, 1)
+
+    def test_moderate_nesting_parses(self):
+        assert parse_poly("(" * 50 + "x1" + ")" * 50, 1) == parse_poly("x1", 1)
+
 
 # polynomial texts in x1, x2 and the alias x: p/q literals, unary minus,
 # parentheses, powers of sums and implicit products

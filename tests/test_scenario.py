@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chevkit.errors import InputError
 from chevkit.scenario import (
@@ -14,6 +15,14 @@ from chevkit.scenario import (
     scenario_tuples,
     tuple_key,
 )
+
+
+def _put(data, path, value):
+    """Set the field of data at path, a tuple of keys and indices."""
+    *outer, last = path
+    for part in outer:
+        data = data[part]
+    data[last] = value
 
 
 def cusp_data():
@@ -145,11 +154,7 @@ class TestRejection:
                 "points": [[0]], "k_range": [0, 1], "l_max": 1,
                 "window": 1, "seed": 0}
         parse_scenario(data)
-        *outer, key = path
-        target = data
-        for part in outer:
-            target = target[part]
-        target[key] = value
+        _put(data, path, value)
         with pytest.raises(InputError):
             parse_scenario(data)
 
@@ -273,6 +278,57 @@ class TestRejection:
                            "points": [["t"]]}]
         with pytest.raises(InputError, match="'name' must be a string"):
             parse_scenario(data)
+
+
+# every field of a valid scenario, down to the scalars, as a path from the
+# top object; the base scenario is cusp_data() with one leaf
+_FIELD_PATHS = [
+    ("name",), ("out",), ("map",), ("map", "name"), ("map", "m"),
+    ("map", "n"), ("map", "components"), ("map", "components", 0),
+    ("points",), ("points", 0), ("points", 0, 0), ("tuples",),
+    ("tuples", 0), ("tuples", 0, 0), ("tuples", 0, 0, 0), ("leaves",),
+    ("leaves", 0), ("leaves", 0, "name"), ("leaves", 0, "params"),
+    ("leaves", 0, "params", 0), ("leaves", 0, "points"),
+    ("leaves", 0, "points", 0), ("leaves", 0, "points", 0, 0),
+    ("relations",), ("relations", "*"), ("relations", "*", 0),
+    ("k_range",), ("k_range", 0), ("l_max",), ("window",), ("seed",),
+]
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=3)),
+    max_leaves=6,
+)
+
+
+def _with_leaf():
+    data = cusp_data()
+    data["leaves"] = [{"name": "pair", "params": ["t"], "points": [["t"]]}]
+    return data
+
+
+class TestMalformedShapes:
+    def test_base_scenario_parses(self):
+        parse_scenario(_with_leaf())
+
+    @given(st.sampled_from(_FIELD_PATHS), _JSON_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_any_value_anywhere_parses_or_is_refused(self, path, value):
+        data = _with_leaf()
+        _put(data, path, value)
+        try:
+            parse_scenario(data)
+        except InputError:
+            pass
+
+    def test_polynomial_error_names_its_field(self):
+        data = cusp_data()
+        data["relations"] = {"*": ["y1^3 - y2^2", "z"]}
+        with pytest.raises(InputError) as err:
+            parse_scenario(data)
+        assert str(err.value) == "relations['*'][1]: unknown variable 'z'"
 
 
 class TestKeysAndLookup:
