@@ -149,29 +149,24 @@ def _select(scenario, key_arg):
     raise InputError(f"no tuple with key {key_arg!r}; available: {available}")
 
 
-def _presentation_for(scenario, key, tup):
-    rel = relations_for(scenario, key)
-    if rel is None:
-        raise InputError(
-            f"tuple {key} has no relation generators in the scenario"
-        )
-    gens = validate_relations(scenario.phi, tup, rel)
-    return IdealPresentation.make(gens, tup.image)
-
-
-def _probe_target(scenario, point):
-    """(key, presentation) of the tuple a relation probe runs at: the one
-    named by point, or else the first tuple with relation generators."""
-    pairs = _select(scenario, point)
-    if point is None:
-        pairs = [
-            (key, tup) for key, tup in pairs
-            if relations_for(scenario, key) is not None
-        ]
-        if not pairs:
-            raise InputError("scenario supplies no relation generators")
-    key, tup = pairs[0]
-    return key, _presentation_for(scenario, key, tup)
+def _relation_targets(scenario, point):
+    """(key, presentation) of each tuple a relation verb reads: the one
+    named by point, or else every tuple with relation generators, each
+    validated against the map as it is reached."""
+    found = False
+    for key, tup in _select(scenario, point):
+        rel = relations_for(scenario, key)
+        if rel is None:
+            if point is not None:
+                raise InputError(
+                    f"tuple {key} has no relation generators in the scenario"
+                )
+            continue
+        found = True
+        gens = validate_relations(scenario.phi, tup, rel)
+        yield key, IdealPresentation.make(gens, tup.image)
+    if not found:
+        raise InputError("scenario supplies no relation generators")
 
 
 _COLUMNS = ("map", "tuple", "k", "l", "H", "status", "l_stab")
@@ -304,28 +299,21 @@ def cmd_jet(args, scenario):
 
 
 def cmd_diagram(args, scenario):
-    phi = scenario.phi
-    names = target_names(phi.target_arity)
+    names = target_names(scenario.phi.target_arity)
     trunc = scenario.l_max
     reports = []
-    for key, tup in _select(scenario, args.point):
-        rel = relations_for(scenario, key)
-        if rel is None:
-            continue
-        presentation = _presentation_for(scenario, key, tup)
+    for key, presentation in _relation_targets(scenario, args.point):
         diagram = diagram_from_generators(
             presentation, max(trunc, presentation.generator_degree)
         )
         info = diagram.to_dict(names)
         info["tuple"] = key
-        info["center"] = list(tup.image)
+        info["center"] = list(presentation.center)
         reports.append(info)
         verts = ", ".join(str(tuple(v)) for v in diagram.vertices) or "none"
         print(f"tuple {key}: staircase vertices {verts}"
               f" (exact through degree {diagram.trunc_degree},"
               f" provisional={diagram.provisional})")
-    if not reports:
-        raise InputError("scenario supplies no relation generators")
     payload = {
         "diagrams": reports,
     }
@@ -335,7 +323,7 @@ def cmd_diagram(args, scenario):
 def cmd_nu(args, scenario):
     n = scenario.phi.target_arity
     names = target_names(n)
-    key, presentation = _probe_target(scenario, args.point)
+    key, presentation = next(_relation_targets(scenario, args.point))
     polys = [
         parse_poly(text, n, names=names, aliases=target_aliases(n))
         for text in args.poly
@@ -343,7 +331,7 @@ def cmd_nu(args, scenario):
     orders = residual_order_probe(presentation, polys, trunc=args.trunc)
     entries = []
     for text, entry in zip(args.poly, orders):
-        nf_text = format_poly(entry.normal_form.to_poly(), names)
+        nf_text = format_poly(entry.normal_form, names)
         print(f"nu({text}) = {entry.value}"
               f"  normal form: {nf_text}")
         entries.append({
@@ -410,7 +398,7 @@ def cmd_mu(args, scenario):
 
 
 def cmd_product(args, scenario):
-    key, presentation = _probe_target(scenario, args.point)
+    key, presentation = next(_relation_targets(scenario, args.point))
     probe = product_order_probe(
         presentation, trials=args.trials, seed=scenario.seed,
         trunc=args.trunc,

@@ -52,16 +52,16 @@ class TableRun:
     leaf_samples: tuple
 
 
-def _climb_tuples(scenario, pairs, build):
-    """(key, tuple, engine, {k: RelationJets}) for every (key, tuple) of
-    pairs, the scenario's tuples in table order: one engine per tuple,
+def _climb_tuples(scenario, build):
+    """(key, tuple, engine, {k: RelationJets}) for every tuple of the
+    scenario, in table order (scenario_tuples): one engine per tuple,
     climbed at every k of k_range, whose relations are built once, at
     degree build: the highest the caller reads, at least k_max.  Errors
     name the tuple, and the map and k of a failed climb."""
     phi = scenario.phi
     k_min, k_max = scenario.k_range
     climbed = []
-    for key, tup in pairs:
+    for key, tup in scenario_tuples(scenario):
         try:
             engine = ChevalleyEngine(
                 phi, tup, relations=relations_for(scenario, key),
@@ -98,8 +98,7 @@ def run_table(scenario):
             status=rj.status,
             l_stab=None if is_censored(rj.l_value) else rj.l_value,
         )
-        for key, _, _, rows in _climb_tuples(
-            scenario, scenario_tuples(scenario), k_max)
+        for key, _, _, rows in _climb_tuples(scenario, k_max)
         for k, rj in rows.items()
     ]
     leaf_samples = []
@@ -468,11 +467,11 @@ def verify_consistency(scenario):
     phi = scenario.phi
     n = phi.target_arity
     k_min, k_max = scenario.k_range
-    # a tuple that is not fibred is malformed input, not a failed check
-    pairs = scenario_tuples(scenario)
     try:
-        # the staircase route reads each engine's relations up to l_max
-        climbed = _climb_tuples(scenario, pairs, scenario.l_max)
+        # the staircase route reads each engine's relations up to l_max; a
+        # tuple that is not fibred is malformed input (InputError), not a
+        # failed check
+        climbed = _climb_tuples(scenario, scenario.l_max)
     except (RelationsMismatchError, ConsistencyError) as exc:
         return (CheckResult(
             "table-construction", False, f"{type(exc).__name__}: {exc}"

@@ -417,25 +417,25 @@ class _Parser:
     be literal nonnegative integers.  Every rule returns a term dict of
     nonzero coefficients (int, or Fraction for p/q literals); parse builds
     the one Poly at the end.  The rules read self.tokens[self.pos] in
-    place, and each variable name and alias has its unit exponent tuple,
-    made once.
+    place, and each variable name and alias maps to its variable's
+    position, so a name's unit exponent tuple is made only where it is
+    read.
     """
 
     def __init__(self, tokens, arity, names, aliases=None):
         self.tokens = tokens + [_END]
         self.pos = 0
         self.arity = arity
-        # the exponents of the monomial 1, and of each variable
+        # the exponents of the monomial 1
         self.one = (0,) * arity
-        self.units = {n: self.one[:i] + (1,) + self.one[i + 1:]
-                      for i, n in enumerate(names)}
+        self.position = {n: i for i, n in enumerate(names)}
         if aliases:
             for alias, target in aliases.items():
-                if target not in self.units:
+                if target not in self.position:
                     raise InputError(
                         f"alias target {target!r} is not a variable name"
                     )
-                self.units[alias] = self.units[target]
+                self.position[alias] = self.position[target]
 
     def parse(self):
         terms = self.expr()
@@ -498,9 +498,11 @@ class _Parser:
                 c = int(val)
             return {self.one: c} if c else {}
         if kind == "name":
-            if val not in self.units:
+            i = self.position.get(val)
+            if i is None:
                 raise InputError(f"unknown variable {val!r}")
-            return {self.units[val]: 1}
+            one = self.one
+            return {one[:i] + (1,) + one[i + 1:]: 1}
         if val == "(":
             p = self.expr()
             if self.tokens[self.pos][1] != ")":

@@ -230,9 +230,8 @@ def _integer_row(f, diagram):
         )
     position = diagram._position
     scale = len(position)
-    denom = 1
-    for c in f.terms.values():
-        denom = lcm(denom, c.denominator)
+    # from a list: a generator here ran slower and raised peak memory
+    denom = lcm(*[c.denominator for c in f.terms.values()])
     row = {position[b]: c.numerator * (denom // c.denominator)
            for b, c in f.terms.items()}
     row[scale] = denom
@@ -244,19 +243,18 @@ def normal_form(f, diagram):
 
     The result has the same truncation degree as f, carries no staircase
     monomial, and differs from f by an element of the truncated ideal span.
-    The reduction runs on one integer row (see _integer_row): the span,
-    projected below degree t when f is truncated there, clears each
-    staircase term of f once, and only the final division by the row's
-    scale makes Fractions.
+    The reduction runs on one integer row (see _integer_row): the span's
+    own rows clear each staircase term of f once, and only the final
+    division by the row's scale makes Fractions.  As in residual_order, a
+    truncated f needs no projection: its pivots lie below the cut, no row
+    brings in another, and below the cut the terms are the projection's.
     """
     row, t, scale = _integer_row(f, diagram)
-    span = diagram.span
-    if t < diagram.trunc_degree:
-        span = span.project(index_count(diagram.arity, t))
-    span.reduce(row)
+    diagram.span.reduce(row)
     monomials = diagram._monomials
+    cut = index_count(diagram.arity, t)
     s = row.pop(scale)
-    terms = {monomials[j]: Fraction(v, s) for j, v in row.items()}
+    terms = {monomials[j]: Fraction(v, s) for j, v in row.items() if j < cut}
     return TruncatedSeries(f.arity, terms, t, _exact=True)
 
 

@@ -12,7 +12,9 @@ it was on dense rows, before it moved to sparse integer rows;
 dense_jet_matrix (with component_series) the jet build as it was before it
 grew one x-degree at a time, in dense rows;
 normal_form_by_fractions is the Fraction division pass staircase.normal_form
-ran before it reduced integer rows, and PolyArithmeticParser the parser as
+ran before it reduced integer rows, and normal_form_by_projection its
+integer reduction as it was before it read the diagram's own rows below a
+series' cut, through the projected span; PolyArithmeticParser the parser as
 it was when every literal, variable and power was a Poly; it reads the
 tokens of tokenize_by_match_loop, the tokenizer as it was before it read
 its text in one finditer pass.  random_series_by_randint is the product
@@ -51,9 +53,16 @@ import sympy
 
 from chevkit.censored import AtLeast
 from chevkit.errors import InputError
-from chevkit.indices import degree, dominates, indices_up_to, mono_key
+from chevkit.indices import (
+    degree,
+    dominates,
+    index_count,
+    indices_up_to,
+    mono_key,
+)
 from chevkit.linalg import Matrix, Subspace, staged_elimination
 from chevkit.poly import _TOKEN_RE, Poly, TruncatedSeries, var_names
+from chevkit.staircase import _integer_row
 from chevkit.wedge import _check_cap, _minor
 
 
@@ -907,6 +916,21 @@ def normal_form_by_fractions(f, diagram):
                 terms[b] = s
             else:
                 del terms[b]
+    return TruncatedSeries(f.arity, terms, t, _exact=True)
+
+
+def normal_form_by_projection(f, diagram):
+    """staircase.normal_form as it was before it read the diagram's own rows
+    below a series' cut: the span, projected below degree t when f is
+    truncated there, reduces the integer row."""
+    row, t, scale = _integer_row(f, diagram)
+    span = diagram.span
+    if t < diagram.trunc_degree:
+        span = span.project(index_count(diagram.arity, t))
+    span.reduce(row)
+    monomials = diagram._monomials
+    s = row.pop(scale)
+    terms = {monomials[j]: Fraction(v, s) for j, v in row.items()}
     return TruncatedSeries(f.arity, terms, t, _exact=True)
 
 

@@ -649,6 +649,63 @@ class TestProductVerb:
         assert "trials must be >= 1" in captured.err
 
 
+class TestRelationTargets:
+    """diagram, nu and product pick their tuple, and its relation ideal,
+    through one picker, so they refuse and accept alike."""
+
+    CUSP_MAP = {"name": "cusp", "m": 1, "n": 2,
+                "components": ["x^2", "x^3"]}
+
+    ARGV = {
+        "diagram": ["diagram"],
+        "nu": ["nu", "--poly", "y2^2"],
+        "product": ["product", "--trials", "20"],
+    }
+
+    def run(self, verb, path, *extra):
+        return main(self.ARGV[verb][:1] + ["--scenario", path]
+                    + self.ARGV[verb][1:] + list(extra))
+
+    @pytest.mark.parametrize("verb", sorted(ARGV))
+    def test_named_tuple_without_generators(self, verb, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "map": self.CUSP_MAP, "points": [[0], [1]],
+            "relations": {"0": ["y2^2 - y1^3"]},
+        })
+        assert self.run(verb, path, "--point=1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: tuple 1 has no relation"
+                                " generators in the scenario\n")
+
+    @pytest.mark.parametrize("verb", sorted(ARGV))
+    def test_scenario_without_generators(self, verb, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "map": self.CUSP_MAP, "points": [[0], [1]],
+        })
+        assert self.run(verb, path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: scenario supplies no relation"
+                                " generators\n")
+
+    def test_probes_validate_only_the_first_tuple(self, tmp_path, capsys):
+        # y1 does not vanish at tuple 1's image (1, 1): the probes stop at
+        # tuple 0, while diagram reads every tuple and refuses it
+        path = write_scenario(tmp_path, {
+            "map": self.CUSP_MAP, "points": [[0], [1]],
+            "relations": {"0": ["y2^2 - y1^3"], "1": ["y1"]},
+        })
+        out = tmp_path / "out.json"
+        for verb in ("nu", "product"):
+            assert self.run(verb, path, "--out", str(out)) == 0
+            assert json.loads(out.read_text())["tuple"] == "0"
+        capsys.readouterr()
+        assert self.run("diagram", path) == 2
+        assert "does not vanish at the image point" in \
+            capsys.readouterr().err
+
+
 class TestVerifyVerb:
     def test_identity_passes(self, capsys):
         code = main(["verify", "--scenario", IDENTITY])

@@ -89,6 +89,14 @@ class TestParse:
         with pytest.raises(InputError):
             parse_poly("z", 2)
 
+    def test_name_refusals_word_for_word(self):
+        with pytest.raises(InputError) as err:
+            parse_poly("x1 + z", 2, aliases={"x": "x1"})
+        assert str(err.value) == "unknown variable 'z'"
+        with pytest.raises(InputError) as err:
+            parse_poly("x", 2, aliases={"x": "x3"})
+        assert str(err.value) == "alias target 'x3' is not a variable name"
+
     def test_unbalanced_paren(self):
         with pytest.raises(InputError):
             parse_poly("(x1 + 1", 2)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,6 +82,22 @@ class TestParsing:
             "points": [[0]],
         })
         assert sc.phi.components[0].eval((Fraction(2),)) == Fraction(6)
+
+    def test_many_source_variables_parse_in_linear_memory(self):
+        # a parser builds a unit exponent tuple only for a name it reads,
+        # so memory grows linearly in m, not with one tuple per variable
+        tracemalloc.start()
+        try:
+            sc = parse_scenario({
+                "map": {"m": 4000, "n": 2, "components": ["x1", "x4000"]},
+            })
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        x1, x4000 = sc.phi.components
+        assert x1.terms == {(1,) + (0,) * 3999: 1}
+        assert x4000.terms == {(0,) * 3999 + (1,): 1}
 
     def test_k_range_shorthand(self):
         sc = parse_scenario({

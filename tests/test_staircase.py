@@ -205,6 +205,28 @@ def probe_inputs(draw, n, d):
     return TruncatedSeries(n, terms, t, _exact=True)
 
 
+@st.composite
+def centred_ideal_cases(draw):
+    """(presentation, truncation degree): one or two generators in 1 to 3
+    variables, each vanishing at a nonzero rational centre, truncated at or
+    up to two degrees past the largest generator."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*([st.integers(0, 3)] * n)).filter(
+        lambda b: 0 < sum(b) <= 3)
+    coeffs = st.fractions(min_value=-3, max_value=3,
+                          max_denominator=3).filter(bool)
+    center = draw(st.tuples(*([st.fractions(
+        min_value=-2, max_value=2, max_denominator=3)] * n)).filter(any))
+    gens = []
+    for terms in draw(st.lists(st.dictionaries(exps, coeffs, min_size=1,
+                                               max_size=3),
+                               min_size=1, max_size=2)):
+        g = Poly(n, terms)
+        gens.append(g - g.eval(center))
+    pres = IdealPresentation.make(gens, center)
+    return pres, pres.generator_degree + draw(st.integers(0, 2))
+
+
 class TestVertices:
     @given(ideal_cases())
     @settings(max_examples=80, deadline=None)
@@ -229,6 +251,27 @@ class TestIntegerNormalForm:
                 oracles.normal_form_by_fractions(f, diag)
             assert residual_order(f, diag) == \
                 oracles.residual_order_by_fractions(f, diag)
+
+    @given(centred_ideal_cases(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_own_rows_match_the_projected_span(self, case, data):
+        # below a series' cut the diagram's own rows do the projection's
+        # work: the same terms in the same order, at every cut t <= d
+        pres, d = case
+        diag = diagram_from_generators(pres, d)
+        coeffs = st.fractions(min_value=-3, max_value=3,
+                              max_denominator=4).filter(bool)
+        for t in range(d + 1):
+            exps = st.tuples(*([st.integers(0, t)] * pres.arity)).filter(
+                lambda b: sum(b) <= t)
+            f = TruncatedSeries(
+                pres.arity, data.draw(st.dictionaries(exps, coeffs,
+                                                      max_size=6)),
+                t, _exact=True)
+            nf = normal_form(f, diag)
+            ref = oracles.normal_form_by_projection(f, diag)
+            assert list(nf.terms.items()) == list(ref.terms.items())
+            assert nf.trunc_degree == ref.trunc_degree == t
 
     def test_non_monic_generator(self):
         # the pivot row of y2^2 is 2y2^2 - 3y1^3, so the scale matters
