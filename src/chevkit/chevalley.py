@@ -278,8 +278,12 @@ def _projects_to_zero(kernel, betas, k):
     """Whether the kernel vanishes on the coordinates of degree <= k.
 
     betas are sorted by degree, so those coordinates are a leading prefix.
+    A canonical row keeps its pivot entry under projection onto a prefix
+    that holds its pivot, and vanishes there otherwise, so the projection
+    is zero exactly when every pivot lies past the prefix.
     """
-    return kernel.project(sum(degree(b) <= k for b in betas)).is_zero()
+    cut = sum(degree(b) <= k for b in betas)
+    return all(p >= cut for p in kernel.rows)
 
 
 def diagram_threshold_test(phi, tup, k, l, diagram):

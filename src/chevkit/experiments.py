@@ -22,6 +22,7 @@ from .chevalley import (
 )
 from .errors import ConsistencyError, InputError, RelationsMismatchError
 from .indices import index_count
+from .linalg import Matrix
 from .poly import TruncatedSeries
 from .staircase import (
     diagram_from_generators,
@@ -544,7 +545,12 @@ def verify_consistency(scenario):
                          * math.comb(whole.nrows, r + 1))
                 if cells <= DENSE_CELL_CAP:
                     dense = membership_operator(whole, cut, r)
-                    _, dense_kernel = dense.rank_kernel()
+                    # equal primitive rows add nothing to rank or kernel;
+                    # each row's keys ascend, so its items name it
+                    distinct = {tuple(row.items()): row
+                                for row in dense.sparse_rows}
+                    _, dense_kernel = Matrix(
+                        list(distinct.values()), cut).rank_kernel()
                     dense_count += 1
                     if dense_kernel != staged:
                         details.append(

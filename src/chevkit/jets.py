@@ -432,13 +432,22 @@ class JetSystem:
 
         Vectors are sparse {index: nonzero int} dicts over the degree-<= k
         indices, such as a canonical Subspace's rows.  The test is the exact
-        product guard . v == 0 on the integer guard rows, over the vector's
-        nonzero entries only, so no subspace is built.  The kernels are
+        product guard . v == 0 on the integer guard rows, so no subspace is
+        built.  The guard rows are indexed by column once, and each
+        vector's products are summed only at the columns it shares with
+        them; the first nonzero product answers False.  The kernels are
         nested in l, so the answer at l is also the answer for every order
         from k to l together.
         """
-        rows = self._guard_rows(l, k)
-        return all(
-            not sum(row[i] * x for i, x in v.items() if i in row)
-            for v in vectors for row in rows
-        )
+        by_column = {}
+        for g, row in enumerate(self._guard_rows(l, k)):
+            for i, x in row.items():
+                by_column.setdefault(i, []).append((g, x))
+        for v in vectors:
+            products = {}
+            for i, x in v.items():
+                for g, y in by_column.get(i, ()):
+                    products[g] = products.get(g, 0) + x * y
+            if any(products.values()):
+                return False
+        return True

@@ -97,13 +97,13 @@ class Matrix:
     one column-range check, shared and never changed; staged_elimination
     and membership_operator check the cells.  Callers with dense or
     Fraction rows scale them to integers first.  No consumer divides cells
-    with /, which would make floats.
+    with /, which would make floats.  ncols is an int (not a bool) >= 0.
     """
 
     __slots__ = ("sparse_rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols):
-        if not isinstance(ncols, int) or ncols < 0:
+        if type(ncols) is not int or ncols < 0:
             raise InputError(f"column count {ncols!r} is not an int >= 0")
         rows = list(rows)
         for r in rows:
@@ -165,8 +165,8 @@ class Elimination:
 
     def kernel(self, stop=None):
         """Canonical kernel, in Q^stop, of the rows pivoting before stop
-        (default ncols); the first stop columns were the last stage, taken
-        highest first.
+        (default ncols, else an int, not a bool, in 0..ncols); the first
+        stop columns were the last stage, taken highest first.
 
         A row pivoting at c is then zero on every free column past c, so
         free column f's vector, L (the lcm of the pivots pv of the rows
@@ -176,7 +176,7 @@ class Elimination:
         """
         if stop is None:
             stop = self.ncols
-        elif not isinstance(stop, int) or not 0 <= stop <= self.ncols:
+        elif type(stop) is not int or not 0 <= stop <= self.ncols:
             raise InputError(f"kernel stop {stop!r} outside 0..{self.ncols}")
         hits = {}  # free column -> (pivot column, pivot, entry) of its rows
         for r, c in self.pivots:

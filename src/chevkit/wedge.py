@@ -8,17 +8,21 @@ image" into "does this matrix kill it", which composes with other maps.
 The dense operator has comb(e, r) * comb(f, r+1) rows and explodes quickly,
 so it is guarded by a cap.  membership_operator composes it with a second
 block without building it: each composed row is a signed sum of integer
-r x r minors times integer rows, and the rows that come out zero, most of
-them in practice, are dropped.  membership_kernel computes the same kernel
-by one staged elimination instead: eliminate B's columns first, and the rows
-left without a pivot among them are a row system with the identical kernel
-at any size, read off the same elimination.  Both take one sparse integer
-matrix and a column split cut: the kept block is its columns before cut and
-the absorbed block B its columns at and past cut.
+r x r minors times integer rows.  Only the nonzero minors are built, by
+Laplace expansion over the absorbed block's nonzeros in each column, and
+each adds only into the composed rows it reaches, so the rows that would
+come out zero, most of them in practice, are never made.
+membership_kernel computes the same kernel by one staged elimination
+instead: eliminate B's columns first, and the rows left without a pivot
+among them are a row system with the identical kernel at any size, read
+off the same elimination.  Both take one sparse integer matrix and a
+column split cut: the kept block is its columns before cut and the
+absorbed block B its columns at and past cut.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
@@ -35,36 +39,6 @@ from .linalg import (
 DEFAULT_WEDGE_CAP = 10**6
 
 
-def _minor(rows_of_b, row_set, col_set, memo):
-    """Determinant of a square minor of sparse rows, memoized by index sets.
-
-    Exact in whatever the cells are, ints or Fractions; the empty minor is 1.
-    """
-    key = (row_set, col_set)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    size = len(row_set)
-    if size == 0:
-        val = 1
-    elif size == 1:
-        val = rows_of_b[row_set[0]].get(col_set[0], 0)
-    else:
-        # expand along the first column; subminors repeat across the
-        # operator's rows, which is where the memo pays off
-        val = 0
-        rest = col_set[1:]
-        for pos, ri in enumerate(row_set):
-            c = rows_of_b[ri].get(col_set[0])
-            if not c:
-                continue
-            sub = row_set[:pos] + row_set[pos + 1:]
-            term = c * _minor(rows_of_b, sub, rest, memo)
-            val += term if pos % 2 == 0 else -term
-    memo[key] = val
-    return val
-
-
 def _check_cap(e, f, r):
     """Refuse an order-r wedge operator of an f x e block with more than
     DEFAULT_WEDGE_CAP rows, comb(e, r) * comb(f, r + 1).  The cap is read
@@ -78,8 +52,9 @@ def _check_cap(e, f, r):
 
 
 def _check_cut(matrix, cut):
-    """Refuse a column split that is not an int in 0..ncols."""
-    if not isinstance(cut, int) or not 0 <= cut <= matrix.ncols:
+    """Refuse a column split that is not an int (a bool included) in
+    0..ncols."""
+    if type(cut) is not int or not 0 <= cut <= matrix.ncols:
         raise InputError(f"column split {cut!r} outside 0..{matrix.ncols}")
 
 
@@ -89,7 +64,8 @@ def membership_operator(matrix, cut, r):
 
     The kept block is matrix's columns before cut, the absorbed block its
     columns at and past cut.  With r = rank(absorbed), a vector u is killed
-    exactly when kept . u lies in the column span of absorbed.
+    exactly when kept . u lies in the column span of absorbed.  r must be
+    an int (not a bool) >= 0.
 
     W, the order-r wedge operator of absorbed, is never built.  Its rows
     are indexed by (column r-subset J, row (r+1)-subset I), both in
@@ -100,52 +76,90 @@ def membership_operator(matrix, cut, r):
     prod_{i in I} d_i.  Rows in (J, I) order that are not zero are
     returned, each divided by its gcd, so kernel and rank are those of
     W @ kept.  The cap applies to W's full row count.
+
+    Only the nonzero minors are built.  The minors on columns J, one
+    {row r-subset R: minor} dict, come by Laplace expansion along J[0] from
+    the memoised minors of J[1:], through the absorbed block's nonzeros in
+    column J[0].  Each nonzero minor on R then adds into row I = R + {p}
+    for every p outside R with a nonzero kept row, signed by p's place in
+    I.
     """
     _check_cut(matrix, cut)
-    if r < 0:
-        raise InputError("wedge order must be >= 0")
+    if type(r) is not int or r < 0:
+        raise InputError(f"wedge order must be an int >= 0, got {r!r}")
     f, e = matrix.nrows, matrix.ncols - cut
     if r > e or r + 1 > f:
         # the source or target exterior power collapses to zero
         return Matrix([], ncols=cut)
     if r:
         _check_cap(e, f, r)
-    high, low = [], []
-    for row in matrix.sparse_rows:
+    # absorbed column -> its nonzeros as (row, value), rows ascending;
+    # kept row p -> its nonzeros as (column, value)
+    columns = [[] for _ in range(e)]
+    kept = []
+    for i, row in enumerate(matrix.sparse_rows):
         # a copy: the rows are the caller's and stay as they are
         _check_cells(row)
         row = dict(row)
         _primitive(row)
-        high.append({j - cut: v for j, v in row.items() if j >= cut})
-        # kept rows as (column, value) pairs; an all-zero row adds nothing
-        low.append([(j, v) for j, v in row.items() if j < cut])
-    # a minor on rows that include a zero row of absorbed vanishes: a row
-    # subset holding two such rows gives a zero row, and one holding just z
-    # keeps only the term p = z
-    zero = {i for i, row in enumerate(high) if not row}
-    memo = {}
+        for j, v in row.items():
+            if j >= cut and v:
+                columns[j - cut].append((i, v))
+        kept.append([(j, v) for j, v in row.items() if j < cut and v])
+    active = [p for p in range(f) if kept[p]]
+    # column suffix -> {row subset: nonzero minor}; the empty minor is 1
+    memo = {(): {(): 1}}
     rows = []
     for col_subset in combinations(range(e), r):
-        for row_subset in combinations(range(f), r + 1):
-            hit = [i for i in row_subset if i in zero]
-            if len(hit) > 1:
-                continue
-            acc = [0] * cut
-            for pos, p in enumerate(row_subset):
-                if not low[p] or hit and p != hit[0]:
+        # memoise the minors of col_subset's proper suffixes, shortest first
+        s = r
+        while s > 1 and col_subset[s - 1:] in memo:
+            s -= 1
+        for s in range(s - 1, 0, -1):
+            memo[col_subset[s:]] = _expand(columns[col_subset[s]],
+                                           memo[col_subset[s + 1:]])
+        minors = (_expand(columns[col_subset[0]], memo[col_subset[1:]])
+                  if r else memo[()])
+        acc = {}
+        for row_subset, minor in minors.items():
+            pos = 0
+            for p in active:
+                while pos < r and row_subset[pos] < p:
+                    pos += 1
+                if pos < r and row_subset[pos] == p:
                     continue
-                rest = row_subset[:pos] + row_subset[pos + 1:]
-                minor = _minor(high, rest, col_subset, memo)
-                if not minor:
-                    continue
-                if pos % 2:
-                    minor = -minor
-                for j, v in low[p]:
-                    acc[j] += minor * v
-            if any(acc):
-                g = gcd(*acc)
-                rows.append({j: v // g for j, v in enumerate(acc) if v})
+                term = -minor if pos % 2 else minor
+                key = row_subset[:pos] + (p,) + row_subset[pos:]
+                out = acc.get(key)
+                if out is None:
+                    acc[key] = out = {}
+                for j, v in kept[p]:
+                    out[j] = out.get(j, 0) + term * v
+        for key in sorted(acc):
+            out = {j: v for j, v in sorted(acc[key].items()) if v}
+            if out:
+                g = gcd(*out.values())
+                rows.append({j: v // g for j, v in out.items()})
     return Matrix(rows, ncols=cut)
+
+
+def _expand(column, minors):
+    """The nonzero minors on one more column, by Laplace expansion along it.
+
+    column is that column's nonzeros as (row, value), minors the nonzero
+    {row subset: minor} on the columns after it; the minor on R + {i} gains
+    value times the minor on R, signed by i's place in R + {i}.
+    """
+    out = {}
+    for row_subset, minor in minors.items():
+        for i, v in column:
+            pos = bisect_left(row_subset, i)
+            if pos < len(row_subset) and row_subset[pos] == i:
+                continue
+            key = row_subset[:pos] + (i,) + row_subset[pos:]
+            term = v * minor
+            out[key] = out.get(key, 0) + (-term if pos % 2 else term)
+    return {key: minor for key, minor in out.items() if minor}
 
 
 @dataclass(frozen=True)

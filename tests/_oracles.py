@@ -34,10 +34,14 @@ densely.
 rank_kernel_by_canonicalising and membership_kernel_by_residual are the
 kernel routes as they were before each read its canonical rows off one
 descending elimination: an ascending elimination, then a second one to
-canonicalise (and, for membership, a residual Matrix in between).  dense_basis,
-reduce_vector and contains_vector are the dense Fraction basis of a
-canonical Subspace and the membership test on it, as Subspace held them
-before it kept the elimination's primitive integer rows.  The
+canonicalise (and, for membership, a residual Matrix in between).
+membership_operator_by_subsets is the dense wedge route as it was before
+it built only the nonzero minors: every (column subset, row subset) pair
+visited, with _minor's memoised expansion; kernel_contains_by_pairs the
+climb's guard as it was before it indexed the guard rows by column.
+dense_basis, reduce_vector and contains_vector are the dense Fraction
+basis of a canonical Subspace and the membership test on it, as Subspace
+held them before it kept the elimination's primitive integer rows.  The
 helpers at the end (matrix products, the identity, subspace
 sums and meets, the dense wedge operator and its self-test, coefficient
 reads) were package functions that nothing in the package or the benchmark
@@ -60,10 +64,10 @@ from chevkit.indices import (
     indices_up_to,
     mono_key,
 )
-from chevkit.linalg import Matrix, Subspace, staged_elimination
+from chevkit.linalg import Matrix, Subspace, _primitive, staged_elimination
 from chevkit.poly import _TOKEN_RE, Poly, TruncatedSeries, var_names
 from chevkit.staircase import _integer_row
-from chevkit.wedge import _check_cap, _minor
+from chevkit.wedge import _check_cap
 
 
 def _to_sympy(q):
@@ -690,6 +694,36 @@ def column_span(b):
     return Subspace.from_vectors(integer_rows(transpose(b).rows), b.nrows)
 
 
+def _minor(rows_of_b, row_set, col_set, memo):
+    """Determinant of a square minor of sparse rows, memoized by index sets.
+
+    Exact in whatever the cells are, ints or Fractions; the empty minor is 1.
+    """
+    key = (row_set, col_set)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    size = len(row_set)
+    if size == 0:
+        val = 1
+    elif size == 1:
+        val = rows_of_b[row_set[0]].get(col_set[0], 0)
+    else:
+        # expand along the first column; subminors repeat across the
+        # operator's rows, which is where the memo pays off
+        val = 0
+        rest = col_set[1:]
+        for pos, ri in enumerate(row_set):
+            c = rows_of_b[ri].get(col_set[0])
+            if not c:
+                continue
+            sub = row_set[:pos] + row_set[pos + 1:]
+            term = c * _minor(rows_of_b, sub, rest, memo)
+            val += term if pos % 2 == 0 else -term
+    memo[key] = val
+    return val
+
+
 def wedge_operator(b, r):
     """The order-r wedge operator of b, as a DenseMatrix.
 
@@ -697,8 +731,9 @@ def wedge_operator(b, r):
     lexicographic order, J outermost.  The entry in column p is zero unless
     p is in I, and otherwise the signed r x r minor of b on rows I minus p
     and columns J.  Order 0 gives the identity.  The reference that
-    chevkit.wedge.membership_operator composes without building it; it
-    shares the package's minors and its cap.
+    chevkit.wedge.membership_operator composes without building it; its
+    minors are _minor's, one memoised expansion per (rows, columns) pair,
+    and only the cap is the package's.
     """
     if r < 0:
         raise InputError("wedge order must be >= 0")
@@ -721,6 +756,60 @@ def wedge_operator(b, r):
                     row[p] = minor if pos % 2 == 0 else -minor
             rows.append(row)
     return DenseMatrix(rows, f)
+
+
+def membership_operator_by_subsets(matrix, cut, r):
+    """chevkit.wedge.membership_operator as it was before it built only
+    the nonzero minors: every (column r-subset J, row (r+1)-subset I) pair
+    visited in order, each composed row the signed sum over p in I of
+    _minor(I minus p, J) times kept row p, zero rows dropped and the rest
+    divided by their gcd.  Valid input only: no cut, order or cap check."""
+    f, e = matrix.nrows, matrix.ncols - cut
+    if r > e or r + 1 > f:
+        return Matrix([], ncols=cut)
+    high, low = [], []
+    for row in matrix.sparse_rows:
+        row = dict(row)
+        _primitive(row)
+        high.append({j - cut: v for j, v in row.items() if j >= cut})
+        low.append([(j, v) for j, v in row.items() if j < cut])
+    # a minor on rows that include a zero row of absorbed vanishes: a row
+    # subset holding two such rows gives a zero row, and one holding just z
+    # keeps only the term p = z
+    zero = {i for i, row in enumerate(high) if not row}
+    memo = {}
+    rows = []
+    for col_subset in combinations(range(e), r):
+        for row_subset in combinations(range(f), r + 1):
+            hit = [i for i in row_subset if i in zero]
+            if len(hit) > 1:
+                continue
+            acc = [0] * cut
+            for pos, p in enumerate(row_subset):
+                if not low[p] or hit and p != hit[0]:
+                    continue
+                rest = row_subset[:pos] + row_subset[pos + 1:]
+                minor = _minor(high, rest, col_subset, memo)
+                if not minor:
+                    continue
+                if pos % 2:
+                    minor = -minor
+                for j, v in low[p]:
+                    acc[j] += minor * v
+            if any(acc):
+                g = gcd(*acc)
+                rows.append({j: v // g for j, v in enumerate(acc) if v})
+    return Matrix(rows, ncols=cut)
+
+
+def kernel_contains_by_pairs(rows, vectors):
+    """chevkit.jets.JetSystem.kernel_contains's test as it was before it
+    indexed the guard rows by column: every (guard row, vector) pair's
+    product summed entry by entry over the vector's nonzeros."""
+    return all(
+        not sum(row[i] * x for i, x in v.items() if i in row)
+        for v in vectors for row in rows
+    )
 
 
 def image_kernel_check(b):

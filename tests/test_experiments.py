@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as oracles
 import chevkit.chevalley as chevalley_module
+import chevkit.experiments as experiments_module
 from chevkit.censored import AtLeast
 from chevkit.chevalley import (
     HEURISTIC,
@@ -32,6 +33,7 @@ from chevkit.experiments import (
     verify_consistency,
 )
 from chevkit.jets import JetSystem, PolyMap
+from chevkit.linalg import Matrix
 from chevkit.poly import parse_poly
 from chevkit.scenario import (
     load_scenario,
@@ -426,6 +428,17 @@ class TestVerify:
         with pytest.raises(InputError, match="tuple 0: claimed relation"
                            " does not compose to zero"):
             verify_consistency(sc)
+
+    def test_dense_route_difference_is_reported(self, monkeypatch):
+        # the dense route ranks only distinct rows; an operator with no
+        # rows kills every vector, and the check still sees it differ
+        monkeypatch.setattr(experiments_module, "membership_operator",
+                            lambda matrix, cut, r: Matrix([], ncols=cut))
+        checks = {c.name: c for c in verify_consistency(small_cusp_scenario())}
+        check = checks.pop("membership-route-agreement")
+        assert not check.passed
+        assert "dense route differs" in check.detail
+        assert all(c.passed for c in checks.values())
 
     def test_each_route_reads_each_jet_matrix_once(self, monkeypatch):
         # the staircase route and kernel(l) cache what they take from

@@ -418,6 +418,37 @@ class TestKernels:
                            for below in range(k, l))
         assert sys.kernel_contains(l, k, sparse) == all(single)
 
+    @given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-3, 3)
+                                    .filter(bool), max_size=4), max_size=4),
+           st.lists(st.dictionaries(st.integers(0, 8), st.integers(-3, 3)
+                                    .filter(bool), max_size=4), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_contains_matches_the_pair_loop(self, guard, vectors):
+        # any guard rows, read through the column index, against the loop
+        # over every (guard row, vector) pair; vectors reach past the guard
+        tup = FibredTuple.make(cusp(), [(0,)])
+        sys = JetSystem(cusp(), tup)
+        sys._guard_rows = lambda l, k: guard
+        assert sys.kernel_contains(3, 1, vectors) == \
+            oracles.kernel_contains_by_pairs(guard, vectors)
+
+    @pytest.mark.parametrize("guard, vectors, inside", [
+        pytest.param([], [{0: 1}, {3: -2}], True, id="empty-guard"),
+        pytest.param([{0: 1, 1: 2}], [{2: 5, 4: 1}], True,
+                     id="off-every-guard-column"),
+        pytest.param([{0: 1, 1: 2}, {1: 1, 2: -1}], [{0: 2, 1: -1, 2: -1}],
+                     True, id="products-cancel"),
+        pytest.param([{0: 1, 1: 2}, {1: 1, 2: -1}],
+                     [{0: 2, 1: -1}, {1: 1}], False, id="one-survives"),
+        pytest.param([{0: 1}], [], True, id="no-vectors"),
+    ])
+    def test_kernel_contains_named_cases(self, guard, vectors, inside):
+        tup = FibredTuple.make(cusp(), [(0,)])
+        sys = JetSystem(cusp(), tup)
+        sys._guard_rows = lambda l, k: guard
+        assert sys.kernel_contains(3, 1, vectors) == inside == \
+            oracles.kernel_contains_by_pairs(guard, vectors)
+
     def test_projection_degree_bound(self):
         tup = FibredTuple.make(squaring(), [(0,)])
         with pytest.raises(InputError):

@@ -146,6 +146,8 @@ class TestMatrix:
         pytest.param([{2: 1}], 2, id="sparse-at-ncols"),
         pytest.param([{0: 1, 5: 1}], 2, id="sparse-above-ncols"),
         pytest.param([{0: 1}], None, id="sparse-no-ncols"),
+        pytest.param([{0: 1}], True, id="bool-ncols"),
+        pytest.param([], False, id="bool-ncols-no-rows"),
     ])
     def test_input_checks(self, rows, ncols):
         with pytest.raises(InputError):
@@ -508,10 +510,10 @@ class TestDenseOracleParity:
             Subspace.from_vectors([{-1: 1}], 2)
 
     def test_kernel_stop_must_be_a_column_count(self):
-        # a stop past ncols used to answer a kernel in a larger space, and
-        # a negative one a Q^-1
+        # a stop past ncols used to answer a kernel in a larger space, a
+        # negative one a Q^-1 and a bool a Q^True
         elim = staged_elimination([{0: 1}], 1, [range(0, -1, -1)])
-        for stop in (3, 2, -1, 0.5, 1.0, "1"):
+        for stop in (3, 2, -1, 0.5, 1.0, "1", True, False):
             with pytest.raises(InputError, match="kernel stop"):
                 elim.kernel(stop)
         assert elim.kernel(1) == elim.kernel() == Subspace.from_vectors(

@@ -193,6 +193,26 @@ class TestMembershipOperator:
         with pytest.raises(InputError):
             membership_operator(Matrix([{0: 1, 1: 1}], 2), 1, -1)
 
+    @pytest.mark.parametrize("r", [1.5, "1", True, False])
+    def test_order_must_be_an_int(self, r):
+        # a float, a str or a bool is refused as a negative order is,
+        # not read as the int it stands for
+        matrix = Matrix([{0: 1, 1: 1}, {0: 2, 1: 1}], 2)
+        with pytest.raises(InputError) as err:
+            membership_operator(matrix, 1, r)
+        assert str(err.value) == f"wedge order must be an int >= 0, got {r!r}"
+
+    def test_minors_carry_their_signs(self):
+        # absorbed [[1, 2], [3, 4], [5, 6]] has the 2x2 minors m01 = -2,
+        # m02 = -4 and m12 = -2 on its row pairs; kept is the identity, so
+        # the one composed row is (m12, -m02, m01) = 2 * (-1, 2, -1)
+        matrix = Matrix([{0: 1, 3: 1, 4: 2}, {1: 1, 3: 3, 4: 4},
+                         {2: 1, 3: 5, 4: 6}], 5)
+        op = membership_operator(matrix, 3, 2)
+        assert op.sparse_rows == [{0: -1, 1: 2, 2: -1}]
+        assert op.sparse_rows == \
+            oracles.membership_operator_by_subsets(matrix, 3, 2).sparse_rows
+
 
 class TestMembership:
     def test_routes_agree_small(self):
@@ -239,7 +259,7 @@ class TestMembership:
 
     def test_cut_outside_the_columns_rejected(self):
         matrix = Matrix([{0: 1}, {1: 2, 2: 1}], 3)
-        for cut in (-1, 4, 10, 1.5):
+        for cut in (-1, 4, 10, 1.5, "1", True, False):
             with pytest.raises(InputError) as by_kernel:
                 membership_kernel(matrix, cut)
             with pytest.raises(InputError) as by_operator:
@@ -319,6 +339,27 @@ def joined_blocks(draw):
             kept.ncols + absorbed.ncols)
         return Matrix(joined.sparse_rows, joined.ncols), kept.ncols
     return oracles.integer_blocks(kept, absorbed)
+
+
+class TestNonzeroMinors:
+    """membership_operator builds only the nonzero minors; the loop over
+    every (column subset, row subset) pair that it replaced must give the
+    same rows, in the same order, with the same key order."""
+
+    @given(joined_blocks(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_subset_loop(self, blocks, data):
+        # orders 0, rank and rank + 1, and any order up to one past the
+        # absorbed width, where the exterior powers collapse
+        matrix, cut = blocks
+        rank = membership_kernel(matrix, cut).absorbed_rank
+        r = data.draw(st.sampled_from([0, rank, rank + 1])
+                      | st.integers(0, matrix.ncols - cut + 1))
+        got = membership_operator(matrix, cut, r)
+        want = oracles.membership_operator_by_subsets(matrix, cut, r)
+        assert (got.ncols, got.sparse_rows) == (want.ncols, want.sparse_rows)
+        assert [list(row) for row in got.sparse_rows] == \
+            [list(row) for row in want.sparse_rows]
 
 
 class TestOneEliminationMembership:
