@@ -398,6 +398,15 @@ def sample_leaf_chevalley(phi, leaf, ks, seed=0, l_max=12, window=3,
     The draw of LEAF_TRIALS parameter points depends on the seed and the
     leaf alone, so one engine per point serves every k.  A draw at which
     two points collide, off the generic stratum, is skipped.
+
+    A draw's profile is read at every order up to its threshold and written
+    past it: where its row at k is VERIFIED with a finite l, every l' > l
+    has codimension rj.codim, with no jet of order l' built.  This is
+    exact.  The validated generators compose to zero, so the relation jets
+    T_k lie in Kp(l', k); the projected kernels are nested, so Kp(l', k)
+    lies in Kp(l, k); and Kp(l, k) = T_k.  Each draw's echelon is thus
+    built only to its largest threshold.  STABILIZED and INCONCLUSIVE rows,
+    and censored VERIFIED ones, are still read at every order to l_max.
     """
     leaf.validate(phi)
     rng = random.Random(seed)
@@ -433,7 +442,11 @@ def sample_leaf_chevalley(phi, leaf, ks, seed=0, l_max=12, window=3,
         samples = []
         for t, engine in drawn:
             rj = engine.relation_jets(k)
-            profile = {l: engine.jets.quotient_dim(l, k) for l in orders}
+            # past a certified threshold the codimension is the target's
+            top = (rj.l_value if rj.status == VERIFIED
+                   and not is_censored(rj.l_value) else l_max)
+            profile = {l: engine.jets.quotient_dim(l, k) if l <= top
+                       else rj.codim for l in orders}
             samples.append((t, rj.l_value, profile))
 
         finite = [lv for _, lv, _ in samples if not is_censored(lv)]

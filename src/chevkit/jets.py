@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import accumulate, repeat
 from math import lcm
 from operator import add
 
@@ -305,6 +307,12 @@ def jet_matrix(phi, tup, l):
     return JetMatrix(phi, tup).grow(l)
 
 
+def _check_block(l, k):
+    """Refuse a block degree k outside 0..l, before anything is built."""
+    if not 0 <= k <= l:
+        raise InputError(f"block degree {k} outside 0..{l}")
+
+
 class JetSystem:
     """Jet analyses of one map at one fibred tuple, read off one echelon.
 
@@ -318,11 +326,24 @@ class JetSystem:
     Entry (p, alpha; beta) is zero whenever |alpha| < |beta|, so J_{l+1} is
     J_l, padded with zero columns of degree l + 1, plus the rows of x-degree
     l + 1.  The system keeps one row echelon over the staged column order:
-    highest degree first, ascending within a degree.  Reaching order l + 1
-    reduces the new rows against the existing pivot rows in that order and
-    pivots what is left with one staged_elimination.  A row never changes
-    once made and is zero before its pivot in the staged order, so the
-    order-l echelon is the rows made through order l, and of those:
+    highest degree first, ascending within a degree, the order of the keys
+    (-degree, column).  A row never changes once made and is zero before
+    its pivot in the staged order.  Reaching order l + 1 costs only what
+    the new rows touch:
+
+    - the new rows are reduced through one heap of the pivot columns they
+      meet, popped in staged order, each reducing the rows it is still in;
+      a reduction queues the pivot columns it brings in, and as a pivot row
+      is zero before its pivot, these all come later.  So each row meets
+      the same pivot rows in the same order as a scan of the whole echelon,
+      and ends zero on every old pivot column;
+    - the reduced rows are then pivoted by one staged_elimination over only
+      the columns they reach, renumbered in staged order as a single
+      stage.  A reduction never leaves the union of its rows' supports, so
+      a column that no row reaches could take no pivot, and the pivots and
+      rows are those of an elimination over every column, stage by stage.
+
+    So the order-l echelon is the rows made through order l, and of those:
 
     - rank J_l is their number;
     - quotient_dim(l, k) is the number pivoting at degree <= k, as the
@@ -341,9 +362,14 @@ class JetSystem:
         self.tup = tup
         self._build = None
         # (pivot degree, pivot column, sparse row) in the order the rows
-        # were made; _ends[l] is the number made through order l
+        # were made; _counts[l][k] is the number made through order l that
+        # pivot at degree <= k, so _counts[l][l] is the number made
         self._echelon = []
-        self._ends = []
+        self._counts = []
+        # the pivot rows by pivot column, and per column of the orders
+        # reached its staged key (-degree, column)
+        self._pivot_rows = {}
+        self._keys = []
         self._kernels = {}
         self._blocks = {}
 
@@ -355,40 +381,67 @@ class JetSystem:
 
     def _extend(self):
         """Append the pivot rows of the next order to the echelon."""
-        l = len(self._ends)
+        l = len(self._counts)
+        made = len(self._echelon)
         n = self.phi.target_arity
-        ncols = index_count(n, l)
+        keys = self._keys
+        keys.extend(zip(repeat(-l), range(len(keys), index_count(n, l))))
+        pivot_rows = self._pivot_rows
         # copies, as _reduce works in place; the rows keep their positive
         # t_p^|alpha| scales, but _reduce and staged_elimination both leave
         # rows primitive, so the pivot rows come out the same
         batch = [dict(row) for row in self._build.layer(l)]
-        for _, c, prow in sorted(self._echelon, key=lambda e: (-e[0], e[1])):
-            for row in batch:
-                if c in row:
-                    _reduce(row, prow, c)
-        stages = [range(index_count(n, d - 1), index_count(n, d))
-                  for d in range(l, -1, -1)]
-        elim = staged_elimination(batch, ncols, stages)
-        for r, c in elim.pivots:
-            # a pivot's degree is that of its column's stage
-            d = next(l - i for i, stage in enumerate(stages) if c in stage)
-            self._echelon.append((d, c, elim.sparse_rows[r]))
-        self._ends.append(len(self._echelon))
+        # the pivot columns the new rows meet, popped in staged order, each
+        # reducing the rows it is still in; a pivot row is zero before its
+        # pivot, so a reduction brings in only later pivot columns, queued
+        # as they come
+        queued = {c for row in batch for c in row if c in pivot_rows}
+        heap = [keys[c] for c in queued]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)[1]
+            prow = pivot_rows[c]
+            hits = [row for row in batch if c in row]
+            for row in hits:
+                _reduce(row, prow, c)
+            if hits:
+                for j in prow:
+                    if j in pivot_rows and j not in queued:
+                        queued.add(j)
+                        heappush(heap, keys[j])
+        # a reduction stays in the union of its rows' supports, so the
+        # columns no reduced row reaches never take a pivot: one stage over
+        # the reached columns, in staged order, takes the same pivots
+        cols = sorted(set().union(*batch), key=keys.__getitem__)
+        pos = {c: i for i, c in enumerate(cols)}
+        elim = staged_elimination(
+            [{pos[c]: v for c, v in row.items()} for row in batch],
+            len(cols), [range(len(cols))])
+        tally = [0] * (l + 1)
+        for r, i in elim.pivots:
+            c = cols[i]
+            d = -keys[c][0]
+            tally[d] += 1
+            row = {cols[j]: v for j, v in elim.sparse_rows[r].items()}
+            pivot_rows[c] = row
+            self._echelon.append((d, c, row))
+        # every row made before this order pivots at degree < l
+        below = (self._counts[-1] if l else []) + [made]
+        self._counts.append([a + b for a, b in zip(below, accumulate(tally))])
 
     def analysis(self, l):
         """Extend the echelon through order l; return rank J_l, the number
         of its rows made through order l."""
         self._grow(l)
-        while len(self._ends) <= l:
+        while len(self._counts) <= l:
             self._extend()
-        return self._ends[l]
+        return self._counts[l][l]
 
     def _guard_rows(self, l, k):
         """The sparse order-l echelon rows pivoting at degree <= k: they
         vanish on every column of degree > k, so they are already cut to
         the degree-<= k columns.  k is checked before anything is built."""
-        if not 0 <= k <= l:
-            raise InputError(f"block degree {k} outside 0..{l}")
+        _check_block(l, k)
         return [row for d, _, row in self._echelon[:self.analysis(l)]
                 if d <= k]
 
@@ -423,9 +476,12 @@ class JetSystem:
     def quotient_dim(self, l, k):
         """Codimension of the projected kernel in the degree-<= k jet space.
 
-        The number of guard rows; no subspace is built.
+        The number of guard rows, counted once per order as its rows are
+        made; no row list or subspace is built.
         """
-        return len(self._guard_rows(l, k))
+        _check_block(l, k)
+        self.analysis(l)
+        return self._counts[l][k]
 
     def kernel_contains(self, l, k, vectors):
         """Whether the projected kernel at (l, k) holds every vector.

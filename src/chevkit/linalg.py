@@ -29,6 +29,12 @@ from math import gcd, lcm
 from .errors import InputError
 
 
+def _check_count(n, what):
+    """Refuse a count that is not an int (a bool, float or str) >= 0."""
+    if type(n) is not int or n < 0:
+        raise InputError(f"{what} {n!r} is not an int >= 0")
+
+
 def _check_row(row, ncols):
     """Refuse a row that is not a sparse {column: value} dict over the
     columns 0..ncols-1; its cells are not looked at."""
@@ -103,8 +109,7 @@ class Matrix:
     __slots__ = ("sparse_rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols):
-        if type(ncols) is not int or ncols < 0:
-            raise InputError(f"column count {ncols!r} is not an int >= 0")
+        _check_count(ncols, "column count")
         rows = list(rows)
         for r in rows:
             _check_row(r, ncols)
@@ -213,8 +218,10 @@ def staged_elimination(rows, ncols, col_stages):
     recombine such rows among themselves.
 
     Each column's pivot is the row of smallest |value| there, the lowest
-    row index on a tie, and every row ends primitive.
+    row index on a tie, and every row ends primitive.  ncols is an int (not
+    a bool) >= 0.
     """
+    _check_count(ncols, "column count")
     work = []
     for r in rows:
         _check_row(r, ncols)
@@ -274,7 +281,9 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim):
-        """Canonical span of sparse {coordinate: nonzero int} vectors."""
+        """Canonical span of sparse {coordinate: nonzero int} vectors in
+        Q^ambient_dim, ambient_dim an int (not a bool) >= 0."""
+        _check_count(ambient_dim, "ambient dimension")
         # one ascending stage takes the pivots in column order and clears
         # every pivot column outside its pivot row; the finished rows are
         # primitive, so only a negative pivot's sign is left to fix
@@ -341,10 +350,11 @@ class Subspace:
         It is read off the rows: rows pivoting at or past n vanish there,
         and the rest, cut to length n and made primitive again, are still
         reduced echelon rows with positive pivots, so they are canonical.
+        n is an int (not a bool) in 0..ambient_dim.
         """
-        if not 0 <= n <= self.ambient_dim:
+        if type(n) is not int or not 0 <= n <= self.ambient_dim:
             raise InputError(
-                f"projection onto {n} coordinates out of range for"
+                f"projection onto {n!r} coordinates out of range for"
                 f" Q^{self.ambient_dim}"
             )
         kept = {}

@@ -38,7 +38,9 @@ canonicalise (and, for membership, a residual Matrix in between).
 membership_operator_by_subsets is the dense wedge route as it was before
 it built only the nonzero minors: every (column subset, row subset) pair
 visited, with _minor's memoised expansion; kernel_contains_by_pairs the
-climb's guard as it was before it indexed the guard rows by column.
+climb's guard as it was before it indexed the guard rows by column, and
+echelon_by_scans the jet echelon as JetSystem built it before it reduced
+each new row through a heap of the pivot columns it meets.
 dense_basis, reduce_vector and contains_vector are the dense Fraction
 basis of a canonical Subspace and the membership test on it, as Subspace
 held them before it kept the elimination's primitive integer rows.  The
@@ -64,7 +66,14 @@ from chevkit.indices import (
     indices_up_to,
     mono_key,
 )
-from chevkit.linalg import Matrix, Subspace, _primitive, staged_elimination
+from chevkit.jets import jet_matrix
+from chevkit.linalg import (
+    Matrix,
+    Subspace,
+    _primitive,
+    _reduce,
+    staged_elimination,
+)
 from chevkit.poly import _TOKEN_RE, Poly, TruncatedSeries, var_names
 from chevkit.staircase import _integer_row
 from chevkit.wedge import _check_cap
@@ -810,6 +819,31 @@ def kernel_contains_by_pairs(rows, vectors):
         not sum(row[i] * x for i, x in v.items() if i in row)
         for v in vectors for row in rows
     )
+
+
+def echelon_by_scans(phi, tup, l):
+    """(echelon, ends) of chevkit.jets.JetSystem through order l, built by
+    its _extend as it was before it reduced through a heap of the pivot
+    columns each row meets: every order re-sorts the whole echelon into
+    staged order, tests every pivot row against every new row, and then
+    eliminates over all the order's columns, stage by stage."""
+    build = jet_matrix(phi, tup, l)
+    n = phi.target_arity
+    echelon, ends = [], []
+    for d in range(l + 1):
+        batch = [dict(row) for row in build.layer(d)]
+        for _, c, prow in sorted(echelon, key=lambda e: (-e[0], e[1])):
+            for row in batch:
+                if c in row:
+                    _reduce(row, prow, c)
+        stages = [range(index_count(n, e - 1), index_count(n, e))
+                  for e in range(d, -1, -1)]
+        elim = staged_elimination(batch, index_count(n, d), stages)
+        for r, c in elim.pivots:
+            e = next(d - i for i, stage in enumerate(stages) if c in stage)
+            echelon.append((e, c, elim.sparse_rows[r]))
+        ends.append(len(echelon))
+    return echelon, ends
 
 
 def image_kernel_check(b):

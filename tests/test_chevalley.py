@@ -605,6 +605,10 @@ def pair_leaf():
     return Leaf.make("pair", ["t"], [[pe("t")], [pe("-t")]])
 
 
+def point_leaf():
+    return Leaf.make("point", ["t"], [[parse_poly("t", 1, names=["t"])]])
+
+
 def pair_scenario(k, l_max, seed, **extra):
     """squaring() with pair_leaf() and no tuples: a table of leaf rows."""
     return parse_scenario({
@@ -677,6 +681,60 @@ class TestLeaves:
             k=1, l_max=8, seed=0, relations={"leaf:pair": []})).entries
         assert (entry.status, entry.l_value) == (HEURISTIC, samp.l_generic)
         assert samp.l_generic == 1
+
+    @pytest.mark.parametrize("phi, leaf, relations, ks, l_max", [
+        (squaring(), pair_leaf(), [], [1, 2, 3], 9),
+        (squaring(), pair_leaf(), None, [1, 2, 3], 9),
+        (squaring(), pair_leaf(), None, [3, 1, 4], 6),
+        (cusp(), point_leaf(), [parse_poly("y1^3 - y2^2", 2, names=Y2)],
+         [1, 2, 4], 10),
+        (cusp(), point_leaf(), [parse_poly("y1^3 - y2^2", 2, names=Y2)],
+         [4], 5),
+        (cusp(), point_leaf(), None, [2, 1], 7),
+        (cusp(), point_leaf(), None, [3], 6),
+    ])
+    @pytest.mark.parametrize("seed", [0, 2, 5])
+    def test_profiles_match_every_order(self, phi, leaf, relations, ks,
+                                        l_max, seed):
+        # past a certified threshold the profile is written, not read: it
+        # must equal a fresh engine's codimension at every order
+        samples = sample_leaf_chevalley(phi, leaf, ks, seed=seed,
+                                        l_max=l_max, relations=relations)
+        for samp, k in zip(samples, ks):
+            want = []
+            for t, _, _ in samp.samples:
+                engine = ChevalleyEngine(phi, leaf.tuple_at(phi, t),
+                                         relations=relations, l_max=l_max)
+                rj = engine.relation_jets(k)
+                want.append((t, rj.l_value, {
+                    l: engine.jets.quotient_dim(l, k)
+                    for l in range(k, l_max + 1)}))
+            assert list(samp.samples) == want
+            assert samp.rank_profile == {
+                l: max(prof[l] for _, _, prof in want)
+                for l in range(k, l_max + 1)}
+
+    @pytest.mark.parametrize("relations, top", [([], 3), (None, 9)])
+    def test_draws_stop_at_their_largest_threshold(self, relations, top,
+                                                    monkeypatch):
+        # with [] every draw is VERIFIED at l = k, so its echelon stops at
+        # max(ks) = 3; a heuristic draw reads its profile through l_max
+        engines = []
+        init = ChevalleyEngine.__init__
+
+        def keeping(self, *args, **kwargs):
+            engines.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChevalleyEngine, "__init__", keeping)
+        samples = sample_leaf_chevalley(squaring(), pair_leaf(), [1, 2, 3],
+                                        seed=0, l_max=9, relations=relations)
+        assert [lv for samp in samples for _, lv, _ in samp.samples] == \
+            [k for k in (1, 2, 3) for _ in range(LEAF_TRIALS)]
+        assert len(engines) == LEAF_TRIALS
+        for engine in engines:
+            assert len(engine.jets._counts) == top + 1
+            assert engine.jets._build.level == top
 
     @pytest.mark.parametrize("ks", [[], [1], [1, 2, 3], [3, 1, 3]])
     @pytest.mark.parametrize("relations", [None, []])

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _oracles as oracles
 import chevkit.jets
@@ -763,9 +763,55 @@ def _random_tuples(draw):
     return phi, [tuple(draw(coord) for _ in range(phi.source_arity))]
 
 
+@st.composite
+def _random_fibred_maps(draw):
+    """(map, points): 1-3 distinct rational points in m <= 2 source
+    variables, and n <= 3 components, each a small random polynomial times,
+    when there are several points, a product of one random linear form
+    vanishing at each point, so that every point maps to 0."""
+    m = draw(st.integers(1, 2))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    points = draw(st.lists(st.tuples(*[coord] * m), min_size=1, max_size=3,
+                           unique=True))
+    coeff = st.fractions(min_value=-3, max_value=3,
+                         max_denominator=4).filter(bool)
+    exps = st.tuples(*[st.integers(0, 2)] * m)
+    unit = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        comp = Poly(m, draw(st.dictionaries(exps, coeff, min_size=1,
+                                            max_size=3)))
+        if len(points) > 1:
+            for point in points:
+                # x_j - a_j for a random nonempty set of coordinates j
+                js = draw(st.sets(st.integers(0, m - 1), min_size=1))
+                comp = comp * Poly(m, {(0,) * m: -sum(point[j] for j in js),
+                                       **{unit[j]: 1 for j in js}})
+        comps.append(comp)
+    return PolyMap("random", comps, source_arity=m), points
+
+
 class TestEchelon:
     """The append-only echelon: every (l, k) read off its order-l prefix
     equals a fresh staged elimination of the order-l jet matrix."""
+
+    @given(_random_fibred_maps(), st.integers(0, 6))
+    # a fold where a reduction brings in a later pivot column that no new
+    # row had
+    @example((PolyMap("fold", [parse_poly("x2 + x1^3", 2),
+                                parse_poly("x2^2 + x1^2 x2", 2)]),
+              [(0, 0)]), 5)
+    @settings(max_examples=60, deadline=None)
+    def test_heap_reduction_keeps_the_scanned_echelon(self, case, top):
+        # the same pivots, rows and key order, order by order, as the
+        # echelon built by re-sorting and scanning every pivot row
+        phi, points = case
+        tup = FibredTuple.make(phi, points)
+        system = JetSystem(phi, tup)
+        echelon, ends = oracles.echelon_by_scans(phi, tup, top)
+        assert [system.analysis(l) for l in range(top + 1)] == ends
+        assert [(d, c, list(row.items())) for d, c, row in system._echelon] \
+            == [(d, c, list(row.items())) for d, c, row in echelon]
 
     @given(_random_tuples(), st.permutations(range(6)))
     @settings(max_examples=25, deadline=None)

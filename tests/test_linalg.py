@@ -193,7 +193,8 @@ class TestSubspace:
         assert p == Subspace.from_vectors([{0: 1, 1: 2}], 2)
         assert s.project(3) == s
         assert s.project(0).ambient_dim == 0 and s.project(0).is_zero()
-        for n in (-1, 4):
+        # a bool or a float used to pass, giving a Subspace of Q^True
+        for n in (-1, 4, True, False, 1.0, "1", None):
             with pytest.raises(InputError, match="out of range"):
                 s.project(n)
 
@@ -238,6 +239,11 @@ class TestSubspace:
                      [[1, 2]]):
             with pytest.raises(InputError):
                 Subspace.from_vectors(vecs, 2)
+        # so is an ambient dimension that is not an int, as a bool or a
+        # float used to pass, giving a Subspace of Q^True
+        for n in (True, False, 2.0, "2", -1, None):
+            with pytest.raises(InputError, match="ambient dimension"):
+                Subspace.from_vectors([{0: 1}], n)
         s = Subspace.from_vectors(O.integer_rows(
             [[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]]), 2)
         assert O.dense_basis(s) == [[Fraction(1), Fraction(2)]]
@@ -365,6 +371,13 @@ class TestStagedElimination:
     def test_stages_must_partition_columns(self):
         with pytest.raises(InputError, match="partition"):
             staged_elimination([{0: 1, 1: 2}], 2, [[0], [0, 1]])
+
+    @pytest.mark.parametrize("ncols", [True, False, 1.0, "1", -1, None])
+    def test_column_count_must_be_an_int(self, ncols):
+        # staged_elimination([{0: 2}], True, [range(1)]) used to return an
+        # Elimination with ncols True
+        with pytest.raises(InputError, match="column count"):
+            staged_elimination([{0: 2}], ncols, [range(1)])
 
     @pytest.mark.parametrize("rows", [
         [{0: "1/2"}], [["1/2", 0]], [{1: 1.5}], [[1, 1.5]],
