@@ -25,7 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .censored import AtLeast, is_censored
-from .errors import ConsistencyError, InputError, RelationsMismatchError
+from .errors import (
+    ConsistencyError,
+    InputError,
+    RelationsMismatchError,
+    check_int,
+)
 from .indices import degree, index_count, indices_up_to
 from .jets import FibredTuple, JetSystem, jet_matrix
 from .staircase import (
@@ -98,7 +103,6 @@ class ChevalleyEntry:
     l_value: object
     h_value: int
     status: str
-    l_stab: object
 
 
 class ChevalleyEngine:
@@ -111,12 +115,8 @@ class ChevalleyEngine:
     """
 
     def __init__(self, phi, tup, relations=None, l_max=12, window=3):
-        # bool is an int subclass; True would run as 1
-        if type(l_max) is not int or l_max < 0:
-            raise InputError(f"l_max must be an int >= 0, got {l_max!r}")
-        if type(window) is not int or window < 1:
-            raise InputError(
-                f"stabilization window must be an int >= 1, got {window!r}")
+        check_int(l_max, "l_max")
+        check_int(window, "stabilization window", 1)
         self.phi = phi
         self.tup = tup
         self.l_max = l_max
@@ -188,10 +188,7 @@ class ChevalleyEngine:
         reported.  Without relations the chain is STABILIZED at the first
         full window of equal codimensions.
         """
-        if k < 0:
-            raise InputError("k must be >= 0")
-        if k > self.l_max:
-            raise InputError(f"k={k} exceeds l_max={self.l_max}")
+        check_int(k, "degree k", 0, self.l_max)
         target = None
         if self.presentation is not None:
             target = self.relation_space(k)
@@ -254,12 +251,8 @@ class ChevalleyEngine:
         through the staircase-restricted jet matrix (independent route).
         The engine's staircase is exact only through l_max, so a larger l
         is refused, as relation_jets refuses k > l_max."""
-        if k < 0:
-            raise InputError("k must be >= 0")
-        if k > l:
-            raise InputError(f"degree {k} exceeds jet order {l}")
-        if l > self.l_max:
-            raise InputError(f"jet order {l} exceeds l_max={self.l_max}")
+        check_int(l, "jet order l", 0, self.l_max)
+        check_int(k, "degree k", 0, l)
         return _projects_to_zero(*self._diagram_kernel(l), k)
 
 
@@ -299,10 +292,8 @@ def diagram_threshold_test(phi, tup, k, l, diagram):
             f"staircase arity {diagram.arity} does not match target arity"
             f" {phi.target_arity}"
         )
-    if k < 0:
-        raise InputError("k must be >= 0")
-    if k > l:
-        raise InputError(f"degree {k} exceeds jet order {l}")
+    check_int(l, "jet order l")
+    check_int(k, "degree k", 0, l)
     if diagram.trunc_degree < l:
         raise InputError(
             f"staircase is only exact through degree {diagram.trunc_degree},"
@@ -393,7 +384,7 @@ def sample_leaf_chevalley(phi, leaf, ks, seed=0, l_max=12, window=3,
     """Estimate the generic threshold for each degree k in ks along a leaf
     by sampling rational parameter points; one LeafSample per k, in order.
     Results are heuristic: membership of a sample in the generic stratum is
-    not certified.
+    not certified.  Every k is checked against 0..l_max before any draw.
 
     The draw of LEAF_TRIALS parameter points depends on the seed and the
     leaf alone, so one engine per point serves every k.  A draw at which
@@ -408,6 +399,10 @@ def sample_leaf_chevalley(phi, leaf, ks, seed=0, l_max=12, window=3,
     built only to its largest threshold.  STABILIZED and INCONCLUSIVE rows,
     and censored VERIFIED ones, are still read at every order to l_max.
     """
+    ks = tuple(ks)  # read three times: checked, its max, then per k
+    check_int(l_max, "l_max")
+    for k in ks:
+        check_int(k, "degree k", 0, l_max)
     leaf.validate(phi)
     rng = random.Random(seed)
     drawn = []

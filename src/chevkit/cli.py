@@ -173,8 +173,12 @@ _COLUMNS = ("map", "tuple", "k", "l", "H", "status", "l_stab")
 
 
 def _entry_values(e):
+    """A row's column values; l_stab is its uncensored l_value, None on a
+    HEURISTIC or censored row."""
+    stab = (None if e.status == HEURISTIC or is_censored(e.l_value)
+            else e.l_value)
     return (e.map_name, e.tuple_id, e.k, e.l_value, e.h_value, e.status,
-            e.l_stab)
+            stab)
 
 
 def _entry_rows(entries):

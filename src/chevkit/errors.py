@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check that
+refuses an order, degree or count it cannot use."""
 
 
 class ChevkitError(Exception):
@@ -24,3 +25,13 @@ class RelationsMismatchError(ChevkitError):
 
 class ConsistencyError(ChevkitError):
     """Two certified computation routes disagree."""
+
+
+def check_int(value, what, low=0, high=None):
+    """Refuse an order, degree or count that is not an int in low..high
+    (no upper end when high is None): a bool, float or str is refused, as
+    True would run as 1 and 2.0 fails later as an index."""
+    if type(value) is not int or value < low or (
+            high is not None and value > high):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise InputError(f"{what} must be an int {span}, got {value!r}")

@@ -20,7 +20,12 @@ from .chevalley import (
     VERIFIED,
     sample_leaf_chevalley,
 )
-from .errors import ConsistencyError, InputError, RelationsMismatchError
+from .errors import (
+    ConsistencyError,
+    InputError,
+    RelationsMismatchError,
+    check_int,
+)
 from .indices import index_count
 from .linalg import Matrix
 from .poly import TruncatedSeries
@@ -97,7 +102,6 @@ def run_table(scenario):
             map_name=phi.name, tuple_id=key, k=k,
             l_value=rj.l_value, h_value=rj.codim,
             status=rj.status,
-            l_stab=None if is_censored(rj.l_value) else rj.l_value,
         )
         for key, _, _, rows in _climb_tuples(scenario, k_max)
         for k, rj in rows.items()
@@ -114,7 +118,7 @@ def run_table(scenario):
             ChevalleyEntry(
                 map_name=phi.name, tuple_id="leaf:" + leaf.name, k=s.k,
                 l_value=s.l_generic, h_value=s.rank_profile[scenario.l_max],
-                status=HEURISTIC, l_stab=None,
+                status=HEURISTIC,
             )
             for s in samples
         )
@@ -278,10 +282,8 @@ def product_order_probe(presentation, trials=200, seed=0, trunc=8):
     """Sample random F, G in the coordinates centered at the presentation's
     center and compare order(FG) against order(F) + order(G).  Triples with
     any censored order are excluded and counted."""
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    if trunc < 2:
-        raise InputError("product probe needs truncation degree >= 2")
+    check_int(trials, "trials", 1)
+    check_int(trunc, "product probe truncation degree", 2)
     diagram = diagram_from_generators(presentation, trunc)
     rng = random.Random(seed)
     arity = presentation.arity

@@ -34,11 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from math import lcm
 from operator import add
 
-from .errors import InputError
+from .errors import InputError, check_int
 from .indices import degree, index_count, indices_of_degree, indices_up_to
 from .linalg import Matrix, _reduce, staged_elimination
 
@@ -214,22 +214,17 @@ class JetMatrix:
     def grow(self, l):
         """Raise the order to l, making each order's rows once; an order
         already reached is left as it is.  l must be an int (not a bool)."""
-        if type(l) is not int or l < 0:
-            raise InputError(f"jet order must be an int >= 0, got {l!r}")
+        check_int(l, "jet order")
         while len(self._layers) <= l:
             self._add_order()
         self.level = max(self.level, l)
         return self
 
-    def _check_order(self, d):
-        if not 0 <= d <= self.level:
-            raise InputError(f"jet order {d} outside 0..{self.level}")
-
     def layer(self, d):
         """The sparse rows of x-degree d, point by point, as {column: int}
         over the columns of degree <= d.  They are the build's own rows: a
         caller that changes one copies it first."""
-        self._check_order(d)
+        check_int(d, "jet order", 0, self.level)
         return [row for rows in self._layers[d] for row in rows]
 
     @property
@@ -264,7 +259,7 @@ class JetMatrix:
         x-degree <= l, point by point, as one Matrix over the columns of
         degree <= l, with no row copied.  At l = level it has the same ranks
         and kernels as matrix."""
-        self._check_order(l)
+        check_int(l, "jet order", 0, self.level)
         return Matrix([row for p in range(self._size)
                        for layer in self._layers[:l + 1] for row in layer[p]],
                       ncols=index_count(self._arity[1], l))
@@ -305,12 +300,6 @@ def jet_matrix(phi, tup, l):
     one homogeneous part at a time.
     """
     return JetMatrix(phi, tup).grow(l)
-
-
-def _check_block(l, k):
-    """Refuse a block degree k outside 0..l, before anything is built."""
-    if not 0 <= k <= l:
-        raise InputError(f"block degree {k} outside 0..{l}")
 
 
 class JetSystem:
@@ -361,15 +350,13 @@ class JetSystem:
         self.phi = phi
         self.tup = tup
         self._build = None
-        # (pivot degree, pivot column, sparse row) in the order the rows
-        # were made; _counts[l][k] is the number made through order l that
+        # the pivot rows by pivot column, in the order they were made, and
+        # per column of the orders reached its staged key (-degree, column);
+        # _counts[l][k] is the number of rows made through order l that
         # pivot at degree <= k, so _counts[l][l] is the number made
-        self._echelon = []
-        self._counts = []
-        # the pivot rows by pivot column, and per column of the orders
-        # reached its staged key (-degree, column)
         self._pivot_rows = {}
         self._keys = []
+        self._counts = []
         self._kernels = {}
         self._blocks = {}
 
@@ -382,7 +369,7 @@ class JetSystem:
     def _extend(self):
         """Append the pivot rows of the next order to the echelon."""
         l = len(self._counts)
-        made = len(self._echelon)
+        made = len(self._pivot_rows)
         n = self.phi.target_arity
         keys = self._keys
         keys.extend(zip(repeat(-l), range(len(keys), index_count(n, l))))
@@ -420,11 +407,9 @@ class JetSystem:
         tally = [0] * (l + 1)
         for r, i in elim.pivots:
             c = cols[i]
-            d = -keys[c][0]
-            tally[d] += 1
-            row = {cols[j]: v for j, v in elim.sparse_rows[r].items()}
-            pivot_rows[c] = row
-            self._echelon.append((d, c, row))
+            tally[-keys[c][0]] += 1
+            pivot_rows[c] = {cols[j]: v
+                             for j, v in elim.sparse_rows[r].items()}
         # every row made before this order pivots at degree < l
         below = (self._counts[-1] if l else []) + [made]
         self._counts.append([a + b for a, b in zip(below, accumulate(tally))])
@@ -440,10 +425,11 @@ class JetSystem:
     def _guard_rows(self, l, k):
         """The sparse order-l echelon rows pivoting at degree <= k: they
         vanish on every column of degree > k, so they are already cut to
-        the degree-<= k columns.  k is checked before anything is built."""
-        _check_block(l, k)
-        return [row for d, _, row in self._echelon[:self.analysis(l)]
-                if d <= k]
+        the degree-<= k columns."""
+        keys = self._keys
+        return [row for c, row in islice(self._pivot_rows.items(),
+                                         self.analysis(l))
+                if -keys[c][0] <= k]
 
     def jet(self, l):
         """The order-l jet matrix, one integer Matrix over the build's
@@ -467,6 +453,8 @@ class JetSystem:
         u is in it exactly when (low block)u lies in the column span of the
         high block.
         """
+        check_int(l, "jet order")
+        check_int(k, "block degree", 0, l)
         if (l, k) not in self._blocks:
             cut = index_count(self.phi.target_arity, k)
             residual = Matrix(self._guard_rows(l, k), ncols=cut)
@@ -479,7 +467,8 @@ class JetSystem:
         The number of guard rows, counted once per order as its rows are
         made; no row list or subspace is built.
         """
-        _check_block(l, k)
+        check_int(l, "jet order")
+        check_int(k, "block degree", 0, l)
         self.analysis(l)
         return self._counts[l][k]
 
@@ -495,6 +484,8 @@ class JetSystem:
         nested in l, so the answer at l is also the answer for every order
         from k to l together.
         """
+        check_int(l, "jet order")
+        check_int(k, "block degree", 0, l)
         by_column = {}
         for g, row in enumerate(self._guard_rows(l, k)):
             for i, x in row.items():

@@ -26,13 +26,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .errors import InputError
-
-
-def _check_count(n, what):
-    """Refuse a count that is not an int (a bool, float or str) >= 0."""
-    if type(n) is not int or n < 0:
-        raise InputError(f"{what} {n!r} is not an int >= 0")
+from .errors import InputError, check_int
 
 
 def _check_row(row, ncols):
@@ -109,7 +103,7 @@ class Matrix:
     __slots__ = ("sparse_rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols):
-        _check_count(ncols, "column count")
+        check_int(ncols, "column count")
         rows = list(rows)
         for r in rows:
             _check_row(r, ncols)
@@ -181,8 +175,7 @@ class Elimination:
         """
         if stop is None:
             stop = self.ncols
-        elif type(stop) is not int or not 0 <= stop <= self.ncols:
-            raise InputError(f"kernel stop {stop!r} outside 0..{self.ncols}")
+        check_int(stop, "kernel stop", 0, self.ncols)
         hits = {}  # free column -> (pivot column, pivot, entry) of its rows
         for r, c in self.pivots:
             if c < stop:
@@ -221,7 +214,7 @@ def staged_elimination(rows, ncols, col_stages):
     row index on a tie, and every row ends primitive.  ncols is an int (not
     a bool) >= 0.
     """
-    _check_count(ncols, "column count")
+    check_int(ncols, "column count")
     work = []
     for r in rows:
         _check_row(r, ncols)
@@ -283,7 +276,7 @@ class Subspace:
     def from_vectors(cls, vectors, ambient_dim):
         """Canonical span of sparse {coordinate: nonzero int} vectors in
         Q^ambient_dim, ambient_dim an int (not a bool) >= 0."""
-        _check_count(ambient_dim, "ambient dimension")
+        check_int(ambient_dim, "ambient dimension")
         # one ascending stage takes the pivots in column order and clears
         # every pivot column outside its pivot row; the finished rows are
         # primitive, so only a negative pivot's sign is left to fix
@@ -352,11 +345,7 @@ class Subspace:
         reduced echelon rows with positive pivots, so they are canonical.
         n is an int (not a bool) in 0..ambient_dim.
         """
-        if type(n) is not int or not 0 <= n <= self.ambient_dim:
-            raise InputError(
-                f"projection onto {n!r} coordinates out of range for"
-                f" Q^{self.ambient_dim}"
-            )
+        check_int(n, "projection dimension", 0, self.ambient_dim)
         kept = {}
         for p, row in self.rows.items():
             if p < n:

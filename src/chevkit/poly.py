@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, prod
 from operator import add, sub
 
-from .errors import InputError
+from .errors import InputError, check_int
 from .indices import degree, index_add, mono_key
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -289,6 +289,7 @@ class Poly:
 
     def truncate(self, d):
         """Drop all terms of degree > d, returning a TruncatedSeries."""
+        check_int(d, "truncation degree")
         kept = {b: c for b, c in self.terms.items() if degree(b) <= d}
         return TruncatedSeries(self.arity, kept, d, _exact=True)
 
@@ -311,8 +312,7 @@ class TruncatedSeries:
     __slots__ = ("arity", "terms", "trunc_degree")
 
     def __init__(self, arity, terms, trunc_degree, _exact=False):
-        if trunc_degree < 0:
-            raise InputError(f"truncation degree must be >= 0, got {trunc_degree}")
+        check_int(trunc_degree, "truncation degree")
         if not _exact:
             # Poly checks the exponents and makes the coefficients Fractions
             terms = Poly(arity, terms).terms
@@ -358,9 +358,6 @@ class TruncatedSeries:
         d = self._common_degree(other)
         terms = _mul_terms(self.terms, other.terms, d)
         return TruncatedSeries(self.arity, terms, d, _exact=True)
-
-    def to_poly(self):
-        return Poly(self.arity, self.terms)
 
     def __repr__(self):
         return f"TruncatedSeries({format_poly(self)}, trunc={self.trunc_degree})"

@@ -20,7 +20,7 @@ from functools import cached_property
 from math import lcm
 
 from .censored import AtLeast, censor
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, check_int
 from .indices import (
     degree,
     dominates,
@@ -145,8 +145,8 @@ class Diagram:
 
 
 def _check_staircase_closure(pivot_set, arity, d):
-    # the pivot set must be closed upward within degree <= d, and the
-    # minimal elements must be pairwise incomparable
+    # the pivot set must be closed upward within degree <= d; the minimal
+    # elements' incomparability is checked by diagram_from_generators
     for p in pivot_set:
         if degree(p) >= d:
             continue
@@ -167,8 +167,7 @@ def diagram_from_generators(presentation, d):
     truncations of ideal elements.
     """
     arity = presentation.arity
-    if d < 0:
-        raise InputError("truncation degree must be >= 0")
+    check_int(d, "truncation degree")
     if d < presentation.generator_degree:
         raise InputError(
             f"truncation degree {d} is below a generator degree"
@@ -292,11 +291,7 @@ def hilbert_samuel_count(diagram, k):
     This is the dimension of the degree-<= k jet space modulo the ideal's
     jets (the Hilbert-Samuel function).
     """
-    if k > diagram.trunc_degree:
-        raise InputError(
-            f"count at degree {k} exceeds diagram truncation"
-            f" {diagram.trunc_degree}"
-        )
+    check_int(k, "degree k", 0, diagram.trunc_degree)
     if not diagram.vertices:
         return index_count(diagram.arity, k)
     return sum(
@@ -316,6 +311,7 @@ def ideal_jet_space(presentation, k):
     sparse integer rows: each generator is scaled once, by the lcm of its
     coefficients' denominators, which leaves the span as it is.
     """
+    check_int(k, "degree k")
     monomials = indices_up_to(presentation.arity, k)
     position = {b: i for i, b in enumerate(monomials)}
     vectors = []

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
 
-from .errors import InputError, WedgeCapError
+from .errors import WedgeCapError, check_int
 from .linalg import (
     Matrix,
     Subspace,
@@ -49,13 +49,6 @@ def _check_cap(e, f, r):
             f"wedge target needs {cells} rows x {f} cols, over the cap"
             f" {DEFAULT_WEDGE_CAP}; use membership_kernel for large blocks"
         )
-
-
-def _check_cut(matrix, cut):
-    """Refuse a column split that is not an int (a bool included) in
-    0..ncols."""
-    if type(cut) is not int or not 0 <= cut <= matrix.ncols:
-        raise InputError(f"column split {cut!r} outside 0..{matrix.ncols}")
 
 
 def membership_operator(matrix, cut, r):
@@ -84,9 +77,8 @@ def membership_operator(matrix, cut, r):
     for every p outside R with a nonzero kept row, signed by p's place in
     I.
     """
-    _check_cut(matrix, cut)
-    if type(r) is not int or r < 0:
-        raise InputError(f"wedge order must be an int >= 0, got {r!r}")
+    check_int(cut, "column split", 0, matrix.ncols)
+    check_int(r, "wedge order")
     f, e = matrix.nrows, matrix.ncols - cut
     if r > e or r + 1 > f:
         # the source or target exterior power collapses to zero
@@ -186,7 +178,7 @@ def membership_kernel(matrix, cut):
     kept . u is a combination of absorbed's columns; the kernel over the
     first cut columns is read off them.
     """
-    _check_cut(matrix, cut)
+    check_int(cut, "column split", 0, matrix.ncols)
     ncols = matrix.ncols
     elim = staged_elimination(
         matrix.sparse_rows, ncols,

@@ -44,10 +44,11 @@ each new row through a heap of the pivot columns it meets.
 dense_basis, reduce_vector and contains_vector are the dense Fraction
 basis of a canonical Subspace and the membership test on it, as Subspace
 held them before it kept the elimination's primitive integer rows.  The
-helpers at the end (matrix products, the identity, subspace
-sums and meets, the dense wedge operator and its self-test, coefficient
-reads) were package functions that nothing in the package or the benchmark
-called; tests build inputs and references with them.
+helpers at the end (matrix products, the identity, subspace sums and
+meets, the dense wedge operator and its self-test, coefficient reads, a
+series' terms as a Poly) were package functions that nothing in the
+package or the benchmark called; tests build inputs and references with
+them.
 """
 
 import json
@@ -903,6 +904,11 @@ def staircase_vertices_by_domination(diagram):
          if not any(q != p and dominates(p, q) for q in pivots)),
         key=mono_key,
     ))
+
+
+def to_poly(s):
+    """A TruncatedSeries' terms as a Poly."""
+    return Poly(s.arity, s.terms)
 
 
 def initial_exponent(f):

@@ -646,7 +646,7 @@ class TestProductVerb:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "trials must be >= 1" in captured.err
+        assert f"trials must be an int >= 1, got {trials}" in captured.err
 
 
 class TestRelationTargets:

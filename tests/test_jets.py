@@ -267,7 +267,8 @@ class TestGrownBuild:
         with pytest.raises(InputError):
             jm.layer(5)
         for l in (5, -1):
-            with pytest.raises(InputError, match=f"jet order {l} outside"):
+            with pytest.raises(InputError, match=re.escape(
+                    f"jet order must be an int in 0..4, got {l}")):
                 jm.integer_matrix(l)
 
     @pytest.mark.parametrize("l", [2.5, True, "3", -1])
@@ -472,8 +473,8 @@ class TestKernels:
         sys = JetSystem(cusp(), tup)
         for k in (-3, -1, l + 1, l + 10):
             for vectors in ([], [{0: 1}]):
-                with pytest.raises(InputError,
-                                   match=f"block degree {k} outside 0..{l}"):
+                with pytest.raises(InputError, match=re.escape(
+                        f"block degree must be an int in 0..{l}, got {k}")):
                     sys.kernel_contains(l, k, vectors)
 
     def test_degree_refused_before_the_build(self):
@@ -484,7 +485,7 @@ class TestKernels:
                      lambda sys, k: sys.kernel_contains(40, k, [])):
             for k in (-1, 41):
                 sys = JetSystem(cusp(), tup)
-                with pytest.raises(InputError, match="outside 0..40"):
+                with pytest.raises(InputError, match=r"in 0\.\.40, got"):
                     read(sys, k)
                 assert sys._build is None
 
@@ -810,7 +811,8 @@ class TestEchelon:
         system = JetSystem(phi, tup)
         echelon, ends = oracles.echelon_by_scans(phi, tup, top)
         assert [system.analysis(l) for l in range(top + 1)] == ends
-        assert [(d, c, list(row.items())) for d, c, row in system._echelon] \
+        assert [(-system._keys[c][0], c, list(row.items()))
+                for c, row in system._pivot_rows.items()] \
             == [(d, c, list(row.items())) for d, c, row in echelon]
 
     @given(_random_tuples(), st.permutations(range(6)))

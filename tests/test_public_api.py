@@ -74,7 +74,7 @@ REMOVED_ATTRIBUTES = [
     (linalg.Matrix, "rows"), (jets.JetMatrix, "rows"),
     (linalg, "_integer_row"), (experiments, "OrderProbe"),
     (jets, "jet_blocks"), (jets.JetMatrix, "prefix"),
-    (jets.JetSystem, "_prefix"),
+    (jets.JetSystem, "_prefix"), (TruncatedSeries, "to_poly"),
 ]
 
 
@@ -98,9 +98,9 @@ def test_result_records_carry_no_unread_fields():
     # no echo of an input (a probe's center, point, image, truncation,
     # trials or seed, a climb's k), no field that always holds one module
     # constant (every leaf row is HEURISTIC over LEAF_TRIALS draws), no
-    # field another one determines (a climb's l_stab is its uncensored
-    # l_value), and no count that the kernel already gives (residual rank
-    # = ncols - kernel.dim)
+    # field another one determines (a row's l_stab column is read off its
+    # status and l_value), and no count that the kernel already gives
+    # (residual rank = ncols - kernel.dim)
     def names(record):
         return [f.name for f in dataclasses.fields(record)]
 
@@ -112,8 +112,7 @@ def test_result_records_carry_no_unread_fields():
     assert names(chevalley.RelationJets) == [
         "status", "l_value", "chain", "target", "codim"]
     assert names(chevalley.ChevalleyEntry) == [
-        "map_name", "tuple_id", "k", "l_value", "h_value", "status",
-        "l_stab"]
+        "map_name", "tuple_id", "k", "l_value", "h_value", "status"]
     assert names(experiments.ProductProbe) == [
         "triples", "excluded", "envelope"]
     assert names(experiments.GrowthReport) == [

@@ -119,11 +119,11 @@ class TestNormalForm:
             assert residual_order(f, cusp_diagram) == order
             if nf_text is not None:
                 nf = normal_form(f, cusp_diagram)
-                assert nf.to_poly() == parse_poly(nf_text, 2, names=Y)
+                assert oracles.to_poly(nf) == parse_poly(nf_text, 2, names=Y)
 
     def test_generator_reduces_to_zero_and_is_censored(self, cusp_diagram):
         g = parse_poly("y1^3 - y2^2", 2, names=Y)
-        assert normal_form(g, cusp_diagram).to_poly().is_zero()
+        assert oracles.to_poly(normal_form(g, cusp_diagram)).is_zero()
         assert residual_order(g, cusp_diagram) == AtLeast(8)
 
     def test_order_censored_at_truncation(self, cusp_diagram):
@@ -156,7 +156,7 @@ class TestNormalForm:
         for e1, e2, c in raw:
             f = f + oracles.monomial((e1, e2), c)
         nf = normal_form(f, diag)
-        again = normal_form(nf.to_poly(), diag)
+        again = normal_form(oracles.to_poly(nf), diag)
         assert again == nf
         double = normal_form(f + f, diag)
         assert double == nf + nf
@@ -165,7 +165,7 @@ class TestNormalForm:
         for text in ("y2^2", "y1 y2^2", "y1^2 + y2^3", "y2^2 - y1^2"):
             f = parse_poly(text, 2, names=Y)
             nf = normal_form(f, cusp_diagram)
-            if not nf.to_poly().is_zero():
+            if not oracles.to_poly(nf).is_zero():
                 assert nf.order() >= f.order()
 
 
@@ -279,7 +279,7 @@ class TestIntegerNormalForm:
             [parse_poly("2y2^2 - 3y1^3", 2, names=Y)], (0, 0))
         diag = diagram_from_generators(pres, 6)
         f = parse_poly("1/5 y2^2 + y1 y2^2 - 7", 2, names=Y)
-        assert normal_form(f, diag).to_poly() == \
+        assert oracles.to_poly(normal_form(f, diag)) == \
             parse_poly("-7 + 3/10 y1^3 + 3/2 y1^4", 2, names=Y)
         assert residual_order(f, diag) == 0
         assert residual_order(f + 7, diag) == 3

@@ -265,7 +265,7 @@ class TestMembership:
             with pytest.raises(InputError) as by_operator:
                 membership_operator(matrix, cut, 1)
             assert str(by_operator.value) == str(by_kernel.value) == \
-                f"column split {cut!r} outside 0..3"
+                f"column split must be an int in 0..3, got {cut!r}"
 
     @given(matrix_strategy(max_dim=4))
     @settings(max_examples=30, deadline=None)
