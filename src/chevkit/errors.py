@@ -29,9 +29,11 @@ class ConsistencyError(ChevkitError):
 
 def check_int(value, what, low=0, high=None):
     """Refuse an order, degree or count that is not an int in low..high
-    (no upper end when high is None): a bool, float or str is refused, as
-    True would run as 1 and 2.0 fails later as an index."""
-    if type(value) is not int or value < low or (
+    (no lower end when low is None, no upper end when high is None): a
+    bool, float or str is refused, as True would run as 1 and 2.0 fails
+    later as an index."""
+    if type(value) is not int or (low is not None and value < low) or (
             high is not None and value > high):
-        span = f">= {low}" if high is None else f"in {low}..{high}"
-        raise InputError(f"{what} must be an int {span}, got {value!r}")
+        span = ("" if low is None else f" >= {low}" if high is None
+                else f" in {low}..{high}")
+        raise InputError(f"{what} must be an int{span}, got {value!r}")

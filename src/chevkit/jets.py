@@ -24,15 +24,20 @@ the rows of x-degree d, and those are the degree-d homogeneous parts of the
 powers: H_d(phi^beta) = sum_e H_{d-e}(phi^parent) H_e(phi_j), where beta is
 parent + e_j.  A JetMatrix keeps every power as its homogeneous parts and
 grows in place, making each order's sparse rows once, and reads order l
-off its rows through x-degree l.  JetSystem makes one build per fibred
-tuple, grows it to every order asked, and keeps one append-only row echelon
-whose rows through order l are the order-l echelon.
+off its rows through x-degree l.  What an order needs besides the powers
+depends only on the arities and the degree: the parent step of each new
+column (_column_steps) and the row position of each source exponent
+(_row_positions).  Both are tables cached per (arity, degree) and shared
+by every build.  JetSystem makes one build per fibred tuple, grows it to
+every order asked, and keeps one append-only row echelon whose rows
+through order l are the order-l echelon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, islice, repeat
 from math import lcm
@@ -40,7 +45,7 @@ from operator import add
 
 from .errors import InputError, check_int
 from .indices import degree, index_count, indices_of_degree, indices_up_to
-from .linalg import Matrix, _reduce, staged_elimination
+from .linalg import Matrix, _combine, staged_elimination
 
 
 class PolyMap:
@@ -142,8 +147,8 @@ class JetMatrix:
             scales.append(t)
             self._comps.append(comps)
         self.scales = tuple(scales)
-        # per column beta, (parent column, j) with beta = parent + e_j, j
-        # its first nonzero coordinate; None for beta = 0
+        # per column beta, its step from the shared _column_steps tables:
+        # (parent column, j) with beta = parent + e_j, None for beta = 0
         self._steps = []
         # per point and column, phi^beta as (lo, hi, parts): its nonzero
         # homogeneous parts {degree: term dict}, all of degree lo..hi, or
@@ -158,21 +163,12 @@ class JetMatrix:
         power phi^beta, from the parts of lower degree already made."""
         m, n = self._arity
         d = len(self._layers)
-        new = index_count(n, d) - index_count(n, d - 1)
-        if d == 0:
-            self._steps.append(None)
-        else:
-            base = index_count(n, d - 2)
-            pos = {b: base + i
-                   for i, b in enumerate(indices_of_degree(n, d - 1))}
-            for beta in indices_of_degree(n, d):
-                j = next(i for i, e in enumerate(beta) if e)
-                parent = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
-                self._steps.append((pos[parent], j))
-        alpha_pos = {a: i for i, a in enumerate(indices_of_degree(m, d))}
+        new = _column_steps(n, d)
+        self._steps.extend(new)
+        alpha_pos = _row_positions(m, d)
         layer = []
         for comps, powers in zip(self._comps, self._powers):
-            for step in self._steps[-new:]:
+            for step in new:
                 if step is None:
                     powers.append((0, 0, {0: {(0,) * m: 1}}))
                 elif powers[step[0]] is None or not comps[step[1]]:
@@ -265,6 +261,32 @@ class JetMatrix:
                       ncols=index_count(self._arity[1], l))
 
 
+@lru_cache(maxsize=None)
+def _column_steps(n, d):
+    """The (parent column, j) step of each target column of degree d, in
+    column order: beta = parent + e_j, with j the first nonzero coordinate
+    of beta, so the parent has degree d - 1; (None,) at d = 0.  Built once
+    per (n, d) and shared by every build of target arity n."""
+    if d == 0:
+        return (None,)
+    base = index_count(n, d - 2)
+    pos = {b: base + i for i, b in enumerate(indices_of_degree(n, d - 1))}
+    steps = []
+    for beta in indices_of_degree(n, d):
+        j = next(i for i, e in enumerate(beta) if e)
+        steps.append((pos[beta[:j] + (beta[j] - 1,) + beta[j + 1:]], j))
+    return tuple(steps)
+
+
+@lru_cache(maxsize=None)
+def _row_positions(m, d):
+    """{alpha: position} over the source exponents of degree d, in the
+    shared order: the row of alpha within a point's layer of x-degree d.
+    Built once per (m, d) and shared by every build of source arity m; a
+    build only reads it."""
+    return {a: i for i, a in enumerate(indices_of_degree(m, d))}
+
+
 def _integer_components(phi, point):
     """(t, comps): the image-centered components at one source point,
     shifted once and kept whole, with x -> t x, t the least common
@@ -325,12 +347,15 @@ class JetSystem:
       a reduction queues the pivot columns it brings in, and as a pivot row
       is zero before its pivot, these all come later.  So each row meets
       the same pivot rows in the same order as a scan of the whole echelon,
-      and ends zero on every old pivot column;
+      and ends zero on every old pivot column.  The heap phase leaves each
+      row the content its reductions make (linalg._combine), a positive
+      integer factor with no effect on the support;
     - the reduced rows are then pivoted by one staged_elimination over only
       the columns they reach, renumbered in staged order as a single
-      stage.  A reduction never leaves the union of its rows' supports, so
-      a column that no row reaches could take no pivot, and the pivots and
-      rows are those of an elimination over every column, stage by stage.
+      stage, which divides the content out on entry.  A reduction never
+      leaves the union of its rows' supports, so a column that no row
+      reaches could take no pivot, and the pivots and rows are those of an
+      elimination over every column, stage by stage.
 
     So the order-l echelon is the rows made through order l, and of those:
 
@@ -374,9 +399,12 @@ class JetSystem:
         keys = self._keys
         keys.extend(zip(repeat(-l), range(len(keys), index_count(n, l))))
         pivot_rows = self._pivot_rows
-        # copies, as _reduce works in place; the rows keep their positive
-        # t_p^|alpha| scales, but _reduce and staged_elimination both leave
-        # rows primitive, so the pivot rows come out the same
+        # copies, as _combine works in place.  The rows keep their positive
+        # t_p^|alpha| scales, and the heap phase leaves them the content its
+        # reductions make: each stays a positive integer multiple of the
+        # primitive row, with the same support, so it meets the same pivot
+        # columns.  staged_elimination divides the content out on entry, so
+        # the pivot rows come out the same
         batch = [dict(row) for row in self._build.layer(l)]
         # the pivot columns the new rows meet, popped in staged order, each
         # reducing the rows it is still in; a pivot row is zero before its
@@ -390,7 +418,7 @@ class JetSystem:
             prow = pivot_rows[c]
             hits = [row for row in batch if c in row]
             for row in hits:
-                _reduce(row, prow, c)
+                _combine(row, prow, c)
             if hits:
                 for j in prow:
                     if j in pivot_rows and j not in queued:

@@ -59,13 +59,15 @@ def _primitive(row):
             row[j] //= g
 
 
-def _reduce(row, prow, c):
-    """Clear column c of the sparse row against the pivot row prow, in place.
+def _combine(row, prow, c):
+    """Clear column c of the sparse row against the pivot row prow, in place,
+    leaving its content: with pv = prow[c], f = row[c] and
+    g = gcd(pv, f), row <- (pv/g)·row − (f/g)·prow.
 
-    With pv = prow[c], f = row[c] and g = gcd(pv, f), row <- (pv/g)·row −
-    (f/g)·prow, then divided by its gcd: the same primitive row as
-    pv·row − f·prow, as g > 0 keeps the sign.  The subtraction touches only
-    prow's support.
+    The subtraction touches only prow's support.  If row is s times a row
+    r, s a positive integer, the result is a positive integer multiple of
+    the one r gives, with the same support: g divides s·gcd(pv, r[c]).  So
+    a caller that makes its rows primitive later gets the rows of _reduce.
     """
     pv, f = prow[c], row[c]
     g = gcd(pv, f)
@@ -79,6 +81,14 @@ def _reduce(row, prow, c):
             row[j] = s
         else:
             del row[j]
+
+
+def _reduce(row, prow, c):
+    """Clear column c of the sparse row against the pivot row prow, in place,
+    and divide the row by its gcd: _combine, then _primitive.  The result
+    is the primitive row of pv·row − f·prow, as gcd(pv, f) > 0 keeps the
+    sign."""
+    _combine(row, prow, c)
     _primitive(row)
 
 

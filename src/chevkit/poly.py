@@ -113,8 +113,7 @@ class Poly:
     __slots__ = ("arity", "terms")
 
     def __init__(self, arity, terms=None):
-        if arity < 1:
-            raise InputError(f"arity must be positive, got {arity}")
+        check_int(arity, "arity", 1)
         self.arity = arity
         clean = {}
         if terms:
@@ -516,10 +515,12 @@ def parse_poly(text, arity, names=None, aliases=None):
 
     aliases maps extra accepted names to canonical variable names (used to
     accept bare 'x' for 'x1' in one-variable maps).  A text that is not a
-    str, or nests too deeply for the parser's recursion, raises InputError.
+    str, or nests too deeply for the parser's recursion, raises InputError,
+    as does an arity that is not an int >= 1.
     """
     if not isinstance(text, str):
         raise InputError(f"polynomial text must be a string, got {text!r}")
+    check_int(arity, "arity", 1)
     names = var_names(arity, names)
     tokens = _tokenize(text)
     if not tokens:

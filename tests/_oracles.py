@@ -40,7 +40,9 @@ it built only the nonzero minors: every (column subset, row subset) pair
 visited, with _minor's memoised expansion; kernel_contains_by_pairs the
 climb's guard as it was before it indexed the guard rows by column, and
 echelon_by_scans the jet echelon as JetSystem built it before it reduced
-each new row through a heap of the pivot columns it meets.
+each new row through a heap of the pivot columns it meets, and
+column_steps_by_derivation the parent steps of one degree's columns as the
+jet build derived them at every order before it read a shared table.
 dense_basis, reduce_vector and contains_vector are the dense Fraction
 basis of a canonical Subspace and the membership test on it, as Subspace
 held them before it kept the elimination's primitive integer rows.  The
@@ -64,6 +66,7 @@ from chevkit.indices import (
     degree,
     dominates,
     index_count,
+    indices_of_degree,
     indices_up_to,
     mono_key,
 )
@@ -845,6 +848,24 @@ def echelon_by_scans(phi, tup, l):
             echelon.append((e, c, elim.sparse_rows[r]))
         ends.append(len(echelon))
     return echelon, ends
+
+
+def column_steps_by_derivation(n, d):
+    """The (parent column, j) steps of the target columns of degree d, as
+    JetMatrix._add_order derived them at every order before it read the
+    shared jets._column_steps table: j the first nonzero coordinate of
+    beta, the parent beta - e_j found through a position dict of the
+    degree d - 1 columns; [None] at d = 0."""
+    if d == 0:
+        return [None]
+    base = index_count(n, d - 2)
+    pos = {b: base + i for i, b in enumerate(indices_of_degree(n, d - 1))}
+    steps = []
+    for beta in indices_of_degree(n, d):
+        j = next(i for i, e in enumerate(beta) if e)
+        parent = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
+        steps.append((pos[parent], j))
+    return steps
 
 
 def image_kernel_check(b):

@@ -16,9 +16,10 @@ from chevkit.chevalley import (
 )
 from chevkit.errors import InputError, check_int
 from chevkit.experiments import product_order_probe
+from chevkit.indices import index_count, indices_of_degree, indices_up_to
 from chevkit.jets import FibredTuple, JetSystem, PolyMap, jet_matrix
 from chevkit.linalg import Matrix, Subspace, staged_elimination
-from chevkit.poly import TruncatedSeries, parse_poly
+from chevkit.poly import Poly, TruncatedSeries, parse_poly
 from chevkit.staircase import (
     IdealPresentation,
     diagram_from_generators,
@@ -144,6 +145,16 @@ ENTRY_POINTS = [
      lambda v: parse_poly("x1^2", 1).truncate(v)),
     ("Poly.taylor", "truncation degree", 0, None,
      lambda v: parse_poly("x1^2", 1).taylor((1,), v)),
+    ("Poly", "arity", 1, None, lambda v: Poly(v)),
+    ("parse_poly", "arity", 1, None, lambda v: parse_poly("x1", v)),
+    ("indices_of_degree.arity", "arity", 1, None,
+     lambda v: indices_of_degree(v, 2)),
+    ("indices_of_degree.d", "degree", 0, None,
+     lambda v: indices_of_degree(2, v)),
+    ("indices_up_to.arity", "arity", 1, None, lambda v: indices_up_to(v, 2)),
+    ("index_count.arity", "arity", 1, None, lambda v: index_count(v, 2)),
+    # the jet build's count below degree 0
+    ("index_count.d", "degree", -1, None, lambda v: index_count(2, v)),
 ]
 
 
@@ -191,6 +202,28 @@ def test_leaf_ks_refused_before_any_engine(ks, relations, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("value", [True, False, 2.0, "1", None])
+def test_indices_up_to_degree_must_be_an_int(value):
+    # any int degree is allowed, an empty enumeration below 0
+    with pytest.raises(InputError) as err:
+        indices_up_to(2, value)
+    assert str(err.value) == f"degree must be an int, got {value!r}"
+    assert indices_up_to(2, -3) == ()
+
+
+@pytest.mark.parametrize("cached", [indices_of_degree, indices_up_to])
+def test_a_bool_never_reads_the_entry_of_its_int(cached):
+    # the caches key by type, so the check runs on the bool's own miss
+    # after 1 and 0 are cached
+    cached(2, 1)
+    cached(1, 0)
+    for value in (True, False):
+        with pytest.raises(InputError, match="degree must be an int"):
+            cached(2, value)
+    with pytest.raises(InputError, match="arity must be an int >= 1"):
+        cached(True, 0)
+
+
 def test_check_int_bounds_are_inclusive():
     assert check_int(0, "n") is None
     assert check_int(3, "n", 3, 3) is None
@@ -198,6 +231,10 @@ def test_check_int_bounds_are_inclusive():
     with pytest.raises(InputError) as err:
         check_int(4, "n", 3, 3)
     assert str(err.value) == "n must be an int in 3..3, got 4"
+    assert check_int(-10**30, "n", None) is None
+    with pytest.raises(InputError) as err:
+        check_int(2.0, "n", None)
+    assert str(err.value) == "n must be an int, got 2.0"
     with pytest.raises(InputError) as err:
         check_int(False, "n", 1)
     assert str(err.value) == "n must be an int >= 1, got False"

@@ -16,7 +16,12 @@ import chevkit.linalg
 from chevkit.chevalley import ChevalleyEngine
 from chevkit.errors import InputError
 from chevkit.experiments import DENSE_CELL_CAP
-from chevkit.indices import degree, index_count, indices_up_to
+from chevkit.indices import (
+    degree,
+    index_count,
+    indices_of_degree,
+    indices_up_to,
+)
 from chevkit.jets import (
     FibredTuple,
     JetSystem,
@@ -848,6 +853,35 @@ class TestEchelon:
             rng.shuffle(orders)
             _assert_prefix_reads(scenario.phi, tup, orders)
 
+    @pytest.mark.parametrize("comps,m,pts,top", [
+        (["6 x1 + 10 x1^2", "15 x1^2 + 9 x1^3"], 1, [(0,)], 8),
+        (["12 x1^2 - 12", "18 x1^3 - 18 x1"], 1, [(1,), (-1,)], 6),
+        (["6 x2 + 10 x1^3", "15 x2^2 + 9 x1^2 x2"], 2, [(0, 0)], 6),
+    ])
+    def test_rows_with_content_keep_the_scanned_echelon(
+            self, comps, m, pts, top, monkeypatch):
+        # large coefficients with common factors: the heap phase leaves
+        # content on the rows, and pivot values that do not divide the
+        # entries they clear, so a row operation that skips scaling the
+        # row fails here
+        phi = PolyMap("content", [parse_poly(c, m) for c in comps])
+        tup = FibredTuple.make(phi, pts)
+        contents = []
+        elim = chevkit.jets.staged_elimination
+
+        def recording(rows, ncols, stages):
+            contents.extend(math.gcd(*row.values()) for row in rows if row)
+            return elim(rows, ncols, stages)
+
+        monkeypatch.setattr(chevkit.jets, "staged_elimination", recording)
+        system = JetSystem(phi, tup)
+        echelon, ends = oracles.echelon_by_scans(phi, tup, top)
+        assert [system.analysis(l) for l in range(top + 1)] == ends
+        assert [(-system._keys[c][0], c, list(row.items()))
+                for c, row in system._pivot_rows.items()] \
+            == [(d, c, list(row.items())) for d, c, row in echelon]
+        assert max(contents) > 1
+
     def test_one_elimination_per_new_order(self, monkeypatch):
         calls = []
         elim = chevkit.jets.staged_elimination
@@ -895,6 +929,43 @@ def _shipped_systems(name):
     return (scenario.phi.target_arity, scenario.l_max,
             [JetSystem(scenario.phi, tup)
              for _, tup in scenario_tuples(scenario)])
+
+
+class TestStepTables:
+    """The per-degree tables every build of one arity shares."""
+
+    def test_tables_match_the_derivation(self):
+        for n in range(1, 5):
+            for d in range(11):
+                steps = chevkit.jets._column_steps(n, d)
+                assert list(steps) == oracles.column_steps_by_derivation(n, d)
+                assert len(steps) == index_count(n, d) - index_count(n, d - 1)
+                assert chevkit.jets._row_positions(n, d) == {
+                    a: i for i, a in enumerate(indices_of_degree(n, d))}
+
+    def test_builds_keep_the_shared_tables(self):
+        # two maps of the same arities, grown in turn through the same
+        # tables: each keeps the rows the dense build gives, and the
+        # tables still equal the derivation afterwards
+        other = PolyMap("other", [parse_poly(t, 2) for t in
+                                  ("x1^2 + 3 x2", "x1 x2 - x2^3", "2 x1")])
+        builds = [(phi, FibredTuple.make(phi, pts)) for phi, pts in
+                  [(cone(), [(0, 1), (0, -1)]), (other, [(1, 2)])]]
+        grown = [jet_matrix(phi, tup, 0) for phi, tup in builds]
+        for l in range(1, 7):
+            for jm in grown:
+                jm.grow(l)
+        for (phi, tup), jm in zip(builds, grown):
+            rows = oracles.dense_jet_matrix(phi, tup, 6)[0]
+            _assert_positive_multiples(
+                oracles.dense_rows(jm.integer_matrix(6)), rows)
+            assert jm.layer(6) == jet_matrix(phi, tup, 6).layer(6)
+        for n in (2, 3):
+            for d in range(7):
+                assert list(chevkit.jets._column_steps(n, d)) == \
+                    oracles.column_steps_by_derivation(n, d)
+                assert chevkit.jets._row_positions(n, d) == {
+                    a: i for i, a in enumerate(indices_of_degree(n, d))}
 
 
 class TestNesting:

@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as O
 from chevkit.errors import InputError
-from chevkit.linalg import Matrix, Subspace, staged_elimination
+from chevkit.linalg import (
+    Matrix,
+    Subspace,
+    _combine,
+    _primitive,
+    _reduce,
+    staged_elimination,
+)
 
 entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -367,6 +374,53 @@ class TestCanonicalRows:
         p = s.project(2)
         assert p.rows == {0: {0: 1, 1: 2}}
         assert p == Subspace.from_vectors([{0: 1, 1: 2}], 2)
+
+
+@st.composite
+def row_operations(draw):
+    """(row, prow, c, s): sparse integer rows over 6 columns that share
+    column c, with large coefficients carrying common factors, and a
+    positive scale s for the row."""
+    factor = draw(st.sampled_from([1, 2, 6, 30, 210, 2 ** 40 * 3]))
+    cell = st.integers(-10 ** 6, 10 ** 6).filter(bool).map(
+        lambda v: v * factor)
+    cols = st.integers(0, 5)
+    c = draw(cols)
+    row = {**draw(st.dictionaries(cols, cell, max_size=5)), c: draw(cell)}
+    prow = {**draw(st.dictionaries(cols, cell, max_size=5)), c: draw(cell)}
+    return row, prow, c, draw(st.integers(1, 10 ** 12))
+
+
+class TestRowOperation:
+    """_reduce is _combine and then _primitive, and _combine on a scaled
+    row is a positive integer multiple of _reduce on the row, with the
+    same support, as the jet echelon's heap phase needs."""
+
+    @given(row_operations())
+    @settings(max_examples=300, deadline=None)
+    def test_combine_then_primitive_is_reduce(self, case):
+        row, prow, c, _ = case
+        lazy, eager = dict(row), dict(row)
+        _combine(lazy, prow, c)
+        assert c not in lazy
+        _primitive(lazy)
+        _reduce(eager, prow, c)
+        assert list(lazy.items()) == list(eager.items())
+
+    @given(row_operations())
+    @settings(max_examples=300, deadline=None)
+    def test_combine_keeps_a_scaled_row_a_positive_multiple(self, case):
+        row, prow, c, s = case
+        scaled = {j: s * v for j, v in row.items()}
+        eager = dict(row)
+        _combine(scaled, prow, c)
+        _reduce(eager, prow, c)
+        assert scaled.keys() == eager.keys()
+        if eager:
+            lead = next(iter(eager))
+            ratio, rest = divmod(scaled[lead], eager[lead])
+            assert ratio > 0 and rest == 0
+            assert scaled == {j: ratio * v for j, v in eager.items()}
 
 
 class TestStagedElimination:
