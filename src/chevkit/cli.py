@@ -537,8 +537,43 @@ def build_parser():
 _PARSER = build_parser()
 
 
-def main(argv=None):
+def _fold_poly_run(argv):
+    """(argv, values): a run of two or more `--poly VALUE` pairs cut to its
+    first pair, and the run's values in order; (argv, None) wherever
+    argparse's reading of the run is not certain.  Argparse scans for the
+    next option once per option, so a long run is quadratic to parse; it
+    reads each pair of such a run alone, so cutting the later pairs
+    changes nothing around it.  The run must be every --poly of a nu or mu
+    argv with no "--" and no other token opening with --pol (an
+    abbreviation or --poly=V), and no value may read as an option (one
+    opening with "- " cannot)."""
+    if argv[:1] not in (["nu"], ["mu"]) or "--" in argv:
+        return argv, None
+    flags = [i for i, token in enumerate(argv) if token.startswith("--pol")]
+    if len(flags) < 2:
+        return argv, None
+    first, end = flags[0], flags[0] + 2 * len(flags)
+    values = argv[first + 1:end:2]
+    if (len(values) < len(flags) or flags != list(range(first, end, 2))
+            or any(argv[i] != "--poly" for i in flags)
+            or any(v[:1] == "-" and v[:2] != "- " for v in values)):
+        return argv, None
+    return argv[:first + 2] + argv[end:], values
+
+
+def _parse(argv):
+    """_PARSER.parse_known_args(argv), with a run of --poly flags read in
+    one step; argv None reads sys.argv[1:]."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    argv, polys = _fold_poly_run(argv)
     args, unread = _PARSER.parse_known_args(argv)
+    if polys is not None:
+        args.poly = polys
+    return args, unread
+
+
+def main(argv=None):
+    args, unread = _parse(argv)
     if unread:
         args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:

@@ -206,6 +206,7 @@ def residual_order_probe(presentation, polys, trunc=8):
     polynomial at the presentation's center and reduces it against the
     staircase, exact through trunc, reporting an exact order or a censored
     lower bound.  One OrderEntry per polynomial, in order."""
+    check_int(trunc, "probe truncation degree", 0)
     deg_needed = max(
         (p.total_degree() for p in polys if not p.is_zero()), default=0
     )

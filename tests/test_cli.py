@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
+import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _oracles import canonical_json_by_dumps
+from chevkit import cli
 from chevkit.censored import AtLeast
 from chevkit.cli import canonical_json, main
 
@@ -40,6 +44,30 @@ def output_digests(argv, tmp_path, capsys):
     stdout = capsys.readouterr().out.encode()
     return (hashlib.sha256(stdout).hexdigest(),
             hashlib.sha256(out.read_bytes()).hexdigest())
+
+
+def probe_texts(n, relation, count):
+    """count nu probe texts shaped like the bench's: one to three signed
+    rational multiples of monomials, a leading minus written "- ", and
+    every eighth a monomial multiple of the relation; each of degree at
+    most 6."""
+    def mono(seed):
+        e = [(seed // (j + 1) + j) % (7 // n) for j in range(n)]
+        return "*".join(f"y{j + 1}" if d == 1 else f"y{j + 1}^{d}"
+                        for j, d in enumerate(e) if d) or f"y{n}"
+
+    texts = []
+    for i in range(count):
+        if i % 8 == 7:
+            texts.append(f"({relation})*{mono(i)}")
+            continue
+        parts = []
+        for t in range(i % 3 + 1):
+            c = Fraction((i + t) % 3 + 1, (i // 3 + t) % 2 + 1)
+            sign = "-" if (i + 2 * t) % 5 < 2 else "+"
+            parts.append(f"{sign} {c}*{mono(3 * i + t)}")
+        texts.append(" ".join(parts).lstrip("+ "))
+    return texts
 
 
 def readme_scenario():
@@ -480,6 +508,32 @@ class TestProbePins:
         argv += self.ARGS[verb]
         assert output_digests(argv, tmp_path, capsys) == self.PINS[case]
 
+    # runs of --poly flags, which main reads in one step; taken while
+    # argparse still read every flag on its own
+    RUN_PINS = {
+        "nu-cusp-40": (
+            "0b13a8c0dc9615ea68c48408031f04f016af55be79ab5965c7672fb31f05c9bb",
+            "40e601125412196e43057f26516f7115e942422cf1ba8e3d254995fb1b51f7e0",
+        ),
+        "nu-cone-40": (
+            "e16d1d89a91757edf68f8c92b987795755d444782583968bee790d47f61c9629",
+            "4520934785e3813735f759bd99f423ec8e0cf1c2a6d31b6e7db9ee1be630cc54",
+        ),
+        "mu-cusp-3": (
+            "b4f8a70b56f931d40d894ca9c5a2ef6d00312f180fc671b3ee5b7c83d708e7f0",
+            "a353fa39d3d3b27d542fc83c79a4add9efc9182ee99ba35939266599fe54ae46",
+        ),
+    }
+    RELATIONS = {"cusp": (2, "y1^3 - y2^2"), "cone": (3, "y2^2 - y1*y3")}
+
+    @pytest.mark.parametrize("case", sorted(RUN_PINS))
+    def test_poly_run_byte_pinned(self, case, tmp_path, capsys):
+        verb, name, count = case.split("-")
+        argv = [verb, "--scenario", str(ROOT / "scenarios" / f"{name}.json")]
+        for text in probe_texts(*self.RELATIONS[name], int(count)):
+            argv += ["--poly", text]
+        assert output_digests(argv, tmp_path, capsys) == self.RUN_PINS[case]
+
     def test_parser_reuse_keeps_no_state(self, tmp_path):
         # an option given in one call must not become the next call's value
         out = tmp_path / "prod.json"
@@ -495,6 +549,71 @@ class TestProbePins:
         assert main(["nu", "--scenario", CUSP, "--poly", "y1",
                      "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["entries"]) == 1
+
+
+def parse_outcome(parse, argv):
+    """What parse(argv) gives: the namespace and unread list, or the exit
+    code, with everything it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, unread = parse(list(argv))
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+    return "parsed", vars(args), unread, out.getvalue(), err.getvalue()
+
+
+# runs of --poly pairs next to the tokens that change argparse's reading:
+# "--", --poly=V, the abbreviations --pol and --po, -h, values that read
+# as an option or as a negative number, value-taking options just before
+# a run and a trailing --poly
+_VALUES = st.sampled_from(["y1", "y2^2 - y1", "-y1", "-1", "- x", "",
+                           "--poly", "-h"])
+_TOKENS = st.sampled_from([
+    "--", "--poly=y1", "--pol", "--po", "-h", "-y1", "-1", "- x", "",
+    "--poly", "--scenario", "s.json", "--trunc", "3", "--point", "0",
+    "--out", "--l-max", "--seed", "2", "stray"])
+_RUNS = st.lists(st.tuples(st.just("--poly"), _VALUES), min_size=1,
+                 max_size=5).map(lambda pairs: [t for p in pairs for t in p])
+_ARGVS = st.tuples(
+    st.sampled_from(["nu", "mu", "product", "--poly"]),
+    st.lists(st.one_of(_RUNS, _TOKENS.map(lambda t: [t]),
+                       st.just(["--scenario", "s.json"])), max_size=6),
+).map(lambda g: [g[0]] + [t for part in g[1] for t in part])
+
+
+class TestPolyRun:
+    # main reads a run of --poly pairs in one step; whatever argv it gets,
+    # it must read what argparse reads flag by flag
+    @given(_ARGVS)
+    @example(["nu", "--scenario", "s.json", "--poly", "y1", "--poly", "-y1"])
+    @example(["nu", "--scenario", "s", "--poly", "y1", "--", "--poly", "y"])
+    @example(["mu", "--trunc", "--poly", "y1", "--poly", "- x", "--poly"])
+    @example(["nu", "--poly", "", "--poly", "- x", "--pol", "y1"])
+    @settings(max_examples=400, deadline=None)
+    def test_reads_what_argparse_reads(self, argv):
+        assert (parse_outcome(cli._parse, argv)
+                == parse_outcome(cli._PARSER.parse_known_args, argv))
+
+    def test_argparse_reads_one_pair_of_a_long_run(self, monkeypatch):
+        # the console script passes no argv: main reads sys.argv itself
+        texts = [f"y1^{i % 7 + 1} - y2" for i in range(480)]
+        argv = ["nu", "--scenario", CUSP, "--trunc", "10"]
+        for text in texts:
+            argv += ["--poly", text]
+        monkeypatch.setattr(sys, "argv", ["chevkit"] + argv + ["--out", "o"])
+        seen = []
+        parse = cli._PARSER.parse_known_args
+
+        def spy(args):
+            seen.append(args)
+            return parse(args)
+
+        monkeypatch.setattr(cli._PARSER, "parse_known_args", spy)
+        args, unread = cli._parse(None)
+        assert seen == [argv[:7] + ["--out", "o"]]
+        assert (args.poly, args.trunc, args.out, unread) == (texts, 10, "o",
+                                                            [])
 
 
 class TestRichProbePins:

@@ -15,7 +15,7 @@ from chevkit.chevalley import (
     sample_leaf_chevalley,
 )
 from chevkit.errors import InputError, check_int
-from chevkit.experiments import product_order_probe
+from chevkit.experiments import product_order_probe, residual_order_probe
 from chevkit.indices import index_count, indices_of_degree, indices_up_to
 from chevkit.jets import FibredTuple, JetSystem, PolyMap, jet_matrix
 from chevkit.linalg import Matrix, Subspace, staged_elimination
@@ -139,6 +139,8 @@ ENTRY_POINTS = [
      lambda v: product_order_probe(cusp_presentation(), trials=v, trunc=4)),
     ("product_order_probe.trunc", "product probe truncation degree", 2, None,
      lambda v: product_order_probe(zero_ideal(), trials=1, trunc=v)),
+    ("residual_order_probe.trunc", "probe truncation degree", 0, None,
+     lambda v: residual_order_probe(zero_ideal(), [], trunc=v)),
     ("TruncatedSeries", "truncation degree", 0, None,
      lambda v: TruncatedSeries(1, {}, v)),
     ("Poly.truncate", "truncation degree", 0, None,
