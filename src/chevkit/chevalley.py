@@ -5,8 +5,9 @@ inside every projected jet kernel, and the projected kernels shrink as the
 jet order grows, reaching the relation jets at some finite order.  This
 module computes that threshold order per k, three ways:
 
-* with user-supplied relation generators the target space is exact, the
-  threshold is certified, and a staircase cross-check guards the answer;
+* with user-supplied relation generators the target codimension H(k) is
+  exact, the threshold is certified, and a guard checks that the
+  generators' multiples lie in every projected kernel climbed;
 * without generators the chain of projected kernels is watched until it
   holds still for a window of consecutive orders, an honest heuristic
   (STABILIZED) that can also come back INCONCLUSIVE with a censored bound;
@@ -37,6 +38,8 @@ from .staircase import (
     IdealPresentation,
     diagram_from_generators,
     hilbert_samuel_count,
+    ideal_multiples,
+    principal_count,
 )
 
 VERIFIED = "VERIFIED"
@@ -82,14 +85,12 @@ class RelationJets:
     censored (AtLeast) when the search range did not settle it.
     chain: the range of orders the climb read, from k; the member at order
     l is JetSystem.projected_kernel(l, k) of the engine's jets.
-    target: the exact relation jets when generators were supplied.
     codim: codimension of the subspace in the degree-<= k jet space.
     """
 
     status: str
     l_value: object
     chain: range
-    target: object
     codim: int
 
 
@@ -140,6 +141,7 @@ class ChevalleyEngine:
         the degree-<= k jets is that of any higher degree restricted to its
         rows pivoting below C(n+k, k), each cut to that length.
         """
+        check_int(k, "degree k")
         span = self.diagram(k).span
         return span.project(index_count(self.phi.target_arity, k))
 
@@ -152,6 +154,7 @@ class ChevalleyEngine:
         more than trunc; every caller only counts or tests membership at
         degrees <= trunc, where the answer does not depend on it.
         """
+        check_int(trunc, "truncation degree")
         if self.presentation is None:
             raise InputError("no relation generators were supplied")
         if self._diagram is None or trunc > self._diagram.trunc_degree:
@@ -161,17 +164,13 @@ class ChevalleyEngine:
             )
         return self._diagram
 
-    def _hs_crosscheck(self, k, target):
-        # the codimension of the relation jets must equal the staircase
-        # count; both read the engine's one relation echelon, so this checks
-        # the slicing and the staircase bookkeeping, not the echelon itself
-        from_jets = target.codim
-        from_staircase = hilbert_samuel_count(self.diagram(k), k)
-        if from_jets != from_staircase:
-            raise ConsistencyError(
-                f"jet codimension {from_jets} disagrees with staircase count"
-                f" {from_staircase} at k={k}"
-            )
+    def _relation_codim(self, k):
+        # H(k), the codimension of the relation jets T_k: in closed form for
+        # at most one generator, else off the relation echelon, the only
+        # exact route for several
+        if self.presentation.principal_vertices is None:
+            return hilbert_samuel_count(self.diagram(k), k)
+        return principal_count(self.presentation, k)
 
     # the threshold chain
 
@@ -180,39 +179,36 @@ class ChevalleyEngine:
         settles degree k, or to l_max; each call climbs afresh.
 
         Chain members are nested in l, so two are equal exactly when their
-        codimensions are.  With relations the chain contains the target,
-        which is reached at the first order of codimension target.codim
-        (VERIFIED).  By the nesting the target lies in every member climbed
-        exactly when it lies in the last, so one guard at the stop order
-        checks it against them all, before any result or mismatch is
-        reported.  Without relations the chain is STABILIZED at the first
-        full window of equal codimensions.
+        codimensions are.  With relations the chain contains the relation
+        jets T_k, which are reached at the first order of codimension H(k)
+        (VERIFIED).  By the nesting T_k lies in every member climbed
+        exactly when it lies in the last, so one guard at the stop order,
+        fed the generators' multiples that span T_k, checks it against
+        them all, before any result or mismatch is reported.  Without
+        relations the chain is STABILIZED at the first full window of equal
+        codimensions.
         """
         check_int(k, "degree k", 0, self.l_max)
-        target = None
-        if self.presentation is not None:
-            target = self.relation_space(k)
-            self._hs_crosscheck(k, target)
-            rows = target.rows.values()
+        h = None if self.presentation is None else self._relation_codim(k)
         w = self.window
         codims = []
         for l in range(k, self.l_max + 1):
             codims.append(self.jets.quotient_dim(l, k))
             full_window = len(codims) >= w and len(set(codims[-w:])) == 1
-            settled = (full_window if target is None
-                       else codims[-1] == target.codim)
+            settled = full_window if h is None else codims[-1] == h
             if settled:
                 break
-        if target is not None and not self.jets.kernel_contains(l, k, rows):
+        if h is not None and not self.jets.kernel_contains(
+                l, k, ideal_multiples(self.presentation, k)):
             raise ConsistencyError(
                 "validated relation jets escaped a projected kernel"
                 f" at l={l}, k={k}"
             )
         codim = codims[-1]
         if settled:
-            l_value, status = ((l, VERIFIED) if target is not None
+            l_value, status = ((l, VERIFIED) if h is not None
                                else (l - w + 1, STABILIZED))
-        elif target is None:
+        elif h is None:
             # the provable bound: the threshold is at least the last order
             # at which the chain still moved (and at least k by definition)
             l_value = AtLeast(k + max((i for i in range(1, len(codims))
@@ -220,19 +216,20 @@ class ChevalleyEngine:
                                       default=0))
             status = INCONCLUSIVE
         elif full_window:
-            dim = index_count(self.phi.target_arity, k) - codims[-1]
+            total = index_count(self.phi.target_arity, k)
             raise RelationsMismatchError(
-                f"projected kernels stabilized at dimension {dim} but the"
-                f" supplied relations span dimension {target.dim} at k={k};"
+                f"projected kernels stabilized at dimension"
+                f" {total - codims[-1]} but the supplied relations span"
+                f" dimension {total - h} at k={k};"
                 " either the generators do not generate the full relation"
                 " ideal or the window reported a false stabilization"
             )
         else:
             l_value, status = AtLeast(self.l_max + 1), VERIFIED
-            codim = target.codim
+            codim = h
         return RelationJets(
             status=status, l_value=l_value, chain=range(k, l + 1),
-            target=target, codim=codim,
+            codim=codim,
         )
 
     # staircase-restricted route
@@ -428,16 +425,18 @@ def sample_leaf_chevalley(phi, leaf, ks, seed=0, l_max=12, window=3,
         raise InputError(f"leaf {leaf.name!r}: only {len(drawn)} of"
                          f" {LEAF_TRIALS} draws give distinct points")
     if relations is not None and ks:
-        # one relation build per engine serves every k
+        # several generators count H(k) on the relation echelon: one build
+        # per engine serves every k
         for _, engine in drawn:
-            engine.diagram(max(ks))
+            if engine.presentation.principal_vertices is None:
+                engine.diagram(max(ks))
     results = []
     for k in ks:
         orders = range(k, l_max + 1)
         samples = []
         for t, engine in drawn:
             rj = engine.relation_jets(k)
-            # past a certified threshold the codimension is the target's
+            # past a certified threshold the codimension is H(k)
             top = (rj.l_value if rj.status == VERIFIED
                    and not is_censored(rj.l_value) else l_max)
             profile = {l: engine.jets.quotient_dim(l, k) if l <= top

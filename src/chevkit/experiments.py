@@ -58,12 +58,14 @@ class TableRun:
     leaf_samples: tuple
 
 
-def _climb_tuples(scenario, build):
+def _climb_tuples(scenario, build=None):
     """(key, tuple, engine, {k: RelationJets}) for every tuple of the
     scenario, in table order (scenario_tuples): one engine per tuple,
-    climbed at every k of k_range, whose relations are built once, at
-    degree build: the highest the caller reads, at least k_max.  Errors
-    name the tuple, and the map and k of a failed climb."""
+    climbed at every k of k_range.  An engine's relation echelon is built
+    once, where it is read: at degree build when the caller reads it there
+    (build >= k_max), else at k_max when the climb counts H(k) on it, for
+    two or more generators.  Errors name the tuple, and the map and k of a
+    failed climb."""
     phi = scenario.phi
     k_min, k_max = scenario.k_range
     climbed = []
@@ -78,9 +80,11 @@ def _climb_tuples(scenario, build):
         rows = {}
         k = k_max
         try:
-            if engine.presentation is not None:
-                # one relation build, exact through build, serves every k
+            pres = engine.presentation
+            if pres is not None and build is not None:
                 engine.diagram(build)
+            elif pres is not None and pres.principal_vertices is None:
+                engine.diagram(k_max)
             for k in range(k_min, k_max + 1):
                 rows[k] = engine.relation_jets(k)
         except (RelationsMismatchError, ConsistencyError) as exc:
@@ -103,7 +107,7 @@ def run_table(scenario):
             l_value=rj.l_value, h_value=rj.codim,
             status=rj.status,
         )
-        for key, _, _, rows in _climb_tuples(scenario, k_max)
+        for key, _, _, rows in _climb_tuples(scenario)
         for k, rj in rows.items()
     ]
     leaf_samples = []
@@ -590,12 +594,14 @@ def verify_consistency(scenario):
                     details.append(
                         f"{key} k={k}: kernel grew from l={l0} to l={l1}"
                     )
-            # the engine guards this by multiplying the target's rows into
-            # the echelon's guard rows; recheck it here by reducing them
-            # against each chain member's own canonical rows
-            if rj.target is not None:
+            # the engine guards this by multiplying the generators'
+            # multiples into the echelon's guard rows; recheck it here by
+            # reducing the relation echelon's canonical rows against each
+            # chain member's own
+            if engine.presentation is not None:
+                target = engine.relation_space(k)
                 for l, e in chain:
-                    if not e.contains(rj.target):
+                    if not e.contains(target):
                         details.append(
                             f"{key} k={k} l={l}: relation jets outside the"
                             " projected kernel"

@@ -9,7 +9,10 @@ division basis.
 A staircase computed from generators is exact through its truncation degree:
 a monomial of degree <= d is in the staircase if and only if some ideal
 element has it as initial exponent.  No claim is made past d, which the
-`provisional` flag records for nonzero ideals.
+`provisional` flag records for nonzero ideals.  For at most one nonzero
+generator the staircase and its count are also read off the generator's
+initial exponent in closed form, exact at every degree, with no
+elimination.
 """
 
 from __future__ import annotations
@@ -65,6 +68,21 @@ class IdealPresentation:
         as a tuple computed once per presentation."""
         shifted = (g.shift(self.center) for g in self.generators)
         return tuple(g for g in shifted if not g.is_zero())
+
+    @cached_property
+    def principal_vertices(self):
+        """The staircase's vertices, read with no elimination when at most
+        one recentred generator is nonzero: none for the zero ideal, and
+        for one generator g its initial exponent in(g), the smallest term
+        by mono_key; None for two or more generators.
+
+        The order is local (lowest degree first), so in(h*g) = in(h) +
+        in(g) for every h, and the degree-<= d jets of h*g lead there
+        whenever that degree is <= d: the staircase is in(g) + N^n at
+        every truncation."""
+        if len(self.recentered) > 1:
+            return None
+        return tuple(min(g.terms, key=mono_key) for g in self.recentered)
 
     @cached_property
     def generator_degree(self):
@@ -301,15 +319,25 @@ def hilbert_samuel_count(diagram, k):
     )
 
 
-def ideal_jet_space(presentation, k):
-    """Degree-<= k jets (at the center) of the generated ideal, as a Subspace.
+def principal_count(presentation, k):
+    """H(k) of an ideal whose principal_vertices are known, in closed form:
+    the monomials of degree <= k outside in(g) + N^n number C(n+k, n) -
+    C(n+k-|in(g)|, n), the second term 0 below |in(g)| and for the zero
+    ideal.  Equal to hilbert_samuel_count on any diagram of the ideal."""
+    check_int(k, "degree k")
+    n = presentation.arity
+    return index_count(n, k) - sum(index_count(n, max(k - degree(v), -1))
+                                   for v in presentation.principal_vertices)
 
-    Spanned by the monomial multiples x^gamma * g of the recentered
-    generators that can still have initial exponent of degree <= k,
-    truncated at degree k; ambient coordinates follow the shared index
-    enumeration.  This is the one place ideal-jet vectors are built, as
-    sparse integer rows: each generator is scaled once, by the lcm of its
-    coefficients' denominators, which leaves the span as it is.
+
+def ideal_multiples(presentation, k):
+    """The monomial multiples x^gamma * g of the recentered generators
+    that can still have initial exponent of degree <= k, truncated at
+    degree k: sparse {position: int} rows over the shared index
+    enumeration that span the ideal's degree-<= k jets.  This is the one
+    place ideal-jet vectors are built: each generator is scaled once, by
+    the lcm of its coefficients' denominators, which leaves the span as
+    it is.  No row is empty, as each keeps its initial term.
     """
     check_int(k, "degree k")
     monomials = indices_up_to(presentation.arity, k)
@@ -327,4 +355,12 @@ def ideal_jet_space(presentation, k):
                 if i is not None:
                     vec[i] = c
             vectors.append(vec)
-    return Subspace.from_vectors(vectors, len(monomials))
+    return vectors
+
+
+def ideal_jet_space(presentation, k):
+    """Degree-<= k jets (at the center) of the generated ideal, as a
+    Subspace: the canonical echelon of ideal_multiples, whose ambient
+    coordinates follow the shared index enumeration."""
+    return Subspace.from_vectors(ideal_multiples(presentation, k),
+                                 index_count(presentation.arity, k))

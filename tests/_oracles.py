@@ -24,7 +24,9 @@ wrote its text in one pass: the payload made JSON-ready, then json.dumps.
 staircase_vertices_by_domination is the quadratic vertex search of
 diagram_from_generators before it tested lower neighbours, and
 ideal_jet_space_by_fractions the ideal-jet rows as they were built before
-each generator was scaled to integers once.  integer_row is the
+each generator was scaled to integers once, and relation_jets_by_rref the
+certified climb as it ran before it read H(k) off a single generator's
+leading term: on the canonical echelon of the generators' multiples.  integer_row is the
 conversion the elimination kernel made on entry while it still took
 dense and Fraction rows; tests that feed such rows go through it
 (integer_rows, int_matrix, and integer_blocks for the one matrix and
@@ -61,7 +63,13 @@ from math import comb, gcd, lcm, prod
 import sympy
 
 from chevkit.censored import AtLeast
-from chevkit.errors import InputError
+from chevkit.chevalley import VERIFIED, RelationJets
+from chevkit.errors import (
+    ConsistencyError,
+    InputError,
+    RelationsMismatchError,
+    check_int,
+)
 from chevkit.indices import (
     degree,
     dominates,
@@ -79,7 +87,12 @@ from chevkit.linalg import (
     staged_elimination,
 )
 from chevkit.poly import _TOKEN_RE, Poly, TruncatedSeries, var_names
-from chevkit.staircase import _integer_row
+from chevkit.staircase import (
+    _integer_row,
+    diagram_from_generators,
+    hilbert_samuel_count,
+    ideal_jet_space,
+)
 from chevkit.wedge import _check_cap
 
 
@@ -982,12 +995,60 @@ def scaled_derivative(p, beta):
 
 
 def relation_subspace(engine, rj):
-    """The relation jets of a RelationJets row of the engine: exact in
-    VERIFIED mode, the stabilized or last-computed projected kernel
-    otherwise.  The chain starts at the row's degree k."""
-    if rj.target is not None:
-        return rj.target
+    """The relation jets of a RelationJets row of the engine: exact, off
+    the engine's relation echelon, when generators were supplied, the
+    stabilized or last-computed projected kernel otherwise.  The chain
+    starts at the row's degree k."""
+    if engine.presentation is not None:
+        return engine.relation_space(rj.chain[0])
     return engine.jets.projected_kernel(rj.chain[-1], rj.chain[0])
+
+
+def relation_jets_by_rref(engine, k):
+    """ChevalleyEngine.relation_jets of an engine with generators, as it
+    was before it read H(k) off the generator's leading term: the target
+    is the canonical echelon of the generators' multiples
+    (ideal_jet_space), its codimension is checked against the staircase
+    count of a fresh diagram, the climb stops at that codimension, and the
+    guard is fed the target's canonical rows.  Returns the same
+    RelationJets or raises the same error, with the same text."""
+    check_int(k, "degree k", 0, engine.l_max)
+    pres = engine.presentation
+    target = ideal_jet_space(pres, k)
+    from_staircase = hilbert_samuel_count(
+        diagram_from_generators(pres, max(k, pres.generator_degree)), k)
+    if target.codim != from_staircase:
+        raise ConsistencyError(
+            f"jet codimension {target.codim} disagrees with staircase count"
+            f" {from_staircase} at k={k}"
+        )
+    w = engine.window
+    codims = []
+    for l in range(k, engine.l_max + 1):
+        codims.append(engine.jets.quotient_dim(l, k))
+        full_window = len(codims) >= w and len(set(codims[-w:])) == 1
+        settled = codims[-1] == target.codim
+        if settled:
+            break
+    if not engine.jets.kernel_contains(l, k, target.rows.values()):
+        raise ConsistencyError(
+            "validated relation jets escaped a projected kernel"
+            f" at l={l}, k={k}"
+        )
+    if settled:
+        l_value, codim = l, codims[-1]
+    elif full_window:
+        dim = index_count(engine.phi.target_arity, k) - codims[-1]
+        raise RelationsMismatchError(
+            f"projected kernels stabilized at dimension {dim} but the"
+            f" supplied relations span dimension {target.dim} at k={k};"
+            " either the generators do not generate the full relation"
+            " ideal or the window reported a false stabilization"
+        )
+    else:
+        l_value, codim = AtLeast(engine.l_max + 1), target.codim
+    return RelationJets(status=VERIFIED, l_value=l_value,
+                        chain=range(k, l + 1), codim=codim)
 
 
 # fits

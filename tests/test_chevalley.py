@@ -39,6 +39,7 @@ from chevkit.staircase import (
     diagram_from_generators,
     hilbert_samuel_count,
     ideal_jet_space,
+    ideal_multiples,
     normal_form,
     residual_order,
 )
@@ -125,7 +126,9 @@ class TestVerifiedThresholds:
         assert rj.status == VERIFIED
         assert rj.l_value == 2 * k + 1
         assert eng.relation_jets(k).codim == 2 * k + 1
-        assert oracles.relation_subspace(eng, rj) == rj.target
+        assert oracles.relation_subspace(eng, rj) == eng.relation_space(k)
+        assert eng.relation_space(k) == eng.jets.projected_kernel(
+            rj.l_value, k)
 
     @pytest.mark.parametrize("k", range(1, 5))
     def test_squaring_origin_zero_ideal(self, k):
@@ -231,7 +234,8 @@ class TestVerifiedThresholds:
         assert rj.status == VERIFIED
         assert rj.l_value == AtLeast(6)
         # the exact subspace is still reported
-        assert oracles.relation_subspace(eng, rj) == rj.target
+        assert oracles.relation_subspace(eng, rj) == eng.relation_space(3)
+        assert rj.codim == eng.relation_space(3).codim
 
     def test_incomplete_generators_detected(self):
         # y1 * (y1^3 - y2^2) composes to zero but generates a smaller ideal
@@ -410,6 +414,94 @@ def presentations_at_centres(draw):
     return eng, IdealPresentation.make(gens, center)
 
 
+# (map components, source arity, relations, points) of maps whose relation
+# ideals are known; a combination of the relations is again one
+RELATION_MAPS = [
+    (("x1^2", "x1^3"), 1, ("y1^3 - y2^2",),
+     [(0,), (1,), (-1,), (Fraction(1, 2),)]),
+    (("x1", "x1 x2", "x1 x2^2"), 2, ("y2^2 - y1 y3",),
+     [(0, 0), (0, 1), (1, 1)]),
+    (("x1^3", "x1^4", "x1^5"), 1,
+     ("y2^2 - y1 y3", "y1^3 - y2 y3", "y3^2 - y1^2 y2"),
+     [(0,), (1,), (Fraction(1, 2),)]),
+]
+
+
+@st.composite
+def relation_engines(draw):
+    """An engine with 1-3 generators, each a relation of its map or a
+    combination of them with small constant or linear multipliers, at one
+    of the map's points, with l_max 8 and a window of 1-3.  The generated
+    ideal may be smaller than the relation ideal, which the climb reports
+    as a mismatch or a censored row."""
+    comps, m, relations, points = draw(st.sampled_from(RELATION_MAPS))
+    n = len(comps)
+    names = [f"y{i + 1}" for i in range(n)]
+    phi = PolyMap("map", [parse_poly(c, m) for c in comps])
+    rels = [parse_poly(r, n, names=names) for r in relations]
+    multipliers = st.sampled_from(
+        ["1", "-1", "2", "0"] + names + [f"{y} - 3" for y in names])
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            gens.append(draw(st.sampled_from(rels)))
+            continue
+        g = Poly(n, {})
+        for r in rels:
+            g = g + parse_poly(draw(multipliers), n, names=names) * r
+        gens.append(g)
+    tup = FibredTuple.make(phi, [draw(st.sampled_from(points))])
+    return ChevalleyEngine(phi, tup, relations=gens, l_max=8,
+                           window=draw(st.integers(1, 3)))
+
+
+def _outcome(climb, k):
+    try:
+        return climb(k)
+    except (RelationsMismatchError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstTheRrefClimb:
+    """relation_jets row for row against the climb on the canonical
+    echelon of the generators' multiples: status, l_value, chain, codim,
+    or the error and its text."""
+
+    @given(relation_engines())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match(self, eng):
+        for k in range(0, 4):
+            assert _outcome(eng.relation_jets, k) == _outcome(
+                lambda k: oracles.relation_jets_by_rref(eng, k), k)
+
+    @pytest.mark.parametrize("case, gens, point, rows", [
+        # the whole relation ideal of the cusp, and a multiple of it that
+        # reads as a mismatch at k=2 and is censored at k=3
+        (0, ("y1^3 - y2^2",), (0,), 4),
+        (0, ("y1^4 - y1 y2^2",), (0,), 3),
+        # mono345's three generators at the singular point (the row at
+        # k=3 censored) and at a smooth one, then two of them
+        (2, ("y2^2 - y1 y3", "y1^3 - y2 y3", "y3^2 - y1^2 y2"), (0,), 4),
+        (2, ("y2^2 - y1 y3", "y1^3 - y2 y3", "y3^2 - y1^2 y2"), (1,), 4),
+        (2, ("y2^2 - y1 y3", "y1^3 - y2 y3"), (Fraction(1, 2),), 4),
+    ])
+    def test_named_presentations(self, case, gens, point, rows):
+        comps, m, _, _ = RELATION_MAPS[case]
+        n = len(comps)
+        names = [f"y{i + 1}" for i in range(n)]
+        phi = PolyMap("map", [parse_poly(c, m) for c in comps])
+        eng = ChevalleyEngine(
+            phi, FibredTuple.make(phi, [point]),
+            relations=[parse_poly(g, n, names=names) for g in gens],
+            l_max=8)
+        got = [_outcome(eng.relation_jets, k) for k in range(0, 4)]
+        want = [_outcome(lambda k: oracles.relation_jets_by_rref(eng, k), k)
+                for k in range(0, 4)]
+        assert got == want
+        # rows returned; the rest are errors
+        assert sum(type(o) is not tuple for o in got) == rows
+
+
 class TestRelationEchelon:
     @given(presentations_at_centres(),
            st.lists(st.integers(0, 5), min_size=1, max_size=6))
@@ -450,10 +542,23 @@ class TestRelationEchelon:
                             guarded_jets)
         eng = cusp_engine(l_max=16)
         for k in range(1, 9):
-            eng.relation_jets(k)
+            eng.relation_space(k)
         assert levels == [3, 4, 5, 6, 7, 8]
         assert eng.diagram(2).trunc_degree == 8
         assert levels == [3, 4, 5, 6, 7, 8]
+
+    def test_a_built_diagram_refuses_a_degree_it_cannot_use(self):
+        # unchecked, each of these read the diagram already built, and
+        # relation_space(-1) gave a subspace of Q^0
+        eng = cusp_engine()
+        eng.diagram(4)
+        for bad in (-1, True, 2.0):
+            with pytest.raises(InputError, match="truncation degree must"):
+                eng.diagram(bad)
+            with pytest.raises(InputError, match="degree k must"):
+                eng.relation_space(bad)
+        assert eng.diagram(0).trunc_degree == 4
+        assert eng.relation_space(0).ambient_dim == 1
 
     def test_diagram_may_be_exact_past_the_request(self):
         eng = cusp_engine()
@@ -463,38 +568,53 @@ class TestRelationEchelon:
 
 
 def _faked_engine(monkeypatch, mono, eng, k=2):
-    """eng with relation_space(k) replaced by the span of one monomial,
-    of the true dimension, so the staircase cross-check passes; the guard
-    tests its canonical rows."""
+    """eng whose guard at degree k is handed one monomial's vector in
+    place of the generators' multiples, as many vectors as the true ones;
+    H(k) is counted as before."""
     betas = indices_up_to(2, k)
-    fake = Subspace.from_vectors(
-        [oracles.integer_row([int(b == mono) for b in betas])], len(betas))
-    assert fake.dim == eng.relation_space(k).dim
-    monkeypatch.setattr(eng, "relation_space", lambda _: fake)
+    fake = [{betas.index(mono): 1}]
+    assert len(fake) == len(ideal_multiples(eng.presentation, k))
+    monkeypatch.setattr(chevalley_module, "ideal_multiples",
+                        lambda presentation, degree: fake)
     return eng
 
 
 class TestConsistencyGuards:
-    def test_hs_crosscheck_runs(self):
-        # the cross-check is exercised on every verified run; a passing run
-        # is the evidence (a failure raises ConsistencyError)
+    def test_guard_reads_the_multiples_on_every_verified_climb(
+            self, monkeypatch):
+        # one guard per climb, at the stop order, handed the generators'
+        # multiples, which span the relation jets; a passing run is the
+        # evidence that the guard holds (a failure raises ConsistencyError)
         eng = cusp_engine()
+        handed = []
+        contains = JetSystem.kernel_contains
+
+        def spying(self, l, k, vectors):
+            handed.append((l, k, vectors))
+            return contains(self, l, k, vectors)
+
+        monkeypatch.setattr(JetSystem, "kernel_contains", spying)
         for k in range(0, 5):
-            eng.relation_jets(k)
+            rj = eng.relation_jets(k)
+            (l, kk, vectors), = handed
+            handed.clear()
+            assert (l, kk) == (rj.chain[-1], k)
+            n = index_count(2, k)
+            assert Subspace.from_vectors(vectors, n) == eng.relation_space(k)
 
     @pytest.mark.parametrize("mono, l", [((1, 0), 2), ((0, 1), 3),
                                          ((0, 0), 2), ((2, 0), 4),
                                          ((1, 1), 5)])
     def test_escaped_relation_jets_raise(self, mono, l, monkeypatch):
-        # a space of the true dimension, so the staircase cross-check
-        # passes, that is not inside the chain: y1 = x^2 is already outside
+        # a vector in place of the true multiples, H(k) counted as before,
+        # that is not inside the chain: y1 = x^2 is already outside
         # the projected kernel at l=2, y2 = x^3 leaves it at l=3, y1^2 = x^4
         # at l=4 and y1*y2 = x^5 at l=5, the true threshold.  The chain is
         # nested, so the one guard, at the order the climb stops at, the
         # threshold, catches each of them
         k = 2
         eng = _faked_engine(monkeypatch, mono, cusp_engine())
-        fake = eng.relation_space(k).rows.values()
+        fake = chevalley_module.ideal_multiples(eng.presentation, k)
         assert all(eng.jets.kernel_contains(below, k, fake)
                    for below in range(k, l))
         assert not eng.jets.kernel_contains(l, k, fake)
@@ -543,10 +663,10 @@ class TestSharedRows:
         diag = eng.diagram(8)
         span_rows = copy.deepcopy(diag.span.rows)
 
-        # relation_jets slices the diagram and guards with the slice's rows
+        # relation_space slices the diagram, and relation_jets reads it not
         for k in range(1, 5):
-            rj = eng.relation_jets(k)
-            assert rj.target.rows == ideal_jet_space(pres, k).rows
+            eng.relation_jets(k)
+            assert eng.relation_space(k).rows == ideal_jet_space(pres, k).rows
             assert diag.span.rows == span_rows
 
         # below the threshold the kernel is strictly larger than the target

@@ -322,6 +322,11 @@ class TestOutputPins:
             "2e34ba42c831902e29efc9016ac03b163a3acf464a68d007d0526d6f1a4122d2",
             "bd65e0e35d9970ba56322ad769001389851da1b07437a6538f5345ac4b0f2dac",
         ),
+        # the run whose relation echelon the closed-form H(k) replaced
+        "chevalley-cusp-l48-k24": (
+            "fd5c679aa3110be8c8b364f3a63f21801b28a87ece2407fd24c4f4bb5479efa8",
+            "fa933318b5ff6baeeee215693eff623456f24582a4197648a4b60bc1880936e0",
+        ),
         "chevalley-cusp-l32-k16": (
             "cbade976546233b654742a17f5eca31c8be08db87f4fbd843112e96f9366f7a3",
             "48a46f10af3a95f003b212985e0b6f713f74c29a86adc00b9f07c220bddd1f79",
@@ -385,6 +390,38 @@ class TestOutputPins:
             l_max, k_max = scaled
             argv += ["--l-max", l_max[1:], "--k-max", k_max[1:]]
         assert output_digests(argv, tmp_path, capsys) == self.PINS[case]
+
+
+    # the monomial curve (x^3, x^4, x^5), whose relation ideal needs three
+    # generators, so that its H(k) is counted on the relation echelon
+    MONO345 = {
+        "name": "mono345",
+        "map": {"name": "mono345", "m": 1, "n": 3,
+                "components": ["x^3", "x^4", "x^5"]},
+        "points": [[0], [1], ["1/2"]],
+        "relations": {"*": ["y2^2 - y1*y3", "y1^3 - y2*y3",
+                            "y3^2 - y1^2*y2"]},
+        "k_range": [1, 3],
+        "l_max": 8,
+    }
+    MONO345_PINS = {
+        "chevalley": (
+            "3332ecb2d9b00c7dd54ebad5020ee7a71205ea5830c8ea8e5619014ca1ec4280",
+            "cbf578378ce8eea2c283f5dda593f96bdaf3fa2814816cc30f2dc54248472dec",
+        ),
+        "verify": (
+            "d87f2f260cdf55a678d58e5a27065b0ad1e735515eb2c249bb8cc622cfbf3dde",
+            "603f7363c7cabe19d4e5ed1d7a594c99370dfa5b09c9c4648c4ccf13eb49793d",
+        ),
+    }
+
+    @pytest.mark.parametrize("verb", sorted(MONO345_PINS))
+    def test_three_generator_curve_pinned(self, verb, tmp_path, capsys):
+        path = tmp_path / "mono345.json"
+        path.write_text(json.dumps(self.MONO345), encoding="utf-8")
+        argv = [verb, "--scenario", str(path)]
+        assert output_digests(argv, tmp_path, capsys) == \
+            self.MONO345_PINS[verb]
 
 
 class TestCsvPins:

@@ -112,6 +112,10 @@ ENTRY_POINTS = [
     ("ChevalleyEngine.window", "stabilization window", 1, None,
      lambda v: ChevalleyEngine(cusp(), cusp_tuple(), window=v)),
     ("relation_jets", "degree k", 0, 6, lambda v: engine().relation_jets(v)),
+    ("ChevalleyEngine.diagram", "truncation degree", 0, None,
+     lambda v: engine().diagram(v)),
+    ("ChevalleyEngine.relation_space", "degree k", 0, None,
+     lambda v: engine().relation_space(v)),
     ("diagram_threshold.k", "degree k", 0, 3,
      lambda v: engine().diagram_threshold(v, 3)),
     ("diagram_threshold.l", "jet order l", 0, 6,

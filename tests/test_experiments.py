@@ -329,11 +329,17 @@ class TestRunTable:
         assert table.leaf_samples == separate
 
     @pytest.mark.parametrize("name, k_max", [("cusp", 5), ("cone", 2),
-                                             ("squaring", 3)])
+                                             ("squaring", 3),
+                                             ("mono345", 3)])
     def test_one_relation_build_per_engine(self, monkeypatch, name, k_max):
-        # every engine, leaf trials included, builds its relations once,
-        # at k_max, which no generator degree exceeds here
-        sc = load_scenario(ROOT / "scenarios" / f"{name}.json")
+        # the shipped scenarios have one generator or none, whose H(k) is
+        # counted in closed form, so nothing builds a relation echelon;
+        # with three generators every engine, leaf trials included, builds
+        # it once, at k_max, which no generator degree exceeds here
+        if name == "mono345":
+            sc = parse_scenario(MONO345)
+        else:
+            sc = load_scenario(ROOT / "scenarios" / f"{name}.json")
         builds = []
         build = chevalley_module.diagram_from_generators
 
@@ -344,9 +350,27 @@ class TestRunTable:
         monkeypatch.setattr(chevalley_module, "diagram_from_generators",
                             counting)
         run_table(sc)
+        if name != "mono345":
+            assert builds == []
+            return
         engines = len(list(scenario_tuples(sc))) + 5 * len(sc.leaves)
+        assert engines == 8
         assert len({id(p) for p, _ in builds}) == len(builds) == engines
         assert {d for _, d in builds} == {k_max}
+
+
+# the monomial curve (x^3, x^4, x^5), whose relation ideal needs three
+# generators, with a leaf of single points along the curve
+MONO345 = {
+    "name": "mono345",
+    "map": {"name": "mono345", "m": 1, "n": 3,
+            "components": ["x^3", "x^4", "x^5"]},
+    "points": [[0], [1], ["1/2"]],
+    "leaves": [{"name": "line", "params": ["t"], "points": [["t"]]}],
+    "relations": {"*": ["y2^2 - y1*y3", "y1^3 - y2*y3", "y3^2 - y1^2*y2"]},
+    "k_range": [1, 3],
+    "l_max": 8,
+}
 
 
 class TestVerify:

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 import _oracles as oracles
 import chevkit.staircase as staircase_module
 from chevkit.errors import ConsistencyError, InputError
-from chevkit.indices import index_count, indices_up_to
+from chevkit.indices import index_count, indices_of_degree, indices_up_to
 from chevkit.linalg import Subspace
 from chevkit.poly import Poly, TruncatedSeries, parse_poly
 from chevkit.staircase import (
@@ -14,7 +14,9 @@ from chevkit.staircase import (
     diagram_from_generators,
     hilbert_samuel_count,
     ideal_jet_space,
+    ideal_multiples,
     normal_form,
+    principal_count,
     residual_order,
 )
 from chevkit.censored import AtLeast
@@ -488,3 +490,78 @@ class TestGeneratorDegree:
         assert pres.generator_degree == 0
         diagram = diagram_from_generators(pres, 0)
         assert diagram.vertices == () and not diagram.provisional
+
+
+@st.composite
+def one_generator_presentations(draw):
+    """A presentation of one generator in arity 1-3, of order 1-4 at a
+    random rational centre, written in the global coordinates: in the
+    centred ones it has a term of degree exactly its order and up to three
+    more of degree at most two past it."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 4))
+    coeff = st.fractions(min_value=-3, max_value=3,
+                         max_denominator=4).filter(bool)
+    centre = tuple(draw(st.lists(
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        min_size=n, max_size=n)))
+    terms = {draw(st.sampled_from(indices_of_degree(n, order))): draw(coeff)}
+    for _ in range(draw(st.integers(0, 3))):
+        d = draw(st.integers(order, order + 2))
+        terms[draw(st.sampled_from(indices_of_degree(n, d)))] = draw(coeff)
+    local = Poly(n, {b: c for b, c in terms.items() if c})
+    g = local.shift(tuple(-c for c in centre))
+    return IdealPresentation.make([g], centre)
+
+
+class TestPrincipalStaircase:
+    """One generator's staircase is in(g) + N^n, its smallest term by
+    mono_key, and H(k) is counted in closed form; both equal the RREF's."""
+
+    @given(one_generator_presentations())
+    @settings(max_examples=60, deadline=None)
+    def test_vertex_and_count_match_the_rref(self, pres):
+        deg = pres.generator_degree
+        order = pres.recentered[0].order()
+        assert 1 <= order <= 4
+        for k in range(0, 9):
+            diagram = diagram_from_generators(pres, max(k, deg))
+            assert pres.principal_vertices == diagram.vertices
+            assert principal_count(pres, k) == \
+                hilbert_samuel_count(diagram, k)
+
+    def test_the_vertex_is_the_smallest_term(self):
+        # y2^2 - y1^3 at the origin: degree 2 comes first, so in = (0, 2)
+        pres = cusp_presentation()
+        assert pres.principal_vertices == ((0, 2),)
+        assert [principal_count(pres, k) for k in range(6)] == \
+            [1, 3, 5, 7, 9, 11]
+        # at (1, 1) the linear part 3 y1 - 2 y2 leads at y2 = (0, 1)
+        pres = cusp_presentation((1, 1))
+        assert pres.principal_vertices == ((0, 1),)
+        assert [principal_count(pres, k) for k in range(6)] == \
+            [1, 2, 3, 4, 5, 6]
+
+    def test_zero_ideal_has_no_vertex(self):
+        for gens in ([], [parse_poly("0", 2, names=Y)]):
+            pres = IdealPresentation.make(gens, (1, 2))
+            assert pres.principal_vertices == ()
+            assert [principal_count(pres, k) for k in range(5)] == \
+                [index_count(2, k) for k in range(5)]
+
+    def test_several_generators_have_no_closed_form(self):
+        gens = [parse_poly(g, 2, names=Y) for g in ("y1^2", "y2^2", "0")]
+        pres = IdealPresentation.make(gens, (0, 0))
+        assert pres.principal_vertices is None
+        # one nonzero generator next to a zero one still has it
+        pres = IdealPresentation.make(gens[1:], (0, 0))
+        assert pres.principal_vertices == ((0, 2),)
+
+    @pytest.mark.parametrize("center", [(0, 0), (1, 1), (4, 8)])
+    def test_the_multiples_span_the_ideal_jets(self, center):
+        pres = cusp_presentation(center)
+        for k in range(0, 7):
+            vectors = ideal_multiples(pres, k)
+            assert all(vectors)
+            assert Subspace.from_vectors(vectors, index_count(2, k)) == \
+                ideal_jet_space(pres, k)
