@@ -12,8 +12,11 @@ module computes that threshold order per k, three ways:
   holds still for a window of consecutive orders, an honest heuristic
   (STABILIZED) that can also come back INCONCLUSIVE with a censored bound;
 * a staircase-restricted route answers the yes/no question "has order l
-  reached the threshold for degree k" through an independent kernel
-  computation, used to cross-validate the first two.
+  reached the threshold for degree k" on the jet matrix cut to the columns
+  outside the staircase, used to cross-validate the first two.  It reads
+  its own echelon of that matrix, grown over the engine's jet build by the
+  climb's code, and one fresh elimination of it per engine checks that
+  echelon's counts.
 
 A parameterized family of tuples can be sampled at random rational
 parameters to estimate the generic threshold along the family (HEURISTIC).
@@ -32,7 +35,7 @@ from .errors import (
     RelationsMismatchError,
     check_int,
 )
-from .indices import degree, index_count, indices_up_to
+from .indices import degree, dominates, index_count, indices_up_to
 from .jets import FibredTuple, JetSystem, jet_matrix
 from .staircase import (
     IdealPresentation,
@@ -129,7 +132,7 @@ class ChevalleyEngine:
             self.presentation = IdealPresentation.make(gens, tup.image)
         self.jets = JetSystem(phi, tup)
         self._diagram = None
-        self._diagram_kernels = {}
+        self._staircase_jets = None
 
     # exact relation jets (verified mode only)
 
@@ -155,14 +158,18 @@ class ChevalleyEngine:
         degrees <= trunc, where the answer does not depend on it.
         """
         check_int(trunc, "truncation degree")
-        if self.presentation is None:
-            raise InputError("no relation generators were supplied")
+        presentation = self._relations()
         if self._diagram is None or trunc > self._diagram.trunc_degree:
             self._diagram = diagram_from_generators(
-                self.presentation,
-                max(trunc, self.presentation.generator_degree),
+                presentation, max(trunc, presentation.generator_degree),
             )
         return self._diagram
+
+    def _relations(self):
+        # the presentation, which every staircase read needs
+        if self.presentation is None:
+            raise InputError("no relation generators were supplied")
+        return self.presentation
 
     def _relation_codim(self, k):
         # H(k), the codimension of the relation jets T_k: in closed form for
@@ -234,32 +241,55 @@ class ChevalleyEngine:
 
     # staircase-restricted route
 
-    def _diagram_kernel(self, l):
-        # a staircase is exact through its truncation and only exponents of
-        # degree <= l <= l_max are asked about, so one staircase serves all l
-        if l not in self._diagram_kernels:
-            self._diagram_kernels[l] = _staircase_free_kernel(
-                self.jets.jet(l), self.diagram(self.l_max)
-            )
-        return self._diagram_kernels[l]
+    def _staircase_vertices(self):
+        # exact through l_max: in closed form for at most one generator,
+        # else off the relation echelon built there
+        vertices = self._relations().principal_vertices
+        if vertices is None:
+            vertices = self.diagram(self.l_max).vertices
+        return vertices
 
     def diagram_threshold(self, k, l):
         """Whether order l has reached the threshold for degree k, decided
-        through the staircase-restricted jet matrix (independent route).
-        The engine's staircase is exact only through l_max, so a larger l
-        is refused, as relation_jets refuses k > l_max."""
+        on the staircase-restricted jet matrix J'_l (independent route).
+
+        The engine keeps one more echelon, over the rows of its jet build
+        cut to the columns outside the staircase (JetSystem.restricted),
+        and grows it as the climb's.  proj_k(ker J'_l) is zero exactly when
+        its codimension in the kept coordinates of degree <= k, the
+        restricted quotient_dim(l, k), is their number.  The staircase is
+        exact only through l_max, so a larger l is refused, as
+        relation_jets refuses k > l_max."""
         check_int(l, "jet order l", 0, self.l_max)
         check_int(k, "degree k", 0, l)
-        return _projects_to_zero(*self._diagram_kernel(l), k)
+        if self._staircase_jets is None:
+            # the vertices, not the engine, so the system holds no
+            # reference back to it
+            self._staircase_jets = self.jets.restricted(
+                self._staircase_vertices())
+        jets = self._staircase_jets
+        return jets.quotient_dim(l, k) == jets.column_count(k)
+
+    def fresh_diagram_thresholds(self, l):
+        """diagram_threshold(k, l) for k = 0..l, read off one fresh
+        elimination of the staircase-restricted order-l jet matrix, apart
+        from the restricted echelon: a cross-check of its counts."""
+        check_int(l, "jet order l", 0, self.l_max)
+        n = self.phi.target_arity
+        kernel, betas = _staircase_free_kernel(
+            self.jets.jet(l), indices_up_to(n, l), self._staircase_vertices())
+        return tuple(_projects_to_zero(kernel, betas, k)
+                     for k in range(l + 1))
 
 
-def _staircase_free_kernel(jet, diagram):
+def _staircase_free_kernel(jet, betas, vertices):
     """(kernel, column exponents) of the jet matrix restricted to the
-    columns whose exponent lies outside the staircase.  The diagram is
-    truncated at or past the jet order, so the column labels are a prefix
-    of its monomials."""
-    betas = indices_up_to(diagram.arity, diagram.trunc_degree)[:jet.ncols]
-    kept = [c for c, beta in enumerate(betas) if not diagram.contains(beta)]
+    columns whose exponent lies outside the staircase of vertices.  betas
+    labels the columns: a sequence of exponents in the shared order, at
+    least as long as the row."""
+    betas = betas[:jet.ncols]
+    kept = [c for c, beta in enumerate(betas)
+            if not any(dominates(beta, v) for v in vertices)]
     _, kernel = jet.columns(kept).rank_kernel()
     return kernel, [betas[c] for c in kept]
 
@@ -270,10 +300,11 @@ def _projects_to_zero(kernel, betas, k):
     betas are sorted by degree, so those coordinates are a leading prefix.
     A canonical row keeps its pivot entry under projection onto a prefix
     that holds its pivot, and vanishes there otherwise, so the projection
-    is zero exactly when every pivot lies past the prefix.
+    is zero exactly when every pivot lies past the prefix: when the first
+    pivot, the rows' pivots ascending, has degree > k.
     """
-    cut = sum(degree(b) <= k for b in betas)
-    return all(p >= cut for p in kernel.rows)
+    first = next(iter(kernel.rows), None)
+    return first is None or degree(betas[first]) > k
 
 
 def diagram_threshold_test(phi, tup, k, l, diagram):
@@ -297,7 +328,9 @@ def diagram_threshold_test(phi, tup, k, l, diagram):
             f" need {l}"
         )
     jet = jet_matrix(phi, tup, l).integer_matrix(l)
-    return _projects_to_zero(*_staircase_free_kernel(jet, diagram), k)
+    betas = indices_up_to(diagram.arity, diagram.trunc_degree)
+    return _projects_to_zero(
+        *_staircase_free_kernel(jet, betas, diagram.vertices), k)
 
 
 @dataclass(frozen=True)

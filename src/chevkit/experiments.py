@@ -58,14 +58,16 @@ class TableRun:
     leaf_samples: tuple
 
 
-def _climb_tuples(scenario, build=None):
+def _climb_tuples(scenario, staircase=False):
     """(key, tuple, engine, {k: RelationJets}) for every tuple of the
     scenario, in table order (scenario_tuples): one engine per tuple,
     climbed at every k of k_range.  An engine's relation echelon is built
-    once, where it is read: at degree build when the caller reads it there
-    (build >= k_max), else at k_max when the climb counts H(k) on it, for
-    two or more generators.  Errors name the tuple, and the map and k of a
-    failed climb."""
+    once, through the degree it is read to: k_max, where the climb counts
+    H(k) on it for two or more generators and where a caller that runs
+    the staircase route (staircase) checks its counts; l_max, where that
+    route reads the staircase off it, for two or more generators (for at
+    most one it reads it in closed form).  Errors name the tuple, and the
+    map and k of a failed climb."""
     phi = scenario.phi
     k_min, k_max = scenario.k_range
     climbed = []
@@ -81,9 +83,9 @@ def _climb_tuples(scenario, build=None):
         k = k_max
         try:
             pres = engine.presentation
-            if pres is not None and build is not None:
-                engine.diagram(build)
-            elif pres is not None and pres.principal_vertices is None:
+            if pres is not None and pres.principal_vertices is None:
+                engine.diagram(scenario.l_max if staircase else k_max)
+            elif pres is not None and staircase:
                 engine.diagram(k_max)
             for k in range(k_min, k_max + 1):
                 rows[k] = engine.relation_jets(k)
@@ -462,24 +464,25 @@ def verify_consistency(scenario):
     """Cross-validate every route the package offers on one scenario.
 
     Checks: the supplied relations really vanish; the two jet-codimension
-    counts agree; the staircase-restricted threshold test agrees with the
-    chain; three independent membership routes compute the same projected
-    kernels for l <= MEMBERSHIP_L_CAP (including the dense alternating-minors
-    route when its operator has at most DENSE_CELL_CAP rows); growth of
-    validated relations is bounded by the exact shortcut; and the
-    monotonicity laws hold across the table, with validated relation jets
-    inside every projected kernel of their chain.  Returns the CheckResults
-    as a tuple; a table whose climb fails gives its one failed check, and
-    input an engine refuses raises InputError.
+    counts agree; the staircase-restricted threshold test, read off its own
+    echelon, agrees with the chain at every (k, l), and with one fresh
+    elimination of the restricted jet matrix per tuple, at l = min(l_max,
+    MEMBERSHIP_L_CAP); three independent membership routes compute the same
+    projected kernels for l <= MEMBERSHIP_L_CAP (including the dense
+    alternating-minors route when its operator has at most DENSE_CELL_CAP
+    rows); growth of validated relations is bounded by the exact shortcut;
+    and the monotonicity laws hold across the table, with validated
+    relation jets inside every projected kernel of their chain.  Returns
+    the CheckResults as a tuple; a table whose climb fails gives its one
+    failed check, and input an engine refuses raises InputError.
     """
     phi = scenario.phi
     n = phi.target_arity
     k_min, k_max = scenario.k_range
     try:
-        # the staircase route reads each engine's relations up to l_max; a
-        # tuple that is not fibred is malformed input (InputError), not a
+        # a tuple that is not fibred is malformed input (InputError), not a
         # failed check
-        climbed = _climb_tuples(scenario, scenario.l_max)
+        climbed = _climb_tuples(scenario, staircase=True)
     except (RelationsMismatchError, ConsistencyError) as exc:
         return (CheckResult(
             "table-construction", False, f"{type(exc).__name__}: {exc}"
@@ -526,6 +529,20 @@ def verify_consistency(scenario):
                     details.append(
                         f"{key} k={k} l={l}: staircase route {got},"
                         f" chain route {expected}"
+                    )
+        # the route reads its own echelon, made by the climb's code; one
+        # fresh elimination per engine, at the membership routes' top
+        # order, checks its counts
+        top = min(scenario.l_max, MEMBERSHIP_L_CAP)
+        ks = [k for k in rows if k <= top]
+        if ks:
+            fresh = engine.fresh_diagram_thresholds(top)
+            for k in ks:
+                got = engine.diagram_threshold(k, top)
+                if got != fresh[k]:
+                    details.append(
+                        f"{key} k={k} l={top}: staircase echelon {got},"
+                        f" fresh staircase kernel {fresh[k]}"
                     )
     checks.append(_check("threshold-route-agreement", details,
                          f"{count} (k, l) cells agree"))

@@ -44,7 +44,13 @@ from math import lcm
 from operator import add
 
 from .errors import InputError, check_int
-from .indices import degree, index_count, indices_of_degree, indices_up_to
+from .indices import (
+    degree,
+    index_add,
+    index_count,
+    indices_of_degree,
+    indices_up_to,
+)
 from .linalg import Matrix, _combine, staged_elimination
 
 
@@ -369,6 +375,9 @@ class JetSystem:
     The order-(l+1) guard rows hold the order-l ones, so the projected
     kernels are nested, Kp(l+1, k) in Kp(l, k): a vector lies in every
     member through order l exactly when it lies in Kp(l, k).
+
+    restricted(vertices) gives a second system over the same build whose
+    rows skip the columns of a staircase; see there.
     """
 
     def __init__(self, phi, tup):
@@ -384,6 +393,30 @@ class JetSystem:
         self._counts = []
         self._kernels = {}
         self._blocks = {}
+        # the staircase vertices whose columns the rows skip, the skipped
+        # columns of the orders reached, and per order l the number of
+        # columns of degree <= l the rows keep
+        self._staircase = ()
+        self._dropped = set()
+        self._widths = []
+
+    def restricted(self, vertices):
+        """A system over this one's build whose rows skip the staircase
+        columns: those whose exponent dominates one of vertices, which must
+        be exact through every order read.  Its echelon is that of the
+        restricted jet matrix J'_l, made by the same _extend, so there
+        quotient_dim(l, k) is rank J'_l - rank J'^{>k}_l: the codimension,
+        in the column_count(k) kept coordinates of degree <= k, of the
+        projection of ker J'_l onto them.  Only the echelon's counts are
+        read on it; jet(l) and kernel(l) stay the whole build's.  With no
+        vertices nothing is skipped, and the system is this one."""
+        vertices = tuple(vertices)
+        if not vertices:
+            return self
+        system = JetSystem(self.phi, self.tup)
+        system._build = self._grow(0)
+        system._staircase = vertices
+        return system
 
     def _grow(self, l):
         """The build, made or grown first so that it covers order l."""
@@ -397,15 +430,32 @@ class JetSystem:
         made = len(self._pivot_rows)
         n = self.phi.target_arity
         keys = self._keys
-        keys.extend(zip(repeat(-l), range(len(keys), index_count(n, l))))
+        start = len(keys)
+        keys.extend(zip(repeat(-l), range(start, index_count(n, l))))
+        dropped = self._dropped
+        if self._staircase:
+            # the staircase exponents of degree l: v + gamma, |gamma| =
+            # l - |v|, made from the vertices rather than tested per column
+            stair = {index_add(v, gamma) for v in self._staircase
+                     if degree(v) <= l
+                     for gamma in indices_of_degree(n, l - degree(v))}
+            dropped.update(
+                c for c, beta in enumerate(indices_of_degree(n, l), start)
+                if beta in stair)
+        self._widths.append(len(keys) - len(dropped))
         pivot_rows = self._pivot_rows
-        # copies, as _combine works in place.  The rows keep their positive
-        # t_p^|alpha| scales, and the heap phase leaves them the content its
-        # reductions make: each stays a positive integer multiple of the
-        # primitive row, with the same support, so it meets the same pivot
-        # columns.  staged_elimination divides the content out on entry, so
-        # the pivot rows come out the same
-        batch = [dict(row) for row in self._build.layer(l)]
+        # copies, as _combine works in place, cut to the kept columns.  The
+        # rows keep their positive t_p^|alpha| scales, and the heap phase
+        # leaves them the content its reductions make: each stays a
+        # positive integer multiple of the primitive row, with the same
+        # support, so it meets the same pivot columns.  staged_elimination
+        # divides the content out on entry, so the pivot rows come out the
+        # same
+        if dropped:
+            batch = [{c: v for c, v in row.items() if c not in dropped}
+                     for row in self._build.layer(l)]
+        else:
+            batch = [dict(row) for row in self._build.layer(l)]
         # the pivot columns the new rows meet, popped in staged order, each
         # reducing the rows it is still in; a pivot row is zero before its
         # pivot, so a reduction brings in only later pivot columns, queued
@@ -499,6 +549,13 @@ class JetSystem:
         check_int(k, "block degree", 0, l)
         self.analysis(l)
         return self._counts[l][k]
+
+    def column_count(self, k):
+        """The number of columns of degree <= k the rows keep: C(n+k, k),
+        less the staircase columns on a restricted system."""
+        check_int(k, "block degree")
+        self.analysis(k)
+        return self._widths[k]
 
     def kernel_contains(self, l, k, vectors):
         """Whether the projected kernel at (l, k) holds every vector.

@@ -1,5 +1,7 @@
 import copy
+import gc
 import re
+import weakref
 from fractions import Fraction
 from math import comb
 
@@ -340,6 +342,36 @@ class TestDiagramRoute:
                 "degree k must be an int in 0..3, got -1")):
             diagram_threshold_test(phi, tup, -1, 3, engine.diagram(6))
 
+    def test_no_relations_refused_after_the_range_checks(self):
+        # an engine told nothing of the relation ideal has no staircase, so
+        # every staircase read refuses it, once k and l have passed their
+        # checks, with the text diagram() has always given
+        phi = cusp()
+        engine = ChevalleyEngine(phi, FibredTuple.make(phi, [(0,)]),
+                                 l_max=6)
+        engine.relation_jets(2)
+        for read in (lambda: engine.diagram_threshold(2, 4),
+                     lambda: engine.fresh_diagram_thresholds(4),
+                     lambda: engine.diagram(3),
+                     lambda: engine.relation_space(3)):
+            with pytest.raises(InputError) as exc:
+                read()
+            assert str(exc.value) == "no relation generators were supplied"
+        for read, text in [
+                (lambda: engine.diagram_threshold(2, 7),
+                 "jet order l must be an int in 0..6, got 7"),
+                (lambda: engine.diagram_threshold(5, 4),
+                 "degree k must be an int in 0..4, got 5"),
+                (lambda: engine.fresh_diagram_thresholds(-1),
+                 "jet order l must be an int in 0..6, got -1"),
+                (lambda: engine.diagram(-1),
+                 "truncation degree must be an int >= 0, got -1"),
+                (lambda: engine.relation_space(True),
+                 "degree k must be an int >= 0, got True")]:
+            with pytest.raises(InputError) as exc:
+                read()
+            assert str(exc.value) == text
+
     def test_standalone_frozen(self):
         phi = cusp()
         tup = FibredTuple.make(phi, [(0,)])
@@ -500,6 +532,130 @@ class TestAgainstTheRrefClimb:
         assert got == want
         # rows returned; the rest are errors
         assert sum(type(o) is not tuple for o in got) == rows
+
+
+def _even_in_x1(p):
+    """p with x1 -> x1^2, so that it takes one value at (a, b) and (-a, b)."""
+    m = p.arity
+    args = [Poly(m, {(2,) + (0,) * (m - 1): Fraction(1)})] + [
+        Poly(m, {tuple(int(i == j) for i in range(m)): Fraction(1)})
+        for j in range(1, m)]
+    return p.compose(args)
+
+
+@st.composite
+def staircase_engines(draw):
+    """(engine, diagram, orders): an engine with l_max 1-5 and the RREF
+    staircase of its generators, exact through l_max, then the orders
+    0..l_max in a random order.
+
+    Either a random map with m <= 2 and n <= 3 at 1-2 points, or mono345
+    at one of its points with 1-3 of its three generators.  The random
+    map's last component is P(the others), for a random P, so y_n - P is a
+    relation: the presentation is the zero ideal, y_n - P times a
+    multiplier (principal), or y_n - P with y1 (y_n - P) (two generators,
+    read off the echelon).  Two points are (a, b) and (-a, b) of a map
+    even in x1."""
+    if draw(st.booleans()):
+        comps, m, relations, points = RELATION_MAPS[2]
+        n = len(comps)
+        phi = PolyMap("mono345", [parse_poly(c, m) for c in comps])
+        gens = [parse_poly(r, n, names=Y3)
+                for r in draw(st.lists(st.sampled_from(relations),
+                                       min_size=1, max_size=3,
+                                       unique=True))]
+        tup = FibredTuple.make(phi, [draw(st.sampled_from(points))])
+    else:
+        m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+        pair = draw(st.booleans())
+        coeff = st.integers(-3, 3).filter(bool).map(Fraction)
+
+        def polys(arity, low, high):
+            exps = st.tuples(*([st.integers(0, high)] * arity)).filter(
+                lambda b: low <= sum(b) <= high)
+            return st.dictionaries(exps, coeff, min_size=1, max_size=3).map(
+                lambda t: Poly(arity, t))
+
+        free = [draw(polys(m, 1, 3)) for _ in range(max(n - 1, 1))]
+        if pair:
+            free = [_even_in_x1(f) for f in free]
+        if n == 1:
+            comps, gens = free, []
+        else:
+            p = draw(polys(n - 1, 0, 2))
+            comps = free + [p.compose(free)]
+            y = [Poly(n, {tuple(int(i == j) for i in range(n)): Fraction(1)})
+                 for j in range(n)]
+            g = y[-1] - p.compose(y[:-1])
+            kind = draw(st.sampled_from(["zero", "principal", "several"]))
+            if kind == "zero":
+                gens = []
+            elif kind == "principal":
+                gens = [draw(st.sampled_from(
+                    [Poly.constant(n, 2), y[0], y[0] - Poly.constant(n, 1),
+                     Poly.constant(n, 1)])) * g]
+            else:
+                gens = [g, y[0] * g]
+        phi = PolyMap("random", comps, source_arity=m)
+        coord = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+        point = draw(st.tuples(*([coord] * m)))
+        if pair:
+            point = (draw(coord.filter(bool)),) + point[1:]
+            points = [point, (-point[0],) + point[1:]]
+        else:
+            points = [point]
+        tup = FibredTuple.make(phi, points)
+    l_max = draw(st.integers(1, 5))
+    eng = ChevalleyEngine(phi, tup, relations=gens, l_max=l_max)
+    pres = IdealPresentation.make(gens, tup.image)
+    diagram = diagram_from_generators(
+        pres, max(l_max, pres.generator_degree))
+    orders = draw(st.permutations(range(l_max + 1)))
+    return eng, diagram, orders
+
+
+class TestRestrictedEchelon:
+    """The staircase route's incremental counts against fresh kernels of
+    the staircase-restricted jet matrix, at every (k, l <= l_max)."""
+
+    @given(staircase_engines())
+    @settings(max_examples=60, deadline=None)
+    def test_counts_match_fresh_kernels(self, case):
+        eng, diagram, orders = case
+        betas = indices_up_to(diagram.arity, diagram.trunc_degree)
+        for l in orders:
+            kernel, kept = chevalley_module._staircase_free_kernel(
+                eng.jets.jet(l), betas, diagram.vertices)
+            fresh = [chevalley_module._projects_to_zero(kernel, kept, k)
+                     for k in range(l + 1)]
+            assert [eng.diagram_threshold(k, l)
+                    for k in range(l + 1)] == fresh
+            assert list(eng.fresh_diagram_thresholds(l)) == fresh
+
+    def test_kept_columns_are_counted(self):
+        # the cusp's staircase at 0 is y2^2 + N^2: of the C(2+k, 2)
+        # columns of degree <= k, C(k, 2) lie in it, so 2k + 1 are kept
+        eng = cusp_engine(l_max=8)
+        jets = eng.jets.restricted(eng.presentation.principal_vertices)
+        assert [jets.column_count(k) for k in range(9)] == [
+            index_count(2, k) - comb(k, 2) for k in range(9)] == [
+            2 * k + 1 for k in range(9)]
+        assert eng.jets.restricted(()) is eng.jets
+        assert [eng.jets.column_count(k) for k in range(9)] == [
+            index_count(2, k) for k in range(9)]
+
+    def test_no_cycle_back_to_the_engine(self):
+        # the restricted system closes over the staircase's vertices, so
+        # dropping the engine frees it without a garbage-collection pass
+        eng = cusp_engine(l_max=6)
+        eng.diagram_threshold(2, 6)
+        ref = weakref.ref(eng)
+        gc.disable()
+        try:
+            del eng
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestRelationEchelon:

@@ -424,6 +424,35 @@ class TestOutputPins:
             self.MONO345_PINS[verb]
 
 
+    # Osgood's map truncated at N = 4, (x1, x1 x2, x1 sum_{i<=4} (4!/i!)
+    # x2^(i+1)), whose relation ideal is principal, at its singular point:
+    # the staircase route reads thirty orders there
+    OSGOOD4 = {
+        "name": "osgood4",
+        "map": {"name": "osgood4", "m": 2, "n": 3,
+                "components": ["x1", "x1*x2",
+                               "24*x1*x2 + 24*x1*x2^2 + 12*x1*x2^3"
+                               " + 4*x1*x2^4 + x1*x2^5"]},
+        "points": [[0, 0]],
+        "relations": {"*": ["y1^4*y3 - 24*y1^4*y2 - 24*y1^3*y2^2"
+                            " - 12*y1^2*y2^3 - 4*y1*y2^4 - y2^5"]},
+        "k_range": [1, 6],
+        "l_max": 30,
+        "window": 3,
+    }
+    OSGOOD4_VERIFY_PIN = (
+        "fe56cb6d53112aef91e7bf031890dc6f0b901968ddc9d9aceddff14d763fc77b",
+        "2a77c418b4c47542af7e13afbbcbe89787978865a1b9e4b6d02c5bf07ac1837e",
+    )
+
+    def test_osgood_truncation_verify_pinned(self, tmp_path, capsys):
+        path = tmp_path / "osgood4.json"
+        path.write_text(json.dumps(self.OSGOOD4), encoding="utf-8")
+        argv = ["verify", "--scenario", str(path)]
+        assert output_digests(argv, tmp_path, capsys) == \
+            self.OSGOOD4_VERIFY_PIN
+
+
 class TestCsvPins:
     # sha256 of the --csv bytes of chevalley and fit on the shipped
     # scenarios; both verbs write the same table, so they share one pin

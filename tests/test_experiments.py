@@ -484,11 +484,17 @@ class TestVerify:
         assert membership == sorted(list(range(1, 7)) * 2)
 
     @pytest.mark.parametrize("name", ["cusp", "cone", "squaring",
-                                      "identity"])
+                                      "identity", "mono345"])
     def test_one_relation_build_per_engine(self, monkeypatch, name):
-        # the staircase route reads each engine's relations through l_max,
-        # so the climb builds them there, once, and nothing builds again
-        sc = load_scenario(ROOT / "scenarios" / f"{name}.json")
+        # the count checks read each engine's relation echelon through
+        # k_max, and the staircase route its staircase through l_max: in
+        # closed form for at most one generator, so the climb builds the
+        # echelon at max(k_max, generator degree), and off the echelon for
+        # three, so it builds it at l_max; once, and nothing builds again
+        if name == "mono345":
+            sc = parse_scenario(MONO345)
+        else:
+            sc = load_scenario(ROOT / "scenarios" / f"{name}.json")
         builds = []
         build = chevalley_module.diagram_from_generators
 
@@ -504,7 +510,15 @@ class TestVerify:
                       for key, _ in scenario_tuples(sc))
         assert engines > 0
         assert len({id(p) for p, _ in builds}) == len(builds) == engines
-        assert {d for _, d in builds} == {sc.l_max}
+        k_max = sc.k_range[1]
+        if name == "mono345":
+            assert {d for _, d in builds} == {sc.l_max} == {8}
+        else:
+            assert [d for _, d in builds] == [
+                max(k_max, p.generator_degree) for p, _ in builds]
+            assert {d for _, d in builds} == {
+                "cusp": {5}, "cone": {2}, "squaring": {3},
+                "identity": {3}}[name]
 
     def test_unfibred_tuple_is_an_input_error(self):
         # a malformed tuple is refused before any check is run
