@@ -22,15 +22,15 @@ from .errors import (
     WedgeCapError,
 )
 from .experiments import (
-    GrowthReport,
+    CompositeOrder,
     LinearBound,
     ProductProbe,
     TableRun,
+    composite_order_probe,
     fit_linear_bound,
     product_order_probe,
     residual_order_probe,
     run_table,
-    taylor_growth_estimate,
     verify_consistency,
 )
 from .indices import (
@@ -90,9 +90,9 @@ __all__ = [
     "RelationJets", "sample_leaf_chevalley", "validate_relations",
     "ChevkitError", "ConsistencyError", "InputError",
     "RelationsMismatchError", "WedgeCapError",
-    "GrowthReport", "LinearBound", "ProductProbe",
-    "TableRun", "fit_linear_bound", "product_order_probe",
-    "residual_order_probe", "run_table", "taylor_growth_estimate",
+    "CompositeOrder", "LinearBound", "ProductProbe",
+    "TableRun", "composite_order_probe", "fit_linear_bound",
+    "product_order_probe", "residual_order_probe", "run_table",
     "verify_consistency",
     "degree", "dominates", "index_count", "indices_of_degree",
     "indices_up_to", "mono_key",

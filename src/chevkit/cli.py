@@ -24,14 +24,15 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .censored import AtLeast, is_censored
-from .chevalley import HEURISTIC, INCONCLUSIVE, LEAF_TRIALS, validate_relations
+from .chevalley import (HEURISTIC, INCONCLUSIVE, LEAF_TRIALS, ChevalleyEngine,
+                        validate_relations)
 from .errors import ConsistencyError, InputError, RelationsMismatchError
 from .experiments import (
+    composite_order_probe,
     fit_linear_bound,
     product_order_probe,
     residual_order_probe,
     run_table,
-    taylor_growth_estimate,
     verify_consistency,
 )
 from .jets import jet_matrix
@@ -150,7 +151,7 @@ def _select(scenario, key_arg):
 
 
 def _relation_targets(scenario, point):
-    """(key, presentation) of each tuple a relation verb reads: the one
+    """(key, tuple, presentation) of each tuple a relation verb reads: the one
     named by point, or else every tuple with relation generators, each
     validated against the map as it is reached."""
     found = False
@@ -164,7 +165,7 @@ def _relation_targets(scenario, point):
             continue
         found = True
         gens = validate_relations(scenario.phi, tup, rel)
-        yield key, IdealPresentation.make(gens, tup.image)
+        yield key, tup, IdealPresentation.make(gens, tup.image)
     if not found:
         raise InputError("scenario supplies no relation generators")
 
@@ -306,7 +307,7 @@ def cmd_diagram(args, scenario):
     names = target_names(scenario.phi.target_arity)
     trunc = scenario.l_max
     reports = []
-    for key, presentation in _relation_targets(scenario, args.point):
+    for key, _, presentation in _relation_targets(scenario, args.point):
         diagram = diagram_from_generators(
             presentation, max(trunc, presentation.generator_degree)
         )
@@ -327,7 +328,7 @@ def cmd_diagram(args, scenario):
 def cmd_nu(args, scenario):
     n = scenario.phi.target_arity
     names = target_names(n)
-    key, presentation = next(_relation_targets(scenario, args.point))
+    key, _, presentation = next(_relation_targets(scenario, args.point))
     polys = [
         parse_poly(text, n, names=names, aliases=target_aliases(n))
         for text in args.poly
@@ -355,54 +356,50 @@ def cmd_nu(args, scenario):
 def cmd_mu(args, scenario):
     phi = scenario.phi
     n = phi.target_arity
-    pairs = _select(scenario, args.point)
-    if not pairs:
-        raise InputError("growth probe needs a point; the scenario has none")
-    key, tup = pairs[0]
-    if tup.size != 1:
-        raise InputError("growth probe needs a single-point tuple")
-    a = tup.points[0]
-    l_top = min(scenario.l_max, 6) if args.l_max is None else args.l_max
-    ls = list(range(1, l_top + 1))
-    reports = []
-    for text in args.poly:
-        f = parse_poly(text, n, names=target_names(n),
-                       aliases=target_aliases(n))
-        report = taylor_growth_estimate(
-            f, phi, a, ls, seed=scenario.seed,
-        )
-        for entry in report.entries:
-            slope = "-" if entry.slope is None else f"{entry.slope:.3f}"
-            tag = "certified" if entry.certified else "heuristic"
-            print(f"mu probe {text} l={entry.l}: slope {slope},"
-                  f" bounded={entry.bounded} ({tag})")
-        for warning in report.warnings:
-            print(f"  warning: {warning}")
-        reports.append({
+    key, tup, _ = next(_relation_targets(scenario, args.point))
+    engine = ChevalleyEngine(
+        phi, tup, relations=relations_for(scenario, key),
+        l_max=scenario.l_max, window=scenario.window,
+    )
+    polys = [
+        parse_poly(text, n, names=target_names(n), aliases=target_aliases(n))
+        for text in args.poly
+    ]
+    probes = composite_order_probe(engine, polys, scenario.k_range)
+    entries = []
+    for text, probe in zip(args.poly, probes):
+        row = probe.row
+        l_value = status = law = None
+        if row is not None:
+            l_value, status = row.l_value, row.status
+            if not is_censored(l_value):
+                # the law: ord(f∘phi) <= l(a, nu(f)); a zero composite has
+                # no finite order, so it breaks the law
+                law = probe.order is not None and probe.order <= l_value
+        print(f"mu({text}): nu = {probe.nu},"
+              f" ord = {'-' if probe.order is None else probe.order},"
+              f" l = {'-' if row is None else f'{l_value} ({status})'},"
+              " law " + ("does not apply" if law is None
+                         else "holds" if law else "fails"))
+        entries.append({
             "poly": text,
-            "point": list(a),
-            "image": list(tup.image),
-            "heuristic": report.heuristic,
-            "entries": [
-                {
-                    "l": e.l,
-                    "slope": e.slope,
-                    "bounded": e.bounded,
-                    "certified": e.certified,
-                }
-                for e in report.entries
-            ],
-            "warnings": list(report.warnings),
+            "nu": probe.nu,
+            "ord": probe.order,
+            "l": l_value,
+            "status": status,
+            "law": law,
         })
     payload = {
         "tuple": key,
-        "probes": reports,
+        "center": list(tup.image),
+        "k_range": list(scenario.k_range),
+        "entries": entries,
     }
-    return 0, payload
+    return (4 if any(e["law"] is False for e in entries) else 0), payload
 
 
 def cmd_product(args, scenario):
-    key, presentation = next(_relation_targets(scenario, args.point))
+    key, _, presentation = next(_relation_targets(scenario, args.point))
     probe = product_order_probe(
         presentation, trials=args.trials, seed=scenario.seed,
         trunc=args.trunc,
@@ -507,10 +504,11 @@ def build_parser():
                     help="staircase truncation degree")
     sp.set_defaults(func=cmd_nu)
 
-    sp = sub.add_parser("mu", help="numeric growth probe (floats)")
-    _add_common(sp, "--l-max", "--seed")
-    sp.add_argument("--point", help="single-point tuple key to probe"
-                    " at; write --point=KEY, as a key may start with -")
+    sp = sub.add_parser("mu", help="composite orders against the threshold"
+                        " table: ord(f o phi) <= l(a, nu(f))")
+    _add_common(sp, "--l-max")
+    sp.add_argument("--point", help="tuple key to probe at;"
+                    " write --point=KEY, as a key may start with -")
     sp.add_argument("--poly", action="append", required=True,
                     help="target polynomial to probe (repeatable)")
     sp.set_defaults(func=cmd_mu)

@@ -1,9 +1,7 @@
-"""Experiment drivers: threshold tables, linear-bound fitting, order and
-growth probes, and an end-to-end consistency verifier.
+"""Experiment drivers: threshold tables, linear-bound fitting, order
+probes, the composite-order law, and an end-to-end consistency verifier.
 
-Everything here is exact rational arithmetic except taylor_growth_estimate,
-which is the one numeric (float) probe in the package and says so in its
-results.
+Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -41,13 +39,6 @@ from .wedge import membership_kernel, membership_operator
 # verify_consistency's membership-route orders and dense wedge row budget
 MEMBERSHIP_L_CAP = 6
 DENSE_CELL_CAP = 2000
-
-# taylor_growth_estimate's sampling and slope tolerance
-GROWTH_TOL = 0.15
-GROWTH_BOX = 0.5
-GROWTH_SHRINK = 0.5
-GROWTH_SCALES = 6
-GROWTH_SAMPLES = 40
 
 
 @dataclass(frozen=True)
@@ -319,131 +310,40 @@ def product_order_probe(presentation, trials=200, seed=0, trunc=8):
 
 
 @dataclass(frozen=True)
-class GrowthEntry:
-    l: int
-    slope: object    # float, or None when no usable regression
-    bounded: object  # bool, or None when undecidable
-    certified: bool  # True only on exact shortcuts, never from floats
+class CompositeOrder:
+    """Both sides of the composite-order law for one function f."""
+
+    nu: object     # residual order of f at the image point: int or AtLeast
+    order: object  # least order of f∘phi over the tuple's points; None at 0
+    row: object    # RelationJets at k = nu, or None off k_range or censored
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    entries: tuple
-    warnings: tuple
-    heuristic: bool
+def composite_order_probe(engine, polys, k_range):
+    """One CompositeOrder per polynomial, in order, at the engine's tuple.
 
-
-def _float_terms(terms):
-    return [(float(c), exps) for exps, c in terms.items()]
-
-
-def _feval(compiled, point):
-    total = 0.0
-    for c, exps in compiled:
-        v = c
-        for x, e in zip(point, exps):
-            if e:
-                v *= x ** e
-        total += v
-    return total
-
-
-def taylor_growth_estimate(f, phi, a, ls, seed=0):
-    """Numeric probe of how fast the degree-l Taylor remainder-free
-    truncation of f at the image point grows along the fibre near a.
-
-    For each l, samples GROWTH_SAMPLES source points in each of
-    GROWTH_SCALES boxes around a, of half-width GROWTH_BOX shrinking by
-    GROWTH_SHRINK, regresses log max|truncation| against log max|image
-    displacement|, and calls the ratio bounded when the slope reaches
-    l - GROWTH_TOL.  This is the only float-based routine in the package;
-    nothing it returns is certified unless an exact shortcut applies (f
-    composing to zero with the map, or a truncation with no terms at all).
+    The law: if nu(f) = k and the row (a, k) is VERIFIED with a finite l,
+    then ord(f∘phi) <= l.  At l = l(a, k) the projected kernel Kp(l, k) is
+    the relation jets T_k, and it holds the k-jet of every f whose
+    composite vanishes through degree l at every point; nu(f) = k puts the
+    k-jet of f outside T_k, so f∘phi does not.  nu is read against the
+    engine's one relation diagram, exact past k_max and every polynomial's
+    degree; each row is climbed once, however many polynomials share it.
     """
-    if f.arity != phi.target_arity:
-        raise InputError(
-            f"function arity {f.arity} does not match target arity"
-            f" {phi.target_arity}"
-        )
-    ls = list(ls)
-    b = phi.eval_at(a)  # refuses a point of the wrong length
-    composed = f.compose(list(phi.components))
-    if composed.is_zero():
-        return GrowthReport(
-            entries=tuple(
-                GrowthEntry(l=l, slope=None, bounded=True, certified=True)
-                for l in ls
-            ),
-            warnings=(), heuristic=False,
-        )
-
-    rng = random.Random(seed)
-    af = [float(v) for v in a]
-    bf = [float(v) for v in b]
-    comp_terms = [_float_terms(c.terms) for c in phi.components]
-    scale_data = []
-    for s in range(GROWTH_SCALES):
-        radius = GROWTH_BOX * (GROWTH_SHRINK ** s)
-        dys = []
-        r_max = 0.0
-        for _ in range(GROWTH_SAMPLES):
-            x = [ai + radius * rng.uniform(-1.0, 1.0) for ai in af]
-            dy = [
-                _feval(ct, x) - bj for ct, bj in zip(comp_terms, bf)
-            ]
-            dys.append(dy)
-            r_max = max(r_max, max(abs(v) for v in dy))
-        scale_data.append((r_max, dys))
-
-    warnings = []
-    entries = []
-    for l in ls:
-        series = f.taylor(b, l)
-        if not series.terms:
-            # exact: the truncation is identically zero, the ratio is zero
-            entries.append(
-                GrowthEntry(l=l, slope=None, bounded=True, certified=True)
-            )
-            continue
-        tf = _float_terms(series.terms)
-        pairs = []
-        dropped = 0
-        for r_max, dys in scale_data:
-            t_max = max(abs(_feval(tf, dy)) for dy in dys)
-            if r_max > 0.0 and t_max > 0.0:
-                pairs.append((math.log(r_max), math.log(t_max)))
-            else:
-                dropped += 1
-        if dropped:
-            warnings.append(
-                f"l={l}: dropped {dropped} degenerate scales (zero"
-                " displacement or zero truncation values)"
-            )
-        if len(pairs) < 2:
-            warnings.append(f"l={l}: not enough usable scales to regress")
-            entries.append(
-                GrowthEntry(l=l, slope=None, bounded=None, certified=False)
-            )
-            continue
-        mx = math.fsum(x for x, _ in pairs) / len(pairs)
-        my = math.fsum(y for _, y in pairs) / len(pairs)
-        sxx = math.fsum((x - mx) ** 2 for x, _ in pairs)
-        sxy = math.fsum((x - mx) * (y - my) for x, y in pairs)
-        if sxx == 0.0:
-            warnings.append(f"l={l}: degenerate regression abscissae")
-            entries.append(
-                GrowthEntry(l=l, slope=None, bounded=None, certified=False)
-            )
-            continue
-        slope = sxy / sxx
-        entries.append(GrowthEntry(
-            l=l, slope=slope, bounded=(slope >= l - GROWTH_TOL),
-            certified=False,
-        ))
-    return GrowthReport(
-        entries=tuple(entries),
-        warnings=tuple(warnings), heuristic=True,
-    )
+    k_min, k_max = k_range
+    check_int(k_max, "k_max", k_min, engine.l_max)
+    diagram = engine.diagram(
+        max([k_max + 1] + [p.total_degree() for p in polys]))
+    nus = [residual_order(p.shift(engine.tup.image), diagram) for p in polys]
+    rows = {k: engine.relation_jets(k) for k in {
+        k for k in nus if not is_censored(k) and k_min <= k <= k_max}}
+    components = list(engine.phi.components)
+    probes = []
+    for p, nu in zip(polys, nus):
+        composed = p.compose(components)
+        order = None if composed.is_zero() else min(
+            composed.shift(a).order() for a in engine.tup.points)
+        probes.append(CompositeOrder(nu=nu, order=order, row=rows.get(nu)))
+    return tuple(probes)
 
 
 @dataclass(frozen=True)
@@ -470,7 +370,7 @@ def verify_consistency(scenario):
     MEMBERSHIP_L_CAP); three independent membership routes compute the same
     projected kernels for l <= MEMBERSHIP_L_CAP (including the dense
     alternating-minors route when its operator has at most DENSE_CELL_CAP
-    rows); growth of validated relations is bounded by the exact shortcut;
+    rows); the relation-growth-bounded line repeats the vanishing test;
     and the monotonicity laws hold across the table, with validated
     relation jets inside every projected kernel of their chain.  Returns
     the CheckResults as a tuple; a table whose climb fails gives its one
@@ -494,13 +394,13 @@ def verify_consistency(scenario):
     )]
     verified = [c for c in climbed if c[2].presentation is not None]
 
-    details = []
-    for key, _, engine, _ in verified:
-        for g in engine.presentation.generators:
-            if not g.compose(list(phi.components)).is_zero():
-                details.append(f"{key}: generator fails to compose to zero")
+    generators = [(key, g) for key, _, engine, _ in verified
+                  for g in engine.presentation.generators]
+    escaped = [key for key, g in generators
+               if not g.compose(list(phi.components)).is_zero()]
     checks.append(_check(
-        "relations-vanish", details,
+        "relations-vanish",
+        [f"{key}: generator fails to compose to zero" for key in escaped],
         f"{len(verified)} tuples with validated generators",
     ))
 
@@ -585,20 +485,13 @@ def verify_consistency(scenario):
         f"{count} cells agree ({dense_count} also checked densely)",
     ))
 
-    details = []
-    count = 0
-    for key, tup, engine, _ in verified:
-        for g in engine.presentation.generators:
-            report = taylor_growth_estimate(
-                g, phi, tup.points[0], [k_max], seed=scenario.seed,
-            )
-            count += 1
-            if not (report.entries and all(
-                    e.bounded and e.certified for e in report.entries)):
-                details.append(f"{key}: generator growth not certified")
+    # the same vanishing test, under the name and in the place of the float
+    # growth probe's check, whose only certified branch it was:
+    # bench/golden.json pins verify's output bytes
     checks.append(_check(
-        "relation-growth-bounded", details,
-        f"{count} generators certified by exact vanishing",
+        "relation-growth-bounded",
+        [f"{key}: generator growth not certified" for key in escaped],
+        f"{len(generators)} generators certified by exact vanishing",
     ))
 
     details = []

@@ -12,7 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 from _oracles import canonical_json_by_dumps
 from chevkit import cli
 from chevkit.censored import AtLeast
+from chevkit.chevalley import VERIFIED, RelationJets
 from chevkit.cli import canonical_json, main
+from chevkit.experiments import CompositeOrder
 
 ROOT = Path(__file__).resolve().parent.parent
 CUSP = str(ROOT / "scenarios" / "cusp.json")
@@ -509,7 +511,7 @@ class TestJetDumpPins:
 
 class TestProbePins:
     # sha256 of (stdout, --out) bytes of the probe verbs on the shipped
-    # scenarios; nu and product pick their tuple through one shared
+    # scenarios; nu, mu and product pick their tuple through one shared
     # selection, and every verb parses through the one module-level parser
     PINS = {
         "nu-cone": (
@@ -529,20 +531,20 @@ class TestProbePins:
             "d5df61d6d30f9be1fe745f8ad15699e6c3af916b67ca81ddd2dfdec217be0df2",
         ),
         "mu-cone": (
-            "1e377d62ba5d579ed686ae54560ffdd316ca9517557adac6cb661190ae2f0fb1",
-            "8130e6b6e2ad8349df1f01992c90132a8b924f0839b115a2387cba9ee7db7ad3",
+            "f81a9084fa5b8df844c245744eee29f6cf358e13b27325143f94736de003b7c5",
+            "55889a66a981516c469b4813d747e48a768690c64d060ea24d2573473dfdfb18",
         ),
         "mu-cusp": (
-            "1e377d62ba5d579ed686ae54560ffdd316ca9517557adac6cb661190ae2f0fb1",
-            "b6db43de0c53484e2180ad455b91e164653f4f0f5f61587b7a7f563aaae833b6",
+            "a2c40b181f83d33a76485dfc3422491f98783d549285e6edb238ec97124b7576",
+            "f6b8bd7adc8f24a21071b0f740d8595a636815e7c19bee54b987cedcf712d6b9",
         ),
         "mu-identity": (
-            "1e377d62ba5d579ed686ae54560ffdd316ca9517557adac6cb661190ae2f0fb1",
-            "63c6a9a1337d93c4bf44e1273ce56ad8aa939032ce2d321def0ab7e04885ee97",
+            "f1a49638d719b7ce058aae181c6605df03772c171aabb56c8e65bbd86308850d",
+            "17cff1c1ce48c12af6fa7d8784039943f849870775bbbe1cb173508636a067de",
         ),
         "mu-squaring": (
-            "1e377d62ba5d579ed686ae54560ffdd316ca9517557adac6cb661190ae2f0fb1",
-            "3c89f06c8405acc3cdab595d42fed1611cce959ef25b7697750fd4cb7025b1b9",
+            "f8d3abab77715e7e4cd2848eb08a4d407749395f4551b95f5fe89606dc071fbf",
+            "0dce6a334229b5faf8470435c1a9bfc3db745adfc17257ef008b1c22206bffed",
         ),
         "product-cone": (
             "464cfb58af23d0399adcfc85e22faf466e4db8f70520ac5b7230ab7e80ae7f19",
@@ -586,8 +588,8 @@ class TestProbePins:
             "4520934785e3813735f759bd99f423ec8e0cf1c2a6d31b6e7db9ee1be630cc54",
         ),
         "mu-cusp-3": (
-            "b4f8a70b56f931d40d894ca9c5a2ef6d00312f180fc671b3ee5b7c83d708e7f0",
-            "a353fa39d3d3b27d542fc83c79a4add9efc9182ee99ba35939266599fe54ae46",
+            "5c8154909b8dfe825f3b62ddb27aae3d8cc660ddf0f629bc6418d0601f3e18e0",
+            "62d216e091e9b8afd6b5e01e26e5429698ed4ceecbbbbb9cd727c4dafdc739ce",
         ),
     }
     RELATIONS = {"cusp": (2, "y1^3 - y2^2"), "cone": (3, "y2^2 - y1*y3")}
@@ -686,15 +688,12 @@ class TestRichProbePins:
     # sha256 of (stdout, --out) bytes, taken before normal forms and the
     # parser moved to integer rows and term dicts: nu with p/q coefficients,
     # parenthesised powers and relation multiples, and a longer product run.
-    # mu-cusp's slope is a least-squares fit in floats; its --out bytes are
-    # the same under every supported interpreter only because the sums are
-    # correctly rounded (math.fsum), not left to each version's sum()
     CONE = str(ROOT / "scenarios" / "cone.json")
     CASES = {
         "mu-cusp": (["mu", "--scenario", CUSP,
                      "--poly", "y2^2 - 1/2*y1^3"], (
-            "1dde6ef8245b189be66830f1c743cc4d54b94d23774fed2f6375f902ca894a38",
-            "22fdcf279003a8571d10ac7a39e0a1656544c53e99b9d624141d50ee11e1031e",
+            "11f33dc3dd30e171e106f277b1f44ded420e5bd148045f50da514e6ce4df4e63",
+            "5ecfa1e521c43c725bb5af1b4275db05ca6c9951a6241847a54717f8b5d2497b",
         )),
         "nu-cusp": (["nu", "--scenario", CUSP,
                      "--poly", "y2^2 - 1/2*y1^3", "--poly", "(y1 + 2/3 y2)^3",
@@ -736,9 +735,9 @@ class TestRichProbePins:
             "6742c54fc735e38c2c674d0d1e70b8f98054cca10961e983cafa8539092bfd6e",
         )),
         "mu-cusp-half": (["mu", "--scenario", CUSP, "--point", "1/2",
-                          "--seed", "2", "--poly", "y2 - 1/2*y1"], (
-            "a18f67cccdfa37f906ef327afde54972f4552244186a194dddf0363b56aa1926",
-            "b98fb2be395d37868da6f4f000927dd6b0fafc20947ac3360165529bbeb6a8e4",
+                          "--poly", "y2 - 1/2*y1"], (
+            "76092d6c466ca59dec03b587765885408f876ef00fe01069d015a1699fbc67e5",
+            "c313cbf550e81448650c10a2399b24629bcf43473ff85f41e46b3971d6515cbf",
         )),
     }
 
@@ -772,45 +771,87 @@ class TestNuVerb:
 
 
 class TestMuVerb:
-    def test_slope_lines(self, capsys):
+    def test_law_lines(self, capsys):
+        # y2 pulls back to x^3 at the cusp's origin: nu 1 and l(0, 1) = 3,
+        # so the law is tight there
         code = main(["mu", "--scenario", CUSP, "--point", "0",
-                     "--poly", "y2", "--l-max", "2"])
+                     "--poly", "y2", "--poly", "y2^2 - 1/2*y1^3"])
         assert code == 0
-        text = capsys.readouterr().out
-        assert "mu probe y2 l=1: slope 1.500, bounded=True (heuristic)" in text
-        assert "l=2" in text and "bounded=False" in text
+        assert capsys.readouterr().out == (
+            "mu(y2): nu = 1, ord = 3, l = 3 (VERIFIED), law holds\n"
+            "mu(y2^2 - 1/2*y1^3): nu = 3, ord = 6, l = 7 (VERIFIED),"
+            " law holds\n")
 
-    def test_certified_relation(self, capsys):
+    def test_certified_relation(self, tmp_path, capsys):
+        # a relation composes to zero and lies in the ideal: its residual
+        # order is censored, so the law does not apply
+        out = tmp_path / "mu.json"
         code = main(["mu", "--scenario", CUSP, "--point", "0",
-                     "--poly", "y1^3 - y2^2", "--l-max", "3"])
+                     "--poly", "y1^3 - y2^2", "--out", str(out)])
         assert code == 0
-        text = capsys.readouterr().out
-        assert "bounded=True (certified)" in text
+        assert capsys.readouterr().out == (
+            "mu(y1^3 - y2^2): nu = >=6, ord = -, l = -,"
+            " law does not apply\n")
+        (entry,) = json.loads(out.read_text())["entries"]
+        assert entry == {"poly": "y1^3 - y2^2", "nu": {"at_least": 6},
+                         "ord": None, "l": None, "status": None,
+                         "law": None}
 
-    def test_needs_single_point(self, tmp_path, capsys):
-        path = write_scenario(tmp_path, {
-            "map": {"name": "squaring", "m": 1, "n": 1,
-                    "components": ["x^2"]},
-            "tuples": [[[1], [-1]]],
-            "k_range": [1, 2],
-            "l_max": 6,
-        })
-        code = main(["mu", "--scenario", path, "--poly", "y"])
-        assert code == 2
-        assert "single-point" in capsys.readouterr().err
+    def test_two_point_tuple(self, tmp_path, capsys):
+        # the squaring's pair (1, -1): ord is the least over both points
+        out = tmp_path / "mu.json"
+        code = main(["mu", "--scenario", SQUARING, "--point=1;-1",
+                     "--poly", "y - 1", "--poly", "(y - 1)^2 + (y - 1)^3",
+                     "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "mu(y - 1): nu = 1, ord = 1, l = 1 (VERIFIED), law holds\n"
+            "mu((y - 1)^2 + (y - 1)^3): nu = 2, ord = 2, l = 2 (VERIFIED),"
+            " law holds\n")
+        data = json.loads(out.read_text())
+        assert (data["tuple"], data["center"]) == ("1;-1", ["1"])
 
     def test_needs_a_point(self, tmp_path, capsys):
         # a scenario with no points and no tuples is refused, not a crash
         path = write_scenario(tmp_path, {
             "name": "e",
             "map": {"m": 1, "n": 2, "components": ["x^2", "x^3"]},
+            "relations": {"*": ["y1^3 - y2^2"]},
         })
         code = main(["mu", "--scenario", path, "--poly", "y1"])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("input error: growth probe needs a point;"
-                                " the scenario has none\n")
+        assert captured.err == ("input error: scenario supplies no relation"
+                                " generators\n")
+
+    def test_k_range_past_l_max_refused(self, capsys):
+        # rows are read only at k <= l_max, so --l-max below k_max is
+        # refused before any polynomial is read
+        code = main(["mu", "--scenario", CUSP, "--l-max", "4",
+                     "--poly", "y1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: k_max must be an int in 1..4,"
+                                " got 5\n")
+
+    def test_law_failure_exits_4(self, monkeypatch, tmp_path, capsys):
+        # a VERIFIED finite row puts the k-jet of f outside the projected
+        # kernel, so no real probe breaks the law; a probe past its row is
+        # reported, and the payload still written
+        row = RelationJets(status=VERIFIED, l_value=3, chain=range(1, 4),
+                           codim=3)
+        probe = CompositeOrder(nu=1, order=4, row=row)
+        monkeypatch.setattr(cli, "composite_order_probe",
+                            lambda engine, polys, k_range: (probe,))
+        out = tmp_path / "mu.json"
+        code = main(["mu", "--scenario", CUSP, "--poly", "y1",
+                     "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().out == (
+            "mu(y1): nu = 1, ord = 4, l = 3 (VERIFIED), law fails\n")
+        assert json.loads(out.read_text())["entries"][0]["law"] is False
 
 
 class TestProductVerb:
@@ -835,8 +876,8 @@ class TestProductVerb:
 
 
 class TestRelationTargets:
-    """diagram, nu and product pick their tuple, and its relation ideal,
-    through one picker, so they refuse and accept alike."""
+    """diagram, nu, mu and product pick their tuple, and its relation
+    ideal, through one picker, so they refuse and accept alike."""
 
     CUSP_MAP = {"name": "cusp", "m": 1, "n": 2,
                 "components": ["x^2", "x^3"]}
@@ -844,6 +885,7 @@ class TestRelationTargets:
     ARGV = {
         "diagram": ["diagram"],
         "nu": ["nu", "--poly", "y2^2"],
+        "mu": ["mu", "--poly", "y2^2"],
         "product": ["product", "--trials", "20"],
     }
 
@@ -882,7 +924,7 @@ class TestRelationTargets:
             "relations": {"0": ["y2^2 - y1^3"], "1": ["y1"]},
         })
         out = tmp_path / "out.json"
-        for verb in ("nu", "product"):
+        for verb in ("nu", "mu", "product"):
             assert self.run(verb, path, "--out", str(out)) == 0
             assert json.loads(out.read_text())["tuple"] == "0"
         capsys.readouterr()
@@ -929,7 +971,7 @@ READS = {
     "verify": ("--k-max", "--l-max", "--window", "--seed"),
     "jet": ("--l-max",),
     "diagram": ("--l-max",),
-    "mu": ("--l-max", "--seed"),
+    "mu": ("--l-max",),
     "product": ("--seed",),
     "nu": (),
 }

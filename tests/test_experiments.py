@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import random
 import sys
 from pathlib import Path
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracles
+import test_cli
 import chevkit.chevalley as chevalley_module
 import chevkit.experiments as experiments_module
-from chevkit.censored import AtLeast
+from chevkit.censored import AtLeast, is_censored
 from chevkit.chevalley import (
     HEURISTIC,
     STABILIZED,
@@ -25,21 +27,23 @@ from chevkit.experiments import (
     TableRun,
     _max_pair_slope,
     _random_series,
+    composite_order_probe,
     fit_linear_bound,
     product_order_probe,
     residual_order_probe,
     run_table,
-    taylor_growth_estimate,
     verify_consistency,
 )
 from chevkit.jets import JetSystem, PolyMap
 from chevkit.linalg import Matrix
-from chevkit.poly import parse_poly
+from chevkit.poly import Poly, parse_poly
 from chevkit.scenario import (
     load_scenario,
     parse_scenario,
     relations_for,
     scenario_tuples,
+    target_aliases,
+    target_names,
 )
 from chevkit.staircase import IdealPresentation
 
@@ -212,42 +216,136 @@ class TestRandomSeries:
         assert rng.getstate() == reference.getstate()
 
 
-def cusp_map():
-    return PolyMap("cusp", [parse_poly("x1^2", 1), parse_poly("x1^3", 1)])
+# the scenarios the composite-order law is drawn on: the shipped ones, and
+# the three-generator curve and the Osgood truncation that test_cli pins
+LAW_SCENARIOS = [
+    load_scenario(ROOT / "scenarios" / f"{name}.json")
+    for name in ("cone", "cusp", "identity", "squaring")
+] + [parse_scenario(test_cli.TestOutputPins.MONO345),
+     parse_scenario(test_cli.TestOutputPins.OSGOOD4)]
+LAW_TARGETS = [(sc, key, tup) for sc in LAW_SCENARIOS
+               for key, tup in scenario_tuples(sc)]
 
 
-class TestGrowthEstimate:
-    def test_relation_shortcut_is_exact(self):
-        g = parse_poly("y1^3 - y2^2", 2, names=Y2)
-        report = taylor_growth_estimate(g, cusp_map(), (0,), [1, 2, 3])
-        assert report.heuristic is False
-        assert all(e.bounded and e.certified for e in report.entries)
+@functools.lru_cache(maxsize=None)
+def law_engine(i):
+    """One engine per law target, shared by every draw on it."""
+    sc, key, tup = LAW_TARGETS[i]
+    return ChevalleyEngine(sc.phi, tup, relations=relations_for(sc, key),
+                           l_max=sc.l_max, window=sc.window)
 
-    def test_coordinate_slope_band(self):
-        f = parse_poly("y2", 2, names=Y2)
-        report = taylor_growth_estimate(f, cusp_map(), (0,), [1, 2], seed=0)
-        assert report.heuristic is True
-        e1, e2 = report.entries
-        # y2 pulls back to x^3 ~ r^(3/2) in the image metric
-        assert 1.3 < e1.slope < 1.7
-        assert e1.bounded is True and e1.certified is False
-        assert e2.bounded is False
 
-    def test_zero_truncation_is_certified(self):
-        # y1 - y2 vanishes at the image to order 0 only from degree 1 on;
-        # a polynomial with no terms of degree <= l gives the exact branch
-        f = parse_poly("y1 y2", 2, names=Y2)
-        report = taylor_growth_estimate(f, cusp_map(), (0,), [1], seed=0)
-        assert report.entries[0].certified is True
-        assert report.entries[0].bounded is True
+def origin_target(name):
+    # every law scenario lists its origin first
+    return next(i for i, (sc, _, _) in enumerate(LAW_TARGETS)
+                if sc.name == name)
 
-    def test_arity_checks(self):
-        f = parse_poly("y1", 1, names=["y1"])
-        with pytest.raises(InputError):
-            taylor_growth_estimate(f, cusp_map(), (0,), [1])
-        g = parse_poly("y1", 2, names=Y2)
-        with pytest.raises(InputError):
-            taylor_growth_estimate(g, cusp_map(), (0, 0), [1])
+
+def target_poly(sc, text):
+    n = sc.phi.target_arity
+    return parse_poly(text, n, names=target_names(n),
+                      aliases=target_aliases(n))
+
+
+@st.composite
+def vanishing_polys(draw):
+    """(target index, f): f vanishes at the target's image point, as a sum
+    of up to three terms of degree 1..4 around it, plus, half the time, a
+    monomial multiple of a relation generator, so that nu(f) and the plain
+    order of f can differ."""
+    # a scenario first, so that each one has its share of the draws
+    sc = draw(st.sampled_from(LAW_SCENARIOS))
+    i = draw(st.sampled_from([i for i, target in enumerate(LAW_TARGETS)
+                              if target[0] is sc]))
+    _, key, tup = LAW_TARGETS[i]
+    n = sc.phi.target_arity
+    minus_b = tuple(-c for c in tup.image)
+
+    def exponents(top):
+        return st.tuples(*[st.integers(0, top)] * n).filter(
+            lambda e: 1 <= sum(e) <= top)
+
+    terms = draw(st.dictionaries(exponents(4), st.integers(-3, 3).filter(
+        bool), min_size=1, max_size=3))
+    f = Poly(n, terms).shift(minus_b)
+    gens = relations_for(sc, key)
+    if gens and draw(st.booleans()):
+        multiple = Poly(n, {draw(exponents(2)): draw(st.sampled_from(
+            [-2, -1, 1, 2]))}).shift(minus_b)
+        f = f + draw(st.sampled_from(gens)) * multiple
+    return i, f
+
+
+class TestCompositeOrderLaw:
+    """ord(f∘phi) <= l(a, nu(f)) wherever the row at nu(f) is certified
+    with a finite threshold."""
+
+    @given(vanishing_polys())
+    @settings(max_examples=200, deadline=None)
+    def test_law_holds_on_random_functions(self, case):
+        i, f = case
+        sc, _, tup = LAW_TARGETS[i]
+        (probe,) = composite_order_probe(law_engine(i), [f], sc.k_range)
+        k_min, k_max = sc.k_range
+        in_range = not is_censored(probe.nu) and k_min <= probe.nu <= k_max
+        assert (probe.row is not None) == in_range
+        # f vanishes at the image point, so its composite does at every
+        # point of the tuple
+        assert probe.order is None or probe.order >= 1
+        if in_range and not is_censored(probe.row.l_value):
+            assert probe.row.status == VERIFIED
+            assert probe.order is not None
+            assert probe.order <= probe.row.l_value
+
+    # one tight case per shipped scenario, at its origin: (nu, ord, l)
+    @pytest.mark.parametrize("name, text, expected", [
+        ("cusp", "y2", (1, 3, 3)),
+        ("cone", "y3", (1, 3, 3)),
+        ("identity", "y1", (1, 1, 1)),
+        ("squaring", "y1^2", (2, 4, 4)),
+    ])
+    def test_tight_cases(self, name, text, expected):
+        i = origin_target(name)
+        sc = LAW_TARGETS[i][0]
+        (probe,) = composite_order_probe(
+            law_engine(i), [target_poly(sc, text)], sc.k_range)
+        assert (probe.nu, probe.order, probe.row.l_value) == expected
+
+    def test_relation_has_no_row(self):
+        # y2^2 - y1^3 lies in the cusp's relation ideal: its residual order
+        # is censored and its composite zero, although its plain order is 2
+        i = origin_target("cusp")
+        sc = LAW_TARGETS[i][0]
+        (probe,) = composite_order_probe(
+            law_engine(i), [target_poly(sc, "y2^2 - y1^3")], sc.k_range)
+        assert probe == experiments_module.CompositeOrder(
+            nu=AtLeast(6), order=None, row=None)
+
+    def test_each_row_is_climbed_once(self, monkeypatch):
+        sc = LAW_SCENARIOS[1]
+        key, tup = scenario_tuples(sc)[0]
+        engine = ChevalleyEngine(sc.phi, tup, relations=relations_for(
+            sc, key), l_max=sc.l_max)
+        seen = []
+        climb = engine.relation_jets
+        monkeypatch.setattr(engine, "relation_jets",
+                            lambda k: seen.append(k) or climb(k))
+        polys = [target_poly(sc, t) for t in ("y1", "y2", "y1^2", "y1^9")]
+        probes = composite_order_probe(engine, polys, sc.k_range)
+        assert sorted(seen) == [1, 2]
+        assert [p.nu for p in probes] == [1, 1, 2, AtLeast(9)]
+        assert probes[0].row == probes[1].row
+        assert probes[3].row is None and probes[3].order == 18
+
+    def test_refusals(self):
+        sc = LAW_SCENARIOS[1]
+        key, tup = scenario_tuples(sc)[0]
+        engine = ChevalleyEngine(sc.phi, tup, relations=relations_for(
+            sc, key), l_max=4)
+        with pytest.raises(InputError, match="k_max must be an int in 1..4"):
+            composite_order_probe(engine, [], (1, 5))
+        with pytest.raises(InputError, match="2 coordinates, expected 1"):
+            composite_order_probe(engine, [Poly(1, {(1,): 1})], (1, 4))
 
 
 def small_cusp_scenario(gens=("y1^3 - y2^2",), k_max=2):

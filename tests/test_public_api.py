@@ -5,6 +5,7 @@ tests/_oracles.py."""
 import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import chevkit
 from chevkit import chevalley, experiments, jets, linalg, staircase, wedge
@@ -17,9 +18,9 @@ PUBLIC = [
     "RelationJets", "sample_leaf_chevalley", "validate_relations",
     "ChevkitError", "ConsistencyError", "InputError",
     "RelationsMismatchError", "WedgeCapError",
-    "GrowthReport", "LinearBound", "ProductProbe",
-    "TableRun", "fit_linear_bound", "product_order_probe",
-    "residual_order_probe", "run_table", "taylor_growth_estimate",
+    "CompositeOrder", "LinearBound", "ProductProbe",
+    "TableRun", "composite_order_probe", "fit_linear_bound",
+    "product_order_probe", "residual_order_probe", "run_table",
     "verify_consistency",
     "degree", "dominates", "index_count", "indices_of_degree",
     "indices_up_to", "mono_key",
@@ -42,7 +43,8 @@ REMOVED = [
     "column_span", "image_kernel_check", "wedge_operator",
     "diagram_threshold_test", "mono_cmp", "position_map",
     "initial_exponent", "TruncationError", "ConsistencyReport",
-    "OrderProbe", "jet_blocks",
+    "OrderProbe", "jet_blocks", "GrowthReport", "GrowthEntry",
+    "taylor_growth_estimate",
 ]
 
 # (owner, attribute) pairs that only tests used, or that were deleted
@@ -77,6 +79,12 @@ REMOVED_ATTRIBUTES = [
     (jets.JetSystem, "_prefix"), (TruncatedSeries, "to_poly"),
     (chevalley.RelationJets, "target"),
     (chevalley.ChevalleyEngine, "_hs_crosscheck"),
+] + [
+    (experiments, name) for name in (
+        "taylor_growth_estimate", "GrowthReport", "GrowthEntry",
+        "_float_terms", "_feval", "GROWTH_TOL", "GROWTH_BOX",
+        "GROWTH_SHRINK", "GROWTH_SCALES", "GROWTH_SAMPLES",
+    )
 ]
 
 
@@ -117,10 +125,8 @@ def test_result_records_carry_no_unread_fields():
         "map_name", "tuple_id", "k", "l_value", "h_value", "status"]
     assert names(experiments.ProductProbe) == [
         "triples", "excluded", "envelope"]
-    assert names(experiments.GrowthReport) == [
-        "entries", "warnings", "heuristic"]
-    assert names(experiments.GrowthEntry) == [
-        "l", "slope", "bounded", "certified"]
+    # whether the law holds is read off order and row
+    assert names(experiments.CompositeOrder) == ["nu", "order", "row"]
     assert names(experiments.LinearBound) == ["alpha", "beta", "witnesses"]
     # provisional is read off the vertices
     assert names(staircase.Diagram) == [
@@ -161,8 +167,8 @@ def test_signatures_carry_no_single_value_knobs():
         return list(inspect.signature(f).parameters)
 
     assert params(experiments.verify_consistency) == ["scenario"]
-    assert params(experiments.taylor_growth_estimate) == \
-        ["f", "phi", "a", "ls", "seed"]
+    assert params(experiments.composite_order_probe) == \
+        ["engine", "polys", "k_range"]
     assert params(chevalley.sample_leaf_chevalley) == \
         ["phi", "leaf", "ks", "seed", "l_max", "window", "relations"]
     assert params(jets.JetSystem) == ["phi", "tup"]
@@ -205,6 +211,40 @@ def test_experiments_imports_no_private_chevalley_name():
 def test_single_value_knobs_are_constants():
     assert (experiments.MEMBERSHIP_L_CAP, experiments.DENSE_CELL_CAP) == \
         (6, 2000)
-    assert (experiments.GROWTH_TOL, experiments.GROWTH_BOX,
-            experiments.GROWTH_SHRINK, experiments.GROWTH_SCALES,
-            experiments.GROWTH_SAMPLES) == (0.15, 0.5, 0.5, 6, 40)
+
+
+def float_uses(tree):
+    """(line, what) of each float literal, float(...) call, math.log or
+    math.fsum reference and .uniform(...) call in a module's tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "float"
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr == "uniform"):
+            found.append((node.lineno, ast.unparse(node.func)))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "math"
+              and node.attr in ("log", "fsum")):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_package_has_no_float_arithmetic():
+    # exact rationals throughout: no module computes with floats
+    src = Path(chevkit.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert "experiments.py" in [path.name for path in modules]
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert float_uses(tree) == [], path.name
+
+
+def test_float_check_sees_each_form():
+    text = ("x = 0.5\ny = float(t)\nz = math.log(2)\nw = math.fsum(v)\n"
+            "u = rng.uniform(-1, 1)\nok = isinstance(t, float)\n")
+    assert [line for line, _ in float_uses(ast.parse(text))] == \
+        [1, 2, 3, 4, 5]
