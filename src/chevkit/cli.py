@@ -9,14 +9,16 @@ loads the scenario, writes the payload with --out (or the scenario's own
 as "p/q" strings, censored values as {"at_least": n}, trailing newline, no
 timestamps, so identical inputs produce byte-identical output.
 
-Exit codes, picked by main: 0 success, 2 malformed input, 3 the run produced
-only inconclusive results, 4 a certified cross-check failed.
+Exit codes, picked by main: 0 success, 2 malformed input (an output path
+that cannot be written included), 3 the run produced only inconclusive
+results, 4 a certified cross-check failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import replace
@@ -24,8 +26,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .censored import AtLeast, is_censored
-from .chevalley import (HEURISTIC, INCONCLUSIVE, LEAF_TRIALS, ChevalleyEngine,
-                        validate_relations)
+from .chevalley import HEURISTIC, INCONCLUSIVE, LEAF_TRIALS, ChevalleyEngine
 from .errors import ConsistencyError, InputError, RelationsMismatchError
 from .experiments import (
     composite_order_probe,
@@ -44,7 +45,7 @@ from .scenario import (
     target_aliases,
     target_names,
 )
-from .staircase import IdealPresentation, diagram_from_generators
+from .staircase import diagram_from_generators
 
 
 def canonical_json(payload):
@@ -151,9 +152,9 @@ def _select(scenario, key_arg):
 
 
 def _relation_targets(scenario, point):
-    """(key, tuple, presentation) of each tuple a relation verb reads: the one
-    named by point, or else every tuple with relation generators, each
-    validated against the map as it is reached."""
+    """(key, engine) of each tuple a relation verb reads: the one named by
+    point, or else every tuple with relation generators, its engine built,
+    and so its generators validated against the map, as it is reached."""
     found = False
     for key, tup in _select(scenario, point):
         rel = relations_for(scenario, key)
@@ -164,10 +165,19 @@ def _relation_targets(scenario, point):
                 )
             continue
         found = True
-        gens = validate_relations(scenario.phi, tup, rel)
-        yield key, tup, IdealPresentation.make(gens, tup.image)
+        yield key, ChevalleyEngine(scenario.phi, tup, relations=rel,
+                                   l_max=scenario.l_max,
+                                   window=scenario.window)
     if not found:
         raise InputError("scenario supplies no relation generators")
+
+
+def _target_polys(args, scenario):
+    """The --poly texts, parsed in the map's target coordinates."""
+    n = scenario.phi.target_arity
+    return [parse_poly(text, n, names=target_names(n),
+                       aliases=target_aliases(n))
+            for text in args.poly]
 
 
 _COLUMNS = ("map", "tuple", "k", "l", "H", "status", "l_stab")
@@ -186,6 +196,17 @@ def _entry_rows(entries):
     return [dict(zip(_COLUMNS, _entry_values(e))) for e in entries]
 
 
+def _write_text(path, text):
+    """Write text to path as UTF-8, newlines as given; a path that cannot
+    be written is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(
+            f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit_table(entries, csv_path):
     """Print the table; with csv_path, also write it there as CSV."""
     rows = [_COLUMNS] + [
@@ -196,10 +217,11 @@ def _emit_table(entries, csv_path):
         print(line)
     if csv_path:
         # the csv module writes None as an empty field and str() of the rest
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_COLUMNS)
-            writer.writerows(_entry_values(e) for e in entries)
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(_COLUMNS)
+        writer.writerows(_entry_values(e) for e in entries)
+        _write_text(csv_path, text.getvalue())
 
 
 def _table_payload(scenario, entries):
@@ -307,7 +329,8 @@ def cmd_diagram(args, scenario):
     names = target_names(scenario.phi.target_arity)
     trunc = scenario.l_max
     reports = []
-    for key, _, presentation in _relation_targets(scenario, args.point):
+    for key, engine in _relation_targets(scenario, args.point):
+        presentation = engine.presentation
         diagram = diagram_from_generators(
             presentation, max(trunc, presentation.generator_degree)
         )
@@ -326,14 +349,11 @@ def cmd_diagram(args, scenario):
 
 
 def cmd_nu(args, scenario):
-    n = scenario.phi.target_arity
-    names = target_names(n)
-    key, _, presentation = next(_relation_targets(scenario, args.point))
-    polys = [
-        parse_poly(text, n, names=names, aliases=target_aliases(n))
-        for text in args.poly
-    ]
-    orders = residual_order_probe(presentation, polys, trunc=args.trunc)
+    names = target_names(scenario.phi.target_arity)
+    key, engine = next(_relation_targets(scenario, args.point))
+    orders = residual_order_probe(engine.presentation,
+                                  _target_polys(args, scenario),
+                                  trunc=args.trunc)
     entries = []
     for text, entry in zip(args.poly, orders):
         nf_text = format_poly(entry.normal_form, names)
@@ -346,7 +366,7 @@ def cmd_nu(args, scenario):
         })
     payload = {
         "tuple": key,
-        "center": list(presentation.center),
+        "center": list(engine.presentation.center),
         "trunc_degree": args.trunc,
         "entries": entries,
     }
@@ -354,18 +374,9 @@ def cmd_nu(args, scenario):
 
 
 def cmd_mu(args, scenario):
-    phi = scenario.phi
-    n = phi.target_arity
-    key, tup, _ = next(_relation_targets(scenario, args.point))
-    engine = ChevalleyEngine(
-        phi, tup, relations=relations_for(scenario, key),
-        l_max=scenario.l_max, window=scenario.window,
-    )
-    polys = [
-        parse_poly(text, n, names=target_names(n), aliases=target_aliases(n))
-        for text in args.poly
-    ]
-    probes = composite_order_probe(engine, polys, scenario.k_range)
+    key, engine = next(_relation_targets(scenario, args.point))
+    probes = composite_order_probe(engine, _target_polys(args, scenario),
+                                   scenario.k_range)
     entries = []
     for text, probe in zip(args.poly, probes):
         row = probe.row
@@ -391,7 +402,7 @@ def cmd_mu(args, scenario):
         })
     payload = {
         "tuple": key,
-        "center": list(tup.image),
+        "center": list(engine.tup.image),
         "k_range": list(scenario.k_range),
         "entries": entries,
     }
@@ -399,9 +410,9 @@ def cmd_mu(args, scenario):
 
 
 def cmd_product(args, scenario):
-    key, _, presentation = next(_relation_targets(scenario, args.point))
+    key, engine = next(_relation_targets(scenario, args.point))
     probe = product_order_probe(
-        presentation, trials=args.trials, seed=scenario.seed,
+        engine.presentation, trials=args.trials, seed=scenario.seed,
         trunc=args.trunc,
     )
     print(f"product probe at tuple {key}: {len(probe.triples)} triples,"
@@ -577,17 +588,16 @@ def main(argv=None):
     try:
         scenario = _load(args)
         code, payload = args.func(args, scenario)
+        path = args.out or scenario.out
+        if payload is not None and path:
+            payload.update(verb=args.verb, scenario=scenario.name)
+            _write_text(path, canonical_json(payload))
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (RelationsMismatchError, ConsistencyError) as exc:
         print(f"certified check failed: {exc}", file=sys.stderr)
         return 4
-    path = args.out or scenario.out
-    if payload is not None and path:
-        payload.update(verb=args.verb, scenario=scenario.name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(payload))
     return code
 
 

@@ -50,7 +50,7 @@ class TableRun:
 
 
 def _climb_tuples(scenario, staircase=False):
-    """(key, tuple, engine, {k: RelationJets}) for every tuple of the
+    """(key, engine, {k: RelationJets}) for every tuple of the
     scenario, in table order (scenario_tuples): one engine per tuple,
     climbed at every k of k_range.  An engine's relation echelon is built
     once, through the degree it is read to: k_max, where the climb counts
@@ -84,7 +84,7 @@ def _climb_tuples(scenario, staircase=False):
             raise type(exc)(
                 f"map {phi.name!r}, tuple {key}, k={k}: {exc}"
             ) from None
-        climbed.append((key, tup, engine, rows))
+        climbed.append((key, engine, rows))
     return climbed
 
 
@@ -100,7 +100,7 @@ def run_table(scenario):
             l_value=rj.l_value, h_value=rj.codim,
             status=rj.status,
         )
-        for key, _, _, rows in _climb_tuples(scenario)
+        for key, _, rows in _climb_tuples(scenario)
         for k, rj in rows.items()
     ]
     leaf_samples = []
@@ -204,6 +204,7 @@ def residual_order_probe(presentation, polys, trunc=8):
     staircase, exact through trunc, reporting an exact order or a censored
     lower bound.  One OrderEntry per polynomial, in order."""
     check_int(trunc, "probe truncation degree", 0)
+    polys = tuple(polys)
     deg_needed = max(
         (p.total_degree() for p in polys if not p.is_zero()), default=0
     )
@@ -331,6 +332,7 @@ def composite_order_probe(engine, polys, k_range):
     """
     k_min, k_max = k_range
     check_int(k_max, "k_max", k_min, engine.l_max)
+    polys = tuple(polys)
     diagram = engine.diagram(
         max([k_max + 1] + [p.total_degree() for p in polys]))
     nus = [residual_order(p.shift(engine.tup.image), diagram) for p in polys]
@@ -392,9 +394,9 @@ def verify_consistency(scenario):
         f"{sum(len(rows) for *_, rows in climbed)} rows over"
         f" {len(climbed)} tuples",
     )]
-    verified = [c for c in climbed if c[2].presentation is not None]
+    verified = [c for c in climbed if c[1].presentation is not None]
 
-    generators = [(key, g) for key, _, engine, _ in verified
+    generators = [(key, g) for key, engine, _ in verified
                   for g in engine.presentation.generators]
     escaped = [key for key, g in generators
                if not g.compose(list(phi.components)).is_zero()]
@@ -406,7 +408,7 @@ def verify_consistency(scenario):
 
     details = []
     count = 0
-    for key, _, engine, rows in verified:
+    for key, engine, rows in verified:
         for k, rj in rows.items():
             a = rj.codim
             b = hilbert_samuel_count(engine.diagram(k), k)
@@ -418,7 +420,7 @@ def verify_consistency(scenario):
 
     details = []
     count = 0
-    for key, _, engine, rows in verified:
+    for key, engine, rows in verified:
         for k, rj in rows.items():
             for l in range(k, scenario.l_max + 1):
                 expected = (not is_censored(rj.l_value)
@@ -449,7 +451,7 @@ def verify_consistency(scenario):
 
     details = []
     count = dense_count = 0
-    for key, _, engine, _ in climbed:
+    for key, engine, _ in climbed:
         wholes = {}  # the order-l jet matrix, read once per l
         for k in range(k_min, k_max + 1):
             for l in range(k, min(scenario.l_max, MEMBERSHIP_L_CAP) + 1):
@@ -495,7 +497,7 @@ def verify_consistency(scenario):
     ))
 
     details = []
-    for key, _, engine, rows in climbed:
+    for key, engine, rows in climbed:
         for k, rj in rows.items():
             chain = [(l, engine.jets.projected_kernel(l, k))
                      for l in rj.chain]

@@ -252,6 +252,10 @@ def load_scenario(path):
         raise InputError(f"cannot read scenario file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"scenario is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"scenario is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise InputError("scenario JSON nested too deeply") from None
     return parse_scenario(data)
 
 

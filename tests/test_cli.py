@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _oracles import canonical_json_by_dumps
-from chevkit import cli
+from chevkit import chevalley as chevalley_module, cli
 from chevkit.censored import AtLeast
 from chevkit.chevalley import VERIFIED, RelationJets
 from chevkit.cli import canonical_json, main
@@ -932,6 +932,33 @@ class TestRelationTargets:
         assert "does not vanish at the image point" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, reached", [
+        ("diagram", 2), ("nu", 1), ("mu", 1), ("product", 1)])
+    def test_generators_validated_once_per_tuple(self, verb, reached,
+                                                 monkeypatch, tmp_path,
+                                                 capsys):
+        # every binding of validate_relations in the package counts, so a
+        # second validation anywhere on a verb's path shows
+        original = chevalley_module.validate_relations
+        calls = []
+
+        def counting(phi, tup, generators):
+            calls.append(tup.image)
+            return original(phi, tup, generators)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "chevkit"
+                    and getattr(module, "validate_relations", None)
+                    is original):
+                monkeypatch.setattr(module, "validate_relations", counting)
+        path = write_scenario(tmp_path, {
+            "map": self.CUSP_MAP, "points": [[0], [1]],
+            "relations": {"*": ["y2^2 - y1^3"]},
+        })
+        assert self.run(verb, path) == 0
+        capsys.readouterr()
+        assert len(calls) == len(set(calls)) == reached
+
 
 class TestVerifyVerb:
     def test_identity_passes(self, capsys):
@@ -1175,6 +1202,45 @@ class TestErrorPaths:
     def test_missing_scenario_exits_2(self, tmp_path):
         assert main(["chevalley", "--scenario",
                      str(tmp_path / "nope.json")]) == 2
+
+    def test_non_utf8_scenario_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        assert main(["chevalley", "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "input error: scenario is not UTF-8 text: ")
+
+    def test_deeply_nested_scenario_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["chevalley", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: scenario JSON nested too deeply\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["nu", "--scenario", CUSP, "--poly", "y1", "--out"],
+        ["chevalley", "--scenario", CUSP, "--csv"],
+        ["fit", "--scenario", CUSP, "--csv"],
+    ])
+    def test_unwritable_output_exits_2(self, argv, tmp_path, capsys):
+        target = tmp_path / "missing" / "out"
+        assert main(argv + [str(target)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: cannot write {target}: No such file or"
+            " directory\n")
+        assert not target.parent.exists()
+
+    def test_unwritable_scenario_out_exits_2(self, tmp_path, capsys):
+        data = json.loads(Path(CUSP).read_text(encoding="utf-8"))
+        target = tmp_path / "missing" / "out.json"
+        data["out"] = str(target)
+        path = write_scenario(tmp_path, data)
+        assert main(["diagram", "--scenario", path]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: cannot write {target}: No such file or"
+            " directory\n")
 
     def test_k_budget_checked(self, tmp_path, capsys):
         path = heuristic_squaring(tmp_path, [1, 2], 6)

@@ -170,6 +170,11 @@ class TestOrderProbe:
         )
         assert entry.value == 1
 
+    def test_reads_an_iterator_once(self):
+        polys = [parse_poly(t, 2, names=Y2) for t in ("y2^2", "y1", "y2")]
+        assert residual_order_probe(cusp_presentation(), iter(polys)) == \
+            residual_order_probe(cusp_presentation(), polys)
+
 
 class TestProductProbe:
     def test_frozen_run(self):
@@ -336,6 +341,15 @@ class TestCompositeOrderLaw:
         assert [p.nu for p in probes] == [1, 1, 2, AtLeast(9)]
         assert probes[0].row == probes[1].row
         assert probes[3].row is None and probes[3].order == 18
+
+    def test_reads_an_iterator_once(self):
+        i = origin_target("cusp")
+        sc = LAW_TARGETS[i][0]
+        polys = [target_poly(sc, t) for t in ("y2", "y1^2", "y2^2 - y1^3")]
+        probes = composite_order_probe(law_engine(i), polys, sc.k_range)
+        assert len(probes) == 3
+        assert composite_order_probe(
+            law_engine(i), iter(polys), sc.k_range) == probes
 
     def test_refusals(self):
         sc = LAW_SCENARIOS[1]
