@@ -51,7 +51,8 @@ from .indices import (
     indices_of_degree,
     indices_up_to,
 )
-from .linalg import Matrix, _combine, staged_elimination
+from .linalg import (Matrix, _check_cells, _check_row, _combine, _primitive,
+                     staged_elimination)
 
 
 class PolyMap:
@@ -346,22 +347,15 @@ class JetSystem:
     highest degree first, ascending within a degree, the order of the keys
     (-degree, column).  A row never changes once made and is zero before
     its pivot in the staged order.  Reaching order l + 1 costs only what
-    the new rows touch:
-
-    - the new rows are reduced through one heap of the pivot columns they
-      meet, popped in staged order, each reducing the rows it is still in;
-      a reduction queues the pivot columns it brings in, and as a pivot row
-      is zero before its pivot, these all come later.  So each row meets
-      the same pivot rows in the same order as a scan of the whole echelon,
-      and ends zero on every old pivot column.  The heap phase leaves each
-      row the content its reductions make (linalg._combine), a positive
-      integer factor with no effect on the support;
-    - the reduced rows are then pivoted by one staged_elimination over only
-      the columns they reach, renumbered in staged order as a single
-      stage, which divides the content out on entry.  A reduction never
-      leaves the union of its rows' supports, so a column that no row
-      reaches could take no pivot, and the pivots and rows are those of an
-      elimination over every column, stage by stage.
+    the new rows touch.  Each new row in turn is reduced through a heap of
+    the pivot columns it meets, popped in staged order; a reduction queues
+    the pivot columns it brings in, and as a pivot row is zero before its
+    pivot, these all come later.  So the row ends zero on every pivot
+    column made so far, its own order's included.  The reductions leave
+    the row the content they make (linalg._combine), a positive integer
+    factor with no effect on the support; what is left of the row, if
+    anything, is made primitive, which gives the row of linalg._reduce,
+    and becomes the pivot row of its first staged column.
 
     So the order-l echelon is the rows made through order l, and of those:
 
@@ -444,50 +438,34 @@ class JetSystem:
                 if beta in stair)
         self._widths.append(len(keys) - len(dropped))
         pivot_rows = self._pivot_rows
-        # copies, as _combine works in place, cut to the kept columns.  The
-        # rows keep their positive t_p^|alpha| scales, and the heap phase
-        # leaves them the content its reductions make: each stays a
-        # positive integer multiple of the primitive row, with the same
-        # support, so it meets the same pivot columns.  staged_elimination
-        # divides the content out on entry, so the pivot rows come out the
-        # same
-        if dropped:
-            batch = [{c: v for c, v in row.items() if c not in dropped}
-                     for row in self._build.layer(l)]
-        else:
-            batch = [dict(row) for row in self._build.layer(l)]
-        # the pivot columns the new rows meet, popped in staged order, each
-        # reducing the rows it is still in; a pivot row is zero before its
-        # pivot, so a reduction brings in only later pivot columns, queued
-        # as they come
-        queued = {c for row in batch for c in row if c in pivot_rows}
-        heap = [keys[c] for c in queued]
-        heapify(heap)
-        while heap:
-            c = heappop(heap)[1]
-            prow = pivot_rows[c]
-            hits = [row for row in batch if c in row]
-            for row in hits:
-                _combine(row, prow, c)
-            if hits:
-                for j in prow:
-                    if j in pivot_rows and j not in queued:
-                        queued.add(j)
-                        heappush(heap, keys[j])
-        # a reduction stays in the union of its rows' supports, so the
-        # columns no reduced row reaches never take a pivot: one stage over
-        # the reached columns, in staged order, takes the same pivots
-        cols = sorted(set().union(*batch), key=keys.__getitem__)
-        pos = {c: i for i, c in enumerate(cols)}
-        elim = staged_elimination(
-            [{pos[c]: v for c, v in row.items()} for row in batch],
-            len(cols), [range(len(cols))])
         tally = [0] * (l + 1)
-        for r, i in elim.pivots:
-            c = cols[i]
-            tally[-keys[c][0]] += 1
-            pivot_rows[c] = {cols[j]: v
-                             for j, v in elim.sparse_rows[r].items()}
+        for row in self._build.layer(l):
+            # a copy, as _combine works in place, cut to the kept columns
+            row = ({c: v for c, v in row.items() if c not in dropped}
+                   if dropped else dict(row))
+            # the pivot columns the row meets, popped in staged order; a
+            # pivot row is zero before its pivot, so a reduction brings in
+            # only later pivot columns, queued as they come, and the row
+            # ends zero on every pivot column
+            queued = {c for c in row if c in pivot_rows}
+            heap = [keys[c] for c in queued]
+            heapify(heap)
+            while heap:
+                c = heappop(heap)[1]
+                if c in row:
+                    prow = pivot_rows[c]
+                    _combine(row, prow, c)
+                    for j in prow:
+                        if j in pivot_rows and j not in queued:
+                            queued.add(j)
+                            heappush(heap, keys[j])
+            if row:
+                # _combine leaves the row a positive multiple of _reduce's
+                # row, with its support; _primitive divides that out
+                _primitive(row)
+                key = min(map(keys.__getitem__, row))
+                tally[-key[0]] += 1
+                pivot_rows[key[1]] = row
         # every row made before this order pivots at degree < l
         below = (self._counts[-1] if l else []) + [made]
         self._counts.append([a + b for a, b in zip(below, accumulate(tally))])
@@ -535,8 +513,9 @@ class JetSystem:
         check_int(k, "block degree", 0, l)
         if (l, k) not in self._blocks:
             cut = index_count(self.phi.target_arity, k)
-            residual = Matrix(self._guard_rows(l, k), ncols=cut)
-            self._blocks[(l, k)] = residual.rank_kernel()[1]
+            self._blocks[(l, k)] = staged_elimination(
+                self._guard_rows(l, k), cut,
+                [range(cut - 1, -1, -1)]).kernel()
         return self._blocks[(l, k)]
 
     def quotient_dim(self, l, k):
@@ -560,22 +539,27 @@ class JetSystem:
     def kernel_contains(self, l, k, vectors):
         """Whether the projected kernel at (l, k) holds every vector.
 
-        Vectors are sparse {index: nonzero int} dicts over the degree-<= k
-        indices, such as a canonical Subspace's rows.  The test is the exact
-        product guard . v == 0 on the integer guard rows, so no subspace is
-        built.  The guard rows are indexed by column once, and each
-        vector's products are summed only at the columns it shares with
-        them; the first nonzero product answers False.  The kernels are
-        nested in l, so the answer at l is also the answer for every order
-        from k to l together.
+        Vectors are sparse {index: int} dicts over the C(n+k, k) indices of
+        degree <= k, such as a canonical Subspace's rows.  Each is checked
+        as it is read, by the elimination kernel's row and cell checks: an
+        index out of range or a cell that is not an int is an InputError.
+        The test is the exact product guard . v == 0 on the integer guard
+        rows, so no subspace is built.  The guard rows are indexed by column
+        once, and each vector's products are summed only at the columns it
+        shares with them; the first nonzero product answers False.  The
+        kernels are nested in l, so the answer at l is also the answer for
+        every order from k to l together.
         """
         check_int(l, "jet order")
         check_int(k, "block degree", 0, l)
+        cut = index_count(self.phi.target_arity, k)
         by_column = {}
         for g, row in enumerate(self._guard_rows(l, k)):
             for i, x in row.items():
                 by_column.setdefault(i, []).append((g, x))
         for v in vectors:
+            _check_row(v, cut)
+            _check_cells(v)
             products = {}
             for i, x in v.items():
                 for g, y in by_column.get(i, ()):

@@ -199,8 +199,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        if e < 0:
-            raise InputError("negative powers are not defined for polynomials")
+        check_int(e, "exponent")
         if not e:
             return Poly.constant(self.arity, 1)
         return _poly(self.arity, _pow_terms(self.terms, e, self.arity))

@@ -839,26 +839,27 @@ def kernel_contains_by_pairs(rows, vectors):
 
 
 def echelon_by_scans(phi, tup, l):
-    """(echelon, ends) of chevkit.jets.JetSystem through order l, built by
-    its _extend as it was before it reduced through a heap of the pivot
-    columns each row meets: every order re-sorts the whole echelon into
-    staged order, tests every pivot row against every new row, and then
-    eliminates over all the order's columns, stage by stage."""
+    """(echelon, ends) of chevkit.jets.JetSystem through order l, by
+    row insertion with scans in place of its per-row heap: each layer row
+    in turn is reduced with _reduce against every pivot row of the
+    echelon, re-sorted into staged order (highest degree first, ascending
+    within a degree), made primitive, and stored, if anything is left,
+    at its first staged column.  echelon holds (degree, column, row)."""
     build = jet_matrix(phi, tup, l)
     n = phi.target_arity
+    staged = [(-e, c) for e in range(l + 1)
+              for c in range(index_count(n, e - 1), index_count(n, e))]
     echelon, ends = [], []
     for d in range(l + 1):
-        batch = [dict(row) for row in build.layer(d)]
-        for _, c, prow in sorted(echelon, key=lambda e: (-e[0], e[1])):
-            for row in batch:
+        for row in build.layer(d):
+            row = dict(row)
+            for _, c, prow in sorted(echelon, key=lambda e: staged[e[1]]):
                 if c in row:
                     _reduce(row, prow, c)
-        stages = [range(index_count(n, e - 1), index_count(n, e))
-                  for e in range(d, -1, -1)]
-        elim = staged_elimination(batch, index_count(n, d), stages)
-        for r, c in elim.pivots:
-            e = next(d - i for i, stage in enumerate(stages) if c in stage)
-            echelon.append((e, c, elim.sparse_rows[r]))
+            if row:
+                _primitive(row)
+                c = min(row, key=staged.__getitem__)
+                echelon.append((-staged[c][0], c, row))
         ends.append(len(echelon))
     return echelon, ends
 

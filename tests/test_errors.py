@@ -152,6 +152,8 @@ ENTRY_POINTS = [
     ("Poly.taylor", "truncation degree", 0, None,
      lambda v: parse_poly("x1^2", 1).taylor((1,), v)),
     ("Poly", "arity", 1, None, lambda v: Poly(v)),
+    ("Poly.__pow__", "exponent", 0, None,
+     lambda v: parse_poly("x1 - 1", 1) ** v),
     ("parse_poly", "arity", 1, None, lambda v: parse_poly("x1", v)),
     ("indices_of_degree.arity", "arity", 1, None,
      lambda v: indices_of_degree(v, 2)),

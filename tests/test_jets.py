@@ -431,11 +431,12 @@ class TestKernels:
     @settings(max_examples=200, deadline=None)
     def test_kernel_contains_matches_the_pair_loop(self, guard, vectors):
         # any guard rows, read through the column index, against the loop
-        # over every (guard row, vector) pair; vectors reach past the guard
+        # over every (guard row, vector) pair; vectors reach past the guard,
+        # within the C(2+3, 3) = 10 indices of degree <= 3
         tup = FibredTuple.make(cusp(), [(0,)])
         sys = JetSystem(cusp(), tup)
         sys._guard_rows = lambda l, k: guard
-        assert sys.kernel_contains(3, 1, vectors) == \
+        assert sys.kernel_contains(3, 3, vectors) == \
             oracles.kernel_contains_by_pairs(guard, vectors)
 
     @pytest.mark.parametrize("guard, vectors, inside", [
@@ -452,8 +453,32 @@ class TestKernels:
         tup = FibredTuple.make(cusp(), [(0,)])
         sys = JetSystem(cusp(), tup)
         sys._guard_rows = lambda l, k: guard
-        assert sys.kernel_contains(3, 1, vectors) == inside == \
+        assert sys.kernel_contains(3, 3, vectors) == inside == \
             oracles.kernel_contains_by_pairs(guard, vectors)
+
+    @pytest.mark.parametrize("vector, message", [
+        ({3: 1}, "row column outside the column count"),
+        ({5: 1}, "row column outside the column count"),
+        ({-1: 1}, "row column outside the column count"),
+        ({0: 1.5}, "cell 1.5 is not an int"),
+        ({0: Fraction(1, 2)}, "cell Fraction(1, 2) is not an int"),
+        ({0: True}, "cell True is not an int"),
+        ([1, 0, 0], "a list row is not a sparse"),
+    ])
+    def test_kernel_contains_refuses_what_is_not_a_vector(self, vector,
+                                                         message):
+        # at l = 3, k = 1 on the cusp the vectors have C(2+1, 1) = 3
+        # coordinates and the projected kernel is zero, so an unchecked
+        # vector off those coordinates would be answered True, and one
+        # with a float cell by float arithmetic
+        tup = FibredTuple.make(cusp(), [(0,)])
+        sys = JetSystem(cusp(), tup)
+        assert sys.quotient_dim(3, 1) == 3
+        assert sys.kernel_contains(3, 1, [{}])
+        assert not sys.kernel_contains(3, 1, [{2: -4}])
+        for vectors in ([vector], [{}, vector]):
+            with pytest.raises(InputError, match=re.escape(message)):
+                sys.kernel_contains(3, 1, vectors)
 
     def test_projection_degree_bound(self):
         tup = FibredTuple.make(squaring(), [(0,)])
@@ -860,20 +885,20 @@ class TestEchelon:
     ])
     def test_rows_with_content_keep_the_scanned_echelon(
             self, comps, m, pts, top, monkeypatch):
-        # large coefficients with common factors: the heap phase leaves
-        # content on the rows, and pivot values that do not divide the
-        # entries they clear, so a row operation that skips scaling the
-        # row fails here
+        # large coefficients with common factors: the reductions leave
+        # content on the rows, divided out once per row, and pivot values
+        # that do not divide the entries they clear, so a row operation
+        # that skips scaling the row fails here
         phi = PolyMap("content", [parse_poly(c, m) for c in comps])
         tup = FibredTuple.make(phi, pts)
         contents = []
-        elim = chevkit.jets.staged_elimination
+        primitive = chevkit.jets._primitive
 
-        def recording(rows, ncols, stages):
-            contents.extend(math.gcd(*row.values()) for row in rows if row)
-            return elim(rows, ncols, stages)
+        def recording(row):
+            contents.append(math.gcd(*row.values()))
+            return primitive(row)
 
-        monkeypatch.setattr(chevkit.jets, "staged_elimination", recording)
+        monkeypatch.setattr(chevkit.jets, "_primitive", recording)
         system = JetSystem(phi, tup)
         echelon, ends = oracles.echelon_by_scans(phi, tup, top)
         assert [system.analysis(l) for l in range(top + 1)] == ends
@@ -883,6 +908,9 @@ class TestEchelon:
         assert max(contents) > 1
 
     def test_one_elimination_per_new_order(self, monkeypatch):
+        # the echelon grows by row insertion, with no elimination, on the
+        # whole build and on a restricted one; only the first read of a
+        # projected kernel at each (l, k) eliminates, over its guard rows
         calls = []
         elim = chevkit.jets.staged_elimination
 
@@ -895,17 +923,19 @@ class TestEchelon:
         sys = JetSystem(phi, FibredTuple.make(phi, [(1, 1)]))
         for l in (6, 3, 8):
             sys.jet(l)
-        assert calls == []
         sys.analysis(4)
-        assert len(calls) == 5
         sys.quotient_dim(3, 2)
         sys.kernel_contains(4, 1, [{0: 1}])
-        sys.projected_kernel(2, 2)
-        assert len(calls) == 5
         sys.quotient_dim(7, 7)
-        assert len(calls) == 8
-        sys.jet(5)
-        assert len(calls) == 8
+        sys.column_count(5)
+        sys.restricted([(0, 2, 0)]).quotient_dim(8, 3)
+        assert calls == []
+        sys.projected_kernel(2, 2)
+        assert calls == [index_count(3, 2)]
+        sys.projected_kernel(7, 1)
+        sys.projected_kernel(2, 2)
+        sys.projected_kernel(7, 1)
+        assert calls == [index_count(3, 2), index_count(3, 1)]
 
     @pytest.mark.parametrize("phi, point", [
         (cone(), (0, 0)), (cusp(), (0,)), (cone(), (1, 1)),
