@@ -52,13 +52,14 @@ helpers at the end (matrix products, the identity, subspace sums and
 meets, the dense wedge operator and its self-test, coefficient reads, a
 series' terms as a Poly) were package functions that nothing in the
 package or the benchmark called; tests build inputs and references with
-them.
+them.  osgood_scenario writes the scenario of Osgood's map truncated at
+N = n, which test_cli pins at N = 4 and test_experiments climbs at N = 6.
 """
 
 import json
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 import sympy
 
@@ -1339,3 +1340,24 @@ def canonical_json_by_dumps(payload):
     the payload made JSON-ready, then the stdlib encoder with sorted keys
     and a two-space indent."""
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+
+
+def osgood_scenario(n, k_max, l_max):
+    """Osgood's map truncated at N = n, (x1, x1 x2, x1 sum_{i<=n} (n!/i!)
+    x2^(i+1)), at its singular point with window 3, and its relation
+    y1^n y3 - sum_{i<=n} (n!/i!) y1^(n-i) y2^(i+1), which generates the
+    relation ideal: it is homogeneous, and linear in y3 with a coefficient
+    coprime to its y2^(n+1) term."""
+    c = [factorial(n) // factorial(i) for i in range(n + 1)]
+    return {
+        "name": f"osgood{n}",
+        "map": {"name": f"osgood{n}", "m": 2, "n": 3,
+                "components": ["x1", "x1*x2", " + ".join(
+                    f"{c[i]}*x1*x2^{i + 1}" for i in range(n + 1))]},
+        "points": [[0, 0]],
+        "relations": {"*": [f"y1^{n}*y3 - " + " - ".join(
+            f"{c[i]}*y1^{n - i}*y2^{i + 1}" for i in range(n + 1))]},
+        "k_range": [1, k_max],
+        "l_max": l_max,
+        "window": 3,
+    }

@@ -4,13 +4,15 @@ that must catch it.
 For each entry the script copies src/ to a temporary directory, replaces
 the entry's old text, which must occur exactly once in its file, by its
 new text, and runs the entry's pytest node ids with -x against the copy.
-An entry whose tests all pass is a surviving mutant.  The script exits 1
-when a mutant survives, when an old text does not occur exactly once, so
-that an edit to the code makes the catalogue follow it, or when pytest
+An entry whose tests all pass is a surviving mutant.  Before the mutants,
+the union of every entry's node ids runs once against an unmutated copy,
+so that a test failure counts as a kill only when the mutation caused it.
+The script exits 1 when a mutant survives, when an old text does not
+occur exactly once, so that an edit to the code makes the catalogue
+follow it, when a node id fails on the unmutated copy, or when pytest
 cannot run an entry's node ids.
 
-    python tests/mutants.py             # every entry
-    python tests/mutants.py NAME ...    # the named entries
+    python tests/mutants.py
 
 It uses the standard library only, and pytest does not collect it.  When
 a change rests on a check that a plausible slip would break, add that
@@ -115,6 +117,30 @@ MUTANTS = [
 ]
 
 
+def pytest_on_copy(nodes, file=None, text=None):
+    """(pytest's exit code, the last lines it printed) for nodes run with
+    -x against a copy of src/ in which file, when given, holds text; the
+    code is None when chevkit does not import from the copy."""
+    with tempfile.TemporaryDirectory(prefix="chevkit-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        if file is not None:
+            (src / file).write_text(text, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   PYTHONDONTWRITEBYTECODE="1")
+        where = subprocess.run(
+            [sys.executable, "-c", "import chevkit; print(chevkit.__file__)"],
+            env=env, capture_output=True, text=True)
+        if not where.stdout.startswith(str(src)):
+            return None, f"chevkit imports from {where.stdout.strip()!r}"
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", *nodes],
+            cwd=ROOT, env=env, capture_output=True, text=True)
+    return done.returncode, "\n".join(done.stdout.splitlines()[-5:])
+
+
 def run(mutant):
     """('killed' | 'survived' | 'error', detail) for one entry, run on a
     mutated copy of src/."""
@@ -122,54 +148,33 @@ def run(mutant):
     count = text.count(mutant.old)
     if count != 1:
         return "error", f"old text occurs {count} times in {mutant.file}"
-    with tempfile.TemporaryDirectory(prefix="chevkit-mutant-") as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        (src / mutant.file).write_text(text.replace(mutant.old, mutant.new),
-                                       encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(src),
-                   PYTHONDONTWRITEBYTECODE="1")
-        where = subprocess.run(
-            [sys.executable, "-c", "import chevkit; print(chevkit.__file__)"],
-            env=env, capture_output=True, text=True)
-        if not where.stdout.startswith(str(src)):
-            return "error", f"chevkit imports from {where.stdout.strip()!r}"
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-             "no:cacheprovider", *mutant.nodes],
-            cwd=ROOT, env=env, capture_output=True, text=True)
-    if done.returncode == 1:
+    code, tail = pytest_on_copy(mutant.nodes, mutant.file,
+                                text.replace(mutant.old, mutant.new))
+    if code == 1:
         return "killed", ""
-    if done.returncode == 0:
+    if code == 0:
         return "survived", "every test passed"
-    tail = "\n".join(done.stdout.splitlines()[-5:])
-    return "error", f"pytest exit {done.returncode}:\n{tail}"
+    return "error", tail if code is None else f"pytest exit {code}:\n{tail}"
 
 
-def main(names):
-    known = {m.name for m in MUTANTS}
-    if len(known) < len(MUTANTS):
-        print("mutant names repeat")
-        return 1
-    unknown = [n for n in names if n not in known]
-    if unknown:
-        print(f"no mutant named {', '.join(map(repr, unknown))}")
+def main():
+    nodes = list(dict.fromkeys(n for m in MUTANTS for n in m.nodes))
+    code, tail = pytest_on_copy(nodes)
+    if code != 0:
+        detail = tail if code is None else f"pytest exit {code}:\n{tail}"
+        print(f"error     the entries' tests on unmutated src/: {detail}")
         return 1
     failed = 0
     for mutant in MUTANTS:
-        if names and mutant.name not in names:
-            continue
         start = time.perf_counter()
         verdict, detail = run(mutant)
         seconds = time.perf_counter() - start
         print(f"{verdict:9} {mutant.name} ({seconds:.1f} s)"
               + (f": {detail}" if detail else ""), flush=True)
         failed += verdict != "killed"
-    print(f"{failed} of {len(MUTANTS) if not names else len(names)}"
-          " entries not killed")
+    print(f"{failed} of {len(MUTANTS)} entries not killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

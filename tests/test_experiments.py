@@ -3,7 +3,6 @@ import dataclasses
 import functools
 import random
 import sys
-from math import factorial
 from pathlib import Path
 
 import pytest
@@ -375,42 +374,12 @@ def small_cusp_scenario(gens=("y1^3 - y2^2",), k_max=2):
     })
 
 
-def osgood_scenario(n, k_max, l_max):
-    """Osgood's map truncated at N = n, (x1, x1 x2, x1 sum_{i<=n} (n!/i!)
-    x2^(i+1)), at its singular point with window 3, and its relation
-    y1^n y3 - sum_{i<=n} (n!/i!) y1^(n-i) y2^(i+1), which generates the
-    relation ideal: it is homogeneous, and linear in y3 with a coefficient
-    coprime to its y2^(n+1) term."""
-    c = [factorial(n) // factorial(i) for i in range(n + 1)]
-    return {
-        "name": f"osgood{n}",
-        "map": {"name": f"osgood{n}", "m": 2, "n": 3,
-                "components": ["x1", "x1*x2", " + ".join(
-                    f"{c[i]}*x1*x2^{i + 1}" for i in range(n + 1))]},
-        "points": [[0, 0]],
-        "relations": {"*": [f"y1^{n}*y3 - " + " - ".join(
-            f"{c[i]}*y1^{n - i}*y2^{i + 1}" for i in range(n + 1))]},
-        "k_range": [1, k_max],
-        "l_max": l_max,
-        "window": 3,
-    }
-
-
 class TestRunTable:
-    def test_osgood_recipe_gives_the_pinned_truncation(self):
-        # the recipe at N = 4 reads as the scenario test_cli pins
-        built, pinned = (parse_scenario(osgood_scenario(4, 6, 30)),
-                         parse_scenario(test_cli.TestOutputPins.OSGOOD4))
-        assert built.phi.components == pinned.phi.components
-        assert built.relations == pinned.relations
-        assert (built.k_range, built.l_max, built.window) == \
-            (pinned.k_range, pinned.l_max, pinned.window)
-
     def test_osgood_climb_at_scale(self):
         # Osgood N = 6 at k <= 8 sends batches of new rows through the
         # echelon far larger than any shipped scenario's, at orders up
         # to 49; every row is certified
-        table = run_table(parse_scenario(osgood_scenario(6, 8, 70)))
+        table = run_table(parse_scenario(oracles.osgood_scenario(6, 8, 70)))
         assert [(e.tuple_id, e.k, e.status) for e in table.entries] == \
             [("0,0", k, VERIFIED) for k in range(1, 9)]
         assert [e.l_value for e in table.entries] == \
